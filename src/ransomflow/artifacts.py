@@ -137,17 +137,28 @@ def _load_feature_csv(path: Path, schema: RecordSchema, k_classes: int):
     return FeatureMatrix(data[:, :-1], data[:, -1].astype(np.int64), k_classes)
 
 
-def load_artifact(directory) -> DatasetArtifact:
-    directory = Path(directory)
-    doc = load_json(directory / "dataset.json")
+def _verified_payload(path, what: str, kinds) -> dict:
+    """Payload of a {checksum, payload} file after its envelope checks.
+
+    The recorded checksum must match the payload, the schema version must be
+    current and the payload kind must be one of ``kinds``.
+    """
+    doc = load_json(path)
     payload = doc.get("payload", {})
     recorded = doc.get("checksum", "")
     actual = checksum(payload)
     if recorded != actual:
         raise ChecksumMismatch(recorded, actual)
-    require_version(payload, "dataset artifact")
-    if payload.get("kind") != "dataset":
-        raise SchemaMismatch(f"expected dataset artifact, got {payload.get('kind')!r}")
+    require_version(payload, what)
+    if payload.get("kind") not in kinds:
+        raise SchemaMismatch(f"{what}: unexpected kind {payload.get('kind')!r}")
+    return payload
+
+
+def load_artifact(directory) -> DatasetArtifact:
+    directory = Path(directory)
+    payload = _verified_payload(directory / "dataset.json", "dataset artifact",
+                                ("dataset",))
     schema, maps, stats = preprocess_from_dict(payload["preprocess"])
     header, rows = _read_csv(directory / "table.csv")
     table = encoded_table_from_rows(header, rows, schema, maps)
@@ -214,24 +225,19 @@ class ModelBundle:
 
 
 def load_bundle(path) -> ModelBundle:
-    doc = load_json(path)
-    payload = doc.get("payload", {})
-    recorded = doc.get("checksum", "")
-    actual = checksum(payload)
-    if recorded != actual:
-        raise ChecksumMismatch(recorded, actual)
-    require_version(payload, "model bundle")
-    kind = payload.get("kind")
-    if kind not in BUNDLE_KINDS:
-        raise SchemaMismatch(f"unknown bundle kind {kind!r}")
-    schema, maps, stats = preprocess_from_dict(payload["preprocess"])
-    components = payload["components"]
-    bundle = ModelBundle(kind=kind, config=payload["config"], schema=schema,
-                         maps=maps, stats=stats)
-    if kind == "sae-lstm":
-        bundle.sae_model, bundle.sae_head = sae_mod.model_from_dict(
-            components["sae"])
-        bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"])
-    else:
-        bundle.gbt_model = gbt_mod.model_from_dict(components["gbt"])
+    payload = _verified_payload(path, "model bundle", BUNDLE_KINDS)
+    kind = payload["kind"]
+    try:
+        schema, maps, stats = preprocess_from_dict(payload["preprocess"])
+        components = payload["components"]
+        bundle = ModelBundle(kind=kind, config=payload["config"],
+                             schema=schema, maps=maps, stats=stats)
+        if kind == "sae-lstm":
+            bundle.sae_model, bundle.sae_head = sae_mod.model_from_dict(
+                components["sae"])
+            bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"])
+        else:
+            bundle.gbt_model = gbt_mod.model_from_dict(components["gbt"])
+    except KeyError as exc:
+        raise SchemaMismatch(f"{path}: model bundle is missing key {exc}") from None
     return bundle

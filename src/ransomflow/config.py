@@ -136,10 +136,7 @@ def from_dict(doc: dict) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Parse a JSON configuration file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

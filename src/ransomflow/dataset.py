@@ -149,14 +149,14 @@ class RawTable:
 
 def _open_text(source):
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), True
+        return io.StringIO(source.decode("utf-8"))
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return io.StringIO(data), True
+        return io.StringIO(data)
     raise ConfigError(f"cannot read CSV from {type(source).__name__}")
 
 
@@ -169,8 +169,7 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
     1-based line number, and numeric columns must parse as floats.
     """
     schema = schema or default_schema()
-    stream, owned = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         header_raw = next(reader, None)
         if header_raw is None:
@@ -202,9 +201,6 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
                     raise NonNumericCell(line_no, name, cells[i]) from None
             rows.append(cells)
         return RawTable(header=schema.names, rows=rows)
-    finally:
-        if owned:
-            stream.close()
 
 
 @dataclass

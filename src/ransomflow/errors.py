@@ -84,6 +84,13 @@ class LabelOutOfRange(DataError):
         super().__init__(f"label {label} outside [0, {k_classes})")
 
 
+def check_label_range(labels, k_classes: int) -> None:
+    """Raise :class:`LabelOutOfRange` for the first label outside [0, k)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k_classes):
+        bad = int(labels[(labels < 0) | (labels >= k_classes)][0])
+        raise LabelOutOfRange(bad, k_classes)
+
+
 class EmptyData(DataError):
     def __init__(self, detail: str = "no rows to operate on"):
         super().__init__(detail)

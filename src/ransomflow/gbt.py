@@ -23,8 +23,8 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
-    LabelOutOfRange,
     ShapeMismatch,
+    check_label_range,
 )
 from .nn import softmax
 from .serialize import SCHEMA_VERSION, require_version
@@ -91,9 +91,7 @@ def grad_hess(labels: np.ndarray, raw_scores: np.ndarray):
     n, k = raw_scores.shape
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels shape {labels.shape} does not match {n} rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = int(labels[(labels < 0) | (labels >= k)][0])
-        raise LabelOutOfRange(bad, k)
+    check_label_range(labels, k)
     probs = softmax(raw_scores)
     g = probs.copy()
     g[np.arange(n), labels] -= 1.0
@@ -261,9 +259,7 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
     k = params.k_classes
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
-    if y.min() < 0 or y.max() >= k:
-        bad = int(y[(y < 0) | (y >= k)][0])
-        raise LabelOutOfRange(bad, k)
+    check_label_range(y, k)
     n = x.shape[0]
     raw = np.zeros((n, k), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)

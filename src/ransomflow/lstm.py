@@ -1,11 +1,13 @@
 """LSTM classifier trained with full backpropagation through time.
 
-Gate conventions: each gate weight matrix has shape (hidden, input + hidden)
-and multiplies the concatenation [h_prev | x_t]; the recurrent block occupies
-the first ``hidden`` columns. The cell state update is
+Each cell keeps its four gates fused in one weight matrix ``w`` of shape
+(4 * hidden, hidden + input) and one bias ``b`` of length 4 * hidden. The row
+blocks are the input, forget, output and candidate gates, in that order; the
+columns multiply the concatenation z = [h_prev | x_t], recurrent block first.
+One matmul gives every gate pre-activation:
 
-    i = sigmoid(W_i z + b_i)      f = sigmoid(W_f z + b_f)
-    o = sigmoid(W_o z + b_o)      g = tanh(W_c z + b_c)
+    [a_i | a_f | a_o | a_g] = z @ w.T + b
+    i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)      g = tanh(a_g)
     c_t = f * c_prev + i * g      h_t = o * tanh(c_t)
 
 Tabular rows are fed either as one step carrying all features (the default)
@@ -23,8 +25,9 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
-    LabelOutOfRange,
+    SchemaMismatch,
     ShapeMismatch,
+    check_label_range,
 )
 from .nn import (
     Adam,
@@ -44,66 +47,48 @@ LAYOUTS = ("single-step", "feature-steps")
 
 @dataclass
 class LstmCell:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    w: np.ndarray  # (4 * hidden, hidden + input), row blocks i | f | o | g
+    b: np.ndarray  # (4 * hidden,)
 
     def __post_init__(self):
-        mats = [self.w_i, self.w_f, self.w_o, self.w_c]
-        vecs = [self.b_i, self.b_f, self.b_o, self.b_c]
-        shapes = {m.shape for m in map(np.asarray, mats)}
-        if len(shapes) != 1:
-            raise ShapeMismatch(f"gate matrices disagree on shape: {shapes}")
-        hidden = np.asarray(self.w_i).shape[0]
-        for v in vecs:
-            if np.asarray(v).shape != (hidden,):
-                raise ShapeMismatch(
-                    f"gate bias shape {np.asarray(v).shape} != ({hidden},)"
-                )
-        if np.asarray(self.w_i).shape[1] <= hidden:
+        self.w = np.asarray(self.w, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64)
+        if self.w.ndim != 2 or self.w.shape[0] % 4:
             raise ShapeMismatch(
-                "gate matrices must have input + hidden columns"
+                f"gate matrix shape {self.w.shape} is not (4 * hidden, columns)"
             )
-        for name in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.b.shape != (self.w.shape[0],):
+            raise ShapeMismatch(
+                f"gate bias shape {self.b.shape} != ({self.w.shape[0]},)"
+            )
+        if self.w.shape[1] <= self.hidden_size:
+            raise ShapeMismatch("gate matrix must have input + hidden columns")
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, seed: int) -> "LstmCell":
         total = input_size + hidden_size
         bound = np.sqrt(6.0 / (total + hidden_size))
-        mats = {}
-        vecs = {}
-        for gate in GATES:
-            mats[gate] = rng.uniform_signed(
-                rng.derive(seed, "gate", gate), (hidden_size, total), bound
-            )
-            vecs[gate] = np.zeros(hidden_size)
-        return cls(
-            w_i=mats["input"], w_f=mats["forget"], w_o=mats["output"],
-            w_c=mats["candidate"], b_i=vecs["input"], b_f=vecs["forget"],
-            b_o=vecs["output"], b_c=vecs["candidate"],
-        )
+        w = np.concatenate([
+            rng.uniform_signed(rng.derive(seed, "gate", gate),
+                               (hidden_size, total), bound)
+            for gate in GATES
+        ])
+        return cls(w=w, b=np.zeros(4 * hidden_size))
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[1] - self.hidden_size
+        return self.w.shape[1] - self.hidden_size
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.params())
+        return self.w.size + self.b.size
 
     def params(self) -> list:
-        return [self.w_i, self.w_f, self.w_o, self.w_c,
-                self.b_i, self.b_f, self.b_o, self.b_c]
+        return [self.w, self.b]
 
 
 @dataclass
@@ -143,10 +128,10 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray,
             f"batch {x_t.shape[0]} x hidden {hidden}"
         )
     z = np.concatenate([h_prev, x_t], axis=1)
-    i = sigmoid(z @ cell.w_i.T + cell.b_i)
-    f = sigmoid(z @ cell.w_f.T + cell.b_f)
-    o = sigmoid(z @ cell.w_o.T + cell.b_o)
-    g = np.tanh(z @ cell.w_c.T + cell.b_c)
+    gates = z @ cell.w.T + cell.b
+    gates[:, :3 * hidden] = sigmoid(gates[:, :3 * hidden])
+    gates[:, 3 * hidden:] = np.tanh(gates[:, 3 * hidden:])
+    i, f, o, g = np.split(gates, 4, axis=1)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -304,8 +289,8 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
         cell = model.cells[layer_index]
         step_caches = caches.steps[layer_index]
         hidden = cell.hidden_size
-        gw = {gate: np.zeros_like(getattr(cell, f"w_{gate[0]}")) for gate in GATES}
-        gb = {gate: np.zeros_like(getattr(cell, f"b_{gate[0]}")) for gate in GATES}
+        gw = np.zeros_like(cell.w)
+        gb = np.zeros_like(cell.b)
         grad_h_next = np.zeros((m, hidden))
         grad_c_next = np.zeros((m, hidden))
         lower = []
@@ -313,28 +298,22 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             cache = step_caches[t]
             grad_h = upper[t] + grad_h_next
             grad_c = grad_c_next + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
-            grad_o = grad_h * cache.tanh_c
-            grad_i = grad_c * cache.g
-            grad_f = grad_c * cache.c_prev
-            grad_g = grad_c * cache.i
-            pre = {
-                "input": grad_i * cache.i * (1.0 - cache.i),
-                "forget": grad_f * cache.f * (1.0 - cache.f),
-                "output": grad_o * cache.o * (1.0 - cache.o),
-                "candidate": grad_g * (1.0 - cache.g ** 2),
-            }
-            grad_z = np.zeros_like(cache.z)
-            for gate in GATES:
-                gw[gate] += pre[gate].T @ cache.z
-                gb[gate] += pre[gate].sum(axis=0)
-                grad_z += pre[gate] @ getattr(cell, f"w_{gate[0]}")
+            # loss gradient at the pre-activations, gate blocks i | f | o | g
+            pre = np.concatenate([
+                grad_c * cache.g * cache.i * (1.0 - cache.i),
+                grad_c * cache.c_prev * cache.f * (1.0 - cache.f),
+                grad_h * cache.tanh_c * cache.o * (1.0 - cache.o),
+                grad_c * cache.i * (1.0 - cache.g ** 2),
+            ], axis=1)
+            gw += pre.T @ cache.z
+            gb += pre.sum(axis=0)
+            grad_z = pre @ cell.w
             grad_h_next = grad_z[:, :hidden]
             grad_c_next = grad_c * cache.f
             lower.append(grad_z[:, hidden:])
         lower.reverse()
         upper = lower
-        cell_grads.append([gw["input"], gw["forget"], gw["output"], gw["candidate"],
-                           gb["input"], gb["forget"], gb["output"], gb["candidate"]])
+        cell_grads.append([gw, gb])
     cell_grads.reverse()
     grads = []
     for block in cell_grads:
@@ -385,9 +364,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
     k = int(y.max()) + 1 if k_classes is None else int(k_classes)
     if k < 2:
         raise DegenerateClasses(f"need at least 2 classes, got {k}")
-    if y.min() < 0 or y.max() >= k:
-        bad = int(y[(y < 0) | (y >= k)][0])
-        raise LabelOutOfRange(bad, k)
+    check_label_range(y, k)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k, config)
     params = model.params()
@@ -439,20 +416,13 @@ def cell_to_dict(cell: LstmCell) -> dict:
     return {
         "hidden_size": cell.hidden_size,
         "input_size": cell.input_size,
-        "w_i": float_list(cell.w_i), "w_f": float_list(cell.w_f),
-        "w_o": float_list(cell.w_o), "w_c": float_list(cell.w_c),
-        "b_i": float_list(cell.b_i), "b_f": float_list(cell.b_f),
-        "b_o": float_list(cell.b_o), "b_c": float_list(cell.b_c),
+        "w": float_list(cell.w),
+        "b": float_list(cell.b),
     }
 
 
 def cell_from_dict(doc: dict) -> LstmCell:
-    cell = LstmCell(
-        w_i=np.asarray(doc["w_i"]), w_f=np.asarray(doc["w_f"]),
-        w_o=np.asarray(doc["w_o"]), w_c=np.asarray(doc["w_c"]),
-        b_i=np.asarray(doc["b_i"]), b_f=np.asarray(doc["b_f"]),
-        b_o=np.asarray(doc["b_o"]), b_c=np.asarray(doc["b_c"]),
-    )
+    cell = LstmCell(w=doc["w"], b=doc["b"])
     if cell.hidden_size != doc["hidden_size"] or cell.input_size != doc["input_size"]:
         raise ShapeMismatch("stored cell dims disagree with matrix shapes")
     return cell
@@ -472,9 +442,7 @@ def model_to_dict(model: LstmClassifier) -> dict:
 def model_from_dict(doc: dict) -> LstmClassifier:
     require_version(doc, "lstm model")
     if doc.get("component") != "lstm":
-        from .errors import SchemaMismatch as SM
-
-        raise SM(f"expected lstm component, got {doc.get('component')!r}")
+        raise SchemaMismatch(f"expected lstm component, got {doc.get('component')!r}")
     return LstmClassifier(
         cells=[cell_from_dict(d) for d in doc["cells"]],
         head=layer_from_dict(doc["head"]),

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (
     ClassSetMismatch,
     EmptyMatrix,
-    LabelOutOfRange,
     LengthMismatch,
+    check_label_range,
 )
 from .serialize import SCHEMA_VERSION, require_version
 
@@ -64,10 +64,8 @@ def confusion(y_true, y_pred, k_classes: int, class_names=None) -> ConfusionMatr
         )
     if k_classes < 1:
         raise EmptyMatrix(f"k_classes must be positive, got {k_classes}")
-    for arr in (y_true, y_pred):
-        if arr.size and (arr.min() < 0 or arr.max() >= k_classes):
-            bad = int(arr[(arr < 0) | (arr >= k_classes)][0])
-            raise LabelOutOfRange(bad, k_classes)
+    check_label_range(y_true, k_classes)
+    check_label_range(y_pred, k_classes)
     flat = y_true.astype(np.int64) * k_classes + y_pred.astype(np.int64)
     counts = np.bincount(flat, minlength=k_classes * k_classes)
     counts = counts.reshape(k_classes, k_classes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import LabelOutOfRange, ShapeMismatch
+from .errors import LabelOutOfRange, ShapeMismatch, check_label_range
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 
@@ -27,14 +27,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The tanh identity needs no exp, so it cannot overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -225,9 +219,7 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
             raise LabelOutOfRange(-1, probs.shape[1])
         labels = cast
     n, k = probs.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = int(labels[(labels < 0) | (labels >= k)][0])
-        raise LabelOutOfRange(bad, k)
+    check_label_range(labels, k)
     row_sums = probs.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-6):
         raise ShapeMismatch("probability rows must sum to 1 within 1e-6")

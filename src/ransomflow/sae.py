@@ -18,8 +18,8 @@ from . import rng
 from .errors import (
     DegenerateClasses,
     EmptyData,
-    LabelOutOfRange,
     ShapeMismatch,
+    check_label_range,
 )
 from .nn import (
     Adam,
@@ -230,9 +230,7 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
         raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
     if k_classes < 2:
         raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
-    if y.min() < 0 or y.max() >= k_classes:
-        bad = int(y[(y < 0) | (y >= k_classes)][0])
-        raise LabelOutOfRange(bad, k_classes)
+    check_label_range(y, k_classes)
     seed = rng.derive(config.seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))

@@ -214,11 +214,7 @@ def test_c3_lstm_cell_oracle():
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     c_ref = sig1 * math.tanh(1.0)
     h_ref = sig1 * math.tanh(c_ref)
-    cell = LstmCell(
-        w_i=np.ones((1, 2)), w_f=np.ones((1, 2)), w_o=np.ones((1, 2)),
-        w_c=np.ones((1, 2)), b_i=np.zeros(1), b_f=np.zeros(1),
-        b_o=np.zeros(1), b_c=np.zeros(1),
-    )
+    cell = LstmCell(w=np.ones((4, 2)), b=np.zeros(4))
     h, c, _ = cell_forward(cell, np.array([1.0]), np.zeros(1), np.zeros(1))
     ok = abs(c[0] - c_ref) < 1e-5 and abs(h[0] - h_ref) < 1e-5
     # the widely quoted rounded constants for this case (0.556746, 0.368603)

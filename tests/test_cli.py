@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ransomflow.cli import main
+from ransomflow.serialize import checksum, dump_json
 
 INGEST_FILES = ("dataset.json", "table.csv", "train.csv", "test.csv",
                 "stats.json", "stats.txt")
@@ -245,6 +246,25 @@ def test_evaluate_tampered_bundle_exits_3(sae_bundle_dir, artifact_dir,
     rc = main(["evaluate", str(tampered), str(artifact_dir),
                "--output", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
+                                          tmp_path, capsys):
+    # a bundle in the older per-gate cell layout, with a valid checksum
+    doc = json.loads((sae_bundle_dir / "bundle.json").read_text())
+    payload = doc["payload"]
+    for cell in payload["components"]["lstm"]["cells"]:
+        w, b = cell.pop("w"), cell.pop("b")
+        hidden = cell["hidden_size"]
+        for n, name in enumerate("ifoc"):
+            cell[f"w_{name}"] = w[n * hidden:(n + 1) * hidden]
+            cell[f"b_{name}"] = b[n * hidden:(n + 1) * hidden]
+    old = tmp_path / "bundle.json"
+    dump_json(old, {"checksum": checksum(payload), "payload": payload})
+    rc = main(["evaluate", str(old), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    assert "missing key 'w'" in capsys.readouterr().err
 
 
 def test_evaluate_missing_bundle_exits_2(artifact_dir, tmp_path):

@@ -34,12 +34,8 @@ from ransomflow.nn import cross_entropy_loss, dense_forward, grad_check
 
 def zero_cell(input_size: int, hidden_size: int) -> LstmCell:
     total = input_size + hidden_size
-    return LstmCell(
-        w_i=np.zeros((hidden_size, total)), w_f=np.zeros((hidden_size, total)),
-        w_o=np.zeros((hidden_size, total)), w_c=np.zeros((hidden_size, total)),
-        b_i=np.zeros(hidden_size), b_f=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size), b_c=np.zeros(hidden_size),
-    )
+    return LstmCell(w=np.zeros((4 * hidden_size, total)),
+                    b=np.zeros(4 * hidden_size))
 
 
 def test_cell_forward_zero_weights_halves_state():
@@ -65,11 +61,7 @@ def test_cell_forward_scalar_hand_case():
     assert abs(c_ref - 0.5567699411459397) < 1e-15
     assert abs(h_ref - 0.36960635293570576) < 1e-15
 
-    cell = LstmCell(
-        w_i=np.ones((1, 2)), w_f=np.ones((1, 2)), w_o=np.ones((1, 2)),
-        w_c=np.ones((1, 2)), b_i=np.zeros(1), b_f=np.zeros(1),
-        b_o=np.zeros(1), b_c=np.zeros(1),
-    )
+    cell = LstmCell(w=np.ones((4, 2)), b=np.zeros(4))
     h, c, _ = cell_forward(cell, np.array([1.0]), np.zeros(1), np.zeros(1))
     assert abs(c[0] - c_ref) < 1e-9
     assert abs(h[0] - h_ref) < 1e-9
@@ -77,8 +69,8 @@ def test_cell_forward_scalar_hand_case():
 
 def test_cell_forward_saturated_gates_retain_memory():
     cell = zero_cell(2, 3)
-    cell.b_f[:] = 40.0
-    cell.b_i[:] = -40.0
+    cell.b[3:6] = 40.0  # forget block
+    cell.b[0:3] = -40.0  # input block
     c_prev = np.array([0.9, -0.2, 0.5])
     _, c, _ = cell_forward(cell, np.array([5.0, -5.0]), np.zeros(3), c_prev)
     assert np.abs(c - c_prev).max() < 1e-12
@@ -88,7 +80,7 @@ def test_cell_forward_retention_is_bit_exact_when_fully_saturated():
     # sigma(40) rounds to exactly 1.0 in doubles and tanh(0) is exactly 0,
     # so with a zero candidate path the cell state never changes at all
     cell = zero_cell(2, 3)
-    cell.b_f[:] = 40.0
+    cell.b[3:6] = 40.0  # forget block
     c = np.array([0.123456789, -0.5, 0.25])
     c0 = c.copy()
     h = np.zeros(3)

@@ -78,6 +78,14 @@ def test_sigmoid_extremes_and_midpoint():
     assert sigmoid(np.array([-800.0]))[0] == 0.0
 
 
+def test_sigmoid_matches_exp_formula_to_one_ulp_of_one():
+    # the tanh identity against the sign-split exp form it replaced
+    z = np.linspace(-800.0, 800.0, 160001)
+    e = np.exp(-np.abs(z))
+    reference = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert np.abs(sigmoid(z) - reference).max() <= 2.3e-16
+
+
 def test_dense_backward_hand_case():
     # scalar chain: out = 2 * 3 = 6; d out = 1 -> gw = x = 3, gb = 1, gi = w = 2
     layer = DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear")
