@@ -2,12 +2,15 @@
 
 A dataset artifact is a directory:
 
-    dataset.json   stage counts, fitted preprocessing state, config echo
+    dataset.json   stage counts, fitted preprocessing state, config echo,
+                   the split as ordered row indices into table.csv, and the
+                   sha256 of table.csv's bytes
     table.csv      encoded, deduplicated, timestamp-cleaned rows (14 columns)
-    train.csv      normalized features + integer label, training rows
-    test.csv       normalized features + integer label, held-out rows
     stats.json     describe-style numeric summaries
     stats.txt      the same, human readable
+
+table.csv is the only row store: at load time the train and test matrices are
+the indexed rows scaled by ``normalize`` with the stored bounds, bit for bit.
 
 A model bundle is a single JSON file {"checksum", "payload"}; the checksum is
 the sha256 of the canonical (key-sorted, minimal) JSON of the payload, so any
@@ -19,7 +22,7 @@ writing the same artifact twice yields identical bytes.
 
 from __future__ import annotations
 
-import json
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .dataset import (
     RecordSchema,
     encoded_table_from_rows,
     encoded_table_to_rows,
+    normalize,
     preprocess_from_dict,
     preprocess_to_dict,
 )
@@ -49,41 +53,20 @@ from .serialize import (
 )
 
 
-def _write_csv(path: Path, header_cells, rows, config_echo=None) -> None:
-    lines = []
-    if config_echo is not None:
-        lines.append("# config: " + canonical_json(config_echo))
-    lines.append(",".join(header_cells))
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_csv(path: Path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise SchemaMismatch(f"{path.name}: no header row")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
-def _feature_rows(fm: FeatureMatrix):
-    rows = []
-    for i in range(fm.row_count):
-        cells = [repr(float(v)) for v in fm.x[i]]
-        cells.append(str(int(fm.y[i])))
-        rows.append(cells)
-    return rows
-
-
 def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
-                  table: EncodedTable, train: FeatureMatrix,
-                  test: FeatureMatrix, stages: dict, summary,
-                  config_echo: dict) -> Path:
-    """Write a dataset artifact directory; returns its path."""
+                  table: EncodedTable, train_idx, test_idx, stages: dict,
+                  summary, config_echo: dict) -> Path:
+    """Write a dataset artifact directory; returns its path.
+
+    ``train_idx``/``test_idx`` are each side's ordered row indices into table.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header, rows = encoded_table_to_rows(table)
+    lines = ["# config: " + canonical_json(config_echo), ",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    table_bytes = ("\n".join(lines) + "\n").encode("utf-8")
+    (directory / "table.csv").write_bytes(table_bytes)
     target = schema.target_column
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -91,19 +74,15 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
         "config": config_echo,
         "preprocess": preprocess_to_dict(schema, maps, stats),
         "stages": stages,
-        "split": {"train_rows": train.row_count, "test_rows": test.row_count},
-        "k_classes": train.k_classes,
+        "split": {"train_rows": len(train_idx), "test_rows": len(test_idx),
+                  "train_index": np.asarray(train_idx).tolist(),
+                  "test_index": np.asarray(test_idx).tolist()},
+        "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
+        "k_classes": maps.size(target),
         "class_names": list(maps.categories[target]),
     }
     dump_json(directory / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
-    header, rows = encoded_table_to_rows(table)
-    _write_csv(directory / "table.csv", header, rows, config_echo)
-    feature_header = list(schema.feature_names) + [target]
-    _write_csv(directory / "train.csv", feature_header, _feature_rows(train),
-               config_echo)
-    _write_csv(directory / "test.csv", feature_header, _feature_rows(test),
-               config_echo)
     dump_json(directory / "stats.json",
               {"schema_version": SCHEMA_VERSION, "columns": summary.to_dict()})
     (directory / "stats.txt").write_text(summary.table_text(), encoding="utf-8")
@@ -125,18 +104,6 @@ class DatasetArtifact:
     class_names: tuple
 
 
-def _load_feature_csv(path: Path, schema: RecordSchema, k_classes: int):
-    header, rows = _read_csv(path)
-    expected = list(schema.feature_names) + [schema.target_column]
-    if header != expected:
-        raise SchemaMismatch(f"{path.name}: header does not match the schema")
-    if rows:
-        data = np.asarray(rows, dtype=np.float64)
-    else:
-        data = np.empty((0, len(expected)))
-    return FeatureMatrix(data[:, :-1], data[:, -1].astype(np.int64), k_classes)
-
-
 def _verified_payload(path, what: str, kinds) -> dict:
     """Payload of a {checksum, payload} file after its envelope checks.
 
@@ -155,29 +122,44 @@ def _verified_payload(path, what: str, kinds) -> dict:
     return payload
 
 
+def _split_side(table: EncodedTable, stats: NormStats, index, side: str):
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.size and not 0 <= idx.min() <= idx.max() < table.row_count:
+        raise SchemaMismatch(f"dataset artifact: {side} index out of range")
+    return normalize(table.with_values(table.values[idx], side), stats)[0]
+
+
 def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
-    schema, maps, stats = preprocess_from_dict(payload["preprocess"])
-    header, rows = _read_csv(directory / "table.csv")
-    table = encoded_table_from_rows(header, rows, schema, maps)
-    k = int(payload["k_classes"])
-    train = _load_feature_csv(directory / "train.csv", schema, k)
-    test = _load_feature_csv(directory / "test.csv", schema, k)
-    return DatasetArtifact(
-        directory=directory,
-        config=payload["config"],
-        schema=schema,
-        maps=maps,
-        stats=stats,
-        table=table,
-        train=train,
-        test=test,
-        stages=payload["stages"],
-        k_classes=k,
-        class_names=tuple(payload["class_names"]),
-    )
+    try:
+        schema, maps, stats = preprocess_from_dict(payload["preprocess"])
+        raw = (directory / "table.csv").read_bytes()
+        actual = hashlib.sha256(raw).hexdigest()
+        if actual != payload["table_sha256"]:
+            raise ChecksumMismatch(payload["table_sha256"], actual)
+        rows = [ln.split(",") for ln in raw.decode("utf-8").splitlines()
+                if ln and not ln.startswith("#")]
+        table = encoded_table_from_rows(rows[0] if rows else (), rows[1:],
+                                        schema, maps)
+        split = payload["split"]
+        return DatasetArtifact(
+            directory=directory,
+            config=payload["config"],
+            schema=schema,
+            maps=maps,
+            stats=stats,
+            table=table,
+            train=_split_side(table, stats, split["train_index"], "train"),
+            test=_split_side(table, stats, split["test_index"], "test"),
+            stages=payload["stages"],
+            k_classes=int(payload["k_classes"]),
+            class_names=tuple(payload["class_names"]),
+        )
+    except KeyError as exc:
+        raise SchemaMismatch(
+            f"{directory}: dataset artifact is missing key {exc}") from None
 
 
 # ---------------------------------------------------------------------------

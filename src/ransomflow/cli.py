@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
 from .metrics import MetricsReport, compare, confusion, report
-from .serialize import SCHEMA_VERSION, dump_json, load_json
+from .serialize import SCHEMA_VERSION, curve_csv, dump_json, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +140,18 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
+def _scrub_side(values, where: dict):
+    """Deduplicate and timestamp-clean one split side on its own.
+
+    ``where`` maps each scrubbed table row's bytes to its index, so only rows
+    with a bad timestamp miss it. Returns (table indices of the side's distinct
+    rows in first-occurrence order, duplicates removed, bad timestamps removed).
+    """
+    distinct = dict.fromkeys(row.tobytes() for row in values)
+    indices = [where[key] for key in distinct if key in where]
+    return indices, len(values) - len(distinct), len(distinct) - len(indices)
+
+
 def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
     cfg = replace(cfg, csv_path=args.csv)
@@ -154,48 +166,38 @@ def cmd_ingest(args) -> int:
         encoded = encoded.with_values(encoded.values[keep], "subsampled")
         stages["subsampled_rows"] = encoded.row_count
 
+    deduped, removed_dup = deduplicate(encoded)
+    table, removed_time = clean_timestamps(deduped)
     if cfg.split_before_dedup:
         # Leakage experiment: partition the raw encoded rows first so shared
         # duplicates can land on both sides, then scrub each side on its own.
         stages["ordering"] = "split-before-dedup"
-        train_idx, test_idx = stratified_indices(
-            encoded.target_codes(), cfg.test_ratio, cfg.split_seed())
-        train_tbl = encoded.with_values(encoded.values[train_idx], "train-side")
-        test_tbl = encoded.with_values(encoded.values[test_idx], "test-side")
-        train_tbl, dup_train = deduplicate(train_tbl)
-        test_tbl, dup_test = deduplicate(test_tbl)
-        train_tbl, bad_train = clean_timestamps(train_tbl)
-        test_tbl, bad_test = clean_timestamps(test_tbl)
-        stages["duplicates_removed"] = dup_train + dup_test
-        stages["bad_timestamps_removed"] = bad_train + bad_test
-        table, _ = deduplicate(encoded)
-        table, _ = clean_timestamps(table)
-        train_fm, stats = normalize(train_tbl)
-        test_fm, _ = normalize(test_tbl, stats)
+        sides = stratified_indices(encoded.target_codes(), cfg.test_ratio,
+                                   cfg.split_seed())
+        where = {row.tobytes(): i for i, row in enumerate(table.values)}
+        scrubbed = [_scrub_side(encoded.values[idx], where) for idx in sides]
+        (train_idx, test_idx), dups, bads = zip(*scrubbed)
+        stages["duplicates_removed"] = sum(dups)
+        stages["bad_timestamps_removed"] = sum(bads)
     else:
         stages["ordering"] = "dedup-clean-split"
-        deduped, removed_dup = deduplicate(encoded)
         stages["duplicates_removed"] = removed_dup
         stages["deduplicated_rows"] = deduped.row_count
-        table, removed_time = clean_timestamps(deduped)
         stages["bad_timestamps_removed"] = removed_time
         train_idx, test_idx = stratified_indices(
             table.target_codes(), cfg.test_ratio, cfg.split_seed())
-        train_tbl = table.with_values(table.values[train_idx], "train-split")
-        test_tbl = table.with_values(table.values[test_idx], "test-split")
-        train_fm, stats = normalize(train_tbl)
-        test_fm, _ = normalize(test_tbl, stats)
+    _, stats = normalize(table.with_values(table.values[train_idx], "train"))
 
     stages["table_rows"] = table.row_count
     summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
-    save_artifact(out_dir, schema, maps, stats, table, train_fm, test_fm,
+    save_artifact(out_dir, schema, maps, stats, table, train_idx, test_idx,
                   stages, summary, cfg.echo())
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
         print(f"  {key.replace('_', ' ')}: {stages[key]}")
-    print(f"  train rows: {train_fm.row_count}, test rows: {test_fm.row_count}")
+    print(f"  train rows: {len(train_idx)}, test rows: {len(test_idx)}")
     return 0
 
 
@@ -219,9 +221,8 @@ def cmd_train(args) -> int:
         if cfg.fine_tune:
             head, ft_losses = sae.fine_tune(model, artifact.train.x,
                                             artifact.train.y, k, sae_cfg)
-            lines = ["epoch,loss"] + [f"{i},{v!r}" for i, v in enumerate(ft_losses)]
             (out_dir / "fine_tune_history.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8")
+                curve_csv("epoch,loss", enumerate(ft_losses)), encoding="utf-8")
         codes = sae.encode(model, artifact.train.x)
         lstm_cfg = cfg.lstm_effective()
         classifier, history = lstm.train_classifier(codes, artifact.train.y,

@@ -91,6 +91,12 @@ def check_label_range(labels, k_classes: int) -> None:
         raise LabelOutOfRange(bad, k_classes)
 
 
+def check_int(name: str, value, low: int) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int (not a bool) >= low."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class EmptyData(DataError):
     def __init__(self, detail: str = "no rows to operate on"):
         super().__init__(detail)

@@ -24,10 +24,11 @@ from .errors import (
     DegenerateClasses,
     EmptyData,
     ShapeMismatch,
+    check_int,
     check_label_range,
 )
 from .nn import softmax
-from .serialize import SCHEMA_VERSION, require_version
+from .serialize import SCHEMA_VERSION, curve_csv, require_version
 
 
 @dataclass
@@ -41,18 +42,15 @@ class GbtParams:
     k_classes: int = 3
 
     def __post_init__(self):
+        check_int("max depth", self.max_depth, 1)
+        check_int("rounds", self.rounds, 0)
+        check_int("class count", self.k_classes, 2)
         if self.gamma < 0 or self.lambda_ < 0:
             raise ConfigError("gamma and lambda must be non-negative")
         if not 0.0 < self.shrinkage <= 1.0:
             raise ConfigError(f"shrinkage must lie in (0, 1], got {self.shrinkage}")
-        if self.max_depth < 1:
-            raise ConfigError("max depth must be at least 1")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be non-negative")
         if self.min_child_hessian < 0:
             raise ConfigError("min child hessian must be non-negative")
-        if self.k_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.k_classes}")
 
     def to_dict(self) -> dict:
         return {
@@ -352,7 +350,4 @@ def model_from_dict(doc: dict) -> GbtModel:
 
 
 def history_csv(model: GbtModel) -> str:
-    lines = ["round,loss"]
-    for i, loss in enumerate(model.training_loss):
-        lines.append(f"{i},{loss!r}")
-    return "\n".join(lines) + "\n"
+    return curve_csv("round,loss", enumerate(model.training_loss))

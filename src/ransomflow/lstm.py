@@ -27,6 +27,7 @@ from .errors import (
     EmptyData,
     SchemaMismatch,
     ShapeMismatch,
+    check_int,
     check_label_range,
 )
 from .nn import (
@@ -39,7 +40,7 @@ from .nn import (
     layer_to_dict,
     sigmoid,
 )
-from .serialize import SCHEMA_VERSION, float_list, require_version
+from .serialize import SCHEMA_VERSION, curve_csv, float_list, require_version
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -153,10 +154,12 @@ class LstmConfig:
     seed: int = 1819
 
     def __post_init__(self):
-        if self.hidden_size < 1 or self.num_layers < 1:
-            raise ValueError("hidden size and layer count must be positive")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch size positive")
+        check_int("hidden size", self.hidden_size, 1)
+        check_int("layer count", self.num_layers, 1)
+        check_int("epochs", self.epochs, 0)
+        check_int("batch size", self.batch_size, 1)
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate!r}")
         if self.sequence_layout not in LAYOUTS:
             raise ConfigError(
                 f"sequence layout must be one of {LAYOUTS}, got "
@@ -452,7 +455,5 @@ def model_from_dict(doc: dict) -> LstmClassifier:
 
 
 def history_csv(history) -> str:
-    lines = ["epoch,loss,accuracy"]
-    for epoch, (loss, acc) in enumerate(history):
-        lines.append(f"{epoch},{loss!r},{acc!r}")
-    return "\n".join(lines) + "\n"
+    return curve_csv("epoch,loss,accuracy",
+                     ((epoch, *entry) for epoch, entry in enumerate(history)))

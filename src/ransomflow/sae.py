@@ -16,12 +16,15 @@ import numpy as np
 
 from . import rng
 from .errors import (
+    ConfigError,
     DegenerateClasses,
     EmptyData,
     ShapeMismatch,
+    check_int,
     check_label_range,
 )
 from .nn import (
+    ACTIVATIONS,
     Adam,
     DenseLayer,
     cross_entropy_loss,
@@ -32,7 +35,7 @@ from .nn import (
     layer_to_dict,
     mse_loss,
 )
-from .serialize import SCHEMA_VERSION, require_version
+from .serialize import SCHEMA_VERSION, curve_csv, require_version
 
 
 @dataclass
@@ -46,13 +49,16 @@ class SAEConfig:
     seed: int = 1819
 
     def __post_init__(self):
-        self.encoder_dims = tuple(int(d) for d in self.encoder_dims)
-        if any(d < 1 for d in self.encoder_dims) or not self.encoder_dims:
-            raise ValueError(f"encoder dims must be positive, got {self.encoder_dims}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
+        self.encoder_dims = tuple(self.encoder_dims)
+        check_int("encoder depth", len(self.encoder_dims), 1)
+        for dim in self.encoder_dims:
+            check_int("encoder dim", dim, 1)
+        check_int("epochs", self.epochs, 0)
+        check_int("batch size", self.batch_size, 1)
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -302,8 +308,7 @@ def model_from_dict(doc: dict):
 
 def history_csv(model: SAEModel) -> str:
     """Loss curves as layer,epoch,loss rows."""
-    lines = ["layer,epoch,loss"]
-    for layer_index, curve in enumerate(model.pretrain_losses):
-        for epoch, loss in enumerate(curve):
-            lines.append(f"{layer_index},{epoch},{loss!r}")
-    return "\n".join(lines) + "\n"
+    return curve_csv("layer,epoch,loss", (
+        (layer_index, epoch, loss)
+        for layer_index, curve in enumerate(model.pretrain_losses)
+        for epoch, loss in enumerate(curve)))

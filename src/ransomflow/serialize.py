@@ -38,6 +38,12 @@ def require_version(doc: dict, what: str) -> None:
         )
 
 
+def curve_csv(header: str, rows) -> str:
+    """A training curve as CSV text; repr cells round-trip floats exactly."""
+    lines = [header] + [",".join(repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def float_list(array) -> list:
     """Nested lists of Python floats; repr round-trips exactly in JSON."""
     import numpy as np

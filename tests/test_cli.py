@@ -1,14 +1,14 @@
 """End-to-end command-line runs: artifacts, bundles, reports, exit codes."""
 
 import json
+import shutil
 
 import pytest
 
 from ransomflow.cli import main
 from ransomflow.serialize import checksum, dump_json
 
-INGEST_FILES = ("dataset.json", "table.csv", "train.csv", "test.csv",
-                "stats.json", "stats.txt")
+INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.csv")
 
 
 def read_payload(artifact_dir):
@@ -69,8 +69,7 @@ def gbt_report_dir(gbt_bundle_dir, artifact_dir, tmp_path_factory):
 
 
 def test_ingest_writes_expected_files(artifact_dir):
-    for name in INGEST_FILES:
-        assert (artifact_dir / name).is_file(), name
+    assert tuple(snapshot(artifact_dir)) == INGEST_FILES
 
 
 def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
@@ -204,6 +203,43 @@ def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
                "--lstm-hidden", "8", "--fine-tune", "--seed", "11"])
     assert rc == 0
     assert (out / "fine_tune_history.csv").is_file()
+
+
+@pytest.mark.parametrize("section", [
+    {"sae": {"activation": "foo"}},
+    {"sae": {"learning_rate": 0}},
+    {"lstm": {"learning_rate": -1}},
+    {"sae": {"epochs": 1.5}},
+    {"gbt": {"rounds": 1.5}},
+    {"lstm": {"hidden_size": 2.5}},
+    {"gbt": {"max_depth": 2.5}},
+], ids=["activation", "sae-rate", "lstm-rate", "sae-epochs", "gbt-rounds",
+        "lstm-hidden", "gbt-depth"])
+def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
+                                            capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section), encoding="utf-8")
+    kind = "gbt" if "gbt" in section else "sae-lstm"
+    rc = main(["train", str(artifact_dir), "--kind", kind, "--config",
+               str(cfg), "--output", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tampered_table_csv_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
+                                    capsys):
+    art = tmp_path / "art"
+    shutil.copytree(artifact_dir, art)
+    lines = (art / "table.csv").read_text().splitlines(keepends=True)
+    row = lines[2].rstrip("\n").split(",")
+    row[-1] = "1.0" if row[-1] == "0.0" else "0.0"  # flip one Prediction cell
+    lines[2] = ",".join(row) + "\n"
+    (art / "table.csv").write_text("".join(lines), encoding="utf-8")
+    assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
+                 "--output", str(tmp_path / "o")]) == 3
+    assert main(["evaluate", str(gbt_bundle_dir / "bundle.json"), str(art),
+                 "--output", str(tmp_path / "e")]) == 3
+    assert "checksum mismatch" in capsys.readouterr().err
 
 
 def test_train_missing_artifact_exits_2(tmp_path):
