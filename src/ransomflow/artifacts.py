@@ -107,11 +107,17 @@ class DatasetArtifact:
 def _verified_payload(path, what: str, kinds) -> dict:
     """Payload of a {checksum, payload} file after its envelope checks.
 
-    The recorded checksum must match the payload, the schema version must be
+    The file must hold a JSON object whose payload is an object, the
+    recorded checksum must match the payload, the schema version must be
     current and the payload kind must be one of ``kinds``.
     """
-    doc = load_json(path)
-    payload = doc.get("payload", {})
+    try:
+        doc = load_json(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaMismatch(f"{what} {path}: not valid JSON ({exc})") from None
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    if not isinstance(payload, dict):
+        raise SchemaMismatch(f"{what} {path}: no payload object")
     recorded = doc.get("checksum", "")
     actual = checksum(payload)
     if recorded != actual:

@@ -13,7 +13,6 @@ missing files, 3 malformed or degenerate data.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -287,7 +286,7 @@ def cmd_evaluate(args) -> int:
 def _load_report(path) -> tuple:
     try:
         doc = load_json(path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
     try:
         return MetricsReport.from_dict(doc), doc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import rng
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .gbt import GbtParams
 from .lstm import LstmConfig
 from .sae import SAEConfig
@@ -99,6 +99,13 @@ def _section(doc: dict, name: str) -> dict:
     return value
 
 
+def _flag(section: dict, key: str) -> bool:
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def from_dict(doc: dict) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
@@ -111,6 +118,8 @@ def from_dict(doc: dict) -> PipelineConfig:
     _check_keys(lstm_doc, _LSTM_KEYS, "lstm")
     gbt_doc = _section(doc, "gbt")
     _check_keys(gbt_doc, _GBT_KEYS, "gbt")
+    seed = doc.get("seed", DEFAULT_SEED)
+    check_int("seed", seed)
     try:
         sae_cfg = SAEConfig(**{k: tuple(v) if k == "encoder_dims" else v
                                for k, v in sae_doc.items()})
@@ -120,10 +129,10 @@ def from_dict(doc: dict) -> PipelineConfig:
         return PipelineConfig(
             csv_path=ds.get("csv"),
             test_ratio=ds.get("test_ratio", 0.2),
-            split_before_dedup=bool(ds.get("split_before_dedup", False)),
+            split_before_dedup=_flag(ds, "split_before_dedup"),
             subsample=ds.get("subsample"),
-            seed=int(doc.get("seed", DEFAULT_SEED)),
-            fine_tune=bool(doc.get("fine_tune", False)),
+            seed=seed,
+            fine_tune=_flag(doc, "fine_tune"),
             output_dir=doc.get("output_dir", "out"),
             sae=sae_cfg,
             lstm=lstm_cfg,

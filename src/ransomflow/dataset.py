@@ -166,7 +166,7 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
     The header may list columns in any order and may use the known aliases;
     extra columns are rejected only when a required one is missing. Rows whose
     field count differs from the header raise :class:`RaggedRow` with the
-    1-based line number, and numeric columns must parse as floats.
+    1-based line number, and numeric columns must parse as finite floats.
     """
     schema = schema or default_schema()
     with _open_text(source) as stream:
@@ -196,9 +196,11 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
             cells = tuple(record[p].strip() for p in positions)
             for i, name in numeric_cols:
                 try:
-                    float(cells[i])
+                    finite = math.isfinite(float(cells[i]))
                 except ValueError:
-                    raise NonNumericCell(line_no, name, cells[i]) from None
+                    finite = False
+                if not finite:
+                    raise NonNumericCell(line_no, name, cells[i])
             rows.append(cells)
         return RawTable(header=schema.names, rows=rows)
 

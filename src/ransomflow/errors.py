@@ -47,7 +47,8 @@ class NonNumericCell(DataError):
         self.column = column
         self.value = value
         super().__init__(
-            f"line {line_no}: column {column!r} holds non-numeric value {value!r}"
+            f"line {line_no}: column {column!r} holds non-numeric or non-finite "
+            f"value {value!r}"
         )
 
 
@@ -91,10 +92,13 @@ def check_label_range(labels, k_classes: int) -> None:
         raise LabelOutOfRange(bad, k_classes)
 
 
-def check_int(name: str, value, low: int) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an int (not a bool) >= low."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int (not a bool),
+    and at least ``low`` when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class EmptyData(DataError):

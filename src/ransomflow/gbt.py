@@ -11,6 +11,13 @@ factor when the tree joins the ensemble. Thresholds sit halfway between
 adjacent distinct feature values; rows with x <= threshold go left. Ties in
 gain resolve to the lowest feature index, then the smallest threshold, which
 keeps training deterministic.
+
+Split search runs on presorted column blocks: ``train_gbt`` sorts each
+feature's row ids once (stable, so equal values stay in row order), and each
+split filters every list into its two children, which keeps them sorted. A
+node's gradient and hessian prefix sums follow its list, and gains are
+computed only where the sorted value changes. Each leaf hands its row set
+back, so the training scores are updated without routing rows again.
 """
 
 from __future__ import annotations
@@ -111,6 +118,8 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     weight: float | None = None
+    # a leaf's training rows while its tree is built; never serialized
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -124,35 +133,46 @@ class TreeNode:
             yield from self.right.leaves()
 
 
+def presort(rows: np.ndarray, x: np.ndarray) -> list:
+    """Per feature, ``rows`` in stable ascending order of that feature's value.
+
+    Equal values keep their order in ``rows``, so the lists match a stable
+    ``argsort`` of ``x[rows, f]``, and filtering a list keeps it sorted.
+    """
+    return [rows[np.argsort(x[rows, f], kind="stable")]
+            for f in range(x.shape[1])]
+
+
 def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams) -> SplitDecision | None:
+               params: GbtParams, sorted_rows: list | None = None
+               ) -> SplitDecision | None:
     """Exhaustive scan over features and boundaries for the given row set.
 
-    Returns None when no candidate has strictly positive gain (including the
+    ``sorted_rows`` is ``presort(rows, x)``, built here when omitted. Returns
+    None when no candidate has strictly positive gain (including the
     degenerate cases: fewer than 2 rows, all feature values identical, or
     every boundary failing the min-child-hessian constraint).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size < 2:
         return None
+    if sorted_rows is None:
+        sorted_rows = presort(rows, x)
     lam = params.lambda_
-    g_rows = g[rows]
-    h_rows = h[rows]
-    total_g = float(g_rows.sum())
-    total_h = float(h_rows.sum())
+    total_g = float(g[rows].sum())
+    total_h = float(h[rows].sum())
     parent_score = total_g * total_g / (total_h + lam)
     best: SplitDecision | None = None
-    for feature in range(x.shape[1]):
-        values = x[rows, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        if sorted_values[0] == sorted_values[-1]:
+    for feature, order in enumerate(sorted_rows):
+        sorted_values = x[:, feature][order]
+        # position k is the boundary between sorted rows k and k + 1
+        cut = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
+        if cut.size == 0:
             continue
-        left_g = np.cumsum(g_rows[order])[:-1]
-        left_h = np.cumsum(h_rows[order])[:-1]
-        boundary = sorted_values[1:] != sorted_values[:-1]
+        left_g = np.cumsum(g[order])[cut]
+        left_h = np.cumsum(h[order])[cut]
         right_h = total_h - left_h
-        feasible = boundary & (left_h >= params.min_child_hessian) \
+        feasible = (left_h >= params.min_child_hessian) \
             & (right_h >= params.min_child_hessian)
         if not feasible.any():
             continue
@@ -166,8 +186,8 @@ def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
         if gain <= 0.0:
             continue
         if best is None or gain > best.gain:
-            lo = float(sorted_values[k])
-            hi = float(sorted_values[k + 1])
+            lo = float(sorted_values[cut[k]])
+            hi = float(sorted_values[cut[k] + 1])
             threshold = (lo + hi) / 2.0
             if threshold >= hi:  # adjacent floats: keep the partition exact
                 threshold = lo
@@ -178,26 +198,39 @@ def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
 def _leaf(rows, g, h, lam) -> TreeNode:
     total_g = float(g[rows].sum())
     total_h = float(h[rows].sum())
-    return TreeNode(weight=-total_g / (total_h + lam))
+    return TreeNode(weight=-total_g / (total_h + lam), rows=rows)
 
 
 def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, depth: int = 0) -> TreeNode:
-    """Recursive greedy construction. Leaf weights carry no shrinkage."""
+               params: GbtParams, depth: int = 0,
+               sorted_rows: list | None = None) -> TreeNode:
+    """Recursive greedy construction. Leaf weights carry no shrinkage.
+
+    ``sorted_rows`` is ``presort(rows, x)``, built here when omitted; each
+    split divides every list between the children, which keeps them sorted.
+    Each leaf keeps its row set in ``rows``.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise EmptyData("cannot grow a tree over zero rows")
     if depth >= params.max_depth or rows.size < 2:
         return _leaf(rows, g, h, params.lambda_)
-    decision = best_split(rows, x, g, h, params)
+    if sorted_rows is None:
+        sorted_rows = presort(rows, x)
+    decision = best_split(rows, x, g, h, params, sorted_rows)
     if decision is None:
         return _leaf(rows, g, h, params.lambda_)
-    mask = x[rows, decision.feature] <= decision.threshold
+    mask = x[:, decision.feature][rows] <= decision.threshold
+    goes_left = np.empty(x.shape[0], dtype=bool)  # read only at ``rows``
+    goes_left[rows] = mask
+    sides = [goes_left[order] for order in sorted_rows]
     return TreeNode(
         feature=decision.feature,
         threshold=decision.threshold,
-        left=build_tree(rows[mask], x, g, h, params, depth + 1),
-        right=build_tree(rows[~mask], x, g, h, params, depth + 1),
+        left=build_tree(rows[mask], x, g, h, params, depth + 1,
+                        [order[s] for order, s in zip(sorted_rows, sides)]),
+        right=build_tree(rows[~mask], x, g, h, params, depth + 1,
+                         [order[~s] for order, s in zip(sorted_rows, sides)]),
     )
 
 
@@ -248,7 +281,8 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
     cross-entropy before any trees and after each round.
     """
     params = params or GbtParams()
-    x = np.asarray(fm.x, dtype=np.float64)
+    # column-major, so each feature's values are one contiguous gather
+    x = np.asfortranarray(fm.x, dtype=np.float64)
     y = np.asarray(fm.y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyData("cannot train on zero rows")
@@ -261,16 +295,19 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
     n = x.shape[0]
     raw = np.zeros((n, k), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)
+    sorted_rows = presort(all_rows, x)
     trees = [[] for _ in range(k)]
     losses = [_mean_ce(raw, y)]
     for _ in range(params.rounds):
         g, h = grad_hess(y, raw)
         for c in range(k):
-            tree = build_tree(all_rows, x, g[:, c], h[:, c], params)
+            tree = build_tree(all_rows, x, g[:, c], h[:, c], params,
+                              sorted_rows=sorted_rows)
             for leaf in tree.leaves():
                 leaf.weight *= params.shrinkage
+                raw[leaf.rows, c] += leaf.weight
+                leaf.rows = None
             trees[c].append(tree)
-            raw[:, c] += tree_predict(tree, x)
         losses.append(_mean_ce(raw, y))
     return GbtModel(trees=trees, params=params, base_score=0.0,
                     training_loss=losses)

@@ -25,8 +25,15 @@ def dump_json(path, obj) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file. NaN and Infinity, which ``dump_json`` never writes,
+    raise ``ValueError``, as malformed JSON does."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
 
 
 def require_version(doc: dict, what: str) -> None:

@@ -109,6 +109,21 @@ def test_ingest_ragged_csv_exits_3(tmp_path):
     assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("column,value", [("Time", "nan"), ("BTC", "inf"),
+                                          ("Port", "-inf")])
+def test_ingest_non_finite_cell_exits_3(synthetic_csv, tmp_path, capsys,
+                                        column, value):
+    csv_path, _ = synthetic_csv
+    lines = csv_path.read_text().splitlines(keepends=True)
+    row = lines[5].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[5] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
+    assert f"line 6: column {column!r}" in capsys.readouterr().err
+
+
 def test_ingest_header_only_exits_3(tmp_path):
     empty = tmp_path / "empty.csv"
     header = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,ExpAddress,"
@@ -213,8 +228,13 @@ def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
     {"gbt": {"rounds": 1.5}},
     {"lstm": {"hidden_size": 2.5}},
     {"gbt": {"max_depth": 2.5}},
+    {"dataset": {"split_before_dedup": "false"}},
+    {"fine_tune": "no"},
+    {"seed": 1.5},
+    {"seed": True},
 ], ids=["activation", "sae-rate", "lstm-rate", "sae-epochs", "gbt-rounds",
-        "lstm-hidden", "gbt-depth"])
+        "lstm-hidden", "gbt-depth", "split-flag-string", "fine-tune-string",
+        "seed-float", "seed-bool"])
 def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                                             capsys):
     cfg = tmp_path / "cfg.json"
@@ -301,6 +321,31 @@ def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
                "--output", str(tmp_path / "o")])
     assert rc == 3
     assert "missing key 'w'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,text", [
+    ("dataset.json", '{"checksum": "'),
+    ("bundle.json", '{"checksum": "'),
+    ("dataset.json", "[]"),
+    ("bundle.json", '{"checksum": "0", "payload": []}'),
+    ("bundle.json", '{"checksum": "0", "payload": {"w": NaN}}'),
+], ids=["truncated-dataset", "truncated-bundle", "list-root",
+        "list-payload", "nan-payload"])
+def test_corrupt_json_envelope_exits_3(target, text, artifact_dir,
+                                       gbt_bundle_dir, tmp_path, capsys):
+    art = tmp_path / "art"
+    shutil.copytree(artifact_dir, art)
+    bundle = tmp_path / "bundle.json"
+    shutil.copy(gbt_bundle_dir / "bundle.json", bundle)
+    corrupt = art / target if target == "dataset.json" else bundle
+    corrupt.write_text(text, encoding="utf-8")
+    if target == "dataset.json":
+        argv = ["analyze", str(art), "--output", str(tmp_path / "o")]
+    else:
+        argv = ["evaluate", str(bundle), str(art), "--output", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(corrupt) in err
 
 
 def test_evaluate_missing_bundle_exits_2(artifact_dir, tmp_path):
