@@ -7,13 +7,13 @@ columns are taken as-is from the cleaned table (pre-normalization values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .dataset import EncodedTable
 from .errors import ConfigError, InsufficientRows, ShapeMismatch, UnknownCategory
-from .serialize import SCHEMA_VERSION
+from .serialize import SCHEMA_VERSION, csv_text
 
 
 @dataclass
@@ -55,17 +55,11 @@ class FinancialReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["family,attack_count,total_usd,mean_usd,total_btc,mean_btc"]
-        for name, ff in self.families.items():
-            lines.append(
-                f"{name},{ff.attack_count},{ff.total_usd!r},{ff.mean_usd!r},"
-                f"{ff.total_btc!r},{ff.mean_btc!r}"
-            )
-        lines.append(
-            f"(all),{self.row_count},{self.total_usd!r},{self.global_mean_usd!r},"
-            f"{self.total_btc!r},{self.global_mean_btc!r}"
-        )
-        return "\n".join(lines) + "\n"
+        rows = [(name, *astuple(ff)) for name, ff in self.families.items()]
+        rows.append(("(all)", self.row_count, self.total_usd,
+                     self.global_mean_usd, self.total_btc, self.global_mean_btc))
+        return csv_text(("family", "attack_count", "total_usd", "mean_usd",
+                         "total_btc", "mean_btc"), rows)
 
 
 def financial_report(table: EncodedTable, family_column: str = "Family",
@@ -143,10 +137,7 @@ class DistributionReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["value,count,percent"]
-        for name, count, pct in self.entries:
-            lines.append(f"{name},{count},{pct!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("value", "count", "percent"), self.entries)
 
     def percent_of(self, name: str) -> float:
         for value, _, pct in self.entries:
@@ -185,11 +176,9 @@ class CorrelationMatrix:
         return float(self.values[i, j])
 
     def to_csv(self) -> str:
-        lines = ["feature," + ",".join(self.feature_names)]
-        for i, name in enumerate(self.feature_names):
-            lines.append(name + "," + ",".join(repr(float(v))
-                                               for v in self.values[i]))
-        return "\n".join(lines) + "\n"
+        return csv_text(("feature", *self.feature_names),
+                        ((name, *row) for name, row in
+                         zip(self.feature_names, self.values.tolist())))
 
     def to_dict(self) -> dict:
         return {
@@ -261,7 +250,4 @@ def anomaly_by_family(table: EncodedTable, anomaly_value: str = "A",
 
 
 def anomaly_csv(pairs) -> str:
-    lines = ["family,anomaly_rows"]
-    for name, count in pairs:
-        lines.append(f"{name},{count}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("family", "anomaly_rows"), pairs)

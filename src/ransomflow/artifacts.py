@@ -47,6 +47,7 @@ from .serialize import (
     SCHEMA_VERSION,
     canonical_json,
     checksum,
+    csv_text,
     dump_json,
     load_json,
     require_version,
@@ -62,10 +63,8 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header, rows = encoded_table_to_rows(table)
-    lines = ["# config: " + canonical_json(config_echo), ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    table_bytes = ("\n".join(lines) + "\n").encode("utf-8")
+    table_bytes = ("# config: " + canonical_json(config_echo) + "\n"
+                   + csv_text(*encoded_table_to_rows(table))).encode("utf-8")
     (directory / "table.csv").write_bytes(table_bytes)
     target = schema.target_column
     payload = {
@@ -228,4 +227,6 @@ def load_bundle(path) -> ModelBundle:
             bundle.gbt_model = gbt_mod.model_from_dict(components["gbt"])
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: model bundle is missing key {exc}") from None
+    except (SchemaMismatch, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: invalid model bundle: {exc}") from None
     return bundle

@@ -39,7 +39,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
 from .metrics import MetricsReport, compare, confusion, report
-from .serialize import SCHEMA_VERSION, curve_csv, dump_json, load_json
+from .serialize import SCHEMA_VERSION, csv_text, dump_json, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +221,8 @@ def cmd_train(args) -> int:
             head, ft_losses = sae.fine_tune(model, artifact.train.x,
                                             artifact.train.y, k, sae_cfg)
             (out_dir / "fine_tune_history.csv").write_text(
-                curve_csv("epoch,loss", enumerate(ft_losses)), encoding="utf-8")
+                csv_text(("epoch", "loss"), enumerate(ft_losses)),
+                encoding="utf-8")
         codes = sae.encode(model, artifact.train.x)
         lstm_cfg = cfg.lstm_effective()
         classifier, history = lstm.train_classifier(codes, artifact.train.y,
@@ -288,10 +289,14 @@ def _load_report(path) -> tuple:
         doc = load_json(path)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"{path}: report root is not an object")
     try:
         return MetricsReport.from_dict(doc), doc
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: report is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: invalid report: {exc}") from None
 
 
 def cmd_compare(args) -> int:

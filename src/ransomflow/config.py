@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import rng
-from .errors import ConfigError, check_int
+from .errors import ConfigError, SchemaMismatch, check_int
 from .gbt import GbtParams
 from .lstm import LstmConfig
 from .sae import SAEConfig
@@ -76,14 +76,8 @@ class PipelineConfig:
         }
 
 
-_DATASET_KEYS = {"csv", "test_ratio", "split_before_dedup", "subsample"}
-_TOP_KEYS = {"dataset", "seed", "fine_tune", "output_dir", "sae", "lstm", "gbt"}
-_SAE_KEYS = {"encoder_dims", "activation", "epochs", "batch_size",
-             "learning_rate", "convergence_threshold"}
-_LSTM_KEYS = {"hidden_size", "num_layers", "epochs", "batch_size",
-              "learning_rate", "sequence_layout", "clip_threshold"}
-_GBT_KEYS = {"gamma", "lambda", "shrinkage", "max_depth", "rounds",
-             "min_child_hessian"}
+# Stage settings the pipeline derives itself; a file may not set them.
+_DERIVED_KEYS = {"seed", "k_classes"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -92,10 +86,11 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(doc: dict, name: str) -> dict:
+def _section(doc: dict, name: str, allowed: set) -> dict:
     value = doc.get(name, {})
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be an object")
+    _check_keys(value, allowed, name)
     return value
 
 
@@ -106,26 +101,26 @@ def _flag(section: dict, key: str) -> bool:
     return value
 
 
+def _stage(doc: dict, name: str, cls):
+    """A stage's settings: the section's keys laid over the class defaults."""
+    defaults = cls().to_dict()
+    section = _section(doc, name, set(defaults) - _DERIVED_KEYS)
+    try:
+        return cls.from_dict({**defaults, **section})
+    except SchemaMismatch as exc:
+        raise ConfigError(f"invalid configuration value: {exc}") from None
+
+
 def from_dict(doc: dict) -> PipelineConfig:
+    """Settings from a document laid out like :meth:`PipelineConfig.echo`."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
-    _check_keys(doc, _TOP_KEYS, "configuration")
-    ds = _section(doc, "dataset")
-    _check_keys(ds, _DATASET_KEYS, "dataset")
-    sae_doc = _section(doc, "sae")
-    _check_keys(sae_doc, _SAE_KEYS, "sae")
-    lstm_doc = _section(doc, "lstm")
-    _check_keys(lstm_doc, _LSTM_KEYS, "lstm")
-    gbt_doc = _section(doc, "gbt")
-    _check_keys(gbt_doc, _GBT_KEYS, "gbt")
+    layout = PipelineConfig().echo()
+    _check_keys(doc, set(layout), "configuration")
+    ds = _section(doc, "dataset", set(layout["dataset"]))
     seed = doc.get("seed", DEFAULT_SEED)
     check_int("seed", seed)
     try:
-        sae_cfg = SAEConfig(**{k: tuple(v) if k == "encoder_dims" else v
-                               for k, v in sae_doc.items()})
-        lstm_cfg = LstmConfig(**lstm_doc)
-        gbt_cfg = GbtParams(**{("lambda_" if k == "lambda" else k): v
-                               for k, v in gbt_doc.items()})
         return PipelineConfig(
             csv_path=ds.get("csv"),
             test_ratio=ds.get("test_ratio", 0.2),
@@ -134,9 +129,9 @@ def from_dict(doc: dict) -> PipelineConfig:
             seed=seed,
             fine_tune=_flag(doc, "fine_tune"),
             output_dir=doc.get("output_dir", "out"),
-            sae=sae_cfg,
-            lstm=lstm_cfg,
-            gbt=gbt_cfg,
+            sae=_stage(doc, "sae", SAEConfig),
+            lstm=_stage(doc, "lstm", LstmConfig),
+            gbt=_stage(doc, "gbt", GbtParams),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from None

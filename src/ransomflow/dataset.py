@@ -601,10 +601,8 @@ def preprocess_from_dict(doc: dict):
 
 
 def encoded_table_to_rows(table: EncodedTable):
-    """Header plus repr-formatted rows for exact float round-trips."""
-    header = list(table.schema.names)
-    rows = [[repr(float(v)) for v in row] for row in table.values]
-    return header, rows
+    """Header plus rows of Python floats, for :func:`serialize.csv_text`."""
+    return list(table.schema.names), table.values.tolist()
 
 
 def encoded_table_from_rows(header, rows, schema: RecordSchema,

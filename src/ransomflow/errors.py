@@ -101,6 +101,17 @@ def check_int(name: str, value, low: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def check_positive(name: str, value, optional: bool = False) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a number (not a bool)
+    greater than 0, or None when ``optional``."""
+    if optional and value is None:
+        return
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not value > 0:
+        none = "None or " if optional else ""
+        raise ConfigError(f"{name} must be {none}a number > 0, got {value!r}")
+
+
 class EmptyData(DataError):
     def __init__(self, detail: str = "no rows to operate on"):
         super().__init__(detail)

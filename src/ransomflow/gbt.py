@@ -22,7 +22,7 @@ back, so the training scores are updated without routing rows again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,12 +30,13 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
+    SchemaMismatch,
     ShapeMismatch,
     check_int,
     check_label_range,
 )
 from .nn import softmax
-from .serialize import SCHEMA_VERSION, curve_csv, require_version
+from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
 
 
 @dataclass
@@ -59,28 +60,15 @@ class GbtParams:
         if self.min_child_hessian < 0:
             raise ConfigError("min child hessian must be non-negative")
 
+    # ``lambda`` is a Python keyword; stored documents use it for ``lambda_``.
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "lambda": self.lambda_,
-            "shrinkage": self.shrinkage,
-            "max_depth": self.max_depth,
-            "rounds": self.rounds,
-            "min_child_hessian": self.min_child_hessian,
-            "k_classes": self.k_classes,
-        }
+        doc = asdict(self)
+        doc["lambda"] = doc.pop("lambda_")
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GbtParams":
-        return cls(
-            gamma=doc["gamma"],
-            lambda_=doc["lambda"],
-            shrinkage=doc["shrinkage"],
-            max_depth=doc["max_depth"],
-            rounds=doc["rounds"],
-            min_child_hessian=doc["min_child_hessian"],
-            k_classes=doc["k_classes"],
-        )
+        return read_fields(cls, doc, {"lambda_": "lambda"})
 
 
 def grad_hess(labels: np.ndarray, raw_scores: np.ndarray):
@@ -207,7 +195,8 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
     """Recursive greedy construction. Leaf weights carry no shrinkage.
 
     ``sorted_rows`` is ``presort(rows, x)``, built here when omitted; each
-    split divides every list between the children, which keeps them sorted.
+    split divides every list between the children, which keeps them sorted,
+    except that children at ``max_depth`` become leaves and get no lists.
     Each leaf keeps its row set in ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -221,16 +210,18 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
     if decision is None:
         return _leaf(rows, g, h, params.lambda_)
     mask = x[:, decision.feature][rows] <= decision.threshold
-    goes_left = np.empty(x.shape[0], dtype=bool)  # read only at ``rows``
-    goes_left[rows] = mask
-    sides = [goes_left[order] for order in sorted_rows]
+    left_sorted = right_sorted = None  # children at max_depth are leaves
+    if depth + 1 < params.max_depth:
+        goes_left = np.empty(x.shape[0], dtype=bool)  # read only at ``rows``
+        goes_left[rows] = mask
+        sides = [goes_left[order] for order in sorted_rows]
+        left_sorted = [order[s] for order, s in zip(sorted_rows, sides)]
+        right_sorted = [order[~s] for order, s in zip(sorted_rows, sides)]
     return TreeNode(
         feature=decision.feature,
         threshold=decision.threshold,
-        left=build_tree(rows[mask], x, g, h, params, depth + 1,
-                        [order[s] for order, s in zip(sorted_rows, sides)]),
-        right=build_tree(rows[~mask], x, g, h, params, depth + 1,
-                         [order[~s] for order, s in zip(sorted_rows, sides)]),
+        left=build_tree(rows[mask], x, g, h, params, depth + 1, left_sorted),
+        right=build_tree(rows[~mask], x, g, h, params, depth + 1, right_sorted),
     )
 
 
@@ -374,8 +365,6 @@ def model_to_dict(model: GbtModel) -> dict:
 def model_from_dict(doc: dict) -> GbtModel:
     require_version(doc, "gbt model")
     if doc.get("component") != "gbt":
-        from .errors import SchemaMismatch
-
         raise SchemaMismatch(f"expected gbt component, got {doc.get('component')!r}")
     return GbtModel(
         trees=[[node_from_dict(t) for t in per_class]
@@ -387,4 +376,4 @@ def model_from_dict(doc: dict) -> GbtModel:
 
 
 def history_csv(model: GbtModel) -> str:
-    return curve_csv("round,loss", enumerate(model.training_loss))
+    return csv_text(("round", "loss"), enumerate(model.training_loss))

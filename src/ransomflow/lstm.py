@@ -16,7 +16,7 @@ or as one step per feature. A softmax head reads the final hidden state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatch,
     check_int,
     check_label_range,
+    check_positive,
 )
 from .nn import (
     Adam,
@@ -40,7 +41,8 @@ from .nn import (
     layer_to_dict,
     sigmoid,
 )
-from .serialize import SCHEMA_VERSION, curve_csv, float_list, require_version
+from .serialize import (SCHEMA_VERSION, csv_text, float_list, read_fields,
+                        require_version)
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -158,31 +160,20 @@ class LstmConfig:
         check_int("layer count", self.num_layers, 1)
         check_int("epochs", self.epochs, 0)
         check_int("batch size", self.batch_size, 1)
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate!r}")
+        check_positive("learning rate", self.learning_rate)
         if self.sequence_layout not in LAYOUTS:
             raise ConfigError(
                 f"sequence layout must be one of {LAYOUTS}, got "
                 f"{self.sequence_layout!r}"
             )
-        if self.clip_threshold is not None and self.clip_threshold <= 0:
-            raise ValueError("clip threshold must be positive when set")
+        check_positive("clip threshold", self.clip_threshold, optional=True)
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "num_layers": self.num_layers,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "sequence_layout": self.sequence_layout,
-            "clip_threshold": self.clip_threshold,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LstmConfig":
-        return cls(**doc)
+        return read_fields(cls, doc)
 
 
 @dataclass
@@ -375,11 +366,9 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
     n = x.shape[0]
     history = []
     for epoch in range(config.epochs):
-        order = rng.permutation(rng.derive(config.seed, "epoch", epoch), n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in rng.epoch_batches(n, config.batch_size, config.seed, epoch):
             batch = sequences[idx]
             labels = y[idx]
             probs, caches = sequence_forward(model, batch)
@@ -455,5 +444,5 @@ def model_from_dict(doc: dict) -> LstmClassifier:
 
 
 def history_csv(history) -> str:
-    return curve_csv("epoch,loss,accuracy",
-                     ((epoch, *entry) for epoch, entry in enumerate(history)))
+    return csv_text(("epoch", "loss", "accuracy"),
+                    ((epoch, *entry) for epoch, entry in enumerate(history)))

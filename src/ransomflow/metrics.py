@@ -9,7 +9,7 @@ by construction, which doubles as an internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatch,
     check_label_range,
 )
-from .serialize import SCHEMA_VERSION, require_version
+from .serialize import SCHEMA_VERSION, csv_text, require_version
 
 
 @dataclass
@@ -48,10 +48,9 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def to_csv(self) -> str:
-        lines = ["true\\predicted," + ",".join(self.class_names)]
-        for i, name in enumerate(self.class_names):
-            lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[i]))
-        return "\n".join(lines) + "\n"
+        return csv_text(("true\\predicted", *self.class_names),
+                        ((name, *row) for name, row in
+                         zip(self.class_names, self.counts.tolist())))
 
 
 def confusion(y_true, y_pred, k_classes: int, class_names=None) -> ConfusionMatrix:
@@ -229,22 +228,16 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["class,precision,recall,f1,support"]
-        for name in self.class_names:
-            cs = self.per_class[name]
-            lines.append(
-                f"{name},{cs.precision!r},{cs.recall!r},{cs.f1!r},{cs.support}"
-            )
-        lines.append(f"accuracy,{self.accuracy!r},,,{self.total_support}")
-        lines.append(
-            f"macro avg,{self.macro_precision!r},{self.macro_recall!r},"
-            f"{self.macro_f1!r},{self.total_support}"
-        )
-        lines.append(
-            f"weighted avg,{self.weighted_precision!r},{self.weighted_recall!r},"
-            f"{self.weighted_f1!r},{self.total_support}"
-        )
-        return "\n".join(lines) + "\n"
+        rows = [(name, *astuple(self.per_class[name]))
+                for name in self.class_names]
+        rows += [
+            ("accuracy", self.accuracy, "", "", self.total_support),
+            ("macro avg", self.macro_precision, self.macro_recall,
+             self.macro_f1, self.total_support),
+            ("weighted avg", self.weighted_precision, self.weighted_recall,
+             self.weighted_f1, self.total_support),
+        ]
+        return csv_text(("class", "precision", "recall", "f1", "support"), rows)
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
@@ -358,13 +351,10 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [f"metric,{self.name_a},{self.name_b},delta,winner"]
-        for r in self.rows:
-            lines.append(
-                f"{r.metric},{r.value_a!r},{r.value_b!r},{r.delta!r},"
-                f"{r.winner(self.name_a, self.name_b)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("metric", self.name_a, self.name_b, "delta", "winner"),
+            ((r.metric, r.value_a, r.value_b, r.delta,
+              r.winner(self.name_a, self.name_b)) for r in self.rows))
 
 
 def compare(report_a: MetricsReport, report_b: MetricsReport,

@@ -60,6 +60,13 @@ def permutation(seed: int, n: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
+    """Row indices of each mini-batch of one epoch, in a seeded random order."""
+    order = permutation(derive(seed, "epoch", epoch), n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
 def derive(seed: int, *tokens) -> int:
     """Stable child seed from a parent seed and a label path.
 

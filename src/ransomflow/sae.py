@@ -10,7 +10,7 @@ softmax head and fine-tunes the encoder weights with cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
+    SchemaMismatch,
     ShapeMismatch,
     check_int,
     check_label_range,
+    check_positive,
 )
 from .nn import (
     ACTIVATIONS,
@@ -35,7 +37,7 @@ from .nn import (
     layer_to_dict,
     mse_loss,
 )
-from .serialize import SCHEMA_VERSION, curve_csv, require_version
+from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
 
 
 @dataclass
@@ -57,31 +59,16 @@ class SAEConfig:
         check_int("batch size", self.batch_size, 1)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate!r}")
+        check_positive("learning rate", self.learning_rate)
+        check_positive("convergence threshold", self.convergence_threshold,
+                       optional=True)
 
     def to_dict(self) -> dict:
-        return {
-            "encoder_dims": list(self.encoder_dims),
-            "activation": self.activation,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "convergence_threshold": self.convergence_threshold,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SAEConfig":
-        return cls(
-            encoder_dims=tuple(doc["encoder_dims"]),
-            activation=doc["activation"],
-            epochs=doc["epochs"],
-            batch_size=doc["batch_size"],
-            learning_rate=doc["learning_rate"],
-            convergence_threshold=doc["convergence_threshold"],
-            seed=doc["seed"],
-        )
+        return read_fields(cls, doc)
 
 
 @dataclass
@@ -117,12 +104,6 @@ class SAEModel:
         return out
 
 
-def _epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
-    order = rng.permutation(rng.derive(seed, "epoch", epoch), n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
                    seed: int | None = None):
     """Train one (encoder, decoder) pair to reconstruct ``data``.
@@ -148,7 +129,7 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     losses = []
     for epoch in range(config.epochs):
         accumulated = 0.0
-        for idx in _epoch_batches(n, config.batch_size, seed, epoch):
+        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
             xb = data[idx]
             code, enc_cache = dense_forward(encoder, xb)
             recon, dec_cache = dense_forward(decoder, code)
@@ -246,7 +227,7 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     losses = []
     for epoch in range(config.epochs):
         accumulated = 0.0
-        for idx in _epoch_batches(n, config.batch_size, seed, epoch):
+        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
             xb, yb = x[idx], y[idx]
             caches = []
             current = xb
@@ -292,8 +273,6 @@ def model_to_dict(model: SAEModel, head: DenseLayer | None = None) -> dict:
 def model_from_dict(doc: dict):
     require_version(doc, "sae model")
     if doc.get("component") != "sae":
-        from .errors import SchemaMismatch
-
         raise SchemaMismatch(f"expected sae component, got {doc.get('component')!r}")
     model = SAEModel(
         encoders=[layer_from_dict(d) for d in doc["encoders"]],
@@ -308,7 +287,7 @@ def model_from_dict(doc: dict):
 
 def history_csv(model: SAEModel) -> str:
     """Loss curves as layer,epoch,loss rows."""
-    return curve_csv("layer,epoch,loss", (
+    return csv_text(("layer", "epoch", "loss"), (
         (layer_index, epoch, loss)
         for layer_index, curve in enumerate(model.pretrain_losses)
         for epoch, loss in enumerate(curve)))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
-from .errors import SchemaMismatch
+import numpy as np
+
+from .errors import ConfigError, SchemaMismatch
 
 SCHEMA_VERSION = 1
 
@@ -45,14 +48,37 @@ def require_version(doc: dict, what: str) -> None:
         )
 
 
-def curve_csv(header: str, rows) -> str:
-    """A training curve as CSV text; repr cells round-trip floats exactly."""
-    lines = [header] + [",".join(repr(v) for v in row) for row in rows]
+def read_fields(cls, doc, stored_names: dict | None = None):
+    """Dataclass ``cls`` built from a stored document holding exactly its fields.
+
+    ``stored_names`` maps a field to its document key where the two differ.
+    Missing or unknown keys, or a value the class rejects, raise
+    :class:`SchemaMismatch` naming them.
+    """
+    keys = {f.name: f.name for f in fields(cls)} | (stored_names or {})
+    missing = sorted(set(keys.values()) - set(doc))
+    unknown = sorted(set(doc) - set(keys.values()))
+    if missing or unknown:
+        raise SchemaMismatch(f"{cls.__name__}: missing key(s) {missing}, "
+                             f"unknown key(s) {unknown}")
+    try:
+        return cls(**{name: doc[key] for name, key in keys.items()})
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{cls.__name__}: {exc}") from None
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header line, one line per row, and a trailing newline.
+
+    Float cells, Python or numpy, are written as ``repr(float(v))``, which
+    round-trips exactly; every other cell with ``str``. Nothing is quoted.
+    """
+    floats = (float, np.floating)
+    lines = [",".join([repr(float(v)) if isinstance(v, floats) else str(v)
+                       for v in row]) for row in (header, *rows)]
     return "\n".join(lines) + "\n"
 
 
 def float_list(array) -> list:
     """Nested lists of Python floats; repr round-trips exactly in JSON."""
-    import numpy as np
-
     return np.asarray(array, dtype=np.float64).tolist()

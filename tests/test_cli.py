@@ -232,9 +232,17 @@ def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
     {"fine_tune": "no"},
     {"seed": 1.5},
     {"seed": True},
+    {"sae": {"convergence_threshold": "x"}},
+    {"lstm": {"clip_threshold": 0}},
+    {"sae": {"seed": 5}},
+    {"gbt": {"k_classes": 4}},
+    {"gbt": {"lambda_": 1}},
+    {"lstm": {"hiden_size": 8}},
 ], ids=["activation", "sae-rate", "lstm-rate", "sae-epochs", "gbt-rounds",
         "lstm-hidden", "gbt-depth", "split-flag-string", "fine-tune-string",
-        "seed-float", "seed-bool"])
+        "seed-float", "seed-bool", "convergence-string", "clip-zero",
+        "sae-seed-key", "gbt-k-classes-key", "gbt-lambda-field-name",
+        "lstm-key-typo"])
 def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                                             capsys):
     cfg = tmp_path / "cfg.json"
@@ -323,6 +331,59 @@ def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
     assert "missing key 'w'" in capsys.readouterr().err
 
 
+def _rewrite_bundle(source, target, edit):
+    """Copy a bundle with ``edit`` applied to its payload, checksum recomputed."""
+    payload = json.loads(source.read_text())["payload"]
+    edit(payload)
+    dump_json(target, {"checksum": checksum(payload), "payload": payload})
+
+
+# per component: a key to drop, and an integer field to give a string
+_DROPPED = {"sae": "activation", "lstm": "clip_threshold", "gbt": "lambda"}
+_INTEGER = {"sae": "batch_size", "lstm": "hidden_size", "gbt": "max_depth"}
+
+
+@pytest.mark.parametrize("component", ["sae", "lstm", "gbt"])
+@pytest.mark.parametrize("edit", ["unknown-key", "dropped-key", "bad-value"])
+def test_evaluate_tampered_stored_config_exits_3(component, edit,
+                                                 sae_bundle_dir,
+                                                 gbt_bundle_dir, artifact_dir,
+                                                 tmp_path, capsys):
+    def change(payload):
+        stored = payload["components"][component]
+        settings = stored["params" if component == "gbt" else "config"]
+        if edit == "unknown-key":
+            settings["hiden_size"] = 8
+        elif edit == "dropped-key":
+            del settings[_DROPPED[component]]
+        else:
+            settings[_INTEGER[component]] = "x"
+
+    source = gbt_bundle_dir if component == "gbt" else sae_bundle_dir
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(source / "bundle.json", bundle, change)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bundle) in err
+
+
+def test_evaluate_unknown_layer_activation_exits_3(sae_bundle_dir,
+                                                   artifact_dir, tmp_path,
+                                                   capsys):
+    def change(payload):
+        payload["components"]["sae"]["encoders"][0]["activation"] = "foo"
+
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'foo'" in err
+
+
 @pytest.mark.parametrize("target,text", [
     ("dataset.json", '{"checksum": "'),
     ("bundle.json", '{"checksum": "'),
@@ -392,6 +453,24 @@ def test_compare_rejects_non_report_json(sae_report_dir, tmp_path):
     text.write_text("hello", encoding="utf-8")
     assert main(["compare", str(text), str(sae_report_dir / "report.json"),
                  "--output", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "classes": []},
+    lambda doc: {**doc, "classes": {name: 0.5 for name in doc["classes"]}},
+    lambda doc: {**doc, "accuracy": "high"},
+], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string"])
+def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,
+                                          capsys):
+    good = sae_report_dir / "report.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(good.read_text()))),
+                   encoding="utf-8")
+    rc = main(["compare", str(bad), str(good), "--output", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
 
 
 def test_analyze_outputs(artifact_dir, synthetic_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """LSTM cell equations, BPTT gradients, and classifier training."""
 
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from conftest import blob_data
 
 from ransomflow import rng
 from ransomflow.errors import (
+    ConfigError,
     DegenerateClasses,
     EmptyData,
     LabelOutOfRange,
+    SchemaMismatch,
     ShapeMismatch,
 )
 from ransomflow.lstm import (
@@ -282,3 +285,31 @@ def test_history_csv_layout():
     assert lines[0] == "epoch,loss,accuracy"
     assert lines[1] == "0,0.9,0.5"
     assert lines[2] == "1,0.4,0.75"
+
+
+def test_config_dict_round_trip():
+    cfg = LstmConfig(hidden_size=5, num_layers=2, epochs=3, batch_size=7,
+                     learning_rate=0.02, sequence_layout="feature-steps",
+                     clip_threshold=1.5, seed=33)
+    doc = cfg.to_dict()
+    assert set(doc) == {"hidden_size", "num_layers", "epochs", "batch_size",
+                        "learning_rate", "sequence_layout", "clip_threshold",
+                        "seed"}
+    assert LstmConfig.from_dict(doc) == cfg
+    assert LstmConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+
+
+def test_config_from_dict_is_strict():
+    doc = LstmConfig().to_dict()
+    dropped = {k: v for k, v in doc.items() if k != "clip_threshold"}
+    for bad, named in (({**doc, "hiden_size": 8}, "hiden_size"),
+                       ({**doc, "hidden_size": "x"}, "hidden size"),
+                       (dropped, "clip_threshold")):
+        with pytest.raises(SchemaMismatch, match=named):
+            LstmConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("value", ["x", 0, -2.0, False])
+def test_config_rejects_bad_clip_threshold(value):
+    with pytest.raises(ConfigError):
+        LstmConfig(clip_threshold=value)

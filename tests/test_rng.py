@@ -45,3 +45,10 @@ def test_derive_separates_token_paths():
     assert rng.derive(1, "x") != rng.derive(2, "x")
     assert rng.derive(5, "epoch", 1) == rng.derive(5, "epoch", 1)
     assert rng.derive(5, "epoch", 1) != rng.derive(5, "epoch", 2)
+
+
+def test_epoch_batches_cover_the_epoch_permutation():
+    batches = list(rng.epoch_batches(10, 4, 5, 2))
+    assert [len(b) for b in batches] == [4, 4, 2]
+    assert np.array_equal(np.concatenate(batches),
+                          rng.permutation(rng.derive(5, "epoch", 2), 10))

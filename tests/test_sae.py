@@ -1,12 +1,20 @@
 """Stacked autoencoder: pretraining dynamics, stacking, and fine-tuning."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import blob_data
 
 from ransomflow import rng
-from ransomflow.errors import DegenerateClasses, EmptyData, LabelOutOfRange
+from ransomflow.errors import (
+    ConfigError,
+    DegenerateClasses,
+    EmptyData,
+    LabelOutOfRange,
+    SchemaMismatch,
+)
 from ransomflow.nn import dense_forward, grad_check, mse_loss
 from ransomflow.sae import (
     SAEConfig,
@@ -199,3 +207,30 @@ def test_history_csv_layout():
     assert len(lines) == 1 + 2 * 3
     layer_col = [int(ln.split(",")[0]) for ln in lines[1:]]
     assert layer_col == [0, 0, 0, 1, 1, 1]
+
+
+def test_config_dict_round_trip():
+    cfg = SAEConfig(encoder_dims=(9, 4), activation="tanh", epochs=7,
+                    batch_size=16, learning_rate=0.01,
+                    convergence_threshold=0.25, seed=21)
+    doc = cfg.to_dict()
+    assert set(doc) == {"encoder_dims", "activation", "epochs", "batch_size",
+                        "learning_rate", "convergence_threshold", "seed"}
+    assert SAEConfig.from_dict(doc) == cfg
+    assert SAEConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+
+
+def test_config_from_dict_is_strict():
+    doc = SAEConfig().to_dict()
+    dropped = {k: v for k, v in doc.items() if k != "convergence_threshold"}
+    for bad, named in (({**doc, "extra": 1}, "extra"),
+                       ({**doc, "epochs": "x"}, "epochs"),
+                       (dropped, "convergence_threshold")):
+        with pytest.raises(SchemaMismatch, match=named):
+            SAEConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("value", ["x", 0, -1.0, True])
+def test_config_rejects_bad_convergence_threshold(value):
+    with pytest.raises(ConfigError):
+        SAEConfig(convergence_threshold=value)
