@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import analytics, gbt, lstm, sae
 from .artifacts import (
-    DatasetArtifact,
     load_artifact,
     load_bundle,
     save_artifact,

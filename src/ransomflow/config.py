@@ -35,6 +35,12 @@ class PipelineConfig:
     gbt: GbtParams = field(default_factory=GbtParams)
 
     def __post_init__(self):
+        if self.csv_path is not None and not isinstance(self.csv_path, str):
+            raise ConfigError(f"dataset csv must be a path string, got "
+                              f"{self.csv_path!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path string, got "
+                              f"{self.output_dir!r}")
         if not 0.0 < self.test_ratio < 1.0:
             raise ConfigError(
                 f"test ratio must lie in (0, 1), got {self.test_ratio}"

@@ -32,7 +32,7 @@ from .errors import (
     SchemaMismatch,
     UnknownCategory,
 )
-from .serialize import SCHEMA_VERSION, float_list, require_version
+from .serialize import SCHEMA_VERSION, require_version
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"

@@ -10,6 +10,13 @@ One matmul gives every gate pre-activation:
     i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)      g = tanh(a_g)
     c_t = f * c_prev + i * g      h_t = o * tanh(c_t)
 
+Every sequence starts from h = c = 0, so each layer's first step is a
+zero-state step: it multiplies only the input block, a = x_t @ w[:, H:].T + b,
+and c_t = i * g. Its backward pass leaves the recurrent block and the forget
+rows at zero gradient. With one step per sequence (the default layout) those
+entries never get a gradient at all, so training steps Adam over the live
+views w[:, H:], b and the head only.
+
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
 """
@@ -98,44 +105,55 @@ class LstmCell:
 class GateCache:
     """Forward values one step of BPTT needs."""
 
-    z: np.ndarray          # (m, hidden + input), [h_prev | x_t]
+    z: np.ndarray          # [h_prev | x_t], or x_t alone on a zero-state step
     i: np.ndarray
     f: np.ndarray
     o: np.ndarray
     g: np.ndarray
-    c_prev: np.ndarray
+    c_prev: np.ndarray | None  # None marks a zero-state step
     c: np.ndarray
     tanh_c: np.ndarray
 
 
-def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray):
+def cell_forward(cell: LstmCell, x_t: np.ndarray,
+                 h_prev: np.ndarray | None = None,
+                 c_prev: np.ndarray | None = None):
     """One LSTM step. Accepts single vectors or (m, dim) batches.
 
-    Returns (h, c, cache).
+    ``h_prev = c_prev = None`` is the zero state: only the input block of
+    ``w`` is multiplied and the forget term drops out. Returns (h, c, cache).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
     single = x_t.ndim == 1
     if single:
-        x_t, h_prev, c_prev = x_t[None, :], h_prev[None, :], c_prev[None, :]
+        x_t = x_t[None, :]
     hidden = cell.hidden_size
     if x_t.shape[1] != cell.input_size:
         raise ShapeMismatch(
             f"input width {x_t.shape[1]} != cell input size {cell.input_size}"
         )
-    if h_prev.shape != (x_t.shape[0], hidden) or c_prev.shape != h_prev.shape:
-        raise ShapeMismatch(
-            f"state shapes {h_prev.shape}/{c_prev.shape} do not match "
-            f"batch {x_t.shape[0]} x hidden {hidden}"
-        )
-    z = np.concatenate([h_prev, x_t], axis=1)
-    gates = z @ cell.w.T + cell.b
+    if h_prev is None and c_prev is None:
+        z = x_t
+        gates = x_t @ cell.w[:, hidden:].T + cell.b
+    else:
+        if h_prev is None or c_prev is None:
+            raise ShapeMismatch("give both h_prev and c_prev, or neither")
+        h_prev = np.asarray(h_prev, dtype=np.float64)
+        c_prev = np.asarray(c_prev, dtype=np.float64)
+        if single:
+            h_prev, c_prev = h_prev[None, :], c_prev[None, :]
+        if h_prev.shape != (x_t.shape[0], hidden) \
+                or c_prev.shape != h_prev.shape:
+            raise ShapeMismatch(
+                f"state shapes {h_prev.shape}/{c_prev.shape} do not match "
+                f"batch {x_t.shape[0]} x hidden {hidden}"
+            )
+        z = np.concatenate([h_prev, x_t], axis=1)
+        gates = z @ cell.w.T + cell.b
     gates[:, :3 * hidden] = sigmoid(gates[:, :3 * hidden])
     gates[:, 3 * hidden:] = np.tanh(gates[:, 3 * hidden:])
     i, f, o, g = np.split(gates, 4, axis=1)
-    c = f * c_prev + i * g
+    c = i * g if c_prev is None else f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
     cache = GateCache(z=z, i=i, f=f, o=o, g=g, c_prev=c_prev, c=c, tanh_c=tanh_c)
@@ -237,8 +255,7 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
     layer_steps = []
     inputs = [sequences[:, t, :] for t in range(time_steps)]
     for cell in model.cells:
-        h = np.zeros((m, cell.hidden_size))
-        c = np.zeros((m, cell.hidden_size))
+        h = c = None
         caches = []
         outputs = []
         for x_t in inputs:
@@ -292,19 +309,30 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             cache = step_caches[t]
             grad_h = upper[t] + grad_h_next
             grad_c = grad_c_next + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
+            zero_state = cache.c_prev is None
             # loss gradient at the pre-activations, gate blocks i | f | o | g
             pre = np.concatenate([
                 grad_c * cache.g * cache.i * (1.0 - cache.i),
-                grad_c * cache.c_prev * cache.f * (1.0 - cache.f),
+                np.zeros_like(grad_c) if zero_state
+                else grad_c * cache.c_prev * cache.f * (1.0 - cache.f),
                 grad_h * cache.tanh_c * cache.o * (1.0 - cache.o),
                 grad_c * cache.i * (1.0 - cache.g ** 2),
             ], axis=1)
-            gw += pre.T @ cache.z
             gb += pre.sum(axis=0)
-            grad_z = pre @ cell.w
-            grad_h_next = grad_z[:, :hidden]
+            if zero_state:
+                # first step: no earlier state to pass a gradient back to
+                gw[:, hidden:] += pre.T @ cache.z
+                if layer_index:
+                    lower.append(pre @ cell.w[:, hidden:])
+                continue
+            gw += pre.T @ cache.z
             grad_c_next = grad_c * cache.f
-            lower.append(grad_z[:, hidden:])
+            if layer_index:
+                grad_z = pre @ cell.w
+                grad_h_next = grad_z[:, :hidden]
+                lower.append(grad_z[:, hidden:])
+            else:  # the raw input needs no gradient
+                grad_h_next = pre @ cell.w[:, :hidden]
         lower.reverse()
         upper = lower
         cell_grads.append([gw, gb])
@@ -361,7 +389,14 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
     check_label_range(y, k)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k, config)
-    params = model.params()
+    # Adam steps views of the parameters. With one step per sequence every
+    # cell runs from zero state, so the recurrent block w[:, :H] keeps its
+    # seeded values and only w[:, H:] is live.
+    live = [np.s_[...]] * len(model.params())
+    if sequences.shape[1] == 1:
+        live[:2 * len(model.cells):2] = \
+            [np.s_[:, config.hidden_size:]] * len(model.cells)
+    params = [p[s] for p, s in zip(model.params(), live)]
     optimizer = Adam(params, config.learning_rate)
     n = x.shape[0]
     history = []
@@ -375,7 +410,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
             loss, grad_logits = cross_entropy_loss(probs, labels)
             grads, _ = sequence_backward(model, caches, grad_logits,
                                          config.clip_threshold)
-            optimizer.step(params, grads)
+            optimizer.step(params, [g[s] for g, s in zip(grads, live)])
             loss_sum += loss * len(idx)
             correct += int((probs.argmax(axis=1) == labels).sum())
         history.append((loss_sum / n, correct / n))

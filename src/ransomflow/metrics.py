@@ -9,7 +9,7 @@ by construction, which doubles as an internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 

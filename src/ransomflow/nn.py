@@ -8,7 +8,7 @@ stream in :mod:`ransomflow.rng`; biases start at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,6 +251,9 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
         self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+        # per-tensor temporaries, reused by every step
+        self.m_hat = [np.zeros_like(m) for m in self.m]
+        self.v_hat = [np.zeros_like(m) for m in self.m]
 
     def step(self, params, grads) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -261,19 +264,31 @@ class Adam:
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, m_hat, v_hat in zip(params, grads, self.m, self.v,
+                                            self.m_hat, self.v_hat):
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.shape:
                 raise ShapeMismatch(
                     f"grad shape {g.shape} does not match param {p.shape}"
                 )
+            # The textbook update, operation by operation in the same order,
+            # written into the temporaries so the results stay bit-identical:
+            #   m = b1 m + (1 - b1) g      v = b2 v + ((1 - b2) g) g
+            #   p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=m_hat)
+            m += m_hat
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(g, 1.0 - self.beta2, out=v_hat)
+            v_hat *= g
+            v += v_hat
+            np.divide(m, correction1, out=m_hat)
+            np.divide(v, correction2, out=v_hat)
+            m_hat *= self.learning_rate
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.epsilon
+            m_hat /= v_hat
+            p -= m_hat
 
 
 # ---------------------------------------------------------------------------

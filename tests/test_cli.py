@@ -238,11 +238,13 @@ def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
     {"gbt": {"k_classes": 4}},
     {"gbt": {"lambda_": 1}},
     {"lstm": {"hiden_size": 8}},
+    {"output_dir": 5},
+    {"dataset": {"csv": 5}},
 ], ids=["activation", "sae-rate", "lstm-rate", "sae-epochs", "gbt-rounds",
         "lstm-hidden", "gbt-depth", "split-flag-string", "fine-tune-string",
         "seed-float", "seed-bool", "convergence-string", "clip-zero",
         "sae-seed-key", "gbt-k-classes-key", "gbt-lambda-field-name",
-        "lstm-key-typo"])
+        "lstm-key-typo", "output-dir-number", "csv-number"])
 def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                                             capsys):
     cfg = tmp_path / "cfg.json"
@@ -252,6 +254,20 @@ def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                str(cfg), "--output", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section", [{"output_dir": 5},
+                                     {"dataset": {"csv": ["a.csv"]}}],
+                         ids=["output-dir-number", "csv-list"])
+def test_ingest_non_string_config_path_exits_1(section, synthetic_csv,
+                                               tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output_dir is relative
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section), encoding="utf-8")
+    rc = main(["ingest", str(synthetic_csv[0]), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "path string" in err
 
 
 def test_tampered_table_csv_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,

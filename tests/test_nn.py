@@ -247,6 +247,27 @@ def test_adam_converges_on_quadratic():
     assert abs(w[0]) < 1e-3
 
 
+def test_adam_matches_textbook_update_bit_for_bit_on_views():
+    # The buffered step must round exactly like the plain expressions, also
+    # when it updates a column block of a larger matrix in place.
+    full = rng.uniform(rng.derive(5, "w"), (6, 9))
+    ref = full[:, 4:].copy()
+    view = full[:, 4:]
+    opt = Adam([view], learning_rate=0.01)
+    m, v = np.zeros_like(ref), np.zeros_like(ref)
+    for t in range(1, 8):
+        g = rng.uniform(rng.derive(5, "g", t), ref.shape) - 0.5
+        opt.step([view], [g])
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        ref = ref - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(full[:, 4:], ref)
+    assert np.array_equal(full[:, :4],
+                          rng.uniform(rng.derive(5, "w"), (6, 9))[:, :4])
+
+
 def test_adam_rejects_mismatched_grads():
     w = np.array([1.0])
     opt = Adam([w])
