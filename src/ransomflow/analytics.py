@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import EncodedTable
 from .errors import ConfigError, InsufficientRows, ShapeMismatch, UnknownCategory
-from .serialize import SCHEMA_VERSION, csv_text
+from .serialize import REPORT_VERSION, csv_text
 
 
 @dataclass
@@ -36,7 +36,7 @@ class FinancialReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_VERSION,
             "families": {
                 name: {
                     "attack_count": ff.attack_count,
@@ -127,7 +127,7 @@ class DistributionReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_VERSION,
             "column": self.column,
             "total": self.total,
             "entries": [
@@ -182,7 +182,7 @@ class CorrelationMatrix:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_VERSION,
             "features": list(self.feature_names),
             "zero_variance": [n for n, flag in zip(self.feature_names,
                                                    self.zero_variance) if flag],

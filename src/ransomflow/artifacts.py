@@ -3,26 +3,35 @@
 A dataset artifact is a directory:
 
     dataset.json   stage counts, fitted preprocessing state, config echo,
-                   the split as ordered row indices into table.csv, and the
-                   sha256 of table.csv's bytes
-    table.csv      encoded, deduplicated, timestamp-cleaned rows (14 columns)
+                   split sizes and the sha256 of table.npz's bytes
+    table.npz      encoded, deduplicated, timestamp-cleaned rows and the
+                   split, as an uncompressed numpy archive of four members:
+                   numeric      float64 (rows, 6), the numeric columns
+                   codes        (rows, 8) categorical codes, in the smallest
+                                unsigned type that holds the largest code
+                   train_index  int64, ordered row indices of each side
+                   test_index
     stats.json     describe-style numeric summaries
     stats.txt      the same, human readable
 
-table.csv is the only row store: at load time the train and test matrices are
+table.npz is the only row store: at load time the train and test matrices are
 the indexed rows scaled by ``normalize`` with the stored bounds, bit for bit.
 
 A model bundle is a single JSON file {"checksum", "payload"}; the checksum is
 the sha256 of the canonical (key-sorted, minimal) JSON of the payload, so any
 edit to the stored weights or preprocessing state is detected at load time.
+Weight arrays are :func:`serialize.array_doc` objects (raw float64 bytes in
+base64); every other float is a JSON number written via repr.
 
-Every float is serialized via repr and therefore round-trips bit-exactly;
-writing the same artifact twice yields identical bytes.
+Every stored float therefore round-trips bit-exactly, and writing the same
+artifact twice yields identical bytes (zip members carry a fixed timestamp).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,14 +53,79 @@ from .dataset import (
 )
 from .errors import ChecksumMismatch, SchemaMismatch
 from .serialize import (
+    REPORT_VERSION,
     SCHEMA_VERSION,
-    canonical_json,
     checksum,
-    csv_text,
     dump_json,
     load_json,
     require_version,
 )
+
+TABLE_FILE = "table.npz"
+# table.npz member -> (dtype, or "unsigned" for any unsigned integer, ndim)
+_TABLE_LAYOUT = {"numeric": ("float64", 2), "codes": ("unsigned", 2),
+                 "train_index": ("int64", 1), "test_index": ("int64", 1)}
+
+
+def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
+    """The bytes of table.npz for ``table`` and its split."""
+    schema = table.schema
+    names, values = encoded_table_to_rows(table)
+    codes = values[:, [names.index(n) for n in schema.categorical_names]]
+    top = int(codes.max()) if codes.size else 0
+    buffer = io.BytesIO()
+    np.savez(buffer,
+             numeric=values[:, [names.index(n) for n in schema.numeric_names]],
+             codes=codes.astype(np.min_scalar_type(top)),
+             train_index=np.asarray(train_idx, dtype=np.int64),
+             test_index=np.asarray(test_idx, dtype=np.int64))
+    return buffer.getvalue()
+
+
+def _read_table_npz(raw: bytes, schema: RecordSchema, maps):
+    """(table, train index, test index) held by the bytes of a table.npz.
+
+    Raises :class:`SchemaMismatch` unless the archive holds exactly the four
+    members with their dtypes and shapes, finite numbers, codes below their
+    column's category count and row indices inside the table.
+    """
+    try:
+        stored = np.load(io.BytesIO(raw), allow_pickle=False)
+        if not isinstance(stored, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with stored:
+            missing = sorted(set(_TABLE_LAYOUT) - set(stored.files))
+            unknown = sorted(set(stored.files) - set(_TABLE_LAYOUT))
+            if missing or unknown:
+                raise SchemaMismatch(f"missing member(s) {missing}, "
+                                     f"unknown member(s) {unknown}")
+            members = {name: stored[name] for name in _TABLE_LAYOUT}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise SchemaMismatch(f"not a readable npz archive ({exc})") from None
+    for name, (dtype, ndim) in _TABLE_LAYOUT.items():
+        a = members[name]
+        if not (isinstance(a, np.ndarray) and a.ndim == ndim
+                and (a.dtype.kind == "u" if dtype == "unsigned"
+                     else a.dtype == dtype)):
+            raise SchemaMismatch(f"member {name!r} is not a {ndim}-d {dtype} "
+                                 f"array")
+    numeric, codes = members["numeric"], members["codes"]
+    numeric_idx = [schema.index(n) for n in schema.numeric_names]
+    codes_idx = [schema.index(n) for n in schema.categorical_names]
+    rows = numeric.shape[0]
+    if numeric.shape[1] != len(numeric_idx) or codes.shape != (rows, len(codes_idx)):
+        raise SchemaMismatch(
+            f"members 'numeric' {numeric.shape} and 'codes' {codes.shape} are "
+            f"not ({rows}, {len(numeric_idx)}) and ({rows}, {len(codes_idx)})")
+    values = np.empty((rows, len(schema.names)))
+    values[:, numeric_idx] = numeric
+    values[:, codes_idx] = codes
+    table = encoded_table_from_rows(schema.names, values, schema, maps)
+    for side in ("train_index", "test_index"):
+        idx = members[side]
+        if idx.size and not 0 <= idx.min() <= idx.max() < rows:
+            raise SchemaMismatch(f"{side} out of range")
+    return table, members["train_index"], members["test_index"]
 
 
 def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
@@ -63,9 +137,8 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    table_bytes = ("# config: " + canonical_json(config_echo) + "\n"
-                   + csv_text(*encoded_table_to_rows(table))).encode("utf-8")
-    (directory / "table.csv").write_bytes(table_bytes)
+    table_bytes = _table_npz(table, train_idx, test_idx)
+    (directory / TABLE_FILE).write_bytes(table_bytes)
     target = schema.target_column
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -73,9 +146,7 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
         "config": config_echo,
         "preprocess": preprocess_to_dict(schema, maps, stats),
         "stages": stages,
-        "split": {"train_rows": len(train_idx), "test_rows": len(test_idx),
-                  "train_index": np.asarray(train_idx).tolist(),
-                  "test_index": np.asarray(test_idx).tolist()},
+        "split": {"train_rows": len(train_idx), "test_rows": len(test_idx)},
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
         "k_classes": maps.size(target),
         "class_names": list(maps.categories[target]),
@@ -83,7 +154,7 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
     dump_json(directory / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
     dump_json(directory / "stats.json",
-              {"schema_version": SCHEMA_VERSION, "columns": summary.to_dict()})
+              {"schema_version": REPORT_VERSION, "columns": summary.to_dict()})
     (directory / "stats.txt").write_text(summary.table_text(), encoding="utf-8")
     return directory
 
@@ -128,27 +199,24 @@ def _verified_payload(path, what: str, kinds) -> dict:
 
 
 def _split_side(table: EncodedTable, stats: NormStats, index, side: str):
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.size and not 0 <= idx.min() <= idx.max() < table.row_count:
-        raise SchemaMismatch(f"dataset artifact: {side} index out of range")
-    return normalize(table.with_values(table.values[idx], side), stats)[0]
+    return normalize(table.with_values(table.values[index], side), stats)[0]
 
 
 def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
+    table_path = directory / TABLE_FILE
     try:
         schema, maps, stats = preprocess_from_dict(payload["preprocess"])
-        raw = (directory / "table.csv").read_bytes()
+        raw = table_path.read_bytes()
         actual = hashlib.sha256(raw).hexdigest()
         if actual != payload["table_sha256"]:
             raise ChecksumMismatch(payload["table_sha256"], actual)
-        rows = [ln.split(",") for ln in raw.decode("utf-8").splitlines()
-                if ln and not ln.startswith("#")]
-        table = encoded_table_from_rows(rows[0] if rows else (), rows[1:],
-                                        schema, maps)
-        split = payload["split"]
+        try:
+            table, train_idx, test_idx = _read_table_npz(raw, schema, maps)
+        except SchemaMismatch as exc:
+            raise SchemaMismatch(f"{table_path}: {exc}") from None
         return DatasetArtifact(
             directory=directory,
             config=payload["config"],
@@ -156,8 +224,8 @@ def load_artifact(directory) -> DatasetArtifact:
             maps=maps,
             stats=stats,
             table=table,
-            train=_split_side(table, stats, split["train_index"], "train"),
-            test=_split_side(table, stats, split["test_index"], "test"),
+            train=_split_side(table, stats, train_idx, "train"),
+            test=_split_side(table, stats, test_idx, "test"),
             stages=payload["stages"],
             k_classes=int(payload["k_classes"]),
             class_names=tuple(payload["class_names"]),

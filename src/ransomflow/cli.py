@@ -38,7 +38,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
 from .metrics import MetricsReport, compare, confusion, report
-from .serialize import SCHEMA_VERSION, csv_text, dump_json, load_json
+from .serialize import REPORT_VERSION, csv_text, dump_json, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,7 +337,7 @@ def cmd_analyze(args) -> int:
                                                  encoding="utf-8")
         correlation_doc = corr.to_dict()
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_VERSION,
         "rows": table.row_count,
         "financial": fin.to_dict(),
         "top_families_total_usd": [

@@ -601,17 +601,30 @@ def preprocess_from_dict(doc: dict):
 
 
 def encoded_table_to_rows(table: EncodedTable):
-    """Header plus rows of Python floats, for :func:`serialize.csv_text`."""
-    return list(table.schema.names), table.values.tolist()
+    """Header plus the (rows, columns) float64 value matrix, as stored."""
+    return list(table.schema.names), table.values
 
 
 def encoded_table_from_rows(header, rows, schema: RecordSchema,
                             maps: EncodingMap) -> EncodedTable:
+    """The table a stored header and value rows hold.
+
+    Every cell must be finite and every categorical code must lie in
+    [0, category count) of its column; otherwise :class:`SchemaMismatch`.
+    """
     if tuple(header) != schema.names:
         raise SchemaMismatch(
             f"stored table header {tuple(header)} does not match schema"
         )
     values = (np.asarray(rows, dtype=np.float64)
-              if rows else np.empty((0, len(schema.names))))
-    return EncodedTable(values=values, schema=schema, maps=maps,
-                        provenance=("loaded",))
+              if len(rows) else np.empty((0, len(schema.names))))
+    table = EncodedTable(values=values, schema=schema, maps=maps,
+                         provenance=("loaded",))
+    if not np.isfinite(table.values).all():
+        raise SchemaMismatch("stored table holds a non-finite cell")
+    for name in schema.categorical_names:
+        codes = table.column(name)
+        if codes.size and not 0 <= codes.min() <= codes.max() < maps.size(name):
+            raise SchemaMismatch(f"stored table column {name!r} holds a code "
+                                 f"outside [0, {maps.size(name)})")
+    return table

@@ -48,8 +48,8 @@ from .nn import (
     layer_to_dict,
     sigmoid,
 )
-from .serialize import (SCHEMA_VERSION, csv_text, float_list, read_fields,
-                        require_version)
+from .serialize import (SCHEMA_VERSION, array_doc, array_from_doc, csv_text,
+                        read_fields, require_version)
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -443,13 +443,13 @@ def cell_to_dict(cell: LstmCell) -> dict:
     return {
         "hidden_size": cell.hidden_size,
         "input_size": cell.input_size,
-        "w": float_list(cell.w),
-        "b": float_list(cell.b),
+        "w": array_doc(cell.w, "lstm cell w"),
+        "b": array_doc(cell.b, "lstm cell b"),
     }
 
 
 def cell_from_dict(doc: dict) -> LstmCell:
-    cell = LstmCell(w=doc["w"], b=doc["b"])
+    cell = LstmCell(w=array_from_doc(doc["w"]), b=array_from_doc(doc["b"]))
     if cell.hidden_size != doc["hidden_size"] or cell.input_size != doc["input_size"]:
         raise ShapeMismatch("stored cell dims disagree with matrix shapes")
     return cell

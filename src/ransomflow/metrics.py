@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatch,
     check_label_range,
 )
-from .serialize import SCHEMA_VERSION, csv_text, require_version
+from .serialize import REPORT_VERSION, csv_text, require_version
 
 
 @dataclass
@@ -147,7 +147,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_VERSION,
             "classes": {
                 name: {
                     "precision": cs.precision,
@@ -175,7 +175,7 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
-        require_version(doc, "metrics report")
+        require_version(doc, "metrics report", REPORT_VERSION)
         names = tuple(doc["class_order"])
         per_class = {
             name: ClassScores(
@@ -322,7 +322,7 @@ class ComparisonTable:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_VERSION,
             "model_a": self.name_a,
             "model_b": self.name_b,
             "rows": [

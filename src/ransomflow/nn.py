@@ -14,6 +14,7 @@ import numpy as np
 
 from . import rng
 from .errors import LabelOutOfRange, ShapeMismatch, check_label_range
+from .serialize import array_doc, array_from_doc
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 
@@ -339,21 +340,19 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 
 
 def layer_to_dict(layer: DenseLayer) -> dict:
-    from .serialize import float_list
-
     return {
         "activation": layer.activation,
         "in_dim": layer.in_dim,
         "out_dim": layer.out_dim,
-        "weights": float_list(layer.weights),
-        "biases": float_list(layer.biases),
+        "weights": array_doc(layer.weights, "dense layer weights"),
+        "biases": array_doc(layer.biases, "dense layer biases"),
     }
 
 
 def layer_from_dict(doc: dict) -> DenseLayer:
     layer = DenseLayer(
-        np.asarray(doc["weights"], dtype=np.float64),
-        np.asarray(doc["biases"], dtype=np.float64),
+        array_from_doc(doc["weights"]),
+        array_from_doc(doc["biases"]),
         doc["activation"],
     )
     if layer.in_dim != doc["in_dim"] or layer.out_dim != doc["out_dim"]:

@@ -1,17 +1,28 @@
-"""Versioned JSON helpers shared by every artifact the pipeline writes."""
+"""Versioned JSON helpers shared by every artifact the pipeline writes.
+
+Layout rules: JSON documents are key-sorted and hold no NaN/Inf; CSV goes
+through :func:`csv_text`; float arrays inside JSON are :func:`array_doc`
+objects holding their raw little-endian bytes in base64.
+"""
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SchemaMismatch
+from .errors import ConfigError, DataError, SchemaMismatch
 
-SCHEMA_VERSION = 1
+# Stored dataset artifacts and model bundles; version 2 stores numbers as bytes.
+SCHEMA_VERSION = 2
+# Reports and summaries (report.json, comparison.json, analysis.json,
+# stats.json), whose layout version 2 left unchanged.
+REPORT_VERSION = 1
 
 
 def canonical_json(obj) -> str:
@@ -39,12 +50,13 @@ def load_json(path):
                       parse_constant=_reject_constant)
 
 
-def require_version(doc: dict, what: str) -> None:
+def require_version(doc: dict, what: str,
+                    expected: int = SCHEMA_VERSION) -> None:
     found = doc.get("schema_version")
-    if found != SCHEMA_VERSION:
+    if found != expected:
         raise SchemaMismatch(
             f"{what}: schema_version {found!r} is not supported "
-            f"(expected {SCHEMA_VERSION})"
+            f"(expected {expected})"
         )
 
 
@@ -79,6 +91,40 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def float_list(array) -> list:
-    """Nested lists of Python floats; repr round-trips exactly in JSON."""
-    return np.asarray(array, dtype=np.float64).tolist()
+_ARRAY_DTYPE = "<f8"
+
+
+def array_doc(array, name: str) -> dict:
+    """A float64 array as {"dtype", "shape", "b64"}: its raw little-endian
+    bytes in base64, so every bit round-trips. ``name`` labels the array in
+    the :class:`DataError` raised for a NaN or Inf, which is never stored."""
+    a = np.asarray(array, dtype=_ARRAY_DTYPE)
+    if not np.isfinite(a).all():
+        raise DataError(f"cannot store {name}: it holds a non-finite value")
+    return {"dtype": _ARRAY_DTYPE, "shape": list(a.shape),
+            "b64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def array_from_doc(doc) -> np.ndarray:
+    """The writable float64 array an :func:`array_doc` object holds.
+
+    A wrong dtype or shape, invalid base64, a byte count that does not match
+    the shape, or a non-finite value raises :class:`SchemaMismatch`.
+    """
+    if not isinstance(doc, dict) or doc.get("dtype") != _ARRAY_DTYPE:
+        raise SchemaMismatch(f"array is not a {_ARRAY_DTYPE!r} array object")
+    shape = doc.get("shape")
+    if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise SchemaMismatch(f"array shape {shape!r} is not a list of sizes")
+    try:
+        raw = base64.b64decode(doc.get("b64"), validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise SchemaMismatch("array bytes are not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise SchemaMismatch(f"array holds {len(raw)} bytes, shape {shape} "
+                             f"needs {8 * math.prod(shape)}")
+    a = np.frombuffer(raw, dtype=_ARRAY_DTYPE).reshape(shape).astype(np.float64)
+    if not np.isfinite(a).all():
+        raise SchemaMismatch("array holds a non-finite value")
+    return a

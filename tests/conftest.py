@@ -3,6 +3,9 @@ for the real dataset (optional; those tests skip with a warning without it)."""
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import os
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from ransomflow import rng
+from ransomflow.serialize import checksum, dump_json
 
 REAL_DATA_ENV = "UGRANSOME_CSV"
 
@@ -152,3 +156,24 @@ def blob_data(n_per_class: int, k: int, seed: int, width: int = 13,
     y = np.concatenate(ys)
     order = rng.permutation(rng.derive(seed, "shuffle"), len(y))
     return x[order], y[order]
+
+
+def rewrite_table(art, edit):
+    """Rewrite art/table.npz with ``edit`` applied to its dict of members,
+    and record the new bytes' sha256."""
+    with np.load(art / "table.npz") as stored:
+        members = {name: stored[name] for name in stored.files}
+    edit(members)
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    (art / "table.npz").write_bytes(buffer.getvalue())
+    record_table_sha(art)
+
+
+def record_table_sha(art):
+    """Record the sha256 of art/table.npz in dataset.json, checksum renewed."""
+    payload = json.loads((art / "dataset.json").read_text())["payload"]
+    payload["table_sha256"] = hashlib.sha256(
+        (art / "table.npz").read_bytes()).hexdigest()
+    dump_json(art / "dataset.json",
+              {"checksum": checksum(payload), "payload": payload})

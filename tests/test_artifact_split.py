@@ -1,4 +1,4 @@
-"""The split a dataset artifact rebuilds from table.csv at load time.
+"""The rows and split a dataset artifact rebuilds from table.npz at load time.
 
 The reference is the in-memory path: scrub and split the encoded rows (or,
 for the leakage experiment, split first and scrub each side on its own), then
@@ -7,12 +7,10 @@ the training bounds. The loaded matrices must equal it bit for bit, in the
 same row order.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from conftest import synthetic_csv_text
+from conftest import rewrite_table, synthetic_csv_text
 
 from ransomflow.artifacts import load_artifact
 from ransomflow.cli import main
@@ -25,7 +23,6 @@ from ransomflow.dataset import (
     parse_csv,
     stratified_indices,
 )
-from ransomflow.serialize import checksum, dump_json
 
 SEED = 7
 TEST_RATIO = 0.25
@@ -92,21 +89,21 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
     assert artifact.stages["duplicates_removed"] == duplicates
     assert artifact.stages["bad_timestamps_removed"] == bad
     if cfg.split_before_dedup:
-        split = json.loads((out / "dataset.json").read_text())["payload"]["split"]
+        with np.load(out / "table.npz") as stored:
+            train_index = stored["train_index"].tolist()
+            test_index = stored["test_index"].tolist()
         # the case this ordering exists for: shared rows on both sides, each
         # side in its own first-occurrence order rather than table order
-        assert set(split["train_index"]) & set(split["test_index"])
-        assert split["train_index"] != sorted(split["train_index"])
+        assert set(train_index) & set(test_index)
+        assert train_index != sorted(train_index)
 
 
 def test_artifact_without_split_lists_exits_3(dup_heavy_csv, tmp_path,
                                               capsys):
     out = tmp_path / "art"
     assert main(["ingest", str(dup_heavy_csv), "--output", str(out)]) == 0
-    payload = json.loads((out / "dataset.json").read_text())["payload"]
-    del payload["split"]["train_index"], payload["split"]["test_index"]
-    dump_json(out / "dataset.json",
-              {"checksum": checksum(payload), "payload": payload})
+    rewrite_table(out, lambda members: members.pop("train_index"))
     capsys.readouterr()
     assert main(["analyze", str(out), "--output", str(tmp_path / "a")]) == 3
-    assert "missing key 'train_index'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "table.npz" in err and "missing member(s) ['train_index']" in err

@@ -1,14 +1,17 @@
 """End-to-end command-line runs: artifacts, bundles, reports, exit codes."""
 
+import base64
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from ransomflow import lstm
 from ransomflow.cli import main
-from ransomflow.serialize import checksum, dump_json
+from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
-INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.csv")
+INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.npz")
 
 
 def read_payload(artifact_dir):
@@ -89,10 +92,8 @@ def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
     assert split["test_rows"] == 3 * round(per_class * 0.25)
 
 
-def test_ingest_table_csv_has_config_header(artifact_dir):
-    first = (artifact_dir / "table.csv").read_text().splitlines()[0]
-    assert first.startswith("# config:")
-    assert '"seed":11' in first.replace(" ", "")
+def test_ingest_dataset_json_echoes_config(artifact_dir):
+    assert read_payload(artifact_dir)["config"]["seed"] == 11
 
 
 def test_ingest_missing_csv_exits_2(tmp_path):
@@ -270,15 +271,13 @@ def test_ingest_non_string_config_path_exits_1(section, synthetic_csv,
     assert err.startswith("error: ") and "path string" in err
 
 
-def test_tampered_table_csv_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
+def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
                                     capsys):
     art = tmp_path / "art"
     shutil.copytree(artifact_dir, art)
-    lines = (art / "table.csv").read_text().splitlines(keepends=True)
-    row = lines[2].rstrip("\n").split(",")
-    row[-1] = "1.0" if row[-1] == "0.0" else "0.0"  # flip one Prediction cell
-    lines[2] = ",".join(row) + "\n"
-    (art / "table.csv").write_text("".join(lines), encoding="utf-8")
+    raw = bytearray((art / "table.npz").read_bytes())
+    raw[len(raw) // 2] ^= 0x01  # flip one bit inside the archive
+    (art / "table.npz").write_bytes(bytes(raw))
     assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
                  "--output", str(tmp_path / "o")]) == 3
     assert main(["evaluate", str(gbt_bundle_dir / "bundle.json"), str(art),
@@ -334,11 +333,12 @@ def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
     doc = json.loads((sae_bundle_dir / "bundle.json").read_text())
     payload = doc["payload"]
     for cell in payload["components"]["lstm"]["cells"]:
-        w, b = cell.pop("w"), cell.pop("b")
+        w = array_from_doc(cell.pop("w"))
+        b = array_from_doc(cell.pop("b"))
         hidden = cell["hidden_size"]
         for n, name in enumerate("ifoc"):
-            cell[f"w_{name}"] = w[n * hidden:(n + 1) * hidden]
-            cell[f"b_{name}"] = b[n * hidden:(n + 1) * hidden]
+            cell[f"w_{name}"] = array_doc(w[n * hidden:(n + 1) * hidden], "w")
+            cell[f"b_{name}"] = array_doc(b[n * hidden:(n + 1) * hidden], "b")
     old = tmp_path / "bundle.json"
     dump_json(old, {"checksum": checksum(payload), "payload": payload})
     rc = main(["evaluate", str(old), str(artifact_dir),
@@ -398,6 +398,91 @@ def test_evaluate_unknown_layer_activation_exits_3(sae_bundle_dir,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'foo'" in err
+
+
+def _nan_first(doc):
+    raw = bytearray(base64.b64decode(doc["b64"]))
+    raw[:8] = np.array([np.nan], dtype="<f8").tobytes()
+    return {**doc, "b64": base64.b64encode(raw).decode("ascii")}
+
+
+# stored head weights of the lstm component -> what replaces them
+_BAD_ARRAYS = {
+    "float32-dtype": lambda doc: {**doc, "dtype": "<f4"},
+    "shape-not-a-list": lambda doc: {**doc, "shape": "3x16"},
+    "negative-shape": lambda doc: {**doc, "shape": [-doc["shape"][0],
+                                                    doc["shape"][1]]},
+    "bool-shape": lambda doc: {**doc, "shape": [True, 1]},
+    "invalid-base64": lambda doc: {**doc, "b64": "*" + doc["b64"][1:]},
+    "missing-b64": lambda doc: {k: v for k, v in doc.items() if k != "b64"},
+    "byte-count": lambda doc: {**doc, "shape": [doc["shape"][0],
+                                                doc["shape"][1] - 1]},
+    "nan-value": _nan_first,
+    "nested-lists": lambda doc: array_from_doc(doc).tolist(),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ARRAYS, ids=list(_BAD_ARRAYS))
+def test_evaluate_crafted_bundle_array_exits_3(case, sae_bundle_dir,
+                                               artifact_dir, tmp_path, capsys):
+    def change(payload):
+        head = payload["components"]["lstm"]["head"]
+        head["weights"] = _BAD_ARRAYS[case](head["weights"])
+
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bundle) in err
+    assert "invalid model bundle" in err
+
+
+def test_evaluate_version_1_bundle_exits_3(sae_bundle_dir, artifact_dir,
+                                           tmp_path, capsys):
+    def to_version_1(node):
+        """Weights back as nested lists, every schema_version set to 1."""
+        if isinstance(node, dict):
+            if set(node) == {"dtype", "shape", "b64"}:
+                return array_from_doc(node).tolist()
+            return {key: 1 if key == "schema_version" else to_version_1(value)
+                    for key, value in node.items()}
+        if isinstance(node, list):
+            return [to_version_1(value) for value in node]
+        return node
+
+    def change(payload):
+        payload.update(to_version_1(payload))
+
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
+    assert '"b64"' not in bundle.read_text()
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    assert "schema_version 1 is not supported" in capsys.readouterr().err
+
+
+def test_train_with_non_finite_weight_exits_3(artifact_dir, tmp_path, capsys,
+                                              monkeypatch):
+    train_classifier = lstm.train_classifier
+
+    def diverge(*args, **kwargs):
+        classifier, history = train_classifier(*args, **kwargs)
+        classifier.head.weights[0, 0] = np.nan
+        return classifier, history
+
+    monkeypatch.setattr(lstm, "train_classifier", diverge)
+    out = tmp_path / "o"
+    rc = main(["train", str(artifact_dir), "--kind", "sae-lstm",
+               "--output", str(out), "--sae-epochs", "1", "--lstm-epochs", "1",
+               "--lstm-hidden", "4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dense layer weights" in err
+    assert "non-finite" in err
+    assert not (out / "bundle.json").exists()
 
 
 @pytest.mark.parametrize("target,text", [

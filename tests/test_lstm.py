@@ -279,6 +279,18 @@ def test_model_serialization_round_trip():
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
 
 
+
+def test_model_dict_round_trip_is_bit_exact():
+    x, y = blob_data(6, 3, seed=43)
+    cfg = LstmConfig(hidden_size=4, num_layers=2, epochs=2, batch_size=4,
+                     seed=17)
+    model, _ = train_classifier(x, y, cfg)
+    restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    for a, b in zip(model.params(), restored.params(), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert b.flags.writeable
+
 def test_history_csv_layout():
     text = history_csv([(0.9, 0.5), (0.4, 0.75)])
     lines = text.strip().splitlines()

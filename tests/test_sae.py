@@ -199,6 +199,22 @@ def test_model_serialization_round_trip_bit_exact():
     assert restored.stack_loss == model.stack_loss
 
 
+
+def test_model_dict_round_trip_is_bit_exact():
+    x, y = blob_data(10, 3, seed=41)
+    cfg = SAEConfig(encoder_dims=(6, 3), epochs=2, batch_size=8, seed=9)
+    model = build_stack(x, cfg)
+    head, _ = fine_tune(model, x, y, 3, cfg)
+    doc = json.loads(json.dumps(model_to_dict(model, head)))
+    restored, restored_head = model_from_dict(doc)
+    layers = [*model.encoders, *model.decoders, head]
+    restored_layers = [*restored.encoders, *restored.decoders, restored_head]
+    for layer, back in zip(layers, restored_layers, strict=True):
+        for a, b in zip(layer.params(), back.params(), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert b.flags.writeable
+
 def test_history_csv_layout():
     data = rng.uniform(16, (20, 13))
     model = build_stack(data, SAEConfig(encoder_dims=(4, 2), epochs=3, seed=5))

@@ -1,12 +1,21 @@
-"""The shared CSV writer and the strict stored-settings reader."""
+"""The shared CSV writer, the stored float arrays and the strict
+stored-settings reader."""
 
+import base64
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ransomflow.errors import ConfigError, SchemaMismatch
-from ransomflow.serialize import csv_text, read_fields
+from ransomflow.errors import ConfigError, DataError, SchemaMismatch
+from ransomflow.serialize import (
+    array_doc,
+    array_from_doc,
+    canonical_json,
+    csv_text,
+    read_fields,
+)
 
 
 def test_csv_text_cell_rules():
@@ -35,6 +44,42 @@ def test_csv_text_floats_round_trip_exactly():
     parsed = np.array([float(line) for line in text.splitlines()[1:]])
     assert np.array_equal(parsed, values)
 
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[-0.0, 5e-324, 0.1 + 0.2], [1e308, -1.5, 2.0 ** -1074]]),
+    np.arange(6.0).reshape(3, 2).T,  # not C-contiguous
+    np.zeros((0, 3)),
+    np.float64(7.25),
+], ids=["edge-values", "transposed", "empty", "scalar"])
+def test_array_doc_round_trips_bits(array):
+    doc = json.loads(canonical_json(array_doc(array, "a")))
+    assert doc["dtype"] == "<f8" and doc["shape"] == list(np.shape(array))
+    back = array_from_doc(doc)
+    assert back.dtype == np.float64 and back.shape == np.shape(array)
+    assert back.tobytes() == np.asarray(array).tobytes()
+    assert back.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_array_doc_refuses_non_finite_values(value):
+    with pytest.raises(DataError, match="cannot store head weights"):
+        array_doc(np.array([1.0, value]), "head weights")
+
+
+
+@pytest.mark.parametrize("shape", [[2, 2], [4, 2], []])
+def test_array_from_doc_refuses_a_shape_its_bytes_do_not_fill(shape):
+    doc = {**array_doc(np.zeros((3, 2)), "a"), "shape": shape}
+    with pytest.raises(SchemaMismatch, match="48 bytes"):
+        array_from_doc(doc)
+
+def test_array_from_doc_refuses_non_finite_bytes():
+    doc = array_doc(np.zeros(2), "a")
+    doc["b64"] = base64.b64encode(
+        np.array([0.0, np.nan]).astype("<f8").tobytes()).decode("ascii")
+    with pytest.raises(SchemaMismatch, match="non-finite"):
+        array_from_doc(doc)
 
 @dataclass
 class _Pair:
