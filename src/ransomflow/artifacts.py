@@ -51,7 +51,7 @@ from .dataset import (
     preprocess_from_dict,
     preprocess_to_dict,
 )
-from .errors import ChecksumMismatch, SchemaMismatch
+from .errors import ChecksumMismatch, DataError, SchemaMismatch
 from .serialize import (
     REPORT_VERSION,
     SCHEMA_VERSION,
@@ -255,7 +255,12 @@ def save_bundle(path, kind: str, config_echo: dict, preprocess_doc: dict,
         "preprocess": preprocess_doc,
         "components": components,
     }
-    dump_json(path, {"checksum": checksum(payload), "payload": payload})
+    try:
+        digest = checksum(payload)
+    except ValueError as exc:  # a NaN or Inf, which JSON cannot hold
+        raise DataError(f"{path}: cannot store the model bundle: {exc}") \
+            from None
+    dump_json(path, {"checksum": digest, "payload": payload})
     return path
 
 

@@ -5,6 +5,13 @@ duplicate rows -> drop non-positive timestamps -> min-max scale -> stratified
 split. Each stage is a standalone function so the CLI can reorder the split
 for leakage experiments, and every stage is deterministic given its inputs.
 
+Parsing works on distinct lines and whole columns: the text is read once,
+identical lines are collapsed through one dict, ``csv`` parses each distinct
+line once, and the records are transposed into columns. Each numeric column
+is checked and converted by one float64 array, each categorical column is
+encoded by one dict lookup per distinct record, and the encoded records are
+then copied out to every row that holds them.
+
 Categorical codes are assigned by sorting the distinct strings of a column in
 lexicographic byte order, so the mapping depends only on the value set, never
 on row order.
@@ -13,8 +20,11 @@ on row order.
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +33,7 @@ import numpy as np
 from . import rng
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateSplit,
     EmptyData,
     LengthMismatch,
@@ -133,31 +144,142 @@ def default_schema() -> RecordSchema:
 
 @dataclass
 class RawTable:
-    """Parsed string cells in schema column order."""
+    """Parsed string cells in schema column order, held once per distinct record.
+
+    ``cells[j]`` holds column ``j``'s stripped cells, one per distinct record
+    in first-occurrence order, and ``numbers`` maps each numeric column to
+    those cells parsed as float64. ``inverse`` maps every data row, in file
+    order, to its distinct record.
+    """
 
     header: tuple
-    rows: list
+    cells: tuple
+    numbers: dict
+    inverse: np.ndarray
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.inverse)
+
+    @property
+    def rows(self) -> list:
+        records = list(zip(*self.cells))
+        return [records[i] for i in self.inverse.tolist()]
 
     def column(self, schema: RecordSchema, name: str) -> list:
-        j = schema.index(name)
-        return [row[j] for row in self.rows]
+        cells = self.cells[schema.index(name)]
+        return [cells[i] for i in self.inverse.tolist()]
 
 
-def _open_text(source):
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its previous state.
+
+    Parsing builds one list per record, none of them part of a cycle; with
+    the collector on, their allocation keeps triggering scans of them all.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _source_name(source) -> str:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
+        return str(source)
+    return str(getattr(source, "name", f"<{type(source).__name__}>"))
+
+
+def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
+    """The error for ``data`` whose decoding failed with ``exc``."""
+    # the sentinel makes the prefix's last line the bad byte's line
+    prefix = data[:exc.start].decode("utf-8") + "."
+    line = len(io.StringIO(prefix, newline="").readlines())
+    return DataError(f"{name}: line {line}: not UTF-8 text "
+                     f"({exc.reason} at byte {exc.start})")
+
+
+# The ASCII characters str.isspace accepts, but CR and LF, which the reader
+# only meets at line ends; every other whitespace character is not ASCII.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_lines(source, name: str):
+    """The source's lines with their ends kept, whether any holds a ``"``,
+    and whether any cell may hold whitespace to strip.
+
+    CR, LF and CRLF each end a line, as in a file opened with ``newline=""``.
+    Bytes that are not UTF-8 raise :class:`DataError` naming the line.
+    """
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+    elif isinstance(source, bytes):
+        data = source
+    elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise ConfigError(f"cannot read CSV from {type(source).__name__}")
+    else:
+        raise ConfigError(f"cannot read CSV from {type(source).__name__}")
+    quote, padding = '"', _PADDING
+    if isinstance(data, str):
+        lines = io.StringIO(data, newline="").readlines()
+    else:
+        quote, padding = b'"', _PADDING.encode("ascii")
+        try:
+            lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                     newline="").readlines()
+        except UnicodeDecodeError:
+            # the stream decodes in chunks; decode whole for the byte offset
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(data, exc, name) from None
+            raise
+    padded = not data.isascii() or any(c in data for c in padding)
+    return lines, quote in data, padded
+
+
+def _csv_records(lines, name: str, line_of) -> list:
+    """``csv.reader`` records of ``lines``; a malformed record raises
+    :class:`DataError` at ``line_of(lines read so far)``."""
+    reader = csv.reader(lines)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{name}: line {line_of(reader.line_num)}: {exc}") \
+            from None
+
+
+def _distinct_records(source, name: str):
+    """(records, record_of, padded): the csv records of the source, the index
+    of each position's record in file order (position 0 is the header), and
+    whether any cell may hold whitespace to strip.
+
+    Identical lines share one record, parsed once; records follow their
+    lines' first occurrence and positions are lines. Text holding a ``"`` is
+    read record by record, since a quoted field may span lines: each record
+    stands alone and positions count records.
+    """
+    lines, quoted, padded = _read_lines(source, name)
+    if quoted:
+        records = _csv_records(lines, name, lambda n: n)
+        return records, np.arange(len(records)), padded
+    units = {}
+    record_of = np.fromiter((units.setdefault(line, len(units)) for line in lines),
+                            np.int64, len(lines))
+    del lines  # freed before csv allocates the records
+    records = _csv_records(units, name,
+                           lambda n: int(np.argmax(record_of == n - 1)) + 1)
+    return records, record_of, padded
+
+
+def _finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
@@ -166,43 +288,74 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
     The header may list columns in any order and may use the known aliases;
     extra columns are rejected only when a required one is missing. Rows whose
     field count differs from the header raise :class:`RaggedRow` with the
-    1-based line number, and numeric columns must parse as finite floats.
+    1-based line number, and numeric columns must parse as finite floats
+    (:class:`NonNumericCell`). The first bad line in file order is reported;
+    on that line a wrong field count comes before a bad cell, and bad cells
+    go in schema column order. Text that is not UTF-8 or that ``csv`` cannot
+    read raises :class:`DataError` naming the source and line.
+
+    Identical lines are parsed once. Text holding a ``"`` is read record by
+    record instead, since a quoted field may span lines; line numbers then
+    count records.
     """
     schema = schema or default_schema()
-    with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        header_raw = next(reader, None)
-        if header_raw is None:
+    name = _source_name(source)
+    with _gc_paused():
+        records, record_of, padded = _distinct_records(source, name)
+        if not records:
             raise MissingColumn(schema.names[0])
-        canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in header_raw]
+        canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in records[0]]
         positions = []
-        for name in schema.names:
+        for column in schema.names:
             try:
-                positions.append(canonical.index(name))
+                positions.append(canonical.index(column))
             except ValueError:
-                raise MissingColumn(name) from None
-        width = len(header_raw)
-        numeric_cols = [
-            (i, name)
-            for i, name in enumerate(schema.names)
-            if schema.kind(name) == NUMERIC
-        ]
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != width:
-                raise RaggedRow(line_no, width, len(record))
-            cells = tuple(record[p].strip() for p in positions)
-            for i, name in numeric_cols:
-                try:
-                    finite = math.isfinite(float(cells[i]))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise NonNumericCell(line_no, name, cells[i])
-            rows.append(cells)
-        return RawTable(header=schema.names, rows=rows)
+                raise MissingColumn(column) from None
+        width = len(records[0])
+
+        # The records data rows hold, in first-occurrence order, and the line
+        # each first occurs on (the header is line 1). A blank line holds no
+        # row; the first ragged record stops the parse once the cells before
+        # it are checked.
+        row_records = record_of[1:]
+        ids, first_line = np.unique(row_records, return_index=True)
+        first_line += 2
+        widths = np.fromiter(map(len, records), np.int64, len(records))[ids]
+        filled = widths > 0
+        ragged = np.flatnonzero(filled & (widths != width))
+        stop = ragged[0] if ragged.size else len(ids)
+        keep = np.flatnonzero(filled[:stop])
+        # every kept record has ``width`` cells: column p is a stride of them
+        flat = list(itertools.chain.from_iterable(
+            map(records.__getitem__, ids[keep].tolist())))
+        del records
+        cells = tuple(list(map(str.strip, flat[p::width])) if padded
+                      else flat[p::width] for p in positions)
+        del flat
+        numbers = {}
+        bad_cells = []
+        for order, column in enumerate(schema.numeric_names):
+            j = schema.index(column)
+            try:
+                numbers[column] = np.array(cells[j], dtype=np.float64)
+                finite = np.isfinite(numbers[column]).all()
+            except ValueError:
+                finite = False
+            if not finite:
+                k = next(k for k, cell in enumerate(cells[j])
+                         if not _finite_number(cell))
+                bad_cells.append((int(first_line[keep[k]]), order, column,
+                                  cells[j][k]))
+        if bad_cells:
+            line, _, column, cell = min(bad_cells)
+            raise NonNumericCell(line, column, cell)
+        if ragged.size:
+            raise RaggedRow(int(first_line[stop]), width, int(widths[stop]))
+
+        at = np.searchsorted(ids, row_records)
+        inverse = (np.cumsum(filled) - 1)[at[filled[at]]]
+        return RawTable(header=schema.names, cells=cells, numbers=numbers,
+                        inverse=inverse)
 
 
 @dataclass
@@ -302,7 +455,7 @@ def build_encoding(table: RawTable, schema: RecordSchema) -> EncodingMap:
     """Derive codes from the distinct values of each categorical column."""
     categories = {}
     for name in schema.categorical_names:
-        values = set(table.column(schema, name))
+        values = set(table.cells[schema.index(name)])
         categories[name] = tuple(sorted(values, key=lambda s: s.encode("utf-8")))
     return EncodingMap(categories)
 
@@ -313,38 +466,30 @@ def label_encode(table: RawTable, schema: RecordSchema | None = None,
 
     When ``maps`` is given (scoring new rows with a frozen vocabulary), values
     absent from it raise :class:`UnknownCategory`; otherwise codes are built
-    from this table's own value set.
+    from this table's own value set. Each distinct record is encoded once and
+    then copied to every row that holds it.
     """
     schema = schema or default_schema()
     if maps is None:
         maps = build_encoding(table, schema)
-    n = table.row_count
-    values = np.empty((n, len(schema.names)), dtype=np.float64)
+    distinct = len(table.cells[0])
+    values = np.empty((distinct, len(schema.names)), dtype=np.float64)
     for j, (name, kind) in enumerate(schema.columns):
-        cells = [row[j] for row in table.rows]
         if kind == NUMERIC:
-            try:
-                values[:, j] = np.asarray(cells, dtype=np.float64)
-            except ValueError:
-                for i, cell in enumerate(cells):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise NonNumericCell(i + 2, name, cell) from None
-                raise
-        else:
-            table_for_col = maps._index.get(name)
-            if table_for_col is None:
-                raise MissingColumn(name)
-            column_codes = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                code = table_for_col.get(cell)
-                if code is None:
-                    raise UnknownCategory(name, cell)
-                column_codes[i] = code
-            values[:, j] = column_codes
-    encoded = EncodedTable(values=values, schema=schema, maps=maps,
-                           provenance=("parsed", "encoded"))
+            values[:, j] = table.numbers[name]
+            continue
+        index = maps._index.get(name)
+        if index is None:
+            raise MissingColumn(name)
+        cells = table.cells[j]
+        try:
+            values[:, j] = np.fromiter(map(index.__getitem__, cells),
+                                       np.float64, distinct)
+        except KeyError:
+            unknown = next(cell for cell in cells if cell not in index)
+            raise UnknownCategory(name, unknown) from None
+    encoded = EncodedTable(values=values[table.inverse], schema=schema,
+                           maps=maps, provenance=("parsed", "encoded"))
     return encoded, maps
 
 

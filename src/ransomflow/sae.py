@@ -171,10 +171,12 @@ def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
         histories.append(losses)
         current, _ = dense_forward(encoder, current)
     decoders.reverse()
-    model = SAEModel(encoders=encoders, decoders=decoders, config=config,
-                     pretrain_losses=histories, stack_loss=float("nan"))
-    model.stack_loss = float(mse_loss(reconstruct(model, data), data)[0])
-    return model
+    # ``current`` holds the codes; decoding them gives the reconstruction
+    for decoder in decoders:
+        current, _ = dense_forward(decoder, current)
+    return SAEModel(encoders=encoders, decoders=decoders, config=config,
+                    pretrain_losses=histories,
+                    stack_loss=float(mse_loss(current, data)[0]))
 
 
 def encode(model: SAEModel, x: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
 """End-to-end command-line runs: artifacts, bundles, reports, exit codes."""
 
 import base64
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from ransomflow import lstm
+from ransomflow import gbt, lstm, sae
 from ransomflow.cli import main
+from ransomflow.dataset import parse_csv
 from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
 INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.npz")
@@ -131,6 +133,60 @@ def test_ingest_header_only_exits_3(tmp_path):
               "BTC,USD,NetflowBytes,IPAddress,Threats,Port,Prediction")
     empty.write_text(header + "\n", encoding="utf-8")
     assert main(["ingest", str(empty), "--output", str(tmp_path / "o")]) == 3
+
+
+def _edited_csv(synthetic_csv, tmp_path, edit):
+    """The fixture CSV's bytes, passed through ``edit``, as a new file."""
+    csv_path, _ = synthetic_csv
+    bad = tmp_path / "edited.csv"
+    bad.write_bytes(edit(csv_path.read_bytes()))
+    return bad
+
+
+def _replace_line(data: bytes, index: int, line: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[index] = line
+    return b"\n".join(lines)
+
+
+def test_ingest_oversized_field_exits_3(synthetic_csv, tmp_path, capsys):
+    def widen(data):
+        cells = data.split(b"\n")[4].split(b",")
+        cells[1] = b"x" * 131_073  # over csv's default field size limit
+        return _replace_line(data, 4, b",".join(cells))
+
+    bad = _edited_csv(synthetic_csv, tmp_path, widen)
+    assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 5: field larger than")
+
+
+def test_ingest_non_utf8_exits_3(synthetic_csv, tmp_path, capsys):
+    def garble(data):
+        line = data.split(b"\n")[6]
+        return _replace_line(data, 6, line.replace(b",", b"\xff,", 1))
+
+    bad = _edited_csv(synthetic_csv, tmp_path, garble)
+    assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 7: not UTF-8 text")
+
+
+def test_ingest_cr_only_line_ends_match_lf(synthetic_csv, artifact_dir,
+                                            tmp_path):
+    cr = _edited_csv(synthetic_csv, tmp_path,
+                     lambda data: data.replace(b"\n", b"\r"))
+    out = tmp_path / "cr"
+    assert main(["ingest", str(cr), "--output", str(out),
+                 "--test-ratio", "0.25", "--seed", "11"]) == 0
+    for name in ("table.npz", "stats.json", "stats.txt"):
+        assert (out / name).read_bytes() == (artifact_dir / name).read_bytes()
+    # bytes and file-like sources split CR-only lines as a path does
+    data = cr.read_bytes()
+    rows = parse_csv(cr).rows
+    assert parse_csv(data).rows == rows
+    assert parse_csv(io.BytesIO(data)).rows == rows
+    assert parse_csv(io.StringIO(data.decode(), newline="")).rows == rows
 
 
 def test_usage_problems_exit_1(tmp_path, capsys):
@@ -482,6 +538,40 @@ def test_train_with_non_finite_weight_exits_3(artifact_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dense layer weights" in err
     assert "non-finite" in err
+    assert not (out / "bundle.json").exists()
+
+
+def _diverged_sae(build_stack):
+    def build(*args, **kwargs):
+        model = build_stack(*args, **kwargs)
+        model.stack_loss = float("nan")
+        return model
+    return build
+
+
+def _diverged_gbt(train_gbt):
+    def train(*args, **kwargs):
+        model = train_gbt(*args, **kwargs)
+        model.training_loss[-1] = float("inf")
+        return model
+    return train
+
+
+@pytest.mark.parametrize("kind,module,name,diverge", [
+    ("sae-lstm", sae, "build_stack", _diverged_sae),
+    ("gbt", gbt, "train_gbt", _diverged_gbt),
+])
+def test_train_with_non_finite_scalar_exits_3(kind, module, name, diverge,
+                                              artifact_dir, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr(module, name, diverge(getattr(module, name)))
+    out = tmp_path / "o"
+    rc = main(["train", str(artifact_dir), "--kind", kind,
+               "--output", str(out), "--sae-epochs", "1", "--lstm-epochs", "1",
+               "--lstm-hidden", "4", "--gbt-rounds", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'bundle.json'}: cannot store")
     assert not (out / "bundle.json").exists()
 
 

@@ -117,6 +117,14 @@ def test_reconstruct_shape_and_stack_loss_consistency():
     assert abs(loss - model.stack_loss) < 1e-12
 
 
+def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
+    # build_stack decodes the codes it already holds instead of re-encoding
+    data = rng.uniform(9, (700, 13))
+    model = build_stack(data, SAEConfig(epochs=2, seed=3))
+    loss, _ = mse_loss(reconstruct(model, data), data)
+    assert model.stack_loss == float(loss)
+
+
 def test_reconstruction_beats_permuted_features():
     # column-wise shuffling destroys the joint structure the stack learned
     x, _ = blob_data(60, 3, seed=15)
