@@ -222,7 +222,10 @@ def cmd_train(args) -> int:
             (out_dir / "fine_tune_history.csv").write_text(
                 csv_text(("epoch", "loss"), enumerate(ft_losses)),
                 encoding="utf-8")
-        codes = sae.encode(model, artifact.train.x)
+        # build_stack keeps the training codes; fine-tuning drops them
+        codes = model.codes
+        if codes is None:
+            codes = sae.encode(model, artifact.train.x)
         lstm_cfg = cfg.lstm_effective()
         classifier, history = lstm.train_classifier(codes, artifact.train.y,
                                                     lstm_cfg, k)

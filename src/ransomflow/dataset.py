@@ -253,9 +253,10 @@ def _csv_records(lines, name: str, line_of) -> list:
 
 
 def _distinct_records(source, name: str):
-    """(records, record_of, padded): the csv records of the source, the index
-    of each position's record in file order (position 0 is the header), and
-    whether any cell may hold whitespace to strip.
+    """(records, record_of, start_line, padded): the csv records of the source,
+    the index of each position's record in file order (position 0 is the
+    header), the 1-based line each position starts on (None when positions
+    are lines), and whether any cell may hold whitespace to strip.
 
     Identical lines share one record, parsed once; records follow their
     lines' first occurrence and positions are lines. Text holding a ``"`` is
@@ -264,15 +265,23 @@ def _distinct_records(source, name: str):
     """
     lines, quoted, padded = _read_lines(source, name)
     if quoted:
-        records = _csv_records(lines, name, lambda n: n)
-        return records, np.arange(len(records)), padded
+        reader = csv.reader(lines)
+        records, ends = [], [0]  # lines read after each record
+        try:
+            for record in reader:
+                records.append(record)
+                ends.append(reader.line_num)
+        except csv.Error as exc:
+            raise DataError(f"{name}: line {reader.line_num}: {exc}") from None
+        return (records, np.arange(len(records)),
+                np.array(ends[:-1], dtype=np.int64) + 1, padded)
     units = {}
     record_of = np.fromiter((units.setdefault(line, len(units)) for line in lines),
                             np.int64, len(lines))
     del lines  # freed before csv allocates the records
     records = _csv_records(units, name,
                            lambda n: int(np.argmax(record_of == n - 1)) + 1)
-    return records, record_of, padded
+    return records, record_of, None, padded
 
 
 def _finite_number(cell: str) -> bool:
@@ -295,13 +304,13 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
     read raises :class:`DataError` naming the source and line.
 
     Identical lines are parsed once. Text holding a ``"`` is read record by
-    record instead, since a quoted field may span lines; line numbers then
-    count records.
+    record instead, since a quoted field may span lines; an error in a
+    record that spans lines names the line the record starts on.
     """
     schema = schema or default_schema()
     name = _source_name(source)
     with _gc_paused():
-        records, record_of, padded = _distinct_records(source, name)
+        records, record_of, start_line, padded = _distinct_records(source, name)
         if not records:
             raise MissingColumn(schema.names[0])
         canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in records[0]]
@@ -314,12 +323,14 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
         width = len(records[0])
 
         # The records data rows hold, in first-occurrence order, and the line
-        # each first occurs on (the header is line 1). A blank line holds no
-        # row; the first ragged record stops the parse once the cells before
-        # it are checked.
+        # each first occurs on. A blank line holds no row; the first ragged
+        # record stops the parse once the cells before it are checked.
         row_records = record_of[1:]
         ids, first_line = np.unique(row_records, return_index=True)
-        first_line += 2
+        if start_line is None:  # the header is line 1
+            first_line += 2
+        else:
+            first_line = start_line[1:][first_line]
         widths = np.fromiter(map(len, records), np.int64, len(records))[ids]
         filled = widths > 0
         ragged = np.flatnonzero(filled & (widths != width))

@@ -11,11 +11,13 @@ One matmul gives every gate pre-activation:
     c_t = f * c_prev + i * g      h_t = o * tanh(c_t)
 
 Every sequence starts from h = c = 0, so each layer's first step is a
-zero-state step: it multiplies only the input block, a = x_t @ w[:, H:].T + b,
-and c_t = i * g. Its backward pass leaves the recurrent block and the forget
-rows at zero gradient. With one step per sequence (the default layout) those
-entries never get a gradient at all, so training steps Adam over the live
-views w[:, H:], b and the head only.
+zero-state step. The forget gate only scales c_prev = 0 there, so the step
+multiplies and activates just the three live gates, i | o | g, of the input
+block: [a_i | a_o | a_g] = x_t @ w[live, H:].T + b[live], and c_t = i * g.
+Its backward pass writes gradient on those rows of w[:, H:] and b only; the
+recurrent block and the forget rows keep zero gradient. With one step per
+sequence (the default layout) those entries never get a gradient at all, so
+training steps Adam over the views w[:, H:], b and the head only.
 
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
@@ -101,13 +103,18 @@ class LstmCell:
         return [self.w, self.b]
 
 
+def live_rows(hidden: int) -> np.ndarray:
+    """Rows of the i | o | g gate blocks: all a zero-state step uses."""
+    return np.concatenate((np.arange(hidden), np.arange(2 * hidden, 4 * hidden)))
+
+
 @dataclass
 class GateCache:
     """Forward values one step of BPTT needs."""
 
     z: np.ndarray          # [h_prev | x_t], or x_t alone on a zero-state step
     i: np.ndarray
-    f: np.ndarray
+    f: np.ndarray | None   # None on a zero-state step, which has three gates
     o: np.ndarray
     g: np.ndarray
     c_prev: np.ndarray | None  # None marks a zero-state step
@@ -120,8 +127,9 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
                  c_prev: np.ndarray | None = None):
     """One LSTM step. Accepts single vectors or (m, dim) batches.
 
-    ``h_prev = c_prev = None`` is the zero state: only the input block of
-    ``w`` is multiplied and the forget term drops out. Returns (h, c, cache).
+    ``h_prev = c_prev = None`` is the zero state: only the i | o | g rows of
+    the input block of ``w`` are multiplied and the forget gate is not
+    computed. Returns (h, c, cache).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     single = x_t.ndim == 1
@@ -133,8 +141,10 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
             f"input width {x_t.shape[1]} != cell input size {cell.input_size}"
         )
     if h_prev is None and c_prev is None:
+        live = live_rows(hidden)
         z = x_t
-        gates = x_t @ cell.w[:, hidden:].T + cell.b
+        gates = x_t @ cell.w[live, hidden:].T
+        gates += cell.b[live]
     else:
         if h_prev is None or c_prev is None:
             raise ShapeMismatch("give both h_prev and c_prev, or neither")
@@ -150,10 +160,15 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
             )
         z = np.concatenate([h_prev, x_t], axis=1)
         gates = z @ cell.w.T + cell.b
-    gates[:, :3 * hidden] = sigmoid(gates[:, :3 * hidden])
-    gates[:, 3 * hidden:] = np.tanh(gates[:, 3 * hidden:])
-    i, f, o, g = np.split(gates, 4, axis=1)
-    c = i * g if c_prev is None else f * c_prev + i * g
+    # every gate block but the last, the candidate g, is a sigmoid
+    gates[:, :-hidden] = sigmoid(gates[:, :-hidden])
+    gates[:, -hidden:] = np.tanh(gates[:, -hidden:])
+    if c_prev is None:
+        (i, o, g), f = np.split(gates, 3, axis=1), None
+        c = i * g
+    else:
+        i, f, o, g = np.split(gates, 4, axis=1)
+        c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
     cache = GateCache(z=z, i=i, f=f, o=o, g=g, c_prev=c_prev, c=c, tanh_c=tanh_c)
@@ -309,22 +324,23 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             cache = step_caches[t]
             grad_h = upper[t] + grad_h_next
             grad_c = grad_c_next + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
-            zero_state = cache.c_prev is None
             # loss gradient at the pre-activations, gate blocks i | f | o | g
-            pre = np.concatenate([
-                grad_c * cache.g * cache.i * (1.0 - cache.i),
-                np.zeros_like(grad_c) if zero_state
-                else grad_c * cache.c_prev * cache.f * (1.0 - cache.f),
-                grad_h * cache.tanh_c * cache.o * (1.0 - cache.o),
-                grad_c * cache.i * (1.0 - cache.g ** 2),
-            ], axis=1)
-            gb += pre.sum(axis=0)
-            if zero_state:
-                # first step: no earlier state to pass a gradient back to
-                gw[:, hidden:] += pre.T @ cache.z
+            grad_i = grad_c * cache.g * cache.i * (1.0 - cache.i)
+            grad_o = grad_h * cache.tanh_c * cache.o * (1.0 - cache.o)
+            grad_g = grad_c * cache.i * (1.0 - cache.g ** 2)
+            if cache.f is None:
+                # first step: no forget gate, and no earlier state to pass a
+                # gradient back to
+                live = live_rows(hidden)
+                pre = np.concatenate([grad_i, grad_o, grad_g], axis=1)
+                gb[live] += pre.sum(axis=0)
+                gw[live, hidden:] += pre.T @ cache.z
                 if layer_index:
-                    lower.append(pre @ cell.w[:, hidden:])
+                    lower.append(pre @ cell.w[live, hidden:])
                 continue
+            grad_f = grad_c * cache.c_prev * cache.f * (1.0 - cache.f)
+            pre = np.concatenate([grad_i, grad_f, grad_o, grad_g], axis=1)
+            gb += pre.sum(axis=0)
             gw += pre.T @ cache.z
             grad_c_next = grad_c * cache.f
             if layer_index:

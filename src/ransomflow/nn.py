@@ -108,7 +108,8 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
         raise ShapeMismatch(
             f"batch width {x.shape[1]} does not match layer input {layer.in_dim}"
         )
-    z = x @ layer.weights.T + layer.biases
+    z = x @ layer.weights.T
+    z += layer.biases
     out = _activate(layer.activation, z)
     return out, BatchCache(inputs=x, pre_activation=z, output=out)
 
@@ -221,8 +222,9 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
         labels = cast
     n, k = probs.shape
     check_label_range(labels, k)
-    row_sums = probs.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
+    # np.allclose(row_sums, 1.0, atol=1e-6) written out: atol plus the
+    # default rtol 1e-5 times 1.0; NaN and inf sums compare False
+    if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6 + 1e-5).all():
         raise ShapeMismatch("probability rows must sum to 1 within 1e-6")
     picked = probs[np.arange(n), labels]
     loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
@@ -237,7 +239,14 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Adam with bias correction; updates parameters in place."""
+    """Adam with bias correction; updates parameters in place.
+
+    Adam is elementwise, so every tracked tensor lives in one flat buffer:
+    a step checks every param and grad shape before it writes anything,
+    copies the grads and params in, runs the update once over all of them,
+    and copies the params back. Each element is rounded exactly as a
+    per-tensor update would round it.
+    """
 
     def __init__(self, params, learning_rate: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
@@ -250,46 +259,60 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
-        self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
-        # per-tensor temporaries, reused by every step
-        self.m_hat = [np.zeros_like(m) for m in self.m]
-        self.v_hat = [np.zeros_like(m) for m in self.m]
+        self.shapes = [np.shape(p) for p in params]
+        sizes = [int(np.prod(shape)) for shape in self.shapes]
+        # the moments, then the flat grads and params and two temporaries
+        # that every step reuses
+        self.m, self.v, self.g, self.p, self.m_hat, self.v_hat = \
+            np.zeros((6, sum(sizes)))
+        bounds = np.cumsum(sizes)[:-1]
+        self.g_parts = [part.reshape(shape) for part, shape in
+                        zip(np.split(self.g, bounds), self.shapes)]
+        self.p_parts = [part.reshape(shape) for part, shape in
+                        zip(np.split(self.p, bounds), self.shapes)]
 
     def step(self, params, grads) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        if len(params) != len(self.shapes) or len(grads) != len(self.shapes):
             raise ShapeMismatch(
-                f"optimizer tracks {len(self.m)} tensors, got "
+                f"optimizer tracks {len(self.shapes)} tensors, got "
                 f"{len(params)} params and {len(grads)} grads"
             )
+        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        for p, g, shape in zip(params, grads, self.shapes):
+            if p.shape != shape or g.shape != shape:
+                raise ShapeMismatch(
+                    f"param {p.shape} / grad {g.shape} do not match the "
+                    f"tracked shape {shape}"
+                )
+        for p, g, p_part, g_part in zip(params, grads, self.p_parts,
+                                        self.g_parts):
+            np.copyto(p_part, p)
+            np.copyto(g_part, g)
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v, m_hat, v_hat in zip(params, grads, self.m, self.v,
-                                            self.m_hat, self.v_hat):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeMismatch(
-                    f"grad shape {g.shape} does not match param {p.shape}"
-                )
-            # The textbook update, operation by operation in the same order,
-            # written into the temporaries so the results stay bit-identical:
-            #   m = b1 m + (1 - b1) g      v = b2 v + ((1 - b2) g) g
-            #   p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=m_hat)
-            m += m_hat
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=v_hat)
-            v_hat *= g
-            v += v_hat
-            np.divide(m, correction1, out=m_hat)
-            np.divide(v, correction2, out=v_hat)
-            m_hat *= self.learning_rate
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += self.epsilon
-            m_hat /= v_hat
-            p -= m_hat
+        g, p, m, v, m_hat, v_hat = (self.g, self.p, self.m, self.v,
+                                    self.m_hat, self.v_hat)
+        # The textbook update, operation by operation in the same order,
+        # written into the temporaries so the results stay bit-identical:
+        #   m = b1 m + (1 - b1) g      v = b2 v + ((1 - b2) g) g
+        #   p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=m_hat)
+        m += m_hat
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=v_hat)
+        v_hat *= g
+        v += v_hat
+        np.divide(m, correction1, out=m_hat)
+        np.divide(v, correction2, out=v_hat)
+        m_hat *= self.learning_rate
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.epsilon
+        m_hat /= v_hat
+        p -= m_hat
+        for param, p_part in zip(params, self.p_parts):
+            np.copyto(param, p_part)
 
 
 # ---------------------------------------------------------------------------

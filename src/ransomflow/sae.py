@@ -10,7 +10,7 @@ softmax head and fine-tunes the encoder weights with cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class SAEModel:
     config: SAEConfig
     pretrain_losses: list  # per layer, per epoch
     stack_loss: float
+    # build_stack's training rows encoded, until the encoders change; never
+    # serialized
+    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def input_dim(self) -> int:
@@ -150,7 +153,8 @@ def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
     """Greedy layerwise pretraining over ``config.encoder_dims``.
 
     Labels are never consulted. The returned model records each layer's loss
-    curve and the whole stack's reconstruction loss on the training data.
+    curve and the whole stack's reconstruction loss on the training data,
+    and keeps the training data's codes, equal to ``encode(model, data)``.
     """
     config = config or SAEConfig()
     data = np.asarray(data, dtype=np.float64)
@@ -171,12 +175,12 @@ def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
         histories.append(losses)
         current, _ = dense_forward(encoder, current)
     decoders.reverse()
-    # ``current`` holds the codes; decoding them gives the reconstruction
+    codes = current  # decoding the codes gives the reconstruction
     for decoder in decoders:
         current, _ = dense_forward(decoder, current)
     return SAEModel(encoders=encoders, decoders=decoders, config=config,
                     pretrain_losses=histories,
-                    stack_loss=float(mse_loss(current, data)[0]))
+                    stack_loss=float(mse_loss(current, data)[0]), codes=codes)
 
 
 def encode(model: SAEModel, x: np.ndarray) -> np.ndarray:
@@ -208,7 +212,8 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     """Supervised pass: softmax head on the code layer, cross-entropy loss.
 
     Encoder weights and the head are updated jointly; decoders are left
-    untouched. Returns (head, losses) with the per-epoch mean loss.
+    untouched, and the codes ``build_stack`` kept are dropped. Returns
+    (head, losses) with the per-epoch mean loss.
     """
     config = config or model.config
     x = np.asarray(x, dtype=np.float64)
@@ -220,6 +225,7 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     if k_classes < 2:
         raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
     check_label_range(y, k_classes)
+    model.codes = None  # the encoders change below
     seed = rng.derive(config.seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))

@@ -8,9 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
-from ransomflow import gbt, lstm, sae
+from ransomflow import cli, gbt, lstm, sae
+from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
-from ransomflow.dataset import parse_csv
+from ransomflow.dataset import parse_csv, preprocess_to_dict
 from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
 INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.npz")
@@ -707,6 +708,58 @@ def test_train_is_byte_deterministic(artifact_dir, tmp_path):
                          "--output", str(sae_out), "--sae-epochs", "2",
                          "--lstm-epochs", "2", "--lstm-hidden", "8",
                          "--seed", "5"], sae_out)
+
+
+def explicit_sae_lstm(argv, out):
+    """The sae-lstm training pipeline step by step, encoding the training
+    rows again after build_stack (and fine_tune) instead of reusing codes."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = cli._load_pipeline_config(args)
+    artifact = load_artifact(args.artifact)
+    x, y, k = artifact.train.x, artifact.train.y, artifact.k_classes
+    sae_cfg = cfg.sae_effective()
+    model = sae.build_stack(x, sae_cfg)
+    head = None
+    if cfg.fine_tune:
+        head, _ = sae.fine_tune(model, x, y, k, sae_cfg)
+    codes = sae.encode(model, x)
+    classifier, history = lstm.train_classifier(codes, y, cfg.lstm_effective(),
+                                                k)
+    out.mkdir(parents=True)
+    save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(),
+                preprocess_to_dict(artifact.schema, artifact.maps,
+                                   artifact.stats),
+                {"sae": sae.model_to_dict(model, head),
+                 "lstm": lstm.model_to_dict(classifier)})
+    (out / "sae_history.csv").write_text(sae.history_csv(model),
+                                         encoding="utf-8")
+    (out / "lstm_history.csv").write_text(lstm.history_csv(history),
+                                          encoding="utf-8")
+
+
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_train_reuses_codes_byte_identically(fine_tune, artifact_dir,
+                                             tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    argv = ["train", str(artifact_dir), "--kind", "sae-lstm",
+            "--output", str(out), "--sae-epochs", "2", "--lstm-epochs", "2",
+            "--lstm-hidden", "8", "--seed", "7"]
+    argv += ["--fine-tune"] if fine_tune else []
+    explicit_sae_lstm(argv, out)
+    expected = snapshot(out)
+    shutil.rmtree(out)
+    encode = sae.encode
+    calls = []
+    monkeypatch.setattr(sae, "encode",
+                        lambda *a: calls.append(1) or encode(*a))
+    assert main(argv) == 0
+    capsys.readouterr()
+    got = snapshot(out)
+    got.pop("fine_tune_history.csv", None)
+    assert got == expected
+    assert set(got) == {"bundle.json", "sae_history.csv", "lstm_history.csv"}
+    # only fine-tuning changes the encoders after build_stack encoded
+    assert len(calls) == int(fine_tune)
 
 
 def test_evaluate_compare_analyze_byte_deterministic(

@@ -221,6 +221,26 @@ def test_cross_entropy_rejects_non_distribution():
         cross_entropy_loss(np.array([[0.9, 0.9]]), np.array([0]))
 
 
+def test_cross_entropy_row_sum_check_equals_allclose():
+    # rows whose sums sit on either side of allclose's 1e-6 + 1e-5 * 1.0
+    offsets = [0.0, 1e-6, 1e-5, 1.1e-5, 1.1e-5 - 1e-17, 1.1e-5 + 1e-17,
+               1.2e-5, 1e-3]
+    for offset in offsets:
+        for sign in (1.0, -1.0):
+            probs = np.array([[0.25, 0.75 + sign * offset]])
+            accepted = bool(np.allclose(probs.sum(axis=1), 1.0, atol=1e-6))
+            try:
+                cross_entropy_loss(probs, np.array([0]))
+                got = True
+            except ShapeMismatch:
+                got = False
+            assert got == accepted, (offset, sign)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ShapeMismatch):
+            cross_entropy_loss(np.array([[0.5, 0.5], [bad, 0.5]]),
+                               np.array([0, 1]))
+
+
 def test_adam_zero_gradient_is_identity():
     w = np.array([1.0, -2.0, 3.0])
     before = w.copy()
@@ -266,6 +286,67 @@ def test_adam_matches_textbook_update_bit_for_bit_on_views():
         assert np.array_equal(full[:, 4:], ref)
     assert np.array_equal(full[:, :4],
                           rng.uniform(rng.derive(5, "w"), (6, 9))[:, :4])
+
+
+def textbook_adam(p, g, m, v, t, lr):
+    """One per-tensor Adam step written as the plain expressions."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * g * g
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+def test_adam_flat_update_matches_per_tensor_textbook_on_mixed_tensors():
+    # One flat update over a matrix, a vector and a column block of a larger
+    # matrix must round each element as a per-tensor update does. Parameters
+    # start near 0, so each step's last bits show in them.
+    matrix = rng.uniform(rng.derive(6, "a"), (4, 5)) * 1e-4
+    vector = rng.uniform(rng.derive(6, "b"), (7,)) * 1e-4
+    full = rng.uniform(rng.derive(6, "w"), (6, 9)) * 1e-4
+    params = [matrix, vector, full[:, 4:]]
+    refs = [p.copy() for p in params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    opt = Adam(params, learning_rate=0.01)
+    for t in range(1, 9):
+        # scales far apart, and one grad that is itself a strided view
+        grads = [(rng.uniform(rng.derive(6, "g", t, j), p.shape) - 0.5)
+                 * 10.0 ** (3 * j - 3) for j, p in enumerate(params)]
+        grads[2] = np.repeat(grads[2], 2, axis=1)[:, ::2]
+        opt.step(params, grads)
+        for j, (ref, g, (m, v)) in enumerate(zip(refs, grads, moments)):
+            refs[j], m, v = textbook_adam(ref, g, m, v, t, 0.01)
+            moments[j] = (m, v)
+            assert np.array_equal(params[j], refs[j])
+    assert opt.t == 8
+    assert np.array_equal(full[:, :4],
+                          rng.uniform(rng.derive(6, "w"), (6, 9))[:, :4] * 1e-4)
+
+
+def test_adam_shape_error_writes_nothing():
+    # A bad third tensor must leave every param, both moments and t as they
+    # were: the next good step then equals that of an optimizer that never
+    # saw the bad calls.
+    shapes = [(2, 3), (4,), (3, 2)]
+    params = [np.ones(shape) for shape in shapes]
+    twin_params = [np.ones(shape) for shape in shapes]
+    opt, twin = Adam(params, 0.1), Adam(twin_params, 0.1)
+    grads = [np.full(shape, 0.5) for shape in shapes]
+    opt.step(params, grads)
+    twin.step(twin_params, grads)
+    before = [p.copy() for p in params]
+    with pytest.raises(ShapeMismatch):
+        opt.step(params, [*grads[:2], np.zeros((2, 3))])
+    with pytest.raises(ShapeMismatch):
+        opt.step([*params[:2], np.ones((2, 3))], grads)
+    assert opt.t == 1
+    for p, b in zip(params, before):
+        assert np.array_equal(p, b)
+    grads = [np.full(shape, -0.25) for shape in shapes]
+    opt.step(params, grads)
+    twin.step(twin_params, grads)
+    for p, q in zip(params, twin_params):
+        assert np.array_equal(p, q)
 
 
 def test_adam_rejects_mismatched_grads():

@@ -71,7 +71,10 @@ def ref_parse(source, schema):
         numeric_cols = [(i, name) for i, name in enumerate(schema.names)
                         if schema.kind(name) == NUMERIC]
         rows = []
-        for line_no, record in enumerate(reader, start=2):
+        # a record names the line it starts on; a quoted field may span lines
+        start = reader.line_num + 1
+        for record in reader:
+            line_no, start = start, reader.line_num + 1
             if not record:
                 continue
             if len(record) != width:
@@ -203,6 +206,12 @@ CASES = {
     "quoted-newline-then-bad-cell": lines_text(
         with_cell(ROWS[0], 3, '"Wanna\nCry"'), ROWS[1],
         with_cell(ROWS[2], 7, "x")),
+    "bad-cell-in-multi-line-record": lines_text(
+        ROWS[0], with_cell(with_cell(ROWS[1], 3, '"Wanna\r\nCry"'), 8, "x"),
+        ROWS[2]),
+    "ragged-multi-line-record-after-quoted-lines": lines_text(
+        with_cell(ROWS[0], 5, '"a\nb\nc"'), ROWS[1],
+        with_cell(ROWS[2], 3, '"Wanna\nCry"') + ",extra"),
     "aliases-reordered-extra-column": "\n".join(
         ",".join(reversed(line.split(","))) + ",Extra"
         for line in [HEADER, *ROWS]) + "\n",
@@ -255,6 +264,19 @@ def test_cases_cover_errors_and_successes(tmp_path):
 def test_duplicated_bad_line_reports_first_occurrence(tmp_path):
     result = assert_same(CASES["duplicated-bad-line"], tmp_path)
     assert result[:4] == ("error", "NonNumericCell", 3, "USD")
+
+
+def test_errors_name_the_physical_line_a_record_starts_on(tmp_path):
+    # header, then a record spanning lines 2-3, then line 4, then line 5
+    result = assert_same(CASES["quoted-newline-then-bad-cell"], tmp_path)
+    assert result[:4] == ("error", "NonNumericCell", 5, "BTC")
+    # the bad cell sits on line 4, inside the record that starts on line 3
+    result = assert_same(CASES["bad-cell-in-multi-line-record"], tmp_path)
+    assert result[:4] == ("error", "NonNumericCell", 3, "USD")
+    # lines 2-4 and 5 hold rows; the ragged record starts on line 6
+    result = assert_same(
+        CASES["ragged-multi-line-record-after-quoted-lines"], tmp_path)
+    assert result[:3] == ("error", "RaggedRow", 6)
 
 
 def test_frozen_maps_match_reference(tmp_path):

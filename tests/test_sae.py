@@ -125,6 +125,26 @@ def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
     assert model.stack_loss == float(loss)
 
 
+@pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
+def test_build_stack_keeps_the_codes_encode_gives(activation):
+    data = rng.uniform(10, (700, 13))
+    model = build_stack(data, SAEConfig(epochs=2, activation=activation,
+                                        seed=5))
+    assert np.array_equal(model.codes, encode(model, data))
+    # kept in memory only: the stored model does not hold them
+    doc = model_to_dict(model)
+    assert "codes" not in json.dumps(doc)
+    assert model_from_dict(doc)[0].codes is None
+
+
+def test_fine_tune_drops_the_kept_codes():
+    x, y = blob_data(20, 3, seed=22)
+    model = build_stack(x, SAEConfig(encoder_dims=(8, 4), epochs=1, seed=2))
+    assert model.codes is not None
+    fine_tune(model, x, y, 3)
+    assert model.codes is None
+
+
 def test_reconstruction_beats_permuted_features():
     # column-wise shuffling destroys the joint structure the stack learned
     x, _ = blob_data(60, 3, seed=15)
