@@ -34,6 +34,7 @@ from .dataset import (
     normalize,
     parse_csv,
     preprocess_to_dict,
+    row_keys,
     stratified_indices,
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
@@ -145,7 +146,7 @@ def _scrub_side(values, where: dict):
     with a bad timestamp miss it. Returns (table indices of the side's distinct
     rows in first-occurrence order, duplicates removed, bad timestamps removed).
     """
-    distinct = dict.fromkeys(row.tobytes() for row in values)
+    distinct = dict.fromkeys(row_keys(values))
     indices = [where[key] for key in distinct if key in where]
     return indices, len(values) - len(distinct), len(distinct) - len(indices)
 
@@ -172,7 +173,7 @@ def cmd_ingest(args) -> int:
         stages["ordering"] = "split-before-dedup"
         sides = stratified_indices(encoded.target_codes(), cfg.test_ratio,
                                    cfg.split_seed())
-        where = {row.tobytes(): i for i, row in enumerate(table.values)}
+        where = {key: i for i, key in enumerate(row_keys(table.values))}
         scrubbed = [_scrub_side(encoded.values[idx], where) for idx in sides]
         (train_idx, test_idx), dups, bads = zip(*scrubbed)
         stages["duplicates_removed"] = sum(dups)

@@ -111,10 +111,6 @@ class RecordSchema:
     def categorical_names(self) -> tuple:
         return tuple(n for n, k in self.columns if k == CATEGORICAL)
 
-    @property
-    def target_index(self) -> int:
-        return self.names.index(self.target_column)
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -504,18 +500,24 @@ def label_encode(table: RawTable, schema: RecordSchema | None = None,
     return encoded, maps
 
 
+def row_keys(values: np.ndarray) -> list:
+    """Each row's bytes, equal to ``row.tobytes()``, as one hashable key:
+    -0.0 and 0.0 cells keep two rows apart."""
+    values = np.ascontiguousarray(values)
+    row = np.dtype((np.void, values.dtype.itemsize * values.shape[1]))
+    return values.view(row).ravel().tolist()
+
+
 def deduplicate(table: EncodedTable):
     """Drop exact duplicate rows, keeping the first occurrence.
 
     Returns (table, removed_count). Row order of survivors is preserved.
     """
-    seen = set()
-    keep = []
-    for i in range(table.row_count):
-        key = table.values[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
+    first = {}
+    for i, key in enumerate(row_keys(table.values)):
+        if key not in first:
+            first[key] = i
+    keep = list(first.values())
     removed = table.row_count - len(keep)
     return table.with_values(table.values[keep], "deduplicated"), removed
 

@@ -69,13 +69,11 @@ class DegenerateSplit(DataError):
 
 
 class ShapeMismatch(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class LengthMismatch(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class LabelOutOfRange(DataError):
@@ -90,6 +88,21 @@ def check_label_range(labels, k_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= k_classes):
         bad = int(labels[(labels < 0) | (labels >= k_classes)][0])
         raise LabelOutOfRange(bad, k_classes)
+
+
+def check_labeled_rows(x, y, k_classes: int | None = None) -> int:
+    """Require 2-d, non-empty ``x``, one label per row and labels in [0, k)
+    for a k of at least 2, which defaults to the largest label + 1. Returns k.
+    """
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyData("cannot train on zero rows")
+    if y.shape != (x.shape[0],):
+        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
+    k = int(y.max()) + 1 if k_classes is None else int(k_classes)
+    if k < 2:
+        raise DegenerateClasses(f"need at least 2 classes, got {k}")
+    check_label_range(y, k)
+    return k
 
 
 def check_int(name: str, value, low: int | None = None) -> None:
@@ -113,18 +126,15 @@ def check_positive(name: str, value, optional: bool = False) -> None:
 
 
 class EmptyData(DataError):
-    def __init__(self, detail: str = "no rows to operate on"):
-        super().__init__(detail)
+    pass
 
 
 class EmptyMatrix(DataError):
-    def __init__(self, detail: str = "empty matrix"):
-        super().__init__(detail)
+    pass
 
 
 class DegenerateClasses(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class InsufficientRows(DataError):
@@ -149,8 +159,7 @@ class ClassSetMismatch(DataError):
 
 
 class SchemaMismatch(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class ChecksumMismatch(DataError):

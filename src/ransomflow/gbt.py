@@ -34,6 +34,7 @@ from .errors import (
     ShapeMismatch,
     check_int,
     check_label_range,
+    check_labeled_rows,
 )
 from .nn import softmax
 from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
@@ -275,14 +276,9 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(fm.x, dtype=np.float64)
     y = np.asarray(fm.y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyData("cannot train on zero rows")
-    if y.shape != (x.shape[0],):
-        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
-    k = params.k_classes
+    k = check_labeled_rows(x, y, params.k_classes)
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
-    check_label_range(y, k)
     n = x.shape[0]
     raw = np.zeros((n, k), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)

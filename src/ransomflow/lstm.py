@@ -37,11 +37,10 @@ from .errors import (
     SchemaMismatch,
     ShapeMismatch,
     check_int,
-    check_label_range,
+    check_labeled_rows,
     check_positive,
 )
 from .nn import (
-    Adam,
     DenseLayer,
     cross_entropy_loss,
     dense_backward_preact,
@@ -49,6 +48,7 @@ from .nn import (
     layer_from_dict,
     layer_to_dict,
     sigmoid,
+    train_epochs,
 )
 from .serialize import (SCHEMA_VERSION, array_doc, array_from_doc, csv_text,
                         read_fields, require_version)
@@ -387,22 +387,15 @@ def create_classifier(input_dim: int, k_classes: int,
 def train_classifier(x: np.ndarray, y: np.ndarray,
                      config: LstmConfig | None = None,
                      k_classes: int | None = None):
-    """Mini-batch Adam training. Returns (model, history).
+    """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
 
-    ``history`` holds one (mean loss, training accuracy) pair per epoch,
-    accumulated over the batches of that epoch.
+    Returns (model, history). ``history`` holds one (mean loss, training
+    accuracy) pair per epoch, accumulated over the batches of that epoch.
     """
     config = config or LstmConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyData("cannot train on zero rows")
-    if y.shape != (x.shape[0],):
-        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
-    k = int(y.max()) + 1 if k_classes is None else int(k_classes)
-    if k < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k}")
-    check_label_range(y, k)
+    k = check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k, config)
     # Adam steps views of the parameters. With one step per sequence every
@@ -413,23 +406,18 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
         live[:2 * len(model.cells):2] = \
             [np.s_[:, config.hidden_size:]] * len(model.cells)
     params = [p[s] for p, s in zip(model.params(), live)]
-    optimizer = Adam(params, config.learning_rate)
-    n = x.shape[0]
-    history = []
-    for epoch in range(config.epochs):
-        loss_sum = 0.0
-        correct = 0
-        for idx in rng.epoch_batches(n, config.batch_size, config.seed, epoch):
-            batch = sequences[idx]
-            labels = y[idx]
-            probs, caches = sequence_forward(model, batch)
-            loss, grad_logits = cross_entropy_loss(probs, labels)
-            grads, _ = sequence_backward(model, caches, grad_logits,
-                                         config.clip_threshold)
-            optimizer.step(params, [g[s] for g, s in zip(grads, live)])
-            loss_sum += loss * len(idx)
-            correct += int((probs.argmax(axis=1) == labels).sum())
-        history.append((loss_sum / n, correct / n))
+
+    def batch_step(idx):
+        labels = y[idx]
+        probs, caches = sequence_forward(model, sequences[idx])
+        loss, grad_logits = cross_entropy_loss(probs, labels)
+        grads, _ = sequence_backward(model, caches, grad_logits,
+                                     config.clip_threshold)
+        return (loss, [g[s] for g, s in zip(grads, live)],
+                int((probs.argmax(axis=1) == labels).sum()))
+
+    history = train_epochs(params, batch_step, x.shape[0], config.batch_size,
+                           config.learning_rate, config.seed, config.epochs)
     return model, history
 
 

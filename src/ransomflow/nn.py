@@ -315,6 +315,32 @@ class Adam:
             np.copyto(param, p_part)
 
 
+def train_epochs(params, batch_step, n: int, batch_size: int,
+                 learning_rate: float, seed: int, epochs: int,
+                 stop_below: float | None = None) -> list:
+    """Mini-batch Adam over ``n`` rows, reshuffled each epoch from ``seed``.
+
+    ``batch_step(idx)`` returns the batch's mean loss, grads aligned to
+    ``params`` and its count of right predictions (0 if none are made).
+    Returns one (mean loss, accuracy) pair per epoch run, stopping after the
+    first epoch whose mean loss is below ``stop_below``.
+    """
+    optimizer = Adam(params, learning_rate)
+    history = []
+    for epoch in range(epochs):
+        loss_sum = 0.0
+        correct = 0
+        for idx in rng.epoch_batches(n, batch_size, seed, epoch):
+            loss, grads, batch_correct = batch_step(idx)
+            optimizer.step(params, grads)
+            loss_sum += loss * len(idx)
+            correct += batch_correct
+        history.append((loss_sum / n, correct / n))
+        if stop_below is not None and history[-1][0] < stop_below:
+            break
+    return history
+
+
 # ---------------------------------------------------------------------------
 # Introspection and verification
 

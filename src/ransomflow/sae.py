@@ -1,11 +1,11 @@
 """Stacked autoencoder with greedy layerwise pretraining.
 
-Each encoder layer is trained as a standalone autoencoder on the codes of the
-layer below it: encoder (relu by default) plus a throwaway-free linear decoder
-minimizing batch-mean squared reconstruction error. After a layer converges,
-its frozen codes become the next layer's input. The decoders are kept so the
-full stack can reconstruct inputs, and an optional supervised stage attaches a
-softmax head and fine-tunes the encoder weights with cross-entropy.
+Each encoder layer (relu by default) is trained with a linear decoder to
+minimize batch-mean squared reconstruction error on the codes of the layer
+below it; its frozen codes then feed the next layer. The decoders are kept so
+the stack can reconstruct inputs. An optional supervised stage fine-tunes the
+encoders under a softmax head with cross-entropy. Every stage is a batch step
+run by :func:`ransomflow.nn.train_epochs`.
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ import numpy as np
 from . import rng
 from .errors import (
     ConfigError,
-    DegenerateClasses,
     EmptyData,
     SchemaMismatch,
     ShapeMismatch,
     check_int,
-    check_label_range,
+    check_labeled_rows,
     check_positive,
 )
 from .nn import (
     ACTIVATIONS,
-    Adam,
     DenseLayer,
     cross_entropy_loss,
     dense_backward,
@@ -36,6 +34,7 @@ from .nn import (
     layer_from_dict,
     layer_to_dict,
     mse_loss,
+    train_epochs,
 )
 from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
 
@@ -127,26 +126,20 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
                                 rng.derive(seed, "encoder"))
     decoder = DenseLayer.create(hidden_dim, width, "linear",
                                 rng.derive(seed, "decoder"))
-    params = encoder.params() + decoder.params()
-    optimizer = Adam(params, config.learning_rate)
-    losses = []
-    for epoch in range(config.epochs):
-        accumulated = 0.0
-        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
-            xb = data[idx]
-            code, enc_cache = dense_forward(encoder, xb)
-            recon, dec_cache = dense_forward(decoder, code)
-            loss, grad_recon = mse_loss(recon, xb)
-            grad_code, gw_dec, gb_dec = dense_backward(decoder, dec_cache, grad_recon)
-            _, gw_enc, gb_enc = dense_backward(encoder, enc_cache, grad_code)
-            optimizer.step(params, [gw_enc, gb_enc, gw_dec, gb_dec])
-            accumulated += loss * xb.shape[0]
-        epoch_loss = accumulated / n
-        losses.append(epoch_loss)
-        if (config.convergence_threshold is not None
-                and epoch_loss < config.convergence_threshold):
-            break
-    return encoder, decoder, losses
+
+    def batch_step(idx):
+        xb = data[idx]
+        code, enc_cache = dense_forward(encoder, xb)
+        recon, dec_cache = dense_forward(decoder, code)
+        loss, grad_recon = mse_loss(recon, xb)
+        grad_code, gw_dec, gb_dec = dense_backward(decoder, dec_cache, grad_recon)
+        _, gw_enc, gb_enc = dense_backward(encoder, enc_cache, grad_code)
+        return loss, [gw_enc, gb_enc, gw_dec, gb_dec], 0
+
+    history = train_epochs(encoder.params() + decoder.params(), batch_step, n,
+                           config.batch_size, config.learning_rate, seed,
+                           config.epochs, config.convergence_threshold)
+    return encoder, decoder, [loss for loss, _ in history]
 
 
 def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
@@ -158,10 +151,6 @@ def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
     """
     config = config or SAEConfig()
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d data, got shape {data.shape}")
-    if data.shape[0] == 0:
-        raise EmptyData("cannot pretrain on zero rows")
     encoders = []
     decoders = []
     histories = []
@@ -173,11 +162,12 @@ def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
         encoders.append(encoder)
         decoders.append(decoder)
         histories.append(losses)
-        current, _ = dense_forward(encoder, current)
+        # [0]: drop the full-data cache before the next layer trains
+        current = dense_forward(encoder, current)[0]
     decoders.reverse()
     codes = current  # decoding the codes gives the reconstruction
     for decoder in decoders:
-        current, _ = dense_forward(decoder, current)
+        current = dense_forward(decoder, current)[0]
     return SAEModel(encoders=encoders, decoders=decoders, config=config,
                     pretrain_losses=histories,
                     stack_loss=float(mse_loss(current, data)[0]), codes=codes)
@@ -190,7 +180,7 @@ def encode(model: SAEModel, x: np.ndarray) -> np.ndarray:
     if single:
         current = current[None, :]
     for layer in model.encoders:
-        current, _ = dense_forward(layer, current)
+        current = dense_forward(layer, current)[0]
     return current[0] if single else current
 
 
@@ -200,10 +190,8 @@ def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
     single = current.ndim == 1
     if single:
         current = current[None, :]
-    for layer in model.encoders:
-        current, _ = dense_forward(layer, current)
-    for layer in model.decoders:
-        current, _ = dense_forward(layer, current)
+    for layer in model.encoders + model.decoders:
+        current = dense_forward(layer, current)[0]
     return current[0] if single else current
 
 
@@ -218,46 +206,31 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     config = config or model.config
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyData("cannot fine-tune on zero rows")
-    if y.shape != (x.shape[0],):
-        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
-    if k_classes < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
-    check_label_range(y, k_classes)
+    check_labeled_rows(x, y, k_classes)
     model.codes = None  # the encoders change below
     seed = rng.derive(config.seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))
-    params = model.encoder_params() + head.params()
-    optimizer = Adam(params, config.learning_rate)
-    n = x.shape[0]
-    losses = []
-    for epoch in range(config.epochs):
-        accumulated = 0.0
-        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
-            xb, yb = x[idx], y[idx]
-            caches = []
-            current = xb
-            for layer in model.encoders:
-                current, cache = dense_forward(layer, current)
-                caches.append(cache)
-            probs, head_cache = dense_forward(head, current)
-            loss, grad_logits = cross_entropy_loss(probs, yb)
-            grads = []
-            grad, gw, gb = dense_backward_preact(head, head_cache, grad_logits)
-            grads.append((gw, gb))
-            for layer, cache in zip(reversed(model.encoders), reversed(caches)):
-                grad, gw, gb = dense_backward(layer, cache, grad)
-                grads.append((gw, gb))
-            grads.reverse()
-            flat = []
-            for gw, gb in grads:
-                flat.extend([gw, gb])
-            optimizer.step(params, flat)
-            accumulated += loss * xb.shape[0]
-        losses.append(accumulated / n)
-    return head, losses
+
+    def batch_step(idx):
+        caches = []
+        current = x[idx]
+        for layer in model.encoders:
+            current, cache = dense_forward(layer, current)
+            caches.append(cache)
+        probs, head_cache = dense_forward(head, current)
+        loss, grad_logits = cross_entropy_loss(probs, y[idx])
+        grad, gw, gb = dense_backward_preact(head, head_cache, grad_logits)
+        grads = [gw, gb]
+        for layer, cache in zip(reversed(model.encoders), reversed(caches)):
+            grad, gw, gb = dense_backward(layer, cache, grad)
+            grads[:0] = [gw, gb]  # input-side layers first, as in params
+        return loss, grads, 0
+
+    history = train_epochs(model.encoder_params() + head.params(), batch_step,
+                           x.shape[0], config.batch_size, config.learning_rate,
+                           seed, config.epochs)
+    return head, [loss for loss, _ in history]
 
 
 # ---------------------------------------------------------------------------

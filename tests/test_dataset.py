@@ -15,6 +15,7 @@ from conftest import require_real_csv, synthetic_csv_text
 
 from ransomflow import rng
 from ransomflow.dataset import (
+    EncodedTable,
     EncodingMap,
     FeatureMatrix,
     NormStats,
@@ -30,6 +31,7 @@ from ransomflow.dataset import (
     parse_csv,
     preprocess_from_dict,
     preprocess_to_dict,
+    row_keys,
     split,
     stratified_indices,
 )
@@ -190,6 +192,24 @@ def test_deduplicate_all_distinct_is_identity():
     deduped, removed = deduplicate(encoded)
     assert removed == 0
     assert np.array_equal(deduped.values, encoded.values)
+
+
+def test_row_keys_are_row_bytes_and_keep_signed_zeros_apart():
+    values = np.array([[0.0, 1.5, 0.0], [-0.0, 1.5, 0.0], [0.0, 1.5, 0.0]])
+    assert row_keys(values) == [row.tobytes() for row in values]
+    # a non-contiguous view keys the same rows
+    assert row_keys(np.asfortranarray(values)[:, :2]) == [
+        row.tobytes() for row in values[:, :2]]
+    assert row_keys(np.empty((0, 14))) == []
+    schema = default_schema()
+    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
+    table = EncodedTable(values=np.zeros((3, 14)), schema=schema, maps=maps)
+    table.values[1, 0] = -0.0
+    deduped, removed = deduplicate(table)
+    assert removed == 1
+    assert np.array_equal(np.signbit(deduped.values[:, 0]), [False, True])
+    empty, removed = deduplicate(table.with_values(np.empty((0, 14)), "empty"))
+    assert (empty.row_count, removed) == (0, 0)
 
 
 def test_clean_timestamps_drops_non_positive():

@@ -1,0 +1,278 @@
+"""The shared mini-batch Adam loop against the loops it replaced.
+
+``nn.train_epochs`` runs every training stage: each SAE layer's
+pretraining, the supervised SAE fine-tune and the LSTM classifier. The
+three ``reference_*`` functions below are the per-stage epoch loops that
+came before it, kept verbatim apart from their names. Weights and loss
+histories must match them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import blob_data
+
+from ransomflow import rng
+from ransomflow.errors import (
+    DegenerateClasses,
+    EmptyData,
+    ShapeMismatch,
+    check_label_range,
+)
+from ransomflow.lstm import (
+    LstmConfig,
+    create_classifier,
+    sequence_backward,
+    sequence_forward,
+    to_sequences,
+    train_classifier,
+)
+from ransomflow.nn import (
+    Adam,
+    DenseLayer,
+    cross_entropy_loss,
+    dense_backward,
+    dense_backward_preact,
+    dense_forward,
+    mse_loss,
+    train_epochs,
+)
+from ransomflow.sae import (
+    SAEConfig,
+    SAEModel,
+    build_stack,
+    fine_tune,
+    pretrain_layer,
+)
+
+
+def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
+                             config: SAEConfig, seed: int | None = None):
+    """Train one (encoder, decoder) pair to reconstruct ``data``.
+
+    Returns (encoder, decoder, losses) where losses holds the running
+    epoch-mean reconstruction loss. Training stops early once an epoch mean
+    falls below ``config.convergence_threshold`` (when set), so the list
+    length is at most ``config.epochs``.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ShapeMismatch(f"expected 2-d data, got shape {data.shape}")
+    n, width = data.shape
+    if n == 0:
+        raise EmptyData("cannot pretrain on zero rows")
+    seed = config.seed if seed is None else seed
+    encoder = DenseLayer.create(width, hidden_dim, config.activation,
+                                rng.derive(seed, "encoder"))
+    decoder = DenseLayer.create(hidden_dim, width, "linear",
+                                rng.derive(seed, "decoder"))
+    params = encoder.params() + decoder.params()
+    optimizer = Adam(params, config.learning_rate)
+    losses = []
+    for epoch in range(config.epochs):
+        accumulated = 0.0
+        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
+            xb = data[idx]
+            code, enc_cache = dense_forward(encoder, xb)
+            recon, dec_cache = dense_forward(decoder, code)
+            loss, grad_recon = mse_loss(recon, xb)
+            grad_code, gw_dec, gb_dec = dense_backward(decoder, dec_cache, grad_recon)
+            _, gw_enc, gb_enc = dense_backward(encoder, enc_cache, grad_code)
+            optimizer.step(params, [gw_enc, gb_enc, gw_dec, gb_dec])
+            accumulated += loss * xb.shape[0]
+        epoch_loss = accumulated / n
+        losses.append(epoch_loss)
+        if (config.convergence_threshold is not None
+                and epoch_loss < config.convergence_threshold):
+            break
+    return encoder, decoder, losses
+
+
+
+def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
+                        k_classes: int, config: SAEConfig | None = None):
+    """Supervised pass: softmax head on the code layer, cross-entropy loss.
+
+    Encoder weights and the head are updated jointly; decoders are left
+    untouched, and the codes ``build_stack`` kept are dropped. Returns
+    (head, losses) with the per-epoch mean loss.
+    """
+    config = config or model.config
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyData("cannot fine-tune on zero rows")
+    if y.shape != (x.shape[0],):
+        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
+    if k_classes < 2:
+        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
+    check_label_range(y, k_classes)
+    model.codes = None  # the encoders change below
+    seed = rng.derive(config.seed, "fine-tune")
+    head = DenseLayer.create(model.code_dim, k_classes, "softmax",
+                             rng.derive(seed, "head"))
+    params = model.encoder_params() + head.params()
+    optimizer = Adam(params, config.learning_rate)
+    n = x.shape[0]
+    losses = []
+    for epoch in range(config.epochs):
+        accumulated = 0.0
+        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
+            xb, yb = x[idx], y[idx]
+            caches = []
+            current = xb
+            for layer in model.encoders:
+                current, cache = dense_forward(layer, current)
+                caches.append(cache)
+            probs, head_cache = dense_forward(head, current)
+            loss, grad_logits = cross_entropy_loss(probs, yb)
+            grads = []
+            grad, gw, gb = dense_backward_preact(head, head_cache, grad_logits)
+            grads.append((gw, gb))
+            for layer, cache in zip(reversed(model.encoders), reversed(caches)):
+                grad, gw, gb = dense_backward(layer, cache, grad)
+                grads.append((gw, gb))
+            grads.reverse()
+            flat = []
+            for gw, gb in grads:
+                flat.extend([gw, gb])
+            optimizer.step(params, flat)
+            accumulated += loss * xb.shape[0]
+        losses.append(accumulated / n)
+    return head, losses
+
+
+
+def reference_train_classifier(x: np.ndarray, y: np.ndarray,
+                               config: LstmConfig | None = None,
+                               k_classes: int | None = None):
+    """Mini-batch Adam training. Returns (model, history).
+
+    ``history`` holds one (mean loss, training accuracy) pair per epoch,
+    accumulated over the batches of that epoch.
+    """
+    config = config or LstmConfig()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyData("cannot train on zero rows")
+    if y.shape != (x.shape[0],):
+        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
+    k = int(y.max()) + 1 if k_classes is None else int(k_classes)
+    if k < 2:
+        raise DegenerateClasses(f"need at least 2 classes, got {k}")
+    check_label_range(y, k)
+    sequences = to_sequences(x, config.sequence_layout)
+    model = create_classifier(sequences.shape[2], k, config)
+    # Adam steps views of the parameters. With one step per sequence every
+    # cell runs from zero state, so the recurrent block w[:, :H] keeps its
+    # seeded values and only w[:, H:] is live.
+    live = [np.s_[...]] * len(model.params())
+    if sequences.shape[1] == 1:
+        live[:2 * len(model.cells):2] = \
+            [np.s_[:, config.hidden_size:]] * len(model.cells)
+    params = [p[s] for p, s in zip(model.params(), live)]
+    optimizer = Adam(params, config.learning_rate)
+    n = x.shape[0]
+    history = []
+    for epoch in range(config.epochs):
+        loss_sum = 0.0
+        correct = 0
+        for idx in rng.epoch_batches(n, config.batch_size, config.seed, epoch):
+            batch = sequences[idx]
+            labels = y[idx]
+            probs, caches = sequence_forward(model, batch)
+            loss, grad_logits = cross_entropy_loss(probs, labels)
+            grads, _ = sequence_backward(model, caches, grad_logits,
+                                         config.clip_threshold)
+            optimizer.step(params, [g[s] for g, s in zip(grads, live)])
+            loss_sum += loss * len(idx)
+            correct += int((probs.argmax(axis=1) == labels).sum())
+        history.append((loss_sum / n, correct / n))
+    return model, history
+
+
+def assert_same_arrays(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert np.array_equal(a, b)
+
+
+def pretrain_data():
+    return rng.uniform(rng.derive(5, "pretrain"), (90, 6))
+
+
+def test_pretrain_layer_matches_reference_without_threshold():
+    cfg = SAEConfig(encoder_dims=(4,), epochs=4, batch_size=16, seed=11)
+    enc, dec, losses = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
+    ref_enc, ref_dec, ref_losses = reference_pretrain_layer(
+        pretrain_data(), 4, cfg, seed=23)
+    assert len(losses) == 4
+    assert losses == ref_losses
+    assert_same_arrays(enc.params() + dec.params(),
+                       ref_enc.params() + ref_dec.params())
+
+
+def test_pretrain_layer_matches_reference_when_it_stops_early():
+    cfg = SAEConfig(encoder_dims=(4,), epochs=6, batch_size=16,
+                    learning_rate=0.01, seed=11)
+    _, _, curve = reference_pretrain_layer(pretrain_data(), 4, cfg, seed=23)
+    assert curve[1] > curve[2]
+    # the third epoch's mean is the first one below the threshold
+    cfg.convergence_threshold = (curve[1] + curve[2]) / 2
+    enc, dec, losses = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
+    ref_enc, ref_dec, ref_losses = reference_pretrain_layer(
+        pretrain_data(), 4, cfg, seed=23)
+    assert len(losses) == 3
+    assert losses == ref_losses
+    assert_same_arrays(enc.params() + dec.params(),
+                       ref_enc.params() + ref_dec.params())
+
+
+def test_fine_tune_matches_reference():
+    x, y = blob_data(20, 3, seed=31, width=6)
+    cfg = SAEConfig(encoder_dims=(5, 3), epochs=3, batch_size=16, seed=7)
+    model, ref_model = build_stack(x, cfg), build_stack(x, cfg)
+    head, losses = fine_tune(model, x, y, 3)
+    ref_head, ref_losses = reference_fine_tune(ref_model, x, y, 3)
+    assert len(losses) == 3
+    assert losses == ref_losses
+    assert_same_arrays(model.encoder_params() + head.params(),
+                       ref_model.encoder_params() + ref_head.params())
+    assert_same_arrays([l.weights for l in model.decoders],
+                       [l.weights for l in ref_model.decoders])
+
+
+@pytest.mark.parametrize("cfg", [
+    LstmConfig(hidden_size=5, epochs=3, batch_size=16, seed=13),
+    LstmConfig(hidden_size=3, num_layers=2, epochs=3, batch_size=16,
+               sequence_layout="feature-steps", clip_threshold=0.05, seed=17),
+], ids=["single-step", "feature-steps-clipped"])
+def test_train_classifier_matches_reference(cfg):
+    x, y = blob_data(15, 3, seed=41, width=4)
+    model, history = train_classifier(x, y, cfg)
+    ref_model, ref_history = reference_train_classifier(x, y, cfg)
+    assert len(history) == 3
+    assert history == ref_history
+    assert_same_arrays(model.params(), ref_model.params())
+
+
+def test_train_epochs_returns_one_pair_per_epoch_and_stops_below():
+    w = np.zeros(2)
+    losses = iter([4.0, 4.0, 3.0, 3.0, 0.5, 0.5, 0.1, 0.1])
+    seen = []
+
+    def batch_step(idx):
+        seen.append(len(idx))
+        return next(losses), [np.ones(2)], len(idx) - 1
+
+    history = train_epochs([w], batch_step, 10, 5, 0.1, 3, epochs=4,
+                           stop_below=1.0)
+    # stops after the third epoch, the first with a mean below 1.0
+    assert history == [(4.0, 0.8), (3.0, 0.8), (0.5, 0.8)]
+    assert seen == [5] * 6
+    assert (w < 0).all()  # one Adam step per batch moved the weights
+    assert len(train_epochs([np.zeros(1)], lambda idx: (1.0, [np.ones(1)], 0),
+                            7, 3, 0.1, 3, epochs=5)) == 5
+    assert train_epochs([np.zeros(1)], batch_step, 7, 3, 0.1, 3,
+                        epochs=0) == []
