@@ -62,18 +62,16 @@ class FinancialReport:
                          "total_btc", "mean_btc"), rows)
 
 
-def financial_report(table: EncodedTable, family_column: str = "Family",
-                     usd_column: str = "USD",
-                     btc_column: str = "BTC") -> FinancialReport:
-    """Attack counts and money totals per ransomware family.
+def financial_report(table: EncodedTable) -> FinancialReport:
+    """Attack counts and USD and BTC totals per ransomware family.
 
     Families absent from the table are omitted; an empty table produces an
     empty report with zero global means.
     """
-    codes = table.codes(family_column)
-    usd = table.column(usd_column)
-    btc = table.column(btc_column)
-    vocab_size = table.maps.size(family_column)
+    codes = table.codes("Family")
+    usd = table.column("USD")
+    btc = table.column("BTC")
+    vocab_size = table.maps.size("Family")
     counts = np.bincount(codes, minlength=vocab_size)
     usd_totals = np.bincount(codes, weights=usd, minlength=vocab_size)
     btc_totals = np.bincount(codes, weights=btc, minlength=vocab_size)
@@ -81,7 +79,7 @@ def financial_report(table: EncodedTable, family_column: str = "Family",
     for code in range(vocab_size):
         if counts[code] == 0:
             continue
-        name = table.maps.value(family_column, code)
+        name = table.maps.value("Family", code)
         families[name] = FamilyFinance(
             attack_count=int(counts[code]),
             total_usd=float(usd_totals[code]),
@@ -139,12 +137,6 @@ class DistributionReport:
     def to_csv(self) -> str:
         return csv_text(("value", "count", "percent"), self.entries)
 
-    def percent_of(self, name: str) -> float:
-        for value, _, pct in self.entries:
-            if value == name:
-                return pct
-        return 0.0
-
 
 def malware_distribution(table: EncodedTable,
                          column: str = "Threats") -> DistributionReport:
@@ -190,14 +182,14 @@ class CorrelationMatrix:
         }
 
 
-def correlation_matrix(data, feature_names=None) -> CorrelationMatrix:
-    """Pearson correlations between feature columns.
+def correlation_matrix(x: np.ndarray, feature_names=None) -> CorrelationMatrix:
+    """Pearson correlations between the columns of an (n, d) array.
 
-    Accepts a FeatureMatrix or a plain (n, d) array. Needs at least 2 rows.
-    Constant columns cannot be correlated; they are flagged and their rows and
-    columns (diagonal included) are set to 0 rather than NaN.
+    Needs at least 2 rows. Constant columns cannot be correlated; they are
+    flagged and their rows and columns (diagonal included) are set to 0
+    rather than NaN.
     """
-    x = np.asarray(data.x if hasattr(data, "x") else data, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected (rows, features), got shape {x.shape}")
     n, d = x.shape
@@ -223,27 +215,25 @@ def correlation_matrix(data, feature_names=None) -> CorrelationMatrix:
                              zero_variance=tuple(bool(b) for b in constant))
 
 
-def anomaly_by_family(table: EncodedTable, anomaly_value: str = "A",
-                      family_column: str = "Family"):
-    """Rows labeled with the anomaly class, counted per family.
+def anomaly_by_family(table: EncodedTable):
+    """Rows labeled with the anomaly class "A", counted per family.
 
     Every family in the vocabulary appears, zero counts included, sorted by
-    count descending then name ascending. A vocabulary without the anomaly
-    value yields all-zero counts rather than an error.
+    count descending then name ascending. A vocabulary without "A" yields
+    all-zero counts rather than an error.
     """
     target = table.schema.target_column
     try:
-        anomaly_code = table.maps.code(target, anomaly_value)
+        anomaly_code = table.maps.code(target, "A")
     except UnknownCategory:
         anomaly_code = -1
-    vocab_size = table.maps.size(family_column)
+    vocab_size = table.maps.size("Family")
     if anomaly_code >= 0:
         mask = table.target_codes() == anomaly_code
-        counts = np.bincount(table.codes(family_column)[mask],
-                             minlength=vocab_size)
+        counts = np.bincount(table.codes("Family")[mask], minlength=vocab_size)
     else:
         counts = np.zeros(vocab_size, dtype=np.int64)
-    pairs = [(table.maps.value(family_column, code), int(counts[code]))
+    pairs = [(table.maps.value("Family", code), int(counts[code]))
              for code in range(vocab_size)]
     pairs.sort(key=lambda kv: (-kv[1], kv[0]))
     return pairs

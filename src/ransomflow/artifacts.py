@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import io
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,8 +162,6 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
 
 @dataclass
 class DatasetArtifact:
-    directory: Path
-    config: dict
     schema: RecordSchema
     maps: object
     stats: NormStats
@@ -198,41 +197,52 @@ def _verified_payload(path, what: str, kinds) -> dict:
     return payload
 
 
-def _split_side(table: EncodedTable, stats: NormStats, index, side: str):
-    return normalize(table.with_values(table.values[index], side), stats)[0]
+@contextmanager
+def _payload_fields(path, what: str):
+    """Raise :class:`SchemaMismatch` naming ``path`` for a payload field the
+    block finds missing, of the wrong type or holding a rejected value."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaMismatch(f"{path}: {what} is missing key {exc}") from None
+    except (SchemaMismatch, AttributeError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: invalid {what}: {exc}") from None
+
+
+def _split_side(table: EncodedTable, stats: NormStats, index):
+    return normalize(table.with_values(table.values[index]), stats)[0]
 
 
 def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
-    table_path = directory / TABLE_FILE
-    try:
+    with _payload_fields(directory, "dataset artifact"):
         schema, maps, stats = preprocess_from_dict(payload["preprocess"])
-        raw = table_path.read_bytes()
-        actual = hashlib.sha256(raw).hexdigest()
-        if actual != payload["table_sha256"]:
-            raise ChecksumMismatch(payload["table_sha256"], actual)
-        try:
-            table, train_idx, test_idx = _read_table_npz(raw, schema, maps)
-        except SchemaMismatch as exc:
-            raise SchemaMismatch(f"{table_path}: {exc}") from None
-        return DatasetArtifact(
-            directory=directory,
-            config=payload["config"],
-            schema=schema,
-            maps=maps,
-            stats=stats,
-            table=table,
-            train=_split_side(table, stats, train_idx, "train"),
-            test=_split_side(table, stats, test_idx, "test"),
-            stages=payload["stages"],
-            k_classes=int(payload["k_classes"]),
-            class_names=tuple(payload["class_names"]),
-        )
-    except KeyError as exc:
-        raise SchemaMismatch(
-            f"{directory}: dataset artifact is missing key {exc}") from None
+        table_sha256 = payload["table_sha256"]
+        stages = payload["stages"]
+        k_classes = int(payload["k_classes"])
+        class_names = tuple(payload["class_names"])
+    table_path = directory / TABLE_FILE
+    raw = table_path.read_bytes()
+    actual = hashlib.sha256(raw).hexdigest()
+    if actual != table_sha256:
+        raise ChecksumMismatch(table_sha256, actual)
+    try:
+        table, train_idx, test_idx = _read_table_npz(raw, schema, maps)
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{table_path}: {exc}") from None
+    return DatasetArtifact(
+        schema=schema,
+        maps=maps,
+        stats=stats,
+        table=table,
+        train=_split_side(table, stats, train_idx),
+        test=_split_side(table, stats, test_idx),
+        stages=stages,
+        k_classes=k_classes,
+        class_names=class_names,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +297,7 @@ class ModelBundle:
 def load_bundle(path) -> ModelBundle:
     payload = _verified_payload(path, "model bundle", BUNDLE_KINDS)
     kind = payload["kind"]
-    try:
+    with _payload_fields(path, "model bundle"):
         schema, maps, stats = preprocess_from_dict(payload["preprocess"])
         components = payload["components"]
         bundle = ModelBundle(kind=kind, config=payload["config"],
@@ -298,8 +308,4 @@ def load_bundle(path) -> ModelBundle:
             bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"])
         else:
             bundle.gbt_model = gbt_mod.model_from_dict(components["gbt"])
-    except KeyError as exc:
-        raise SchemaMismatch(f"{path}: model bundle is missing key {exc}") from None
-    except (SchemaMismatch, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"{path}: invalid model bundle: {exc}") from None
     return bundle

@@ -162,7 +162,7 @@ def cmd_ingest(args) -> int:
     if cfg.subsample is not None:
         _, keep = stratified_indices(encoded.target_codes(), cfg.subsample,
                                      cfg.subsample_seed())
-        encoded = encoded.with_values(encoded.values[keep], "subsampled")
+        encoded = encoded.with_values(encoded.values[keep])
         stages["subsampled_rows"] = encoded.row_count
 
     deduped, removed_dup = deduplicate(encoded)
@@ -185,7 +185,7 @@ def cmd_ingest(args) -> int:
         stages["bad_timestamps_removed"] = removed_time
         train_idx, test_idx = stratified_indices(
             table.target_codes(), cfg.test_ratio, cfg.split_seed())
-    _, stats = normalize(table.with_values(table.values[train_idx], "train"))
+    _, stats = normalize(table.with_values(table.values[train_idx]))
 
     stages["table_rows"] = table.row_count
     summary = dataset_stats(table)

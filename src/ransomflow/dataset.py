@@ -237,22 +237,11 @@ def _read_lines(source, name: str):
     return lines, quote in data, padded
 
 
-def _csv_records(lines, name: str, line_of) -> list:
-    """``csv.reader`` records of ``lines``; a malformed record raises
-    :class:`DataError` at ``line_of(lines read so far)``."""
-    reader = csv.reader(lines)
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise DataError(f"{name}: line {line_of(reader.line_num)}: {exc}") \
-            from None
-
-
 def _distinct_records(source, name: str):
     """(records, record_of, start_line, padded): the csv records of the source,
     the index of each position's record in file order (position 0 is the
-    header), the 1-based line each position starts on (None when positions
-    are lines), and whether any cell may hold whitespace to strip.
+    header), the 1-based line each position starts on, and whether any cell
+    may hold whitespace to strip.
 
     Identical lines share one record, parsed once; records follow their
     lines' first occurrence and positions are lines. Text holding a ``"`` is
@@ -275,9 +264,13 @@ def _distinct_records(source, name: str):
     record_of = np.fromiter((units.setdefault(line, len(units)) for line in lines),
                             np.int64, len(lines))
     del lines  # freed before csv allocates the records
-    records = _csv_records(units, name,
-                           lambda n: int(np.argmax(record_of == n - 1)) + 1)
-    return records, record_of, None, padded
+    reader = csv.reader(units)
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        line = int(np.argmax(record_of == reader.line_num - 1)) + 1
+        raise DataError(f"{name}: line {line}: {exc}") from None
+    return records, record_of, np.arange(1, len(record_of) + 1), padded
 
 
 def _finite_number(cell: str) -> bool:
@@ -322,11 +315,8 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
         # each first occurs on. A blank line holds no row; the first ragged
         # record stops the parse once the cells before it are checked.
         row_records = record_of[1:]
-        ids, first_line = np.unique(row_records, return_index=True)
-        if start_line is None:  # the header is line 1
-            first_line += 2
-        else:
-            first_line = start_line[1:][first_line]
+        ids, first_row = np.unique(row_records, return_index=True)
+        first_line = start_line[1:][first_row]
         widths = np.fromiter(map(len, records), np.int64, len(records))[ids]
         filled = widths > 0
         ragged = np.flatnonzero(filled & (widths != width))
@@ -423,7 +413,6 @@ class EncodedTable:
     values: np.ndarray
     schema: RecordSchema
     maps: EncodingMap
-    provenance: tuple = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -449,13 +438,8 @@ class EncodedTable:
     def target_codes(self) -> np.ndarray:
         return self.codes(self.schema.target_column)
 
-    def with_values(self, values: np.ndarray, stage: str) -> "EncodedTable":
-        return EncodedTable(
-            values=values,
-            schema=self.schema,
-            maps=self.maps,
-            provenance=self.provenance + (stage,),
-        )
+    def with_values(self, values: np.ndarray) -> "EncodedTable":
+        return EncodedTable(values=values, schema=self.schema, maps=self.maps)
 
 
 def build_encoding(table: RawTable, schema: RecordSchema) -> EncodingMap:
@@ -495,9 +479,8 @@ def label_encode(table: RawTable, schema: RecordSchema | None = None,
         except KeyError:
             unknown = next(cell for cell in cells if cell not in index)
             raise UnknownCategory(name, unknown) from None
-    encoded = EncodedTable(values=values[table.inverse], schema=schema,
-                           maps=maps, provenance=("parsed", "encoded"))
-    return encoded, maps
+    return EncodedTable(values=values[table.inverse], schema=schema,
+                        maps=maps), maps
 
 
 def row_keys(values: np.ndarray) -> list:
@@ -519,7 +502,7 @@ def deduplicate(table: EncodedTable):
             first[key] = i
     keep = list(first.values())
     removed = table.row_count - len(keep)
-    return table.with_values(table.values[keep], "deduplicated"), removed
+    return table.with_values(table.values[keep]), removed
 
 
 def clean_timestamps(table: EncodedTable, column: str = "Time"):
@@ -527,7 +510,7 @@ def clean_timestamps(table: EncodedTable, column: str = "Time"):
     times = table.column(column)
     mask = times > 0.0
     removed = int((~mask).sum())
-    return table.with_values(table.values[mask], "timestamp-cleaned"), removed
+    return table.with_values(table.values[mask]), removed
 
 
 @dataclass
@@ -581,9 +564,6 @@ class FeatureMatrix:
     @property
     def row_count(self) -> int:
         return self.x.shape[0]
-
-    def take(self, idx: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(self.x[idx], self.y[idx], self.k_classes)
 
 
 def normalize(table: EncodedTable, stats: NormStats | None = None):
@@ -649,12 +629,6 @@ def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):
     train_idx = np.sort(np.concatenate(train_parts)).astype(np.int64)
     test_idx = np.sort(np.concatenate(test_parts)).astype(np.int64)
     return train_idx, test_idx
-
-
-def split(fm: FeatureMatrix, test_ratio: float, seed: int):
-    """Stratified train/test split of a feature matrix."""
-    train_idx, test_idx = stratified_indices(fm.y, test_ratio, seed)
-    return fm.take(train_idx), fm.take(test_idx)
 
 
 @dataclass
@@ -776,8 +750,7 @@ def encoded_table_from_rows(header, rows, schema: RecordSchema,
         )
     values = (np.asarray(rows, dtype=np.float64)
               if len(rows) else np.empty((0, len(schema.names))))
-    table = EncodedTable(values=values, schema=schema, maps=maps,
-                         provenance=("loaded",))
+    table = EncodedTable(values=values, schema=schema, maps=maps)
     if not np.isfinite(table.values).all():
         raise SchemaMismatch("stored table holds a non-finite cell")
     for name in schema.categorical_names:

@@ -249,15 +249,12 @@ class SequenceCaches:
 
 
 def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
-    """Run the stack over a (m, T, d) batch or a single (T, d) sequence.
+    """Run the stack over a (m, T, d) batch of sequences.
 
     States start at zero. The softmax head reads the last layer's final
-    hidden state. Returns (probs, caches).
+    hidden state. Returns ((m, k) probs, caches).
     """
     sequences = np.asarray(sequences, dtype=np.float64)
-    single = sequences.ndim == 2
-    if single:
-        sequences = sequences[None, :, :]
     if sequences.ndim != 3:
         raise ShapeMismatch(f"expected (m, T, d) sequences, got {sequences.shape}")
     m, time_steps, width = sequences.shape
@@ -280,11 +277,8 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
         layer_steps.append(caches)
         inputs = outputs
     probs, head_cache = dense_forward(model.head, inputs[-1])
-    caches = SequenceCaches(steps=layer_steps, head_cache=head_cache,
-                            batch_size=m, time_steps=time_steps)
-    if single:
-        return probs[0], caches
-    return probs, caches
+    return probs, SequenceCaches(steps=layer_steps, head_cache=head_cache,
+                                 batch_size=m, time_steps=time_steps)
 
 
 def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
@@ -292,16 +286,13 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
                       clip_threshold: float | None = None):
     """Full BPTT from the head gradient back through every step and layer.
 
-    ``grad_logits`` is the loss gradient at the head pre-activation, e.g. the
-    (p - y) / m term from :func:`ransomflow.nn.cross_entropy_loss`. Returns
-    (grads, global_norm) with grads aligned to ``model.params()``. When
-    ``clip_threshold`` is set and the global L2 norm exceeds it, all grads are
-    rescaled to that norm; the returned value is the norm of the returned
-    grads.
+    ``grad_logits`` is the (m, k) loss gradient at the head pre-activation,
+    e.g. the (p - y) / m term from :func:`ransomflow.nn.cross_entropy_loss`.
+    Returns (grads, global_norm) with grads aligned to ``model.params()``.
+    When ``clip_threshold`` is set and the global L2 norm exceeds it, all
+    grads are rescaled to that norm; the returned value is the norm of the
+    returned grads.
     """
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    if grad_logits.ndim == 1:
-        grad_logits = grad_logits[None, :]
     grad_h_final, grad_head_w, grad_head_b = dense_backward_preact(
         model.head, caches.head_cache, grad_logits
     )

@@ -84,10 +84,6 @@ class SAEModel:
     codes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
-    def input_dim(self) -> int:
-        return self.encoders[0].in_dim
-
-    @property
     def code_dim(self) -> int:
         return self.encoders[-1].out_dim
 
@@ -185,14 +181,11 @@ def encode(model: SAEModel, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
-    """Round trip through the full stack: encode then decode."""
-    current = np.asarray(x, dtype=np.float64)
-    single = current.ndim == 1
-    if single:
-        current = current[None, :]
+    """Round trip of (n, d) rows through the full stack: encode then decode."""
+    current = x
     for layer in model.encoders + model.decoders:
         current = dense_forward(layer, current)[0]
-    return current[0] if single else current
+    return current
 
 
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,

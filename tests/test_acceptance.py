@@ -337,11 +337,11 @@ def test_c6_desk_scale_training():
     _, _, _, _, cleaned = cleaned_real_table(path)
     _, keep = stratified_indices(cleaned.target_codes(), 0.05,
                                  rng.derive(1819, "subsample"))
-    sample = cleaned.with_values(cleaned.values[keep], "5pct-sample")
+    sample = cleaned.with_values(cleaned.values[keep])
     train_idx, test_idx = stratified_indices(sample.target_codes(), 0.2,
                                              rng.derive(1819, "split"))
-    train_tbl = sample.with_values(sample.values[train_idx], "train")
-    test_tbl = sample.with_values(sample.values[test_idx], "test")
+    train_tbl = sample.with_values(sample.values[train_idx])
+    test_tbl = sample.with_values(sample.values[test_idx])
     train_fm, stats = normalize(train_tbl)
     test_fm, _ = normalize(test_tbl, stats)
 

@@ -48,18 +48,18 @@ def reference_split(csv_path, cfg: PipelineConfig):
     if cfg.subsample is not None:
         _, keep = stratified_indices(encoded.target_codes(), cfg.subsample,
                                      cfg.subsample_seed())
-        encoded = encoded.with_values(encoded.values[keep], "subsampled")
+        encoded = encoded.with_values(encoded.values[keep])
     if cfg.split_before_dedup:
         sides = stratified_indices(encoded.target_codes(), cfg.test_ratio,
                                    cfg.split_seed())
-        scrubbed = [scrub(encoded.with_values(encoded.values[idx], "side"))
+        scrubbed = [scrub(encoded.with_values(encoded.values[idx]))
                     for idx in sides]
         (train_tbl, test_tbl), dups, bads = zip(*scrubbed)
         duplicates, bad = sum(dups), sum(bads)
     else:
         table, duplicates, bad = scrub(encoded)
         train_tbl, test_tbl = (
-            table.with_values(table.values[idx], "side")
+            table.with_values(table.values[idx])
             for idx in stratified_indices(table.target_codes(),
                                           cfg.test_ratio, cfg.split_seed()))
     train, stats = normalize(train_tbl)

@@ -342,6 +342,51 @@ def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+# a stored file, a dotted field of its {checksum, payload} document, and a
+# malformed value for it; a payload edit keeps the checksum matching
+_MALFORMED_FIELDS = {
+    "dataset-checksum-null": ("dataset.json", "checksum", None),
+    "dataset-checksum-number": ("dataset.json", "checksum", 5),
+    "bundle-checksum-null": ("bundle.json", "checksum", None),
+    "bundle-checksum-number": ("bundle.json", "checksum", 5),
+    "k-classes-string": ("dataset.json", "payload.k_classes", "x"),
+    "class-names-number": ("dataset.json", "payload.class_names", 5),
+    "schema-columns-number": ("dataset.json",
+                              "payload.preprocess.schema.columns", 5),
+    "normalization-bound-string": ("dataset.json",
+                                   "payload.preprocess.normalization",
+                                   [["Time", "a", 1]]),
+    "encoding-list": ("dataset.json", "payload.preprocess.encoding", [1, 2]),
+    "table-sha256-number": ("dataset.json", "payload.table_sha256", 5),
+    "bundle-encoding-list": ("bundle.json", "payload.preprocess.encoding",
+                             [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_FIELDS)
+def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
+                                        tmp_path, capsys):
+    name, field, value = _MALFORMED_FIELDS[case]
+    art = tmp_path / "art"
+    shutil.copytree(artifact_dir, art)
+    bundle = tmp_path / "bundle.json"
+    shutil.copy(gbt_bundle_dir / "bundle.json", bundle)
+    target = art / name if name == "dataset.json" else bundle
+    doc = json.loads(target.read_text())
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    if parents:
+        doc["checksum"] = checksum(doc["payload"])
+    dump_json(target, doc)
+    command = (["analyze", str(art)] if name == "dataset.json"
+               else ["evaluate", str(bundle), str(art)])
+    assert main(command + ["--output", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_missing_artifact_exits_2(tmp_path):
     assert main(["train", str(tmp_path / "nowhere"),
                  "--output", str(tmp_path / "o")]) == 2

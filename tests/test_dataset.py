@@ -17,7 +17,6 @@ from ransomflow import rng
 from ransomflow.dataset import (
     EncodedTable,
     EncodingMap,
-    FeatureMatrix,
     NormStats,
     RecordSchema,
     clean_timestamps,
@@ -32,7 +31,6 @@ from ransomflow.dataset import (
     preprocess_from_dict,
     preprocess_to_dict,
     row_keys,
-    split,
     stratified_indices,
 )
 from ransomflow.errors import (
@@ -208,7 +206,7 @@ def test_row_keys_are_row_bytes_and_keep_signed_zeros_apart():
     deduped, removed = deduplicate(table)
     assert removed == 1
     assert np.array_equal(np.signbit(deduped.values[:, 0]), [False, True])
-    empty, removed = deduplicate(table.with_values(np.empty((0, 14)), "empty"))
+    empty, removed = deduplicate(table.with_values(np.empty((0, 14))))
     assert (empty.row_count, removed) == (0, 0)
 
 
@@ -358,17 +356,14 @@ def test_stratified_split_rejects_bad_ratio():
         stratified_indices(y, 1.0, 1)
 
 
-def test_split_feature_matrix():
-    x = rng.uniform(4, (60, 13))
+def test_stratified_indices_partition_every_row():
     y = np.repeat(np.arange(3), 20)
-    fm = FeatureMatrix(x, y, 3)
-    train, test = split(fm, 0.2, seed=2)
-    assert train.row_count == 48
-    assert test.row_count == 12
-    assert np.bincount(test.y).tolist() == [4, 4, 4]
+    train_idx, test_idx = stratified_indices(y, 0.2, seed=2)
+    assert train_idx.size == 48
+    assert test_idx.size == 12
+    assert np.bincount(y[test_idx]).tolist() == [4, 4, 4]
     # no row shared; all rows accounted for
-    all_rows = np.concatenate([train.x, test.x])
-    assert sorted(map(tuple, all_rows)) == sorted(map(tuple, x))
+    assert sorted(np.concatenate([train_idx, test_idx]).tolist()) == list(range(60))
 
 
 def test_dataset_stats_hand_case():

@@ -9,6 +9,11 @@ The definition scan lists each function, class and method those files
 define, dunders excepted, and requires each name to occur as a word
 somewhere besides its definition in the ``.py`` files under ``src/``,
 ``tests/`` or ``perfbench/``.
+
+The reach scan is stricter: tests do not count, and a name must be reached
+through the ``ast`` of ``src/ransomflow`` and ``perfbench`` (see
+:func:`unreached_definitions`). Only the verification API the tests build
+on may stay unreached.
 """
 
 import ast
@@ -106,3 +111,119 @@ def test_every_defined_name_is_used_elsewhere():
              for name in defined_names(module.read_text(encoding="utf-8"))]
     texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
     assert dead_definitions(names, texts) == []
+
+
+# Definitions no command and no benchmark code reaches, kept as the API the
+# tests verify the program through.
+VERIFICATION_API = ("nn.grad_check", "nn.param_count", "sae.reconstruct",
+                    "MetricsReport.from_values", "ComparisonTable.row",
+                    "CorrelationMatrix.pair", "SAEModel.layer_param_counts")
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _module_of(node, package: str):
+    """The package module an ``ImportFrom`` names, or None."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith(package + "."):
+        return node.module[len(package) + 1:]
+    return None
+
+
+def unreached_definitions(modules: dict, others, traced: dict,
+                          package: str = "ransomflow") -> list:
+    """The definitions in ``modules`` (module name -> source) that neither
+    they nor the sources in ``others`` reach, sorted: module-level functions
+    and classes as ``module.name``, methods and properties as
+    ``Class.name``; dunders are skipped.
+
+    A module-level name is reached when its module uses it as a ``Name``,
+    another module imports it from its module, code reads it as an
+    attribute of its imported module, or ``traced`` (layer -> names, as in
+    the tracer's ``LAYERS``) lists it. A method is reached when code reads
+    an attribute of its name or ``traced`` lists ``Class.name``.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reached = {name if "." in name else f"{layer}.{name}"
+               for layer, names in traced.items() for name in names}
+    attributes = set()
+    for own, tree in [*trees.items(), *((None, ast.parse(s)) for s in others)]:
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = _module_of(node, package)
+                for alias in node.names:
+                    if module is not None:
+                        reached.add(f"{module}.{alias.name}")
+                    if node.module in (None, package):  # from . import mod
+                        aliases[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and alias.name.startswith(package + "."):
+                        aliases[alias.asname] = alias.name[len(package) + 1:]
+            elif isinstance(node, ast.Name) and own is not None:
+                reached.add(f"{own}.{node.id}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) \
+                        and node.value.id in aliases:
+                    reached.add(f"{aliases[node.value.id]}.{node.attr}")
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and f"{module}.{node.name}" not in reached:
+                unreached.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")) \
+                        and item.name not in attributes \
+                        and f"{node.name}.{item.name}" not in reached:
+                    unreached.append(f"{node.name}.{item.name}")
+    return sorted(unreached)
+
+
+def test_reach_scan_follows_names_imports_attributes_and_the_tracer():
+    modules = {
+        "a": ("from . import b\n"
+              "def used(): pass\n"
+              "def lonely(): pass\n"
+              "def traced(): pass\n"
+              "class Box:\n"
+              "    def __init__(self): pass\n"
+              "    def read(self): pass\n"
+              "    def spare(self): pass\n"
+              "    def wrapped(self): pass\n"
+              "x = used() or b.fetched() or Box().read()\n"),
+        "b": ("def fetched(): pass\n"
+              "def imported(): pass\n"
+              "def named_by_chance(): pass\n"),
+    }
+    bench = ("from ransomflow.b import imported\n"
+             "named_by_chance = 1\n")
+    traced = {"a": ("traced", "Box.wrapped")}
+    assert unreached_definitions(modules, [bench], traced) == [
+        "Box.spare", "a.lonely", "b.named_by_chance"]
+
+
+def test_every_definition_is_reached_or_verification_api():
+    modules = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
+    bench = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    traced = ast.literal_eval(next(
+        node.value for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"))
+    assert unreached_definitions(modules, bench, traced) == sorted(
+        VERIFICATION_API)
+
+
+def test_verification_api_is_used_by_the_tests():
+    words = set(re.findall(r"\w+", "\n".join(
+        p.read_text(encoding="utf-8") for p in sorted(
+            (ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name)))
+    assert [name for name in VERIFICATION_API
+            if name.rsplit(".", 1)[1] not in words] == []

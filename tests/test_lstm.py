@@ -143,6 +143,20 @@ def test_sequence_forward_t2_matches_chained_cells():
     assert np.array_equal(probs, manual)
 
 
+def test_sequence_forward_rejects_a_sequence_without_batch_axis():
+    model = create_classifier(4, 3, LstmConfig(hidden_size=5, seed=2))
+    with pytest.raises(ShapeMismatch):
+        sequence_forward(model, rng.uniform(8, (2, 4)))  # (T, d)
+
+
+def test_sequence_backward_rejects_logit_grads_without_batch_axis():
+    model = create_classifier(4, 3, LstmConfig(hidden_size=5, seed=2))
+    probs, caches = sequence_forward(model, rng.uniform(8, (1, 2, 4)))
+    _, grad_logits = cross_entropy_loss(probs, np.array([1]))
+    with pytest.raises(ShapeMismatch):
+        sequence_backward(model, caches, grad_logits[0])  # (k,), not (1, k)
+
+
 def test_to_sequences_layouts():
     x = rng.uniform(3, (5, 13))
     assert to_sequences(x, "single-step").shape == (5, 1, 13)

@@ -14,6 +14,7 @@ from ransomflow.errors import (
     EmptyData,
     LabelOutOfRange,
     SchemaMismatch,
+    ShapeMismatch,
 )
 from ransomflow.nn import dense_forward, grad_check, mse_loss
 from ransomflow.sae import (
@@ -72,7 +73,7 @@ def test_build_stack_default_parameter_counts():
     model = build_stack(rng.uniform(1, (20, 13)), SAEConfig(epochs=0))
     assert model.param_count == 11026
     assert model.layer_param_counts == [1050, 3800, 663, 700, 3825, 988]
-    assert model.input_dim == 13
+    assert model.encoders[0].in_dim == 13
     assert model.code_dim == 13
 
 
@@ -115,6 +116,13 @@ def test_reconstruct_shape_and_stack_loss_consistency():
     assert recon.shape == data.shape
     loss, _ = mse_loss(recon, data)
     assert abs(loss - model.stack_loss) < 1e-12
+
+
+def test_reconstruct_rejects_a_single_row():
+    data = rng.uniform(5, (40, 13))
+    model = build_stack(data, SAEConfig(epochs=0, seed=6))
+    with pytest.raises(ShapeMismatch):
+        reconstruct(model, data[0])
 
 
 def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():

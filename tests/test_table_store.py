@@ -46,9 +46,9 @@ def save_twice(tmp_path):
     values = encoded.values.copy()
     for row, value in enumerate((-0.0, 5e-324, 1e100 / 3, 0.1 + 0.2)):
         values[row, schema.index("BTC")] = value
-    table = encoded.with_values(values, "edge-values")
+    table = encoded.with_values(values)
     train_idx, test_idx = stratified_indices(table.target_codes(), 0.25, 3)
-    _, stats = normalize(table.with_values(table.values[train_idx], "train"))
+    _, stats = normalize(table.with_values(table.values[train_idx]))
     dirs = [tmp_path / name for name in ("a", "b")]
     for directory in dirs:
         save_artifact(directory, schema, maps, stats, table, train_idx,
