@@ -25,6 +25,11 @@ base64); every other float is a JSON number written via repr.
 
 Every stored float therefore round-trips bit-exactly, and writing the same
 artifact twice yields identical bytes (zip members carry a fixed timestamp).
+
+Each stored fact has one home: the payload states the schema version and
+kind, the target column's encoding is the class list, an array's shape is
+its layer's size, and the ``config`` echo holds each stage's settings, which
+the bundle loader reads strictly and checks the weights against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .dataset import (
     preprocess_from_dict,
     preprocess_to_dict,
 )
-from .errors import ChecksumMismatch, DataError, SchemaMismatch
+from .errors import ChecksumMismatch, ConfigError, DataError, SchemaMismatch
 from .serialize import (
     REPORT_VERSION,
     SCHEMA_VERSION,
@@ -140,7 +145,6 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
     directory.mkdir(parents=True, exist_ok=True)
     table_bytes = _table_npz(table, train_idx, test_idx)
     (directory / TABLE_FILE).write_bytes(table_bytes)
-    target = schema.target_column
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "dataset",
@@ -149,8 +153,6 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
         "stages": stages,
         "split": {"train_rows": len(train_idx), "test_rows": len(test_idx)},
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
-        "k_classes": maps.size(target),
-        "class_names": list(maps.categories[target]),
     }
     dump_json(directory / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
@@ -168,9 +170,6 @@ class DatasetArtifact:
     table: EncodedTable
     train: FeatureMatrix
     test: FeatureMatrix
-    stages: dict
-    k_classes: int
-    class_names: tuple
 
 
 def _verified_payload(path, what: str, kinds) -> dict:
@@ -205,7 +204,8 @@ def _payload_fields(path, what: str):
         yield
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: {what} is missing key {exc}") from None
-    except (SchemaMismatch, AttributeError, TypeError, ValueError) as exc:
+    except (ConfigError, SchemaMismatch, AttributeError, TypeError,
+            ValueError) as exc:
         raise SchemaMismatch(f"{path}: invalid {what}: {exc}") from None
 
 
@@ -220,9 +220,6 @@ def load_artifact(directory) -> DatasetArtifact:
     with _payload_fields(directory, "dataset artifact"):
         schema, maps, stats = preprocess_from_dict(payload["preprocess"])
         table_sha256 = payload["table_sha256"]
-        stages = payload["stages"]
-        k_classes = int(payload["k_classes"])
-        class_names = tuple(payload["class_names"])
     table_path = directory / TABLE_FILE
     raw = table_path.read_bytes()
     actual = hashlib.sha256(raw).hexdigest()
@@ -239,9 +236,6 @@ def load_artifact(directory) -> DatasetArtifact:
         table=table,
         train=_split_side(table, stats, train_idx),
         test=_split_side(table, stats, test_idx),
-        stages=stages,
-        k_classes=k_classes,
-        class_names=class_names,
     )
 
 
@@ -299,13 +293,17 @@ def load_bundle(path) -> ModelBundle:
     kind = payload["kind"]
     with _payload_fields(path, "model bundle"):
         schema, maps, stats = preprocess_from_dict(payload["preprocess"])
-        components = payload["components"]
-        bundle = ModelBundle(kind=kind, config=payload["config"],
+        config, components = payload["config"], payload["components"]
+        bundle = ModelBundle(kind=kind, config=config,
                              schema=schema, maps=maps, stats=stats)
         if kind == "sae-lstm":
+            sae_config = sae_mod.SAEConfig.from_dict(config["sae"])
+            lstm_config = lstm_mod.LstmConfig.from_dict(config["lstm"])
             bundle.sae_model, bundle.sae_head = sae_mod.model_from_dict(
-                components["sae"])
-            bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"])
+                components["sae"], sae_config)
+            bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"],
+                                                         lstm_config)
         else:
-            bundle.gbt_model = gbt_mod.model_from_dict(components["gbt"])
+            bundle.gbt_model = gbt_mod.model_from_dict(
+                components["gbt"], gbt_mod.GbtParams.from_dict(config["gbt"]))
     return bundle

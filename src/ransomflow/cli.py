@@ -139,6 +139,13 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
+def _echo(cfg: PipelineConfig, k_classes: int) -> dict:
+    """The settings echo, with the data's class count as gbt.k_classes."""
+    echo = cfg.echo()
+    echo["gbt"]["k_classes"] = k_classes
+    return echo
+
+
 def _scrub_side(values, where: dict):
     """Deduplicate and timestamp-clean one split side on its own.
 
@@ -191,7 +198,7 @@ def cmd_ingest(args) -> int:
     summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
     save_artifact(out_dir, schema, maps, stats, table, train_idx, test_idx,
-                  stages, summary, cfg.echo())
+                  stages, summary, _echo(cfg, maps.size(schema.target_column)))
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
@@ -209,8 +216,8 @@ def cmd_train(args) -> int:
         raise EmptyData("artifact holds no training rows")
     preprocess_doc = preprocess_to_dict(artifact.schema, artifact.maps,
                                         artifact.stats)
-    echo = cfg.echo()
-    k = artifact.k_classes
+    k = artifact.train.k_classes
+    echo = _echo(cfg, k)
     bundle_path = out_dir / "bundle.json"
 
     if args.kind == "sae-lstm":
@@ -271,7 +278,8 @@ def cmd_evaluate(args) -> int:
     if fm.row_count == 0:
         raise EmptyData(f"artifact {args.split} split holds no rows")
     predicted = bundle.predict(fm.x)
-    cm = confusion(fm.y, predicted, artifact.k_classes, artifact.class_names)
+    cm = confusion(fm.y, predicted, fm.k_classes,
+                   artifact.maps.categories[artifact.schema.target_column])
     rep = report(cm)
     out_dir = Path(args.output or "out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,6 @@ from .errors import (
     SchemaMismatch,
     UnknownCategory,
 )
-from .serialize import SCHEMA_VERSION, require_version
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -148,7 +147,6 @@ class RawTable:
     order, to its distinct record.
     """
 
-    header: tuple
     cells: tuple
     numbers: dict
     inverse: np.ndarray
@@ -161,10 +159,6 @@ class RawTable:
     def rows(self) -> list:
         records = list(zip(*self.cells))
         return [records[i] for i in self.inverse.tolist()]
-
-    def column(self, schema: RecordSchema, name: str) -> list:
-        cells = self.cells[schema.index(name)]
-        return [cells[i] for i in self.inverse.tolist()]
 
 
 @contextmanager
@@ -351,8 +345,7 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
 
         at = np.searchsorted(ids, row_records)
         inverse = (np.cumsum(filled) - 1)[at[filled[at]]]
-        return RawTable(header=schema.names, cells=cells, numbers=numbers,
-                        inverse=inverse)
+        return RawTable(cells=cells, numbers=numbers, inverse=inverse)
 
 
 @dataclass
@@ -715,7 +708,6 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
 def preprocess_to_dict(schema: RecordSchema, maps: EncodingMap,
                        stats: NormStats) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "schema": schema.to_dict(),
         "encoding": maps.to_dict(),
         "normalization": stats.to_dict(),
@@ -723,7 +715,6 @@ def preprocess_to_dict(schema: RecordSchema, maps: EncodingMap,
 
 
 def preprocess_from_dict(doc: dict):
-    require_version(doc, "preprocessing state")
     schema = RecordSchema.from_dict(doc["schema"])
     maps = EncodingMap.from_dict(doc["encoding"])
     stats = NormStats.from_dict(doc["normalization"])

@@ -37,7 +37,7 @@ from .errors import (
     check_labeled_rows,
 )
 from .nn import softmax
-from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
+from .serialize import csv_text, read_fields
 
 
 @dataclass
@@ -247,7 +247,6 @@ def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
 class GbtModel:
     trees: list          # trees[class][round]
     params: GbtParams
-    base_score: float = 0.0
     training_loss: list = field(default_factory=list)
 
     @property
@@ -296,15 +295,14 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
                 leaf.rows = None
             trees[c].append(tree)
         losses.append(_mean_ce(raw, y))
-    return GbtModel(trees=trees, params=params, base_score=0.0,
-                    training_loss=losses)
+    return GbtModel(trees=trees, params=params, training_loss=losses)
 
 
 def gbt_raw_scores(model: GbtModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected (rows, features), got {x.shape}")
-    raw = np.full((x.shape[0], model.k_classes), model.base_score)
+    raw = np.zeros((x.shape[0], model.k_classes))
     for c, per_class in enumerate(model.trees):
         for tree in per_class:
             raw[:, c] += tree_predict(tree, x)
@@ -348,27 +346,22 @@ def node_from_dict(doc: dict) -> TreeNode:
 
 def model_to_dict(model: GbtModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "component": "gbt",
-        "params": model.params.to_dict(),
-        "base_score": model.base_score,
         "training_loss": [float(v) for v in model.training_loss],
         "trees": [[node_to_dict(t) for t in per_class]
                   for per_class in model.trees],
     }
 
 
-def model_from_dict(doc: dict) -> GbtModel:
-    require_version(doc, "gbt model")
-    if doc.get("component") != "gbt":
-        raise SchemaMismatch(f"expected gbt component, got {doc.get('component')!r}")
-    return GbtModel(
-        trees=[[node_from_dict(t) for t in per_class]
-               for per_class in doc["trees"]],
-        params=GbtParams.from_dict(doc["params"]),
-        base_score=float(doc["base_score"]),
-        training_loss=[float(v) for v in doc["training_loss"]],
-    )
+def model_from_dict(doc: dict, params: GbtParams) -> GbtModel:
+    """The model in ``doc``; :class:`SchemaMismatch` unless it holds one tree
+    list per class of ``params.k_classes``."""
+    trees = [[node_from_dict(t) for t in per_class]
+             for per_class in doc["trees"]]
+    if len(trees) != params.k_classes:
+        raise SchemaMismatch(f"{len(trees)} tree lists for "
+                             f"{params.k_classes} classes")
+    return GbtModel(trees=trees, params=params,
+                    training_loss=[float(v) for v in doc["training_loss"]])
 
 
 def history_csv(model: GbtModel) -> str:

@@ -50,8 +50,7 @@ from .nn import (
     sigmoid,
     train_epochs,
 )
-from .serialize import (SCHEMA_VERSION, array_doc, array_from_doc, csv_text,
-                        read_fields, require_version)
+from .serialize import array_doc, array_from_doc, csv_text, read_fields
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -214,7 +213,6 @@ class LstmClassifier:
     cells: list  # LstmCell per layer, input side first
     head: DenseLayer
     config: LstmConfig
-    k_classes: int
 
     @property
     def param_count(self) -> int:
@@ -371,8 +369,7 @@ def create_classifier(input_dim: int, k_classes: int,
         step_width = config.hidden_size
     head = DenseLayer.create(config.hidden_size, k_classes, "softmax",
                              rng.derive(config.seed, "head"))
-    return LstmClassifier(cells=cells, head=head, config=config,
-                          k_classes=k_classes)
+    return LstmClassifier(cells=cells, head=head, config=config)
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray,
@@ -421,7 +418,7 @@ def predict_proba(model: LstmClassifier, x: np.ndarray,
         probs, _ = sequence_forward(model, sequences[start:start + chunk])
         parts.append(probs)
     if not parts:
-        return np.empty((0, model.k_classes))
+        return np.empty((0, model.head.out_dim))
     return np.concatenate(parts, axis=0)
 
 
@@ -434,43 +431,24 @@ def predict(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
 # Serialization
 
 
-def cell_to_dict(cell: LstmCell) -> dict:
-    return {
-        "hidden_size": cell.hidden_size,
-        "input_size": cell.input_size,
-        "w": array_doc(cell.w, "lstm cell w"),
-        "b": array_doc(cell.b, "lstm cell b"),
-    }
-
-
-def cell_from_dict(doc: dict) -> LstmCell:
-    cell = LstmCell(w=array_from_doc(doc["w"]), b=array_from_doc(doc["b"]))
-    if cell.hidden_size != doc["hidden_size"] or cell.input_size != doc["input_size"]:
-        raise ShapeMismatch("stored cell dims disagree with matrix shapes")
-    return cell
-
-
 def model_to_dict(model: LstmClassifier) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "component": "lstm",
-        "config": model.config.to_dict(),
-        "k_classes": model.k_classes,
-        "cells": [cell_to_dict(c) for c in model.cells],
+        "cells": [{"w": array_doc(c.w, "lstm cell w"),
+                   "b": array_doc(c.b, "lstm cell b")} for c in model.cells],
         "head": layer_to_dict(model.head),
     }
 
 
-def model_from_dict(doc: dict) -> LstmClassifier:
-    require_version(doc, "lstm model")
-    if doc.get("component") != "lstm":
-        raise SchemaMismatch(f"expected lstm component, got {doc.get('component')!r}")
-    return LstmClassifier(
-        cells=[cell_from_dict(d) for d in doc["cells"]],
-        head=layer_from_dict(doc["head"]),
-        config=LstmConfig.from_dict(doc["config"]),
-        k_classes=int(doc["k_classes"]),
-    )
+def model_from_dict(doc: dict, config: LstmConfig) -> LstmClassifier:
+    """The classifier in ``doc``; :class:`SchemaMismatch` unless it holds
+    ``config.num_layers`` cells of ``config.hidden_size`` hidden units."""
+    cells = [LstmCell(w=array_from_doc(d["w"]), b=array_from_doc(d["b"]))
+             for d in doc["cells"]]
+    widths = [cell.hidden_size for cell in cells]
+    if widths != [config.hidden_size] * config.num_layers:
+        raise SchemaMismatch(f"cell widths {widths} contradict lstm config")
+    return LstmClassifier(cells=cells, head=layer_from_dict(doc["head"]),
+                          config=config)
 
 
 def history_csv(history) -> str:

@@ -391,22 +391,14 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 def layer_to_dict(layer: DenseLayer) -> dict:
     return {
         "activation": layer.activation,
-        "in_dim": layer.in_dim,
-        "out_dim": layer.out_dim,
         "weights": array_doc(layer.weights, "dense layer weights"),
         "biases": array_doc(layer.biases, "dense layer biases"),
     }
 
 
 def layer_from_dict(doc: dict) -> DenseLayer:
-    layer = DenseLayer(
+    return DenseLayer(
         array_from_doc(doc["weights"]),
         array_from_doc(doc["biases"]),
         doc["activation"],
     )
-    if layer.in_dim != doc["in_dim"] or layer.out_dim != doc["out_dim"]:
-        raise ShapeMismatch(
-            f"stored dims ({doc['in_dim']}, {doc['out_dim']}) disagree with "
-            f"matrix shape {layer.weights.shape}"
-        )
-    return layer

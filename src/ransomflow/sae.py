@@ -36,7 +36,7 @@ from .nn import (
     mse_loss,
     train_epochs,
 )
-from .serialize import SCHEMA_VERSION, csv_text, read_fields, require_version
+from .serialize import csv_text, read_fields
 
 
 @dataclass
@@ -231,27 +231,26 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
 
 
 def model_to_dict(model: SAEModel, head: DenseLayer | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "component": "sae",
-        "config": model.config.to_dict(),
+    return {
         "encoders": [layer_to_dict(l) for l in model.encoders],
         "decoders": [layer_to_dict(l) for l in model.decoders],
         "pretrain_losses": [list(map(float, curve)) for curve in model.pretrain_losses],
         "stack_loss": float(model.stack_loss),
         "head": layer_to_dict(head) if head is not None else None,
     }
-    return doc
 
 
-def model_from_dict(doc: dict):
-    require_version(doc, "sae model")
-    if doc.get("component") != "sae":
-        raise SchemaMismatch(f"expected sae component, got {doc.get('component')!r}")
+def model_from_dict(doc: dict, config: SAEConfig):
+    """(model, head) in ``doc``; :class:`SchemaMismatch` unless the encoder
+    widths are ``config.encoder_dims``."""
+    encoders = [layer_from_dict(d) for d in doc["encoders"]]
+    widths = tuple(layer.out_dim for layer in encoders)
+    if widths != config.encoder_dims:
+        raise SchemaMismatch(f"encoder widths {widths} contradict sae config")
     model = SAEModel(
-        encoders=[layer_from_dict(d) for d in doc["encoders"]],
+        encoders=encoders,
         decoders=[layer_from_dict(d) for d in doc["decoders"]],
-        config=SAEConfig.from_dict(doc["config"]),
+        config=config,
         pretrain_losses=[list(curve) for curve in doc["pretrain_losses"]],
         stack_loss=float(doc["stack_loss"]),
     )

@@ -18,10 +18,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaMismatch
 
-# Stored dataset artifacts and model bundles; version 2 stores numbers as bytes.
-SCHEMA_VERSION = 2
+# Stored dataset artifacts and model bundles; version 2 stores numbers as
+# bytes, version 3 states each fact once.
+SCHEMA_VERSION = 3
 # Reports and summaries (report.json, comparison.json, analysis.json,
-# stats.json), whose layout version 2 left unchanged.
+# stats.json), whose layout versions 2 and 3 left unchanged.
 REPORT_VERSION = 1
 
 

@@ -7,6 +7,8 @@ the training bounds. The loaded matrices must equal it bit for bit, in the
 same row order.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,10 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
         assert np.array_equal(loaded.x, expected.x)
         assert np.array_equal(loaded.y, expected.y)
         assert loaded.k_classes == expected.k_classes
-    assert artifact.stages["duplicates_removed"] == duplicates
-    assert artifact.stages["bad_timestamps_removed"] == bad
+    payload = json.loads((out / "dataset.json").read_text())["payload"]
+    stages = payload["stages"]
+    assert stages["duplicates_removed"] == duplicates
+    assert stages["bad_timestamps_removed"] == bad
     if cfg.split_before_dedup:
         with np.load(out / "table.npz") as stored:
             train_index = stored["train_index"].tolist()

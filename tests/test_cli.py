@@ -11,6 +11,7 @@ import pytest
 from ransomflow import cli, gbt, lstm, sae
 from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
+from ransomflow.config import PipelineConfig
 from ransomflow.dataset import parse_csv, preprocess_to_dict
 from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
@@ -88,8 +89,8 @@ def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
     assert stages["table_rows"] == meta["clean_rows"]
     split = payload["split"]
     assert split["train_rows"] + split["test_rows"] == meta["clean_rows"]
-    assert payload["class_names"] == list(meta["classes"])
-    assert payload["k_classes"] == 3
+    classes = payload["preprocess"]["encoding"]["Prediction"]
+    assert classes == list(meta["classes"])
     # 0.25 of each class held out, rounded half up
     per_class = next(iter(meta["per_class"].values()))
     assert split["test_rows"] == 3 * round(per_class * 0.25)
@@ -342,6 +343,10 @@ def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+# stored schema columns that RecordSchema refuses: 13, not 14
+_COLUMNS_13 = ([[f"c{i}", "numeric"] for i in range(12)]
+               + [["Prediction", "categorical"]])
+
 # a stored file, a dotted field of its {checksum, payload} document, and a
 # malformed value for it; a payload edit keeps the checksum matching
 _MALFORMED_FIELDS = {
@@ -349,10 +354,19 @@ _MALFORMED_FIELDS = {
     "dataset-checksum-number": ("dataset.json", "checksum", 5),
     "bundle-checksum-null": ("bundle.json", "checksum", None),
     "bundle-checksum-number": ("bundle.json", "checksum", 5),
-    "k-classes-string": ("dataset.json", "payload.k_classes", "x"),
-    "class-names-number": ("dataset.json", "payload.class_names", 5),
+    "dataset-version-2": ("dataset.json", "payload.schema_version", 2),
+    "bundle-version-2": ("bundle.json", "payload.schema_version", 2),
+    "class-list-string": ("dataset.json",
+                          "payload.preprocess.encoding.Prediction", "x"),
+    "class-list-number": ("dataset.json",
+                          "payload.preprocess.encoding.Prediction", 5),
     "schema-columns-number": ("dataset.json",
                               "payload.preprocess.schema.columns", 5),
+    "schema-13-columns": ("dataset.json", "payload.preprocess.schema.columns",
+                          _COLUMNS_13),
+    "bundle-schema-13-columns": ("bundle.json",
+                                 "payload.preprocess.schema.columns",
+                                 _COLUMNS_13),
     "normalization-bound-string": ("dataset.json",
                                    "payload.preprocess.normalization",
                                    [["Time", "a", 1]]),
@@ -385,6 +399,106 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
                else ["evaluate", str(bundle), str(art)])
     assert main(command + ["--output", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def object_keys(node, path="", found=None) -> dict:
+    """Path -> set of key sets of the JSON objects at that path in ``node``.
+
+    List items sit at their list's path plus "[]", and a tree node's
+    ``left``/``right`` children at the node's own path.
+    """
+    found = {} if found is None else found
+    if isinstance(node, dict):
+        found.setdefault(path, set()).add(frozenset(node))
+        for key, value in node.items():
+            child = path if key in ("left", "right") else f"{path}.{key}"
+            object_keys(value, child.lstrip("."), found)
+    elif isinstance(node, list):
+        for value in node:
+            object_keys(value, path + "[]", found)
+    return found
+
+
+def _layout(paths: dict) -> dict:
+    """Expected ``object_keys``: one space-separated key set per path."""
+    return {path: {frozenset(keys.split())} for path, keys in paths.items()}
+
+
+_ARRAY = "b64 dtype shape"
+_COMMON = {
+    **_layout({
+        "": "checksum payload",
+        "payload.preprocess": "encoding normalization schema",
+        "payload.preprocess.schema": "columns target_column",
+        "payload.preprocess.encoding": "Protocol Flag Family SeedAddress "
+                                       "ExpAddress IPAddress Threats "
+                                       "Prediction",
+    }),
+    **object_keys(PipelineConfig().echo(), "payload.config"),
+}
+
+
+def _dense(path) -> dict:
+    return _layout({path: "activation biases weights",
+                    f"{path}.weights": _ARRAY, f"{path}.biases": _ARRAY})
+
+
+_STORED_LAYOUT = {
+    "dataset": _layout({
+        "payload": "config kind preprocess schema_version split stages "
+                   "table_sha256",
+        "payload.split": "test_rows train_rows",
+        "payload.stages": "parsed_rows encoded_rows ordering "
+                          "duplicates_removed deduplicated_rows "
+                          "bad_timestamps_removed table_rows",
+    }),
+    "sae-lstm": {
+        **_dense("payload.components.sae.encoders[]"),
+        **_dense("payload.components.sae.decoders[]"),
+        **_dense("payload.components.lstm.head"),
+        **_layout({
+            "payload": "components config kind preprocess schema_version",
+            "payload.components": "lstm sae",
+            "payload.components.sae": "decoders encoders head "
+                                      "pretrain_losses stack_loss",
+            "payload.components.lstm": "cells head",
+            "payload.components.lstm.cells[]": "b w",
+            "payload.components.lstm.cells[].w": _ARRAY,
+            "payload.components.lstm.cells[].b": _ARRAY,
+        }),
+    },
+    "gbt": {
+        **_layout({
+            "payload": "components config kind preprocess schema_version",
+            "payload.components": "gbt",
+            "payload.components.gbt": "training_loss trees",
+        }),
+        "payload.components.gbt.trees[][]": {
+            frozenset({"weight"}),
+            frozenset({"feature", "threshold", "left", "right"})},
+    },
+}
+
+# no stored object below the payload, outside its config echo, may restate
+# what the payload, the config echo, the target encoding or an array states
+_RESTATED = {"schema_version", "component", "in_dim", "out_dim",
+             "hidden_size", "input_size", "k_classes", "class_names",
+             "base_score", "config", "params"}
+
+
+@pytest.mark.parametrize("stored", _STORED_LAYOUT)
+def test_stored_layout_states_each_fact_once(stored, artifact_dir,
+                                             sae_bundle_dir, gbt_bundle_dir):
+    path = {"dataset": artifact_dir / "dataset.json",
+            "sae-lstm": sae_bundle_dir / "bundle.json",
+            "gbt": gbt_bundle_dir / "bundle.json"}[stored]
+    found = object_keys(json.loads(path.read_text()))
+    assert found == {**_COMMON, **_STORED_LAYOUT[stored]}
+    below = {key for where, key_sets in found.items()
+             if where.startswith("payload.")
+             and not where.startswith("payload.config")
+             for keys in key_sets for key in keys}
+    assert below & _RESTATED == set()
 
 
 def test_train_missing_artifact_exits_2(tmp_path):
@@ -437,7 +551,7 @@ def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
     for cell in payload["components"]["lstm"]["cells"]:
         w = array_from_doc(cell.pop("w"))
         b = array_from_doc(cell.pop("b"))
-        hidden = cell["hidden_size"]
+        hidden = w.shape[0] // 4
         for n, name in enumerate("ifoc"):
             cell[f"w_{name}"] = array_doc(w[n * hidden:(n + 1) * hidden], "w")
             cell[f"b_{name}"] = array_doc(b[n * hidden:(n + 1) * hidden], "b")
@@ -468,8 +582,7 @@ def test_evaluate_tampered_stored_config_exits_3(component, edit,
                                                  gbt_bundle_dir, artifact_dir,
                                                  tmp_path, capsys):
     def change(payload):
-        stored = payload["components"][component]
-        settings = stored["params" if component == "gbt" else "config"]
+        settings = payload["config"][component]
         if edit == "unknown-key":
             settings["hiden_size"] = 8
         elif edit == "dropped-key":
@@ -485,6 +598,56 @@ def test_evaluate_tampered_stored_config_exits_3(component, edit,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bundle) in err
+
+
+# a stage setting in the bundle's config echo -> a value the stored weights
+# contradict (the fixture bundles: encoder dims 75/50/13, one 16-wide LSTM
+# layer, 3 classes)
+_CONTRADICTED = {
+    "lstm-hidden-size": ("lstm", "hidden_size", 8),
+    "lstm-num-layers": ("lstm", "num_layers", 2),
+    "sae-encoder-dims": ("sae", "encoder_dims", [75, 50, 12]),
+    "gbt-k-classes": ("gbt", "k_classes", 2),
+}
+
+
+@pytest.mark.parametrize("case", _CONTRADICTED)
+def test_evaluate_config_contradicting_weights_exits_3(case, sae_bundle_dir,
+                                                       gbt_bundle_dir,
+                                                       artifact_dir, tmp_path,
+                                                       capsys):
+    component, key, value = _CONTRADICTED[case]
+
+    def change(payload):
+        payload["config"][component][key] = value
+
+    source = gbt_bundle_dir if component == "gbt" else sae_bundle_dir
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(source / "bundle.json", bundle, change)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bundle) in err
+
+
+def test_two_class_gbt_bundle_echoes_its_class_count(synthetic_csv, tmp_path,
+                                                     capsys):
+    def drop_ss(data):
+        return b"\n".join(line for line in data.split(b"\n")
+                          if not line.endswith(b",SS"))
+
+    csv_path = _edited_csv(synthetic_csv, tmp_path, drop_ss)
+    art, out = tmp_path / "art", tmp_path / "gbt"
+    assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
+    assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "2",
+                 "--output", str(out)]) == 0
+    payload = json.loads((out / "bundle.json").read_text())["payload"]
+    assert payload["config"]["gbt"]["k_classes"] == 2
+    assert len(payload["components"]["gbt"]["trees"]) == 2
+    assert main(["evaluate", str(out / "bundle.json"), str(art),
+                 "--output", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
 
 
 def test_evaluate_unknown_layer_activation_exits_3(sae_bundle_dir,
@@ -761,7 +924,7 @@ def explicit_sae_lstm(argv, out):
     args = cli.build_parser().parse_args(argv)
     cfg = cli._load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
-    x, y, k = artifact.train.x, artifact.train.y, artifact.k_classes
+    x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
     sae_cfg = cfg.sae_effective()
     model = sae.build_stack(x, sae_cfg)
     head = None
@@ -771,7 +934,7 @@ def explicit_sae_lstm(argv, out):
     classifier, history = lstm.train_classifier(codes, y, cfg.lstm_effective(),
                                                 k)
     out.mkdir(parents=True)
-    save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(),
+    save_bundle(out / "bundle.json", "sae-lstm", cli._echo(cfg, k),
                 preprocess_to_dict(artifact.schema, artifact.maps,
                                    artifact.stats),
                 {"sae": sae.model_to_dict(model, head),

@@ -64,7 +64,6 @@ def _csv(header, *rows):
 def test_parse_canonical_header():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B))
     assert table.row_count == 2
-    assert table.header == default_schema().names
     assert table.rows[0][0] == "10"
     assert table.rows[1][3] == "Locky"
 
@@ -72,9 +71,10 @@ def test_parse_canonical_header():
 def test_parse_alias_header_maps_to_canonical():
     table = parse_csv(_csv(ALIAS_HEADER, ROW_A))
     schema = default_schema()
-    assert table.column(schema, "Family") == ["WannaCry"]
-    assert table.column(schema, "Threats") == ["Bonet"]
-    assert table.column(schema, "NetflowBytes") == ["1200"]
+    [row] = table.rows
+    assert row[schema.index("Family")] == "WannaCry"
+    assert row[schema.index("Threats")] == "Bonet"
+    assert row[schema.index("NetflowBytes")] == "1200"
 
 
 def test_parse_reordered_columns():
@@ -142,7 +142,8 @@ def test_label_encode_round_trip():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B, ROW_C))
     encoded, maps = label_encode(table)
     for column in default_schema().categorical_names:
-        original = table.column(default_schema(), column)
+        j = default_schema().index(column)
+        original = [row[j] for row in table.rows]
         assert encoded.decoded(column) == original
 
 

