@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dataset import EncodedTable
+from .dataset import TARGET, EncodedTable
 from .errors import ConfigError, InsufficientRows, ShapeMismatch, UnknownCategory
 from .serialize import REPORT_VERSION, csv_text
 
@@ -222,9 +222,8 @@ def anomaly_by_family(table: EncodedTable):
     count descending then name ascending. A vocabulary without "A" yields
     all-zero counts rather than an error.
     """
-    target = table.schema.target_column
     try:
-        anomaly_code = table.maps.code(target, "A")
+        anomaly_code = table.maps.code(TARGET, "A")
     except UnknownCategory:
         anomaly_code = -1
     vocab_size = table.maps.size("Family")

@@ -29,7 +29,8 @@ artifact twice yields identical bytes (zip members carry a fixed timestamp).
 Each stored fact has one home: the payload states the schema version and
 kind, the target column's encoding is the class list, an array's shape is
 its layer's size, and the ``config`` echo holds each stage's settings, which
-the bundle loader reads strictly and checks the weights against.
+the bundle loader reads strictly and checks the weights against. The column
+layout is not stored: it is ``dataset.COLUMNS``, fixed for a schema version.
 """
 
 from __future__ import annotations
@@ -47,17 +48,20 @@ from . import gbt as gbt_mod
 from . import lstm as lstm_mod
 from . import sae as sae_mod
 from .dataset import (
+    CATEGORICAL_NAMES,
+    NAMES,
+    NUMERIC_NAMES,
     EncodedTable,
     FeatureMatrix,
     NormStats,
-    RecordSchema,
+    column_index,
     encoded_table_from_rows,
     encoded_table_to_rows,
     normalize,
     preprocess_from_dict,
     preprocess_to_dict,
 )
-from .errors import ChecksumMismatch, ConfigError, DataError, SchemaMismatch
+from .errors import ChecksumMismatch, DataError, SchemaMismatch
 from .serialize import (
     REPORT_VERSION,
     SCHEMA_VERSION,
@@ -71,24 +75,25 @@ TABLE_FILE = "table.npz"
 # table.npz member -> (dtype, or "unsigned" for any unsigned integer, ndim)
 _TABLE_LAYOUT = {"numeric": ("float64", 2), "codes": ("unsigned", 2),
                  "train_index": ("int64", 1), "test_index": ("int64", 1)}
+_NUMERIC_IDX = [column_index(n) for n in NUMERIC_NAMES]
+_CODES_IDX = [column_index(n) for n in CATEGORICAL_NAMES]
 
 
 def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
     """The bytes of table.npz for ``table`` and its split."""
-    schema = table.schema
-    names, values = encoded_table_to_rows(table)
-    codes = values[:, [names.index(n) for n in schema.categorical_names]]
+    values = encoded_table_to_rows(table)
+    codes = values[:, _CODES_IDX]
     top = int(codes.max()) if codes.size else 0
     buffer = io.BytesIO()
     np.savez(buffer,
-             numeric=values[:, [names.index(n) for n in schema.numeric_names]],
+             numeric=values[:, _NUMERIC_IDX],
              codes=codes.astype(np.min_scalar_type(top)),
              train_index=np.asarray(train_idx, dtype=np.int64),
              test_index=np.asarray(test_idx, dtype=np.int64))
     return buffer.getvalue()
 
 
-def _read_table_npz(raw: bytes, schema: RecordSchema, maps):
+def _read_table_npz(raw: bytes, maps):
     """(table, train index, test index) held by the bytes of a table.npz.
 
     Raises :class:`SchemaMismatch` unless the archive holds exactly the four
@@ -116,17 +121,15 @@ def _read_table_npz(raw: bytes, schema: RecordSchema, maps):
             raise SchemaMismatch(f"member {name!r} is not a {ndim}-d {dtype} "
                                  f"array")
     numeric, codes = members["numeric"], members["codes"]
-    numeric_idx = [schema.index(n) for n in schema.numeric_names]
-    codes_idx = [schema.index(n) for n in schema.categorical_names]
     rows = numeric.shape[0]
-    if numeric.shape[1] != len(numeric_idx) or codes.shape != (rows, len(codes_idx)):
+    if numeric.shape[1] != len(_NUMERIC_IDX) or codes.shape != (rows, len(_CODES_IDX)):
         raise SchemaMismatch(
             f"members 'numeric' {numeric.shape} and 'codes' {codes.shape} are "
-            f"not ({rows}, {len(numeric_idx)}) and ({rows}, {len(codes_idx)})")
-    values = np.empty((rows, len(schema.names)))
-    values[:, numeric_idx] = numeric
-    values[:, codes_idx] = codes
-    table = encoded_table_from_rows(schema.names, values, schema, maps)
+            f"not ({rows}, {len(_NUMERIC_IDX)}) and ({rows}, {len(_CODES_IDX)})")
+    values = np.empty((rows, len(NAMES)))
+    values[:, _NUMERIC_IDX] = numeric
+    values[:, _CODES_IDX] = codes
+    table = encoded_table_from_rows(values, maps)
     for side in ("train_index", "test_index"):
         idx = members[side]
         if idx.size and not 0 <= idx.min() <= idx.max() < rows:
@@ -134,9 +137,9 @@ def _read_table_npz(raw: bytes, schema: RecordSchema, maps):
     return table, members["train_index"], members["test_index"]
 
 
-def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
-                  table: EncodedTable, train_idx, test_idx, stages: dict,
-                  summary, config_echo: dict) -> Path:
+def save_artifact(directory, maps, stats: NormStats, table: EncodedTable,
+                  train_idx, test_idx, stages: dict, summary,
+                  config_echo: dict) -> Path:
     """Write a dataset artifact directory; returns its path.
 
     ``train_idx``/``test_idx`` are each side's ordered row indices into table.
@@ -149,7 +152,7 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
         "schema_version": SCHEMA_VERSION,
         "kind": "dataset",
         "config": config_echo,
-        "preprocess": preprocess_to_dict(schema, maps, stats),
+        "preprocess": preprocess_to_dict(maps, stats),
         "stages": stages,
         "split": {"train_rows": len(train_idx), "test_rows": len(test_idx)},
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
@@ -164,7 +167,6 @@ def save_artifact(directory, schema: RecordSchema, maps, stats: NormStats,
 
 @dataclass
 class DatasetArtifact:
-    schema: RecordSchema
     maps: object
     stats: NormStats
     table: EncodedTable
@@ -189,10 +191,11 @@ def _verified_payload(path, what: str, kinds) -> dict:
     recorded = doc.get("checksum", "")
     actual = checksum(payload)
     if recorded != actual:
-        raise ChecksumMismatch(recorded, actual)
-    require_version(payload, what)
+        raise ChecksumMismatch(path, recorded, actual)
+    require_version(payload, f"{what} {path}")
     if payload.get("kind") not in kinds:
-        raise SchemaMismatch(f"{what}: unexpected kind {payload.get('kind')!r}")
+        raise SchemaMismatch(f"{what} {path}: unexpected kind "
+                             f"{payload.get('kind')!r}")
     return payload
 
 
@@ -204,8 +207,7 @@ def _payload_fields(path, what: str):
         yield
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: {what} is missing key {exc}") from None
-    except (ConfigError, SchemaMismatch, AttributeError, TypeError,
-            ValueError) as exc:
+    except (SchemaMismatch, AttributeError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"{path}: invalid {what}: {exc}") from None
 
 
@@ -218,19 +220,18 @@ def load_artifact(directory) -> DatasetArtifact:
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
     with _payload_fields(directory, "dataset artifact"):
-        schema, maps, stats = preprocess_from_dict(payload["preprocess"])
+        maps, stats = preprocess_from_dict(payload["preprocess"])
         table_sha256 = payload["table_sha256"]
     table_path = directory / TABLE_FILE
     raw = table_path.read_bytes()
     actual = hashlib.sha256(raw).hexdigest()
     if actual != table_sha256:
-        raise ChecksumMismatch(table_sha256, actual)
+        raise ChecksumMismatch(table_path, table_sha256, actual)
     try:
-        table, train_idx, test_idx = _read_table_npz(raw, schema, maps)
+        table, train_idx, test_idx = _read_table_npz(raw, maps)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{table_path}: {exc}") from None
     return DatasetArtifact(
-        schema=schema,
         maps=maps,
         stats=stats,
         table=table,
@@ -272,11 +273,9 @@ def save_bundle(path, kind: str, config_echo: dict, preprocess_doc: dict,
 class ModelBundle:
     kind: str
     config: dict
-    schema: RecordSchema
     maps: object
     stats: NormStats
     sae_model: object = None
-    sae_head: object = None
     lstm_model: object = None
     gbt_model: object = None
 
@@ -292,15 +291,14 @@ def load_bundle(path) -> ModelBundle:
     payload = _verified_payload(path, "model bundle", BUNDLE_KINDS)
     kind = payload["kind"]
     with _payload_fields(path, "model bundle"):
-        schema, maps, stats = preprocess_from_dict(payload["preprocess"])
+        maps, stats = preprocess_from_dict(payload["preprocess"])
         config, components = payload["config"], payload["components"]
-        bundle = ModelBundle(kind=kind, config=config,
-                             schema=schema, maps=maps, stats=stats)
+        bundle = ModelBundle(kind=kind, config=config, maps=maps, stats=stats)
         if kind == "sae-lstm":
             sae_config = sae_mod.SAEConfig.from_dict(config["sae"])
             lstm_config = lstm_mod.LstmConfig.from_dict(config["lstm"])
-            bundle.sae_model, bundle.sae_head = sae_mod.model_from_dict(
-                components["sae"], sae_config)
+            bundle.sae_model, _ = sae_mod.model_from_dict(components["sae"],
+                                                          sae_config)
             bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"],
                                                          lstm_config)
         else:

@@ -26,10 +26,12 @@ from .artifacts import (
 )
 from .config import DEFAULT_SEED, PipelineConfig, load_config
 from .dataset import (
+    FEATURE_NAMES,
+    TARGET,
     clean_timestamps,
+    column_index,
     dataset_stats,
     deduplicate,
-    default_schema,
     label_encode,
     normalize,
     parse_csv,
@@ -161,9 +163,8 @@ def _scrub_side(values, where: dict):
 def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
     cfg = replace(cfg, csv_path=args.csv)
-    schema = default_schema()
-    raw = parse_csv(args.csv, schema)
-    encoded, maps = label_encode(raw, schema)
+    raw = parse_csv(args.csv)
+    encoded, maps = label_encode(raw)
     stages = {"parsed_rows": raw.row_count, "encoded_rows": encoded.row_count}
 
     if cfg.subsample is not None:
@@ -197,8 +198,8 @@ def cmd_ingest(args) -> int:
     stages["table_rows"] = table.row_count
     summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
-    save_artifact(out_dir, schema, maps, stats, table, train_idx, test_idx,
-                  stages, summary, _echo(cfg, maps.size(schema.target_column)))
+    save_artifact(out_dir, maps, stats, table, train_idx, test_idx, stages,
+                  summary, _echo(cfg, maps.size(TARGET)))
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
@@ -214,8 +215,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if artifact.train.row_count == 0:
         raise EmptyData("artifact holds no training rows")
-    preprocess_doc = preprocess_to_dict(artifact.schema, artifact.maps,
-                                        artifact.stats)
+    preprocess_doc = preprocess_to_dict(artifact.maps, artifact.stats)
     k = artifact.train.k_classes
     echo = _echo(cfg, k)
     bundle_path = out_dir / "bundle.json"
@@ -266,9 +266,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.bundle)
     artifact = load_artifact(args.artifact)
-    bundle_doc = preprocess_to_dict(bundle.schema, bundle.maps, bundle.stats)
-    artifact_doc = preprocess_to_dict(artifact.schema, artifact.maps,
-                                      artifact.stats)
+    bundle_doc = preprocess_to_dict(bundle.maps, bundle.stats)
+    artifact_doc = preprocess_to_dict(artifact.maps, artifact.stats)
     if bundle_doc != artifact_doc:
         raise SchemaMismatch(
             "bundle and artifact disagree on preprocessing state; evaluate "
@@ -279,7 +278,7 @@ def cmd_evaluate(args) -> int:
         raise EmptyData(f"artifact {args.split} split holds no rows")
     predicted = bundle.predict(fm.x)
     cm = confusion(fm.y, predicted, fm.k_classes,
-                   artifact.maps.categories[artifact.schema.target_column])
+                   artifact.maps.categories[TARGET])
     rep = report(cm)
     out_dir = Path(args.output or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -339,12 +338,11 @@ def cmd_analyze(args) -> int:
     (out_dir / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
     (out_dir / "anomalies.csv").write_text(analytics.anomaly_csv(anomalies),
                                            encoding="utf-8")
-    schema = artifact.schema
-    feature_idx = [schema.index(n) for n in schema.feature_names]
+    feature_idx = [column_index(n) for n in FEATURE_NAMES]
     correlation_doc = None
     if table.row_count >= 2:
         corr = analytics.correlation_matrix(table.values[:, feature_idx],
-                                            schema.feature_names)
+                                            FEATURE_NAMES)
         (out_dir / "correlation.csv").write_text(corr.to_csv(),
                                                  encoding="utf-8")
         correlation_doc = corr.to_dict()

@@ -1,4 +1,4 @@
-"""Tabular pipeline for the UGRansome netflow schema.
+"""Tabular pipeline for the UGRansome netflow layout, fixed in ``COLUMNS``.
 
 Raw CSV rows pass through a fixed sequence: parse -> label-encode -> drop
 duplicate rows -> drop non-positive timestamps -> min-max scale -> stratified
@@ -54,7 +54,10 @@ HEADER_ALIASES = {
     "Netflow_Bytes": "NetflowBytes",
 }
 
-_DEFAULT_COLUMNS = (
+# The one UGRansome layout: 13 feature columns and the categorical target,
+# in stored order. Every stored file holds this layout, so changing it must
+# bump serialize.SCHEMA_VERSION.
+COLUMNS = (
     ("Time", NUMERIC),
     ("Protocol", CATEGORICAL),
     ("Flag", CATEGORICAL),
@@ -70,76 +73,23 @@ _DEFAULT_COLUMNS = (
     ("Port", NUMERIC),
     ("Prediction", CATEGORICAL),
 )
+TARGET = "Prediction"
+NAMES = tuple(name for name, _ in COLUMNS)
+FEATURE_NAMES = tuple(name for name in NAMES if name != TARGET)
+NUMERIC_NAMES = tuple(name for name, kind in COLUMNS if kind == NUMERIC)
+CATEGORICAL_NAMES = tuple(name for name, kind in COLUMNS if kind == CATEGORICAL)
 
 
-@dataclass(frozen=True)
-class RecordSchema:
-    """Column layout: 13 feature columns plus one categorical target."""
-
-    columns: tuple = _DEFAULT_COLUMNS
-    target_column: str = "Prediction"
-
-    def __post_init__(self):
-        names = [name for name, _ in self.columns]
-        if len(names) != len(set(names)):
-            raise ConfigError("duplicate column names in schema")
-        if len(names) != 14:
-            raise ConfigError(f"schema must have exactly 14 columns, got {len(names)}")
-        for _, kind in self.columns:
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise ConfigError(f"unknown column kind {kind!r}")
-        if self.target_column not in names:
-            raise ConfigError(f"target column {self.target_column!r} not in schema")
-        kind = dict(self.columns)[self.target_column]
-        if kind != CATEGORICAL:
-            raise ConfigError("target column must be categorical")
-
-    @property
-    def names(self) -> tuple:
-        return tuple(name for name, _ in self.columns)
-
-    @property
-    def feature_names(self) -> tuple:
-        return tuple(n for n in self.names if n != self.target_column)
-
-    @property
-    def numeric_names(self) -> tuple:
-        return tuple(n for n, k in self.columns if k == NUMERIC)
-
-    @property
-    def categorical_names(self) -> tuple:
-        return tuple(n for n, k in self.columns if k == CATEGORICAL)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise MissingColumn(name) from None
-
-    def kind(self, name: str) -> str:
-        return dict(self.columns)[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "columns": [[n, k] for n, k in self.columns],
-            "target_column": self.target_column,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RecordSchema":
-        return cls(
-            tuple((n, k) for n, k in doc["columns"]),
-            doc["target_column"],
-        )
-
-
-def default_schema() -> RecordSchema:
-    return RecordSchema()
+def column_index(name: str) -> int:
+    try:
+        return NAMES.index(name)
+    except ValueError:
+        raise MissingColumn(name) from None
 
 
 @dataclass
 class RawTable:
-    """Parsed string cells in schema column order, held once per distinct record.
+    """Parsed string cells in column order, held once per distinct record.
 
     ``cells[j]`` holds column ``j``'s stripped cells, one per distinct record
     in first-occurrence order, and ``numbers`` maps each numeric column to
@@ -274,8 +224,8 @@ def _finite_number(cell: str) -> bool:
         return False
 
 
-def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
-    """Read a CSV into schema order, validating shape and numeric cells.
+def parse_csv(source) -> RawTable:
+    """Read a CSV into ``COLUMNS`` order, validating shape and numeric cells.
 
     The header may list columns in any order and may use the known aliases;
     extra columns are rejected only when a required one is missing. Rows whose
@@ -283,22 +233,21 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
     1-based line number, and numeric columns must parse as finite floats
     (:class:`NonNumericCell`). The first bad line in file order is reported;
     on that line a wrong field count comes before a bad cell, and bad cells
-    go in schema column order. Text that is not UTF-8 or that ``csv`` cannot
+    go in column order. Text that is not UTF-8 or that ``csv`` cannot
     read raises :class:`DataError` naming the source and line.
 
     Identical lines are parsed once. Text holding a ``"`` is read record by
     record instead, since a quoted field may span lines; an error in a
     record that spans lines names the line the record starts on.
     """
-    schema = schema or default_schema()
     name = _source_name(source)
     with _gc_paused():
         records, record_of, start_line, padded = _distinct_records(source, name)
         if not records:
-            raise MissingColumn(schema.names[0])
+            raise MissingColumn(NAMES[0])
         canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in records[0]]
         positions = []
-        for column in schema.names:
+        for column in NAMES:
             try:
                 positions.append(canonical.index(column))
             except ValueError:
@@ -325,8 +274,8 @@ def parse_csv(source, schema: RecordSchema | None = None) -> RawTable:
         del flat
         numbers = {}
         bad_cells = []
-        for order, column in enumerate(schema.numeric_names):
-            j = schema.index(column)
+        for order, column in enumerate(NUMERIC_NAMES):
+            j = column_index(column)
             try:
                 numbers[column] = np.array(cells[j], dtype=np.float64)
                 finite = np.isfinite(numbers[column]).all()
@@ -396,7 +345,20 @@ class EncodingMap:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncodingMap":
-        return cls({col: tuple(values) for col, values in doc.items()})
+        """The map a stored document holds; :class:`SchemaMismatch` unless it
+        is one list of distinct strings in UTF-8 byte order per categorical
+        column, as :func:`build_encoding` writes it."""
+        if not isinstance(doc, dict) or sorted(doc) != sorted(CATEGORICAL_NAMES):
+            raise SchemaMismatch(f"encoding columns are not "
+                                 f"{sorted(CATEGORICAL_NAMES)}")
+        for column, values in doc.items():
+            strings = isinstance(values, list) and all(
+                isinstance(v, str) for v in values)
+            keys = [v.encode("utf-8") for v in values] if strings else []
+            if not strings or keys != sorted(set(keys)):
+                raise SchemaMismatch(f"encoding of {column!r} is not a list of "
+                                     f"distinct strings in UTF-8 byte order")
+        return cls(doc)
 
 
 @dataclass
@@ -404,15 +366,14 @@ class EncodedTable:
     """All-numeric table; categorical cells hold integer codes as floats."""
 
     values: np.ndarray
-    schema: RecordSchema
     maps: EncodingMap
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.schema.names):
+        if self.values.ndim != 2 or self.values.shape[1] != len(NAMES):
             raise SchemaMismatch(
                 f"encoded values shape {self.values.shape} does not match "
-                f"{len(self.schema.names)} schema columns"
+                f"{len(NAMES)} columns"
             )
 
     @property
@@ -420,7 +381,7 @@ class EncodedTable:
         return self.values.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.schema.index(name)]
+        return self.values[:, column_index(name)]
 
     def codes(self, name: str) -> np.ndarray:
         return self.column(name).astype(np.int64)
@@ -429,23 +390,22 @@ class EncodedTable:
         return [self.maps.value(name, int(c)) for c in self.codes(name)]
 
     def target_codes(self) -> np.ndarray:
-        return self.codes(self.schema.target_column)
+        return self.codes(TARGET)
 
     def with_values(self, values: np.ndarray) -> "EncodedTable":
-        return EncodedTable(values=values, schema=self.schema, maps=self.maps)
+        return EncodedTable(values=values, maps=self.maps)
 
 
-def build_encoding(table: RawTable, schema: RecordSchema) -> EncodingMap:
+def build_encoding(table: RawTable) -> EncodingMap:
     """Derive codes from the distinct values of each categorical column."""
     categories = {}
-    for name in schema.categorical_names:
-        values = set(table.cells[schema.index(name)])
+    for name in CATEGORICAL_NAMES:
+        values = set(table.cells[column_index(name)])
         categories[name] = tuple(sorted(values, key=lambda s: s.encode("utf-8")))
     return EncodingMap(categories)
 
 
-def label_encode(table: RawTable, schema: RecordSchema | None = None,
-                 maps: EncodingMap | None = None):
+def label_encode(table: RawTable, maps: EncodingMap | None = None):
     """Turn string cells into a float matrix. Returns (EncodedTable, EncodingMap).
 
     When ``maps`` is given (scoring new rows with a frozen vocabulary), values
@@ -453,18 +413,15 @@ def label_encode(table: RawTable, schema: RecordSchema | None = None,
     from this table's own value set. Each distinct record is encoded once and
     then copied to every row that holds it.
     """
-    schema = schema or default_schema()
     if maps is None:
-        maps = build_encoding(table, schema)
+        maps = build_encoding(table)
     distinct = len(table.cells[0])
-    values = np.empty((distinct, len(schema.names)), dtype=np.float64)
-    for j, (name, kind) in enumerate(schema.columns):
+    values = np.empty((distinct, len(NAMES)), dtype=np.float64)
+    for j, (name, kind) in enumerate(COLUMNS):
         if kind == NUMERIC:
             values[:, j] = table.numbers[name]
             continue
-        index = maps._index.get(name)
-        if index is None:
-            raise MissingColumn(name)
+        index = maps._index[name]
         cells = table.cells[j]
         try:
             values[:, j] = np.fromiter(map(index.__getitem__, cells),
@@ -472,8 +429,7 @@ def label_encode(table: RawTable, schema: RecordSchema | None = None,
         except KeyError:
             unknown = next(cell for cell in cells if cell not in index)
             raise UnknownCategory(name, unknown) from None
-    return EncodedTable(values=values[table.inverse], schema=schema,
-                        maps=maps), maps
+    return EncodedTable(values=values[table.inverse], maps=maps), maps
 
 
 def row_keys(values: np.ndarray) -> list:
@@ -498,9 +454,9 @@ def deduplicate(table: EncodedTable):
     return table.with_values(table.values[keep]), removed
 
 
-def clean_timestamps(table: EncodedTable, column: str = "Time"):
+def clean_timestamps(table: EncodedTable):
     """Drop rows whose timestamp is not positive. Returns (table, removed)."""
-    times = table.column(column)
+    times = table.column("Time")
     mask = times > 0.0
     removed = int((~mask).sum())
     return table.with_values(table.values[mask]), removed
@@ -567,30 +523,27 @@ def normalize(table: EncodedTable, stats: NormStats | None = None):
     into [0, 1] so unseen extremes cannot escape the training range.
     Constant columns map to 0. Returns (FeatureMatrix, NormStats).
     """
-    schema = table.schema
-    feature_names = schema.feature_names
-    idx = [schema.index(n) for n in feature_names]
-    raw = table.values[:, idx]
+    raw = table.values[:, [column_index(n) for n in FEATURE_NAMES]]
     if stats is None:
         if table.row_count == 0:
             raise EmptyData("cannot derive normalization bounds from zero rows")
         mins = raw.min(axis=0)
         maxs = raw.max(axis=0)
         stats = NormStats({n: (float(lo), float(hi))
-                           for n, lo, hi in zip(feature_names, mins, maxs)})
+                           for n, lo, hi in zip(FEATURE_NAMES, mins, maxs)})
     else:
-        if stats.names != feature_names:
+        if stats.names != FEATURE_NAMES:
             raise SchemaMismatch(
-                "normalization stats cover different columns than the schema"
+                "normalization stats cover different columns than the features"
             )
-        mins = np.array([stats.columns[n][0] for n in feature_names])
-        maxs = np.array([stats.columns[n][1] for n in feature_names])
+        mins = np.array([stats.columns[n][0] for n in FEATURE_NAMES])
+        maxs = np.array([stats.columns[n][1] for n in FEATURE_NAMES])
     span = maxs - mins
     scaled = np.zeros_like(raw)
     nonzero = span > 0.0
     scaled[:, nonzero] = (raw[:, nonzero] - mins[nonzero]) / span[nonzero]
     scaled = np.clip(scaled, 0.0, 1.0)
-    k = table.maps.size(schema.target_column)
+    k = table.maps.size(TARGET)
     fm = FeatureMatrix(scaled, table.target_codes(), k)
     return fm, stats
 
@@ -680,7 +633,7 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
     with fewer than 2 rows report std 0.
     """
     out = {}
-    for name in table.schema.numeric_names:
+    for name in NUMERIC_NAMES:
         col = table.column(name)
         n = col.size
         if n == 0:
@@ -705,46 +658,38 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
 # Serialization of the fitted preprocessing state
 
 
-def preprocess_to_dict(schema: RecordSchema, maps: EncodingMap,
-                       stats: NormStats) -> dict:
-    return {
-        "schema": schema.to_dict(),
-        "encoding": maps.to_dict(),
-        "normalization": stats.to_dict(),
-    }
+def preprocess_to_dict(maps: EncodingMap, stats: NormStats) -> dict:
+    return {"encoding": maps.to_dict(), "normalization": stats.to_dict()}
 
 
 def preprocess_from_dict(doc: dict):
-    schema = RecordSchema.from_dict(doc["schema"])
+    """(maps, stats) in a stored ``preprocess`` object; :class:`SchemaMismatch`
+    unless it holds exactly an encoding and a normalization of the layout."""
+    if not isinstance(doc, dict) or set(doc) != {"encoding", "normalization"}:
+        raise SchemaMismatch("preprocess must hold exactly encoding and "
+                             "normalization")
     maps = EncodingMap.from_dict(doc["encoding"])
     stats = NormStats.from_dict(doc["normalization"])
-    if stats.names != schema.feature_names:
+    if stats.names != FEATURE_NAMES:
         raise SchemaMismatch("normalization stats do not cover the feature columns")
-    return schema, maps, stats
+    return maps, stats
 
 
-def encoded_table_to_rows(table: EncodedTable):
-    """Header plus the (rows, columns) float64 value matrix, as stored."""
-    return list(table.schema.names), table.values
+def encoded_table_to_rows(table: EncodedTable) -> np.ndarray:
+    """The (rows, columns) float64 value matrix, as stored."""
+    return table.values
 
 
-def encoded_table_from_rows(header, rows, schema: RecordSchema,
-                            maps: EncodingMap) -> EncodedTable:
-    """The table a stored header and value rows hold.
+def encoded_table_from_rows(rows, maps: EncodingMap) -> EncodedTable:
+    """The table stored value rows in ``COLUMNS`` order hold.
 
     Every cell must be finite and every categorical code must lie in
     [0, category count) of its column; otherwise :class:`SchemaMismatch`.
     """
-    if tuple(header) != schema.names:
-        raise SchemaMismatch(
-            f"stored table header {tuple(header)} does not match schema"
-        )
-    values = (np.asarray(rows, dtype=np.float64)
-              if len(rows) else np.empty((0, len(schema.names))))
-    table = EncodedTable(values=values, schema=schema, maps=maps)
+    table = EncodedTable(values=rows, maps=maps)
     if not np.isfinite(table.values).all():
         raise SchemaMismatch("stored table holds a non-finite cell")
-    for name in schema.categorical_names:
+    for name in CATEGORICAL_NAMES:
         codes = table.column(name)
         if codes.size and not 0 <= codes.min() <= codes.max() < maps.size(name):
             raise SchemaMismatch(f"stored table column {name!r} holds a code "

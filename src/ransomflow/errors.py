@@ -163,10 +163,10 @@ class SchemaMismatch(DataError):
 
 
 class ChecksumMismatch(DataError):
-    def __init__(self, expected, found: str):
+    def __init__(self, path, expected, found: str):
         self.expected = expected  # as recorded, of whatever JSON type
         self.found = found
         super().__init__(
-            f"artifact checksum mismatch: recorded {str(expected)[:12]}..., "
+            f"{path}: checksum mismatch: recorded {str(expected)[:12]}..., "
             f"recomputed {found[:12]}..."
         )

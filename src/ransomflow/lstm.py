@@ -117,7 +117,6 @@ class GateCache:
     o: np.ndarray
     g: np.ndarray
     c_prev: np.ndarray | None  # None marks a zero-state step
-    c: np.ndarray
     tanh_c: np.ndarray
 
 
@@ -170,7 +169,7 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
         c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = GateCache(z=z, i=i, f=f, o=o, g=g, c_prev=c_prev, c=c, tanh_c=tanh_c)
+    cache = GateCache(z=z, i=i, f=f, o=o, g=g, c_prev=c_prev, tanh_c=tanh_c)
     if single:
         return h[0], c[0], cache
     return h, c, cache

@@ -19,10 +19,11 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaMismatch
 
 # Stored dataset artifacts and model bundles; version 2 stores numbers as
-# bytes, version 3 states each fact once.
-SCHEMA_VERSION = 3
+# bytes, version 3 states each fact once, version 4 leaves the column layout
+# (dataset.COLUMNS) to the code.
+SCHEMA_VERSION = 4
 # Reports and summaries (report.json, comparison.json, analysis.json,
-# stats.json), whose layout versions 2 and 3 left unchanged.
+# stats.json), whose layout versions 2 to 4 left unchanged.
 REPORT_VERSION = 1
 
 

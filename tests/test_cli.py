@@ -343,9 +343,8 @@ def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
     assert "checksum mismatch" in capsys.readouterr().err
 
 
-# stored schema columns that RecordSchema refuses: 13, not 14
-_COLUMNS_13 = ([[f"c{i}", "numeric"] for i in range(12)]
-               + [["Prediction", "categorical"]])
+# a value that deletes its field instead of setting it
+_DELETE = object()
 
 # a stored file, a dotted field of its {checksum, payload} document, and a
 # malformed value for it; a payload edit keeps the checksum matching
@@ -356,17 +355,29 @@ _MALFORMED_FIELDS = {
     "bundle-checksum-number": ("bundle.json", "checksum", 5),
     "dataset-version-2": ("dataset.json", "payload.schema_version", 2),
     "bundle-version-2": ("bundle.json", "payload.schema_version", 2),
+    "dataset-version-3": ("dataset.json", "payload.schema_version", 3),
+    "bundle-version-3": ("bundle.json", "payload.schema_version", 3),
     "class-list-string": ("dataset.json",
                           "payload.preprocess.encoding.Prediction", "x"),
     "class-list-number": ("dataset.json",
                           "payload.preprocess.encoding.Prediction", 5),
-    "schema-columns-number": ("dataset.json",
-                              "payload.preprocess.schema.columns", 5),
-    "schema-13-columns": ("dataset.json", "payload.preprocess.schema.columns",
-                          _COLUMNS_13),
-    "bundle-schema-13-columns": ("bundle.json",
-                                 "payload.preprocess.schema.columns",
-                                 _COLUMNS_13),
+    "class-list-chars": ("dataset.json",
+                         "payload.preprocess.encoding.Prediction", "ASX"),
+    "categories-repeated": ("dataset.json",
+                            "payload.preprocess.encoding.Prediction",
+                            ["A", "A", "SS"]),
+    "categories-unsorted": ("dataset.json",
+                            "payload.preprocess.encoding.Prediction",
+                            ["S", "A", "SS"]),
+    "encoding-extra-column": ("dataset.json", "payload.preprocess.encoding.Foo",
+                              ["x"]),
+    "encoding-missing-column": ("dataset.json",
+                                "payload.preprocess.encoding.Threats",
+                                _DELETE),
+    "preprocess-unknown-key": ("dataset.json", "payload.preprocess.foo", 1),
+    "bundle-categories-repeated": ("bundle.json",
+                                   "payload.preprocess.encoding.Prediction",
+                                   ["A", "A", "SS"]),
     "normalization-bound-string": ("dataset.json",
                                    "payload.preprocess.normalization",
                                    [["Time", "a", 1]]),
@@ -391,14 +402,19 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = value
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
     if parents:
         doc["checksum"] = checksum(doc["payload"])
     dump_json(target, doc)
     command = (["analyze", str(art)] if name == "dataset.json"
                else ["evaluate", str(bundle), str(art)])
     assert main(command + ["--output", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(art if name == "dataset.json" else bundle) in err
 
 
 def object_keys(node, path="", found=None) -> dict:
@@ -428,8 +444,7 @@ _ARRAY = "b64 dtype shape"
 _COMMON = {
     **_layout({
         "": "checksum payload",
-        "payload.preprocess": "encoding normalization schema",
-        "payload.preprocess.schema": "columns target_column",
+        "payload.preprocess": "encoding normalization",
         "payload.preprocess.encoding": "Protocol Flag Family SeedAddress "
                                        "ExpAddress IPAddress Threats "
                                        "Prediction",
@@ -935,8 +950,7 @@ def explicit_sae_lstm(argv, out):
                                                 k)
     out.mkdir(parents=True)
     save_bundle(out / "bundle.json", "sae-lstm", cli._echo(cfg, k),
-                preprocess_to_dict(artifact.schema, artifact.maps,
-                                   artifact.stats),
+                preprocess_to_dict(artifact.maps, artifact.stats),
                 {"sae": sae.model_to_dict(model, head),
                  "lstm": lstm.model_to_dict(classifier)})
     (out / "sae_history.csv").write_text(sae.history_csv(model),

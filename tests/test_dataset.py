@@ -15,14 +15,15 @@ from conftest import require_real_csv, synthetic_csv_text
 
 from ransomflow import rng
 from ransomflow.dataset import (
+    CATEGORICAL_NAMES,
+    FEATURE_NAMES,
     EncodedTable,
     EncodingMap,
     NormStats,
-    RecordSchema,
     clean_timestamps,
+    column_index,
     dataset_stats,
     deduplicate,
-    default_schema,
     encoded_table_from_rows,
     encoded_table_to_rows,
     label_encode,
@@ -70,11 +71,10 @@ def test_parse_canonical_header():
 
 def test_parse_alias_header_maps_to_canonical():
     table = parse_csv(_csv(ALIAS_HEADER, ROW_A))
-    schema = default_schema()
     [row] = table.rows
-    assert row[schema.index("Family")] == "WannaCry"
-    assert row[schema.index("Threats")] == "Bonet"
-    assert row[schema.index("NetflowBytes")] == "1200"
+    assert row[column_index("Family")] == "WannaCry"
+    assert row[column_index("Threats")] == "Bonet"
+    assert row[column_index("NetflowBytes")] == "1200"
 
 
 def test_parse_reordered_columns():
@@ -120,11 +120,6 @@ def test_parse_strips_whitespace():
     assert table.rows[0][1] == "TCP"
 
 
-def test_schema_requires_14_columns():
-    with pytest.raises(ConfigError):
-        RecordSchema(columns=(("Time", "numeric"), ("Prediction", "categorical")))
-
-
 def test_label_encode_lexicographic_codes():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B, ROW_C))
     encoded, maps = label_encode(table)
@@ -141,8 +136,8 @@ def test_label_encode_lexicographic_codes():
 def test_label_encode_round_trip():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B, ROW_C))
     encoded, maps = label_encode(table)
-    for column in default_schema().categorical_names:
-        j = default_schema().index(column)
+    for column in CATEGORICAL_NAMES:
+        j = column_index(column)
         original = [row[j] for row in table.rows]
         assert encoded.decoded(column) == original
 
@@ -160,7 +155,7 @@ def test_label_encode_frozen_map_rejects_new_values():
     other = parse_csv(_csv(CANONICAL_HEADER, ROW_B))
     with pytest.raises(UnknownCategory) as err:
         label_encode(other, maps=maps)
-    assert err.value.column in default_schema().categorical_names
+    assert err.value.column in CATEGORICAL_NAMES
 
 
 def test_encoding_map_serialization_round_trip():
@@ -200,9 +195,8 @@ def test_row_keys_are_row_bytes_and_keep_signed_zeros_apart():
     assert row_keys(np.asfortranarray(values)[:, :2]) == [
         row.tobytes() for row in values[:, :2]]
     assert row_keys(np.empty((0, 14))) == []
-    schema = default_schema()
-    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
-    table = EncodedTable(values=np.zeros((3, 14)), schema=schema, maps=maps)
+    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
+    table = EncodedTable(values=np.zeros((3, 14)), maps=maps)
     table.values[1, 0] = -0.0
     deduped, removed = deduplicate(table)
     assert removed == 1
@@ -244,7 +238,7 @@ def test_normalize_hand_case():
     assert fm.x.shape == (encoded.row_count, 13)
     assert fm.x.min() >= 0.0 and fm.x.max() <= 1.0
     # every non-constant column touches both bounds on its own training data
-    for j, name in enumerate(encoded.schema.feature_names):
+    for j, name in enumerate(FEATURE_NAMES):
         lo, hi = stats.columns[name]
         if hi > lo:
             assert fm.x[:, j].min() == 0.0
@@ -252,46 +246,43 @@ def test_normalize_hand_case():
 
 
 def test_normalize_simple_values():
-    schema = default_schema()
     values = np.zeros((3, 14))
-    values[:, schema.index("USD")] = [0.0, 5.0, 10.0]
-    values[:, schema.index("Time")] = [2.0, 2.0, 2.0]  # constant column
-    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
+    values[:, column_index("USD")] = [0.0, 5.0, 10.0]
+    values[:, column_index("Time")] = [2.0, 2.0, 2.0]  # constant column
+    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
     from ransomflow.dataset import EncodedTable
 
-    table = EncodedTable(values=values, schema=schema, maps=maps)
+    table = EncodedTable(values=values, maps=maps)
     fm, stats = normalize(table)
-    usd = fm.x[:, list(schema.feature_names).index("USD")]
+    usd = fm.x[:, FEATURE_NAMES.index("USD")]
     assert usd.tolist() == [0.0, 0.5, 1.0]
-    time_col = fm.x[:, list(schema.feature_names).index("Time")]
+    time_col = fm.x[:, FEATURE_NAMES.index("Time")]
     assert time_col.tolist() == [0.0, 0.0, 0.0]
     assert stats.columns["USD"] == (0.0, 10.0)
 
 
 def test_normalize_with_training_stats_clamps():
-    schema = default_schema()
-    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
+    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
     from ransomflow.dataset import EncodedTable
 
     train_values = np.zeros((2, 14))
-    train_values[:, schema.index("USD")] = [0.0, 10.0]
-    train_table = EncodedTable(values=train_values, schema=schema, maps=maps)
+    train_values[:, column_index("USD")] = [0.0, 10.0]
+    train_table = EncodedTable(values=train_values, maps=maps)
     _, stats = normalize(train_table)
 
     test_values = np.zeros((2, 14))
-    test_values[:, schema.index("USD")] = [12.0, -3.0]
-    test_table = EncodedTable(values=test_values, schema=schema, maps=maps)
+    test_values[:, column_index("USD")] = [12.0, -3.0]
+    test_table = EncodedTable(values=test_values, maps=maps)
     fm, _ = normalize(test_table, stats)
-    usd = fm.x[:, list(schema.feature_names).index("USD")]
+    usd = fm.x[:, FEATURE_NAMES.index("USD")]
     assert usd.tolist() == [1.0, 0.0]
 
 
 def test_normalize_empty_without_stats_raises():
-    schema = default_schema()
-    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
+    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
     from ransomflow.dataset import EncodedTable
 
-    table = EncodedTable(values=np.empty((0, 14)), schema=schema, maps=maps)
+    table = EncodedTable(values=np.empty((0, 14)), maps=maps)
     with pytest.raises(EmptyData):
         normalize(table)
 
@@ -368,13 +359,12 @@ def test_stratified_indices_partition_every_row():
 
 
 def test_dataset_stats_hand_case():
-    schema = default_schema()
-    maps = EncodingMap({name: ("x",) for name in schema.categorical_names})
+    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
     from ransomflow.dataset import EncodedTable
 
     values = np.zeros((4, 14))
-    values[:, schema.index("Time")] = [1.0, 2.0, 3.0, 4.0]
-    table = EncodedTable(values=values, schema=schema, maps=maps)
+    values[:, column_index("Time")] = [1.0, 2.0, 3.0, 4.0]
+    table = EncodedTable(values=values, maps=maps)
     stats = dataset_stats(table)
     time_stats = stats.columns["Time"]
     assert time_stats.count == 4
@@ -395,9 +385,7 @@ def test_preprocess_document_round_trip():
     table = parse_csv(io.StringIO(text))
     encoded, maps = label_encode(table)
     fm, stats = normalize(encoded)
-    doc = preprocess_to_dict(encoded.schema, maps, stats)
-    schema2, maps2, stats2 = preprocess_from_dict(doc)
-    assert schema2.names == encoded.schema.names
+    maps2, stats2 = preprocess_from_dict(preprocess_to_dict(maps, stats))
     assert maps2.categories == maps.categories
     assert stats2.columns == stats.columns
 
@@ -407,8 +395,7 @@ def test_encoded_table_csv_rows_round_trip_exactly():
                                  bad_times=0)
     table = parse_csv(io.StringIO(text))
     encoded, maps = label_encode(table)
-    header, rows = encoded_table_to_rows(encoded)
-    restored = encoded_table_from_rows(header, rows, encoded.schema, maps)
+    restored = encoded_table_from_rows(encoded_table_to_rows(encoded), maps)
     assert np.array_equal(restored.values, encoded.values)
 
 

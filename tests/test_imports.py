@@ -14,6 +14,10 @@ The reach scan is stricter: tests do not count, and a name must be reached
 through the ``ast`` of ``src/ransomflow`` and ``perfbench`` (see
 :func:`unreached_definitions`). Only the verification API the tests build
 on may stay unreached.
+
+The field scan holds dataclass fields to the same rule: each must be read as
+an attribute somewhere in ``src/ransomflow`` or ``perfbench`` (see
+:func:`unread_fields`).
 """
 
 import ast
@@ -227,3 +231,54 @@ def test_verification_api_is_used_by_the_tests():
             (ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name)))
     assert [name for name in VERIFICATION_API
             if name.rsplit(".", 1)[1] not in words] == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules, others) -> list:
+    """``Class.field`` for each dataclass field declared in the sources
+    ``modules`` that neither they nor ``others`` read as an attribute,
+    sorted. Assigning an attribute does not count as reading it."""
+    trees = [ast.parse(source) for source in modules]
+    read = {node.attr for tree in [*trees, *map(ast.parse, others)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{node.name}.{item.target.id}"
+                  for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and item.target.id not in read)
+
+
+def test_field_scan_finds_fields_only_written():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class Kept:\n"
+              "    read: int\n"
+              "    stored: int = 0\n"
+              "    cached: list = field(default_factory=list)\n"
+              "class Plain:\n"
+              "    note: str = ''\n"
+              "def use(k):\n"
+              "    k.stored = k.read\n")
+    other = "def peek(k):\n    return k.cached\n"
+    assert unread_fields([source], []) == ["Kept.cached", "Kept.stored"]
+    assert unread_fields([source], [other]) == ["Kept.stored"]
+
+
+def test_every_dataclass_field_is_read():
+    modules = [m.read_text(encoding="utf-8") for m in MODULES]
+    bench = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unread_fields(modules, bench) == []

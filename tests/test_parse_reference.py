@@ -22,10 +22,11 @@ import pytest
 from conftest import HEADER, synthetic_csv_text
 
 from ransomflow.dataset import (
+    COLUMNS,
     HEADER_ALIASES,
+    NAMES,
     NUMERIC,
     EncodingMap,
-    default_schema,
     label_encode,
     parse_csv,
 )
@@ -53,23 +54,23 @@ def _ref_open(source):
     return io.StringIO(data, newline="")
 
 
-def ref_parse(source, schema):
+def ref_parse(source):
     with _ref_open(source) as stream:
         reader = csv.reader(stream)
         header_raw = next(reader, None)
         if header_raw is None:
-            raise MissingColumn(schema.names[0])
+            raise MissingColumn(NAMES[0])
         canonical = [HEADER_ALIASES.get(h.strip(), h.strip())
                      for h in header_raw]
         positions = []
-        for name in schema.names:
+        for name in NAMES:
             try:
                 positions.append(canonical.index(name))
             except ValueError:
                 raise MissingColumn(name) from None
         width = len(header_raw)
-        numeric_cols = [(i, name) for i, name in enumerate(schema.names)
-                        if schema.kind(name) == NUMERIC]
+        numeric_cols = [(i, name) for i, (name, kind) in enumerate(COLUMNS)
+                        if kind == NUMERIC]
         rows = []
         # a record names the line it starts on; a quoted field may span lines
         start = reader.line_num + 1
@@ -91,14 +92,14 @@ def ref_parse(source, schema):
         return rows
 
 
-def ref_encode(rows, schema, maps=None):
+def ref_encode(rows, maps=None):
     if maps is None:
         maps = EncodingMap({
-            name: tuple(sorted({row[schema.index(name)] for row in rows},
+            name: tuple(sorted({row[j] for row in rows},
                                key=lambda s: s.encode("utf-8")))
-            for name in schema.categorical_names})
-    values = np.empty((len(rows), len(schema.names)), dtype=np.float64)
-    for j, (name, kind) in enumerate(schema.columns):
+            for j, (name, kind) in enumerate(COLUMNS) if kind != NUMERIC})
+    values = np.empty((len(rows), len(NAMES)), dtype=np.float64)
+    for j, (name, kind) in enumerate(COLUMNS):
         cells = [row[j] for row in rows]
         if kind == NUMERIC:
             values[:, j] = np.asarray(cells, dtype=np.float64)
@@ -119,11 +120,9 @@ def outcome(run):
 
 
 def ref_outcome(source, maps=None):
-    schema = default_schema()
-
     def run():
-        rows = ref_parse(source, schema)
-        values, used = ref_encode(rows, schema, maps)
+        rows = ref_parse(source)
+        values, used = ref_encode(rows, maps)
         return len(rows), rows, used.categories, values.tobytes()
     return outcome(run)
 

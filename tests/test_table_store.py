@@ -15,6 +15,7 @@ from ransomflow import cli
 from ransomflow.artifacts import load_artifact, save_artifact
 from ransomflow.cli import main
 from ransomflow.dataset import (
+    column_index,
     dataset_stats,
     label_encode,
     normalize,
@@ -42,17 +43,16 @@ def save_twice(tmp_path):
     """
     text, _ = synthetic_csv_text(n_per_class=8, duplicates=0, bad_times=0)
     encoded, maps = label_encode(parse_csv(io.StringIO(text)))
-    schema = encoded.schema
     values = encoded.values.copy()
     for row, value in enumerate((-0.0, 5e-324, 1e100 / 3, 0.1 + 0.2)):
-        values[row, schema.index("BTC")] = value
+        values[row, column_index("BTC")] = value
     table = encoded.with_values(values)
     train_idx, test_idx = stratified_indices(table.target_codes(), 0.25, 3)
     _, stats = normalize(table.with_values(table.values[train_idx]))
     dirs = [tmp_path / name for name in ("a", "b")]
     for directory in dirs:
-        save_artifact(directory, schema, maps, stats, table, train_idx,
-                      test_idx, {"table_rows": table.row_count},
+        save_artifact(directory, maps, stats, table, train_idx, test_idx,
+                      {"table_rows": table.row_count},
                       dataset_stats(table), {"seed": 3})
     return table, dirs
 
@@ -69,9 +69,9 @@ def test_loaded_values_are_bit_equal_to_the_table_ingest_held(
         ingested, tmp_path, monkeypatch):
     held = []
 
-    def save_and_keep(directory, schema, maps, stats, table, *rest):
+    def save_and_keep(directory, maps, stats, table, *rest):
         held.append(table.values.copy())
-        return save_artifact(directory, schema, maps, stats, table, *rest)
+        return save_artifact(directory, maps, stats, table, *rest)
 
     monkeypatch.setattr(cli, "save_artifact", save_and_keep)
     art = tmp_path / "art"
