@@ -28,9 +28,14 @@ artifact twice yields identical bytes (zip members carry a fixed timestamp).
 
 Each stored fact has one home: the payload states the schema version and
 kind, the target column's encoding is the class list, an array's shape is
-its layer's size, and the ``config`` echo holds each stage's settings, which
-the bundle loader reads strictly and checks the weights against. The column
-layout is not stored: it is ``dataset.COLUMNS``, fixed for a schema version.
+its layer's size, and the ``config`` echo holds the settings, laid out as a
+configuration file (see :mod:`ransomflow.config`). The bundle loader reads
+each stage's settings strictly and checks the weights against them, and
+checks the model's class count (GBT tree lists, LSTM head outputs) against
+the class list. Values derived from others are not stored: stage seeds come
+from the master ``seed``, and the class count is the class list's length.
+The column layout is not stored either: it is ``dataset.COLUMNS``, fixed for
+a schema version.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .dataset import (
     CATEGORICAL_NAMES,
     NAMES,
     NUMERIC_NAMES,
+    TARGET,
     EncodedTable,
     FeatureMatrix,
     NormStats,
@@ -202,12 +208,13 @@ def _verified_payload(path, what: str, kinds) -> dict:
 @contextmanager
 def _payload_fields(path, what: str):
     """Raise :class:`SchemaMismatch` naming ``path`` for a payload field the
-    block finds missing, of the wrong type or holding a rejected value."""
+    block finds missing, of the wrong type or holding a rejected value (any
+    :class:`DataError`)."""
     try:
         yield
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: {what} is missing key {exc}") from None
-    except (SchemaMismatch, AttributeError, TypeError, ValueError) as exc:
+    except (DataError, AttributeError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"{path}: invalid {what}: {exc}") from None
 
 
@@ -301,7 +308,13 @@ def load_bundle(path) -> ModelBundle:
                                                           sae_config)
             bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"],
                                                          lstm_config)
+            outputs = bundle.lstm_model.head.out_dim
         else:
             bundle.gbt_model = gbt_mod.model_from_dict(
                 components["gbt"], gbt_mod.GbtParams.from_dict(config["gbt"]))
+            outputs = bundle.gbt_model.k_classes
+        classes = maps.size(TARGET)
+        if outputs != classes:
+            raise SchemaMismatch(f"{kind} model has {outputs} class outputs "
+                                 f"for {classes} classes")
     return bundle

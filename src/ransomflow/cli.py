@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analytics, gbt, lstm, sae
@@ -24,7 +23,7 @@ from .artifacts import (
     save_artifact,
     save_bundle,
 )
-from .config import DEFAULT_SEED, PipelineConfig, load_config
+from .config import DEFAULT_SEED, PipelineConfig, from_dict, load_config
 from .dataset import (
     FEATURE_NAMES,
     TARGET,
@@ -113,39 +112,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag -> the setting it writes into the settings document
+_FLAG_SETTINGS = {
+    "seed": "seed", "output": "output_dir", "fine_tune": "fine_tune",
+    "csv": "dataset.csv", "test_ratio": "dataset.test_ratio",
+    "split_before_dedup": "dataset.split_before_dedup",
+    "subsample": "dataset.subsample", "sae_epochs": "sae.epochs",
+    "lstm_epochs": "lstm.epochs", "lstm_hidden": "lstm.hidden_size",
+    "gbt_rounds": "gbt.rounds",
+}
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
+    """The --config file's settings (or the defaults) with each flag that is
+    set written into their document, read back by the one strict reader."""
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    try:
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if getattr(args, "output", None) is not None:
-            cfg = replace(cfg, output_dir=args.output)
-        if getattr(args, "test_ratio", None) is not None:
-            cfg = replace(cfg, test_ratio=args.test_ratio)
-        if getattr(args, "subsample", None) is not None:
-            cfg = replace(cfg, subsample=args.subsample)
-        if getattr(args, "split_before_dedup", None):
-            cfg = replace(cfg, split_before_dedup=True)
-        if getattr(args, "fine_tune", None):
-            cfg = replace(cfg, fine_tune=True)
-        if getattr(args, "sae_epochs", None) is not None:
-            cfg = replace(cfg, sae=replace(cfg.sae, epochs=args.sae_epochs))
-        if getattr(args, "lstm_epochs", None) is not None:
-            cfg = replace(cfg, lstm=replace(cfg.lstm, epochs=args.lstm_epochs))
-        if getattr(args, "lstm_hidden", None) is not None:
-            cfg = replace(cfg, lstm=replace(cfg.lstm, hidden_size=args.lstm_hidden))
-        if getattr(args, "gbt_rounds", None) is not None:
-            cfg = replace(cfg, gbt=replace(cfg.gbt, rounds=args.gbt_rounds))
-    except ValueError as exc:
-        raise ConfigError(f"invalid override: {exc}") from None
-    return cfg
-
-
-def _echo(cfg: PipelineConfig, k_classes: int) -> dict:
-    """The settings echo, with the data's class count as gbt.k_classes."""
-    echo = cfg.echo()
-    echo["gbt"]["k_classes"] = k_classes
-    return echo
+    doc = cfg.echo()
+    for flag, setting in _FLAG_SETTINGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            *section, key = setting.split(".")
+            (doc[section[0]] if section else doc)[key] = value
+    return from_dict(doc)
 
 
 def _scrub_side(values, where: dict):
@@ -162,25 +150,25 @@ def _scrub_side(values, where: dict):
 
 def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
-    cfg = replace(cfg, csv_path=args.csv)
-    raw = parse_csv(args.csv)
+    ds = cfg.dataset
+    raw = parse_csv(ds.csv)
     encoded, maps = label_encode(raw)
     stages = {"parsed_rows": raw.row_count, "encoded_rows": encoded.row_count}
 
-    if cfg.subsample is not None:
-        _, keep = stratified_indices(encoded.target_codes(), cfg.subsample,
-                                     cfg.subsample_seed())
+    if ds.subsample is not None:
+        _, keep = stratified_indices(encoded.target_codes(), ds.subsample,
+                                     cfg.seed_for("subsample"))
         encoded = encoded.with_values(encoded.values[keep])
         stages["subsampled_rows"] = encoded.row_count
 
     deduped, removed_dup = deduplicate(encoded)
     table, removed_time = clean_timestamps(deduped)
-    if cfg.split_before_dedup:
+    if ds.split_before_dedup:
         # Leakage experiment: partition the raw encoded rows first so shared
         # duplicates can land on both sides, then scrub each side on its own.
         stages["ordering"] = "split-before-dedup"
-        sides = stratified_indices(encoded.target_codes(), cfg.test_ratio,
-                                   cfg.split_seed())
+        sides = stratified_indices(encoded.target_codes(), ds.test_ratio,
+                                   cfg.seed_for("split"))
         where = {key: i for i, key in enumerate(row_keys(table.values))}
         scrubbed = [_scrub_side(encoded.values[idx], where) for idx in sides]
         (train_idx, test_idx), dups, bads = zip(*scrubbed)
@@ -192,14 +180,14 @@ def cmd_ingest(args) -> int:
         stages["deduplicated_rows"] = deduped.row_count
         stages["bad_timestamps_removed"] = removed_time
         train_idx, test_idx = stratified_indices(
-            table.target_codes(), cfg.test_ratio, cfg.split_seed())
+            table.target_codes(), ds.test_ratio, cfg.seed_for("split"))
     _, stats = normalize(table.with_values(table.values[train_idx]))
 
     stages["table_rows"] = table.row_count
     summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
     save_artifact(out_dir, maps, stats, table, train_idx, test_idx, stages,
-                  summary, _echo(cfg, maps.size(TARGET)))
+                  summary, cfg.echo())
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
@@ -217,16 +205,15 @@ def cmd_train(args) -> int:
         raise EmptyData("artifact holds no training rows")
     preprocess_doc = preprocess_to_dict(artifact.maps, artifact.stats)
     k = artifact.train.k_classes
-    echo = _echo(cfg, k)
     bundle_path = out_dir / "bundle.json"
 
     if args.kind == "sae-lstm":
-        sae_cfg = cfg.sae_effective()
-        model = sae.build_stack(artifact.train.x, sae_cfg)
+        sae_seed = cfg.seed_for("sae")
+        model = sae.build_stack(artifact.train.x, cfg.sae, sae_seed)
         head = None
         if cfg.fine_tune:
             head, ft_losses = sae.fine_tune(model, artifact.train.x,
-                                            artifact.train.y, k, sae_cfg)
+                                            artifact.train.y, k, sae_seed)
             (out_dir / "fine_tune_history.csv").write_text(
                 csv_text(("epoch", "loss"), enumerate(ft_losses)),
                 encoding="utf-8")
@@ -234,10 +221,9 @@ def cmd_train(args) -> int:
         codes = model.codes
         if codes is None:
             codes = sae.encode(model, artifact.train.x)
-        lstm_cfg = cfg.lstm_effective()
-        classifier, history = lstm.train_classifier(codes, artifact.train.y,
-                                                    lstm_cfg, k)
-        save_bundle(bundle_path, "sae-lstm", echo, preprocess_doc, {
+        classifier, history = lstm.train_classifier(
+            codes, artifact.train.y, cfg.lstm, cfg.seed_for("lstm"), k)
+        save_bundle(bundle_path, "sae-lstm", cfg.echo(), preprocess_doc, {
             "sae": sae.model_to_dict(model, head),
             "lstm": lstm.model_to_dict(classifier),
         })
@@ -251,9 +237,8 @@ def cmd_train(args) -> int:
             print(f"  final epoch loss {history[-1][0]:.6f}, "
                   f"training accuracy {history[-1][1]:.4f}")
     else:
-        params = replace(cfg.gbt, k_classes=k)
-        model = gbt.train_gbt(artifact.train, params)
-        save_bundle(bundle_path, "gbt", echo, preprocess_doc,
+        model = gbt.train_gbt(artifact.train, cfg.gbt)
+        save_bundle(bundle_path, "gbt", cfg.echo(), preprocess_doc,
                     {"gbt": gbt.model_to_dict(model)})
         (out_dir / "gbt_history.csv").write_text(gbt.history_csv(model),
                                                  encoding="utf-8")

@@ -1,15 +1,23 @@
-"""Pipeline configuration: JSON file plus command-line overrides.
+"""Pipeline configuration: one settings document, read by one strict reader.
 
-One master seed feeds every stochastic stage through labeled substreams, so
-changing it reseeds the whole pipeline coherently while two stages never
-share a stream. Unknown keys anywhere in the file are rejected rather than
-ignored; a typo should fail loudly, not silently fall back to a default.
+The object layout is the document layout. A JSON file may set the top-level
+``seed``, ``fine_tune`` and ``output_dir`` and one object per section
+(``dataset``, ``sae``, ``lstm``, ``gbt``), whose keys are laid over that
+section's defaults. :meth:`PipelineConfig.echo` writes the same layout with
+every default filled in, so a stored ``config`` echo is itself a valid
+configuration file. Unknown keys anywhere are rejected rather than ignored;
+a typo should fail loudly, not silently fall back to a default.
+
+One master seed feeds every stochastic stage through labeled substreams
+(:meth:`PipelineConfig.seed_for`), so changing it reseeds the whole pipeline
+coherently while two stages never share a stream. Stage seeds are derived,
+so they are never settings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import rng
@@ -17,73 +25,76 @@ from .errors import ConfigError, SchemaMismatch, check_int
 from .gbt import GbtParams
 from .lstm import LstmConfig
 from .sae import SAEConfig
+from .serialize import read_fields
 
 DEFAULT_SEED = 1819
 
 
+def _check_fraction(name: str, value) -> None:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+
+
 @dataclass
-class PipelineConfig:
-    csv_path: str | None = None
+class DatasetConfig:
+    csv: str | None = None
     test_ratio: float = 0.2
     split_before_dedup: bool = False
     subsample: float | None = None
+
+    def __post_init__(self):
+        if self.csv is not None and not isinstance(self.csv, str):
+            raise ConfigError(f"dataset csv must be a path string, got "
+                              f"{self.csv!r}")
+        if not isinstance(self.split_before_dedup, bool):
+            raise ConfigError(f"split_before_dedup must be true or false, "
+                              f"got {self.split_before_dedup!r}")
+        _check_fraction("test ratio", self.test_ratio)
+        if self.subsample is not None:
+            _check_fraction("subsample fraction", self.subsample)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DatasetConfig":
+        return read_fields(cls, doc)
+
+
+# section name -> its settings class
+SECTIONS = {"dataset": DatasetConfig, "sae": SAEConfig, "lstm": LstmConfig,
+            "gbt": GbtParams}
+
+
+@dataclass
+class PipelineConfig:
     seed: int = DEFAULT_SEED
     fine_tune: bool = False
     output_dir: str = "out"
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
     sae: SAEConfig = field(default_factory=SAEConfig)
     lstm: LstmConfig = field(default_factory=LstmConfig)
     gbt: GbtParams = field(default_factory=GbtParams)
 
     def __post_init__(self):
-        if self.csv_path is not None and not isinstance(self.csv_path, str):
-            raise ConfigError(f"dataset csv must be a path string, got "
-                              f"{self.csv_path!r}")
+        check_int("seed", self.seed)
+        if not isinstance(self.fine_tune, bool):
+            raise ConfigError(f"fine_tune must be true or false, got "
+                              f"{self.fine_tune!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a path string, got "
                               f"{self.output_dir!r}")
-        if not 0.0 < self.test_ratio < 1.0:
-            raise ConfigError(
-                f"test ratio must lie in (0, 1), got {self.test_ratio}"
-            )
-        if self.subsample is not None and not 0.0 < self.subsample < 1.0:
-            raise ConfigError(
-                f"subsample fraction must lie in (0, 1), got {self.subsample}"
-            )
 
-    # Stage-specific seeds are derived lazily so a --seed override on the
-    # command line re-derives every substream.
-    def split_seed(self) -> int:
-        return rng.derive(self.seed, "split")
-
-    def subsample_seed(self) -> int:
-        return rng.derive(self.seed, "subsample")
-
-    def sae_effective(self) -> SAEConfig:
-        return replace(self.sae, seed=rng.derive(self.seed, "sae"))
-
-    def lstm_effective(self) -> LstmConfig:
-        return replace(self.lstm, seed=rng.derive(self.seed, "lstm"))
+    def seed_for(self, stage: str) -> int:
+        """The seed of one stochastic stage ("split", "subsample", "sae" or
+        "lstm"), derived from the master seed."""
+        return rng.derive(self.seed, stage)
 
     def echo(self) -> dict:
-        """Fully expanded settings, defaults included, for artifact headers."""
-        return {
-            "dataset": {
-                "csv": self.csv_path,
-                "test_ratio": self.test_ratio,
-                "split_before_dedup": self.split_before_dedup,
-                "subsample": self.subsample,
-            },
-            "seed": self.seed,
-            "fine_tune": self.fine_tune,
-            "output_dir": self.output_dir,
-            "sae": self.sae_effective().to_dict(),
-            "lstm": self.lstm_effective().to_dict(),
-            "gbt": self.gbt.to_dict(),
-        }
-
-
-# Stage settings the pipeline derives itself; a file may not set them.
-_DERIVED_KEYS = {"seed", "k_classes"}
+        """The settings document, defaults included, that :func:`from_dict`
+        reads back; artifacts store it as their ``config``."""
+        return {f.name: getattr(self, f.name).to_dict() if f.name in SECTIONS
+                else getattr(self, f.name) for f in fields(self)}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -92,25 +103,13 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(doc: dict, name: str, allowed: set) -> dict:
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    _check_keys(value, allowed, name)
-    return value
-
-
-def _flag(section: dict, key: str) -> bool:
-    value = section.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
 def _stage(doc: dict, name: str, cls):
-    """A stage's settings: the section's keys laid over the class defaults."""
+    """A section's settings: its keys laid over the class defaults."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object")
     defaults = cls().to_dict()
-    section = _section(doc, name, set(defaults) - _DERIVED_KEYS)
+    _check_keys(section, set(defaults), name)
     try:
         return cls.from_dict({**defaults, **section})
     except SchemaMismatch as exc:
@@ -121,26 +120,10 @@ def from_dict(doc: dict) -> PipelineConfig:
     """Settings from a document laid out like :meth:`PipelineConfig.echo`."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
-    layout = PipelineConfig().echo()
-    _check_keys(doc, set(layout), "configuration")
-    ds = _section(doc, "dataset", set(layout["dataset"]))
-    seed = doc.get("seed", DEFAULT_SEED)
-    check_int("seed", seed)
-    try:
-        return PipelineConfig(
-            csv_path=ds.get("csv"),
-            test_ratio=ds.get("test_ratio", 0.2),
-            split_before_dedup=_flag(ds, "split_before_dedup"),
-            subsample=ds.get("subsample"),
-            seed=seed,
-            fine_tune=_flag(doc, "fine_tune"),
-            output_dir=doc.get("output_dir", "out"),
-            sae=_stage(doc, "sae", SAEConfig),
-            lstm=_stage(doc, "lstm", LstmConfig),
-            gbt=_stage(doc, "gbt", GbtParams),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from None
+    _check_keys(doc, {f.name for f in fields(PipelineConfig)}, "configuration")
+    top = {key: value for key, value in doc.items() if key not in SECTIONS}
+    return PipelineConfig(**top, **{name: _stage(doc, name, cls)
+                                    for name, cls in SECTIONS.items()})
 
 
 def load_config(path) -> PipelineConfig:

@@ -405,30 +405,21 @@ def build_encoding(table: RawTable) -> EncodingMap:
     return EncodingMap(categories)
 
 
-def label_encode(table: RawTable, maps: EncodingMap | None = None):
+def label_encode(table: RawTable):
     """Turn string cells into a float matrix. Returns (EncodedTable, EncodingMap).
 
-    When ``maps`` is given (scoring new rows with a frozen vocabulary), values
-    absent from it raise :class:`UnknownCategory`; otherwise codes are built
-    from this table's own value set. Each distinct record is encoded once and
-    then copied to every row that holds it.
+    Codes are built from this table's own value set. Each distinct record is
+    encoded once and then copied to every row that holds it.
     """
-    if maps is None:
-        maps = build_encoding(table)
+    maps = build_encoding(table)
     distinct = len(table.cells[0])
     values = np.empty((distinct, len(NAMES)), dtype=np.float64)
     for j, (name, kind) in enumerate(COLUMNS):
         if kind == NUMERIC:
             values[:, j] = table.numbers[name]
             continue
-        index = maps._index[name]
-        cells = table.cells[j]
-        try:
-            values[:, j] = np.fromiter(map(index.__getitem__, cells),
-                                       np.float64, distinct)
-        except KeyError:
-            unknown = next(cell for cell in cells if cell not in index)
-            raise UnknownCategory(name, unknown) from None
+        values[:, j] = np.fromiter(map(maps._index[name].__getitem__,
+                                       table.cells[j]), np.float64, distinct)
     return EncodedTable(values=values[table.inverse], maps=maps), maps
 
 

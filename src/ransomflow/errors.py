@@ -34,7 +34,6 @@ class MissingColumn(DataError):
 class RaggedRow(DataError):
     def __init__(self, line_no: int, expected: int, found: int):
         self.line_no = line_no
-        self.expected = expected
         self.found = found
         super().__init__(
             f"line {line_no}: expected {expected} fields, found {found}"
@@ -78,8 +77,6 @@ class LengthMismatch(DataError):
 
 class LabelOutOfRange(DataError):
     def __init__(self, label: int, k_classes: int):
-        self.label = label
-        self.k_classes = k_classes
         super().__init__(f"label {label} outside [0, {k_classes})")
 
 
@@ -139,19 +136,13 @@ class DegenerateClasses(DataError):
 
 class InsufficientRows(DataError):
     def __init__(self, needed: int, found: int, context: str = ""):
-        self.needed = needed
-        self.found = found
         suffix = f" for {context}" if context else ""
         super().__init__(f"need at least {needed} rows{suffix}, found {found}")
 
 
 class ClassSetMismatch(DataError):
     def __init__(self, left, right):
-        self.left = tuple(left)
-        self.right = tuple(right)
-        super().__init__(
-            f"class sets differ: {sorted(self.left)} vs {sorted(self.right)}"
-        )
+        super().__init__(f"class sets differ: {sorted(left)} vs {sorted(right)}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +155,6 @@ class SchemaMismatch(DataError):
 
 class ChecksumMismatch(DataError):
     def __init__(self, path, expected, found: str):
-        self.expected = expected  # as recorded, of whatever JSON type
         self.found = found
         super().__init__(
             f"{path}: checksum mismatch: recorded {str(expected)[:12]}..., "

@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
-    SchemaMismatch,
     ShapeMismatch,
     check_int,
     check_label_range,
@@ -48,12 +47,10 @@ class GbtParams:
     max_depth: int = 6
     rounds: int = 100
     min_child_hessian: float = 1.0
-    k_classes: int = 3
 
     def __post_init__(self):
         check_int("max depth", self.max_depth, 1)
         check_int("rounds", self.rounds, 0)
-        check_int("class count", self.k_classes, 2)
         if self.gamma < 0 or self.lambda_ < 0:
             raise ConfigError("gamma and lambda must be non-negative")
         if not 0.0 < self.shrinkage <= 1.0:
@@ -267,15 +264,16 @@ def _mean_ce(raw: np.ndarray, y: np.ndarray) -> float:
 def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
     """Boost ``params.rounds`` rounds on a feature matrix.
 
-    ``fm`` needs ``x`` (n, d) and integer ``y`` attributes; labels must fall
-    inside [0, params.k_classes). ``training_loss`` records the mean
+    ``fm`` needs ``x`` (n, d), integer ``y`` and ``k_classes`` attributes;
+    labels must fall inside [0, fm.k_classes), and one tree list is grown
+    per class. ``training_loss`` records the mean
     cross-entropy before any trees and after each round.
     """
     params = params or GbtParams()
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(fm.x, dtype=np.float64)
     y = np.asarray(fm.y, dtype=np.int64)
-    k = check_labeled_rows(x, y, params.k_classes)
+    k = check_labeled_rows(x, y, fm.k_classes)
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
     n = x.shape[0]
@@ -353,13 +351,8 @@ def model_to_dict(model: GbtModel) -> dict:
 
 
 def model_from_dict(doc: dict, params: GbtParams) -> GbtModel:
-    """The model in ``doc``; :class:`SchemaMismatch` unless it holds one tree
-    list per class of ``params.k_classes``."""
     trees = [[node_from_dict(t) for t in per_class]
              for per_class in doc["trees"]]
-    if len(trees) != params.k_classes:
-        raise SchemaMismatch(f"{len(trees)} tree lists for "
-                             f"{params.k_classes} classes")
     return GbtModel(trees=trees, params=params,
                     training_loss=[float(v) for v in doc["training_loss"]])
 

@@ -184,7 +184,6 @@ class LstmConfig:
     learning_rate: float = 0.001
     sequence_layout: str = "single-step"
     clip_threshold: float | None = None
-    seed: int = 1819
 
     def __post_init__(self):
         check_int("hidden size", self.hidden_size, 1)
@@ -353,9 +352,9 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
     return grads, norm
 
 
-def create_classifier(input_dim: int, k_classes: int,
-                      config: LstmConfig) -> LstmClassifier:
-    """Fresh stack with seeded Glorot gates and zero biases."""
+def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
+                      seed: int) -> LstmClassifier:
+    """Fresh stack with Glorot gates drawn from ``seed`` and zero biases."""
     if k_classes < 2:
         raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
     cells = []
@@ -363,28 +362,27 @@ def create_classifier(input_dim: int, k_classes: int,
     for layer_index in range(config.num_layers):
         cells.append(LstmCell.create(
             step_width, config.hidden_size,
-            rng.derive(config.seed, "cell", layer_index),
+            rng.derive(seed, "cell", layer_index),
         ))
         step_width = config.hidden_size
     head = DenseLayer.create(config.hidden_size, k_classes, "softmax",
-                             rng.derive(config.seed, "head"))
+                             rng.derive(seed, "head"))
     return LstmClassifier(cells=cells, head=head, config=config)
 
 
-def train_classifier(x: np.ndarray, y: np.ndarray,
-                     config: LstmConfig | None = None,
-                     k_classes: int | None = None):
+def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
+                     seed: int, k_classes: int | None = None):
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
 
-    Returns (model, history). ``history`` holds one (mean loss, training
-    accuracy) pair per epoch, accumulated over the batches of that epoch.
+    ``seed`` draws the initial weights and the batch order. Returns (model,
+    history). ``history`` holds one (mean loss, training accuracy) pair per
+    epoch, accumulated over the batches of that epoch.
     """
-    config = config or LstmConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     k = check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
-    model = create_classifier(sequences.shape[2], k, config)
+    model = create_classifier(sequences.shape[2], k, config, seed)
     # Adam steps views of the parameters. With one step per sequence every
     # cell runs from zero state, so the recurrent block w[:, :H] keeps its
     # seeded values and only w[:, H:] is live.
@@ -404,7 +402,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray,
                 int((probs.argmax(axis=1) == labels).sum()))
 
     history = train_epochs(params, batch_step, x.shape[0], config.batch_size,
-                           config.learning_rate, config.seed, config.epochs)
+                           config.learning_rate, seed, config.epochs)
     return model, history
 
 

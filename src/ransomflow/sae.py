@@ -47,7 +47,6 @@ class SAEConfig:
     batch_size: int = 128
     learning_rate: float = 0.001
     convergence_threshold: float | None = None
-    seed: int = 1819
 
     def __post_init__(self):
         self.encoder_dims = tuple(self.encoder_dims)
@@ -103,7 +102,7 @@ class SAEModel:
 
 
 def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
-                   seed: int | None = None):
+                   seed: int):
     """Train one (encoder, decoder) pair to reconstruct ``data``.
 
     Returns (encoder, decoder, losses) where losses holds the running
@@ -117,7 +116,6 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     n, width = data.shape
     if n == 0:
         raise EmptyData("cannot pretrain on zero rows")
-    seed = config.seed if seed is None else seed
     encoder = DenseLayer.create(width, hidden_dim, config.activation,
                                 rng.derive(seed, "encoder"))
     decoder = DenseLayer.create(hidden_dim, width, "linear",
@@ -138,21 +136,21 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     return encoder, decoder, [loss for loss, _ in history]
 
 
-def build_stack(data: np.ndarray, config: SAEConfig | None = None) -> SAEModel:
+def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     """Greedy layerwise pretraining over ``config.encoder_dims``.
 
-    Labels are never consulted. The returned model records each layer's loss
-    curve and the whole stack's reconstruction loss on the training data,
-    and keeps the training data's codes, equal to ``encode(model, data)``.
+    Each layer draws from its own substream of ``seed``. Labels are never
+    consulted. The returned model records each layer's loss curve and the
+    whole stack's reconstruction loss on the training data, and keeps the
+    training data's codes, equal to ``encode(model, data)``.
     """
-    config = config or SAEConfig()
     data = np.asarray(data, dtype=np.float64)
     encoders = []
     decoders = []
     histories = []
     current = data
     for depth, hidden_dim in enumerate(config.encoder_dims):
-        layer_seed = rng.derive(config.seed, "layer", depth)
+        layer_seed = rng.derive(seed, "layer", depth)
         encoder, decoder, losses = pretrain_layer(current, hidden_dim, config,
                                                   layer_seed)
         encoders.append(encoder)
@@ -189,19 +187,20 @@ def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
 
 
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
-              config: SAEConfig | None = None):
+              seed: int, config: SAEConfig | None = None):
     """Supervised pass: softmax head on the code layer, cross-entropy loss.
 
     Encoder weights and the head are updated jointly; decoders are left
-    untouched, and the codes ``build_stack`` kept are dropped. Returns
-    (head, losses) with the per-epoch mean loss.
+    untouched, and the codes ``build_stack`` kept are dropped. The head and
+    the batch order draw from a substream of ``seed``, the seed the stack
+    was built with. Returns (head, losses) with the per-epoch mean loss.
     """
     config = config or model.config
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     check_labeled_rows(x, y, k_classes)
     model.codes = None  # the encoders change below
-    seed = rng.derive(config.seed, "fine-tune")
+    seed = rng.derive(seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))
 

@@ -20,10 +20,11 @@ from .errors import ConfigError, DataError, SchemaMismatch
 
 # Stored dataset artifacts and model bundles; version 2 stores numbers as
 # bytes, version 3 states each fact once, version 4 leaves the column layout
-# (dataset.COLUMNS) to the code.
-SCHEMA_VERSION = 4
+# (dataset.COLUMNS) to the code, version 5 drops the derived stage seeds and
+# class count from the config echo.
+SCHEMA_VERSION = 5
 # Reports and summaries (report.json, comparison.json, analysis.json,
-# stats.json), whose layout versions 2 to 4 left unchanged.
+# stats.json), whose layout versions 2 to 5 left unchanged.
 REPORT_VERSION = 1
 
 

@@ -72,9 +72,9 @@ def skip_line(name: str, reason: str):
 
 
 def test_c1_parameter_counts():
-    sae_model = build_stack(rng.uniform(1, (8, 13)), SAEConfig(epochs=0))
+    sae_model = build_stack(rng.uniform(1, (8, 13)), SAEConfig(epochs=0), 1819)
     per_layer = sae_model.layer_param_counts
-    lstm_model = create_classifier(13, 3, LstmConfig())
+    lstm_model = create_classifier(13, 3, LstmConfig(), 1819)
     ok = (sae_model.param_count == 11026
           and per_layer == [1050, 3800, 663, 700, 3825, 988]
           and lstm_model.param_count == 122811
@@ -119,7 +119,7 @@ def dense_fd_error(activation: str, seed: int) -> float:
 
 def sae_stack_fd_error() -> float:
     data = rng.uniform(108, (3, 13))
-    model = build_stack(data, SAEConfig(epochs=0, seed=8))
+    model = build_stack(data, SAEConfig(epochs=0), 8)
     layers = model.encoders + model.decoders
     params = []
     for layer in layers:
@@ -149,7 +149,7 @@ def sae_stack_fd_error() -> float:
 
 
 def lstm_fd_error(time_steps: int, seed: int) -> float:
-    model = create_classifier(4, 3, LstmConfig(hidden_size=3, seed=seed))
+    model = create_classifier(4, 3, LstmConfig(hidden_size=3), seed)
     seqs = rng.uniform(rng.derive(seed, "seq"), (4, time_steps, 4))
     labels = np.array([0, 1, 2, 1])
     params = model.params()
@@ -345,18 +345,18 @@ def test_c6_desk_scale_training():
     train_fm, stats = normalize(train_tbl)
     test_fm, _ = normalize(test_tbl, stats)
 
-    sae_cfg = SAEConfig(epochs=50, seed=rng.derive(1819, "sae"))
-    sae_model = build_stack(train_fm.x, sae_cfg)
+    sae_model = build_stack(train_fm.x, SAEConfig(epochs=50),
+                            rng.derive(1819, "sae"))
     first_layer = sae_model.pretrain_losses[0]
     sae_ok = min(first_layer) < 0.5 * first_layer[0]
 
-    lstm_cfg = LstmConfig(epochs=60, seed=rng.derive(1819, "lstm"))
     classifier, _ = train_classifier(encode(sae_model, train_fm.x),
-                                     train_fm.y, lstm_cfg, 3)
+                                     train_fm.y, LstmConfig(epochs=60),
+                                     rng.derive(1819, "lstm"), 3)
     lstm_acc = float((lstm_predict(classifier, encode(sae_model, test_fm.x))
                       == test_fm.y).mean())
 
-    gbt_model = train_gbt(train_fm, GbtParams(k_classes=3))
+    gbt_model = train_gbt(train_fm, GbtParams())
     gbt_acc = float((predict_labels(gbt_model, test_fm.x)
                      == test_fm.y).mean())
 

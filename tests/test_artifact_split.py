@@ -16,7 +16,7 @@ from conftest import rewrite_table, synthetic_csv_text
 
 from ransomflow.artifacts import load_artifact
 from ransomflow.cli import main
-from ransomflow.config import PipelineConfig
+from ransomflow.config import DatasetConfig, PipelineConfig
 from ransomflow.dataset import (
     clean_timestamps,
     deduplicate,
@@ -46,14 +46,15 @@ def scrub(table):
 
 def reference_split(csv_path, cfg: PipelineConfig):
     """(train, test, duplicates removed, bad timestamps removed)."""
+    ds = cfg.dataset
     encoded, _ = label_encode(parse_csv(csv_path))
-    if cfg.subsample is not None:
-        _, keep = stratified_indices(encoded.target_codes(), cfg.subsample,
-                                     cfg.subsample_seed())
+    if ds.subsample is not None:
+        _, keep = stratified_indices(encoded.target_codes(), ds.subsample,
+                                     cfg.seed_for("subsample"))
         encoded = encoded.with_values(encoded.values[keep])
-    if cfg.split_before_dedup:
-        sides = stratified_indices(encoded.target_codes(), cfg.test_ratio,
-                                   cfg.split_seed())
+    if ds.split_before_dedup:
+        sides = stratified_indices(encoded.target_codes(), ds.test_ratio,
+                                   cfg.seed_for("split"))
         scrubbed = [scrub(encoded.with_values(encoded.values[idx]))
                     for idx in sides]
         (train_tbl, test_tbl), dups, bads = zip(*scrubbed)
@@ -63,7 +64,7 @@ def reference_split(csv_path, cfg: PipelineConfig):
         train_tbl, test_tbl = (
             table.with_values(table.values[idx])
             for idx in stratified_indices(table.target_codes(),
-                                          cfg.test_ratio, cfg.split_seed()))
+                                          ds.test_ratio, cfg.seed_for("split")))
     train, stats = normalize(train_tbl)
     test, _ = normalize(test_tbl, stats)
     return train, test, duplicates, bad
@@ -79,9 +80,10 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
     assert main(["ingest", str(dup_heavy_csv), "--output", str(out),
                  "--seed", str(SEED), "--test-ratio", str(TEST_RATIO),
                  *flags]) == 0
-    cfg = PipelineConfig(seed=SEED, test_ratio=TEST_RATIO,
-                         split_before_dedup="--split-before-dedup" in flags,
-                         subsample=0.5 if "--subsample" in flags else None)
+    cfg = PipelineConfig(seed=SEED, dataset=DatasetConfig(
+        test_ratio=TEST_RATIO,
+        split_before_dedup="--split-before-dedup" in flags,
+        subsample=0.5 if "--subsample" in flags else None))
     train, test, duplicates, bad = reference_split(dup_heavy_csv, cfg)
     artifact = load_artifact(out)
     for loaded, expected in ((artifact.train, train), (artifact.test, test)):
@@ -92,7 +94,7 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
     stages = payload["stages"]
     assert stages["duplicates_removed"] == duplicates
     assert stages["bad_timestamps_removed"] == bad
-    if cfg.split_before_dedup:
+    if cfg.dataset.split_before_dedup:
         with np.load(out / "table.npz") as stored:
             train_index = stored["train_index"].tolist()
             test_index = stored["test_index"].tolist()

@@ -13,7 +13,13 @@ from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
 from ransomflow.dataset import parse_csv, preprocess_to_dict
-from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
+from ransomflow.serialize import (
+    SCHEMA_VERSION,
+    array_doc,
+    array_from_doc,
+    checksum,
+    dump_json,
+)
 
 INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.npz")
 
@@ -192,12 +198,15 @@ def test_ingest_cr_only_line_ends_match_lf(synthetic_csv, artifact_dir,
 
 
 def test_usage_problems_exit_1(tmp_path, capsys):
-    assert main([]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["ingest", "x.csv", "--no-such-flag"]) == 1
-    assert main(["train", "art", "--kind", "nonsense"]) == 1
-    assert main(["ingest", "x.csv", "--test-ratio", "1.5"]) == 1
-    capsys.readouterr()
+    for argv in ([], ["frobnicate"], ["ingest", "x.csv", "--no-such-flag"],
+                 ["train", "art", "--kind", "nonsense"],
+                 ["ingest", "x.csv", "--test-ratio", "1.5"],
+                 ["ingest", "x.csv", "--subsample", "1.5"],
+                 ["train", "art", "--sae-epochs", "-1"],
+                 ["train", "art", "--lstm-hidden", "0"],
+                 ["train", "art", "--gbt-rounds", "-1"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
@@ -346,8 +355,10 @@ def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
 # a value that deletes its field instead of setting it
 _DELETE = object()
 
-# a stored file, a dotted field of its {checksum, payload} document, and a
-# malformed value for it; a payload edit keeps the checksum matching
+# a stored file (bundle.json is the gbt bundle's, sae-bundle.json the
+# sae-lstm one's), a dotted field of its {checksum, payload} document (a
+# number indexes a list), and a malformed value for it; a payload edit keeps
+# the checksum matching
 _MALFORMED_FIELDS = {
     "dataset-checksum-null": ("dataset.json", "checksum", None),
     "dataset-checksum-number": ("dataset.json", "checksum", 5),
@@ -357,6 +368,8 @@ _MALFORMED_FIELDS = {
     "bundle-version-2": ("bundle.json", "payload.schema_version", 2),
     "dataset-version-3": ("dataset.json", "payload.schema_version", 3),
     "bundle-version-3": ("bundle.json", "payload.schema_version", 3),
+    "dataset-version-4": ("dataset.json", "payload.schema_version", 4),
+    "bundle-version-4": ("bundle.json", "payload.schema_version", 4),
     "class-list-string": ("dataset.json",
                           "payload.preprocess.encoding.Prediction", "x"),
     "class-list-number": ("dataset.json",
@@ -385,23 +398,27 @@ _MALFORMED_FIELDS = {
     "table-sha256-number": ("dataset.json", "payload.table_sha256", 5),
     "bundle-encoding-list": ("bundle.json", "payload.preprocess.encoding",
                              [1, 2]),
+    "encoder-biases-shape": ("sae-bundle.json",
+                             "payload.components.sae.encoders.0.biases",
+                             array_doc(np.zeros(3), "biases")),
 }
 
 
 @pytest.mark.parametrize("case", _MALFORMED_FIELDS)
 def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
-                                        tmp_path, capsys):
+                                        sae_bundle_dir, tmp_path, capsys):
     name, field, value = _MALFORMED_FIELDS[case]
     art = tmp_path / "art"
     shutil.copytree(artifact_dir, art)
     bundle = tmp_path / "bundle.json"
-    shutil.copy(gbt_bundle_dir / "bundle.json", bundle)
+    source = sae_bundle_dir if name == "sae-bundle.json" else gbt_bundle_dir
+    shutil.copy(source / "bundle.json", bundle)
     target = art / name if name == "dataset.json" else bundle
     doc = json.loads(target.read_text())
     *parents, last = field.split(".")
     node = doc
     for key in parents:
-        node = node[key]
+        node = node[int(key)] if isinstance(node, list) else node[key]
     if value is _DELETE:
         del node[last]
     else:
@@ -415,6 +432,9 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(art if name == "dataset.json" else bundle) in err
+    if field == "payload.schema_version":
+        assert (f"schema_version {value} is not supported "
+                f"(expected {SCHEMA_VERSION})") in err
 
 
 def object_keys(node, path="", found=None) -> dict:
@@ -615,14 +635,28 @@ def test_evaluate_tampered_stored_config_exits_3(component, edit,
     assert err.startswith("error: ") and str(bundle) in err
 
 
-# a stage setting in the bundle's config echo -> a value the stored weights
-# contradict (the fixture bundles: encoder dims 75/50/13, one 16-wide LSTM
-# layer, 3 classes)
+def _widen_head(payload):
+    """One more LSTM head output, which never wins: zero weights, bias -1e3."""
+    head = payload["components"]["lstm"]["head"]
+    weights = array_from_doc(head["weights"])
+    head["weights"] = array_doc(np.vstack([weights, np.zeros(weights.shape[1])]),
+                                "weights")
+    head["biases"] = array_doc(np.append(array_from_doc(head["biases"]), -1e3),
+                               "biases")
+
+
+# a bundle kind -> an edit after which the stored weights contradict the
+# config echo's stage settings or the class list (the fixture bundles:
+# encoder dims 75/50/13, one 16-wide LSTM layer, 3 classes)
 _CONTRADICTED = {
-    "lstm-hidden-size": ("lstm", "hidden_size", 8),
-    "lstm-num-layers": ("lstm", "num_layers", 2),
-    "sae-encoder-dims": ("sae", "encoder_dims", [75, 50, 12]),
-    "gbt-k-classes": ("gbt", "k_classes", 2),
+    "lstm-hidden-size": ("sae-lstm", lambda p: p["config"]["lstm"].update(
+        hidden_size=8)),
+    "lstm-num-layers": ("sae-lstm", lambda p: p["config"]["lstm"].update(
+        num_layers=2)),
+    "sae-encoder-dims": ("sae-lstm", lambda p: p["config"]["sae"].update(
+        encoder_dims=[75, 50, 12])),
+    "gbt-k-classes": ("gbt", lambda p: p["components"]["gbt"]["trees"].pop()),
+    "lstm-head-width": ("sae-lstm", _widen_head),
 }
 
 
@@ -631,12 +665,8 @@ def test_evaluate_config_contradicting_weights_exits_3(case, sae_bundle_dir,
                                                        gbt_bundle_dir,
                                                        artifact_dir, tmp_path,
                                                        capsys):
-    component, key, value = _CONTRADICTED[case]
-
-    def change(payload):
-        payload["config"][component][key] = value
-
-    source = gbt_bundle_dir if component == "gbt" else sae_bundle_dir
+    kind, change = _CONTRADICTED[case]
+    source = gbt_bundle_dir if kind == "gbt" else sae_bundle_dir
     bundle = tmp_path / "bundle.json"
     _rewrite_bundle(source / "bundle.json", bundle, change)
     rc = main(["evaluate", str(bundle), str(artifact_dir),
@@ -646,8 +676,8 @@ def test_evaluate_config_contradicting_weights_exits_3(case, sae_bundle_dir,
     assert err.startswith("error: ") and str(bundle) in err
 
 
-def test_two_class_gbt_bundle_echoes_its_class_count(synthetic_csv, tmp_path,
-                                                     capsys):
+def test_two_class_gbt_bundle_has_two_tree_lists(synthetic_csv, tmp_path,
+                                                 capsys):
     def drop_ss(data):
         return b"\n".join(line for line in data.split(b"\n")
                           if not line.endswith(b",SS"))
@@ -658,7 +688,6 @@ def test_two_class_gbt_bundle_echoes_its_class_count(synthetic_csv, tmp_path,
     assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "2",
                  "--output", str(out)]) == 0
     payload = json.loads((out / "bundle.json").read_text())["payload"]
-    assert payload["config"]["gbt"]["k_classes"] == 2
     assert len(payload["components"]["gbt"]["trees"]) == 2
     assert main(["evaluate", str(out / "bundle.json"), str(art),
                  "--output", str(tmp_path / "e")]) == 0
@@ -933,6 +962,32 @@ def test_train_is_byte_deterministic(artifact_dir, tmp_path):
                          "--seed", "5"], sae_out)
 
 
+@pytest.mark.parametrize("argv,stored", [
+    (["ingest", "{csv}", "--seed", "5", "--test-ratio", "0.3",
+      "--split-before-dedup"], "dataset.json"),
+    (["train", "{art}", "--kind", "sae-lstm", "--sae-epochs", "2",
+      "--lstm-epochs", "2", "--lstm-hidden", "8", "--fine-tune", "--seed", "7"],
+     "bundle.json"),
+    (["train", "{art}", "--kind", "gbt", "--gbt-rounds", "3", "--seed", "5"],
+     "bundle.json"),
+], ids=["ingest", "sae-lstm-fine-tune", "gbt"])
+def test_stored_config_replays_as_config_file(argv, stored, synthetic_csv,
+                                              artifact_dir, tmp_path, capsys):
+    """The config echo of a written file, given back as --config with only
+    the positional arguments and --kind, writes the same bytes."""
+    out = tmp_path / "o"
+    argv = [arg.format(csv=synthetic_csv[0], art=artifact_dir) for arg in argv]
+    assert main(argv + ["--output", str(out)]) == 0
+    first = snapshot(out)
+    config = tmp_path / "config.json"
+    dump_json(config, json.loads(first[stored])["payload"]["config"])
+    shutil.rmtree(out)
+    replay = argv[:2] + (argv[2:4] if argv[2] == "--kind" else [])
+    assert main(replay + ["--config", str(config)]) == 0
+    capsys.readouterr()
+    assert snapshot(out) == first
+
+
 def explicit_sae_lstm(argv, out):
     """The sae-lstm training pipeline step by step, encoding the training
     rows again after build_stack (and fine_tune) instead of reusing codes."""
@@ -940,16 +995,15 @@ def explicit_sae_lstm(argv, out):
     cfg = cli._load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
     x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
-    sae_cfg = cfg.sae_effective()
-    model = sae.build_stack(x, sae_cfg)
+    model = sae.build_stack(x, cfg.sae, cfg.seed_for("sae"))
     head = None
     if cfg.fine_tune:
-        head, _ = sae.fine_tune(model, x, y, k, sae_cfg)
+        head, _ = sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))
     codes = sae.encode(model, x)
-    classifier, history = lstm.train_classifier(codes, y, cfg.lstm_effective(),
-                                                k)
+    classifier, history = lstm.train_classifier(codes, y, cfg.lstm,
+                                                cfg.seed_for("lstm"), k)
     out.mkdir(parents=True)
-    save_bundle(out / "bundle.json", "sae-lstm", cli._echo(cfg, k),
+    save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(),
                 preprocess_to_dict(artifact.maps, artifact.stats),
                 {"sae": sae.model_to_dict(model, head),
                  "lstm": lstm.model_to_dict(classifier)})

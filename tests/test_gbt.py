@@ -250,13 +250,17 @@ def test_train_validates_inputs():
     # trainer's validation is what fires
     x = rng.uniform(67, (8, 2))
     with pytest.raises(DegenerateClasses):
-        train_gbt(SimpleNamespace(x=x, y=np.zeros(8, dtype=int)), GbtParams())
-    with pytest.raises(LabelOutOfRange):
-        train_gbt(SimpleNamespace(x=x, y=np.array([0, 1, 2, 3, 0, 1, 2, 3])),
-                  GbtParams(rounds=1))
-    with pytest.raises(EmptyData):
-        train_gbt(SimpleNamespace(x=np.empty((0, 2)), y=np.empty(0, dtype=int)),
+        train_gbt(SimpleNamespace(x=x, y=np.zeros(8, dtype=int), k_classes=3),
                   GbtParams())
+    with pytest.raises(DegenerateClasses):
+        train_gbt(SimpleNamespace(x=x, y=np.zeros(8, dtype=int), k_classes=1),
+                  GbtParams())
+    with pytest.raises(LabelOutOfRange):
+        train_gbt(SimpleNamespace(x=x, y=np.array([0, 1, 2, 3, 0, 1, 2, 3]),
+                                  k_classes=3), GbtParams(rounds=1))
+    with pytest.raises(EmptyData):
+        train_gbt(SimpleNamespace(x=np.empty((0, 2)), y=np.empty(0, dtype=int),
+                                  k_classes=3), GbtParams())
 
 
 def test_params_validation_and_round_trip():
@@ -266,8 +270,6 @@ def test_params_validation_and_round_trip():
         GbtParams(lambda_=-1.0)
     with pytest.raises(ConfigError):
         GbtParams(max_depth=0)
-    with pytest.raises(ConfigError):
-        GbtParams(k_classes=1)
     params = GbtParams(gamma=0.5, lambda_=2.0, rounds=7)
     doc = params.to_dict()
     assert doc["lambda"] == 2.0

@@ -100,8 +100,8 @@ def ref_build_tree(rows, x, g, h, params, depth=0):
     )
 
 
-def ref_train_gbt(x, y, params):
-    n, k = x.shape[0], params.k_classes
+def ref_train_gbt(x, y, params, k):
+    n = x.shape[0]
     raw = np.zeros((n, k))
     trees = [[] for _ in range(k)]
     losses = [_mean_ce(raw, y)]
@@ -118,7 +118,8 @@ def ref_train_gbt(x, y, params):
 
 
 def random_case(seed):
-    """Rows, labels and parameters covering the awkward column shapes."""
+    """Rows, labels, parameters and class count covering the awkward column
+    shapes."""
     draws = rng.uniform(rng.derive(seed, "case"), 8)
     n = 40 + int(draws[0] * 260)
     k = 2 + int(draws[1] * 3)
@@ -142,9 +143,8 @@ def random_case(seed):
         lambda_=(0.0, 1.0)[int(draws[4] * 2)],
         max_depth=1 + int(draws[5] * 6),
         rounds=1 + int(draws[6] * 3),
-        k_classes=k,
     )
-    return x, y, params
+    return x, y, params, k
 
 
 def model_json(model):
@@ -153,22 +153,22 @@ def model_json(model):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_training_matches_reference(seed):
-    x, y, params = random_case(seed)
-    fast = train_gbt(SimpleNamespace(x=x, y=y), params)
-    slow = ref_train_gbt(x, y, params)
+    x, y, params, k = random_case(seed)
+    fast = train_gbt(SimpleNamespace(x=x, y=y, k_classes=k), params)
+    slow = ref_train_gbt(x, y, params, k)
     assert model_json(fast) == model_json(slow)
     assert repr(fast.training_loss) == repr(slow.training_loss)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_split_and_subtree_match_reference_on_row_subsets(seed):
-    x, y, params = random_case(seed)
+    x, y, params, k = random_case(seed)
     g, h = grad_hess(y, rng.uniform_signed(rng.derive(seed, "raw"),
-                                           (len(y), params.k_classes), 2.0))
+                                           (len(y), k), 2.0))
     pick = rng.uniform(rng.derive(seed, "subset"), len(y))
     for rows in (np.arange(len(y)), np.flatnonzero(pick < 0.5),
                  rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30]):
-        for c in range(params.k_classes):
+        for c in range(k):
             # SplitDecision equality compares the gain bits too, which
             # depend on the order the prefix sums visit the rows
             assert best_split(rows, x, g[:, c], h[:, c], params) \
@@ -181,15 +181,15 @@ def test_split_and_subtree_match_reference_on_row_subsets(seed):
 def test_blob_fixture_matches_reference():
     x, y = blob_data(30, 3, seed=79)
     params = GbtParams(rounds=5, max_depth=4)
-    fast = train_gbt(SimpleNamespace(x=x, y=y), params)
-    slow = ref_train_gbt(x, y, params)
+    fast = train_gbt(SimpleNamespace(x=x, y=y, k_classes=3), params)
+    slow = ref_train_gbt(x, y, params, 3)
     assert model_json(fast) == model_json(slow)
     assert repr(fast.training_loss) == repr(slow.training_loss)
 
 
 def test_cases_cover_the_corner_cases():
     cases = [random_case(seed) for seed in range(40)]
-    params = [p for _, _, p in cases]
+    params = [p for _, _, p, _ in cases]
     assert {p.min_child_hessian for p in params} == {0.0, 0.1, 1.0, 5.0}
     assert {p.gamma for p in params} == {0.0, 0.01, 1.0}
     assert {p.lambda_ for p in params} == {0.0, 1.0}
@@ -205,8 +205,8 @@ def test_cases_cover_the_corner_cases():
             | split_features(node.right)
 
     used = set()
-    for cx, cy, p in cases:
-        for per_class in ref_train_gbt(cx, cy, p).trees:
+    for cx, cy, p, k in cases:
+        for per_class in ref_train_gbt(cx, cy, p, k).trees:
             for tree in per_class:
                 used |= split_features(tree)
     # few-valued, adjacent-float, smooth and rounded columns all get split;

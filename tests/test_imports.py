@@ -17,7 +17,10 @@ on may stay unreached.
 
 The field scan holds dataclass fields to the same rule: each must be read as
 an attribute somewhere in ``src/ransomflow`` or ``perfbench`` (see
-:func:`unread_fields`).
+:func:`unread_fields`). The attribute scan does the same for what the
+exception ``__init__``s in ``errors.py`` store: each must be read off a caught
+exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
+:func:`unread_exception_attributes`).
 """
 
 import ast
@@ -282,3 +285,74 @@ def test_every_dataclass_field_is_read():
     bench = [p.read_text(encoding="utf-8")
              for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unread_fields(modules, bench) == []
+
+
+def unread_exception_attributes(errors_source: str, others) -> list:
+    """``Class.name`` for each ``self.<name> = ...`` in a class ``__init__``
+    of ``errors_source`` that no source in ``others`` reads off a caught
+    exception, sorted. A read is ``e.<name>`` or ``getattr(e, "<name>")``
+    where ``except ... as e`` binds ``e``, or ``info.value.<name>`` where
+    ``with pytest.raises(...) as info`` binds ``info``."""
+    stored = sorted(
+        f"{cls.name}.{target.attr}"
+        for cls in ast.parse(errors_source).body if isinstance(cls, ast.ClassDef)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for node in ast.walk(init) if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and ast.unparse(target.value) == "self")
+    read = set()
+    for tree in map(ast.parse, others):
+        caught = set()  # expressions that hold a caught exception
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.name:
+                caught.add(node.name)
+            elif isinstance(node, ast.withitem) \
+                    and isinstance(node.optional_vars, ast.Name) \
+                    and ast.unparse(node.context_expr).startswith(
+                        "pytest.raises("):
+                caught.add(f"{node.optional_vars.id}.value")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load) \
+                    and ast.unparse(node.value) in caught:
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) == "getattr" \
+                    and len(node.args) > 1 \
+                    and ast.unparse(node.args[0]) in caught \
+                    and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+    return [name for name in stored if name.split(".")[1] not in read]
+
+
+def test_attribute_scan_finds_attributes_no_handler_reads():
+    errors = ("class Base(Exception):\n"
+              "    pass\n"
+              "class Bad(Base):\n"
+              "    def __init__(self, a, b, c, d):\n"
+              "        self.a = a\n"
+              "        self.b = b\n"
+              "        self.c = c\n"
+              "        self.d = d\n"
+              "        super().__init__(f'{self.d}')\n")
+    other = ("import pytest\n"
+             "def f(node):\n"
+             "    try:\n"
+             "        return node.d\n"
+             "    except Base as exc:\n"
+             "        return exc.a, getattr(exc, 'b')\n"
+             "def test():\n"
+             "    with pytest.raises(Bad) as info:\n"
+             "        f(None)\n"
+             "    assert info.value.c\n")
+    assert unread_exception_attributes(errors, []) == [
+        "Bad.a", "Bad.b", "Bad.c", "Bad.d"]
+    assert unread_exception_attributes(errors, [errors, other]) == ["Bad.d"]
+
+
+def test_every_exception_attribute_is_read():
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
+    assert unread_exception_attributes(errors, texts) == []

@@ -113,7 +113,7 @@ def test_cell_state_magnitude_grows_at_most_one_per_step():
 
 
 def test_sequence_forward_uniform_probs_with_zero_model():
-    model = create_classifier(5, 4, LstmConfig(hidden_size=3, seed=1))
+    model = create_classifier(5, 4, LstmConfig(hidden_size=3), 1)
     for cell in model.cells:
         for p in cell.params():
             p[:] = 0.0
@@ -124,14 +124,14 @@ def test_sequence_forward_uniform_probs_with_zero_model():
 
 
 def test_sequence_forward_probs_sum_to_one():
-    model = create_classifier(6, 3, LstmConfig(hidden_size=7, seed=5))
+    model = create_classifier(6, 3, LstmConfig(hidden_size=7), 5)
     seqs = to_sequences(rng.uniform(6, (9, 6)), "single-step")
     probs, _ = sequence_forward(model, seqs)
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_sequence_forward_t2_matches_chained_cells():
-    model = create_classifier(4, 3, LstmConfig(hidden_size=5, seed=99))
+    model = create_classifier(4, 3, LstmConfig(hidden_size=5), 99)
     seqs = rng.uniform(17, (6, 2, 4))
     probs, _ = sequence_forward(model, seqs)
     cell = model.cells[0]
@@ -144,13 +144,13 @@ def test_sequence_forward_t2_matches_chained_cells():
 
 
 def test_sequence_forward_rejects_a_sequence_without_batch_axis():
-    model = create_classifier(4, 3, LstmConfig(hidden_size=5, seed=2))
+    model = create_classifier(4, 3, LstmConfig(hidden_size=5), 2)
     with pytest.raises(ShapeMismatch):
         sequence_forward(model, rng.uniform(8, (2, 4)))  # (T, d)
 
 
 def test_sequence_backward_rejects_logit_grads_without_batch_axis():
-    model = create_classifier(4, 3, LstmConfig(hidden_size=5, seed=2))
+    model = create_classifier(4, 3, LstmConfig(hidden_size=5), 2)
     probs, caches = sequence_forward(model, rng.uniform(8, (1, 2, 4)))
     _, grad_logits = cross_entropy_loss(probs, np.array([1]))
     with pytest.raises(ShapeMismatch):
@@ -165,8 +165,8 @@ def test_to_sequences_layouts():
 
 
 def bptt_rel_error(hidden, input_dim, time_steps, seed):
-    cfg = LstmConfig(hidden_size=hidden, seed=seed)
-    model = create_classifier(input_dim, 3, cfg)
+    cfg = LstmConfig(hidden_size=hidden)
+    model = create_classifier(input_dim, 3, cfg, seed)
     seqs = rng.uniform(rng.derive(seed, "seq"), (4, time_steps, input_dim))
     labels = np.array([0, 1, 2, 1])
     params = model.params()
@@ -186,7 +186,7 @@ def test_bptt_gradients_match_finite_differences():
 
 
 def test_bptt_gradient_vanishes_at_loss_minimum():
-    model = create_classifier(2, 3, LstmConfig(hidden_size=2, seed=3))
+    model = create_classifier(2, 3, LstmConfig(hidden_size=2), 3)
     for cell in model.cells:
         for p in cell.params():
             p[:] = 0.0
@@ -202,7 +202,7 @@ def test_bptt_gradient_vanishes_at_loss_minimum():
 
 
 def test_bptt_clipping_caps_global_norm():
-    model = create_classifier(3, 3, LstmConfig(hidden_size=4, seed=13))
+    model = create_classifier(3, 3, LstmConfig(hidden_size=4), 13)
     seqs = rng.uniform(21, (8, 2, 3))
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     probs, caches = sequence_forward(model, seqs)
@@ -224,7 +224,7 @@ def test_bptt_clipping_caps_global_norm():
 
 
 def test_default_parameter_count():
-    model = create_classifier(13, 3, LstmConfig())
+    model = create_classifier(13, 3, LstmConfig(), 1819)
     assert model.param_count == 122811
     assert model.cells[0].param_count == 122304
     assert model.head.param_count == 507
@@ -235,8 +235,8 @@ def test_train_separates_gaussian_blobs():
     train_x, test_x = x[:60], x[60:]
     train_y, test_y = y[:60], y[60:]
     cfg = LstmConfig(hidden_size=16, epochs=50, batch_size=16,
-                     learning_rate=0.01, seed=5)
-    model, history = train_classifier(train_x, train_y, cfg)
+                     learning_rate=0.01)
+    model, history = train_classifier(train_x, train_y, cfg, 5)
     assert (predict(model, test_x) == test_y).mean() >= 0.95
     assert (predict(model, train_x) == train_y).mean() >= 0.99
     assert history[-1][0] < history[0][0]
@@ -245,14 +245,13 @@ def test_train_separates_gaussian_blobs():
 
 def test_train_is_deterministic_per_seed():
     x, y = blob_data(10, 3, seed=29)
-    cfg = LstmConfig(hidden_size=4, epochs=5, batch_size=8, seed=77)
-    model_a, hist_a = train_classifier(x, y, cfg)
-    model_b, hist_b = train_classifier(x, y, cfg)
+    cfg = LstmConfig(hidden_size=4, epochs=5, batch_size=8)
+    model_a, hist_a = train_classifier(x, y, cfg, 77)
+    model_b, hist_b = train_classifier(x, y, cfg, 77)
     assert hist_a == hist_b
     for pa, pb in zip(model_a.params(), model_b.params()):
         assert np.array_equal(pa, pb)
-    _, hist_c = train_classifier(
-        x, y, LstmConfig(hidden_size=4, epochs=5, batch_size=8, seed=78))
+    _, hist_c = train_classifier(x, y, cfg, 78)
     assert hist_a[-1] != hist_c[-1]
 
 
@@ -260,19 +259,19 @@ def test_train_validates_inputs():
     x = rng.uniform(1, (6, 4))
     with pytest.raises(LabelOutOfRange):
         train_classifier(x, np.array([0, 1, 2, 0, 1, 5]),
-                         LstmConfig(hidden_size=2, epochs=1), k_classes=3)
+                         LstmConfig(hidden_size=2, epochs=1), 1, k_classes=3)
     with pytest.raises(DegenerateClasses):
         train_classifier(x, np.zeros(6, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1))
+                         LstmConfig(hidden_size=2, epochs=1), 1)
     with pytest.raises(EmptyData):
         train_classifier(np.empty((0, 4)), np.empty(0, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1), k_classes=3)
+                         LstmConfig(hidden_size=2, epochs=1), 1, k_classes=3)
 
 
 def test_predict_batch_matches_per_row():
     x, y = blob_data(8, 3, seed=41)
-    cfg = LstmConfig(hidden_size=6, epochs=3, batch_size=8, seed=9)
-    model, _ = train_classifier(x, y, cfg)
+    cfg = LstmConfig(hidden_size=6, epochs=3, batch_size=8)
+    model, _ = train_classifier(x, y, cfg, 9)
     batch = predict_proba(model, x)
     for i in range(len(x)):
         row = predict_proba(model, x[i:i + 1])
@@ -285,8 +284,8 @@ def test_predict_batch_matches_per_row():
 
 def test_model_serialization_round_trip():
     x, y = blob_data(6, 2, seed=47)
-    cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4, seed=15)
-    model, _ = train_classifier(x, y, cfg)
+    cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4)
+    model, _ = train_classifier(x, y, cfg, 15)
     restored = model_from_dict(model_to_dict(model), model.config)
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
 
@@ -294,9 +293,8 @@ def test_model_serialization_round_trip():
 
 def test_model_dict_round_trip_is_bit_exact():
     x, y = blob_data(6, 3, seed=43)
-    cfg = LstmConfig(hidden_size=4, num_layers=2, epochs=2, batch_size=4,
-                     seed=17)
-    model, _ = train_classifier(x, y, cfg)
+    cfg = LstmConfig(hidden_size=4, num_layers=2, epochs=2, batch_size=4)
+    model, _ = train_classifier(x, y, cfg, 17)
     restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))),
                                model.config)
     for a, b in zip(model.params(), restored.params(), strict=True):
@@ -315,11 +313,10 @@ def test_history_csv_layout():
 def test_config_dict_round_trip():
     cfg = LstmConfig(hidden_size=5, num_layers=2, epochs=3, batch_size=7,
                      learning_rate=0.02, sequence_layout="feature-steps",
-                     clip_threshold=1.5, seed=33)
+                     clip_threshold=1.5)
     doc = cfg.to_dict()
     assert set(doc) == {"hidden_size", "num_layers", "epochs", "batch_size",
-                        "learning_rate", "sequence_layout", "clip_threshold",
-                        "seed"}
+                        "learning_rate", "sequence_layout", "clip_threshold"}
     assert LstmConfig.from_dict(doc) == cfg
     assert LstmConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 

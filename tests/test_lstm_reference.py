@@ -123,8 +123,8 @@ SHAPES = [  # (input width D, hidden H, steps T, layers)
 
 
 def build(d, hidden, steps, layers):
-    config = LstmConfig(hidden_size=hidden, num_layers=layers, seed=d + steps)
-    model = create_classifier(d, K_CLASSES, config)
+    config = LstmConfig(hidden_size=hidden, num_layers=layers)
+    model = create_classifier(d, K_CLASSES, config, d + steps)
     seqs = rng.uniform(rng.derive(7, "seqs", d), (BATCH, steps, d))
     labels = np.arange(BATCH) % K_CLASSES
     return model, seqs, labels

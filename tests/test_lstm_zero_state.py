@@ -108,17 +108,16 @@ def ref_backward(model, caches, grad_logits, clip_threshold=None):
     return grads, norm
 
 
-def ref_train(x, y, config):
+def ref_train(x, y, config, seed):
     """train_classifier with the reference kernel and Adam over every tensor."""
     seqs = to_sequences(x, config.sequence_layout)
-    model = create_classifier(seqs.shape[2], K_CLASSES, config)
+    model = create_classifier(seqs.shape[2], K_CLASSES, config, seed)
     params = model.params()
     optimizer = Adam(params, config.learning_rate)
     history = []
     for epoch in range(config.epochs):
         loss_sum, correct = 0.0, 0
-        for idx in rng.epoch_batches(len(x), config.batch_size, config.seed,
-                                     epoch):
+        for idx in rng.epoch_batches(len(x), config.batch_size, seed, epoch):
             probs, caches = ref_forward(model, seqs[idx])
             loss, grad_logits = cross_entropy_loss(probs, y[idx])
             grads, _ = ref_backward(model, caches, grad_logits,
@@ -137,9 +136,10 @@ def make_data(seed):
 
 
 def make_config(layout, layers, hidden, clip):
+    """The case's settings and its seed."""
     return LstmConfig(hidden_size=hidden, num_layers=layers, epochs=EPOCHS,
                       batch_size=BATCH, sequence_layout=layout,
-                      clip_threshold=clip, seed=100 * layers + hidden)
+                      clip_threshold=clip), 100 * layers + hidden
 
 
 def check(actual, expected, exact):
@@ -169,10 +169,10 @@ def case_id(case):
 def test_batch_step_matches_full_concat_reference(layout, layers, hidden,
                                                   clip):
     exact = layout == "single-step" and layers == 1
-    config = make_config(layout, layers, hidden, clip)
+    config, seed = make_config(layout, layers, hidden, clip)
     x, y = make_data(hidden)
     seqs = to_sequences(x, layout)
-    model = create_classifier(seqs.shape[2], K_CLASSES, config)
+    model = create_classifier(seqs.shape[2], K_CLASSES, config, seed)
 
     probs, caches = sequence_forward(model, seqs)
     ref_probs, ref_caches = ref_forward(model, seqs)
@@ -198,10 +198,10 @@ def test_batch_step_matches_full_concat_reference(layout, layers, hidden,
                          ids=[case_id(c) for c in CASES])
 def test_training_matches_full_concat_reference(layout, layers, hidden, clip):
     exact = layout == "single-step" and layers == 1
-    config = make_config(layout, layers, hidden, clip)
+    config, seed = make_config(layout, layers, hidden, clip)
     x, y = make_data(hidden)
-    model, history = train_classifier(x, y, config, K_CLASSES)
-    ref_model, ref_history = ref_train(x, y, config)
+    model, history = train_classifier(x, y, config, seed, K_CLASSES)
+    ref_model, ref_history = ref_train(x, y, config, seed)
     for p, ref in zip(model.params(), ref_model.params()):
         check(p, ref, exact)
     check(history, ref_history, exact)
@@ -211,7 +211,7 @@ def test_training_matches_full_concat_reference(layout, layers, hidden, clip):
 
     if layout == "single-step":
         # one step from zero state: the recurrent block keeps its seed values
-        initial = create_classifier(WIDTH, K_CLASSES, config)
+        initial = create_classifier(WIDTH, K_CLASSES, config, seed)
         for cell, start in zip(model.cells, initial.cells):
             assert np.array_equal(cell.w[:, :hidden], start.w[:, :hidden])
             assert not np.array_equal(cell.w[:, hidden:], start.w[:, hidden:])

@@ -35,7 +35,6 @@ from ransomflow.errors import (
     MissingColumn,
     NonNumericCell,
     RaggedRow,
-    UnknownCategory,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -92,12 +91,11 @@ def ref_parse(source):
         return rows
 
 
-def ref_encode(rows, maps=None):
-    if maps is None:
-        maps = EncodingMap({
-            name: tuple(sorted({row[j] for row in rows},
-                               key=lambda s: s.encode("utf-8")))
-            for j, (name, kind) in enumerate(COLUMNS) if kind != NUMERIC})
+def ref_encode(rows):
+    maps = EncodingMap({
+        name: tuple(sorted({row[j] for row in rows},
+                           key=lambda s: s.encode("utf-8")))
+        for j, (name, kind) in enumerate(COLUMNS) if kind != NUMERIC})
     values = np.empty((len(rows), len(NAMES)), dtype=np.float64)
     for j, (name, kind) in enumerate(COLUMNS):
         cells = [row[j] for row in rows]
@@ -119,18 +117,18 @@ def outcome(run):
                 getattr(exc, "value", None), getattr(exc, "found", None))
 
 
-def ref_outcome(source, maps=None):
+def ref_outcome(source):
     def run():
         rows = ref_parse(source)
-        values, used = ref_encode(rows, maps)
+        values, used = ref_encode(rows)
         return len(rows), rows, used.categories, values.tobytes()
     return outcome(run)
 
 
-def new_outcome(source, maps=None):
+def new_outcome(source):
     def run():
         table = parse_csv(source)
-        encoded, used = label_encode(table, maps=maps)
+        encoded, used = label_encode(table)
         assert encoded.values.flags.c_contiguous
         return (table.row_count, table.rows, used.categories,
                 encoded.values.tobytes())
@@ -149,11 +147,11 @@ def sources(text: str, tmp_path):
     }
 
 
-def assert_same(text, tmp_path, maps=None):
+def assert_same(text, tmp_path):
     expected = None
     for kind, make in sources(text, tmp_path).items():
-        got = new_outcome(make(), maps)
-        assert got == ref_outcome(make(), maps), kind
+        got = new_outcome(make())
+        assert got == ref_outcome(make()), kind
         expected = expected or got
         assert got == expected, kind
     return expected
@@ -276,21 +274,6 @@ def test_errors_name_the_physical_line_a_record_starts_on(tmp_path):
     result = assert_same(
         CASES["ragged-multi-line-record-after-quoted-lines"], tmp_path)
     assert result[:3] == ("error", "RaggedRow", 6)
-
-
-def test_frozen_maps_match_reference(tmp_path):
-    _, maps = label_encode(parse_csv(lines_text(*ROWS[:8]).encode()))
-    # rows 8.. may hold a value that the first eight rows never show
-    for text in (lines_text(*ROWS[:8], *ROWS[:3]),
-                 lines_text(*ROWS[:8], with_cell(ROWS[1], 3, "Petya")),
-                 lines_text(with_cell(ROWS[1], 11, "Worm"), *ROWS)):
-        result = assert_same(text, tmp_path, maps)
-        assert result[0] == "ok" or result[1] == "UnknownCategory"
-    with pytest.raises(UnknownCategory) as info:
-        label_encode(parse_csv(lines_text(
-            *ROWS[:8], with_cell(ROWS[1], 3, "Petya"),
-            with_cell(ROWS[2], 3, "Ryuk")).encode()), maps=maps)
-    assert info.value.value == "Petya"
 
 
 def test_benchmark_generator_csv_matches_reference(tmp_path):

@@ -33,15 +33,15 @@ from ransomflow.sae import (
 def test_pretrain_constant_rows_reaches_floor():
     # constant data is exactly reconstructible (decoder bias alone suffices)
     data = np.full((128, 13), 0.4)
-    cfg = SAEConfig(epochs=100, batch_size=32, learning_rate=0.01, seed=3)
-    _, _, losses = pretrain_layer(data, 8, cfg)
+    cfg = SAEConfig(epochs=100, batch_size=32, learning_rate=0.01)
+    _, _, losses = pretrain_layer(data, 8, cfg, 3)
     assert losses[-1] < 1e-3
 
 
 def test_pretrain_reduces_loss_on_random_data():
     data = rng.uniform(11, (200, 13))
-    cfg = SAEConfig(epochs=30, seed=5)
-    _, _, losses = pretrain_layer(data, 75, cfg)
+    cfg = SAEConfig(epochs=30)
+    _, _, losses = pretrain_layer(data, 75, cfg, 5)
     assert losses[-1] < losses[0]
     assert len(losses) <= cfg.epochs
 
@@ -49,8 +49,8 @@ def test_pretrain_reduces_loss_on_random_data():
 def test_pretrain_convergence_threshold_stops_early():
     data = np.full((64, 13), 0.4)
     cfg = SAEConfig(epochs=5000, batch_size=16, learning_rate=0.01,
-                    convergence_threshold=1e-4, seed=7)
-    _, _, losses = pretrain_layer(data, 8, cfg)
+                    convergence_threshold=1e-4)
+    _, _, losses = pretrain_layer(data, 8, cfg, 7)
     assert len(losses) < 5000
     assert losses[-1] < 1e-4
     assert all(v >= 1e-4 for v in losses[:-1])
@@ -59,18 +59,18 @@ def test_pretrain_convergence_threshold_stops_early():
 def test_pretrain_overfits_single_sample():
     one = rng.uniform(9, (1, 13))
     cfg = SAEConfig(encoder_dims=(6,), epochs=20000, batch_size=1,
-                    learning_rate=0.0003, convergence_threshold=1e-7, seed=2)
-    _, _, losses = pretrain_layer(one, 6, cfg)
+                    learning_rate=0.0003, convergence_threshold=1e-7)
+    _, _, losses = pretrain_layer(one, 6, cfg, 2)
     assert losses[-1] < 1e-6
 
 
 def test_pretrain_rejects_empty():
     with pytest.raises(EmptyData):
-        pretrain_layer(np.empty((0, 13)), 8, SAEConfig(epochs=1))
+        pretrain_layer(np.empty((0, 13)), 8, SAEConfig(epochs=1), 1)
 
 
 def test_build_stack_default_parameter_counts():
-    model = build_stack(rng.uniform(1, (20, 13)), SAEConfig(epochs=0))
+    model = build_stack(rng.uniform(1, (20, 13)), SAEConfig(epochs=0), 1819)
     assert model.param_count == 11026
     assert model.layer_param_counts == [1050, 3800, 663, 700, 3825, 988]
     assert model.encoders[0].in_dim == 13
@@ -79,20 +79,20 @@ def test_build_stack_default_parameter_counts():
 
 def test_build_stack_is_deterministic():
     data = rng.uniform(2, (50, 13))
-    cfg = SAEConfig(epochs=3, seed=42)
-    a = build_stack(data, cfg)
-    b = build_stack(data, cfg)
+    cfg = SAEConfig(epochs=3)
+    a = build_stack(data, cfg, 42)
+    b = build_stack(data, cfg, 42)
     for la, lb in zip(a.encoders + a.decoders, b.encoders + b.decoders):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
     assert a.pretrain_losses == b.pretrain_losses
-    c = build_stack(data, SAEConfig(epochs=3, seed=43))
+    c = build_stack(data, cfg, 43)
     assert not np.array_equal(a.encoders[0].weights, c.encoders[0].weights)
 
 
 def test_encode_equals_composition_of_layers():
     data = rng.uniform(3, (30, 13))
-    model = build_stack(data, SAEConfig(epochs=2, seed=9))
+    model = build_stack(data, SAEConfig(epochs=2), 9)
     current = data
     for layer in model.encoders:
         current, _ = dense_forward(layer, current)
@@ -102,7 +102,7 @@ def test_encode_equals_composition_of_layers():
 def test_encode_batch_matches_single_rows():
     # gemm vs gemv kernels may differ in the last ulp, hence the tolerance
     data = rng.uniform(4, (10, 13))
-    model = build_stack(data, SAEConfig(epochs=1, seed=4))
+    model = build_stack(data, SAEConfig(epochs=1), 4)
     batch_codes = encode(model, data)
     for i in range(10):
         row_code = encode(model, data[i])
@@ -111,7 +111,7 @@ def test_encode_batch_matches_single_rows():
 
 def test_reconstruct_shape_and_stack_loss_consistency():
     data = rng.uniform(5, (40, 13))
-    model = build_stack(data, SAEConfig(epochs=10, seed=6))
+    model = build_stack(data, SAEConfig(epochs=10), 6)
     recon = reconstruct(model, data)
     assert recon.shape == data.shape
     loss, _ = mse_loss(recon, data)
@@ -120,7 +120,7 @@ def test_reconstruct_shape_and_stack_loss_consistency():
 
 def test_reconstruct_rejects_a_single_row():
     data = rng.uniform(5, (40, 13))
-    model = build_stack(data, SAEConfig(epochs=0, seed=6))
+    model = build_stack(data, SAEConfig(epochs=0), 6)
     with pytest.raises(ShapeMismatch):
         reconstruct(model, data[0])
 
@@ -128,7 +128,7 @@ def test_reconstruct_rejects_a_single_row():
 def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
     # build_stack decodes the codes it already holds instead of re-encoding
     data = rng.uniform(9, (700, 13))
-    model = build_stack(data, SAEConfig(epochs=2, seed=3))
+    model = build_stack(data, SAEConfig(epochs=2), 3)
     loss, _ = mse_loss(reconstruct(model, data), data)
     assert model.stack_loss == float(loss)
 
@@ -136,8 +136,7 @@ def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
 @pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
 def test_build_stack_keeps_the_codes_encode_gives(activation):
     data = rng.uniform(10, (700, 13))
-    model = build_stack(data, SAEConfig(epochs=2, activation=activation,
-                                        seed=5))
+    model = build_stack(data, SAEConfig(epochs=2, activation=activation), 5)
     assert np.array_equal(model.codes, encode(model, data))
     # kept in memory only: the stored model does not hold them
     doc = model_to_dict(model)
@@ -147,16 +146,16 @@ def test_build_stack_keeps_the_codes_encode_gives(activation):
 
 def test_fine_tune_drops_the_kept_codes():
     x, y = blob_data(20, 3, seed=22)
-    model = build_stack(x, SAEConfig(encoder_dims=(8, 4), epochs=1, seed=2))
+    model = build_stack(x, SAEConfig(encoder_dims=(8, 4), epochs=1), 2)
     assert model.codes is not None
-    fine_tune(model, x, y, 3)
+    fine_tune(model, x, y, 3, 2)
     assert model.codes is None
 
 
 def test_reconstruction_beats_permuted_features():
     # column-wise shuffling destroys the joint structure the stack learned
     x, _ = blob_data(60, 3, seed=15)
-    model = build_stack(x, SAEConfig(epochs=40, seed=8))
+    model = build_stack(x, SAEConfig(epochs=40), 8)
     loss_real, _ = mse_loss(reconstruct(model, x), x)
     permuted = x.copy()
     for j in range(permuted.shape[1]):
@@ -169,7 +168,7 @@ def test_reconstruction_beats_permuted_features():
 def test_stack_gradients_match_finite_differences():
     # full autoencoder reconstruction loss through all six layers
     data = rng.uniform(31, (4, 13))
-    model = build_stack(data, SAEConfig(encoder_dims=(5, 3), epochs=0, seed=13))
+    model = build_stack(data, SAEConfig(encoder_dims=(5, 3), epochs=0), 13)
     layers = model.encoders + model.decoders
     params = []
     for layer in layers:
@@ -206,10 +205,10 @@ def test_stack_gradients_match_finite_differences():
 
 def test_fine_tune_learns_separable_labels():
     x, y = blob_data(60, 3, seed=21)
-    model = build_stack(x, SAEConfig(encoder_dims=(16, 8), epochs=20, seed=10))
+    model = build_stack(x, SAEConfig(encoder_dims=(16, 8), epochs=20), 10)
     cfg = SAEConfig(encoder_dims=(16, 8), epochs=120, batch_size=32,
-                    learning_rate=0.01, seed=10)
-    head, losses = fine_tune(model, x, y, 3, cfg)
+                    learning_rate=0.01)
+    head, losses = fine_tune(model, x, y, 3, 10, cfg)
     assert losses[-1] < losses[0]
     probs, _ = dense_forward(head, encode(model, x))
     assert (probs.argmax(axis=1) == y).mean() >= 0.95
@@ -217,16 +216,16 @@ def test_fine_tune_learns_separable_labels():
 
 def test_fine_tune_rejects_degenerate_classes():
     x = rng.uniform(12, (10, 13))
-    model = build_stack(x, SAEConfig(epochs=0, seed=1))
+    model = build_stack(x, SAEConfig(epochs=0), 1)
     with pytest.raises(DegenerateClasses):
-        fine_tune(model, x, np.zeros(10, dtype=int), 1)
+        fine_tune(model, x, np.zeros(10, dtype=int), 1, 1)
     with pytest.raises(LabelOutOfRange):
-        fine_tune(model, x, np.full(10, 5), 3)
+        fine_tune(model, x, np.full(10, 5), 3, 1)
 
 
 def test_model_serialization_round_trip_bit_exact():
     data = rng.uniform(14, (25, 13))
-    model = build_stack(data, SAEConfig(epochs=2, seed=3))
+    model = build_stack(data, SAEConfig(epochs=2), 3)
     restored, head = model_from_dict(model_to_dict(model), model.config)
     assert head is None
     assert np.array_equal(encode(restored, data), encode(model, data))
@@ -238,9 +237,9 @@ def test_model_serialization_round_trip_bit_exact():
 
 def test_model_dict_round_trip_is_bit_exact():
     x, y = blob_data(10, 3, seed=41)
-    cfg = SAEConfig(encoder_dims=(6, 3), epochs=2, batch_size=8, seed=9)
-    model = build_stack(x, cfg)
-    head, _ = fine_tune(model, x, y, 3, cfg)
+    cfg = SAEConfig(encoder_dims=(6, 3), epochs=2, batch_size=8)
+    model = build_stack(x, cfg, 9)
+    head, _ = fine_tune(model, x, y, 3, 9, cfg)
     doc = json.loads(json.dumps(model_to_dict(model, head)))
     restored, restored_head = model_from_dict(doc, model.config)
     layers = [*model.encoders, *model.decoders, head]
@@ -253,7 +252,7 @@ def test_model_dict_round_trip_is_bit_exact():
 
 def test_history_csv_layout():
     data = rng.uniform(16, (20, 13))
-    model = build_stack(data, SAEConfig(encoder_dims=(4, 2), epochs=3, seed=5))
+    model = build_stack(data, SAEConfig(encoder_dims=(4, 2), epochs=3), 5)
     lines = history_csv(model).strip().splitlines()
     assert lines[0] == "layer,epoch,loss"
     assert len(lines) == 1 + 2 * 3
@@ -264,10 +263,10 @@ def test_history_csv_layout():
 def test_config_dict_round_trip():
     cfg = SAEConfig(encoder_dims=(9, 4), activation="tanh", epochs=7,
                     batch_size=16, learning_rate=0.01,
-                    convergence_threshold=0.25, seed=21)
+                    convergence_threshold=0.25)
     doc = cfg.to_dict()
     assert set(doc) == {"encoder_dims", "activation", "epochs", "batch_size",
-                        "learning_rate", "convergence_threshold", "seed"}
+                        "learning_rate", "convergence_threshold"}
     assert SAEConfig.from_dict(doc) == cfg
     assert SAEConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 

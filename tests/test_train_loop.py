@@ -47,7 +47,7 @@ from ransomflow.sae import (
 
 
 def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
-                             config: SAEConfig, seed: int | None = None):
+                             config: SAEConfig, seed: int):
     """Train one (encoder, decoder) pair to reconstruct ``data``.
 
     Returns (encoder, decoder, losses) where losses holds the running
@@ -61,7 +61,6 @@ def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
     n, width = data.shape
     if n == 0:
         raise EmptyData("cannot pretrain on zero rows")
-    seed = config.seed if seed is None else seed
     encoder = DenseLayer.create(width, hidden_dim, config.activation,
                                 rng.derive(seed, "encoder"))
     decoder = DenseLayer.create(hidden_dim, width, "linear",
@@ -90,7 +89,8 @@ def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
 
 
 def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
-                        k_classes: int, config: SAEConfig | None = None):
+                        k_classes: int, seed: int,
+                        config: SAEConfig | None = None):
     """Supervised pass: softmax head on the code layer, cross-entropy loss.
 
     Encoder weights and the head are updated jointly; decoders are left
@@ -108,7 +108,7 @@ def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
         raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
     check_label_range(y, k_classes)
     model.codes = None  # the encoders change below
-    seed = rng.derive(config.seed, "fine-tune")
+    seed = rng.derive(seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))
     params = model.encoder_params() + head.params()
@@ -144,14 +144,13 @@ def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
 
 
 def reference_train_classifier(x: np.ndarray, y: np.ndarray,
-                               config: LstmConfig | None = None,
+                               config: LstmConfig, seed: int,
                                k_classes: int | None = None):
     """Mini-batch Adam training. Returns (model, history).
 
     ``history`` holds one (mean loss, training accuracy) pair per epoch,
     accumulated over the batches of that epoch.
     """
-    config = config or LstmConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -163,7 +162,7 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
         raise DegenerateClasses(f"need at least 2 classes, got {k}")
     check_label_range(y, k)
     sequences = to_sequences(x, config.sequence_layout)
-    model = create_classifier(sequences.shape[2], k, config)
+    model = create_classifier(sequences.shape[2], k, config, seed)
     # Adam steps views of the parameters. With one step per sequence every
     # cell runs from zero state, so the recurrent block w[:, :H] keeps its
     # seeded values and only w[:, H:] is live.
@@ -178,7 +177,7 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
     for epoch in range(config.epochs):
         loss_sum = 0.0
         correct = 0
-        for idx in rng.epoch_batches(n, config.batch_size, config.seed, epoch):
+        for idx in rng.epoch_batches(n, config.batch_size, seed, epoch):
             batch = sequences[idx]
             labels = y[idx]
             probs, caches = sequence_forward(model, batch)
@@ -203,7 +202,7 @@ def pretrain_data():
 
 
 def test_pretrain_layer_matches_reference_without_threshold():
-    cfg = SAEConfig(encoder_dims=(4,), epochs=4, batch_size=16, seed=11)
+    cfg = SAEConfig(encoder_dims=(4,), epochs=4, batch_size=16)
     enc, dec, losses = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
     ref_enc, ref_dec, ref_losses = reference_pretrain_layer(
         pretrain_data(), 4, cfg, seed=23)
@@ -215,7 +214,7 @@ def test_pretrain_layer_matches_reference_without_threshold():
 
 def test_pretrain_layer_matches_reference_when_it_stops_early():
     cfg = SAEConfig(encoder_dims=(4,), epochs=6, batch_size=16,
-                    learning_rate=0.01, seed=11)
+                    learning_rate=0.01)
     _, _, curve = reference_pretrain_layer(pretrain_data(), 4, cfg, seed=23)
     assert curve[1] > curve[2]
     # the third epoch's mean is the first one below the threshold
@@ -231,10 +230,10 @@ def test_pretrain_layer_matches_reference_when_it_stops_early():
 
 def test_fine_tune_matches_reference():
     x, y = blob_data(20, 3, seed=31, width=6)
-    cfg = SAEConfig(encoder_dims=(5, 3), epochs=3, batch_size=16, seed=7)
-    model, ref_model = build_stack(x, cfg), build_stack(x, cfg)
-    head, losses = fine_tune(model, x, y, 3)
-    ref_head, ref_losses = reference_fine_tune(ref_model, x, y, 3)
+    cfg = SAEConfig(encoder_dims=(5, 3), epochs=3, batch_size=16)
+    model, ref_model = build_stack(x, cfg, 7), build_stack(x, cfg, 7)
+    head, losses = fine_tune(model, x, y, 3, 7)
+    ref_head, ref_losses = reference_fine_tune(ref_model, x, y, 3, 7)
     assert len(losses) == 3
     assert losses == ref_losses
     assert_same_arrays(model.encoder_params() + head.params(),
@@ -243,15 +242,15 @@ def test_fine_tune_matches_reference():
                        [l.weights for l in ref_model.decoders])
 
 
-@pytest.mark.parametrize("cfg", [
-    LstmConfig(hidden_size=5, epochs=3, batch_size=16, seed=13),
-    LstmConfig(hidden_size=3, num_layers=2, epochs=3, batch_size=16,
-               sequence_layout="feature-steps", clip_threshold=0.05, seed=17),
+@pytest.mark.parametrize("cfg,seed", [
+    (LstmConfig(hidden_size=5, epochs=3, batch_size=16), 13),
+    (LstmConfig(hidden_size=3, num_layers=2, epochs=3, batch_size=16,
+                sequence_layout="feature-steps", clip_threshold=0.05), 17),
 ], ids=["single-step", "feature-steps-clipped"])
-def test_train_classifier_matches_reference(cfg):
+def test_train_classifier_matches_reference(cfg, seed):
     x, y = blob_data(15, 3, seed=41, width=4)
-    model, history = train_classifier(x, y, cfg)
-    ref_model, ref_history = reference_train_classifier(x, y, cfg)
+    model, history = train_classifier(x, y, cfg, seed)
+    ref_model, ref_history = reference_train_classifier(x, y, cfg, seed)
     assert len(history) == 3
     assert history == ref_history
     assert_same_arrays(model.params(), ref_model.params())
