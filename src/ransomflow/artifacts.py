@@ -206,8 +206,8 @@ def _verified_payload(path, what: str, kinds) -> dict:
 
 
 @contextmanager
-def _payload_fields(path, what: str):
-    """Raise :class:`SchemaMismatch` naming ``path`` for a payload field the
+def stored_fields(path, what: str):
+    """Raise :class:`SchemaMismatch` naming ``path`` for a stored field the
     block finds missing, of the wrong type or holding a rejected value (any
     :class:`DataError`)."""
     try:
@@ -226,7 +226,7 @@ def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
-    with _payload_fields(directory, "dataset artifact"):
+    with stored_fields(directory, "dataset artifact"):
         maps, stats = preprocess_from_dict(payload["preprocess"])
         table_sha256 = payload["table_sha256"]
     table_path = directory / TABLE_FILE
@@ -279,7 +279,6 @@ def save_bundle(path, kind: str, config_echo: dict, preprocess_doc: dict,
 @dataclass
 class ModelBundle:
     kind: str
-    config: dict
     maps: object
     stats: NormStats
     sae_model: object = None
@@ -297,10 +296,10 @@ class ModelBundle:
 def load_bundle(path) -> ModelBundle:
     payload = _verified_payload(path, "model bundle", BUNDLE_KINDS)
     kind = payload["kind"]
-    with _payload_fields(path, "model bundle"):
+    with stored_fields(path, "model bundle"):
         maps, stats = preprocess_from_dict(payload["preprocess"])
         config, components = payload["config"], payload["components"]
-        bundle = ModelBundle(kind=kind, config=config, maps=maps, stats=stats)
+        bundle = ModelBundle(kind=kind, maps=maps, stats=stats)
         if kind == "sae-lstm":
             sae_config = sae_mod.SAEConfig.from_dict(config["sae"])
             lstm_config = lstm_mod.LstmConfig.from_dict(config["lstm"])

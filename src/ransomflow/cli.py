@@ -22,6 +22,7 @@ from .artifacts import (
     load_bundle,
     save_artifact,
     save_bundle,
+    stored_fields,
 )
 from .config import DEFAULT_SEED, PipelineConfig, from_dict, load_config
 from .dataset import (
@@ -270,7 +271,6 @@ def cmd_evaluate(args) -> int:
     doc = rep.to_dict()
     doc["kind"] = bundle.kind
     doc["split"] = args.split
-    doc["config"] = bundle.config
     dump_json(out_dir / "report.json", doc)
     (out_dir / "report.txt").write_text(rep.to_text(), encoding="utf-8")
     (out_dir / "report.csv").write_text(rep.to_csv(), encoding="utf-8")
@@ -280,25 +280,25 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_report(path) -> tuple:
+    """(report, the model kind it records or None) of a report.json."""
     try:
         doc = load_json(path)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path}: report root is not an object")
-    try:
-        return MetricsReport.from_dict(doc), doc
-    except KeyError as exc:
-        raise SchemaMismatch(f"{path}: report is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"{path}: invalid report: {exc}") from None
+    with stored_fields(path, "report"):
+        kind = doc.get("kind")
+        if kind is not None and not isinstance(kind, str):
+            raise SchemaMismatch(f"kind {kind!r} is not a string")
+        return MetricsReport.from_dict(doc), kind
 
 
 def cmd_compare(args) -> int:
-    rep_a, doc_a = _load_report(args.report_a)
-    rep_b, doc_b = _load_report(args.report_b)
-    name_a = args.name_a or doc_a.get("kind") or "model-a"
-    name_b = args.name_b or doc_b.get("kind") or "model-b"
+    rep_a, kind_a = _load_report(args.report_a)
+    rep_b, kind_b = _load_report(args.report_b)
+    name_a = args.name_a or kind_a or "model-a"
+    name_b = args.name_b or kind_b or "model-b"
     if name_a == name_b:
         name_a, name_b = f"{name_a}-a", f"{name_b}-b"
     table = compare(rep_a, rep_b, name_a, name_b)

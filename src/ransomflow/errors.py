@@ -155,7 +155,6 @@ class SchemaMismatch(DataError):
 
 class ChecksumMismatch(DataError):
     def __init__(self, path, expected, found: str):
-        self.found = found
         super().__init__(
             f"{path}: checksum mismatch: recorded {str(expected)[:12]}..., "
             f"recomputed {found[:12]}..."

@@ -9,7 +9,7 @@ by construction, which doubles as an internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatch,
     check_label_range,
 )
-from .serialize import REPORT_VERSION, csv_text, require_version
+from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
 
 
 @dataclass
@@ -74,11 +74,24 @@ def confusion(y_true, y_pred, k_classes: int, class_names=None) -> ConfusionMatr
 
 
 @dataclass
-class ClassScores:
+class Scores:
     precision: float
     recall: float
     f1: float
+
+    def __post_init__(self):
+        self.precision = float(self.precision)
+        self.recall = float(self.recall)
+        self.f1 = float(self.f1)
+
+
+@dataclass
+class ClassScores(Scores):
     support: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.support = int(self.support)
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -87,19 +100,29 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _averages(precision, recall, f1, support) -> tuple:
+    """(macro, weighted) :class:`Scores` of per-class score vectors; the
+    weights are each class's share of the support, all 0 when it is empty."""
+    scores = [np.asarray(s, dtype=np.float64) for s in (precision, recall, f1)]
+    support = np.asarray(support, dtype=np.int64)
+    total = support.sum()
+    weights = support / total if total else np.zeros(support.shape)
+    return (Scores(*(s.sum() / len(s) for s in scores)),
+            Scores(*((s * weights).sum() for s in scores)))
+
+
 @dataclass
 class MetricsReport:
     class_names: tuple
     per_class: dict  # name -> ClassScores
     accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
+    macro: Scores
+    weighted: Scores
     total_support: int
     zero_division: tuple = ()
+
+    def averages(self) -> dict:
+        return {"macro": self.macro, "weighted": self.weighted}
 
     @classmethod
     def from_values(cls, class_names, precision, recall, f1, support,
@@ -115,60 +138,25 @@ class MetricsReport:
         lengths = {len(class_names), len(precision), len(recall), len(f1), len(support)}
         if len(lengths) != 1:
             raise LengthMismatch("per-class value lists have differing lengths")
-        per_class = {
-            name: ClassScores(float(p), float(r), float(f), int(s))
-            for name, p, r, f, s in zip(class_names, precision, recall, f1, support)
-        }
-        total = int(sum(support))
-        if macro is None:
-            k = len(class_names)
-            macro = (sum(precision) / k, sum(recall) / k, sum(f1) / k)
-        if weighted is None:
-            if total == 0:
-                weighted = (0.0, 0.0, 0.0)
-            else:
-                weighted = (
-                    sum(p * s for p, s in zip(precision, support)) / total,
-                    sum(r * s for r, s in zip(recall, support)) / total,
-                    sum(f * s for f, s in zip(f1, support)) / total,
-                )
+        macro_scores, weighted_scores = _averages(precision, recall, f1, support)
         return cls(
             class_names=class_names,
-            per_class=per_class,
+            per_class={name: ClassScores(*values) for name, *values in
+                       zip(class_names, precision, recall, f1, support)},
             accuracy=float(accuracy),
-            macro_precision=float(macro[0]),
-            macro_recall=float(macro[1]),
-            macro_f1=float(macro[2]),
-            weighted_precision=float(weighted[0]),
-            weighted_recall=float(weighted[1]),
-            weighted_f1=float(weighted[2]),
-            total_support=total,
+            macro=macro_scores if macro is None else Scores(*macro),
+            weighted=weighted_scores if weighted is None else Scores(*weighted),
+            total_support=int(sum(support)),
         )
 
     def to_dict(self) -> dict:
         return {
             "schema_version": REPORT_VERSION,
-            "classes": {
-                name: {
-                    "precision": cs.precision,
-                    "recall": cs.recall,
-                    "f1": cs.f1,
-                    "support": cs.support,
-                }
-                for name, cs in self.per_class.items()
-            },
+            "classes": {name: asdict(cs) for name, cs in self.per_class.items()},
             "class_order": list(self.class_names),
             "accuracy": self.accuracy,
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
+            "macro": asdict(self.macro),
+            "weighted": asdict(self.weighted),
             "total_support": self.total_support,
             "zero_division": list(self.zero_division),
         }
@@ -177,51 +165,32 @@ class MetricsReport:
     def from_dict(cls, doc: dict) -> "MetricsReport":
         require_version(doc, "metrics report", REPORT_VERSION)
         names = tuple(doc["class_order"])
-        per_class = {
-            name: ClassScores(
-                precision=float(doc["classes"][name]["precision"]),
-                recall=float(doc["classes"][name]["recall"]),
-                f1=float(doc["classes"][name]["f1"]),
-                support=int(doc["classes"][name]["support"]),
-            )
-            for name in names
-        }
         return cls(
             class_names=names,
-            per_class=per_class,
+            per_class={name: read_fields(ClassScores, doc["classes"][name])
+                       for name in names},
             accuracy=float(doc["accuracy"]),
-            macro_precision=float(doc["macro"]["precision"]),
-            macro_recall=float(doc["macro"]["recall"]),
-            macro_f1=float(doc["macro"]["f1"]),
-            weighted_precision=float(doc["weighted"]["precision"]),
-            weighted_recall=float(doc["weighted"]["recall"]),
-            weighted_f1=float(doc["weighted"]["f1"]),
+            macro=read_fields(Scores, doc["macro"]),
+            weighted=read_fields(Scores, doc["weighted"]),
             total_support=int(doc["total_support"]),
             zero_division=tuple(doc.get("zero_division", ())),
         )
 
     def to_text(self) -> str:
         width = max([len(n) for n in self.class_names] + [12])
-        lines = [
-            f"{'class'.ljust(width)}  precision    recall        f1   support"
-        ]
-        for name in self.class_names:
-            cs = self.per_class[name]
-            lines.append(
-                f"{name.ljust(width)}  {cs.precision:9.6f} {cs.recall:9.6f} "
-                f"{cs.f1:9.6f}  {cs.support:8d}"
-            )
+
+        def row(label, s, support):
+            return (f"{label.ljust(width)}  {s.precision:9.6f} {s.recall:9.6f} "
+                    f"{s.f1:9.6f}  {support:8d}")
+
+        lines = [f"{'class'.ljust(width)}  precision    recall        f1   support"]
+        lines += [row(name, self.per_class[name], self.per_class[name].support)
+                  for name in self.class_names]
         lines.append("")
         lines.append(f"{'accuracy'.ljust(width)}  {self.accuracy:9.6f}"
                      f"{'':20}  {self.total_support:8d}")
-        lines.append(
-            f"{'macro avg'.ljust(width)}  {self.macro_precision:9.6f} "
-            f"{self.macro_recall:9.6f} {self.macro_f1:9.6f}  {self.total_support:8d}"
-        )
-        lines.append(
-            f"{'weighted avg'.ljust(width)}  {self.weighted_precision:9.6f} "
-            f"{self.weighted_recall:9.6f} {self.weighted_f1:9.6f}  {self.total_support:8d}"
-        )
+        lines += [row(f"{average} avg", s, self.total_support)
+                  for average, s in self.averages().items()]
         if self.zero_division:
             lines.append("")
             lines.append("zero-division classes: " + ", ".join(self.zero_division))
@@ -230,63 +199,38 @@ class MetricsReport:
     def to_csv(self) -> str:
         rows = [(name, *astuple(self.per_class[name]))
                 for name in self.class_names]
-        rows += [
-            ("accuracy", self.accuracy, "", "", self.total_support),
-            ("macro avg", self.macro_precision, self.macro_recall,
-             self.macro_f1, self.total_support),
-            ("weighted avg", self.weighted_precision, self.weighted_recall,
-             self.weighted_f1, self.total_support),
-        ]
+        rows.append(("accuracy", self.accuracy, "", "", self.total_support))
+        rows += [(f"{average} avg", *astuple(s), self.total_support)
+                 for average, s in self.averages().items()]
         return csv_text(("class", "precision", "recall", "f1", "support"), rows)
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
     """Per-class precision/recall/F1 with macro and support-weighted averages."""
-    counts = cm.counts
     total = cm.total
     if total == 0:
         raise EmptyMatrix("confusion matrix holds no observations")
-    diag = np.diag(counts).astype(np.float64)
-    col_sums = counts.sum(axis=0).astype(np.float64)
-    row_sums = counts.sum(axis=1).astype(np.float64)
-    zero_division = []
-    precision = np.zeros(cm.k_classes)
-    recall = np.zeros(cm.k_classes)
-    f1 = np.zeros(cm.k_classes)
-    for i, name in enumerate(cm.class_names):
-        flagged = False
-        if col_sums[i] > 0:
-            precision[i] = diag[i] / col_sums[i]
-        else:
-            flagged = True
-        if row_sums[i] > 0:
-            recall[i] = diag[i] / row_sums[i]
-        else:
-            flagged = True
-        f1[i] = f1_score(precision[i], recall[i])
-        if flagged:
-            zero_division.append(name)
-    support = row_sums.astype(np.int64)
-    accuracy = float(diag.sum() / total)
-    per_class = {
-        name: ClassScores(float(precision[i]), float(recall[i]), float(f1[i]),
-                          int(support[i]))
-        for i, name in enumerate(cm.class_names)
-    }
-    k = cm.k_classes
-    weights = support / total
+    diag = np.diag(cm.counts).astype(np.float64)
+    predicted = cm.counts.sum(axis=0)
+    support = cm.counts.sum(axis=1)
+    has_predicted, has_true = predicted > 0, support > 0
+    precision = np.divide(diag, predicted, out=np.zeros(cm.k_classes),
+                          where=has_predicted)
+    recall = np.divide(diag, support, out=np.zeros(cm.k_classes),
+                       where=has_true)
+    f1 = [f1_score(p, r) for p, r in zip(precision, recall)]
+    macro, weighted = _averages(precision, recall, f1, support)
     return MetricsReport(
         class_names=cm.class_names,
-        per_class=per_class,
-        accuracy=accuracy,
-        macro_precision=float(precision.sum() / k),
-        macro_recall=float(recall.sum() / k),
-        macro_f1=float(f1.sum() / k),
-        weighted_precision=float((precision * weights).sum()),
-        weighted_recall=float((recall * weights).sum()),
-        weighted_f1=float((f1 * weights).sum()),
+        per_class={name: ClassScores(*values) for name, *values in
+                   zip(cm.class_names, precision, recall, f1, support)},
+        accuracy=float(diag.sum() / total),
+        macro=macro,
+        weighted=weighted,
         total_support=total,
-        zero_division=tuple(zero_division),
+        zero_division=tuple(name for name, scored in
+                            zip(cm.class_names, has_predicted & has_true)
+                            if not scored),
     )
 
 
@@ -362,17 +306,12 @@ def compare(report_a: MetricsReport, report_b: MetricsReport,
     """Side-by-side deltas of two reports over the same class set."""
     if set(report_a.class_names) != set(report_b.class_names):
         raise ClassSetMismatch(report_a.class_names, report_b.class_names)
-    rows = [
-        MetricDelta("accuracy", report_a.accuracy, report_b.accuracy),
-        MetricDelta("macro_precision", report_a.macro_precision, report_b.macro_precision),
-        MetricDelta("macro_recall", report_a.macro_recall, report_b.macro_recall),
-        MetricDelta("macro_f1", report_a.macro_f1, report_b.macro_f1),
-        MetricDelta("weighted_precision", report_a.weighted_precision,
-                    report_b.weighted_precision),
-        MetricDelta("weighted_recall", report_a.weighted_recall,
-                    report_b.weighted_recall),
-        MetricDelta("weighted_f1", report_a.weighted_f1, report_b.weighted_f1),
-    ]
+    rows = [MetricDelta("accuracy", report_a.accuracy, report_b.accuracy)]
+    averages_b = report_b.averages()
+    for average, scores_a in report_a.averages().items():
+        scores_b = asdict(averages_b[average])
+        rows += [MetricDelta(f"{average}_{score}", value, scores_b[score])
+                 for score, value in asdict(scores_a).items()]
     for name in report_a.class_names:
         ca = report_a.per_class[name]
         cb = report_b.per_class[name]

@@ -238,6 +238,10 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
 # Optimizer
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; updates parameters in place.
 
@@ -248,16 +252,10 @@ class Adam:
     per-tensor update would round it.
     """
 
-    def __init__(self, params, learning_rate: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
+    def __init__(self, params, learning_rate: float = 0.001):
         if learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.shapes = [np.shape(p) for p in params]
         sizes = [int(np.prod(shape)) for shape in self.shapes]
@@ -289,26 +287,26 @@ class Adam:
             np.copyto(p_part, p)
             np.copyto(g_part, g)
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - ADAM_BETA1 ** self.t
+        correction2 = 1.0 - ADAM_BETA2 ** self.t
         g, p, m, v, m_hat, v_hat = (self.g, self.p, self.m, self.v,
                                     self.m_hat, self.v_hat)
         # The textbook update, operation by operation in the same order,
         # written into the temporaries so the results stay bit-identical:
         #   m = b1 m + (1 - b1) g      v = b2 v + ((1 - b2) g) g
         #   p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=m_hat)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=m_hat)
         m += m_hat
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=v_hat)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=v_hat)
         v_hat *= g
         v += v_hat
         np.divide(m, correction1, out=m_hat)
         np.divide(v, correction2, out=v_hat)
         m_hat *= self.learning_rate
         np.sqrt(v_hat, out=v_hat)
-        v_hat += self.epsilon
+        v_hat += ADAM_EPSILON
         m_hat /= v_hat
         p -= m_hat
         for param, p_part in zip(params, self.p_parts):

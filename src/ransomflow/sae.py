@@ -187,15 +187,16 @@ def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
 
 
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
-              seed: int, config: SAEConfig | None = None):
+              seed: int):
     """Supervised pass: softmax head on the code layer, cross-entropy loss.
 
     Encoder weights and the head are updated jointly; decoders are left
     untouched, and the codes ``build_stack`` kept are dropped. The head and
     the batch order draw from a substream of ``seed``, the seed the stack
-    was built with. Returns (head, losses) with the per-epoch mean loss.
+    was built with, and the pass runs with the stack's own settings. Returns
+    (head, losses) with the per-epoch mean loss.
     """
-    config = config or model.config
+    config = model.config
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     check_labeled_rows(x, y, k_classes)

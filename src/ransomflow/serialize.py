@@ -24,7 +24,9 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # class count from the config echo.
 SCHEMA_VERSION = 5
 # Reports and summaries (report.json, comparison.json, analysis.json,
-# stats.json), whose layout versions 2 to 5 left unchanged.
+# stats.json), whose layout versions 2 to 5 left unchanged. report.json no
+# longer copies its bundle's config echo; no reader of reports read it, so
+# the version stays.
 REPORT_VERSION = 1
 
 

@@ -904,7 +904,11 @@ def test_compare_rejects_non_report_json(sae_report_dir, tmp_path):
     lambda doc: {**doc, "classes": []},
     lambda doc: {**doc, "classes": {name: 0.5 for name in doc["classes"]}},
     lambda doc: {**doc, "accuracy": "high"},
-], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string"])
+    lambda doc: {**doc, "kind": 5},
+    lambda doc: {**doc, "kind": ["x"]},
+    lambda doc: {**doc, "macro": {**doc["macro"], "support": 1}},
+], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string",
+        "kind-number", "kind-list", "macro-extra-key"])
 def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,
                                           capsys):
     good = sae_report_dir / "report.json"

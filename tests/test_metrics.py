@@ -24,6 +24,7 @@ from ransomflow.metrics import (
     f1_score,
     report,
 )
+from ransomflow.serialize import dump_json
 
 # Published evaluation of the autoencoder + LSTM pipeline on the held-out set.
 SAE_LSTM_FIXTURE = {
@@ -123,7 +124,7 @@ def test_weighted_recall_equals_accuracy():
         y_true = (rng.splitmix64(seed, 400) % 5).astype(np.int64)
         y_pred = (rng.splitmix64(seed + 3, 400) % 5).astype(np.int64)
         rep = report(confusion(y_true, y_pred, 5))
-        assert abs(rep.weighted_recall - rep.accuracy) < 1e-12
+        assert abs(rep.weighted.recall - rep.accuracy) < 1e-12
 
 
 def test_f1_lies_between_precision_and_recall():
@@ -157,7 +158,7 @@ def test_report_relabel_invariance():
     assert rep_swapped.per_class["2"].precision == rep.per_class["0"].precision
     assert rep_swapped.per_class["0"].recall == rep.per_class["2"].recall
     assert abs(rep_swapped.accuracy - rep.accuracy) < 1e-15
-    assert abs(rep_swapped.macro_f1 - rep.macro_f1) < 1e-12
+    assert abs(rep_swapped.macro.f1 - rep.macro.f1) < 1e-12
 
 
 def test_f1_recomposition_of_published_class_a_row():
@@ -172,14 +173,14 @@ def test_weighted_precision_recomposition_of_published_table():
     assert abs(weighted_p - 0.985004) < 5e-6
     rep = fixture_report(doc)
     assert rep.total_support == 41507
-    assert abs(rep.weighted_precision - 0.985004) < 5e-6
+    assert abs(rep.weighted.precision - 0.985004) < 5e-6
 
 
 def test_from_values_recomputes_when_averages_omitted():
     rep = MetricsReport.from_values(
         ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3), (10, 30), 0.85)
-    assert abs(rep.macro_precision - 0.75) < 1e-12
-    assert abs(rep.weighted_precision - (1.0 * 10 + 0.5 * 30) / 40) < 1e-12
+    assert abs(rep.macro.precision - 0.75) < 1e-12
+    assert abs(rep.weighted.precision - (1.0 * 10 + 0.5 * 30) / 40) < 1e-12
 
 
 def test_report_serialization_round_trip():
@@ -258,3 +259,202 @@ def test_empty_confusion_matrix_rejected():
         ConfusionMatrix(np.empty((0, 0)), ())
     with pytest.raises(EmptyMatrix):
         report(ConfusionMatrix(np.zeros((2, 2)), ("a", "b")))
+
+
+# The renderers' exact bytes for two fixed matrices, each with a class whose
+# score has a zero denominator (SS: never true nor predicted in the first,
+# predicted once but never true in the second).
+GOLDEN_A = [[5, 2, 0], [1, 4, 0], [0, 0, 0]]
+GOLDEN_B = [[6, 0, 1], [2, 3, 0], [0, 1, 0]]
+
+GOLDEN_REPORT_JSON = """\
+{
+  "accuracy": 0.75,
+  "class_order": [
+    "A",
+    "S",
+    "SS"
+  ],
+  "classes": {
+    "A": {
+      "f1": 0.7692307692307692,
+      "precision": 0.8333333333333334,
+      "recall": 0.7142857142857143,
+      "support": 7
+    },
+    "S": {
+      "f1": 0.7272727272727272,
+      "precision": 0.6666666666666666,
+      "recall": 0.8,
+      "support": 5
+    },
+    "SS": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 0
+    }
+  },
+  "macro": {
+    "f1": 0.49883449883449876,
+    "precision": 0.5,
+    "recall": 0.5047619047619047
+  },
+  "schema_version": 1,
+  "total_support": 12,
+  "weighted": {
+    "f1": 0.7517482517482517,
+    "precision": 0.763888888888889,
+    "recall": 0.75
+  },
+  "zero_division": [
+    "SS"
+  ]
+}
+"""
+
+GOLDEN_REPORT_TEXT = """\
+class         precision    recall        f1   support
+A              0.833333  0.714286  0.769231         7
+S              0.666667  0.800000  0.727273         5
+SS             0.000000  0.000000  0.000000         0
+
+accuracy       0.750000                            12
+macro avg      0.500000  0.504762  0.498834        12
+weighted avg   0.763889  0.750000  0.751748        12
+
+zero-division classes: SS
+"""
+
+GOLDEN_REPORT_CSV = """\
+class,precision,recall,f1,support
+A,0.8333333333333334,0.7142857142857143,0.7692307692307692,7
+S,0.6666666666666666,0.8,0.7272727272727272,5
+SS,0.0,0.0,0.0,0
+accuracy,0.75,,,12
+macro avg,0.5,0.5047619047619047,0.49883449883449876,12
+weighted avg,0.763888888888889,0.75,0.7517482517482517,12
+"""
+
+GOLDEN_COMPARISON_JSON = """\
+{
+  "model_a": "sae-lstm",
+  "model_b": "gbt",
+  "rows": [
+    {
+      "delta": 0.05769230769230771,
+      "gbt": 0.6923076923076923,
+      "metric": "accuracy",
+      "sae-lstm": 0.75,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.0,
+      "gbt": 0.5,
+      "metric": "macro_precision",
+      "sae-lstm": 0.5,
+      "winner": "tie"
+    },
+    {
+      "delta": 0.019047619047619035,
+      "gbt": 0.4857142857142857,
+      "metric": "macro_recall",
+      "sae-lstm": 0.5047619047619047,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.009945609945610001,
+      "gbt": 0.48888888888888876,
+      "metric": "macro_f1",
+      "sae-lstm": 0.49883449883449876,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.07158119658119666,
+      "gbt": 0.6923076923076923,
+      "metric": "weighted_precision",
+      "sae-lstm": 0.763888888888889,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.05769230769230771,
+      "gbt": 0.6923076923076923,
+      "metric": "weighted_recall",
+      "sae-lstm": 0.75,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.06456876456876448,
+      "gbt": 0.6871794871794872,
+      "metric": "weighted_f1",
+      "sae-lstm": 0.7517482517482517,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": -0.03076923076923077,
+      "gbt": 0.7999999999999999,
+      "metric": "f1[A]",
+      "sae-lstm": 0.7692307692307692,
+      "winner": "gbt"
+    },
+    {
+      "delta": 0.06060606060606066,
+      "gbt": 0.6666666666666665,
+      "metric": "f1[S]",
+      "sae-lstm": 0.7272727272727272,
+      "winner": "sae-lstm"
+    },
+    {
+      "delta": 0.0,
+      "gbt": 0.0,
+      "metric": "f1[SS]",
+      "sae-lstm": 0.0,
+      "winner": "tie"
+    }
+  ],
+  "schema_version": 1
+}
+"""
+
+GOLDEN_COMPARISON_TEXT = """\
+metric                   sae-lstm          gbt        delta  winner
+accuracy                 0.750000     0.692308    +0.057692  sae-lstm
+macro_precision          0.500000     0.500000    +0.000000  tie
+macro_recall             0.504762     0.485714    +0.019048  sae-lstm
+macro_f1                 0.498834     0.488889    +0.009946  sae-lstm
+weighted_precision       0.763889     0.692308    +0.071581  sae-lstm
+weighted_recall          0.750000     0.692308    +0.057692  sae-lstm
+weighted_f1              0.751748     0.687179    +0.064569  sae-lstm
+f1[A]                    0.769231     0.800000    -0.030769  gbt
+f1[S]                    0.727273     0.666667    +0.060606  sae-lstm
+f1[SS]                   0.000000     0.000000    +0.000000  tie
+"""
+
+GOLDEN_COMPARISON_CSV = """\
+metric,sae-lstm,gbt,delta,winner
+accuracy,0.75,0.6923076923076923,0.05769230769230771,sae-lstm
+macro_precision,0.5,0.5,0.0,tie
+macro_recall,0.5047619047619047,0.4857142857142857,0.019047619047619035,sae-lstm
+macro_f1,0.49883449883449876,0.48888888888888876,0.009945609945610001,sae-lstm
+weighted_precision,0.763888888888889,0.6923076923076923,0.07158119658119666,sae-lstm
+weighted_recall,0.75,0.6923076923076923,0.05769230769230771,sae-lstm
+weighted_f1,0.7517482517482517,0.6871794871794872,0.06456876456876448,sae-lstm
+f1[A],0.7692307692307692,0.7999999999999999,-0.03076923076923077,gbt
+f1[S],0.7272727272727272,0.6666666666666665,0.06060606060606066,sae-lstm
+f1[SS],0.0,0.0,0.0,tie
+"""
+
+
+def test_report_renderers_keep_every_byte(tmp_path):
+    names = ("A", "S", "SS")
+    rep = report(ConfusionMatrix(np.array(GOLDEN_A), names))
+    other = report(ConfusionMatrix(np.array(GOLDEN_B), names))
+    table = compare(rep, other, "sae-lstm", "gbt")
+    dump_json(tmp_path / "report.json", rep.to_dict())
+    dump_json(tmp_path / "comparison.json", table.to_dict())
+    assert (tmp_path / "report.json").read_text() == GOLDEN_REPORT_JSON
+    assert rep.to_text() == GOLDEN_REPORT_TEXT
+    assert rep.to_csv() == GOLDEN_REPORT_CSV
+    assert (tmp_path / "comparison.json").read_text() == GOLDEN_COMPARISON_JSON
+    assert table.to_text() == GOLDEN_COMPARISON_TEXT
+    assert table.to_csv() == GOLDEN_COMPARISON_CSV

@@ -208,7 +208,8 @@ def test_fine_tune_learns_separable_labels():
     model = build_stack(x, SAEConfig(encoder_dims=(16, 8), epochs=20), 10)
     cfg = SAEConfig(encoder_dims=(16, 8), epochs=120, batch_size=32,
                     learning_rate=0.01)
-    head, losses = fine_tune(model, x, y, 3, 10, cfg)
+    model.config = cfg
+    head, losses = fine_tune(model, x, y, 3, 10)
     assert losses[-1] < losses[0]
     probs, _ = dense_forward(head, encode(model, x))
     assert (probs.argmax(axis=1) == y).mean() >= 0.95
@@ -239,7 +240,7 @@ def test_model_dict_round_trip_is_bit_exact():
     x, y = blob_data(10, 3, seed=41)
     cfg = SAEConfig(encoder_dims=(6, 3), epochs=2, batch_size=8)
     model = build_stack(x, cfg, 9)
-    head, _ = fine_tune(model, x, y, 3, 9, cfg)
+    head, _ = fine_tune(model, x, y, 3, 9)
     doc = json.loads(json.dumps(model_to_dict(model, head)))
     restored, restored_head = model_from_dict(doc, model.config)
     layers = [*model.encoders, *model.decoders, head]
