@@ -2,8 +2,8 @@
 
 A dataset artifact is a directory:
 
-    dataset.json   stage counts, fitted preprocessing state, config echo,
-                   split sizes and the sha256 of table.npz's bytes
+    dataset.json   stage counts, fitted preprocessing state, config echo
+                   and the sha256 of table.npz's bytes
     table.npz      encoded, deduplicated, timestamp-cleaned rows and the
                    split, as an uncompressed numpy archive of four members:
                    numeric      float64 (rows, 6), the numeric columns
@@ -26,14 +26,22 @@ base64); every other float is a JSON number written via repr.
 Every stored float therefore round-trips bit-exactly, and writing the same
 artifact twice yields identical bytes (zip members carry a fixed timestamp).
 
+A bundle stores what training changed and derives the rest. Its components
+are the SAE encoders' weights and biases (the decoders and loss curves are
+in-memory only; the curves go to the history CSVs), the parts of the LSTM
+that Adam stepped (see :func:`ransomflow.lstm.trained_slices`) or the boosted
+trees. The loader takes the encoders' activation from the settings, rebuilds
+the seeded LSTM from the master seed and writes the stored parts in.
+
 Each stored fact has one home: the payload states the schema version and
 kind, the target column's encoding is the class list, an array's shape is
 its layer's size, and the ``config`` echo holds the settings, laid out as a
-configuration file (see :mod:`ransomflow.config`). The bundle loader reads
-each stage's settings strictly and checks the weights against them, and
-checks the model's class count (GBT tree lists, LSTM head outputs) against
-the class list. Values derived from others are not stored: stage seeds come
-from the master ``seed``, and the class count is the class list's length.
+configuration file (see :mod:`ransomflow.config`); both loaders read it
+as one, and refuse an echo that does not hold every setting. The bundle
+loader checks the weight shapes against the settings and the feature count,
+and the model's class count (GBT tree lists, LSTM head outputs) against the
+class list. Values derived from others are not stored: stage seeds come from
+the master ``seed``, and the class count is the class list's length.
 The column layout is not stored either: it is ``dataset.COLUMNS``, fixed for
 a schema version.
 """
@@ -43,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import io
 import zipfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,8 +61,10 @@ import numpy as np
 from . import gbt as gbt_mod
 from . import lstm as lstm_mod
 from . import sae as sae_mod
+from .config import PipelineConfig, from_dict
 from .dataset import (
     CATEGORICAL_NAMES,
+    FEATURE_NAMES,
     NAMES,
     NUMERIC_NAMES,
     TARGET,
@@ -67,10 +78,11 @@ from .dataset import (
     preprocess_from_dict,
     preprocess_to_dict,
 )
-from .errors import ChecksumMismatch, DataError, SchemaMismatch
+from .errors import ChecksumMismatch, ConfigError, DataError, SchemaMismatch
 from .serialize import (
     REPORT_VERSION,
     SCHEMA_VERSION,
+    canonical_json,
     checksum,
     dump_json,
     load_json,
@@ -160,7 +172,6 @@ def save_artifact(directory, maps, stats: NormStats, table: EncodedTable,
         "config": config_echo,
         "preprocess": preprocess_to_dict(maps, stats),
         "stages": stages,
-        "split": {"train_rows": len(train_idx), "test_rows": len(test_idx)},
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
     }
     dump_json(directory / "dataset.json",
@@ -209,13 +220,23 @@ def _verified_payload(path, what: str, kinds) -> dict:
 def stored_fields(path, what: str):
     """Raise :class:`SchemaMismatch` naming ``path`` for a stored field the
     block finds missing, of the wrong type or holding a rejected value (any
-    :class:`DataError`)."""
+    :class:`DataError`, or a :class:`ConfigError` from a stored setting)."""
     try:
         yield
     except KeyError as exc:
         raise SchemaMismatch(f"{path}: {what} is missing key {exc}") from None
-    except (DataError, AttributeError, TypeError, ValueError) as exc:
+    except (ConfigError, DataError, AttributeError, TypeError,
+            ValueError) as exc:
         raise SchemaMismatch(f"{path}: invalid {what}: {exc}") from None
+
+
+def _stored_config(doc) -> PipelineConfig:
+    """The settings a stored ``config`` echo holds, read as a configuration
+    file; :class:`SchemaMismatch` unless the echo holds every setting."""
+    cfg = from_dict(doc)
+    if canonical_json(cfg.echo()) != canonical_json(doc):
+        raise SchemaMismatch("config echo does not hold every setting")
+    return cfg
 
 
 def _split_side(table: EncodedTable, stats: NormStats, index):
@@ -227,6 +248,7 @@ def load_artifact(directory) -> DatasetArtifact:
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",))
     with stored_fields(directory, "dataset artifact"):
+        _stored_config(payload["config"])
         maps, stats = preprocess_from_dict(payload["preprocess"])
         table_sha256 = payload["table_sha256"]
     table_path = directory / TABLE_FILE
@@ -281,16 +303,7 @@ class ModelBundle:
     kind: str
     maps: object
     stats: NormStats
-    sae_model: object = None
-    lstm_model: object = None
-    gbt_model: object = None
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Labels for normalized feature rows, via whichever model is present."""
-        if self.kind == "sae-lstm":
-            codes = sae_mod.encode(self.sae_model, x)
-            return lstm_mod.predict(self.lstm_model, codes)
-        return gbt_mod.predict_labels(self.gbt_model, x)
+    predict: Callable  # normalized feature rows -> labels
 
 
 def load_bundle(path) -> ModelBundle:
@@ -298,22 +311,22 @@ def load_bundle(path) -> ModelBundle:
     kind = payload["kind"]
     with stored_fields(path, "model bundle"):
         maps, stats = preprocess_from_dict(payload["preprocess"])
-        config, components = payload["config"], payload["components"]
-        bundle = ModelBundle(kind=kind, maps=maps, stats=stats)
-        if kind == "sae-lstm":
-            sae_config = sae_mod.SAEConfig.from_dict(config["sae"])
-            lstm_config = lstm_mod.LstmConfig.from_dict(config["lstm"])
-            bundle.sae_model, _ = sae_mod.model_from_dict(components["sae"],
-                                                          sae_config)
-            bundle.lstm_model = lstm_mod.model_from_dict(components["lstm"],
-                                                         lstm_config)
-            outputs = bundle.lstm_model.head.out_dim
-        else:
-            bundle.gbt_model = gbt_mod.model_from_dict(
-                components["gbt"], gbt_mod.GbtParams.from_dict(config["gbt"]))
-            outputs = bundle.gbt_model.k_classes
+        cfg = _stored_config(payload["config"])
+        components = payload["components"]
         classes = maps.size(TARGET)
-        if outputs != classes:
-            raise SchemaMismatch(f"{kind} model has {outputs} class outputs "
-                                 f"for {classes} classes")
-    return bundle
+        if kind == "sae-lstm":
+            encoders = sae_mod.model_from_dict(components["sae"], cfg.sae,
+                                               len(FEATURE_NAMES))
+            classifier = lstm_mod.model_from_dict(
+                components["lstm"], cfg.lstm, cfg.sae.encoder_dims[-1], classes,
+                cfg.seed_for("lstm"))
+
+            def predict(x):
+                return lstm_mod.predict(classifier, sae_mod.encode(encoders, x))
+        else:
+            trees = gbt_mod.model_from_dict(components["gbt"], cfg.gbt.rounds,
+                                            classes)
+
+            def predict(x):
+                return gbt_mod.predict_labels(trees, x)
+    return ModelBundle(kind=kind, maps=maps, stats=stats, predict=predict)

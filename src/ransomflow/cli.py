@@ -13,7 +13,9 @@ missing files, 3 malformed or degenerate data.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import analytics, gbt, lstm, sae
@@ -197,6 +199,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _check_losses(bundle_path, losses) -> None:
+    """Refuse to store a model whose training loss diverged, before the loss
+    is printed or written."""
+    if not all(math.isfinite(loss) for loss in losses):
+        raise DataError(f"{bundle_path}: cannot store the model bundle: a "
+                        f"training loss is not finite")
+
+
 def cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
@@ -205,29 +215,31 @@ def cmd_train(args) -> int:
     if artifact.train.row_count == 0:
         raise EmptyData("artifact holds no training rows")
     preprocess_doc = preprocess_to_dict(artifact.maps, artifact.stats)
-    k = artifact.train.k_classes
+    x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
     bundle_path = out_dir / "bundle.json"
 
     if args.kind == "sae-lstm":
         sae_seed = cfg.seed_for("sae")
-        model = sae.build_stack(artifact.train.x, cfg.sae, sae_seed)
-        head = None
-        if cfg.fine_tune:
-            head, ft_losses = sae.fine_tune(model, artifact.train.x,
-                                            artifact.train.y, k, sae_seed)
-            (out_dir / "fine_tune_history.csv").write_text(
-                csv_text(("epoch", "loss"), enumerate(ft_losses)),
-                encoding="utf-8")
+        model = sae.build_stack(x, cfg.sae, sae_seed)
+        ft_losses = sae.fine_tune(model, x, y, k, sae_seed) if cfg.fine_tune \
+            else []
         # build_stack keeps the training codes; fine-tuning drops them
         codes = model.codes
         if codes is None:
-            codes = sae.encode(model, artifact.train.x)
+            codes = sae.encode(model.encoders, x)
         classifier, history = lstm.train_classifier(
-            codes, artifact.train.y, cfg.lstm, cfg.seed_for("lstm"), k)
+            codes, y, cfg.lstm, cfg.seed_for("lstm"), k)
+        _check_losses(bundle_path, [model.stack_loss, *ft_losses,
+                                    *chain(*model.pretrain_losses),
+                                    *(loss for loss, _ in history)])
         save_bundle(bundle_path, "sae-lstm", cfg.echo(), preprocess_doc, {
-            "sae": sae.model_to_dict(model, head),
-            "lstm": lstm.model_to_dict(classifier),
+            "sae": sae.model_to_dict(model),
+            "lstm": lstm.model_to_dict(classifier, codes.shape[1]),
         })
+        if cfg.fine_tune:
+            (out_dir / "fine_tune_history.csv").write_text(
+                csv_text(("epoch", "loss"), enumerate(ft_losses)),
+                encoding="utf-8")
         (out_dir / "sae_history.csv").write_text(sae.history_csv(model),
                                                  encoding="utf-8")
         (out_dir / "lstm_history.csv").write_text(lstm.history_csv(history),
@@ -238,14 +250,15 @@ def cmd_train(args) -> int:
             print(f"  final epoch loss {history[-1][0]:.6f}, "
                   f"training accuracy {history[-1][1]:.4f}")
     else:
-        model = gbt.train_gbt(artifact.train, cfg.gbt)
+        model, losses = gbt.train_gbt(artifact.train, cfg.gbt)
+        _check_losses(bundle_path, losses)
         save_bundle(bundle_path, "gbt", cfg.echo(), preprocess_doc,
                     {"gbt": gbt.model_to_dict(model)})
-        (out_dir / "gbt_history.csv").write_text(gbt.history_csv(model),
+        (out_dir / "gbt_history.csv").write_text(gbt.history_csv(losses),
                                                  encoding="utf-8")
         print(f"gbt bundle written to {bundle_path}")
-        print(f"  training loss {model.training_loss[0]:.6f} -> "
-              f"{model.training_loss[-1]:.6f} over {model.rounds_built} rounds")
+        print(f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
+              f"{cfg.gbt.rounds} rounds")
     return 0
 
 

@@ -476,7 +476,10 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, doc) -> "NormStats":
-        return cls({str(name): (float(lo), float(hi)) for name, lo, hi in doc})
+        columns = {str(name): (float(lo), float(hi)) for name, lo, hi in doc}
+        if len(columns) != len(doc):
+            raise SchemaMismatch("normalization lists a column twice")
+        return cls(columns)
 
 
 @dataclass

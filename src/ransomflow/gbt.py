@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     DegenerateClasses,
     EmptyData,
+    SchemaMismatch,
     ShapeMismatch,
     check_int,
     check_label_range,
@@ -240,34 +241,20 @@ def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class GbtModel:
-    trees: list          # trees[class][round]
-    params: GbtParams
-    training_loss: list = field(default_factory=list)
-
-    @property
-    def k_classes(self) -> int:
-        return len(self.trees)
-
-    @property
-    def rounds_built(self) -> int:
-        return len(self.trees[0]) if self.trees else 0
-
-
 def _mean_ce(raw: np.ndarray, y: np.ndarray) -> float:
     probs = softmax(raw)
     picked = probs[np.arange(len(y)), y]
     return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
 
-def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
+def train_gbt(fm, params: GbtParams | None = None):
     """Boost ``params.rounds`` rounds on a feature matrix.
 
     ``fm`` needs ``x`` (n, d), integer ``y`` and ``k_classes`` attributes;
     labels must fall inside [0, fm.k_classes), and one tree list is grown
-    per class. ``training_loss`` records the mean
-    cross-entropy before any trees and after each round.
+    per class. Returns (trees, losses): ``trees[class][round]``, the model,
+    and the mean training cross-entropy before any trees and after each
+    round.
     """
     params = params or GbtParams()
     # column-major, so each feature's values are one contiguous gather
@@ -293,27 +280,27 @@ def train_gbt(fm, params: GbtParams | None = None) -> GbtModel:
                 leaf.rows = None
             trees[c].append(tree)
         losses.append(_mean_ce(raw, y))
-    return GbtModel(trees=trees, params=params, training_loss=losses)
+    return trees, losses
 
 
-def gbt_raw_scores(model: GbtModel, x: np.ndarray) -> np.ndarray:
+def gbt_raw_scores(trees: list, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected (rows, features), got {x.shape}")
-    raw = np.zeros((x.shape[0], model.k_classes))
-    for c, per_class in enumerate(model.trees):
+    raw = np.zeros((x.shape[0], len(trees)))
+    for c, per_class in enumerate(trees):
         for tree in per_class:
             raw[:, c] += tree_predict(tree, x)
     return raw
 
 
-def gbt_predict(model: GbtModel, x: np.ndarray) -> np.ndarray:
+def gbt_predict(trees: list, x: np.ndarray) -> np.ndarray:
     """Class probabilities: softmax of the summed tree outputs."""
-    return softmax(gbt_raw_scores(model, x))
+    return softmax(gbt_raw_scores(trees, x))
 
 
-def predict_labels(model: GbtModel, x: np.ndarray) -> np.ndarray:
-    return gbt_predict(model, x).argmax(axis=1).astype(np.int64)
+def predict_labels(trees: list, x: np.ndarray) -> np.ndarray:
+    return gbt_predict(trees, x).argmax(axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +329,22 @@ def node_from_dict(doc: dict) -> TreeNode:
     )
 
 
-def model_to_dict(model: GbtModel) -> dict:
-    return {
-        "training_loss": [float(v) for v in model.training_loss],
-        "trees": [[node_to_dict(t) for t in per_class]
-                  for per_class in model.trees],
-    }
+def model_to_dict(trees: list) -> dict:
+    return {"trees": [[node_to_dict(t) for t in per_class]
+                      for per_class in trees]}
 
 
-def model_from_dict(doc: dict, params: GbtParams) -> GbtModel:
+def model_from_dict(doc: dict, rounds: int, k_classes: int) -> list:
+    """The trees in ``doc``; :class:`SchemaMismatch` unless they are
+    ``k_classes`` lists of ``rounds`` trees each."""
     trees = [[node_from_dict(t) for t in per_class]
              for per_class in doc["trees"]]
-    return GbtModel(trees=trees, params=params,
-                    training_loss=[float(v) for v in doc["training_loss"]])
+    counts = [len(per_class) for per_class in trees]
+    if counts != [rounds] * k_classes:
+        raise SchemaMismatch(f"tree counts {counts} per class contradict "
+                             f"{rounds} rounds and {k_classes} classes")
+    return trees
 
 
-def history_csv(model: GbtModel) -> str:
-    return csv_text(("round", "loss"), enumerate(model.training_loss))
+def history_csv(losses: list) -> str:
+    return csv_text(("round", "loss"), enumerate(losses))

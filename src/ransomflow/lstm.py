@@ -17,7 +17,9 @@ block: [a_i | a_o | a_g] = x_t @ w[live, H:].T + b[live], and c_t = i * g.
 Its backward pass writes gradient on those rows of w[:, H:] and b only; the
 recurrent block and the forget rows keep zero gradient. With one step per
 sequence (the default layout) those entries never get a gradient at all, so
-training steps Adam over the views w[:, H:], b and the head only.
+training steps Adam over the views w[:, H:], b and the head only. A stored
+classifier holds just the views training stepped; loading rebuilds the seeded
+stack and writes them in.
 
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
@@ -45,8 +47,6 @@ from .nn import (
     cross_entropy_loss,
     dense_backward_preact,
     dense_forward,
-    layer_from_dict,
-    layer_to_dict,
     sigmoid,
     train_epochs,
 )
@@ -60,20 +60,6 @@ LAYOUTS = ("single-step", "feature-steps")
 class LstmCell:
     w: np.ndarray  # (4 * hidden, hidden + input), row blocks i | f | o | g
     b: np.ndarray  # (4 * hidden,)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.w.ndim != 2 or self.w.shape[0] % 4:
-            raise ShapeMismatch(
-                f"gate matrix shape {self.w.shape} is not (4 * hidden, columns)"
-            )
-        if self.b.shape != (self.w.shape[0],):
-            raise ShapeMismatch(
-                f"gate bias shape {self.b.shape} != ({self.w.shape[0]},)"
-            )
-        if self.w.shape[1] <= self.hidden_size:
-            raise ShapeMismatch("gate matrix must have input + hidden columns")
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, seed: int) -> "LstmCell":
@@ -370,6 +356,18 @@ def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
     return LstmClassifier(cells=cells, head=head, config=config)
 
 
+def trained_slices(model: LstmClassifier, time_steps: int) -> list:
+    """Per array of ``model.params()``, the index of the part training steps.
+
+    With one step per sequence every cell runs from zero state, so the
+    recurrent block w[:, :H] keeps its seeded values and only w[:, H:] is
+    live; otherwise all of w is. Every bias and the head are live.
+    """
+    cell_w = np.s_[:, model.config.hidden_size:] if time_steps == 1 \
+        else np.s_[...]
+    return [cell_w, np.s_[...]] * len(model.cells) + [np.s_[...]] * 2
+
+
 def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
                      seed: int, k_classes: int | None = None):
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
@@ -383,13 +381,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     k = check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k, config, seed)
-    # Adam steps views of the parameters. With one step per sequence every
-    # cell runs from zero state, so the recurrent block w[:, :H] keeps its
-    # seeded values and only w[:, H:] is live.
-    live = [np.s_[...]] * len(model.params())
-    if sequences.shape[1] == 1:
-        live[:2 * len(model.cells):2] = \
-            [np.s_[:, config.hidden_size:]] * len(model.cells)
+    live = trained_slices(model, sequences.shape[1])
     params = [p[s] for p, s in zip(model.params(), live)]
 
     def batch_step(idx):
@@ -428,24 +420,43 @@ def predict(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
 # Serialization
 
 
-def model_to_dict(model: LstmClassifier) -> dict:
+def model_to_dict(model: LstmClassifier, features: int) -> dict:
+    """The parts of ``model``, trained on ``features``-wide rows, that
+    training changed; :func:`model_from_dict` derives the rest."""
+    steps = to_sequences(np.empty((0, features)),
+                         model.config.sequence_layout).shape[1]
+    views = iter(p[s] for p, s in zip(model.params(),
+                                      trained_slices(model, steps)))
     return {
-        "cells": [{"w": array_doc(c.w, "lstm cell w"),
-                   "b": array_doc(c.b, "lstm cell b")} for c in model.cells],
-        "head": layer_to_dict(model.head),
+        "cells": [{"w": array_doc(next(views), "lstm cell w"),
+                   "b": array_doc(next(views), "lstm cell b")}
+                  for _ in model.cells],
+        "head": {"weights": array_doc(next(views), "dense layer weights"),
+                 "biases": array_doc(next(views), "dense layer biases")},
     }
 
 
-def model_from_dict(doc: dict, config: LstmConfig) -> LstmClassifier:
-    """The classifier in ``doc``; :class:`SchemaMismatch` unless it holds
-    ``config.num_layers`` cells of ``config.hidden_size`` hidden units."""
-    cells = [LstmCell(w=array_from_doc(d["w"]), b=array_from_doc(d["b"]))
-             for d in doc["cells"]]
-    widths = [cell.hidden_size for cell in cells]
-    if widths != [config.hidden_size] * config.num_layers:
-        raise SchemaMismatch(f"cell widths {widths} contradict lstm config")
-    return LstmClassifier(cells=cells, head=layer_from_dict(doc["head"]),
-                          config=config)
+def model_from_dict(doc: dict, config: LstmConfig, features: int,
+                    k_classes: int, seed: int) -> LstmClassifier:
+    """The seeded classifier ``train_classifier`` starts from, with the parts
+    ``doc`` stores written in; :class:`SchemaMismatch` unless each stored
+    part has the shape of the part training changes."""
+    _, steps, width = to_sequences(np.empty((0, features)),
+                                   config.sequence_layout).shape
+    model = create_classifier(width, k_classes, config, seed)
+    stored = [a for cell in doc["cells"] for a in (cell["w"], cell["b"])]
+    stored += [doc["head"]["weights"], doc["head"]["biases"]]
+    params = model.params()
+    if len(stored) != len(params):
+        raise SchemaMismatch(f"{len(doc['cells'])} stored cells for "
+                             f"{config.num_layers} lstm layers")
+    for p, s, stored_doc in zip(params, trained_slices(model, steps), stored):
+        part = array_from_doc(stored_doc)
+        if part.shape != p[s].shape:
+            raise SchemaMismatch(f"stored lstm parameter shape {part.shape} "
+                                 f"!= {p[s].shape}")
+        p[s] = part
+    return model
 
 
 def history_csv(history) -> str:

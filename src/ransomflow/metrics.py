@@ -17,6 +17,7 @@ from .errors import (
     ClassSetMismatch,
     EmptyMatrix,
     LengthMismatch,
+    SchemaMismatch,
     check_label_range,
 )
 from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
@@ -165,6 +166,14 @@ class MetricsReport:
     def from_dict(cls, doc: dict) -> "MetricsReport":
         require_version(doc, "metrics report", REPORT_VERSION)
         names = tuple(doc["class_order"])
+        if len(set(names)) != len(names) or set(doc["classes"]) != set(names):
+            raise SchemaMismatch("classes and class_order must name each "
+                                 "class once")
+        zero_division = doc["zero_division"]
+        if not isinstance(zero_division, list) \
+                or not set(zero_division) <= set(names):
+            raise SchemaMismatch("zero_division must list names from "
+                                 "class_order")
         return cls(
             class_names=names,
             per_class={name: read_fields(ClassScores, doc["classes"][name])
@@ -173,7 +182,7 @@ class MetricsReport:
             macro=read_fields(Scores, doc["macro"]),
             weighted=read_fields(Scores, doc["weighted"]),
             total_support=int(doc["total_support"]),
-            zero_division=tuple(doc.get("zero_division", ())),
+            zero_division=tuple(zero_division),
         )
 
     def to_text(self) -> str:

@@ -387,16 +387,17 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 
 
 def layer_to_dict(layer: DenseLayer) -> dict:
+    """The layer's weights and biases; its activation is a setting, which
+    :func:`layer_from_dict` takes from the caller."""
     return {
-        "activation": layer.activation,
         "weights": array_doc(layer.weights, "dense layer weights"),
         "biases": array_doc(layer.biases, "dense layer biases"),
     }
 
 
-def layer_from_dict(doc: dict) -> DenseLayer:
+def layer_from_dict(doc: dict, activation: str) -> DenseLayer:
     return DenseLayer(
         array_from_doc(doc["weights"]),
         array_from_doc(doc["biases"]),
-        doc["activation"],
+        activation,
     )

@@ -2,10 +2,12 @@
 
 Each encoder layer (relu by default) is trained with a linear decoder to
 minimize batch-mean squared reconstruction error on the codes of the layer
-below it; its frozen codes then feed the next layer. The decoders are kept so
-the stack can reconstruct inputs. An optional supervised stage fine-tunes the
-encoders under a softmax head with cross-entropy. Every stage is a batch step
-run by :func:`ransomflow.nn.train_epochs`.
+below it; its frozen codes then feed the next layer. The trained stack keeps
+its decoders and loss curves in memory, so it can reconstruct inputs and
+report its losses; a stored stack is its encoders alone, which is all
+encoding reads. An optional supervised stage fine-tunes the encoders under a
+softmax head with cross-entropy. Every stage is a batch step run by
+:func:`ransomflow.nn.train_epochs`.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     Each layer draws from its own substream of ``seed``. Labels are never
     consulted. The returned model records each layer's loss curve and the
     whole stack's reconstruction loss on the training data, and keeps the
-    training data's codes, equal to ``encode(model, data)``.
+    training data's codes, equal to ``encode(model.encoders, data)``.
     """
     data = np.asarray(data, dtype=np.float64)
     encoders = []
@@ -167,13 +169,13 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
                     stack_loss=float(mse_loss(current, data)[0]), codes=codes)
 
 
-def encode(model: SAEModel, x: np.ndarray) -> np.ndarray:
-    """Map inputs to the deepest code layer."""
+def encode(encoders: list, x: np.ndarray) -> np.ndarray:
+    """Map inputs through ``encoders`` to the deepest code layer."""
     current = np.asarray(x, dtype=np.float64)
     single = current.ndim == 1
     if single:
         current = current[None, :]
-    for layer in model.encoders:
+    for layer in encoders:
         current = dense_forward(layer, current)[0]
     return current[0] if single else current
 
@@ -193,8 +195,9 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     Encoder weights and the head are updated jointly; decoders are left
     untouched, and the codes ``build_stack`` kept are dropped. The head and
     the batch order draw from a substream of ``seed``, the seed the stack
-    was built with, and the pass runs with the stack's own settings. Returns
-    (head, losses) with the per-epoch mean loss.
+    was built with, and the pass runs with the stack's own settings. The head
+    only trains the encoders and is discarded. Returns the per-epoch mean
+    losses.
     """
     config = model.config
     x = np.asarray(x, dtype=np.float64)
@@ -223,39 +226,28 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     history = train_epochs(model.encoder_params() + head.params(), batch_step,
                            x.shape[0], config.batch_size, config.learning_rate,
                            seed, config.epochs)
-    return head, [loss for loss, _ in history]
+    return [loss for loss, _ in history]
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def model_to_dict(model: SAEModel, head: DenseLayer | None = None) -> dict:
-    return {
-        "encoders": [layer_to_dict(l) for l in model.encoders],
-        "decoders": [layer_to_dict(l) for l in model.decoders],
-        "pretrain_losses": [list(map(float, curve)) for curve in model.pretrain_losses],
-        "stack_loss": float(model.stack_loss),
-        "head": layer_to_dict(head) if head is not None else None,
-    }
+def model_to_dict(model: SAEModel) -> dict:
+    return {"encoders": [layer_to_dict(l) for l in model.encoders]}
 
 
-def model_from_dict(doc: dict, config: SAEConfig):
-    """(model, head) in ``doc``; :class:`SchemaMismatch` unless the encoder
-    widths are ``config.encoder_dims``."""
-    encoders = [layer_from_dict(d) for d in doc["encoders"]]
-    widths = tuple(layer.out_dim for layer in encoders)
-    if widths != config.encoder_dims:
-        raise SchemaMismatch(f"encoder widths {widths} contradict sae config")
-    model = SAEModel(
-        encoders=encoders,
-        decoders=[layer_from_dict(d) for d in doc["decoders"]],
-        config=config,
-        pretrain_losses=[list(curve) for curve in doc["pretrain_losses"]],
-        stack_loss=float(doc["stack_loss"]),
-    )
-    head = layer_from_dict(doc["head"]) if doc.get("head") is not None else None
-    return model, head
+def model_from_dict(doc: dict, config: SAEConfig, features: int) -> list:
+    """The encoders in ``doc``, applying ``config.activation``;
+    :class:`SchemaMismatch` unless they map ``features`` inputs through
+    ``config.encoder_dims``."""
+    encoders = [layer_from_dict(d, config.activation) for d in doc["encoders"]]
+    shapes = [layer.weights.shape for layer in encoders]
+    dims = config.encoder_dims
+    if shapes != list(zip(dims, (features, *dims[:-1]))):
+        raise SchemaMismatch(f"encoder weight shapes {shapes} contradict "
+                             f"{features} features and sae config")
+    return encoders
 
 
 def history_csv(model: SAEModel) -> str:

@@ -21,8 +21,9 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # Stored dataset artifacts and model bundles; version 2 stores numbers as
 # bytes, version 3 states each fact once, version 4 leaves the column layout
 # (dataset.COLUMNS) to the code, version 5 drops the derived stage seeds and
-# class count from the config echo.
-SCHEMA_VERSION = 5
+# class count from the config echo, version 6 stores only what training
+# changed (no decoders, loss curves or seeded LSTM blocks; no split sizes).
+SCHEMA_VERSION = 6
 # Reports and summaries (report.json, comparison.json, analysis.json,
 # stats.json), whose layout versions 2 to 5 left unchanged. report.json no
 # longer copies its bundle's config echo; no reader of reports read it, so

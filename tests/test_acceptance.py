@@ -350,14 +350,15 @@ def test_c6_desk_scale_training():
     first_layer = sae_model.pretrain_losses[0]
     sae_ok = min(first_layer) < 0.5 * first_layer[0]
 
-    classifier, _ = train_classifier(encode(sae_model, train_fm.x),
+    classifier, _ = train_classifier(encode(sae_model.encoders, train_fm.x),
                                      train_fm.y, LstmConfig(epochs=60),
                                      rng.derive(1819, "lstm"), 3)
-    lstm_acc = float((lstm_predict(classifier, encode(sae_model, test_fm.x))
+    lstm_acc = float((lstm_predict(classifier,
+                                   encode(sae_model.encoders, test_fm.x))
                       == test_fm.y).mean())
 
-    gbt_model = train_gbt(train_fm, GbtParams())
-    gbt_acc = float((predict_labels(gbt_model, test_fm.x)
+    gbt_trees, _ = train_gbt(train_fm, GbtParams())
+    gbt_acc = float((predict_labels(gbt_trees, test_fm.x)
                      == test_fm.y).mean())
 
     ok = sae_ok and lstm_acc >= 0.90 and gbt_acc >= 0.85

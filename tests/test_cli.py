@@ -12,7 +12,7 @@ from ransomflow import cli, gbt, lstm, sae
 from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
-from ransomflow.dataset import parse_csv, preprocess_to_dict
+from ransomflow.dataset import FEATURE_NAMES, parse_csv, preprocess_to_dict
 from ransomflow.serialize import (
     SCHEMA_VERSION,
     array_doc,
@@ -93,13 +93,14 @@ def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
     assert stages["duplicates_removed"] == meta["duplicates"]
     assert stages["bad_timestamps_removed"] == meta["bad_times"]
     assert stages["table_rows"] == meta["clean_rows"]
-    split = payload["split"]
-    assert split["train_rows"] + split["test_rows"] == meta["clean_rows"]
+    artifact = load_artifact(artifact_dir)
+    assert artifact.train.row_count + artifact.test.row_count \
+        == meta["clean_rows"]
     classes = payload["preprocess"]["encoding"]["Prediction"]
     assert classes == list(meta["classes"])
     # 0.25 of each class held out, rounded half up
     per_class = next(iter(meta["per_class"].values()))
-    assert split["test_rows"] == 3 * round(per_class * 0.25)
+    assert artifact.test.row_count == 3 * round(per_class * 0.25)
 
 
 def test_ingest_dataset_json_echoes_config(artifact_dir):
@@ -225,7 +226,7 @@ def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
     assert payload["config"]["seed"] == 23
     assert payload["config"]["dataset"]["test_ratio"] == 0.5
     assert payload["config"]["gbt"]["rounds"] == 2
-    assert payload["split"]["test_rows"] == meta["clean_rows"] // 2
+    assert load_artifact(out).test.row_count == meta["clean_rows"] // 2
 
     typo = tmp_path / "typo.json"
     typo.write_text('{"sead": 1}', encoding="utf-8")
@@ -253,9 +254,9 @@ def test_ingest_subsample_and_alternate_ordering(synthetic_csv, tmp_path):
     rc = main(["ingest", str(csv_path), "--output", str(out2),
                "--split-before-dedup", "--seed", "7"])
     assert rc == 0
-    payload = read_payload(out2)
-    assert payload["stages"]["ordering"] == "split-before-dedup"
-    assert payload["split"]["train_rows"] + payload["split"]["test_rows"] \
+    assert read_payload(out2)["stages"]["ordering"] == "split-before-dedup"
+    artifact = load_artifact(out2)
+    assert artifact.train.row_count + artifact.test.row_count \
         <= meta["total_rows"]
 
 
@@ -354,6 +355,8 @@ def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
 
 # a value that deletes its field instead of setting it
 _DELETE = object()
+# normalization bounds for every feature column, one of them listed twice
+_REPEATED_COLUMN = [[name, 0.0, 1.0] for name in (*FEATURE_NAMES, "Time")]
 
 # a stored file (bundle.json is the gbt bundle's, sae-bundle.json the
 # sae-lstm one's), a dotted field of its {checksum, payload} document (a
@@ -370,6 +373,9 @@ _MALFORMED_FIELDS = {
     "bundle-version-3": ("bundle.json", "payload.schema_version", 3),
     "dataset-version-4": ("dataset.json", "payload.schema_version", 4),
     "bundle-version-4": ("bundle.json", "payload.schema_version", 4),
+    "dataset-version-5": ("dataset.json", "payload.schema_version", 5),
+    "bundle-version-5": ("bundle.json", "payload.schema_version", 5),
+    "sae-bundle-version-5": ("sae-bundle.json", "payload.schema_version", 5),
     "class-list-string": ("dataset.json",
                           "payload.preprocess.encoding.Prediction", "x"),
     "class-list-number": ("dataset.json",
@@ -394,6 +400,11 @@ _MALFORMED_FIELDS = {
     "normalization-bound-string": ("dataset.json",
                                    "payload.preprocess.normalization",
                                    [["Time", "a", 1]]),
+    "normalization-repeated-column": ("dataset.json",
+                                      "payload.preprocess.normalization",
+                                      _REPEATED_COLUMN),
+    "bundle-normalization-repeated-column": (
+        "bundle.json", "payload.preprocess.normalization", _REPEATED_COLUMN),
     "encoding-list": ("dataset.json", "payload.preprocess.encoding", [1, 2]),
     "table-sha256-number": ("dataset.json", "payload.table_sha256", 5),
     "bundle-encoding-list": ("bundle.json", "payload.preprocess.encoding",
@@ -474,39 +485,38 @@ _COMMON = {
 
 
 def _dense(path) -> dict:
-    return _layout({path: "activation biases weights",
+    return _layout({path: "biases weights",
                     f"{path}.weights": _ARRAY, f"{path}.biases": _ARRAY})
 
 
 _STORED_LAYOUT = {
     "dataset": _layout({
-        "payload": "config kind preprocess schema_version split stages "
+        "payload": "config kind preprocess schema_version stages "
                    "table_sha256",
-        "payload.split": "test_rows train_rows",
         "payload.stages": "parsed_rows encoded_rows ordering "
                           "duplicates_removed deduplicated_rows "
                           "bad_timestamps_removed table_rows",
     }),
     "sae-lstm": {
         **_dense("payload.components.sae.encoders[]"),
-        **_dense("payload.components.sae.decoders[]"),
-        **_dense("payload.components.lstm.head"),
         **_layout({
             "payload": "components config kind preprocess schema_version",
             "payload.components": "lstm sae",
-            "payload.components.sae": "decoders encoders head "
-                                      "pretrain_losses stack_loss",
+            "payload.components.sae": "encoders",
             "payload.components.lstm": "cells head",
             "payload.components.lstm.cells[]": "b w",
             "payload.components.lstm.cells[].w": _ARRAY,
             "payload.components.lstm.cells[].b": _ARRAY,
+            "payload.components.lstm.head": "biases weights",
+            "payload.components.lstm.head.weights": _ARRAY,
+            "payload.components.lstm.head.biases": _ARRAY,
         }),
     },
     "gbt": {
         **_layout({
             "payload": "components config kind preprocess schema_version",
             "payload.components": "gbt",
-            "payload.components.gbt": "training_loss trees",
+            "payload.components.gbt": "trees",
         }),
         "payload.components.gbt.trees[][]": {
             frozenset({"weight"}),
@@ -545,10 +555,10 @@ def test_evaluate_report_covers_test_split(sae_report_dir, artifact_dir):
     for name in ("report.json", "report.txt", "report.csv", "confusion.csv"):
         assert (sae_report_dir / name).is_file(), name
     report = json.loads((sae_report_dir / "report.json").read_text())
-    split = read_payload(artifact_dir)["split"]
-    assert report["total_support"] == split["test_rows"]
+    test_rows = load_artifact(artifact_dir).test.row_count
+    assert report["total_support"] == test_rows
     supports = [row["support"] for row in report["classes"].values()]
-    assert sum(supports) == split["test_rows"]
+    assert sum(supports) == test_rows
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["kind"] == "sae-lstm"
     assert report["split"] == "test"
@@ -560,7 +570,7 @@ def test_evaluate_train_split(gbt_bundle_dir, artifact_dir, tmp_path):
                str(artifact_dir), "--split", "train", "--output", str(out)])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["total_support"] == read_payload(artifact_dir)["split"]["train_rows"]
+    assert report["total_support"] == load_artifact(artifact_dir).train.row_count
     # boosted trees fit the separable training data almost perfectly
     assert report["accuracy"] >= 0.95
 
@@ -645,8 +655,16 @@ def _widen_head(payload):
                                "biases")
 
 
+def _narrow_first_encoder(payload):
+    """Drop the first input column of the first SAE encoder's weights."""
+    layer = payload["components"]["sae"]["encoders"][0]
+    layer["weights"] = array_doc(array_from_doc(layer["weights"])[:, 1:],
+                                 "weights")
+
+
 # a bundle kind -> an edit after which the stored weights contradict the
-# config echo's stage settings or the class list (the fixture bundles:
+# config echo's stage settings, the feature count or the class list (the
+# fixture bundles:
 # encoder dims 75/50/13, one 16-wide LSTM layer, 3 classes)
 _CONTRADICTED = {
     "lstm-hidden-size": ("sae-lstm", lambda p: p["config"]["lstm"].update(
@@ -656,7 +674,12 @@ _CONTRADICTED = {
     "sae-encoder-dims": ("sae-lstm", lambda p: p["config"]["sae"].update(
         encoder_dims=[75, 50, 12])),
     "gbt-k-classes": ("gbt", lambda p: p["components"]["gbt"]["trees"].pop()),
+    "gbt-tree-dropped": ("gbt", lambda p: p["components"]["gbt"]["trees"][0]
+                         .pop()),
+    "gbt-tree-repeated": ("gbt", lambda p: p["components"]["gbt"]["trees"][1]
+                          .append(p["components"]["gbt"]["trees"][1][0])),
     "lstm-head-width": ("sae-lstm", _widen_head),
+    "sae-encoder-inputs": ("sae-lstm", _narrow_first_encoder),
 }
 
 
@@ -698,7 +721,7 @@ def test_evaluate_unknown_layer_activation_exits_3(sae_bundle_dir,
                                                    artifact_dir, tmp_path,
                                                    capsys):
     def change(payload):
-        payload["components"]["sae"]["encoders"][0]["activation"] = "foo"
+        payload["config"]["sae"]["activation"] = "foo"
 
     bundle = tmp_path / "bundle.json"
     _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
@@ -804,9 +827,9 @@ def _diverged_sae(build_stack):
 
 def _diverged_gbt(train_gbt):
     def train(*args, **kwargs):
-        model = train_gbt(*args, **kwargs)
-        model.training_loss[-1] = float("inf")
-        return model
+        model, losses = train_gbt(*args, **kwargs)
+        losses[-1] = float("inf")
+        return model, losses
     return train
 
 
@@ -907,8 +930,15 @@ def test_compare_rejects_non_report_json(sae_report_dir, tmp_path):
     lambda doc: {**doc, "kind": 5},
     lambda doc: {**doc, "kind": ["x"]},
     lambda doc: {**doc, "macro": {**doc["macro"], "support": 1}},
+    lambda doc: {**doc, "classes": {**doc["classes"],
+                                    "ZZ": doc["classes"]["SS"]}},
+    lambda doc: {**doc, "class_order": doc["class_order"] + ["SS"]},
+    lambda doc: {**doc, "zero_division": "SS"},
+    lambda doc: {**doc, "zero_division": ["ZZ"]},
 ], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string",
-        "kind-number", "kind-list", "macro-extra-key"])
+        "kind-number", "kind-list", "macro-extra-key", "classes-extra-key",
+        "class-order-repeated", "zero-division-string",
+        "zero-division-unknown-class"])
 def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,
                                           capsys):
     good = sae_report_dir / "report.json"
@@ -1000,17 +1030,16 @@ def explicit_sae_lstm(argv, out):
     artifact = load_artifact(args.artifact)
     x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
     model = sae.build_stack(x, cfg.sae, cfg.seed_for("sae"))
-    head = None
     if cfg.fine_tune:
-        head, _ = sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))
-    codes = sae.encode(model, x)
+        sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))
+    codes = sae.encode(model.encoders, x)
     classifier, history = lstm.train_classifier(codes, y, cfg.lstm,
                                                 cfg.seed_for("lstm"), k)
     out.mkdir(parents=True)
     save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(),
                 preprocess_to_dict(artifact.maps, artifact.stats),
-                {"sae": sae.model_to_dict(model, head),
-                 "lstm": lstm.model_to_dict(classifier)})
+                {"sae": sae.model_to_dict(model),
+                 "lstm": lstm.model_to_dict(classifier, codes.shape[1])})
     (out / "sae_history.csv").write_text(sae.history_csv(model),
                                          encoding="utf-8")
     (out / "lstm_history.csv").write_text(lstm.history_csv(history),

@@ -17,7 +17,6 @@ from ransomflow.errors import (
     LabelOutOfRange,
 )
 from ransomflow.gbt import (
-    GbtModel,
     GbtParams,
     TreeNode,
     best_split,
@@ -207,8 +206,7 @@ def test_hand_built_stump_probabilities():
     stump = TreeNode(feature=0, threshold=0.5,
                      left=TreeNode(weight=1.0), right=TreeNode(weight=0.0))
     flat = TreeNode(weight=0.0)
-    model = GbtModel(trees=[[stump], [flat], [flat]], params=GbtParams())
-    probs = gbt_predict(model, np.array([[0.0], [1.0]]))
+    probs = gbt_predict([[stump], [flat], [flat]], np.array([[0.0], [1.0]]))
     e = math.e
     assert np.abs(probs[0] - np.array([e, 1, 1]) / (e + 2)).max() < 1e-12
     assert np.abs(probs[1] - np.full(3, 1 / 3)).max() < 1e-15
@@ -216,32 +214,30 @@ def test_hand_built_stump_probabilities():
 
 def test_zero_rounds_predicts_uniform():
     x, y = blob_data(5, 3, seed=53)
-    model = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=0))
+    model, losses = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=0))
     probs = gbt_predict(model, x)
     assert np.abs(probs - 1 / 3).max() < 1e-15
-    assert len(model.training_loss) == 1
-    assert abs(model.training_loss[0] - math.log(3)) < 1e-12
+    assert len(losses) == 1
+    assert abs(losses[0] - math.log(3)) < 1e-12
 
 
 def test_training_separates_blobs_and_loss_decreases():
     x, y = blob_data(40, 3, seed=59)
     fm = FeatureMatrix(x[:90], y[:90], 3)
-    model = train_gbt(fm, GbtParams(rounds=20, max_depth=3))
+    model, losses = train_gbt(fm, GbtParams(rounds=20, max_depth=3))
     assert (predict_labels(model, x[90:]) == y[90:]).mean() == 1.0
-    losses = model.training_loss
     assert len(losses) == 21
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 0.5 * losses[0]
-    assert model.rounds_built == 20
-    assert model.k_classes == 3
+    assert [len(per_class) for per_class in model] == [20] * 3
 
 
 def test_training_is_deterministic():
     x, y = blob_data(15, 3, seed=61)
     fm = FeatureMatrix(x, y, 3)
-    a = train_gbt(fm, GbtParams(rounds=5))
-    b = train_gbt(fm, GbtParams(rounds=5))
-    assert a.training_loss == b.training_loss
+    a, a_losses = train_gbt(fm, GbtParams(rounds=5))
+    b, b_losses = train_gbt(fm, GbtParams(rounds=5))
+    assert a_losses == b_losses
     assert np.array_equal(gbt_predict(a, x), gbt_predict(b, x))
 
 
@@ -278,16 +274,17 @@ def test_params_validation_and_round_trip():
 
 def test_model_serialization_round_trip():
     x, y = blob_data(10, 3, seed=71)
-    model = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=3))
-    restored = model_from_dict(model_to_dict(model), model.params)
+    model, _ = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=3))
+    doc = model_to_dict(model)
+    restored = model_from_dict(doc, 3, 3)
     assert np.array_equal(gbt_predict(restored, x), gbt_predict(model, x))
-    assert restored.training_loss == model.training_loss
+    assert model_to_dict(restored) == doc
 
 
 def test_history_csv_layout():
     x, y = blob_data(6, 3, seed=73)
-    model = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=2))
-    lines = history_csv(model).strip().splitlines()
+    _, losses = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=2))
+    lines = history_csv(losses).strip().splitlines()
     assert lines[0] == "round,loss"
     assert len(lines) == 4
     assert lines[1].startswith("0,")

@@ -19,7 +19,6 @@ from conftest import blob_data
 
 from ransomflow import rng
 from ransomflow.gbt import (
-    GbtModel,
     GbtParams,
     SplitDecision,
     TreeNode,
@@ -114,7 +113,7 @@ def ref_train_gbt(x, y, params, k):
             trees[c].append(tree)
             raw[:, c] += tree_predict(tree, x)
         losses.append(_mean_ce(raw, y))
-    return GbtModel(trees=trees, params=params, training_loss=losses)
+    return trees, losses
 
 
 def random_case(seed):
@@ -154,10 +153,10 @@ def model_json(model):
 @pytest.mark.parametrize("seed", range(40))
 def test_training_matches_reference(seed):
     x, y, params, k = random_case(seed)
-    fast = train_gbt(SimpleNamespace(x=x, y=y, k_classes=k), params)
-    slow = ref_train_gbt(x, y, params, k)
+    fast, fast_losses = train_gbt(SimpleNamespace(x=x, y=y, k_classes=k), params)
+    slow, slow_losses = ref_train_gbt(x, y, params, k)
     assert model_json(fast) == model_json(slow)
-    assert repr(fast.training_loss) == repr(slow.training_loss)
+    assert repr(fast_losses) == repr(slow_losses)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -181,10 +180,10 @@ def test_split_and_subtree_match_reference_on_row_subsets(seed):
 def test_blob_fixture_matches_reference():
     x, y = blob_data(30, 3, seed=79)
     params = GbtParams(rounds=5, max_depth=4)
-    fast = train_gbt(SimpleNamespace(x=x, y=y, k_classes=3), params)
-    slow = ref_train_gbt(x, y, params, 3)
+    fast, fast_losses = train_gbt(SimpleNamespace(x=x, y=y, k_classes=3), params)
+    slow, slow_losses = ref_train_gbt(x, y, params, 3)
     assert model_json(fast) == model_json(slow)
-    assert repr(fast.training_loss) == repr(slow.training_loss)
+    assert repr(fast_losses) == repr(slow_losses)
 
 
 def test_cases_cover_the_corner_cases():
@@ -206,7 +205,7 @@ def test_cases_cover_the_corner_cases():
 
     used = set()
     for cx, cy, p, k in cases:
-        for per_class in ref_train_gbt(cx, cy, p, k).trees:
+        for per_class in ref_train_gbt(cx, cy, p, k)[0]:
             for tree in per_class:
                 used |= split_features(tree)
     # few-valued, adjacent-float, smooth and rounded columns all get split;

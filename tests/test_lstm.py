@@ -18,6 +18,7 @@ from ransomflow.errors import (
     ShapeMismatch,
 )
 from ransomflow.lstm import (
+    LAYOUTS,
     LstmCell,
     LstmConfig,
     cell_forward,
@@ -286,21 +287,28 @@ def test_model_serialization_round_trip():
     x, y = blob_data(6, 2, seed=47)
     cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4)
     model, _ = train_classifier(x, y, cfg, 15)
-    restored = model_from_dict(model_to_dict(model), model.config)
+    restored = model_from_dict(model_to_dict(model, 13), model.config, 13, 2,
+                               15)
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
-
 
 
 def test_model_dict_round_trip_is_bit_exact():
     x, y = blob_data(6, 3, seed=43)
-    cfg = LstmConfig(hidden_size=4, num_layers=2, epochs=2, batch_size=4)
-    model, _ = train_classifier(x, y, cfg, 17)
-    restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))),
-                               model.config)
-    for a, b in zip(model.params(), restored.params(), strict=True):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-        assert b.flags.writeable
+    for layout in LAYOUTS:
+        for layers in (1, 2):
+            cfg = LstmConfig(hidden_size=4, num_layers=layers, epochs=2,
+                             batch_size=4, sequence_layout=layout)
+            model, _ = train_classifier(x, y, cfg, 17)
+            doc = json.loads(json.dumps(model_to_dict(model, 13)))
+            # one step per row leaves the recurrent block w[:, :H] seeded
+            seeded = 4 if layout == "single-step" else 0
+            assert [d["w"]["shape"] for d in doc["cells"]] == [
+                [16, cell.w.shape[1] - seeded] for cell in model.cells]
+            restored = model_from_dict(doc, cfg, 13, 3, 17)
+            for a, b in zip(model.params(), restored.params(), strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+                assert b.flags.writeable
 
 def test_history_csv_layout():
     text = history_csv([(0.9, 0.5), (0.4, 0.75)])

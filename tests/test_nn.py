@@ -377,7 +377,9 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_layer_serialization_round_trip():
     layer = DenseLayer.create(4, 3, "tanh", 123)
-    restored = layer_from_dict(layer_to_dict(layer))
+    doc = layer_to_dict(layer)
+    assert set(doc) == {"weights", "biases"}  # the activation is a setting
+    restored = layer_from_dict(doc, "tanh")
     x = rng.uniform(5, (6, 4))
     out_a, _ = dense_forward(layer, x)
     out_b, _ = dense_forward(restored, x)

@@ -14,6 +14,7 @@ from conftest import record_table_sha, rewrite_table, synthetic_csv_text
 from ransomflow import cli
 from ransomflow.artifacts import load_artifact, save_artifact
 from ransomflow.cli import main
+from ransomflow.config import PipelineConfig
 from ransomflow.dataset import (
     column_index,
     dataset_stats,
@@ -53,7 +54,7 @@ def save_twice(tmp_path):
     for directory in dirs:
         save_artifact(directory, maps, stats, table, train_idx, test_idx,
                       {"table_rows": table.row_count},
-                      dataset_stats(table), {"seed": 3})
+                      dataset_stats(table), PipelineConfig(seed=3).echo())
     return table, dirs
 
 
