@@ -2,8 +2,8 @@
 
 A dataset artifact is a directory:
 
-    dataset.json   stage counts, fitted preprocessing state, config echo
-                   and the sha256 of table.npz's bytes
+    dataset.json   stage counts, the label encoding, config echo and the
+                   sha256 of table.npz's bytes
     table.npz      encoded, deduplicated, timestamp-cleaned rows and the
                    split, as an uncompressed numpy archive of four members:
                    numeric      float64 (rows, 6), the numeric columns
@@ -14,17 +14,23 @@ A dataset artifact is a directory:
     stats.json     describe-style numeric summaries
     stats.txt      the same, human readable
 
-table.npz is the only row store: at load time the train and test matrices are
-the indexed rows scaled by ``normalize`` with the stored bounds, bit for bit.
+table.npz is the only row store. The min-max bounds are not stored: at load
+time ``normalize`` derives them from the training rows and scales the test
+rows with them, so the fitted preprocessing state is stored once.
 
 A model bundle is a single JSON file {"checksum", "payload"}; the checksum is
 the sha256 of the canonical (key-sorted, minimal) JSON of the payload, so any
-edit to the stored weights or preprocessing state is detected at load time.
-Weight arrays are :func:`serialize.array_doc` objects (raw float64 bytes in
-base64); every other float is a JSON number written via repr.
+edit to the stored weights is detected at load time. Weight arrays are
+:func:`serialize.array_doc` objects (raw float64 bytes in base64); every other
+float is a JSON number written via repr.
 
 Every stored float therefore round-trips bit-exactly, and writing the same
 artifact twice yields identical bytes (zip members carry a fixed timestamp).
+
+A bundle names the preprocessing state it was trained on by
+``preprocess_sha256``, the checksum of
+:func:`ransomflow.dataset.preprocess_to_dict`; the loader refuses an artifact
+whose state has another checksum.
 
 A bundle stores what training changed and derives the rest. Its components
 are the SAE encoders' weights and biases (the decoders and loss curves are
@@ -34,14 +40,16 @@ trees. The loader takes the encoders' activation from the settings, rebuilds
 the seeded LSTM from the master seed and writes the stored parts in.
 
 Each stored fact has one home: the payload states the schema version and
-kind, the target column's encoding is the class list, an array's shape is
-its layer's size, and the ``config`` echo holds the settings, laid out as a
-configuration file (see :mod:`ransomflow.config`); both loaders read it
-as one, and refuse an echo that does not hold every setting. The bundle
+kind, the target column's encoding is the class list, an array's shape is its
+layer's size, and the ``config`` echo holds the settings, laid out as a
+configuration file (see :mod:`ransomflow.config`); both loaders read it as
+one, and refuse an echo that does not hold every setting. Each loader refuses
+payload keys and bundle components other than its declared ones. The bundle
 loader checks the weight shapes against the settings and the feature count,
 and the model's class count (GBT tree lists, LSTM head outputs) against the
 class list. Values derived from others are not stored: stage seeds come from
-the master ``seed``, and the class count is the class list's length.
+the master ``seed``, the class count is the class list's length, and the
+stage counts keep only what the other counts and the config echo do not give.
 The column layout is not stored either: it is ``dataset.COLUMNS``, fixed for
 a schema version.
 """
@@ -70,7 +78,6 @@ from .dataset import (
     TARGET,
     EncodedTable,
     FeatureMatrix,
-    NormStats,
     column_index,
     encoded_table_from_rows,
     encoded_table_to_rows,
@@ -86,6 +93,7 @@ from .serialize import (
     checksum,
     dump_json,
     load_json,
+    require_keys,
     require_version,
 )
 
@@ -95,6 +103,12 @@ _TABLE_LAYOUT = {"numeric": ("float64", 2), "codes": ("unsigned", 2),
                  "train_index": ("int64", 1), "test_index": ("int64", 1)}
 _NUMERIC_IDX = [column_index(n) for n in NUMERIC_NAMES]
 _CODES_IDX = [column_index(n) for n in CATEGORICAL_NAMES]
+# payload keys of each stored file, and each bundle kind's components
+_DATASET_KEYS = ("schema_version", "kind", "config", "preprocess", "stages",
+                 "table_sha256")
+_BUNDLE_KEYS = ("schema_version", "kind", "config", "preprocess_sha256",
+                "components")
+_COMPONENTS = {"sae-lstm": ("sae", "lstm"), "gbt": ("gbt",)}
 
 
 def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
@@ -155,9 +169,8 @@ def _read_table_npz(raw: bytes, maps):
     return table, members["train_index"], members["test_index"]
 
 
-def save_artifact(directory, maps, stats: NormStats, table: EncodedTable,
-                  train_idx, test_idx, stages: dict, summary,
-                  config_echo: dict) -> Path:
+def save_artifact(directory, table: EncodedTable, train_idx, test_idx,
+                  stages: dict, summary, config_echo: dict) -> Path:
     """Write a dataset artifact directory; returns its path.
 
     ``train_idx``/``test_idx`` are each side's ordered row indices into table.
@@ -170,7 +183,7 @@ def save_artifact(directory, maps, stats: NormStats, table: EncodedTable,
         "schema_version": SCHEMA_VERSION,
         "kind": "dataset",
         "config": config_echo,
-        "preprocess": preprocess_to_dict(maps, stats),
+        "preprocess": {"encoding": table.maps.to_dict()},
         "stages": stages,
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
     }
@@ -185,18 +198,19 @@ def save_artifact(directory, maps, stats: NormStats, table: EncodedTable,
 @dataclass
 class DatasetArtifact:
     maps: object
-    stats: NormStats
+    bounds: tuple  # normalize's (mins, maxs) of the training rows
     table: EncodedTable
     train: FeatureMatrix
     test: FeatureMatrix
 
 
-def _verified_payload(path, what: str, kinds) -> dict:
+def _verified_payload(path, what: str, kinds, keys) -> dict:
     """Payload of a {checksum, payload} file after its envelope checks.
 
     The file must hold a JSON object whose payload is an object, the
     recorded checksum must match the payload, the schema version must be
-    current and the payload kind must be one of ``kinds``.
+    current, the payload kind must be one of ``kinds`` and the payload keys
+    must be ``keys``.
     """
     try:
         doc = load_json(path)
@@ -213,6 +227,7 @@ def _verified_payload(path, what: str, kinds) -> dict:
     if payload.get("kind") not in kinds:
         raise SchemaMismatch(f"{what} {path}: unexpected kind "
                              f"{payload.get('kind')!r}")
+    require_keys(payload, keys, f"{what} {path}")
     return payload
 
 
@@ -239,17 +254,14 @@ def _stored_config(doc) -> PipelineConfig:
     return cfg
 
 
-def _split_side(table: EncodedTable, stats: NormStats, index):
-    return normalize(table.with_values(table.values[index]), stats)[0]
-
-
 def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
-                                ("dataset",))
+                                ("dataset",), _DATASET_KEYS)
     with stored_fields(directory, "dataset artifact"):
         _stored_config(payload["config"])
-        maps, stats = preprocess_from_dict(payload["preprocess"])
+        maps = preprocess_from_dict(payload["preprocess"])
+        table_rows = payload["stages"]["table_rows"]
         table_sha256 = payload["table_sha256"]
     table_path = directory / TABLE_FILE
     raw = table_path.read_bytes()
@@ -260,33 +272,37 @@ def load_artifact(directory) -> DatasetArtifact:
         table, train_idx, test_idx = _read_table_npz(raw, maps)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{table_path}: {exc}") from None
-    return DatasetArtifact(
-        maps=maps,
-        stats=stats,
-        table=table,
-        train=_split_side(table, stats, train_idx),
-        test=_split_side(table, stats, test_idx),
-    )
+    with stored_fields(directory, "dataset artifact"):
+        if table_rows != table.row_count:
+            raise SchemaMismatch(f"stages.table_rows {table_rows!r} is not "
+                                 f"the {table.row_count} rows of {TABLE_FILE}")
+        train, bounds = normalize(table.with_values(table.values[train_idx]))
+        test, _ = normalize(table.with_values(table.values[test_idx]), bounds)
+    return DatasetArtifact(maps=maps, bounds=bounds, table=table, train=train,
+                           test=test)
+
+
+def _preprocess_sha256(artifact: DatasetArtifact) -> str:
+    """The checksum of an artifact's fitted preprocessing state."""
+    return checksum(preprocess_to_dict(artifact.maps, artifact.bounds))
 
 
 # ---------------------------------------------------------------------------
 # Model bundles
 
 
-BUNDLE_KINDS = ("sae-lstm", "gbt")
-
-
-def save_bundle(path, kind: str, config_echo: dict, preprocess_doc: dict,
-                components: dict) -> Path:
-    """Write a checksummed model bundle; returns the file path."""
-    if kind not in BUNDLE_KINDS:
+def save_bundle(path, kind: str, config_echo: dict,
+                artifact: DatasetArtifact, components: dict) -> Path:
+    """Write a checksummed model bundle trained from ``artifact``; returns the
+    file path."""
+    if kind not in _COMPONENTS:
         raise SchemaMismatch(f"unknown bundle kind {kind!r}")
     path = Path(path)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "config": config_echo,
-        "preprocess": preprocess_doc,
+        "preprocess_sha256": _preprocess_sha256(artifact),
         "components": components,
     }
     try:
@@ -301,19 +317,23 @@ def save_bundle(path, kind: str, config_echo: dict, preprocess_doc: dict,
 @dataclass
 class ModelBundle:
     kind: str
-    maps: object
-    stats: NormStats
     predict: Callable  # normalized feature rows -> labels
 
 
-def load_bundle(path) -> ModelBundle:
-    payload = _verified_payload(path, "model bundle", BUNDLE_KINDS)
+def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
+    """The model a bundle holds, for the rows of ``artifact``; refused unless
+    the bundle was trained on the artifact's preprocessing state."""
+    payload = _verified_payload(path, "model bundle", _COMPONENTS, _BUNDLE_KEYS)
     kind = payload["kind"]
+    if payload["preprocess_sha256"] != _preprocess_sha256(artifact):
+        raise SchemaMismatch(
+            f"{path}: bundle and artifact disagree on preprocessing state; "
+            f"evaluate against the artifact the model was trained from")
     with stored_fields(path, "model bundle"):
-        maps, stats = preprocess_from_dict(payload["preprocess"])
         cfg = _stored_config(payload["config"])
         components = payload["components"]
-        classes = maps.size(TARGET)
+        require_keys(components, _COMPONENTS[kind], "components")
+        classes = artifact.maps.size(TARGET)
         if kind == "sae-lstm":
             encoders = sae_mod.model_from_dict(components["sae"], cfg.sae,
                                                len(FEATURE_NAMES))
@@ -329,4 +349,4 @@ def load_bundle(path) -> ModelBundle:
 
             def predict(x):
                 return gbt_mod.predict_labels(trees, x)
-    return ModelBundle(kind=kind, maps=maps, stats=stats, predict=predict)
+    return ModelBundle(kind=kind, predict=predict)

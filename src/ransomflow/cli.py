@@ -35,9 +35,7 @@ from .dataset import (
     dataset_stats,
     deduplicate,
     label_encode,
-    normalize,
     parse_csv,
-    preprocess_to_dict,
     row_keys,
     stratified_indices,
 )
@@ -155,8 +153,8 @@ def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
     ds = cfg.dataset
     raw = parse_csv(ds.csv)
-    encoded, maps = label_encode(raw)
-    stages = {"parsed_rows": raw.row_count, "encoded_rows": encoded.row_count}
+    encoded, _ = label_encode(raw)
+    stages = {"parsed_rows": raw.row_count}
 
     if ds.subsample is not None:
         _, keep = stratified_indices(encoded.target_codes(), ds.subsample,
@@ -169,7 +167,6 @@ def cmd_ingest(args) -> int:
     if ds.split_before_dedup:
         # Leakage experiment: partition the raw encoded rows first so shared
         # duplicates can land on both sides, then scrub each side on its own.
-        stages["ordering"] = "split-before-dedup"
         sides = stratified_indices(encoded.target_codes(), ds.test_ratio,
                                    cfg.seed_for("split"))
         where = {key: i for i, key in enumerate(row_keys(table.values))}
@@ -178,19 +175,18 @@ def cmd_ingest(args) -> int:
         stages["duplicates_removed"] = sum(dups)
         stages["bad_timestamps_removed"] = sum(bads)
     else:
-        stages["ordering"] = "dedup-clean-split"
         stages["duplicates_removed"] = removed_dup
-        stages["deduplicated_rows"] = deduped.row_count
         stages["bad_timestamps_removed"] = removed_time
         train_idx, test_idx = stratified_indices(
             table.target_codes(), ds.test_ratio, cfg.seed_for("split"))
-    _, stats = normalize(table.with_values(table.values[train_idx]))
+    if len(train_idx) == 0:
+        raise EmptyData("the training side holds no rows")
 
     stages["table_rows"] = table.row_count
     summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
-    save_artifact(out_dir, maps, stats, table, train_idx, test_idx, stages,
-                  summary, cfg.echo())
+    save_artifact(out_dir, table, train_idx, test_idx, stages, summary,
+                  cfg.echo())
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
@@ -212,9 +208,6 @@ def cmd_train(args) -> int:
     artifact = load_artifact(args.artifact)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if artifact.train.row_count == 0:
-        raise EmptyData("artifact holds no training rows")
-    preprocess_doc = preprocess_to_dict(artifact.maps, artifact.stats)
     x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
     bundle_path = out_dir / "bundle.json"
 
@@ -232,7 +225,7 @@ def cmd_train(args) -> int:
         _check_losses(bundle_path, [model.stack_loss, *ft_losses,
                                     *chain(*model.pretrain_losses),
                                     *(loss for loss, _ in history)])
-        save_bundle(bundle_path, "sae-lstm", cfg.echo(), preprocess_doc, {
+        save_bundle(bundle_path, "sae-lstm", cfg.echo(), artifact, {
             "sae": sae.model_to_dict(model),
             "lstm": lstm.model_to_dict(classifier, codes.shape[1]),
         })
@@ -252,7 +245,7 @@ def cmd_train(args) -> int:
     else:
         model, losses = gbt.train_gbt(artifact.train, cfg.gbt)
         _check_losses(bundle_path, losses)
-        save_bundle(bundle_path, "gbt", cfg.echo(), preprocess_doc,
+        save_bundle(bundle_path, "gbt", cfg.echo(), artifact,
                     {"gbt": gbt.model_to_dict(model)})
         (out_dir / "gbt_history.csv").write_text(gbt.history_csv(losses),
                                                  encoding="utf-8")
@@ -263,15 +256,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle = load_bundle(args.bundle)
     artifact = load_artifact(args.artifact)
-    bundle_doc = preprocess_to_dict(bundle.maps, bundle.stats)
-    artifact_doc = preprocess_to_dict(artifact.maps, artifact.stats)
-    if bundle_doc != artifact_doc:
-        raise SchemaMismatch(
-            "bundle and artifact disagree on preprocessing state; evaluate "
-            "against the artifact the model was trained from"
-        )
+    bundle = load_bundle(args.bundle, artifact)
     fm = artifact.test if args.split == "test" else artifact.train
     if fm.row_count == 0:
         raise EmptyData(f"artifact {args.split} split holds no rows")

@@ -454,35 +454,6 @@ def clean_timestamps(table: EncodedTable):
 
 
 @dataclass
-class NormStats:
-    """Per-feature min/max captured from training rows only."""
-
-    columns: dict  # name -> (min, max)
-
-    def __post_init__(self):
-        for name, (lo, hi) in self.columns.items():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise SchemaMismatch(f"non-finite normalization bound for {name!r}")
-            if hi < lo:
-                raise SchemaMismatch(f"max < min for column {name!r}")
-
-    @property
-    def names(self) -> tuple:
-        return tuple(self.columns)
-
-    def to_dict(self) -> list:
-        # a list survives key-sorting JSON writers with column order intact
-        return [[name, lo, hi] for name, (lo, hi) in self.columns.items()]
-
-    @classmethod
-    def from_dict(cls, doc) -> "NormStats":
-        columns = {str(name): (float(lo), float(hi)) for name, lo, hi in doc}
-        if len(columns) != len(doc):
-            raise SchemaMismatch("normalization lists a column twice")
-        return cls(columns)
-
-
-@dataclass
 class FeatureMatrix:
     """Model-ready slice: scaled features x, integer labels y."""
 
@@ -509,29 +480,21 @@ class FeatureMatrix:
         return self.x.shape[0]
 
 
-def normalize(table: EncodedTable, stats: NormStats | None = None):
+def normalize(table: EncodedTable, bounds=None):
     """Min-max scale the 13 feature columns into [0, 1].
 
-    With ``stats=None`` the bounds come from this table (training use); pass
-    the training stats to scale validation or test rows, which are clamped
-    into [0, 1] so unseen extremes cannot escape the training range.
-    Constant columns map to 0. Returns (FeatureMatrix, NormStats).
+    With ``bounds=None`` the bounds are this table's per-column (mins, maxs)
+    arrays (training use); pass the training bounds to scale validation or
+    test rows, which are clamped into [0, 1] so unseen extremes cannot escape
+    the training range. Constant columns map to 0. Returns (FeatureMatrix,
+    bounds).
     """
     raw = table.values[:, [column_index(n) for n in FEATURE_NAMES]]
-    if stats is None:
+    if bounds is None:
         if table.row_count == 0:
             raise EmptyData("cannot derive normalization bounds from zero rows")
-        mins = raw.min(axis=0)
-        maxs = raw.max(axis=0)
-        stats = NormStats({n: (float(lo), float(hi))
-                           for n, lo, hi in zip(FEATURE_NAMES, mins, maxs)})
-    else:
-        if stats.names != FEATURE_NAMES:
-            raise SchemaMismatch(
-                "normalization stats cover different columns than the features"
-            )
-        mins = np.array([stats.columns[n][0] for n in FEATURE_NAMES])
-        maxs = np.array([stats.columns[n][1] for n in FEATURE_NAMES])
+        bounds = raw.min(axis=0), raw.max(axis=0)
+    mins, maxs = bounds
     span = maxs - mins
     scaled = np.zeros_like(raw)
     nonzero = span > 0.0
@@ -539,7 +502,7 @@ def normalize(table: EncodedTable, stats: NormStats | None = None):
     scaled = np.clip(scaled, 0.0, 1.0)
     k = table.maps.size(TARGET)
     fm = FeatureMatrix(scaled, table.target_codes(), k)
-    return fm, stats
+    return fm, bounds
 
 
 def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):
@@ -652,21 +615,21 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
 # Serialization of the fitted preprocessing state
 
 
-def preprocess_to_dict(maps: EncodingMap, stats: NormStats) -> dict:
-    return {"encoding": maps.to_dict(), "normalization": stats.to_dict()}
+def preprocess_to_dict(maps: EncodingMap, bounds) -> dict:
+    """The fitted preprocessing state as one document: the encoding and the
+    ``normalize`` bounds as [name, min, max] lists in feature order."""
+    return {"encoding": maps.to_dict(),
+            "normalization": [[name, float(lo), float(hi)] for name, lo, hi
+                              in zip(FEATURE_NAMES, *bounds)]}
 
 
-def preprocess_from_dict(doc: dict):
-    """(maps, stats) in a stored ``preprocess`` object; :class:`SchemaMismatch`
-    unless it holds exactly an encoding and a normalization of the layout."""
-    if not isinstance(doc, dict) or set(doc) != {"encoding", "normalization"}:
-        raise SchemaMismatch("preprocess must hold exactly encoding and "
-                             "normalization")
-    maps = EncodingMap.from_dict(doc["encoding"])
-    stats = NormStats.from_dict(doc["normalization"])
-    if stats.names != FEATURE_NAMES:
-        raise SchemaMismatch("normalization stats do not cover the feature columns")
-    return maps, stats
+def preprocess_from_dict(doc: dict) -> EncodingMap:
+    """The encoding a stored ``preprocess`` object holds; :class:`SchemaMismatch`
+    unless it holds exactly an encoding of the layout. The bounds are not
+    stored: they derive from the training rows."""
+    if not isinstance(doc, dict) or set(doc) != {"encoding"}:
+        raise SchemaMismatch("preprocess must hold exactly encoding")
+    return EncodingMap.from_dict(doc["encoding"])
 
 
 def encoded_table_to_rows(table: EncodedTable) -> np.ndarray:

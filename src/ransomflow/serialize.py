@@ -22,8 +22,11 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # bytes, version 3 states each fact once, version 4 leaves the column layout
 # (dataset.COLUMNS) to the code, version 5 drops the derived stage seeds and
 # class count from the config echo, version 6 stores only what training
-# changed (no decoders, loss curves or seeded LSTM blocks; no split sizes).
-SCHEMA_VERSION = 6
+# changed (no decoders, loss curves or seeded LSTM blocks; no split sizes),
+# version 7 stores no normalization bounds (they derive from the training
+# rows) and no derivable stage counts, and a bundle names the preprocessing
+# state by its checksum.
+SCHEMA_VERSION = 7
 # Reports and summaries (report.json, comparison.json, analysis.json,
 # stats.json), whose layout versions 2 to 5 left unchanged. report.json no
 # longer copies its bundle's config echo; no reader of reports read it, so
@@ -66,6 +69,16 @@ def require_version(doc: dict, what: str,
         )
 
 
+def require_keys(doc, keys, what: str) -> None:
+    """Raise :class:`SchemaMismatch` naming ``what`` unless the stored object
+    ``doc`` holds exactly the keys ``keys``."""
+    missing = sorted(set(keys) - set(doc))
+    unknown = sorted(set(doc) - set(keys))
+    if missing or unknown:
+        raise SchemaMismatch(f"{what}: missing key(s) {missing}, "
+                             f"unknown key(s) {unknown}")
+
+
 def read_fields(cls, doc, stored_names: dict | None = None):
     """Dataclass ``cls`` built from a stored document holding exactly its fields.
 
@@ -74,11 +87,7 @@ def read_fields(cls, doc, stored_names: dict | None = None):
     :class:`SchemaMismatch` naming them.
     """
     keys = {f.name: f.name for f in fields(cls)} | (stored_names or {})
-    missing = sorted(set(keys.values()) - set(doc))
-    unknown = sorted(set(doc) - set(keys.values()))
-    if missing or unknown:
-        raise SchemaMismatch(f"{cls.__name__}: missing key(s) {missing}, "
-                             f"unknown key(s) {unknown}")
+    require_keys(doc, keys.values(), cls.__name__)
     try:
         return cls(**{name: doc[key] for name, key in keys.items()})
     except (ConfigError, TypeError, ValueError) as exc:

@@ -65,8 +65,8 @@ def reference_split(csv_path, cfg: PipelineConfig):
             table.with_values(table.values[idx])
             for idx in stratified_indices(table.target_codes(),
                                           ds.test_ratio, cfg.seed_for("split")))
-    train, stats = normalize(train_tbl)
-    test, _ = normalize(test_tbl, stats)
+    train, bounds = normalize(train_tbl)
+    test, _ = normalize(test_tbl, bounds)
     return train, test, duplicates, bad
 
 

@@ -8,11 +8,13 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import synthetic_csv_text
+
 from ransomflow import cli, gbt, lstm, sae
 from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
-from ransomflow.dataset import FEATURE_NAMES, parse_csv, preprocess_to_dict
+from ransomflow.dataset import FEATURE_NAMES, parse_csv
 from ransomflow.serialize import (
     SCHEMA_VERSION,
     array_doc,
@@ -144,6 +146,18 @@ def test_ingest_header_only_exits_3(tmp_path):
     assert main(["ingest", str(empty), "--output", str(tmp_path / "o")]) == 3
 
 
+def test_ingest_empty_training_side_exits_3(tmp_path, capsys):
+    text, _ = synthetic_csv_text(n_per_class=2, duplicates=0, bad_times=0)
+    csv_path = tmp_path / "tiny.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "art"
+    # 0.9 of two rows, rounded half up, holds out both rows of each class
+    assert main(["ingest", str(csv_path), "--test-ratio", "0.9",
+                 "--output", str(out)]) == 3
+    assert "training side holds no rows" in capsys.readouterr().err
+    assert not (out / "dataset.json").exists()
+
+
 def _edited_csv(synthetic_csv, tmp_path, edit):
     """The fixture CSV's bytes, passed through ``edit``, as a new file."""
     csv_path, _ = synthetic_csv
@@ -246,15 +260,17 @@ def test_ingest_subsample_and_alternate_ordering(synthetic_csv, tmp_path):
     rc = main(["ingest", str(csv_path), "--output", str(out),
                "--subsample", "0.5", "--seed", "7"])
     assert rc == 0
-    stages = read_payload(out)["stages"]
+    payload = read_payload(out)
+    stages = payload["stages"]
     assert stages["subsampled_rows"] < stages["parsed_rows"]
-    assert stages["ordering"] == "dedup-clean-split"
+    assert payload["config"]["dataset"]["split_before_dedup"] is False
 
     out2 = tmp_path / "swapped"
     rc = main(["ingest", str(csv_path), "--output", str(out2),
                "--split-before-dedup", "--seed", "7"])
     assert rc == 0
-    assert read_payload(out2)["stages"]["ordering"] == "split-before-dedup"
+    assert read_payload(out2)["config"]["dataset"]["split_before_dedup"] \
+        is True
     artifact = load_artifact(out2)
     assert artifact.train.row_count + artifact.test.row_count \
         <= meta["total_rows"]
@@ -376,6 +392,8 @@ _MALFORMED_FIELDS = {
     "dataset-version-5": ("dataset.json", "payload.schema_version", 5),
     "bundle-version-5": ("bundle.json", "payload.schema_version", 5),
     "sae-bundle-version-5": ("sae-bundle.json", "payload.schema_version", 5),
+    "dataset-version-6": ("dataset.json", "payload.schema_version", 6),
+    "bundle-version-6": ("bundle.json", "payload.schema_version", 6),
     "class-list-string": ("dataset.json",
                           "payload.preprocess.encoding.Prediction", "x"),
     "class-list-number": ("dataset.json",
@@ -394,9 +412,8 @@ _MALFORMED_FIELDS = {
                                 "payload.preprocess.encoding.Threats",
                                 _DELETE),
     "preprocess-unknown-key": ("dataset.json", "payload.preprocess.foo", 1),
-    "bundle-categories-repeated": ("bundle.json",
-                                   "payload.preprocess.encoding.Prediction",
-                                   ["A", "A", "SS"]),
+    "bundle-categories-repeated": ("bundle.json", "payload.preprocess",
+                                   {"encoding": {"Prediction": ["A", "A"]}}),
     "normalization-bound-string": ("dataset.json",
                                    "payload.preprocess.normalization",
                                    [["Time", "a", 1]]),
@@ -404,15 +421,30 @@ _MALFORMED_FIELDS = {
                                       "payload.preprocess.normalization",
                                       _REPEATED_COLUMN),
     "bundle-normalization-repeated-column": (
-        "bundle.json", "payload.preprocess.normalization", _REPEATED_COLUMN),
+        "bundle.json", "payload.preprocess",
+        {"normalization": _REPEATED_COLUMN}),
     "encoding-list": ("dataset.json", "payload.preprocess.encoding", [1, 2]),
     "table-sha256-number": ("dataset.json", "payload.table_sha256", 5),
-    "bundle-encoding-list": ("bundle.json", "payload.preprocess.encoding",
-                             [1, 2]),
+    "bundle-encoding-list": ("bundle.json", "payload.preprocess",
+                             {"encoding": [1, 2]}),
+    "dataset-unknown-key": ("dataset.json", "payload.analyze", True),
+    "bundle-unknown-key": ("bundle.json", "payload.evaluate", True),
+    "bundle-unknown-component": ("bundle.json", "payload.components.lstm",
+                                 {"cells": [], "head": {}}),
+    "table-rows-differ": ("dataset.json", "payload.stages.table_rows", 5),
+    "table-rows-missing": ("dataset.json", "payload.stages.table_rows",
+                           _DELETE),
     "encoder-biases-shape": ("sae-bundle.json",
                              "payload.components.sae.encoders.0.biases",
                              array_doc(np.zeros(3), "biases")),
 }
+
+
+# the cases above that add a key the file's layout does not declare
+_UNKNOWN_KEYS = ("bundle-categories-repeated",
+                 "bundle-normalization-repeated-column", "bundle-encoding-list",
+                 "dataset-unknown-key", "bundle-unknown-key",
+                 "bundle-unknown-component")
 
 
 @pytest.mark.parametrize("case", _MALFORMED_FIELDS)
@@ -446,6 +478,8 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
     if field == "payload.schema_version":
         assert (f"schema_version {value} is not supported "
                 f"(expected {SCHEMA_VERSION})") in err
+    if case in _UNKNOWN_KEYS:
+        assert f"unknown key(s) ['{last}']" in err
 
 
 def object_keys(node, path="", found=None) -> dict:
@@ -475,10 +509,6 @@ _ARRAY = "b64 dtype shape"
 _COMMON = {
     **_layout({
         "": "checksum payload",
-        "payload.preprocess": "encoding normalization",
-        "payload.preprocess.encoding": "Protocol Flag Family SeedAddress "
-                                       "ExpAddress IPAddress Threats "
-                                       "Prediction",
     }),
     **object_keys(PipelineConfig().echo(), "payload.config"),
 }
@@ -493,14 +523,18 @@ _STORED_LAYOUT = {
     "dataset": _layout({
         "payload": "config kind preprocess schema_version stages "
                    "table_sha256",
-        "payload.stages": "parsed_rows encoded_rows ordering "
-                          "duplicates_removed deduplicated_rows "
+        "payload.preprocess": "encoding",
+        "payload.preprocess.encoding": "Protocol Flag Family SeedAddress "
+                                       "ExpAddress IPAddress Threats "
+                                       "Prediction",
+        "payload.stages": "parsed_rows duplicates_removed "
                           "bad_timestamps_removed table_rows",
     }),
     "sae-lstm": {
         **_dense("payload.components.sae.encoders[]"),
         **_layout({
-            "payload": "components config kind preprocess schema_version",
+            "payload": "components config kind preprocess_sha256 "
+                       "schema_version",
             "payload.components": "lstm sae",
             "payload.components.sae": "encoders",
             "payload.components.lstm": "cells head",
@@ -514,7 +548,8 @@ _STORED_LAYOUT = {
     },
     "gbt": {
         **_layout({
-            "payload": "components config kind preprocess schema_version",
+            "payload": "components config kind preprocess_sha256 "
+                       "schema_version",
             "payload.components": "gbt",
             "payload.components.gbt": "trees",
         }),
@@ -573,6 +608,38 @@ def test_evaluate_train_split(gbt_bundle_dir, artifact_dir, tmp_path):
     assert report["total_support"] == load_artifact(artifact_dir).train.row_count
     # boosted trees fit the separable training data almost perfectly
     assert report["accuracy"] >= 0.95
+
+
+@pytest.mark.parametrize("state", ["bounds", "encoding"])
+def test_evaluate_against_another_artifact_exits_3(state, synthetic_csv,
+                                                   artifact_dir,
+                                                   gbt_bundle_dir, tmp_path,
+                                                   capsys):
+    """A bundle is refused by an artifact with other normalization bounds
+    (the same CSV split before dedup, so other training rows) or another
+    encoding (one more category no row holds)."""
+    art = tmp_path / "art"
+    if state == "bounds":
+        assert main(["ingest", str(synthetic_csv[0]), "--output", str(art),
+                     "--split-before-dedup"]) == 0
+        assert read_payload(art)["preprocess"] \
+            == read_payload(artifact_dir)["preprocess"]
+        trained_on = load_artifact(artifact_dir).bounds
+        assert not all(map(np.array_equal, load_artifact(art).bounds,
+                           trained_on))
+    else:
+        shutil.copytree(artifact_dir, art)
+        payload = read_payload(art)
+        payload["preprocess"]["encoding"]["Threats"].append("~")
+        dump_json(art / "dataset.json",
+                  {"checksum": checksum(payload), "payload": payload})
+    capsys.readouterr()
+    bundle = gbt_bundle_dir / "bundle.json"
+    assert main(["evaluate", str(bundle), str(art),
+                 "--output", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle}: ")
+    assert "disagree on preprocessing state" in err
 
 
 def test_evaluate_tampered_bundle_exits_3(sae_bundle_dir, artifact_dir,
@@ -1036,8 +1103,7 @@ def explicit_sae_lstm(argv, out):
     classifier, history = lstm.train_classifier(codes, y, cfg.lstm,
                                                 cfg.seed_for("lstm"), k)
     out.mkdir(parents=True)
-    save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(),
-                preprocess_to_dict(artifact.maps, artifact.stats),
+    save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(), artifact,
                 {"sae": sae.model_to_dict(model),
                  "lstm": lstm.model_to_dict(classifier, codes.shape[1])})
     (out / "sae_history.csv").write_text(sae.history_csv(model),

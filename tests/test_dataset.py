@@ -19,7 +19,6 @@ from ransomflow.dataset import (
     FEATURE_NAMES,
     EncodedTable,
     EncodingMap,
-    NormStats,
     clean_timestamps,
     column_index,
     dataset_stats,
@@ -224,12 +223,11 @@ def test_normalize_hand_case():
                                  bad_times=0)
     table = parse_csv(io.StringIO(text))
     encoded, _ = label_encode(table)
-    fm, stats = normalize(encoded)
+    fm, (mins, maxs) = normalize(encoded)
     assert fm.x.shape == (encoded.row_count, 13)
     assert fm.x.min() >= 0.0 and fm.x.max() <= 1.0
     # every non-constant column touches both bounds on its own training data
-    for j, name in enumerate(FEATURE_NAMES):
-        lo, hi = stats.columns[name]
+    for j, (lo, hi) in enumerate(zip(mins, maxs)):
         if hi > lo:
             assert fm.x[:, j].min() == 0.0
             assert fm.x[:, j].max() == 1.0
@@ -243,12 +241,12 @@ def test_normalize_simple_values():
     from ransomflow.dataset import EncodedTable
 
     table = EncodedTable(values=values, maps=maps)
-    fm, stats = normalize(table)
-    usd = fm.x[:, FEATURE_NAMES.index("USD")]
-    assert usd.tolist() == [0.0, 0.5, 1.0]
+    fm, (mins, maxs) = normalize(table)
+    usd = FEATURE_NAMES.index("USD")
+    assert fm.x[:, usd].tolist() == [0.0, 0.5, 1.0]
     time_col = fm.x[:, FEATURE_NAMES.index("Time")]
     assert time_col.tolist() == [0.0, 0.0, 0.0]
-    assert stats.columns["USD"] == (0.0, 10.0)
+    assert (mins[usd], maxs[usd]) == (0.0, 10.0)
 
 
 def test_normalize_with_training_stats_clamps():
@@ -258,12 +256,12 @@ def test_normalize_with_training_stats_clamps():
     train_values = np.zeros((2, 14))
     train_values[:, column_index("USD")] = [0.0, 10.0]
     train_table = EncodedTable(values=train_values, maps=maps)
-    _, stats = normalize(train_table)
+    _, bounds = normalize(train_table)
 
     test_values = np.zeros((2, 14))
     test_values[:, column_index("USD")] = [12.0, -3.0]
     test_table = EncodedTable(values=test_values, maps=maps)
-    fm, _ = normalize(test_table, stats)
+    fm, _ = normalize(test_table, bounds)
     usd = fm.x[:, FEATURE_NAMES.index("USD")]
     assert usd.tolist() == [1.0, 0.0]
 
@@ -275,14 +273,6 @@ def test_normalize_empty_without_stats_raises():
     table = EncodedTable(values=np.empty((0, 14)), maps=maps)
     with pytest.raises(EmptyData):
         normalize(table)
-
-
-def test_norm_stats_round_trip_and_validation():
-    stats = NormStats({"a": (0.0, 1.0), "b": (-2.0, 3.5)})
-    restored = NormStats.from_dict(stats.to_dict())
-    assert restored.columns == stats.columns
-    with pytest.raises(SchemaMismatch):
-        NormStats({"a": (1.0, 0.0)})
 
 
 def test_stratified_split_hand_counts():
@@ -374,10 +364,14 @@ def test_preprocess_document_round_trip():
                                  bad_times=0)
     table = parse_csv(io.StringIO(text))
     encoded, maps = label_encode(table)
-    fm, stats = normalize(encoded)
-    maps2, stats2 = preprocess_from_dict(preprocess_to_dict(maps, stats))
-    assert maps2.categories == maps.categories
-    assert stats2.columns == stats.columns
+    fm, bounds = normalize(encoded)
+    doc = preprocess_to_dict(maps, bounds)
+    assert preprocess_from_dict({"encoding": doc["encoding"]}).categories \
+        == maps.categories
+    assert doc["normalization"] == [[name, lo, hi] for name, lo, hi
+                                    in zip(FEATURE_NAMES, *bounds)]
+    with pytest.raises(SchemaMismatch):
+        preprocess_from_dict(doc)  # bounds are derived, never read
 
 
 def test_encoded_table_csv_rows_round_trip_exactly():

@@ -19,7 +19,6 @@ from ransomflow.dataset import (
     column_index,
     dataset_stats,
     label_encode,
-    normalize,
     parse_csv,
     stratified_indices,
 )
@@ -43,16 +42,15 @@ def save_twice(tmp_path):
     lose track of: -0.0, the smallest subnormal, 1e100 / 3 and 0.1 + 0.2.
     """
     text, _ = synthetic_csv_text(n_per_class=8, duplicates=0, bad_times=0)
-    encoded, maps = label_encode(parse_csv(io.StringIO(text)))
+    encoded, _ = label_encode(parse_csv(io.StringIO(text)))
     values = encoded.values.copy()
     for row, value in enumerate((-0.0, 5e-324, 1e100 / 3, 0.1 + 0.2)):
         values[row, column_index("BTC")] = value
     table = encoded.with_values(values)
     train_idx, test_idx = stratified_indices(table.target_codes(), 0.25, 3)
-    _, stats = normalize(table.with_values(table.values[train_idx]))
     dirs = [tmp_path / name for name in ("a", "b")]
     for directory in dirs:
-        save_artifact(directory, maps, stats, table, train_idx, test_idx,
+        save_artifact(directory, table, train_idx, test_idx,
                       {"table_rows": table.row_count},
                       dataset_stats(table), PipelineConfig(seed=3).echo())
     return table, dirs
@@ -70,9 +68,9 @@ def test_loaded_values_are_bit_equal_to_the_table_ingest_held(
         ingested, tmp_path, monkeypatch):
     held = []
 
-    def save_and_keep(directory, maps, stats, table, *rest):
+    def save_and_keep(directory, table, *rest):
         held.append(table.values.copy())
-        return save_artifact(directory, maps, stats, table, *rest)
+        return save_artifact(directory, table, *rest)
 
     monkeypatch.setattr(cli, "save_artifact", save_and_keep)
     art = tmp_path / "art"
@@ -159,6 +157,16 @@ def test_crafted_table_exits_3(case, ingested, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "table.npz" in err
     assert words in err
+
+
+def test_artifact_without_training_rows_exits_3(ingested, tmp_path, capsys):
+    art = tmp_path / "art"
+    shutil.copytree(ingested, art)
+    rewrite_table(art, _update(train_index=lambda m: m["train_index"][:0]))
+    capsys.readouterr()
+    assert main(["analyze", str(art), "--output", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {art}: ") and "zero rows" in err
 
 
 def test_table_that_is_not_an_archive_exits_3(ingested, tmp_path, capsys):
