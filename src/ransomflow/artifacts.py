@@ -14,9 +14,11 @@ A dataset artifact is a directory:
     stats.json     describe-style numeric summaries
     stats.txt      the same, human readable
 
-table.npz is the only row store. The min-max bounds are not stored: at load
-time ``normalize`` derives them from the training rows and scales the test
-rows with them, so the fitted preprocessing state is stored once.
+table.npz is the only row store. The min-max bounds are not stored: a
+loaded :class:`DatasetArtifact` derives them from the training rows on first
+use, and a command scales only the side it reads (``train`` the training
+rows, ``evaluate`` the split it scores, ``analyze`` none), so the fitted
+preprocessing state is stored once.
 
 A model bundle is a single JSON file {"checksum", "payload"}; the checksum is
 the sha256 of the canonical (key-sorted, minimal) JSON of the payload, so any
@@ -50,6 +52,9 @@ and the model's class count (GBT tree lists, LSTM head outputs) against the
 class list. Values derived from others are not stored: stage seeds come from
 the master ``seed``, the class count is the class list's length, and the
 stage counts keep only what the other counts and the config echo do not give.
+Those counts must chain: the parsed rows (or, with ``dataset.subsample``, the
+subsampled rows) less the duplicates and bad timestamps removed are the rows
+of the two sides, and no side lists a row twice.
 The column layout is not stored either: it is ``dataset.COLUMNS``, fixed for
 a schema version.
 """
@@ -62,6 +67,7 @@ import zipfile
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +83,10 @@ from .dataset import (
     NUMERIC_NAMES,
     TARGET,
     EncodedTable,
-    FeatureMatrix,
     column_index,
     encoded_table_from_rows,
     encoded_table_to_rows,
+    feature_bounds,
     normalize,
     preprocess_from_dict,
     preprocess_to_dict,
@@ -109,6 +115,9 @@ _DATASET_KEYS = ("schema_version", "kind", "config", "preprocess", "stages",
 _BUNDLE_KEYS = ("schema_version", "kind", "config", "preprocess_sha256",
                 "components")
 _COMPONENTS = {"sae-lstm": ("sae", "lstm"), "gbt": ("gbt",)}
+# dataset.json stage counts; "subsampled_rows" joins them with a subsample
+_STAGES = ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
+           "table_rows")
 
 
 def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
@@ -130,7 +139,8 @@ def _read_table_npz(raw: bytes, maps):
 
     Raises :class:`SchemaMismatch` unless the archive holds exactly the four
     members with their dtypes and shapes, finite numbers, codes below their
-    column's category count and row indices inside the table.
+    column's category count and distinct row indices inside the table on
+    each side.
     """
     try:
         stored = np.load(io.BytesIO(raw), allow_pickle=False)
@@ -166,6 +176,8 @@ def _read_table_npz(raw: bytes, maps):
         idx = members[side]
         if idx.size and not 0 <= idx.min() <= idx.max() < rows:
             raise SchemaMismatch(f"{side} out of range")
+        if idx.size and np.bincount(idx).max() > 1:
+            raise SchemaMismatch(f"{side} repeats a row")
     return table, members["train_index"], members["test_index"]
 
 
@@ -197,20 +209,36 @@ def save_artifact(directory, table: EncodedTable, train_idx, test_idx,
 
 @dataclass
 class DatasetArtifact:
-    maps: object
-    bounds: tuple  # normalize's (mins, maxs) of the training rows
+    """The table and each side's ordered row indices; a side is scaled only
+    when a command reads it."""
+
     table: EncodedTable
-    train: FeatureMatrix
-    test: FeatureMatrix
+    train_index: np.ndarray
+    test_index: np.ndarray
+
+    def _rows(self, index) -> EncodedTable:
+        return self.table.with_values(self.table.values[index])
+
+    @cached_property
+    def bounds(self) -> tuple:
+        """``normalize``'s (mins, maxs), fitted on the training rows."""
+        return feature_bounds(self._rows(self.train_index))
+
+    def side(self, name: str) -> tuple:
+        """(x, y) of the "train" or "test" side: its feature rows scaled with
+        the training bounds, and its labels."""
+        rows = self._rows(self.train_index if name == "train"
+                          else self.test_index)
+        return normalize(rows, self.bounds), rows.target_codes()
 
 
 def _verified_payload(path, what: str, kinds, keys) -> dict:
     """Payload of a {checksum, payload} file after its envelope checks.
 
-    The file must hold a JSON object whose payload is an object, the
-    recorded checksum must match the payload, the schema version must be
-    current, the payload kind must be one of ``kinds`` and the payload keys
-    must be ``keys``.
+    The file must hold a JSON object of exactly a checksum and a payload
+    object, the recorded checksum must match the payload, the schema version
+    must be current, the payload kind must be one of ``kinds`` and the
+    payload keys must be ``keys``.
     """
     try:
         doc = load_json(path)
@@ -223,6 +251,7 @@ def _verified_payload(path, what: str, kinds, keys) -> dict:
     actual = checksum(payload)
     if recorded != actual:
         raise ChecksumMismatch(path, recorded, actual)
+    require_keys(doc, ("checksum", "payload"), f"{what} {path}")
     require_version(payload, f"{what} {path}")
     if payload.get("kind") not in kinds:
         raise SchemaMismatch(f"{what} {path}: unexpected kind "
@@ -254,14 +283,40 @@ def _stored_config(doc) -> PipelineConfig:
     return cfg
 
 
+def _check_stages(stages, subsample, table_rows: int, side_rows: int) -> None:
+    """Raise :class:`SchemaMismatch` unless the stage counts chain.
+
+    ``stages`` must hold exactly the :data:`_STAGES` counts, plus
+    ``subsampled_rows`` when ``subsample`` is set, each a non-negative int;
+    no more rows may be subsampled than were parsed; ``table_rows`` must be
+    the table's row count; and the parsed (or subsampled) rows less the
+    duplicates and bad timestamps removed must be ``side_rows``, the rows of
+    the two sides.
+    """
+    require_keys(stages, _STAGES + (() if subsample is None
+                                    else ("subsampled_rows",)), "stages")
+    if not all(type(n) is int and n >= 0 for n in stages.values()):
+        raise SchemaMismatch(f"stages {stages} are not all non-negative ints")
+    kept = stages.get("subsampled_rows", stages["parsed_rows"])
+    if kept > stages["parsed_rows"]:
+        raise SchemaMismatch(f"stages.subsampled_rows {kept} exceeds the "
+                             f"{stages['parsed_rows']} parsed rows")
+    if stages["table_rows"] != table_rows:
+        raise SchemaMismatch(f"stages.table_rows {stages['table_rows']} is "
+                             f"not the {table_rows} rows of {TABLE_FILE}")
+    left = kept - stages["duplicates_removed"] - stages["bad_timestamps_removed"]
+    if left != side_rows:
+        raise SchemaMismatch(f"stages leave {left} rows, but the two sides of "
+                             f"{TABLE_FILE} hold {side_rows}")
+
+
 def load_artifact(directory) -> DatasetArtifact:
     directory = Path(directory)
     payload = _verified_payload(directory / "dataset.json", "dataset artifact",
                                 ("dataset",), _DATASET_KEYS)
     with stored_fields(directory, "dataset artifact"):
-        _stored_config(payload["config"])
+        cfg = _stored_config(payload["config"])
         maps = preprocess_from_dict(payload["preprocess"])
-        table_rows = payload["stages"]["table_rows"]
         table_sha256 = payload["table_sha256"]
     table_path = directory / TABLE_FILE
     raw = table_path.read_bytes()
@@ -273,18 +328,16 @@ def load_artifact(directory) -> DatasetArtifact:
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{table_path}: {exc}") from None
     with stored_fields(directory, "dataset artifact"):
-        if table_rows != table.row_count:
-            raise SchemaMismatch(f"stages.table_rows {table_rows!r} is not "
-                                 f"the {table.row_count} rows of {TABLE_FILE}")
-        train, bounds = normalize(table.with_values(table.values[train_idx]))
-        test, _ = normalize(table.with_values(table.values[test_idx]), bounds)
-    return DatasetArtifact(maps=maps, bounds=bounds, table=table, train=train,
-                           test=test)
+        if train_idx.size == 0:
+            raise SchemaMismatch("the training side holds zero rows")
+        _check_stages(payload["stages"], cfg.dataset.subsample,
+                      table.row_count, train_idx.size + test_idx.size)
+    return DatasetArtifact(table, train_idx, test_idx)
 
 
 def _preprocess_sha256(artifact: DatasetArtifact) -> str:
     """The checksum of an artifact's fitted preprocessing state."""
-    return checksum(preprocess_to_dict(artifact.maps, artifact.bounds))
+    return checksum(preprocess_to_dict(artifact.table.maps, artifact.bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +386,7 @@ def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
         cfg = _stored_config(payload["config"])
         components = payload["components"]
         require_keys(components, _COMPONENTS[kind], "components")
-        classes = artifact.maps.size(TARGET)
+        classes = artifact.table.maps.size(TARGET)
         if kind == "sae-lstm":
             encoders = sae_mod.model_from_dict(components["sae"], cfg.sae,
                                                len(FEATURE_NAMES))

@@ -208,7 +208,8 @@ def cmd_train(args) -> int:
     artifact = load_artifact(args.artifact)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
+    x, y = artifact.side("train")
+    k = artifact.table.maps.size(TARGET)
     bundle_path = out_dir / "bundle.json"
 
     if args.kind == "sae-lstm":
@@ -243,7 +244,7 @@ def cmd_train(args) -> int:
             print(f"  final epoch loss {history[-1][0]:.6f}, "
                   f"training accuracy {history[-1][1]:.4f}")
     else:
-        model, losses = gbt.train_gbt(artifact.train, cfg.gbt)
+        model, losses = gbt.train_gbt(x, y, cfg.gbt, k)
         _check_losses(bundle_path, losses)
         save_bundle(bundle_path, "gbt", cfg.echo(), artifact,
                     {"gbt": gbt.model_to_dict(model)})
@@ -258,12 +259,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     artifact = load_artifact(args.artifact)
     bundle = load_bundle(args.bundle, artifact)
-    fm = artifact.test if args.split == "test" else artifact.train
-    if fm.row_count == 0:
+    x, y = artifact.side(args.split)
+    if y.size == 0:
         raise EmptyData(f"artifact {args.split} split holds no rows")
-    predicted = bundle.predict(fm.x)
-    cm = confusion(fm.y, predicted, fm.k_classes,
-                   artifact.maps.categories[TARGET])
+    classes = artifact.table.maps.categories[TARGET]
+    cm = confusion(y, bundle.predict(x), len(classes), classes)
     rep = report(cm)
     out_dir = Path(args.output or "out")
     out_dir.mkdir(parents=True, exist_ok=True)

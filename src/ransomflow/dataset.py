@@ -1,9 +1,13 @@
 """Tabular pipeline for the UGRansome netflow layout, fixed in ``COLUMNS``.
 
 Raw CSV rows pass through a fixed sequence: parse -> label-encode -> drop
-duplicate rows -> drop non-positive timestamps -> min-max scale -> stratified
-split. Each stage is a standalone function so the CLI can reorder the split
-for leakage experiments, and every stage is deterministic given its inputs.
+duplicate rows -> drop non-positive timestamps -> stratified split. Each stage
+is a standalone function so the CLI can reorder the split for leakage
+experiments, and every stage is deterministic given its inputs.
+
+Min-max scaling is not an ingest stage: ``feature_bounds`` fits the bounds on
+the training rows, ``normalize`` scales rows with them, and a loaded artifact
+fits them on first use and scales only the side a command reads.
 
 Parsing works on distinct lines and whole columns: the text is read once,
 identical lines are collapsed through one dict, ``csv`` parses each distinct
@@ -36,7 +40,6 @@ from .errors import (
     DataError,
     DegenerateSplit,
     EmptyData,
-    LengthMismatch,
     MissingColumn,
     NonNumericCell,
     RaggedRow,
@@ -453,56 +456,34 @@ def clean_timestamps(table: EncodedTable):
     return table.with_values(table.values[mask]), removed
 
 
-@dataclass
-class FeatureMatrix:
-    """Model-ready slice: scaled features x, integer labels y."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k_classes: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.x.ndim != 2:
-            raise SchemaMismatch(f"features must be 2-d, got {self.x.shape}")
-        if self.y.shape != (self.x.shape[0],):
-            raise LengthMismatch(
-                f"{self.x.shape[0]} feature rows vs {self.y.shape[0]} labels"
-            )
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.k_classes):
-            raise SchemaMismatch(
-                f"labels outside [0, {self.k_classes}) present"
-            )
-
-    @property
-    def row_count(self) -> int:
-        return self.x.shape[0]
+_FEATURE_IDX = [column_index(n) for n in FEATURE_NAMES]
 
 
-def normalize(table: EncodedTable, bounds=None):
-    """Min-max scale the 13 feature columns into [0, 1].
+def feature_bounds(table: EncodedTable):
+    """The min-max bounds of the 13 feature columns: per-column (mins, maxs)
+    arrays of ``table``, the training rows. Zero rows raise
+    :class:`EmptyData`."""
+    if table.row_count == 0:
+        raise EmptyData("cannot derive normalization bounds from zero rows")
+    raw = table.values[:, _FEATURE_IDX]
+    return raw.min(axis=0), raw.max(axis=0)
 
-    With ``bounds=None`` the bounds are this table's per-column (mins, maxs)
-    arrays (training use); pass the training bounds to scale validation or
-    test rows, which are clamped into [0, 1] so unseen extremes cannot escape
-    the training range. Constant columns map to 0. Returns (FeatureMatrix,
-    bounds).
+
+def normalize(table: EncodedTable, bounds) -> np.ndarray:
+    """The 13 feature columns of ``table`` min-max scaled with the training
+    ``bounds`` into [0, 1].
+
+    Rows outside the training range are clamped into [0, 1], so unseen
+    extremes cannot escape it. Constant columns map to 0.
     """
-    raw = table.values[:, [column_index(n) for n in FEATURE_NAMES]]
-    if bounds is None:
-        if table.row_count == 0:
-            raise EmptyData("cannot derive normalization bounds from zero rows")
-        bounds = raw.min(axis=0), raw.max(axis=0)
+    x = table.values[:, _FEATURE_IDX]  # a copy, scaled in place
     mins, maxs = bounds
     span = maxs - mins
-    scaled = np.zeros_like(raw)
-    nonzero = span > 0.0
-    scaled[:, nonzero] = (raw[:, nonzero] - mins[nonzero]) / span[nonzero]
-    scaled = np.clip(scaled, 0.0, 1.0)
-    k = table.maps.size(TARGET)
-    fm = FeatureMatrix(scaled, table.target_codes(), k)
-    return fm, bounds
+    constant = ~(span > 0.0)
+    x -= mins
+    x /= np.where(constant, 1.0, span)
+    x[:, constant] = 0.0
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):

@@ -37,7 +37,7 @@ from .errors import (
     check_labeled_rows,
 )
 from .nn import softmax
-from .serialize import csv_text, read_fields
+from .serialize import csv_text, read_fields, require_keys
 
 
 @dataclass
@@ -247,20 +247,19 @@ def _mean_ce(raw: np.ndarray, y: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
 
-def train_gbt(fm, params: GbtParams | None = None):
-    """Boost ``params.rounds`` rounds on a feature matrix.
+def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
+              k_classes: int):
+    """Boost ``params.rounds`` rounds on (n, d) feature rows ``x``.
 
-    ``fm`` needs ``x`` (n, d), integer ``y`` and ``k_classes`` attributes;
-    labels must fall inside [0, fm.k_classes), and one tree list is grown
+    Labels ``y`` must fall inside [0, k_classes), and one tree list is grown
     per class. Returns (trees, losses): ``trees[class][round]``, the model,
     and the mean training cross-entropy before any trees and after each
     round.
     """
-    params = params or GbtParams()
     # column-major, so each feature's values are one contiguous gather
-    x = np.asfortranarray(fm.x, dtype=np.float64)
-    y = np.asarray(fm.y, dtype=np.int64)
-    k = check_labeled_rows(x, y, fm.k_classes)
+    x = np.asfortranarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    k = check_labeled_rows(x, y, k_classes)
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
     n = x.shape[0]
@@ -319,8 +318,12 @@ def node_to_dict(node: TreeNode) -> dict:
 
 
 def node_from_dict(doc: dict) -> TreeNode:
+    """The tree a stored node holds: exactly a ``weight`` (a leaf) or exactly
+    a ``feature``, ``threshold`` and ``left`` and ``right`` nodes."""
     if "weight" in doc:
+        require_keys(doc, ("weight",), "tree leaf")
         return TreeNode(weight=float(doc["weight"]))
+    require_keys(doc, ("feature", "threshold", "left", "right"), "tree node")
     return TreeNode(
         feature=int(doc["feature"]),
         threshold=float(doc["threshold"]),
@@ -337,6 +340,7 @@ def model_to_dict(trees: list) -> dict:
 def model_from_dict(doc: dict, rounds: int, k_classes: int) -> list:
     """The trees in ``doc``; :class:`SchemaMismatch` unless they are
     ``k_classes`` lists of ``rounds`` trees each."""
+    require_keys(doc, ("trees",), "gbt")
     trees = [[node_from_dict(t) for t in per_class]
              for per_class in doc["trees"]]
     counts = [len(per_class) for per_class in trees]

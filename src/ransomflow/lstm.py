@@ -50,7 +50,13 @@ from .nn import (
     sigmoid,
     train_epochs,
 )
-from .serialize import array_doc, array_from_doc, csv_text, read_fields
+from .serialize import (
+    array_doc,
+    array_from_doc,
+    csv_text,
+    read_fields,
+    require_keys,
+)
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -444,8 +450,12 @@ def model_from_dict(doc: dict, config: LstmConfig, features: int,
     _, steps, width = to_sequences(np.empty((0, features)),
                                    config.sequence_layout).shape
     model = create_classifier(width, k_classes, config, seed)
+    require_keys(doc, ("cells", "head"), "lstm")
     stored = [a for cell in doc["cells"] for a in (cell["w"], cell["b"])]
     stored += [doc["head"]["weights"], doc["head"]["biases"]]
+    for cell in doc["cells"]:
+        require_keys(cell, ("w", "b"), "lstm cell")
+    require_keys(doc["head"], ("weights", "biases"), "lstm head")
     params = model.params()
     if len(stored) != len(params):
         raise SchemaMismatch(f"{len(doc['cells'])} stored cells for "

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .errors import LabelOutOfRange, ShapeMismatch, check_label_range
-from .serialize import array_doc, array_from_doc
+from .serialize import array_doc, array_from_doc, require_keys
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 
@@ -396,6 +396,7 @@ def layer_to_dict(layer: DenseLayer) -> dict:
 
 
 def layer_from_dict(doc: dict, activation: str) -> DenseLayer:
+    require_keys(doc, ("weights", "biases"), "dense layer")
     return DenseLayer(
         array_from_doc(doc["weights"]),
         array_from_doc(doc["biases"]),

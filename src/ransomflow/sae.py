@@ -38,7 +38,7 @@ from .nn import (
     mse_loss,
     train_epochs,
 )
-from .serialize import csv_text, read_fields
+from .serialize import csv_text, read_fields, require_keys
 
 
 @dataclass
@@ -241,6 +241,7 @@ def model_from_dict(doc: dict, config: SAEConfig, features: int) -> list:
     """The encoders in ``doc``, applying ``config.activation``;
     :class:`SchemaMismatch` unless they map ``features`` inputs through
     ``config.encoder_dims``."""
+    require_keys(doc, ("encoders",), "sae")
     encoders = [layer_from_dict(d, config.activation) for d in doc["encoders"]]
     shapes = [layer.weights.shape for layer in encoders]
     dims = config.encoder_dims

@@ -123,11 +123,13 @@ def array_doc(array, name: str) -> dict:
 def array_from_doc(doc) -> np.ndarray:
     """The writable float64 array an :func:`array_doc` object holds.
 
-    A wrong dtype or shape, invalid base64, a byte count that does not match
-    the shape, or a non-finite value raises :class:`SchemaMismatch`.
+    Keys other than exactly dtype, shape and b64, a wrong dtype or shape,
+    invalid base64, a byte count that does not match the shape, or a
+    non-finite value raises :class:`SchemaMismatch`.
     """
     if not isinstance(doc, dict) or doc.get("dtype") != _ARRAY_DTYPE:
         raise SchemaMismatch(f"array is not a {_ARRAY_DTYPE!r} array object")
+    require_keys(doc, ("dtype", "shape", "b64"), "array")
     shape = doc.get("shape")
     if not isinstance(shape, list) or not all(
             type(n) is int and n >= 0 for n in shape):

@@ -21,10 +21,10 @@ from ransomflow.analytics import (
 )
 from ransomflow.cli import main
 from ransomflow.dataset import (
-    FeatureMatrix,
     clean_timestamps,
     dataset_stats,
     deduplicate,
+    feature_bounds,
     label_encode,
     normalize,
     parse_csv,
@@ -342,24 +342,24 @@ def test_c6_desk_scale_training():
                                              rng.derive(1819, "split"))
     train_tbl = sample.with_values(sample.values[train_idx])
     test_tbl = sample.with_values(sample.values[test_idx])
-    train_fm, stats = normalize(train_tbl)
-    test_fm, _ = normalize(test_tbl, stats)
+    bounds = feature_bounds(train_tbl)
+    train_x, train_y = normalize(train_tbl, bounds), train_tbl.target_codes()
+    test_x, test_y = normalize(test_tbl, bounds), test_tbl.target_codes()
 
-    sae_model = build_stack(train_fm.x, SAEConfig(epochs=50),
+    sae_model = build_stack(train_x, SAEConfig(epochs=50),
                             rng.derive(1819, "sae"))
     first_layer = sae_model.pretrain_losses[0]
     sae_ok = min(first_layer) < 0.5 * first_layer[0]
 
-    classifier, _ = train_classifier(encode(sae_model.encoders, train_fm.x),
-                                     train_fm.y, LstmConfig(epochs=60),
+    classifier, _ = train_classifier(encode(sae_model.encoders, train_x),
+                                     train_y, LstmConfig(epochs=60),
                                      rng.derive(1819, "lstm"), 3)
     lstm_acc = float((lstm_predict(classifier,
-                                   encode(sae_model.encoders, test_fm.x))
-                      == test_fm.y).mean())
+                                   encode(sae_model.encoders, test_x))
+                      == test_y).mean())
 
-    gbt_trees, _ = train_gbt(train_fm, GbtParams())
-    gbt_acc = float((predict_labels(gbt_trees, test_fm.x)
-                     == test_fm.y).mean())
+    gbt_trees, _ = train_gbt(train_x, train_y, GbtParams(), 3)
+    gbt_acc = float((predict_labels(gbt_trees, test_x) == test_y).mean())
 
     ok = sae_ok and lstm_acc >= 0.90 and gbt_acc >= 0.85
     verdict("6-desk-scale-training", ok,

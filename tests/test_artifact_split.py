@@ -3,8 +3,8 @@
 The reference is the in-memory path: scrub and split the encoded rows (or,
 for the leakage experiment, split first and scrub each side on its own), then
 min-max scale the training side with its own bounds and the test side with
-the training bounds. The loaded matrices must equal it bit for bit, in the
-same row order.
+the training bounds. Each side the loaded artifact scales must equal it bit
+for bit, in the same row order.
 """
 
 import json
@@ -14,12 +14,14 @@ import pytest
 
 from conftest import rewrite_table, synthetic_csv_text
 
+from ransomflow import artifacts
 from ransomflow.artifacts import load_artifact
 from ransomflow.cli import main
 from ransomflow.config import DatasetConfig, PipelineConfig
 from ransomflow.dataset import (
     clean_timestamps,
     deduplicate,
+    feature_bounds,
     label_encode,
     normalize,
     parse_csv,
@@ -45,7 +47,8 @@ def scrub(table):
 
 
 def reference_split(csv_path, cfg: PipelineConfig):
-    """(train, test, duplicates removed, bad timestamps removed)."""
+    """((x, y) of the training side, (x, y) of the test side, duplicates
+    removed, bad timestamps removed)."""
     ds = cfg.dataset
     encoded, _ = label_encode(parse_csv(csv_path))
     if ds.subsample is not None:
@@ -65,8 +68,9 @@ def reference_split(csv_path, cfg: PipelineConfig):
             table.with_values(table.values[idx])
             for idx in stratified_indices(table.target_codes(),
                                           ds.test_ratio, cfg.seed_for("split")))
-    train, bounds = normalize(train_tbl)
-    test, _ = normalize(test_tbl, bounds)
+    bounds = feature_bounds(train_tbl)
+    train, test = ((normalize(tbl, bounds), tbl.target_codes())
+                   for tbl in (train_tbl, test_tbl))
     return train, test, duplicates, bad
 
 
@@ -86,10 +90,10 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
         subsample=0.5 if "--subsample" in flags else None))
     train, test, duplicates, bad = reference_split(dup_heavy_csv, cfg)
     artifact = load_artifact(out)
-    for loaded, expected in ((artifact.train, train), (artifact.test, test)):
-        assert np.array_equal(loaded.x, expected.x)
-        assert np.array_equal(loaded.y, expected.y)
-        assert loaded.k_classes == expected.k_classes
+    for name, (x, y) in (("train", train), ("test", test)):
+        loaded_x, loaded_y = artifact.side(name)
+        assert np.array_equal(loaded_x, x)
+        assert np.array_equal(loaded_y, y)
     payload = json.loads((out / "dataset.json").read_text())["payload"]
     stages = payload["stages"]
     assert stages["duplicates_removed"] == duplicates
@@ -113,3 +117,56 @@ def test_artifact_without_split_lists_exits_3(dup_heavy_csv, tmp_path,
     assert main(["analyze", str(out), "--output", str(tmp_path / "a")]) == 3
     err = capsys.readouterr().err
     assert "table.npz" in err and "missing member(s) ['train_index']" in err
+
+
+@pytest.fixture(scope="module")
+def trained(dup_heavy_csv, tmp_path_factory):
+    """(artifact directory, gbt bundle, training rows, test rows)."""
+    root = tmp_path_factory.mktemp("scaled")
+    art = root / "art"
+    assert main(["ingest", str(dup_heavy_csv), "--output", str(art)]) == 0
+    assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
+                 "--output", str(root / "gbt")]) == 0
+    with np.load(art / "table.npz") as stored:
+        sides = stored["train_index"].size, stored["test_index"].size
+    return art, root / "gbt" / "bundle.json", *sides
+
+
+def _counting(fn, rows: list):
+    """``fn`` appending the row count of each table it is given to ``rows``."""
+    def counted(table, *rest):
+        rows.append(table.row_count)
+        return fn(table, *rest)
+    return counted
+
+
+@pytest.mark.parametrize("command", [
+    "analyze", "train-sae-lstm", "train-gbt", "evaluate-test",
+    "evaluate-train"])
+def test_a_command_scales_only_the_side_it_reads(command, trained, tmp_path,
+                                                 monkeypatch, capsys):
+    """The rows each bounds fit and each scaling receives: analyze reads no
+    side, train the training side and evaluate the split it scores; the
+    bounds are fitted once, on the training rows."""
+    art, bundle, train_rows, test_rows = trained
+    calls = {"feature_bounds": [], "normalize": []}
+    for name, rows in calls.items():
+        monkeypatch.setattr(artifacts, name,
+                            _counting(getattr(artifacts, name), rows))
+    out = str(tmp_path / "o")
+    argv, scaled = {
+        "analyze": (["analyze", str(art)], []),
+        "train-sae-lstm": (["train", str(art), "--kind", "sae-lstm",
+                            "--sae-epochs", "1", "--lstm-epochs", "1",
+                            "--lstm-hidden", "4"], [train_rows]),
+        "train-gbt": (["train", str(art), "--kind", "gbt", "--gbt-rounds",
+                       "1"], [train_rows]),
+        "evaluate-test": (["evaluate", str(bundle), str(art)], [test_rows]),
+        "evaluate-train": (["evaluate", str(bundle), str(art), "--split",
+                            "train"], [train_rows]),
+    }[command]
+    assert main(argv + ["--output", out]) == 0
+    capsys.readouterr()
+    assert calls == {"feature_bounds": [train_rows] if scaled else [],
+                     "normalize": scaled}
+    assert train_rows != test_rows

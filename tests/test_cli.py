@@ -96,13 +96,13 @@ def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
     assert stages["bad_timestamps_removed"] == meta["bad_times"]
     assert stages["table_rows"] == meta["clean_rows"]
     artifact = load_artifact(artifact_dir)
-    assert artifact.train.row_count + artifact.test.row_count \
+    assert artifact.train_index.size + artifact.test_index.size \
         == meta["clean_rows"]
     classes = payload["preprocess"]["encoding"]["Prediction"]
     assert classes == list(meta["classes"])
     # 0.25 of each class held out, rounded half up
     per_class = next(iter(meta["per_class"].values()))
-    assert artifact.test.row_count == 3 * round(per_class * 0.25)
+    assert artifact.test_index.size == 3 * round(per_class * 0.25)
 
 
 def test_ingest_dataset_json_echoes_config(artifact_dir):
@@ -240,7 +240,7 @@ def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
     assert payload["config"]["seed"] == 23
     assert payload["config"]["dataset"]["test_ratio"] == 0.5
     assert payload["config"]["gbt"]["rounds"] == 2
-    assert load_artifact(out).test.row_count == meta["clean_rows"] // 2
+    assert load_artifact(out).test_index.size == meta["clean_rows"] // 2
 
     typo = tmp_path / "typo.json"
     typo.write_text('{"sead": 1}', encoding="utf-8")
@@ -272,7 +272,7 @@ def test_ingest_subsample_and_alternate_ordering(synthetic_csv, tmp_path):
     assert read_payload(out2)["config"]["dataset"]["split_before_dedup"] \
         is True
     artifact = load_artifact(out2)
-    assert artifact.train.row_count + artifact.test.row_count \
+    assert artifact.train_index.size + artifact.test_index.size \
         <= meta["total_rows"]
 
 
@@ -374,10 +374,27 @@ _DELETE = object()
 # normalization bounds for every feature column, one of them listed twice
 _REPEATED_COLUMN = [[name, 0.0, 1.0] for name in (*FEATURE_NAMES, "Time")]
 
+
+def _subsampled_above_parsed(payload):
+    """A payload whose subsample stage keeps more rows than were parsed."""
+    payload["config"]["dataset"]["subsample"] = 0.5
+    payload["stages"]["subsampled_rows"] = payload["stages"]["parsed_rows"] + 1
+    return payload
+
+
+def _leaf_gains_key(node):
+    """The tree ``node`` with an unknown key added to its leftmost leaf."""
+    leaf = node
+    while "weight" not in leaf:
+        leaf = leaf["left"]
+    leaf["foo"] = 1
+    return node
+
+
 # a stored file (bundle.json is the gbt bundle's, sae-bundle.json the
 # sae-lstm one's), a dotted field of its {checksum, payload} document (a
-# number indexes a list), and a malformed value for it; a payload edit keeps
-# the checksum matching
+# number indexes a list), and a malformed value for it, or a function of the
+# stored value giving one; a payload edit keeps the checksum matching
 _MALFORMED_FIELDS = {
     "dataset-checksum-null": ("dataset.json", "checksum", None),
     "dataset-checksum-number": ("dataset.json", "checksum", 5),
@@ -437,6 +454,49 @@ _MALFORMED_FIELDS = {
     "encoder-biases-shape": ("sae-bundle.json",
                              "payload.components.sae.encoders.0.biases",
                              array_doc(np.zeros(3), "biases")),
+    "dataset-envelope-unknown-key": ("dataset.json", "foo", 1),
+    "bundle-envelope-unknown-key": ("bundle.json", "foo", 1),
+    # the stage counts chain
+    "parsed-rows-missing": ("dataset.json", "payload.stages.parsed_rows",
+                            _DELETE),
+    "duplicates-removed-missing": ("dataset.json",
+                                   "payload.stages.duplicates_removed",
+                                   _DELETE),
+    "bad-timestamps-removed-missing": (
+        "dataset.json", "payload.stages.bad_timestamps_removed", _DELETE),
+    "stages-unknown-key": ("dataset.json", "payload.stages.foo", 1),
+    "subsampled-rows-without-subsample": (
+        "dataset.json", "payload.stages.subsampled_rows", 1),
+    "subsample-without-subsampled-rows": (
+        "dataset.json", "payload.config.dataset.subsample", 0.5),
+    "stage-count-negative": ("dataset.json",
+                             "payload.stages.duplicates_removed", -5),
+    "stage-count-float": ("dataset.json", "payload.stages.parsed_rows",
+                          float),
+    "stage-count-bool": ("dataset.json",
+                         "payload.stages.bad_timestamps_removed", False),
+    "subsampled-above-parsed": ("dataset.json", "payload",
+                                _subsampled_above_parsed),
+    "stages-do-not-chain": ("dataset.json", "payload.stages.parsed_rows",
+                            lambda n: n + 1),
+    # every object inside a bundle component holds exactly its keys
+    "array-doc-unknown-key": (
+        "sae-bundle.json", "payload.components.sae.encoders.0.weights.foo", 1),
+    "dense-layer-unknown-key": ("sae-bundle.json",
+                                "payload.components.sae.encoders.0.foo", 1),
+    "sae-unknown-key": ("sae-bundle.json", "payload.components.sae.foo", 1),
+    "lstm-unknown-key": ("sae-bundle.json", "payload.components.lstm.foo", 1),
+    "lstm-cell-unknown-key": ("sae-bundle.json",
+                              "payload.components.lstm.cells.0.foo", 1),
+    "lstm-head-unknown-key": ("sae-bundle.json",
+                              "payload.components.lstm.head.foo", 1),
+    "gbt-unknown-key": ("bundle.json", "payload.components.gbt.foo", 1),
+    "tree-node-unknown-key": ("bundle.json",
+                              "payload.components.gbt.trees.0.0.foo", 1),
+    "tree-leaf-unknown-key": ("bundle.json", "payload.components.gbt.trees.0.0",
+                              _leaf_gains_key),
+    "split-node-with-weight": ("bundle.json",
+                               "payload.components.gbt.trees.0.0.weight", 0.5),
 }
 
 
@@ -444,7 +504,27 @@ _MALFORMED_FIELDS = {
 _UNKNOWN_KEYS = ("bundle-categories-repeated",
                  "bundle-normalization-repeated-column", "bundle-encoding-list",
                  "dataset-unknown-key", "bundle-unknown-key",
-                 "bundle-unknown-component")
+                 "bundle-unknown-component", "dataset-envelope-unknown-key",
+                 "bundle-envelope-unknown-key", "stages-unknown-key",
+                 "subsampled-rows-without-subsample", "array-doc-unknown-key",
+                 "dense-layer-unknown-key", "sae-unknown-key",
+                 "lstm-unknown-key", "lstm-cell-unknown-key",
+                 "lstm-head-unknown-key", "gbt-unknown-key",
+                 "tree-node-unknown-key")
+# words the error of a case above must hold
+_WORDS = {
+    "parsed-rows-missing": "missing key(s) ['parsed_rows']",
+    "subsample-without-subsampled-rows": "missing key(s) ['subsampled_rows']",
+    "stage-count-negative": "not all non-negative ints",
+    "stage-count-float": "not all non-negative ints",
+    "stage-count-bool": "not all non-negative ints",
+    "subsampled-above-parsed": "exceeds the",
+    "stages-do-not-chain": "stages leave",
+    "tree-leaf-unknown-key": "tree leaf: missing key(s) [], unknown key(s) "
+                             "['foo']",
+    "split-node-with-weight": "tree leaf: missing key(s) [], unknown key(s) "
+                              "['feature', 'left', 'right', 'threshold']",
+}
 
 
 @pytest.mark.parametrize("case", _MALFORMED_FIELDS)
@@ -462,11 +542,15 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
     node = doc
     for key in parents:
         node = node[int(key)] if isinstance(node, list) else node[key]
+    if isinstance(node, list):
+        last = int(last)
     if value is _DELETE:
         del node[last]
+    elif callable(value):
+        node[last] = value(node[last])
     else:
         node[last] = value
-    if parents:
+    if field.startswith("payload"):
         doc["checksum"] = checksum(doc["payload"])
     dump_json(target, doc)
     command = (["analyze", str(art)] if name == "dataset.json"
@@ -480,6 +564,7 @@ def test_malformed_stored_field_exits_3(case, artifact_dir, gbt_bundle_dir,
                 f"(expected {SCHEMA_VERSION})") in err
     if case in _UNKNOWN_KEYS:
         assert f"unknown key(s) ['{last}']" in err
+    assert _WORDS.get(case, "") in err
 
 
 def object_keys(node, path="", found=None) -> dict:
@@ -590,7 +675,7 @@ def test_evaluate_report_covers_test_split(sae_report_dir, artifact_dir):
     for name in ("report.json", "report.txt", "report.csv", "confusion.csv"):
         assert (sae_report_dir / name).is_file(), name
     report = json.loads((sae_report_dir / "report.json").read_text())
-    test_rows = load_artifact(artifact_dir).test.row_count
+    test_rows = load_artifact(artifact_dir).test_index.size
     assert report["total_support"] == test_rows
     supports = [row["support"] for row in report["classes"].values()]
     assert sum(supports) == test_rows
@@ -605,7 +690,7 @@ def test_evaluate_train_split(gbt_bundle_dir, artifact_dir, tmp_path):
                str(artifact_dir), "--split", "train", "--output", str(out)])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["total_support"] == load_artifact(artifact_dir).train.row_count
+    assert report["total_support"] == load_artifact(artifact_dir).train_index.size
     # boosted trees fit the separable training data almost perfectly
     assert report["accuracy"] >= 0.95
 
@@ -1095,7 +1180,8 @@ def explicit_sae_lstm(argv, out):
     args = cli.build_parser().parse_args(argv)
     cfg = cli._load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
-    x, y, k = artifact.train.x, artifact.train.y, artifact.train.k_classes
+    x, y = artifact.side("train")
+    k = artifact.table.maps.size("Prediction")
     model = sae.build_stack(x, cfg.sae, cfg.seed_for("sae"))
     if cfg.fine_tune:
         sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))

@@ -25,6 +25,7 @@ from ransomflow.dataset import (
     deduplicate,
     encoded_table_from_rows,
     encoded_table_to_rows,
+    feature_bounds,
     label_encode,
     normalize,
     parse_csv,
@@ -223,14 +224,15 @@ def test_normalize_hand_case():
                                  bad_times=0)
     table = parse_csv(io.StringIO(text))
     encoded, _ = label_encode(table)
-    fm, (mins, maxs) = normalize(encoded)
-    assert fm.x.shape == (encoded.row_count, 13)
-    assert fm.x.min() >= 0.0 and fm.x.max() <= 1.0
+    mins, maxs = feature_bounds(encoded)
+    x = normalize(encoded, (mins, maxs))
+    assert x.shape == (encoded.row_count, 13)
+    assert x.min() >= 0.0 and x.max() <= 1.0
     # every non-constant column touches both bounds on its own training data
     for j, (lo, hi) in enumerate(zip(mins, maxs)):
         if hi > lo:
-            assert fm.x[:, j].min() == 0.0
-            assert fm.x[:, j].max() == 1.0
+            assert x[:, j].min() == 0.0
+            assert x[:, j].max() == 1.0
 
 
 def test_normalize_simple_values():
@@ -241,10 +243,11 @@ def test_normalize_simple_values():
     from ransomflow.dataset import EncodedTable
 
     table = EncodedTable(values=values, maps=maps)
-    fm, (mins, maxs) = normalize(table)
+    mins, maxs = feature_bounds(table)
+    x = normalize(table, (mins, maxs))
     usd = FEATURE_NAMES.index("USD")
-    assert fm.x[:, usd].tolist() == [0.0, 0.5, 1.0]
-    time_col = fm.x[:, FEATURE_NAMES.index("Time")]
+    assert x[:, usd].tolist() == [0.0, 0.5, 1.0]
+    time_col = x[:, FEATURE_NAMES.index("Time")]
     assert time_col.tolist() == [0.0, 0.0, 0.0]
     assert (mins[usd], maxs[usd]) == (0.0, 10.0)
 
@@ -256,13 +259,12 @@ def test_normalize_with_training_stats_clamps():
     train_values = np.zeros((2, 14))
     train_values[:, column_index("USD")] = [0.0, 10.0]
     train_table = EncodedTable(values=train_values, maps=maps)
-    _, bounds = normalize(train_table)
+    bounds = feature_bounds(train_table)
 
     test_values = np.zeros((2, 14))
     test_values[:, column_index("USD")] = [12.0, -3.0]
     test_table = EncodedTable(values=test_values, maps=maps)
-    fm, _ = normalize(test_table, bounds)
-    usd = fm.x[:, FEATURE_NAMES.index("USD")]
+    usd = normalize(test_table, bounds)[:, FEATURE_NAMES.index("USD")]
     assert usd.tolist() == [1.0, 0.0]
 
 
@@ -272,7 +274,7 @@ def test_normalize_empty_without_stats_raises():
 
     table = EncodedTable(values=np.empty((0, 14)), maps=maps)
     with pytest.raises(EmptyData):
-        normalize(table)
+        feature_bounds(table)
 
 
 def test_stratified_split_hand_counts():
@@ -364,7 +366,7 @@ def test_preprocess_document_round_trip():
                                  bad_times=0)
     table = parse_csv(io.StringIO(text))
     encoded, maps = label_encode(table)
-    fm, bounds = normalize(encoded)
+    bounds = feature_bounds(encoded)
     doc = preprocess_to_dict(maps, bounds)
     assert preprocess_from_dict({"encoding": doc["encoding"]}).categories \
         == maps.categories

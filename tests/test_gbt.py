@@ -1,7 +1,6 @@
 """Gradient boosted trees: derivatives, split search, and boosting."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from conftest import blob_data
 
 from ransomflow import rng
-from ransomflow.dataset import FeatureMatrix
 from ransomflow.errors import (
     ConfigError,
     DegenerateClasses,
@@ -214,7 +212,7 @@ def test_hand_built_stump_probabilities():
 
 def test_zero_rounds_predicts_uniform():
     x, y = blob_data(5, 3, seed=53)
-    model, losses = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=0))
+    model, losses = train_gbt(x, y, GbtParams(rounds=0), 3)
     probs = gbt_predict(model, x)
     assert np.abs(probs - 1 / 3).max() < 1e-15
     assert len(losses) == 1
@@ -223,8 +221,8 @@ def test_zero_rounds_predicts_uniform():
 
 def test_training_separates_blobs_and_loss_decreases():
     x, y = blob_data(40, 3, seed=59)
-    fm = FeatureMatrix(x[:90], y[:90], 3)
-    model, losses = train_gbt(fm, GbtParams(rounds=20, max_depth=3))
+    model, losses = train_gbt(x[:90], y[:90], GbtParams(rounds=20, max_depth=3),
+                              3)
     assert (predict_labels(model, x[90:]) == y[90:]).mean() == 1.0
     assert len(losses) == 21
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -234,29 +232,22 @@ def test_training_separates_blobs_and_loss_decreases():
 
 def test_training_is_deterministic():
     x, y = blob_data(15, 3, seed=61)
-    fm = FeatureMatrix(x, y, 3)
-    a, a_losses = train_gbt(fm, GbtParams(rounds=5))
-    b, b_losses = train_gbt(fm, GbtParams(rounds=5))
+    a, a_losses = train_gbt(x, y, GbtParams(rounds=5), 3)
+    b, b_losses = train_gbt(x, y, GbtParams(rounds=5), 3)
     assert a_losses == b_losses
     assert np.array_equal(gbt_predict(a, x), gbt_predict(b, x))
 
 
 def test_train_validates_inputs():
-    # SimpleNamespace bypasses FeatureMatrix's own label checks so the
-    # trainer's validation is what fires
     x = rng.uniform(67, (8, 2))
     with pytest.raises(DegenerateClasses):
-        train_gbt(SimpleNamespace(x=x, y=np.zeros(8, dtype=int), k_classes=3),
-                  GbtParams())
+        train_gbt(x, np.zeros(8, dtype=int), GbtParams(), 3)
     with pytest.raises(DegenerateClasses):
-        train_gbt(SimpleNamespace(x=x, y=np.zeros(8, dtype=int), k_classes=1),
-                  GbtParams())
+        train_gbt(x, np.zeros(8, dtype=int), GbtParams(), 1)
     with pytest.raises(LabelOutOfRange):
-        train_gbt(SimpleNamespace(x=x, y=np.array([0, 1, 2, 3, 0, 1, 2, 3]),
-                                  k_classes=3), GbtParams(rounds=1))
+        train_gbt(x, np.array([0, 1, 2, 3, 0, 1, 2, 3]), GbtParams(rounds=1), 3)
     with pytest.raises(EmptyData):
-        train_gbt(SimpleNamespace(x=np.empty((0, 2)), y=np.empty(0, dtype=int),
-                                  k_classes=3), GbtParams())
+        train_gbt(np.empty((0, 2)), np.empty(0, dtype=int), GbtParams(), 3)
 
 
 def test_params_validation_and_round_trip():
@@ -274,7 +265,7 @@ def test_params_validation_and_round_trip():
 
 def test_model_serialization_round_trip():
     x, y = blob_data(10, 3, seed=71)
-    model, _ = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=3))
+    model, _ = train_gbt(x, y, GbtParams(rounds=3), 3)
     doc = model_to_dict(model)
     restored = model_from_dict(doc, 3, 3)
     assert np.array_equal(gbt_predict(restored, x), gbt_predict(model, x))
@@ -283,7 +274,7 @@ def test_model_serialization_round_trip():
 
 def test_history_csv_layout():
     x, y = blob_data(6, 3, seed=73)
-    _, losses = train_gbt(FeatureMatrix(x, y, 3), GbtParams(rounds=2))
+    _, losses = train_gbt(x, y, GbtParams(rounds=2), 3)
     lines = history_csv(losses).strip().splitlines()
     assert lines[0] == "round,loss"
     assert len(lines) == 4

@@ -10,7 +10,6 @@ regularisation corner cases.
 """
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,7 +152,7 @@ def model_json(model):
 @pytest.mark.parametrize("seed", range(40))
 def test_training_matches_reference(seed):
     x, y, params, k = random_case(seed)
-    fast, fast_losses = train_gbt(SimpleNamespace(x=x, y=y, k_classes=k), params)
+    fast, fast_losses = train_gbt(x, y, params, k)
     slow, slow_losses = ref_train_gbt(x, y, params, k)
     assert model_json(fast) == model_json(slow)
     assert repr(fast_losses) == repr(slow_losses)
@@ -180,7 +179,7 @@ def test_split_and_subtree_match_reference_on_row_subsets(seed):
 def test_blob_fixture_matches_reference():
     x, y = blob_data(30, 3, seed=79)
     params = GbtParams(rounds=5, max_depth=4)
-    fast, fast_losses = train_gbt(SimpleNamespace(x=x, y=y, k_classes=3), params)
+    fast, fast_losses = train_gbt(x, y, params, 3)
     slow, slow_losses = ref_train_gbt(x, y, params, 3)
     assert model_json(fast) == model_json(slow)
     assert repr(fast_losses) == repr(slow_losses)

@@ -1,0 +1,156 @@
+"""Structural edits of a stored file are refused: exit 3, naming the file.
+
+The files are the ones the loaders read: a dataset artifact's dataset.json,
+a sae-lstm bundle and a gbt bundle, built from the synthetic fixture. Each
+edit deletes a key of a JSON object, adds one, or drops or repeats a list's
+first element. The checksum is then recomputed, so only the loaders' field
+checks stand between the edit and a run: ``analyze`` reads the edited
+dataset.json, ``evaluate`` the edited bundle.
+
+Edits are made at one representative of each path pattern: the first element
+of a list, the first split node and the first leaf of a tree, and the first
+array document. List edits inside the ``config`` echo are exempt: they give
+another valid settings document (one encoder layer fewer, say, which a
+dataset or gbt echo does not contradict).
+"""
+
+import copy
+import json
+import shutil
+
+import pytest
+
+from ransomflow.cli import main
+from ransomflow.serialize import checksum, dump_json
+
+_ARRAY_KEYS = {"b64", "dtype", "shape"}
+
+
+@pytest.fixture(scope="module")
+def stored(synthetic_csv, tmp_path_factory):
+    """(artifact directory, sae-lstm bundle, gbt bundle)."""
+    root = tmp_path_factory.mktemp("mutations")
+    art = root / "art"
+    assert main(["ingest", str(synthetic_csv[0]), "--output", str(art)]) == 0
+    assert main(["train", str(art), "--kind", "sae-lstm", "--output",
+                 str(root / "sae"), "--sae-epochs", "1", "--lstm-epochs", "1",
+                 "--lstm-hidden", "4"]) == 0
+    assert main(["train", str(art), "--kind", "gbt", "--output",
+                 str(root / "gbt"), "--gbt-rounds", "2"]) == 0
+    return art, root / "sae" / "bundle.json", root / "gbt" / "bundle.json"
+
+
+def _pattern(path: tuple, node) -> str:
+    """The path pattern of the object or list ``node`` at ``path``: list
+    positions and tree children collapse, and every array document is one
+    pattern."""
+    if isinstance(node, dict) and set(node) == _ARRAY_KEYS:
+        return "array"
+    if isinstance(node, dict) and "trees" in path:
+        return "tree leaf" if "weight" in node else "tree split node"
+    return ".".join("[]" if isinstance(key, int) else key for key in path)
+
+
+def representatives(doc) -> dict:
+    """Path pattern -> path of its first object or list, depth first;
+    only the first element of a list is visited."""
+    found = {}
+
+    def walk(node, path):
+        if not isinstance(node, (dict, list)):
+            return
+        found.setdefault(_pattern(path, node), path)
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, (*path, key))
+        elif node:
+            walk(node[0], (*path, 0))
+
+    walk(doc, ())
+    return found
+
+
+def structural_edits(doc):
+    """(label, edited copy of ``doc``) for each structural edit at each
+    representative, the checksum recomputed over the edited payload."""
+    for pattern, path in representatives(doc).items():
+        target = doc
+        for key in path:
+            target = target[key]
+        if isinstance(target, dict):
+            edits = [(f"delete {key}", lambda t, key=key: t.pop(key))
+                     for key in target]
+            edits.append(("add a key", lambda t: t.__setitem__("mutant", 0)))
+        elif target and path[:2] != ("payload", "config"):
+            edits = [("drop the first element", lambda t: t.pop(0)),
+                     ("repeat the first element", lambda t: t.append(t[0]))]
+        else:
+            continue
+        for what, edit in edits:
+            edited = copy.deepcopy(doc)
+            node = edited
+            for key in path:
+                node = node[key]
+            edit(node)
+            if "checksum" in edited and isinstance(edited.get("payload"), dict):
+                edited["checksum"] = checksum(edited["payload"])
+            yield f"{pattern or '<root>'}: {what}", edited
+
+
+def test_representatives_cover_each_pattern_once():
+    doc = {"a": [{"w": {"dtype": "<f8", "shape": [1], "b64": ""}},
+                 {"w": {"dtype": "<f8", "shape": [2], "b64": ""}}],
+           "trees": [[{"feature": 0, "threshold": 0.5,
+                       "left": {"feature": 1, "threshold": 1.5,
+                                "left": {"weight": 1.0},
+                                "right": {"weight": 2.0}},
+                       "right": {"weight": 3.0}}]]}
+    found = representatives(doc)
+    assert found == {"": (), "a": ("a",), "a.[]": ("a", 0),
+                     "array": ("a", 0, "w"), "a.[].w.shape": ("a", 0, "w", "shape"),
+                     "trees": ("trees",), "trees.[]": ("trees", 0),
+                     "tree split node": ("trees", 0, 0),
+                     "tree leaf": ("trees", 0, 0, "left", "left")}
+    labels = [label for label, _ in structural_edits(doc)]
+    assert "tree leaf: delete weight" in labels
+    assert "a.[].w.shape: repeat the first element" in labels
+    assert len(labels) == len(set(labels))
+
+
+def _refusals(source, run, named, capsys) -> list:
+    """The edits of ``source`` that ``run`` does not refuse with exit 3 and
+    an error naming ``named``, as (label, exit code, error)."""
+    doc = json.loads(source.read_text())
+    missed = []
+    for label, edited in structural_edits(doc):
+        capsys.readouterr()
+        code = run(edited)
+        err = capsys.readouterr().err
+        if code != 3 or not err.startswith("error: ") or str(named) not in err:
+            missed.append((label, code, err))
+    return missed
+
+
+def test_dataset_json_edits_exit_3(stored, tmp_path, capsys):
+    art = tmp_path / "art"
+    shutil.copytree(stored[0], art)
+
+    def run(edited):
+        dump_json(art / "dataset.json", edited)
+        return main(["analyze", str(art), "--output", str(tmp_path / "o")])
+
+    assert _refusals(stored[0] / "dataset.json", run, art, capsys) == []
+
+
+@pytest.mark.parametrize("kind", ["sae-lstm", "gbt"])
+def test_bundle_edits_exit_3(kind, stored, tmp_path, capsys):
+    art, sae_bundle, gbt_bundle = stored
+    bundle = tmp_path / "bundle.json"
+
+    def run(edited):
+        dump_json(bundle, edited)
+        return main(["evaluate", str(bundle), str(art),
+                     "--output", str(tmp_path / "o")])
+
+    source = sae_bundle if kind == "sae-lstm" else gbt_bundle
+    assert _refusals(source, run, bundle, capsys) == []

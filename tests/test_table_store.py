@@ -51,7 +51,9 @@ def save_twice(tmp_path):
     dirs = [tmp_path / name for name in ("a", "b")]
     for directory in dirs:
         save_artifact(directory, table, train_idx, test_idx,
-                      {"table_rows": table.row_count},
+                      {"parsed_rows": table.row_count,
+                       "duplicates_removed": 0, "bad_timestamps_removed": 0,
+                       "table_rows": table.row_count},
                       dataset_stats(table), PipelineConfig(seed=3).echo())
     return table, dirs
 
@@ -143,6 +145,11 @@ CRAFTED = {
                           "'codes' (59, 8)"),
     "index-out-of-range": (_update(test_index=lambda m: m["test_index"] + 60),
                            "test_index out of range"),
+    "index-repeated": (_update(train_index=lambda m: np.append(
+        m["train_index"], m["train_index"][0])), "train_index repeats a row"),
+    "index-dropped": (_update(test_index=lambda m: m["test_index"][1:]),
+                      "stages leave 60 rows, but the two sides of table.npz "
+                      "hold 59"),
 }
 
 
