@@ -11,14 +11,14 @@ A dataset artifact is a directory:
                                 unsigned type that holds the largest code
                    train_index  int64, ordered row indices of each side
                    test_index
-    stats.json     describe-style numeric summaries
-    stats.txt      the same, human readable
 
-table.npz is the only row store. The min-max bounds are not stored: a
-loaded :class:`DatasetArtifact` derives them from the training rows on first
-use, and a command scales only the side it reads (``train`` the training
-rows, ``evaluate`` the split it scores, ``analyze`` none), so the fitted
-preprocessing state is stored once.
+Both files are verified when the artifact is loaded: dataset.json by its
+checksum, table.npz by the sha256 dataset.json records. table.npz is the only
+row store, and nothing derived from it is stored: ``analyze`` computes the
+describe-style summary, and a loaded :class:`DatasetArtifact` derives the
+min-max bounds from the training rows on first use. A command scales only
+the side it reads (``train`` the training rows, ``evaluate`` the split it
+scores, ``analyze`` none), so the fitted preprocessing state is stored once.
 
 A model bundle is a single JSON file {"checksum", "payload"}; the checksum is
 the sha256 of the canonical (key-sorted, minimal) JSON of the payload, so any
@@ -93,7 +93,6 @@ from .dataset import (
 )
 from .errors import ChecksumMismatch, ConfigError, DataError, SchemaMismatch
 from .serialize import (
-    REPORT_VERSION,
     SCHEMA_VERSION,
     canonical_json,
     checksum,
@@ -182,7 +181,7 @@ def _read_table_npz(raw: bytes, maps):
 
 
 def save_artifact(directory, table: EncodedTable, train_idx, test_idx,
-                  stages: dict, summary, config_echo: dict) -> Path:
+                  stages: dict, config_echo: dict) -> Path:
     """Write a dataset artifact directory; returns its path.
 
     ``train_idx``/``test_idx`` are each side's ordered row indices into table.
@@ -201,9 +200,6 @@ def save_artifact(directory, table: EncodedTable, train_idx, test_idx,
     }
     dump_json(directory / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
-    dump_json(directory / "stats.json",
-              {"schema_version": REPORT_VERSION, "columns": summary.to_dict()})
-    (directory / "stats.txt").write_text(summary.table_text(), encoding="utf-8")
     return directory
 
 

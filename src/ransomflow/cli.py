@@ -41,7 +41,19 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
 from .metrics import MetricsReport, compare, confusion, report
-from .serialize import REPORT_VERSION, csv_text, dump_json, load_json
+from .serialize import (
+    REPORT_VERSION,
+    csv_text,
+    dump_json,
+    load_json,
+    require_keys,
+)
+
+# model families (a bundle's and a report's kind) and artifact splits
+_KINDS = ("sae-lstm", "gbt")
+_SPLITS = ("test", "train")
+# keys of a comparison row besides the two model names
+_COMPARISON_KEYS = ("metric", "delta", "winner")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fit a model on a dataset artifact")
     train.add_argument("artifact", help="dataset artifact directory")
     _common_options(train)
-    train.add_argument("--kind", choices=("sae-lstm", "gbt"),
+    train.add_argument("--kind", choices=_KINDS,
                        default="sae-lstm", help="model family to train")
     train.add_argument("--sae-epochs", type=int, metavar="N")
     train.add_argument("--lstm-epochs", type=int, metavar="N")
@@ -93,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score a bundle on an artifact")
     evaluate.add_argument("bundle", help="model bundle JSON file")
     evaluate.add_argument("artifact", help="dataset artifact directory")
-    evaluate.add_argument("--split", choices=("test", "train"), default="test")
+    evaluate.add_argument("--split", choices=_SPLITS, default="test")
     evaluate.add_argument("--output", metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -152,9 +164,9 @@ def _scrub_side(values, where: dict):
 def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
     ds = cfg.dataset
-    raw = parse_csv(ds.csv)
-    encoded, _ = label_encode(raw)
-    stages = {"parsed_rows": raw.row_count}
+    # the parsed text is freed once it is encoded
+    encoded, _ = label_encode(parse_csv(ds.csv))
+    stages = {"parsed_rows": encoded.row_count}
 
     if ds.subsample is not None:
         _, keep = stratified_indices(encoded.target_codes(), ds.subsample,
@@ -183,10 +195,8 @@ def cmd_ingest(args) -> int:
         raise EmptyData("the training side holds no rows")
 
     stages["table_rows"] = table.row_count
-    summary = dataset_stats(table)
     out_dir = Path(cfg.output_dir)
-    save_artifact(out_dir, table, train_idx, test_idx, stages, summary,
-                  cfg.echo())
+    save_artifact(out_dir, table, train_idx, test_idx, stages, cfg.echo())
     print(f"artifact written to {out_dir}")
     for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
                 "table_rows"):
@@ -279,7 +289,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_report(path) -> tuple:
-    """(report, the model kind it records or None) of a report.json."""
+    """(report, its model kind) of a report.json holding exactly the score
+    layout, ``kind`` and ``split``."""
     try:
         doc = load_json(path)
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -287,17 +298,22 @@ def _load_report(path) -> tuple:
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path}: report root is not an object")
     with stored_fields(path, "report"):
-        kind = doc.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise SchemaMismatch(f"kind {kind!r} is not a string")
-        return MetricsReport.from_dict(doc), kind
+        rep = MetricsReport.from_dict(doc)
+        require_keys(doc, (*rep.to_dict(), "kind", "split"), "report")
+        for key, allowed in (("kind", _KINDS), ("split", _SPLITS)):
+            if doc[key] not in allowed:
+                raise SchemaMismatch(f"{key} {doc[key]!r} is not in {allowed}")
+        return rep, doc["kind"]
 
 
 def cmd_compare(args) -> int:
+    for flag, name in (("--name-a", args.name_a), ("--name-b", args.name_b)):
+        if name in _COMPARISON_KEYS:
+            raise ConfigError(f"{flag} {name!r} names a comparison column")
     rep_a, kind_a = _load_report(args.report_a)
     rep_b, kind_b = _load_report(args.report_b)
-    name_a = args.name_a or kind_a or "model-a"
-    name_b = args.name_b or kind_b or "model-b"
+    name_a = args.name_a or kind_a
+    name_b = args.name_b or kind_b
     if name_a == name_b:
         name_a, name_b = f"{name_a}-a", f"{name_b}-b"
     table = compare(rep_a, rep_b, name_a, name_b)
@@ -318,10 +334,12 @@ def cmd_analyze(args) -> int:
     fin = analytics.financial_report(table)
     dist = analytics.malware_distribution(table)
     anomalies = analytics.anomaly_by_family(table)
+    summary = dataset_stats(table)
     (out_dir / "financial.csv").write_text(fin.to_csv(), encoding="utf-8")
     (out_dir / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
     (out_dir / "anomalies.csv").write_text(analytics.anomaly_csv(anomalies),
                                            encoding="utf-8")
+    (out_dir / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
     feature_idx = [column_index(n) for n in FEATURE_NAMES]
     correlation_doc = None
     if table.row_count >= 2:
@@ -330,28 +348,23 @@ def cmd_analyze(args) -> int:
         (out_dir / "correlation.csv").write_text(corr.to_csv(),
                                                  encoding="utf-8")
         correlation_doc = corr.to_dict()
-    doc = {
+    top_total = analytics.rank_families(fin, "total_usd", 3)
+    doc = {  # (name, value) pairs are written as JSON lists
         "schema_version": REPORT_VERSION,
         "rows": table.row_count,
         "financial": fin.to_dict(),
-        "top_families_total_usd": [
-            [name, value] for name, value in
-            analytics.rank_families(fin, "total_usd", 3)
-        ],
-        "top_families_mean_usd": [
-            [name, value] for name, value in
-            analytics.rank_families(fin, "mean_usd", 3)
-        ],
+        "top_families_total_usd": top_total,
+        "top_families_mean_usd": analytics.rank_families(fin, "mean_usd", 3),
         "distribution": dist.to_dict(),
-        "anomalies_by_family": [[name, count] for name, count in anomalies],
+        "anomalies_by_family": anomalies,
         "correlation": correlation_doc,
+        "summary": summary.to_dict(),
     }
     dump_json(out_dir / "analysis.json", doc)
     print(f"analysis written to {out_dir}")
     print(f"  rows analyzed: {table.row_count}")
     if fin.families:
-        top = analytics.rank_families(fin, "total_usd", 3)
-        names = ", ".join(name for name, _ in top)
+        names = ", ".join(name for name, _ in top_total)
         print(f"  top families by total USD: {names}")
         print(f"  mean ransom: {fin.global_mean_btc:.2f} BTC, "
               f"{fin.global_mean_usd:.2f} USD")

@@ -46,6 +46,7 @@ from .errors import (
     SchemaMismatch,
     UnknownCategory,
 )
+from .serialize import csv_text
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -548,47 +549,30 @@ class SummaryStats:
     def to_dict(self) -> dict:
         return {name: cs.to_dict() for name, cs in self.columns.items()}
 
-    def table_text(self) -> str:
-        names = list(self.columns)
-        rows = ["count", "mean", "std", "min", "25%", "50%", "75%", "max"]
-        widths = {n: max(len(n), 14) for n in names}
-        header = "stat".ljust(8) + "".join(n.rjust(widths[n] + 2) for n in names)
-        lines = [header]
-        for row in rows:
-            cells = []
-            for n in names:
-                value = self.columns[n].to_dict()[row]
-                text = f"{value}" if row == "count" else f"{value:.6f}"
-                cells.append(text.rjust(widths[n] + 2))
-            lines.append(row.ljust(8) + "".join(cells))
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> str:
+        return csv_text(("column", "count", "mean", "std", "min", "25%", "50%",
+                         "75%", "max"), ((name, *cs.to_dict().values())
+                                         for name, cs in self.columns.items()))
 
 
 def dataset_stats(table: EncodedTable) -> SummaryStats:
     """Count, mean, sample std, min, quartiles, and max per numeric column.
 
     Std uses the n-1 denominator; quartiles use linear interpolation. Columns
-    with fewer than 2 rows report std 0.
+    with fewer than 2 rows report std 0. Each column is read contiguously
+    from one Fortran-order copy, which gives the strided columns' bits.
     """
+    numeric = np.asfortranarray(
+        table.values[:, [column_index(n) for n in NUMERIC_NAMES]])
     out = {}
-    for name in NUMERIC_NAMES:
-        col = table.column(name)
-        n = col.size
-        if n == 0:
+    for name, col in zip(NUMERIC_NAMES, numeric.T):
+        if col.size == 0:
             out[name] = ColumnStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             continue
-        std = float(col.std(ddof=1)) if n > 1 else 0.0
-        q25, q50, q75 = (float(v) for v in np.percentile(col, [25, 50, 75]))
-        out[name] = ColumnStats(
-            count=int(n),
-            mean=float(col.mean()),
-            std=std,
-            minimum=float(col.min()),
-            q25=q25,
-            median=q50,
-            q75=q75,
-            maximum=float(col.max()),
-        )
+        std = float(col.std(ddof=1)) if col.size > 1 else 0.0
+        quartiles = (float(v) for v in np.percentile(col, [25, 50, 75]))
+        out[name] = ColumnStats(col.size, float(col.mean()), std,
+                                float(col.min()), *quartiles, float(col.max()))
     return SummaryStats(out)
 
 

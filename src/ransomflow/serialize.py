@@ -27,10 +27,10 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # rows) and no derivable stage counts, and a bundle names the preprocessing
 # state by its checksum.
 SCHEMA_VERSION = 7
-# Reports and summaries (report.json, comparison.json, analysis.json,
-# stats.json), whose layout versions 2 to 5 left unchanged. report.json no
-# longer copies its bundle's config echo; no reader of reports read it, so
-# the version stays.
+# Reports (report.json, comparison.json, analysis.json), whose layout
+# versions 2 to 5 left unchanged. report.json dropped its config echo and
+# analysis.json gained the summary that stats.json held; no reader read the
+# echo and nothing reads analysis.json, so the version stays.
 REPORT_VERSION = 1
 
 

@@ -23,7 +23,7 @@ from ransomflow.serialize import (
     dump_json,
 )
 
-INGEST_FILES = ("dataset.json", "stats.json", "stats.txt", "table.npz")
+INGEST_FILES = ("dataset.json", "table.npz")
 
 
 def read_payload(artifact_dir):
@@ -202,8 +202,8 @@ def test_ingest_cr_only_line_ends_match_lf(synthetic_csv, artifact_dir,
     out = tmp_path / "cr"
     assert main(["ingest", str(cr), "--output", str(out),
                  "--test-ratio", "0.25", "--seed", "11"]) == 0
-    for name in ("table.npz", "stats.json", "stats.txt"):
-        assert (out / name).read_bytes() == (artifact_dir / name).read_bytes()
+    assert (out / "table.npz").read_bytes() \
+        == (artifact_dir / "table.npz").read_bytes()
     # bytes and file-like sources split CR-only lines as a path does
     data = cr.read_bytes()
     rows = parse_csv(cr).rows
@@ -1087,10 +1087,16 @@ def test_compare_rejects_non_report_json(sae_report_dir, tmp_path):
     lambda doc: {**doc, "class_order": doc["class_order"] + ["SS"]},
     lambda doc: {**doc, "zero_division": "SS"},
     lambda doc: {**doc, "zero_division": ["ZZ"]},
+    lambda doc: {**doc, "mutant": 0},
+    lambda doc: {key: v for key, v in doc.items() if key != "kind"},
+    lambda doc: {**doc, "kind": "svm"},
+    lambda doc: {key: v for key, v in doc.items() if key != "split"},
+    lambda doc: {**doc, "split": "validation"},
 ], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string",
         "kind-number", "kind-list", "macro-extra-key", "classes-extra-key",
         "class-order-repeated", "zero-division-string",
-        "zero-division-unknown-class"])
+        "zero-division-unknown-class", "extra-top-level-key", "kind-missing",
+        "kind-unknown", "split-missing", "split-unknown"])
 def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,
                                           capsys):
     good = sae_report_dir / "report.json"
@@ -1103,13 +1109,28 @@ def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,
     assert err.startswith("error: ") and str(bad) in err
 
 
+@pytest.mark.parametrize("flag", ["--name-a", "--name-b"])
+@pytest.mark.parametrize("name", ["metric", "delta", "winner"])
+def test_compare_refuses_a_name_equal_to_a_column(flag, name, sae_report_dir,
+                                                  gbt_report_dir, tmp_path,
+                                                  capsys):
+    out = tmp_path / "o"
+    rc = main(["compare", str(sae_report_dir / "report.json"),
+               str(gbt_report_dir / "report.json"), flag, name,
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {name!r}")
+    assert not out.exists()
+
+
 def test_analyze_outputs(artifact_dir, synthetic_csv, tmp_path, capsys):
     _, meta = synthetic_csv
     out = tmp_path / "analysis"
     rc = main(["analyze", str(artifact_dir), "--output", str(out)])
     assert rc == 0
     for name in ("financial.csv", "distribution.csv", "anomalies.csv",
-                 "correlation.csv", "analysis.json"):
+                 "correlation.csv", "summary.csv", "analysis.json"):
         assert (out / name).is_file(), name
     doc = json.loads((out / "analysis.json").read_text())
     assert doc["rows"] == meta["clean_rows"]

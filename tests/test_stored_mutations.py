@@ -1,5 +1,8 @@
 """Structural edits of a stored file are refused: exit 3, naming the file.
 
+Every file of a dataset artifact is covered by an integrity check: one bit
+flipped in the middle of any of them makes ``analyze`` exit 3, naming it.
+
 The files are the ones the loaders read: a dataset artifact's dataset.json,
 a sae-lstm bundle and a gbt bundle, built from the synthetic fixture. Each
 edit deletes a key of a JSON object, adds one, or drops or repeats a list's
@@ -140,6 +143,22 @@ def test_dataset_json_edits_exit_3(stored, tmp_path, capsys):
         return main(["analyze", str(art), "--output", str(tmp_path / "o")])
 
     assert _refusals(stored[0] / "dataset.json", run, art, capsys) == []
+
+
+def test_every_artifact_file_is_integrity_checked(stored, tmp_path, capsys):
+    missed = []
+    for source in sorted(stored[0].iterdir()):
+        art = tmp_path / source.name
+        shutil.copytree(stored[0], art)
+        data = bytearray(source.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        (art / source.name).write_bytes(bytes(data))
+        capsys.readouterr()
+        code = main(["analyze", str(art), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if code != 3 or str(art / source.name) not in err:
+            missed.append((source.name, code, err))
+    assert missed == []
 
 
 @pytest.mark.parametrize("kind", ["sae-lstm", "gbt"])

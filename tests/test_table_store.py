@@ -16,13 +16,13 @@ from ransomflow.artifacts import load_artifact, save_artifact
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
 from ransomflow.dataset import (
+    NUMERIC_NAMES,
     column_index,
-    dataset_stats,
     label_encode,
     parse_csv,
     stratified_indices,
 )
-from ransomflow.serialize import checksum, dump_json
+from ransomflow.serialize import checksum, csv_text, dump_json
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def save_twice(tmp_path):
                       {"parsed_rows": table.row_count,
                        "duplicates_removed": 0, "bad_timestamps_removed": 0,
                        "table_rows": table.row_count},
-                      dataset_stats(table), PipelineConfig(seed=3).echo())
+                      PipelineConfig(seed=3).echo())
     return table, dirs
 
 
@@ -85,7 +85,7 @@ def test_loaded_values_are_bit_equal_to_the_table_ingest_held(
 
 def test_saved_bytes_are_stable(tmp_path):
     _, (first, second) = save_twice(tmp_path)
-    for name in ("dataset.json", "table.npz", "stats.json", "stats.txt"):
+    for name in ("dataset.json", "table.npz"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     with zipfile.ZipFile(first / "table.npz") as archive:
         infos = archive.infolist()
@@ -94,6 +94,44 @@ def test_saved_bytes_are_stable(tmp_path):
     for info in infos:
         assert info.date_time == (1980, 1, 1, 0, 0, 0)
         assert info.compress_type == zipfile.ZIP_STORED
+
+
+def reference_summary(table) -> dict:
+    """Describe-style numbers computed column by column over the table's
+    strided columns: the straightforward version of ``dataset_stats``."""
+    out = {}
+    for name in NUMERIC_NAMES:
+        col = table.column(name)
+        std = float(col.std(ddof=1)) if col.size > 1 else 0.0
+        q25, q50, q75 = (float(v) for v in np.percentile(col, [25, 50, 75]))
+        out[name] = {"count": int(col.size), "mean": float(col.mean()),
+                     "std": std, "min": float(col.min()), "25%": q25,
+                     "50%": q50, "75%": q75, "max": float(col.max())}
+    return out
+
+
+def _bits(doc: dict) -> dict:
+    return {name: {key: v.hex() if isinstance(v, float) else v
+                   for key, v in stats.items()} for name, stats in doc.items()}
+
+
+@pytest.mark.parametrize("source", ["fixture", "signed-zero-and-subnormal"])
+def test_analyze_summary_is_bit_equal_to_the_column_reference(
+        source, ingested, tmp_path):
+    if source == "fixture":
+        art = ingested
+    else:
+        _, (art, _) = save_twice(tmp_path)
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(art), "--output", str(out)]) == 0
+    expected = reference_summary(load_artifact(art).table)
+    if source != "fixture":
+        assert expected["BTC"]["min"].hex() == (-0.0).hex()
+    summary = json.loads((out / "analysis.json").read_text())["summary"]
+    assert _bits(summary) == _bits(expected)
+    assert (out / "summary.csv").read_text() == csv_text(
+        ("column", *expected["Time"]),
+        ((name, *stats.values()) for name, stats in expected.items()))
 
 
 def test_codes_use_the_smallest_unsigned_type(ingested):
