@@ -394,7 +394,7 @@ def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
                 return lstm_mod.predict(classifier, sae_mod.encode(encoders, x))
         else:
             trees = gbt_mod.model_from_dict(components["gbt"], cfg.gbt.rounds,
-                                            classes)
+                                            classes, len(FEATURE_NAMES))
 
             def predict(x):
                 return gbt_mod.predict_labels(trees, x)

@@ -16,16 +16,14 @@ so they are never settings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 from . import rng
 from .errors import ConfigError, SchemaMismatch, check_int
 from .gbt import GbtParams
 from .lstm import LstmConfig
 from .sae import SAEConfig
-from .serialize import read_fields
+from .serialize import load_json, read_fields
 
 DEFAULT_SEED = 1819
 
@@ -127,11 +125,9 @@ def from_dict(doc: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a JSON configuration file."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    """Parse a JSON configuration file; a non-finite number is refused."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = load_json(path)
+    except ValueError as exc:  # not JSON, not UTF-8, or not a finite number
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return from_dict(doc)

@@ -8,6 +8,8 @@ shapes, degenerate inputs). The CLI translates these families into exit codes.
 
 from __future__ import annotations
 
+import math
+
 
 class PipelineError(Exception):
     """Base class for every error raised by this package."""
@@ -111,15 +113,33 @@ def check_int(name: str, value, low: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) that is finite as a
+    float: what a configured or stored real number must be."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def check_number(name: str, value, low: float | None = None) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite number, and at
+    least ``low`` when one is given."""
+    if not is_finite_number(value) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be a finite number{bound}, "
+                          f"got {value!r}")
+
+
 def check_positive(name: str, value, optional: bool = False) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is a number (not a bool)
-    greater than 0, or None when ``optional``."""
+    """Raise :class:`ConfigError` unless ``value`` is a finite number greater
+    than 0, or None when ``optional``."""
     if optional and value is None:
         return
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not value > 0:
+    if not is_finite_number(value) or not value > 0:
         none = "None or " if optional else ""
-        raise ConfigError(f"{name} must be {none}a number > 0, got {value!r}")
+        raise ConfigError(f"{name} must be {none}a finite number > 0, "
+                          f"got {value!r}")
 
 
 class EmptyData(DataError):

@@ -12,12 +12,13 @@ adjacent distinct feature values; rows with x <= threshold go left. Ties in
 gain resolve to the lowest feature index, then the smallest threshold, which
 keeps training deterministic.
 
-Split search runs on presorted column blocks: ``train_gbt`` sorts each
-feature's row ids once (stable, so equal values stay in row order), and each
-split filters every list into its two children, which keeps them sorted. A
-node's gradient and hessian prefix sums follow its list, and gains are
-computed only where the sorted value changes. Each leaf hands its row set
-back, so the training scores are updated without routing rows again.
+Split search runs on per-column value bins: ``train_gbt`` codes each
+feature once over its sorted distinct training values, and a node sums its
+gradients and hessians per bin with ``np.bincount``. Prefix sums over the bins
+that hold the node's rows give every boundary between adjacent distinct
+values, the exact greedy candidate set, without sorting rows. Each leaf
+hands its row set back, so the training scores are updated without routing
+rows again.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import (
     check_int,
     check_label_range,
     check_labeled_rows,
+    check_number,
+    is_finite_number,
 )
 from .nn import softmax
 from .serialize import csv_text, read_fields, require_keys
@@ -52,12 +55,12 @@ class GbtParams:
     def __post_init__(self):
         check_int("max depth", self.max_depth, 1)
         check_int("rounds", self.rounds, 0)
-        if self.gamma < 0 or self.lambda_ < 0:
-            raise ConfigError("gamma and lambda must be non-negative")
+        check_number("gamma", self.gamma, 0.0)
+        check_number("lambda", self.lambda_, 0.0)
+        check_number("min child hessian", self.min_child_hessian, 0.0)
+        check_number("shrinkage", self.shrinkage)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ConfigError(f"shrinkage must lie in (0, 1], got {self.shrinkage}")
-        if self.min_child_hessian < 0:
-            raise ConfigError("min child hessian must be non-negative")
 
     # ``lambda`` is a Python keyword; stored documents use it for ``lambda_``.
     def to_dict(self) -> dict:
@@ -120,44 +123,42 @@ class TreeNode:
             yield from self.right.leaves()
 
 
-def presort(rows: np.ndarray, x: np.ndarray) -> list:
-    """Per feature, ``rows`` in stable ascending order of that feature's value.
-
-    Equal values keep their order in ``rows``, so the lists match a stable
-    ``argsort`` of ``x[rows, f]``, and filtering a list keeps it sorted.
-    """
-    return [rows[np.argsort(x[rows, f], kind="stable")]
-            for f in range(x.shape[1])]
+def column_bins(x: np.ndarray) -> list:
+    """Per feature, (values, codes): the column's sorted distinct values and
+    each row's index into them, so ``values[codes]`` is the column."""
+    return [np.unique(x[:, f], return_inverse=True) for f in range(x.shape[1])]
 
 
 def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, sorted_rows: list | None = None
+               params: GbtParams, bins: list | None = None
                ) -> SplitDecision | None:
     """Exhaustive scan over features and boundaries for the given row set.
 
-    ``sorted_rows`` is ``presort(rows, x)``, built here when omitted. Returns
-    None when no candidate has strictly positive gain (including the
-    degenerate cases: fewer than 2 rows, all feature values identical, or
-    every boundary failing the min-child-hessian constraint).
+    ``bins`` is ``column_bins(x)``, built here when omitted. Returns None
+    when no candidate has strictly positive gain (including the degenerate
+    cases: fewer than 2 rows, all feature values identical, or every
+    boundary failing the min-child-hessian constraint).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size < 2:
         return None
-    if sorted_rows is None:
-        sorted_rows = presort(rows, x)
+    if bins is None:
+        bins = column_bins(x)
     lam = params.lambda_
-    total_g = float(g[rows].sum())
-    total_h = float(h[rows].sum())
+    g_rows = g[rows]
+    h_rows = h[rows]
+    total_g = float(g_rows.sum())
+    total_h = float(h_rows.sum())
     parent_score = total_g * total_g / (total_h + lam)
     best: SplitDecision | None = None
-    for feature, order in enumerate(sorted_rows):
-        sorted_values = x[:, feature][order]
-        # position k is the boundary between sorted rows k and k + 1
-        cut = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
-        if cut.size == 0:
+    for feature, (values, codes) in enumerate(bins):
+        node_codes = codes[rows]
+        # the bins holding rows; position k is the boundary after bin k
+        present = np.flatnonzero(np.bincount(node_codes))
+        if present.size < 2:
             continue
-        left_g = np.cumsum(g[order])[cut]
-        left_h = np.cumsum(h[order])[cut]
+        left_g = np.cumsum(np.bincount(node_codes, g_rows)[present[:-1]])
+        left_h = np.cumsum(np.bincount(node_codes, h_rows)[present[:-1]])
         right_h = total_h - left_h
         feasible = (left_h >= params.min_child_hessian) \
             & (right_h >= params.min_child_hessian)
@@ -173,8 +174,8 @@ def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
         if gain <= 0.0:
             continue
         if best is None or gain > best.gain:
-            lo = float(sorted_values[cut[k]])
-            hi = float(sorted_values[cut[k] + 1])
+            lo = float(values[present[k]])
+            hi = float(values[present[k + 1]])
             threshold = (lo + hi) / 2.0
             if threshold >= hi:  # adjacent floats: keep the partition exact
                 threshold = lo
@@ -190,37 +191,28 @@ def _leaf(rows, g, h, lam) -> TreeNode:
 
 def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
                params: GbtParams, depth: int = 0,
-               sorted_rows: list | None = None) -> TreeNode:
+               bins: list | None = None) -> TreeNode:
     """Recursive greedy construction. Leaf weights carry no shrinkage.
 
-    ``sorted_rows`` is ``presort(rows, x)``, built here when omitted; each
-    split divides every list between the children, which keeps them sorted,
-    except that children at ``max_depth`` become leaves and get no lists.
-    Each leaf keeps its row set in ``rows``.
+    ``bins`` is ``column_bins(x)``, built here when omitted and shared by
+    every node. Each leaf keeps its row set in ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise EmptyData("cannot grow a tree over zero rows")
     if depth >= params.max_depth or rows.size < 2:
         return _leaf(rows, g, h, params.lambda_)
-    if sorted_rows is None:
-        sorted_rows = presort(rows, x)
-    decision = best_split(rows, x, g, h, params, sorted_rows)
+    if bins is None:
+        bins = column_bins(x)
+    decision = best_split(rows, x, g, h, params, bins)
     if decision is None:
         return _leaf(rows, g, h, params.lambda_)
     mask = x[:, decision.feature][rows] <= decision.threshold
-    left_sorted = right_sorted = None  # children at max_depth are leaves
-    if depth + 1 < params.max_depth:
-        goes_left = np.empty(x.shape[0], dtype=bool)  # read only at ``rows``
-        goes_left[rows] = mask
-        sides = [goes_left[order] for order in sorted_rows]
-        left_sorted = [order[s] for order, s in zip(sorted_rows, sides)]
-        right_sorted = [order[~s] for order, s in zip(sorted_rows, sides)]
     return TreeNode(
         feature=decision.feature,
         threshold=decision.threshold,
-        left=build_tree(rows[mask], x, g, h, params, depth + 1, left_sorted),
-        right=build_tree(rows[~mask], x, g, h, params, depth + 1, right_sorted),
+        left=build_tree(rows[mask], x, g, h, params, depth + 1, bins),
+        right=build_tree(rows[~mask], x, g, h, params, depth + 1, bins),
     )
 
 
@@ -265,14 +257,14 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     n = x.shape[0]
     raw = np.zeros((n, k), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)
-    sorted_rows = presort(all_rows, x)
+    bins = column_bins(x)
     trees = [[] for _ in range(k)]
     losses = [_mean_ce(raw, y)]
     for _ in range(params.rounds):
         g, h = grad_hess(y, raw)
         for c in range(k):
             tree = build_tree(all_rows, x, g[:, c], h[:, c], params,
-                              sorted_rows=sorted_rows)
+                              bins=bins)
             for leaf in tree.leaves():
                 leaf.weight *= params.shrinkage
                 raw[leaf.rows, c] += leaf.weight
@@ -317,18 +309,29 @@ def node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def node_from_dict(doc: dict) -> TreeNode:
-    """The tree a stored node holds: exactly a ``weight`` (a leaf) or exactly
-    a ``feature``, ``threshold`` and ``left`` and ``right`` nodes."""
+def _stored_number(value, what: str) -> float:
+    if not is_finite_number(value):
+        raise SchemaMismatch(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def node_from_dict(doc: dict, features: int) -> TreeNode:
+    """The tree a stored node holds: exactly a numeric ``weight`` (a leaf) or
+    exactly a ``feature`` index in [0, features), a numeric ``threshold`` and
+    ``left`` and ``right`` nodes."""
     if "weight" in doc:
         require_keys(doc, ("weight",), "tree leaf")
-        return TreeNode(weight=float(doc["weight"]))
+        return TreeNode(weight=_stored_number(doc["weight"], "tree leaf weight"))
     require_keys(doc, ("feature", "threshold", "left", "right"), "tree node")
+    feature = doc["feature"]
+    if type(feature) is not int or not 0 <= feature < features:
+        raise SchemaMismatch(f"tree node feature {feature!r} is not a column "
+                             f"index in [0, {features})")
     return TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=node_from_dict(doc["left"]),
-        right=node_from_dict(doc["right"]),
+        feature=feature,
+        threshold=_stored_number(doc["threshold"], "tree node threshold"),
+        left=node_from_dict(doc["left"], features),
+        right=node_from_dict(doc["right"], features),
     )
 
 
@@ -337,11 +340,13 @@ def model_to_dict(trees: list) -> dict:
                       for per_class in trees]}
 
 
-def model_from_dict(doc: dict, rounds: int, k_classes: int) -> list:
-    """The trees in ``doc``; :class:`SchemaMismatch` unless they are
-    ``k_classes`` lists of ``rounds`` trees each."""
+def model_from_dict(doc: dict, rounds: int, k_classes: int,
+                    features: int) -> list:
+    """The trees in ``doc``, which split rows of ``features`` columns;
+    :class:`SchemaMismatch` unless they are ``k_classes`` lists of ``rounds``
+    trees each."""
     require_keys(doc, ("trees",), "gbt")
-    trees = [[node_from_dict(t) for t in per_class]
+    trees = [[node_from_dict(t, features) for t in per_class]
              for per_class in doc["trees"]]
     counts = [len(per_class) for per_class in trees]
     if counts != [rounds] * k_classes:

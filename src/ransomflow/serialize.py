@@ -52,11 +52,20 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is beyond the float range")
+    return value
+
+
 def load_json(path):
     """Parse a JSON file. NaN and Infinity, which ``dump_json`` never writes,
-    raise ``ValueError``, as malformed JSON does."""
+    and numbers such as 1e400 that overflow a float raise ``ValueError``, as
+    malformed JSON does."""
     return json.loads(Path(path).read_text(encoding="utf-8"),
-                      parse_constant=_reject_constant)
+                      parse_constant=_reject_constant,
+                      parse_float=_finite_float)
 
 
 def require_version(doc: dict, what: str,

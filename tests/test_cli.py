@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -247,9 +248,11 @@ def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
     assert main(["ingest", str(csv_path), "--config", str(typo),
                  "--output", str(out)]) == 1
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json", encoding="utf-8")
-    assert main(["ingest", str(csv_path), "--config", str(broken),
-                 "--output", str(out)]) == 1
+    for text in ("{not json", '{"dataset": {"test_ratio": NaN}}',
+                 '{"dataset": {"test_ratio": 1e400}}'):
+        broken.write_text(text, encoding="utf-8")
+        assert main(["ingest", str(csv_path), "--config", str(broken),
+                     "--output", str(out)]) == 1
     assert main(["ingest", str(csv_path), "--config",
                  str(tmp_path / "missing.json"), "--output", str(out)]) == 2
 
@@ -325,11 +328,22 @@ def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
     {"lstm": {"hiden_size": 8}},
     {"output_dir": 5},
     {"dataset": {"csv": 5}},
+    # json.dumps writes the NaN and Infinity tokens, and an int too large
+    # for a float in full
+    {"gbt": {"gamma": math.nan}},
+    {"sae": {"learning_rate": math.inf}},
+    {"lstm": {"clip_threshold": math.inf}},
+    {"gbt": {"min_child_hessian": -math.inf}},
+    {"gbt": {"lambda": 10 ** 400}},
+    {"gbt": {"shrinkage": True}},
+    {"gbt": {"gamma": False}},
 ], ids=["activation", "sae-rate", "lstm-rate", "sae-epochs", "gbt-rounds",
         "lstm-hidden", "gbt-depth", "split-flag-string", "fine-tune-string",
         "seed-float", "seed-bool", "convergence-string", "clip-zero",
         "sae-seed-key", "gbt-k-classes-key", "gbt-lambda-field-name",
-        "lstm-key-typo", "output-dir-number", "csv-number"])
+        "lstm-key-typo", "output-dir-number", "csv-number", "gbt-gamma-nan",
+        "sae-rate-infinity", "lstm-clip-infinity", "gbt-hessian-minus-infinity",
+        "gbt-lambda-beyond-float", "gbt-shrinkage-bool", "gbt-gamma-bool"])
 def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                                             capsys):
     cfg = tmp_path / "cfg.json"
@@ -339,6 +353,7 @@ def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
                str(cfg), "--output", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()  # refused before training
 
 
 @pytest.mark.parametrize("section", [{"output_dir": 5},
@@ -1009,8 +1024,10 @@ def test_train_with_non_finite_scalar_exits_3(kind, module, name, diverge,
     ("dataset.json", "[]"),
     ("bundle.json", '{"checksum": "0", "payload": []}'),
     ("bundle.json", '{"checksum": "0", "payload": {"w": NaN}}'),
+    ("dataset.json", '{"checksum": "0", "payload": {"w": 1e400}}'),
+    ("bundle.json", '{"checksum": "0", "payload": {"w": -1e400}}'),
 ], ids=["truncated-dataset", "truncated-bundle", "list-root",
-        "list-payload", "nan-payload"])
+        "list-payload", "nan-payload", "overflow-dataset", "overflow-bundle"])
 def test_corrupt_json_envelope_exits_3(target, text, artifact_dir,
                                        gbt_bundle_dir, tmp_path, capsys):
     art = tmp_path / "art"

@@ -19,6 +19,7 @@ from ransomflow.gbt import (
     TreeNode,
     best_split,
     build_tree,
+    column_bins,
     gbt_predict,
     grad_hess,
     history_csv,
@@ -111,6 +112,43 @@ def test_best_split_none_on_constant_feature_or_single_row():
                       GbtParams()) is None
     assert best_split(np.array([0]), np.array([[1.0]]), g[:1], h[:1],
                       GbtParams()) is None
+
+
+def test_column_bins_code_each_column_exactly():
+    x = np.column_stack([rng.uniform(53, 200), np.round(rng.uniform(59, 200), 1),
+                         np.full(200, -3.5), rng.uniform_signed(61, (200,), 1e300)])
+    x[:7, 1] = np.nextafter(0.5, 1.0)  # adjacent to the rounded 0.5s
+    for f, (values, codes) in enumerate(column_bins(x)):
+        assert values[codes].tobytes() == x[:, f].tobytes()
+        assert np.all(values[1:] > values[:-1])  # sorted and distinct
+    assert column_bins(x)[2][0].tolist() == [-3.5]
+
+
+def test_no_candidate_where_the_node_holds_one_value():
+    # the column varies over the table, but not over the node's rows
+    x = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
+    g = np.array([-5.0, 5.0, 3.0, -1.0, 1.0])
+    h = np.ones(5)
+    bins = column_bins(x)
+    assert best_split(np.arange(3), x, g, h, GbtParams(), bins) is None
+    assert best_split(np.arange(5), x, g, h, GbtParams(), bins) is not None
+    tree = build_tree(np.arange(3), x, g, h, GbtParams(), bins=bins)
+    assert tree.is_leaf
+
+
+def test_adjacent_floats_split_at_the_lower_value():
+    # the midpoint of 1.0 and the next float rounds down to 1.0; the
+    # midpoint of that float and the one after it rounds up to the upper
+    # value, so the threshold falls back to the lower one; either way the
+    # partition stays exact
+    one_up = float(np.nextafter(1.0, 2.0))
+    for lo, hi in ((1.0, one_up), (one_up, float(np.nextafter(one_up, 2.0)))):
+        x = np.array([[lo], [hi], [lo], [hi]])
+        g = np.array([-1.0, 1.0, -1.0, 1.0])
+        decision = best_split(np.arange(4), x, g, np.ones(4), GbtParams())
+        assert decision.threshold == lo
+        assert np.array_equal(x[:, 0] <= decision.threshold,
+                              [True, False, True, False])
 
 
 def test_best_split_respects_min_child_hessian():
@@ -255,6 +293,10 @@ def test_params_validation_and_round_trip():
         GbtParams(shrinkage=0.0)
     with pytest.raises(ConfigError):
         GbtParams(lambda_=-1.0)
+    for bad in (math.nan, math.inf, True, "0.5", 10 ** 400):
+        for name in ("gamma", "lambda_", "shrinkage", "min_child_hessian"):
+            with pytest.raises(ConfigError):
+                GbtParams(**{name: bad})
     with pytest.raises(ConfigError):
         GbtParams(max_depth=0)
     params = GbtParams(gamma=0.5, lambda_=2.0, rounds=7)
@@ -267,7 +309,7 @@ def test_model_serialization_round_trip():
     x, y = blob_data(10, 3, seed=71)
     model, _ = train_gbt(x, y, GbtParams(rounds=3), 3)
     doc = model_to_dict(model)
-    restored = model_from_dict(doc, 3, 3)
+    restored = model_from_dict(doc, 3, 3, x.shape[1])
     assert np.array_equal(gbt_predict(restored, x), gbt_predict(model, x))
     assert model_to_dict(restored) == doc
 

@@ -15,6 +15,9 @@ of a list, the first split node and the first leaf of a tree, and the first
 array document. List edits inside the ``config`` echo are exempt: they give
 another valid settings document (one encoder layer fewer, say, which a
 dataset or gbt echo does not contradict).
+
+A gbt tree's values are edited too: a split feature that is not a column
+index, and a threshold or leaf weight that is not a number.
 """
 
 import copy
@@ -173,3 +176,30 @@ def test_bundle_edits_exit_3(kind, stored, tmp_path, capsys):
 
     source = sae_bundle if kind == "sae-lstm" else gbt_bundle
     assert _refusals(source, run, bundle, capsys) == []
+
+
+_BAD_TREE_VALUES = {
+    "feature": [13, 99, -1, 1.5, True, "3", None],
+    "threshold": ["0.5", True, None, [0.5]],
+    "weight": ["0.1", False, None, {}],
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key, values in _BAD_TREE_VALUES.items()
+    for value in values])
+def test_gbt_tree_value_edits_exit_3(key, value, stored, tmp_path, capsys):
+    art, _, gbt_bundle = stored
+    doc = json.loads(gbt_bundle.read_text())
+    node = doc["payload"]["components"]["gbt"]["trees"][0][0]
+    while key not in node:  # the first node holding the key
+        node = node["left"]
+    node[key] = value
+    doc["checksum"] = checksum(doc["payload"])
+    bundle = tmp_path / "bundle.json"
+    dump_json(bundle, doc)
+    capsys.readouterr()
+    code = main(["evaluate", str(bundle), str(art),
+                 "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ") and str(bundle) in err
