@@ -17,9 +17,9 @@ block: [a_i | a_o | a_g] = x_t @ w[live, H:].T + b[live], and c_t = i * g.
 Its backward pass writes gradient on those rows of w[:, H:] and b only; the
 recurrent block and the forget rows keep zero gradient. With one step per
 sequence (the default layout) those entries never get a gradient at all, so
-training steps Adam over the views w[:, H:], b and the head only. A stored
-classifier holds just the views training stepped; loading rebuilds the seeded
-stack and writes them in.
+training steps only those rows and the head, as views of Adam's flat buffer
+that zero-state steps read (``LstmCell.live``) and BPTT writes into. A bundle
+stores just those parts; loading writes them into the seeded stack.
 
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
@@ -27,7 +27,7 @@ or as one step per feature. A softmax head reads the final hidden state.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     check_positive,
 )
 from .nn import (
+    Adam,
     DenseLayer,
     cross_entropy_loss,
     dense_backward_preact,
@@ -66,6 +67,8 @@ LAYOUTS = ("single-step", "feature-steps")
 class LstmCell:
     w: np.ndarray  # (4 * hidden, hidden + input), row blocks i | f | o | g
     b: np.ndarray  # (4 * hidden,)
+    # Adam's views of w[live, H:], b[live] while one-step training runs
+    live: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, seed: int) -> "LstmCell":
@@ -99,11 +102,17 @@ def live_rows(hidden: int) -> np.ndarray:
     return np.concatenate((np.arange(hidden), np.arange(2 * hidden, 4 * hidden)))
 
 
+def gate_blocks(a: np.ndarray, hidden: int) -> list:
+    """The ``hidden``-wide column blocks of ``a``, as views."""
+    return [a[:, j:j + hidden] for j in range(0, a.shape[1], hidden)]
+
+
 @dataclass
 class GateCache:
-    """Forward values one step of BPTT needs."""
+    """Forward values one step of BPTT needs; the gates are in-place views."""
 
     z: np.ndarray          # [h_prev | x_t], or x_t alone on a zero-state step
+    w: np.ndarray          # what z multiplied: w, or w[live, H:]
     i: np.ndarray
     f: np.ndarray | None   # None on a zero-state step, which has three gates
     o: np.ndarray
@@ -131,10 +140,8 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
             f"input width {x_t.shape[1]} != cell input size {cell.input_size}"
         )
     if h_prev is None and c_prev is None:
-        live = live_rows(hidden)
-        z = x_t
-        gates = x_t @ cell.w[live, hidden:].T
-        gates += cell.b[live]
+        rows = live_rows(hidden)
+        z, (w, b) = x_t, cell.live or (cell.w[rows, hidden:], cell.b[rows])
     else:
         if h_prev is None or c_prev is None:
             raise ShapeMismatch("give both h_prev and c_prev, or neither")
@@ -148,20 +155,21 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
                 f"state shapes {h_prev.shape}/{c_prev.shape} do not match "
                 f"batch {x_t.shape[0]} x hidden {hidden}"
             )
-        z = np.concatenate([h_prev, x_t], axis=1)
-        gates = z @ cell.w.T + cell.b
+        z, w, b = np.concatenate([h_prev, x_t], axis=1), cell.w, cell.b
+    gates = z @ w.T
+    gates += b
     # every gate block but the last, the candidate g, is a sigmoid
-    gates[:, :-hidden] = sigmoid(gates[:, :-hidden])
-    gates[:, -hidden:] = np.tanh(gates[:, -hidden:])
+    sigmoid(gates[:, :-hidden], out=gates[:, :-hidden])
+    np.tanh(gates[:, -hidden:], out=gates[:, -hidden:])
     if c_prev is None:
-        (i, o, g), f = np.split(gates, 3, axis=1), None
+        (i, o, g), f = gate_blocks(gates, hidden), None
         c = i * g
     else:
-        i, f, o, g = np.split(gates, 4, axis=1)
+        i, f, o, g = gate_blocks(gates, hidden)
         c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = GateCache(z=z, i=i, f=f, o=o, g=g, c_prev=c_prev, tanh_c=tanh_c)
+    cache = GateCache(z=z, w=w, i=i, f=f, o=o, g=g, c_prev=c_prev, tanh_c=tanh_c)
     if single:
         return h[0], c[0], cache
     return h, c, cache
@@ -209,11 +217,8 @@ class LstmClassifier:
         return sum(c.param_count for c in self.cells) + self.head.param_count
 
     def params(self) -> list:
-        out = []
-        for cell in self.cells:
-            out.extend(cell.params())
-        out.extend(self.head.params())
-        return out
+        return [p for cell in self.cells for p in cell.params()] + \
+            self.head.params()
 
 
 def to_sequences(x: np.ndarray, layout: str) -> np.ndarray:
@@ -232,8 +237,6 @@ def to_sequences(x: np.ndarray, layout: str) -> np.ndarray:
 class SequenceCaches:
     steps: list       # per layer: list of GateCache per time step
     head_cache: object
-    batch_size: int
-    time_steps: int
 
 
 def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
@@ -245,7 +248,7 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
     sequences = np.asarray(sequences, dtype=np.float64)
     if sequences.ndim != 3:
         raise ShapeMismatch(f"expected (m, T, d) sequences, got {sequences.shape}")
-    m, time_steps, width = sequences.shape
+    _, time_steps, width = sequences.shape
     if time_steps == 0:
         raise EmptyData("sequences must have at least one step")
     if width != model.cells[0].input_size:
@@ -265,13 +268,12 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
         layer_steps.append(caches)
         inputs = outputs
     probs, head_cache = dense_forward(model.head, inputs[-1])
-    return probs, SequenceCaches(steps=layer_steps, head_cache=head_cache,
-                                 batch_size=m, time_steps=time_steps)
+    return probs, SequenceCaches(steps=layer_steps, head_cache=head_cache)
 
 
 def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
                       grad_logits: np.ndarray,
-                      clip_threshold: float | None = None):
+                      clip_threshold: float | None = None, out=None):
     """Full BPTT from the head gradient back through every step and layer.
 
     ``grad_logits`` is the (m, k) loss gradient at the head pre-activation,
@@ -280,68 +282,76 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
     When ``clip_threshold`` is set and the global L2 norm exceeds it, all
     grads are rescaled to that norm; the returned value is the norm of the
     returned grads.
+
+    Training passes ``out``, Adam's gradient views of the trained parts, to
+    be filled in place of the full grads, and gets a norm only if it clips.
     """
-    grad_h_final, grad_head_w, grad_head_b = dense_backward_preact(
-        model.head, caches.head_cache, grad_logits
-    )
-    time_steps = caches.time_steps
-    m = caches.batch_size
-    cell_grads = []
+    time_steps, m = len(caches.steps[0]), grad_logits.shape[0]
+    slices = trained_slices(model, time_steps)
+    parts = out or [np.empty_like(p[s]) for p, s in zip(model.params(), slices)]
+    grad_h_final = dense_backward_preact(model.head, caches.head_cache,
+                                         grad_logits, parts[-2:])[0]
     # dh arriving at each step of the current layer from the layer above.
-    upper = [np.zeros((m, model.cells[-1].hidden_size)) for _ in range(time_steps)]
-    upper[-1] = grad_h_final
+    upper = [0.0] * (time_steps - 1) + [grad_h_final]
     for layer_index in range(len(model.cells) - 1, -1, -1):
         cell = model.cells[layer_index]
         step_caches = caches.steps[layer_index]
         hidden = cell.hidden_size
-        gw = np.zeros_like(cell.w)
-        gb = np.zeros_like(cell.b)
-        grad_h_next = np.zeros((m, hidden))
-        grad_c_next = np.zeros((m, hidden))
+        # all of w and b with several steps, which each step adds into;
+        # else just their live rows, which the one step writes
+        gw, gb = parts[2 * layer_index:2 * layer_index + 2]
+        if time_steps > 1:
+            gw.fill(0.0)
+            gb.fill(0.0)
+        grad_h_next = grad_c_next = 0.0
         lower = []
         for t in range(time_steps - 1, -1, -1):
             cache = step_caches[t]
             grad_h = upper[t] + grad_h_next
             grad_c = grad_c_next + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
-            # loss gradient at the pre-activations, gate blocks i | f | o | g
-            grad_i = grad_c * cache.g * cache.i * (1.0 - cache.i)
-            grad_o = grad_h * cache.tanh_c * cache.o * (1.0 - cache.o)
-            grad_g = grad_c * cache.i * (1.0 - cache.g ** 2)
+            # loss gradient at the pre-activations, gate blocks i | f | o | g;
+            # a zero-state step has no forget block
+            pre = np.empty((m, (3 if cache.f is None else 4) * hidden))
+            blocks = gate_blocks(pre, hidden)
+            np.multiply(grad_c * cache.g * cache.i, 1.0 - cache.i, out=blocks[0])
+            np.multiply(grad_h * cache.tanh_c * cache.o, 1.0 - cache.o,
+                        out=blocks[-2])
+            np.multiply(grad_c * cache.i, 1.0 - cache.g ** 2, out=blocks[-1])
             if cache.f is None:
                 # first step: no forget gate, and no earlier state to pass a
                 # gradient back to
-                live = live_rows(hidden)
-                pre = np.concatenate([grad_i, grad_o, grad_g], axis=1)
-                gb[live] += pre.sum(axis=0)
-                gw[live, hidden:] += pre.T @ cache.z
+                dw = np.matmul(pre.T, cache.z, out=gw if time_steps == 1 else None)
+                db = np.sum(pre, axis=0, out=gb if time_steps == 1 else None)
+                if time_steps > 1:  # whole gw and gb: add to their live rows
+                    rows = live_rows(hidden)
+                    gw[rows, hidden:] += dw
+                    gb[rows] += db
                 if layer_index:
-                    lower.append(pre @ cell.w[live, hidden:])
+                    lower.append(pre @ cache.w)
                 continue
-            grad_f = grad_c * cache.c_prev * cache.f * (1.0 - cache.f)
-            pre = np.concatenate([grad_i, grad_f, grad_o, grad_g], axis=1)
+            np.multiply(grad_c * cache.c_prev * cache.f, 1.0 - cache.f,
+                        out=blocks[1])
             gb += pre.sum(axis=0)
             gw += pre.T @ cache.z
             grad_c_next = grad_c * cache.f
             if layer_index:
-                grad_z = pre @ cell.w
+                grad_z = pre @ cache.w
                 grad_h_next = grad_z[:, :hidden]
                 lower.append(grad_z[:, hidden:])
             else:  # the raw input needs no gradient
-                grad_h_next = pre @ cell.w[:, :hidden]
-        lower.reverse()
-        upper = lower
-        cell_grads.append([gw, gb])
-    cell_grads.reverse()
-    grads = []
-    for block in cell_grads:
-        grads.extend(block)
-    grads.extend([grad_head_w, grad_head_b])
+                grad_h_next = pre @ cache.w[:, :hidden]
+        upper = lower[::-1]
+    if out is not None and clip_threshold is None:
+        return out, None
+    grads = [np.zeros_like(p) for p in model.params()]
+    for g, s, part in zip(grads, slices, parts):
+        g[s] = part
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if clip_threshold is not None and norm > clip_threshold:
-        scale = clip_threshold / norm
-        grads = [g * scale for g in grads]
+        for g in out or grads:
+            g *= clip_threshold / norm
         norm = clip_threshold
-    return grads, norm
+    return out or grads, norm
 
 
 def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
@@ -365,13 +375,14 @@ def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
 def trained_slices(model: LstmClassifier, time_steps: int) -> list:
     """Per array of ``model.params()``, the index of the part training steps.
 
-    With one step per sequence every cell runs from zero state, so the
-    recurrent block w[:, :H] keeps its seeded values and only w[:, H:] is
-    live; otherwise all of w is. Every bias and the head are live.
-    """
-    cell_w = np.s_[:, model.config.hidden_size:] if time_steps == 1 \
-        else np.s_[...]
-    return [cell_w, np.s_[...]] * len(model.cells) + [np.s_[...]] * 2
+    With one step per sequence every cell runs from zero state, so only the
+    i | o | g rows of the input block w[:, H:] and of b are live; the
+    recurrent block and the forget rows keep their seeded values. Otherwise
+    all of w and b are. The head is live."""
+    hidden = model.config.hidden_size
+    rows = live_rows(hidden)
+    cell = [(rows, np.s_[hidden:]), rows] if time_steps == 1 else [np.s_[...]] * 2
+    return cell * len(model.cells) + [np.s_[...]] * 2
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
@@ -388,19 +399,31 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k, config, seed)
     live = trained_slices(model, sequences.shape[1])
-    params = [p[s] for p, s in zip(model.params(), live)]
+    optimizer = Adam([p[s] for p, s in zip(model.params(), live)],
+                     config.learning_rate)
+    # the model trains Adam's views, a one-step cell just its live rows
+    views = iter(optimizer.params)
+    for cell in model.cells:
+        if sequences.shape[1] == 1:
+            cell.live = next(views), next(views)
+        else:
+            cell.w, cell.b = next(views), next(views)
+    model.head.weights, model.head.biases = next(views), next(views)
 
     def batch_step(idx):
         labels = y[idx]
         probs, caches = sequence_forward(model, sequences[idx])
         loss, grad_logits = cross_entropy_loss(probs, labels)
-        grads, _ = sequence_backward(model, caches, grad_logits,
-                                     config.clip_threshold)
-        return (loss, [g[s] for g, s in zip(grads, live)],
-                int((probs.argmax(axis=1) == labels).sum()))
+        sequence_backward(model, caches, grad_logits, config.clip_threshold,
+                          optimizer.grads)
+        return loss, int((probs.argmax(axis=1) == labels).sum())
 
-    history = train_epochs(params, batch_step, x.shape[0], config.batch_size,
-                           config.learning_rate, seed, config.epochs)
+    history = train_epochs(optimizer, batch_step, x.shape[0],
+                           config.batch_size, seed, config.epochs)
+    for p, s, view in zip(model.params(), live, optimizer.params):
+        p[s] = view
+    for cell in model.cells:
+        cell.live = None
     return model, history
 
 

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     SchemaMismatch,
     check_label_range,
+    is_finite_number,
 )
 from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
 
@@ -93,6 +94,25 @@ class ClassScores(Scores):
     def __post_init__(self):
         super().__post_init__()
         self.support = int(self.support)
+
+
+def _stored_value(name: str, value, count: bool = False):
+    """A report value read from a file: a finite number, or with ``count``
+    an int that is not a bool; :class:`SchemaMismatch` otherwise."""
+    if not (isinstance(value, int) and not isinstance(value, bool) if count
+            else is_finite_number(value)):
+        raise SchemaMismatch(f"{name} must be "
+                             f"{'an integer' if count else 'a finite number'}"
+                             f", got {value!r}")
+    return value
+
+
+def _stored_scores(cls, doc):
+    """``cls`` read from a stored score object, every value type-checked."""
+    scores = read_fields(cls, doc)
+    for key, value in doc.items():
+        _stored_value(key, value, count=key == "support")
+    return scores
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -176,12 +196,13 @@ class MetricsReport:
                                  "class_order")
         return cls(
             class_names=names,
-            per_class={name: read_fields(ClassScores, doc["classes"][name])
+            per_class={name: _stored_scores(ClassScores, doc["classes"][name])
                        for name in names},
-            accuracy=float(doc["accuracy"]),
-            macro=read_fields(Scores, doc["macro"]),
-            weighted=read_fields(Scores, doc["weighted"]),
-            total_support=int(doc["total_support"]),
+            accuracy=float(_stored_value("accuracy", doc["accuracy"])),
+            macro=_stored_scores(Scores, doc["macro"]),
+            weighted=_stored_scores(Scores, doc["weighted"]),
+            total_support=_stored_value("total_support", doc["total_support"],
+                                        count=True),
             zero_division=tuple(zero_division),
         )
 

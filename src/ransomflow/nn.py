@@ -27,9 +27,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    # The tanh identity needs no exp, so it cannot overflow.
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # The tanh identity needs no exp, so it cannot overflow; ``out`` may be z.
+    out = np.multiply(z, 0.5, out=out, dtype=np.float64)
+    np.tanh(out, out=out)
+    out += 1.0
+    return np.multiply(out, 0.5, out=out)
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -135,11 +138,13 @@ def _grad_pre_activation(layer: DenseLayer, cache: BatchCache,
     raise ValueError(f"unknown activation {act!r}")
 
 
-def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray):
+def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray,
+                   out=(None, None)):
     """Backprop through one layer.
 
     Returns (grad_input, grad_weights, grad_biases) for the batch the cache
     was built from. ``grad_output`` is the loss gradient wrt the layer output.
+    ``out``, a (weights, biases) pair of gradient views, receives the last two.
     """
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.output.shape:
@@ -148,11 +153,11 @@ def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray
             f"{cache.output.shape}"
         )
     grad_z = _grad_pre_activation(layer, cache, grad_output)
-    return _backward_from_pre_activation(layer, cache, grad_z)
+    return _backward_from_pre_activation(layer, cache, grad_z, out)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
-                          grad_pre_activation: np.ndarray):
+                          grad_pre_activation: np.ndarray, out=(None, None)):
     """Backprop entry point for fused losses that differentiate wrt z directly.
 
     The softmax cross-entropy pairing produces (p - y) / n as the gradient at
@@ -164,12 +169,12 @@ def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
             f"grad shape {grad_pre_activation.shape} does not match "
             f"pre-activation {cache.pre_activation.shape}"
         )
-    return _backward_from_pre_activation(layer, cache, grad_pre_activation)
+    return _backward_from_pre_activation(layer, cache, grad_pre_activation, out)
 
 
-def _backward_from_pre_activation(layer, cache, grad_z):
-    grad_weights = grad_z.T @ cache.inputs
-    grad_biases = grad_z.sum(axis=0)
+def _backward_from_pre_activation(layer, cache, grad_z, out):
+    grad_weights = np.matmul(grad_z.T, cache.inputs, out=out[0])
+    grad_biases = np.sum(grad_z, axis=0, out=out[1])
     grad_input = grad_z @ layer.weights
     return grad_input, grad_weights, grad_biases
 
@@ -243,49 +248,33 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; updates parameters in place.
+    """Adam with bias correction over one flat float64 buffer it allocates.
 
-    Adam is elementwise, so every tracked tensor lives in one flat buffer:
-    a step checks every param and grad shape before it writes anything,
-    copies the grads and params in, runs the update once over all of them,
-    and copies the params back. Each element is rounded exactly as a
-    per-tensor update would round it.
+    ``params`` are the initial values, copied in once; the model then trains
+    the views in :attr:`params` and writes each batch's gradient into the
+    views in :attr:`grads`, and :meth:`step` rewrites the buffer in place.
+    Each element is rounded exactly as a per-tensor update would round it.
     """
 
-    def __init__(self, params, learning_rate: float = 0.001):
+    def __init__(self, params, learning_rate: float):
         if learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.t = 0
-        self.shapes = [np.shape(p) for p in params]
-        sizes = [int(np.prod(shape)) for shape in self.shapes]
-        # the moments, then the flat grads and params and two temporaries
-        # that every step reuses
-        self.m, self.v, self.g, self.p, self.m_hat, self.v_hat = \
+        sizes = [np.size(p) for p in params]
+        # the weights, their grads, the moments and two temporaries that
+        # every step reuses
+        self.p, self.g, self.m, self.v, self.m_hat, self.v_hat = \
             np.zeros((6, sum(sizes)))
         bounds = np.cumsum(sizes)[:-1]
-        self.g_parts = [part.reshape(shape) for part, shape in
-                        zip(np.split(self.g, bounds), self.shapes)]
-        self.p_parts = [part.reshape(shape) for part, shape in
-                        zip(np.split(self.p, bounds), self.shapes)]
+        self.params = [part.reshape(np.shape(p)) for part, p in
+                       zip(np.split(self.p, bounds), params)]
+        self.grads = [part.reshape(view.shape) for part, view in
+                      zip(np.split(self.g, bounds), self.params)]
+        np.concatenate([np.ravel(p) for p in params], out=self.p)
 
-    def step(self, params, grads) -> None:
-        if len(params) != len(self.shapes) or len(grads) != len(self.shapes):
-            raise ShapeMismatch(
-                f"optimizer tracks {len(self.shapes)} tensors, got "
-                f"{len(params)} params and {len(grads)} grads"
-            )
-        grads = [np.asarray(g, dtype=np.float64) for g in grads]
-        for p, g, shape in zip(params, grads, self.shapes):
-            if p.shape != shape or g.shape != shape:
-                raise ShapeMismatch(
-                    f"param {p.shape} / grad {g.shape} do not match the "
-                    f"tracked shape {shape}"
-                )
-        for p, g, p_part, g_part in zip(params, grads, self.p_parts,
-                                        self.g_parts):
-            np.copyto(p_part, p)
-            np.copyto(g_part, g)
+    def step(self) -> None:
+        """Update the weights from the gradient now in :attr:`grads`."""
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1 ** self.t
         correction2 = 1.0 - ADAM_BETA2 ** self.t
@@ -309,28 +298,36 @@ class Adam:
         v_hat += ADAM_EPSILON
         m_hat /= v_hat
         p -= m_hat
-        for param, p_part in zip(params, self.p_parts):
-            np.copyto(param, p_part)
 
 
-def train_epochs(params, batch_step, n: int, batch_size: int,
-                 learning_rate: float, seed: int, epochs: int,
+def adam_over(layers, learning_rate: float) -> Adam:
+    """Adam over the dense ``layers``' weights and biases, which then hold
+    its views."""
+    optimizer = Adam([p for layer in layers for p in layer.params()],
+                     learning_rate)
+    views = iter(optimizer.params)
+    for layer in layers:
+        layer.weights, layer.biases = next(views), next(views)
+    return optimizer
+
+
+def train_epochs(optimizer: Adam, batch_step, n: int, batch_size: int,
+                 seed: int, epochs: int,
                  stop_below: float | None = None) -> list:
     """Mini-batch Adam over ``n`` rows, reshuffled each epoch from ``seed``.
 
-    ``batch_step(idx)`` returns the batch's mean loss, grads aligned to
-    ``params`` and its count of right predictions (0 if none are made).
-    Returns one (mean loss, accuracy) pair per epoch run, stopping after the
-    first epoch whose mean loss is below ``stop_below``.
+    ``batch_step(idx)`` writes the batch's gradient into ``optimizer.grads``
+    and returns its mean loss and count of right predictions (0 if none are
+    made); ``optimizer.step()`` follows. Returns one (mean loss, accuracy)
+    pair per epoch run, stopping after the first below ``stop_below``.
     """
-    optimizer = Adam(params, learning_rate)
     history = []
     for epoch in range(epochs):
         loss_sum = 0.0
         correct = 0
         for idx in rng.epoch_batches(n, batch_size, seed, epoch):
-            loss, grads, batch_correct = batch_step(idx)
-            optimizer.step(params, grads)
+            loss, batch_correct = batch_step(idx)
+            optimizer.step()
             loss_sum += loss * len(idx)
             correct += batch_correct
         history.append((loss_sum / n, correct / n))

@@ -29,6 +29,7 @@ from .errors import (
 from .nn import (
     ACTIVATIONS,
     DenseLayer,
+    adam_over,
     cross_entropy_loss,
     dense_backward,
     dense_backward_preact,
@@ -96,12 +97,6 @@ class SAEModel:
     def layer_param_counts(self) -> list:
         return [l.param_count for l in self.encoders + self.decoders]
 
-    def encoder_params(self) -> list:
-        out = []
-        for layer in self.encoders:
-            out.extend(layer.params())
-        return out
-
 
 def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
                    seed: int):
@@ -122,18 +117,19 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
                                 rng.derive(seed, "encoder"))
     decoder = DenseLayer.create(hidden_dim, width, "linear",
                                 rng.derive(seed, "decoder"))
+    optimizer = adam_over([encoder, decoder], config.learning_rate)
+    enc_grads, dec_grads = optimizer.grads[:2], optimizer.grads[2:]
 
     def batch_step(idx):
         xb = data[idx]
         code, enc_cache = dense_forward(encoder, xb)
         recon, dec_cache = dense_forward(decoder, code)
         loss, grad_recon = mse_loss(recon, xb)
-        grad_code, gw_dec, gb_dec = dense_backward(decoder, dec_cache, grad_recon)
-        _, gw_enc, gb_enc = dense_backward(encoder, enc_cache, grad_code)
-        return loss, [gw_enc, gb_enc, gw_dec, gb_dec], 0
+        grad_code = dense_backward(decoder, dec_cache, grad_recon, dec_grads)[0]
+        dense_backward(encoder, enc_cache, grad_code, enc_grads)
+        return loss, 0
 
-    history = train_epochs(encoder.params() + decoder.params(), batch_step, n,
-                           config.batch_size, config.learning_rate, seed,
+    history = train_epochs(optimizer, batch_step, n, config.batch_size, seed,
                            config.epochs, config.convergence_threshold)
     return encoder, decoder, [loss for loss, _ in history]
 
@@ -207,6 +203,8 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     seed = rng.derive(seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))
+    optimizer = adam_over([*model.encoders, head], config.learning_rate)
+    grads = optimizer.grads
 
     def batch_step(idx):
         caches = []
@@ -216,16 +214,15 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
             caches.append(cache)
         probs, head_cache = dense_forward(head, current)
         loss, grad_logits = cross_entropy_loss(probs, y[idx])
-        grad, gw, gb = dense_backward_preact(head, head_cache, grad_logits)
-        grads = [gw, gb]
-        for layer, cache in zip(reversed(model.encoders), reversed(caches)):
-            grad, gw, gb = dense_backward(layer, cache, grad)
-            grads[:0] = [gw, gb]  # input-side layers first, as in params
-        return loss, grads, 0
+        grad = dense_backward_preact(head, head_cache, grad_logits,
+                                     grads[-2:])[0]
+        for j in range(len(caches) - 1, -1, -1):
+            grad = dense_backward(model.encoders[j], caches[j], grad,
+                                  grads[2 * j:2 * j + 2])[0]
+        return loss, 0
 
-    history = train_epochs(model.encoder_params() + head.params(), batch_step,
-                           x.shape[0], config.batch_size, config.learning_rate,
-                           seed, config.epochs)
+    history = train_epochs(optimizer, batch_step, x.shape[0],
+                           config.batch_size, seed, config.epochs)
     return [loss for loss, _ in history]
 
 

@@ -25,8 +25,9 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # changed (no decoders, loss curves or seeded LSTM blocks; no split sizes),
 # version 7 stores no normalization bounds (they derive from the training
 # rows) and no derivable stage counts, and a bundle names the preprocessing
-# state by its checksum.
-SCHEMA_VERSION = 7
+# state by its checksum, version 8 drops the LSTM forget rows that one-step
+# training never changes.
+SCHEMA_VERSION = 8
 # Reports (report.json, comparison.json, analysis.json), whose layout
 # versions 2 to 5 left unchanged. report.json dropped its config echo and
 # analysis.json gained the summary that stats.json held; no reader read the

@@ -177,3 +177,33 @@ def record_table_sha(art):
         (art / "table.npz").read_bytes()).hexdigest()
     dump_json(art / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
+
+
+def textbook_adam(p, g, m, v, t, lr):
+    """One per-tensor Adam step (Kingma & Ba, arXiv 1412.6980) written as
+    the plain expressions; returns the new (p, m, v)."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * g * g
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+class ReferenceAdam:
+    """:func:`textbook_adam` over a list of tensors, the oracle ``nn.Adam``
+    must match bit for bit: ``step(params, grads)`` updates each array of
+    ``params`` in place."""
+
+    def __init__(self, params, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.t = 0
+        self.moments = [(np.zeros(np.shape(p)), np.zeros(np.shape(p)))
+                        for p in params]
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        for j, (p, g) in enumerate(zip(params, grads)):
+            new, m, v = textbook_adam(p, g, *self.moments[j], self.t,
+                                      self.learning_rate)
+            p[...] = new
+            self.moments[j] = m, v

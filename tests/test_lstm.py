@@ -300,10 +300,14 @@ def test_model_dict_round_trip_is_bit_exact():
                              batch_size=4, sequence_layout=layout)
             model, _ = train_classifier(x, y, cfg, 17)
             doc = json.loads(json.dumps(model_to_dict(model, 13)))
-            # one step per row leaves the recurrent block w[:, :H] seeded
-            seeded = 4 if layout == "single-step" else 0
+            # one step per row leaves the recurrent block w[:, :H] and the
+            # forget rows seeded: only the i | o | g rows of w[:, H:] are kept
+            one_step = layout == "single-step"
             assert [d["w"]["shape"] for d in doc["cells"]] == [
-                [16, cell.w.shape[1] - seeded] for cell in model.cells]
+                [12 if one_step else 16, cell.w.shape[1] - 4 * one_step]
+                for cell in model.cells]
+            assert [d["b"]["shape"] for d in doc["cells"]] == [
+                [12 if one_step else 16]] * layers
             restored = model_from_dict(doc, cfg, 13, 3, 17)
             for a, b in zip(model.params(), restored.params(), strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape

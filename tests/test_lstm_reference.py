@@ -10,6 +10,8 @@ Adam steps.
 import numpy as np
 import pytest
 
+from conftest import ReferenceAdam
+
 from ransomflow import rng
 from ransomflow.lstm import (
     GATES,
@@ -20,7 +22,6 @@ from ransomflow.lstm import (
     sequence_forward,
 )
 from ransomflow.nn import (
-    Adam,
     cross_entropy_loss,
     dense_backward_preact,
     dense_forward,
@@ -159,7 +160,8 @@ def test_fused_adam_steps_match_per_gate_reference(d, hidden, steps, layers):
     ref_head = type(model.head)(head_w, head_b, model.head.activation)
     ref_params = [p for ws, bs in cells for p in ws + bs] + [head_w, head_b]
     params = model.params()
-    optimizer, ref_optimizer = Adam(params, 0.01), Adam(ref_params, 0.01)
+    optimizer = ReferenceAdam(params, 0.01)
+    ref_optimizer = ReferenceAdam(ref_params, 0.01)
     for _ in range(3):
         probs, caches = sequence_forward(model, seqs)
         grads, _ = sequence_backward(model, caches,

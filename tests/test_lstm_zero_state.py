@@ -20,6 +20,8 @@ the kernel. Clip 0.5 does not bind on this data; 0.01 does.
 import numpy as np
 import pytest
 
+from conftest import ReferenceAdam
+
 from ransomflow import rng
 from ransomflow.errors import ShapeMismatch
 from ransomflow.lstm import (
@@ -34,7 +36,6 @@ from ransomflow.lstm import (
     train_classifier,
 )
 from ransomflow.nn import (
-    Adam,
     cross_entropy_loss,
     dense_backward_preact,
     dense_forward,
@@ -113,7 +114,7 @@ def ref_train(x, y, config, seed):
     seqs = to_sequences(x, config.sequence_layout)
     model = create_classifier(seqs.shape[2], K_CLASSES, config, seed)
     params = model.params()
-    optimizer = Adam(params, config.learning_rate)
+    optimizer = ReferenceAdam(params, config.learning_rate)
     history = []
     for epoch in range(config.epochs):
         loss_sum, correct = 0.0, 0

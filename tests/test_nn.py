@@ -5,8 +5,12 @@ definition out = act(x @ W.T + b) and are asserted tight; everything else is
 checked against central finite differences in double precision.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from conftest import textbook_adam
 
 from ransomflow import rng
 from ransomflow.errors import LabelOutOfRange, ShapeMismatch
@@ -244,9 +248,11 @@ def test_cross_entropy_row_sum_check_equals_allclose():
 def test_adam_zero_gradient_is_identity():
     w = np.array([1.0, -2.0, 3.0])
     before = w.copy()
-    opt = Adam([w])
+    opt = Adam([w], 0.001)
+    (w,) = opt.params
     for _ in range(5):
-        opt.step([w], [np.zeros(3)])
+        opt.grads[0][...] = 0.0
+        opt.step()
     assert np.array_equal(w, before)
 
 
@@ -254,22 +260,27 @@ def test_adam_first_step_magnitude():
     # with any constant gradient, the bias-corrected first step is
     # -lr * g / (|g| + eps) = -0.000999999995 for g = 2
     w = np.array([1.0])
-    opt = Adam([w])
-    opt.step([w], [np.array([2.0])])
+    opt = Adam([w], 0.001)
+    (w,) = opt.params
+    opt.grads[0][...] = 2.0
+    opt.step()
     assert abs(w[0] - (1.0 - 0.000999999995)) < 1e-15
 
 
 def test_adam_converges_on_quadratic():
     w = np.array([3.0])
     opt = Adam([w], learning_rate=0.05)
+    (w,) = opt.params
     for _ in range(400):
-        opt.step([w], [2.0 * w])
+        opt.grads[0][...] = 2.0 * w
+        opt.step()
     assert abs(w[0]) < 1e-3
 
 
 def test_adam_matches_textbook_update_bit_for_bit_on_views():
     # The buffered step must round exactly like the plain expressions, also
-    # when it updates a column block of a larger matrix in place.
+    # when it trains a column block of a larger matrix that gets the trained
+    # values back, as the live rows of a one-step LSTM cell do.
     full = rng.uniform(rng.derive(5, "w"), (6, 9))
     ref = full[:, 4:].copy()
     view = full[:, 4:]
@@ -277,7 +288,9 @@ def test_adam_matches_textbook_update_bit_for_bit_on_views():
     m, v = np.zeros_like(ref), np.zeros_like(ref)
     for t in range(1, 8):
         g = rng.uniform(rng.derive(5, "g", t), ref.shape) - 0.5
-        opt.step([view], [g])
+        opt.grads[0][...] = g
+        opt.step()
+        view[...] = opt.params[0]
         m = 0.9 * m + (1.0 - 0.9) * g
         v = 0.999 * v + (1.0 - 0.999) * g * g
         m_hat = m / (1.0 - 0.9 ** t)
@@ -286,15 +299,6 @@ def test_adam_matches_textbook_update_bit_for_bit_on_views():
         assert np.array_equal(full[:, 4:], ref)
     assert np.array_equal(full[:, :4],
                           rng.uniform(rng.derive(5, "w"), (6, 9))[:, :4])
-
-
-def textbook_adam(p, g, m, v, t, lr):
-    """One per-tensor Adam step written as the plain expressions."""
-    m = 0.9 * m + (1.0 - 0.9) * g
-    v = 0.999 * v + (1.0 - 0.999) * g * g
-    m_hat = m / (1.0 - 0.9 ** t)
-    v_hat = v / (1.0 - 0.999 ** t)
-    return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
 
 
 def test_adam_flat_update_matches_per_tensor_textbook_on_mixed_tensors():
@@ -313,7 +317,11 @@ def test_adam_flat_update_matches_per_tensor_textbook_on_mixed_tensors():
         grads = [(rng.uniform(rng.derive(6, "g", t, j), p.shape) - 0.5)
                  * 10.0 ** (3 * j - 3) for j, p in enumerate(params)]
         grads[2] = np.repeat(grads[2], 2, axis=1)[:, ::2]
-        opt.step(params, grads)
+        for view, g in zip(opt.grads, grads):
+            view[...] = g
+        opt.step()
+        for p, view in zip(params, opt.params):
+            p[...] = view
         for j, (ref, g, (m, v)) in enumerate(zip(refs, grads, moments)):
             refs[j], m, v = textbook_adam(ref, g, m, v, t, 0.01)
             moments[j] = (m, v)
@@ -323,37 +331,42 @@ def test_adam_flat_update_matches_per_tensor_textbook_on_mixed_tensors():
                           rng.uniform(rng.derive(6, "w"), (6, 9))[:, :4] * 1e-4)
 
 
-def test_adam_shape_error_writes_nothing():
-    # A bad third tensor must leave every param, both moments and t as they
-    # were: the next good step then equals that of an optimizer that never
-    # saw the bad calls.
-    shapes = [(2, 3), (4,), (3, 2)]
-    params = [np.ones(shape) for shape in shapes]
-    twin_params = [np.ones(shape) for shape in shapes]
-    opt, twin = Adam(params, 0.1), Adam(twin_params, 0.1)
-    grads = [np.full(shape, 0.5) for shape in shapes]
-    opt.step(params, grads)
-    twin.step(twin_params, grads)
-    before = [p.copy() for p in params]
-    with pytest.raises(ShapeMismatch):
-        opt.step(params, [*grads[:2], np.zeros((2, 3))])
-    with pytest.raises(ShapeMismatch):
-        opt.step([*params[:2], np.ones((2, 3))], grads)
-    assert opt.t == 1
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)
-    grads = [np.full(shape, -0.25) for shape in shapes]
-    opt.step(params, grads)
-    twin.step(twin_params, grads)
-    for p, q in zip(params, twin_params):
-        assert np.array_equal(p, q)
+def test_adam_trains_views_of_one_flat_buffer_without_copies(monkeypatch):
+    # The weights a model trains and the grads its batches write are views
+    # of Adam's one buffer, each tensor a contiguous slice in order; a step
+    # rewrites that buffer in place, copying and allocating nothing.
+    shapes = [(300, 40), (40,), (40, 300)]
+    initial = [rng.uniform(rng.derive(8, "p", j), shape)
+               for j, shape in enumerate(shapes)]
+    opt = Adam(initial, 0.01)
+    offset = 0
+    for view, grad, p in zip(opt.params, opt.grads, initial):
+        assert view.shape == grad.shape == p.shape
+        assert np.array_equal(view, p) and not np.shares_memory(view, p)
+        assert view.flags.c_contiguous and grad.flags.c_contiguous
+        assert np.shares_memory(view, opt.p[offset:offset + p.size])
+        assert np.shares_memory(grad, opt.g[offset:offset + p.size])
+        offset += p.size
+    assert offset == opt.p.size == opt.g.size
+    for j, grad in enumerate(opt.grads):
+        grad[...] = rng.uniform(rng.derive(8, "g", j), grad.shape) - 0.5
+    views = list(opt.params)
+    before = opt.p.copy()
 
+    def no_copy(*args, **kwargs):
+        raise AssertionError("Adam.step copied a tensor")
 
-def test_adam_rejects_mismatched_grads():
-    w = np.array([1.0])
-    opt = Adam([w])
-    with pytest.raises(ShapeMismatch):
-        opt.step([w], [np.zeros(2)])
+    monkeypatch.setattr(np, "copyto", no_copy)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # a copy of the (300, 40) weights alone is 96,000 B
+    assert all(a is b for a, b in zip(opt.params, views))
+    moved = [not np.array_equal(view, p) for view, p in zip(views, initial)]
+    assert all(moved) and not np.array_equal(opt.p, before)
 
 
 def test_param_count_chain():

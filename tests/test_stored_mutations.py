@@ -17,17 +17,21 @@ another valid settings document (one encoder layer fewer, say, which a
 dataset or gbt echo does not contradict).
 
 A gbt tree's values are edited too: a split feature that is not a column
-index, and a threshold or leaf weight that is not a number.
+index, and a threshold or leaf weight that is not a number. So are the
+numbers of a report.json, which ``compare`` reads: a score that is not a
+finite number, or a count that is not an int. A sae-lstm bundle that stores
+a one-step cell's forget rows (the version 7 layout) is refused.
 """
 
 import copy
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from ransomflow.cli import main
-from ransomflow.serialize import checksum, dump_json
+from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
 _ARRAY_KEYS = {"b64", "dtype", "shape"}
 
@@ -203,3 +207,70 @@ def test_gbt_tree_value_edits_exit_3(key, value, stored, tmp_path, capsys):
                  "--output", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("error: ") and str(bundle) in err
+
+
+@pytest.mark.parametrize("key", ["w", "b"])
+def test_lstm_forget_rows_are_refused(key, stored, tmp_path, capsys):
+    # one step per row stores only the i | o | g rows; a cell that also
+    # holds the forget rows, as version 7 stored them, has the wrong shape
+    art, sae_bundle, _ = stored
+    doc = json.loads(sae_bundle.read_text())
+    cell = doc["payload"]["components"]["lstm"]["cells"][0]
+    part = array_from_doc(cell[key])
+    hidden = part.shape[0] // 3
+    cell[key] = array_doc(np.concatenate(
+        [part[:hidden], np.zeros_like(part[:hidden]), part[hidden:]]), key)
+    doc["checksum"] = checksum(doc["payload"])
+    bundle = tmp_path / "bundle.json"
+    dump_json(bundle, doc)
+    capsys.readouterr()
+    code = main(["evaluate", str(bundle), str(art),
+                 "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ") and str(bundle) in err
+    assert "shape" in err
+
+
+@pytest.fixture(scope="module")
+def report(stored, tmp_path_factory):
+    art, sae_bundle, _ = stored
+    out = tmp_path_factory.mktemp("report")
+    assert main(["evaluate", str(sae_bundle), str(art), "--output",
+                 str(out)]) == 0
+    return out / "report.json"
+
+
+# (path, value); "CLASS" stands for the first class name
+_BAD_REPORT_VALUES = [
+    *((("classes", "CLASS", "precision"), v)
+      for v in ("0.5", True, None, [0.5], float("nan"))),
+    *((("classes", "CLASS", "support"), v) for v in (12.7, 12.0, "12", True)),
+    (("classes", "CLASS", "f1"), {}),
+    (("macro", "recall"), "0.5"),
+    (("weighted", "f1"), False),
+    (("accuracy",), "0.9"),
+    (("accuracy",), True),
+    (("total_support",), "5"),
+    (("total_support",), 5.5),
+    (("total_support",), False),
+]
+
+
+@pytest.mark.parametrize("path,value", _BAD_REPORT_VALUES)
+def test_report_value_type_edits_exit_3(path, value, report, tmp_path,
+                                        capsys):
+    doc = json.loads(report.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[doc["class_order"][0] if key == "CLASS" else key]
+    node[path[-1]] = value
+    edited = tmp_path / "report.json"
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["compare", str(edited), str(report),
+                 "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ") and str(edited) in err
+    # the unedited report compares
+    assert main(["compare", str(report), str(report),
+                 "--output", str(tmp_path / "o")]) == 0

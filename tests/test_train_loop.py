@@ -3,16 +3,23 @@
 ``nn.train_epochs`` runs every training stage: each SAE layer's
 pretraining, the supervised SAE fine-tune and the LSTM classifier. The
 three ``reference_*`` functions below are the per-stage epoch loops that
-came before it, kept verbatim apart from their names. Weights and loss
-histories must match them bit for bit.
+came before it, kept verbatim apart from their names, stepping the
+per-tensor textbook Adam (``conftest.ReferenceAdam``) over the model's own
+arrays. Weights and loss histories must match them bit for bit, also
+through the ``train`` command.
 """
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import blob_data
+from conftest import ReferenceAdam, blob_data
 
-from ransomflow import rng
+from ransomflow import lstm, rng, sae
+from ransomflow.cli import main
 from ransomflow.errors import (
     DegenerateClasses,
     EmptyData,
@@ -45,6 +52,9 @@ from ransomflow.sae import (
     pretrain_layer,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator)
+
 
 def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
                              config: SAEConfig, seed: int):
@@ -66,7 +76,7 @@ def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
     decoder = DenseLayer.create(hidden_dim, width, "linear",
                                 rng.derive(seed, "decoder"))
     params = encoder.params() + decoder.params()
-    optimizer = Adam(params, config.learning_rate)
+    optimizer = ReferenceAdam(params, config.learning_rate)
     losses = []
     for epoch in range(config.epochs):
         accumulated = 0.0
@@ -111,8 +121,8 @@ def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
     seed = rng.derive(seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",
                              rng.derive(seed, "head"))
-    params = model.encoder_params() + head.params()
-    optimizer = Adam(params, config.learning_rate)
+    params = encoder_params(model) + head.params()
+    optimizer = ReferenceAdam(params, config.learning_rate)
     n = x.shape[0]
     losses = []
     for epoch in range(config.epochs):
@@ -171,7 +181,7 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
         live[:2 * len(model.cells):2] = \
             [np.s_[:, config.hidden_size:]] * len(model.cells)
     params = [p[s] for p, s in zip(model.params(), live)]
-    optimizer = Adam(params, config.learning_rate)
+    optimizer = ReferenceAdam(params, config.learning_rate)
     n = x.shape[0]
     history = []
     for epoch in range(config.epochs):
@@ -189,6 +199,10 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
             correct += int((probs.argmax(axis=1) == labels).sum())
         history.append((loss_sum / n, correct / n))
     return model, history
+
+
+def encoder_params(model: SAEModel) -> list:
+    return [p for layer in model.encoders for p in layer.params()]
 
 
 def assert_same_arrays(left, right):
@@ -236,7 +250,7 @@ def test_fine_tune_matches_reference():
     _, ref_losses = reference_fine_tune(ref_model, x, y, 3, 7)
     assert len(losses) == 3
     assert losses == ref_losses
-    assert_same_arrays(model.encoder_params(), ref_model.encoder_params())
+    assert_same_arrays(encoder_params(model), encoder_params(ref_model))
     assert_same_arrays([l.weights for l in model.decoders],
                        [l.weights for l in ref_model.decoders])
 
@@ -262,15 +276,46 @@ def test_train_epochs_returns_one_pair_per_epoch_and_stops_below():
 
     def batch_step(idx):
         seen.append(len(idx))
-        return next(losses), [np.ones(2)], len(idx) - 1
+        optimizer.grads[0][...] = 1.0
+        return next(losses), len(idx) - 1
 
-    history = train_epochs([w], batch_step, 10, 5, 0.1, 3, epochs=4,
+    optimizer = Adam([w], 0.1)
+    (w,) = optimizer.params
+    history = train_epochs(optimizer, batch_step, 10, 5, 3, epochs=4,
                            stop_below=1.0)
     # stops after the third epoch, the first with a mean below 1.0
     assert history == [(4.0, 0.8), (3.0, 0.8), (0.5, 0.8)]
     assert seen == [5] * 6
     assert (w < 0).all()  # one Adam step per batch moved the weights
-    assert len(train_epochs([np.zeros(1)], lambda idx: (1.0, [np.ones(1)], 0),
-                            7, 3, 0.1, 3, epochs=5)) == 5
-    assert train_epochs([np.zeros(1)], batch_step, 7, 3, 0.1, 3,
+    assert len(train_epochs(Adam([np.zeros(1)], 0.1), lambda idx: (1.0, 0),
+                            7, 3, 3, epochs=5)) == 5
+    assert train_epochs(Adam([np.zeros(1)], 0.1), batch_step, 7, 3, 3,
                         epochs=0) == []
+
+
+@pytest.mark.parametrize("fine", [False, True], ids=["plain", "fine-tune"])
+def test_train_command_matches_per_tensor_reference(fine, tmp_path,
+                                                    monkeypatch):
+    # default settings (one step per row), 3 epochs per stage: the stored
+    # weights and every history equal those of the reference loops
+    text, _ = gen.generate(3, raw_rows=1200, duplicates=120, bad_times=12)
+    (tmp_path / "raw.csv").write_text(text, encoding="utf-8")
+    art = tmp_path / "art"
+    assert main(["ingest", str(tmp_path / "raw.csv"), "--output",
+                 str(art)]) == 0
+    train = ["train", str(art), "--kind", "sae-lstm", "--sae-epochs", "3",
+             "--lstm-epochs", "3", *(["--fine-tune"] if fine else [])]
+    assert main([*train, "--output", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(sae, "pretrain_layer", reference_pretrain_layer)
+    monkeypatch.setattr(sae, "fine_tune", lambda model, x, y, k, seed:
+                        reference_fine_tune(model, x, y, k, seed)[1])
+    monkeypatch.setattr(lstm, "train_classifier", reference_train_classifier)
+    assert main([*train, "--output", str(tmp_path / "ref")]) == 0
+    names = ["sae_history.csv", "lstm_history.csv"]
+    names += ["fine_tune_history.csv"] if fine else []
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes()
+    new, ref = (json.loads((tmp_path / side / "bundle.json").read_text())
+                for side in ("new", "ref"))
+    assert new["payload"]["components"] == ref["payload"]["components"]
