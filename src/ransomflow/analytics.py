@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .dataset import TARGET, EncodedTable
-from .errors import ConfigError, InsufficientRows, ShapeMismatch, UnknownCategory
+from .errors import ConfigError, ShapeMismatch, UnknownCategory
 from .serialize import REPORT_VERSION, csv_text
 
 
@@ -101,20 +101,17 @@ def financial_report(table: EncodedTable) -> FinancialReport:
 _RANK_KEYS = ("attack_count", "total_usd", "mean_usd", "total_btc", "mean_btc")
 
 
-def rank_families(report: FinancialReport, key: str = "total_usd",
-                  top_n: int | None = None):
-    """Families ordered by the chosen quantity, largest first.
+def rank_families(report: FinancialReport, key: str, top_n: int):
+    """The ``top_n`` families with the largest ``key`` quantity, largest
+    first, as (name, value) pairs.
 
     Ties break on the family name ascending, keeping rankings reproducible.
-    Returns (name, value) pairs, truncated to ``top_n`` when given.
     """
     if key not in _RANK_KEYS:
         raise ConfigError(f"rank key must be one of {_RANK_KEYS}, got {key!r}")
     pairs = [(name, getattr(ff, key)) for name, ff in report.families.items()]
     pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-    if top_n is not None:
-        pairs = pairs[:top_n]
-    return pairs
+    return pairs[:top_n]
 
 
 @dataclass
@@ -138,9 +135,10 @@ class DistributionReport:
         return csv_text(("value", "count", "percent"), self.entries)
 
 
-def malware_distribution(table: EncodedTable,
-                         column: str = "Threats") -> DistributionReport:
-    """Share of rows per category, sorted by count descending then name."""
+def malware_distribution(table: EncodedTable) -> DistributionReport:
+    """Share of rows per threat category, sorted by count descending then
+    name."""
+    column = "Threats"
     codes = table.codes(column)
     vocab_size = table.maps.size(column)
     counts = np.bincount(codes, minlength=vocab_size)
@@ -182,21 +180,17 @@ class CorrelationMatrix:
         }
 
 
-def correlation_matrix(x: np.ndarray, feature_names=None) -> CorrelationMatrix:
-    """Pearson correlations between the columns of an (n, d) array.
+def correlation_matrix(x: np.ndarray, feature_names) -> CorrelationMatrix:
+    """Pearson correlations between the columns of an (n, d) array of at
+    least 2 rows, one name per column.
 
-    Needs at least 2 rows. Constant columns cannot be correlated; they are
-    flagged and their rows and columns (diagonal included) are set to 0
-    rather than NaN.
+    Constant columns cannot be correlated; they are flagged and their rows
+    and columns (diagonal included) are set to 0 rather than NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected (rows, features), got shape {x.shape}")
-    n, d = x.shape
-    if n < 2:
-        raise InsufficientRows(2, n, "correlation")
-    if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(d))
+    d = x.shape[1]
     feature_names = tuple(feature_names)
     if len(feature_names) != d:
         raise ShapeMismatch(f"{len(feature_names)} names for {d} columns")

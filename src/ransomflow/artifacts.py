@@ -249,9 +249,9 @@ def _verified_payload(path, what: str, kinds, keys) -> dict:
         raise ChecksumMismatch(path, recorded, actual)
     require_keys(doc, ("checksum", "payload"), f"{what} {path}")
     require_version(payload, f"{what} {path}")
-    if payload.get("kind") not in kinds:
-        raise SchemaMismatch(f"{what} {path}: unexpected kind "
-                             f"{payload.get('kind')!r}")
+    kind = payload.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise SchemaMismatch(f"{what} {path}: unexpected kind {kind!r}")
     require_keys(payload, keys, f"{what} {path}")
     return payload
 

@@ -131,12 +131,6 @@ def _gc_paused():
             gc.enable()
 
 
-def _source_name(source) -> str:
-    if isinstance(source, (str, Path)):
-        return str(source)
-    return str(getattr(source, "name", f"<{type(source).__name__}>"))
-
-
 def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
     """The error for ``data`` whose decoding failed with ``exc``."""
     # the sentinel makes the prefix's last line the bad byte's line
@@ -148,45 +142,32 @@ def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
 
 # The ASCII characters str.isspace accepts, but CR and LF, which the reader
 # only meets at line ends; every other whitespace character is not ASCII.
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _read_lines(source, name: str):
-    """The source's lines with their ends kept, whether any holds a ``"``,
-    and whether any cell may hold whitespace to strip.
+def _read_lines(data: bytes, name: str):
+    """The lines of the CSV bytes ``data`` with their ends kept, whether any
+    holds a ``"``, and whether any cell may hold whitespace to strip.
 
     CR, LF and CRLF each end a line, as in a file opened with ``newline=""``.
     Bytes that are not UTF-8 raise :class:`DataError` naming the line.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        raise ConfigError(f"cannot read CSV from {type(source).__name__}")
-    quote, padding = '"', _PADDING
-    if isinstance(data, str):
-        lines = io.StringIO(data, newline="").readlines()
-    else:
-        quote, padding = b'"', _PADDING.encode("ascii")
+    try:
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 newline="").readlines()
+    except UnicodeDecodeError:
+        # the stream decodes in chunks; decode whole for the byte offset
         try:
-            lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                     newline="").readlines()
-        except UnicodeDecodeError:
-            # the stream decodes in chunks; decode whole for the byte offset
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(data, exc, name) from None
-            raise
-    padded = not data.isascii() or any(c in data for c in padding)
-    return lines, quote in data, padded
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(data, exc, name) from None
+        raise
+    padded = not data.isascii() or any(c in data for c in _PADDING)
+    return lines, b'"' in data, padded
 
 
-def _distinct_records(source, name: str):
-    """(records, record_of, start_line, padded): the csv records of the source,
+def _distinct_records(data: bytes, name: str):
+    """(records, record_of, start_line, padded): the csv records of ``data``,
     the index of each position's record in file order (position 0 is the
     header), the 1-based line each position starts on, and whether any cell
     may hold whitespace to strip.
@@ -196,7 +177,7 @@ def _distinct_records(source, name: str):
     read record by record, since a quoted field may span lines: each record
     stands alone and positions count records.
     """
-    lines, quoted, padded = _read_lines(source, name)
+    lines, quoted, padded = _read_lines(data, name)
     if quoted:
         reader = csv.reader(lines)
         records, ends = [], [0]  # lines read after each record
@@ -229,7 +210,8 @@ def _finite_number(cell: str) -> bool:
 
 
 def parse_csv(source) -> RawTable:
-    """Read a CSV into ``COLUMNS`` order, validating shape and numeric cells.
+    """Read a CSV, the file at the path ``source`` or the bytes ``source``,
+    into ``COLUMNS`` order, validating shape and numeric cells.
 
     The header may list columns in any order and may use the known aliases;
     extra columns are rejected only when a required one is missing. Rows whose
@@ -244,9 +226,12 @@ def parse_csv(source) -> RawTable:
     record instead, since a quoted field may span lines; an error in a
     record that spans lines names the line the record starts on.
     """
-    name = _source_name(source)
+    if isinstance(source, bytes):
+        data, name = source, "<bytes>"
+    else:
+        data, name = Path(source).read_bytes(), str(source)
     with _gc_paused():
-        records, record_of, start_line, padded = _distinct_records(source, name)
+        records, record_of, start_line, padded = _distinct_records(data, name)
         if not records:
             raise MissingColumn(NAMES[0])
         canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in records[0]]

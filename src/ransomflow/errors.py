@@ -89,19 +89,16 @@ def check_label_range(labels, k_classes: int) -> None:
         raise LabelOutOfRange(bad, k_classes)
 
 
-def check_labeled_rows(x, y, k_classes: int | None = None) -> int:
-    """Require 2-d, non-empty ``x``, one label per row and labels in [0, k)
-    for a k of at least 2, which defaults to the largest label + 1. Returns k.
-    """
+def check_labeled_rows(x, y, k_classes: int) -> None:
+    """Require 2-d, non-empty ``x``, one label per row, at least 2 classes
+    and labels in [0, k_classes)."""
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyData("cannot train on zero rows")
     if y.shape != (x.shape[0],):
         raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
-    k = int(y.max()) + 1 if k_classes is None else int(k_classes)
-    if k < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k}")
-    check_label_range(y, k)
-    return k
+    if k_classes < 2:
+        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
+    check_label_range(y, k_classes)
 
 
 def check_int(name: str, value, low: int | None = None) -> None:
@@ -152,12 +149,6 @@ class EmptyMatrix(DataError):
 
 class DegenerateClasses(DataError):
     pass
-
-
-class InsufficientRows(DataError):
-    def __init__(self, needed: int, found: int, context: str = ""):
-        suffix = f" for {context}" if context else ""
-        super().__init__(f"need at least {needed} rows{suffix}, found {found}")
 
 
 class ClassSetMismatch(DataError):

@@ -129,21 +129,18 @@ def column_bins(x: np.ndarray) -> list:
     return [np.unique(x[:, f], return_inverse=True) for f in range(x.shape[1])]
 
 
-def best_split(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, bins: list | None = None
-               ) -> SplitDecision | None:
+def best_split(rows: np.ndarray, g: np.ndarray, h: np.ndarray,
+               params: GbtParams, bins: list) -> SplitDecision | None:
     """Exhaustive scan over features and boundaries for the given row set.
 
-    ``bins`` is ``column_bins(x)``, built here when omitted. Returns None
-    when no candidate has strictly positive gain (including the degenerate
-    cases: fewer than 2 rows, all feature values identical, or every
-    boundary failing the min-child-hessian constraint).
+    ``bins`` is ``column_bins(x)`` of the feature rows. Returns None when no
+    candidate has strictly positive gain (including the degenerate cases:
+    fewer than 2 rows, all feature values identical, or every boundary
+    failing the min-child-hessian constraint).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size < 2:
         return None
-    if bins is None:
-        bins = column_bins(x)
     lam = params.lambda_
     g_rows = g[rows]
     h_rows = h[rows]
@@ -190,29 +187,26 @@ def _leaf(rows, g, h, lam) -> TreeNode:
 
 
 def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, depth: int = 0,
-               bins: list | None = None) -> TreeNode:
+               params: GbtParams, bins: list, depth: int = 0) -> TreeNode:
     """Recursive greedy construction. Leaf weights carry no shrinkage.
 
-    ``bins`` is ``column_bins(x)``, built here when omitted and shared by
-    every node. Each leaf keeps its row set in ``rows``.
+    ``bins`` is ``column_bins(x)``, shared by every node. Each leaf keeps its
+    row set in ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise EmptyData("cannot grow a tree over zero rows")
     if depth >= params.max_depth or rows.size < 2:
         return _leaf(rows, g, h, params.lambda_)
-    if bins is None:
-        bins = column_bins(x)
-    decision = best_split(rows, x, g, h, params, bins)
+    decision = best_split(rows, g, h, params, bins)
     if decision is None:
         return _leaf(rows, g, h, params.lambda_)
     mask = x[:, decision.feature][rows] <= decision.threshold
     return TreeNode(
         feature=decision.feature,
         threshold=decision.threshold,
-        left=build_tree(rows[mask], x, g, h, params, depth + 1, bins),
-        right=build_tree(rows[~mask], x, g, h, params, depth + 1, bins),
+        left=build_tree(rows[mask], x, g, h, params, bins, depth + 1),
+        right=build_tree(rows[~mask], x, g, h, params, bins, depth + 1),
     )
 
 
@@ -251,20 +245,19 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    k = check_labeled_rows(x, y, k_classes)
+    check_labeled_rows(x, y, k_classes)
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
     n = x.shape[0]
-    raw = np.zeros((n, k), dtype=np.float64)
+    raw = np.zeros((n, k_classes), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)
     bins = column_bins(x)
-    trees = [[] for _ in range(k)]
+    trees = [[] for _ in range(k_classes)]
     losses = [_mean_ce(raw, y)]
     for _ in range(params.rounds):
         g, h = grad_hess(y, raw)
-        for c in range(k):
-            tree = build_tree(all_rows, x, g[:, c], h[:, c], params,
-                              bins=bins)
+        for c in range(k_classes):
+            tree = build_tree(all_rows, x, g[:, c], h[:, c], params, bins)
             for leaf in tree.leaves():
                 leaf.weight *= params.shrinkage
                 raw[leaf.rows, c] += leaf.weight

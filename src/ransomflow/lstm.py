@@ -386,18 +386,19 @@ def trained_slices(model: LstmClassifier, time_steps: int) -> list:
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
-                     seed: int, k_classes: int | None = None):
+                     seed: int, k_classes: int):
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
 
-    ``seed`` draws the initial weights and the batch order. Returns (model,
-    history). ``history`` holds one (mean loss, training accuracy) pair per
-    epoch, accumulated over the batches of that epoch.
+    Labels ``y`` must fall inside [0, k_classes). ``seed`` draws the initial
+    weights and the batch order. Returns (model, history). ``history`` holds
+    one (mean loss, training accuracy) pair per epoch, accumulated over the
+    batches of that epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    k = check_labeled_rows(x, y, k_classes)
+    check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
-    model = create_classifier(sequences.shape[2], k, config, seed)
+    model = create_classifier(sequences.shape[2], k_classes, config, seed)
     live = trained_slices(model, sequences.shape[1])
     optimizer = Adam([p[s] for p, s in zip(model.params(), live)],
                      config.learning_rate)
@@ -427,13 +428,17 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     return model, history
 
 
-def predict_proba(model: LstmClassifier, x: np.ndarray,
-                  chunk: int = 4096) -> np.ndarray:
+# rows per forward pass when predicting, which bounds the cached gate values
+PREDICT_CHUNK = 4096
+
+
+def predict_proba(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
     """Class probabilities for (n, d) feature rows."""
     sequences = to_sequences(x, model.config.sequence_layout)
     parts = []
-    for start in range(0, sequences.shape[0], chunk):
-        probs, _ = sequence_forward(model, sequences[start:start + chunk])
+    for start in range(0, sequences.shape[0], PREDICT_CHUNK):
+        probs, _ = sequence_forward(model,
+                                    sequences[start:start + PREDICT_CHUNK])
         parts.append(probs)
     if not parts:
         return np.empty((0, model.head.out_dim))

@@ -97,13 +97,15 @@ class ClassScores(Scores):
 
 
 def _stored_value(name: str, value, count: bool = False):
-    """A report value read from a file: a finite number, or with ``count``
-    an int that is not a bool; :class:`SchemaMismatch` otherwise."""
-    if not (isinstance(value, int) and not isinstance(value, bool) if count
-            else is_finite_number(value)):
-        raise SchemaMismatch(f"{name} must be "
-                             f"{'an integer' if count else 'a finite number'}"
-                             f", got {value!r}")
+    """A report value read from a file: a score in [0, 1], or with ``count``
+    an int >= 0 that is not a bool; :class:`SchemaMismatch` otherwise."""
+    if count:
+        valid, wanted = type(value) is int and value >= 0, "an integer >= 0"
+    else:
+        valid = is_finite_number(value) and 0.0 <= value <= 1.0
+        wanted = "a number in [0, 1]"
+    if not valid:
+        raise SchemaMismatch(f"{name} must be {wanted}, got {value!r}")
     return value
 
 
@@ -123,13 +125,17 @@ def f1_score(precision: float, recall: float) -> float:
 
 def _averages(precision, recall, f1, support) -> tuple:
     """(macro, weighted) :class:`Scores` of per-class score vectors; the
-    weights are each class's share of the support, all 0 when it is empty."""
+    weights are each class's share of the support, all 0 when it is empty.
+
+    The rounded weights can sum past 1, so a weighted score is capped at 1,
+    which it cannot exceed.
+    """
     scores = [np.asarray(s, dtype=np.float64) for s in (precision, recall, f1)]
     support = np.asarray(support, dtype=np.int64)
     total = support.sum()
     weights = support / total if total else np.zeros(support.shape)
     return (Scores(*(s.sum() / len(s) for s in scores)),
-            Scores(*((s * weights).sum() for s in scores)))
+            Scores(*(min((s * weights).sum(), 1.0) for s in scores)))
 
 
 @dataclass
@@ -332,7 +338,7 @@ class ComparisonTable:
 
 
 def compare(report_a: MetricsReport, report_b: MetricsReport,
-            name_a: str = "A", name_b: str = "B") -> ComparisonTable:
+            name_a: str, name_b: str) -> ComparisonTable:
     """Side-by-side deltas of two reports over the same class set."""
     if set(report_a.class_names) != set(report_b.class_names):
         raise ClassSetMismatch(report_a.class_names, report_b.class_names)

@@ -71,8 +71,8 @@ class DenseLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @classmethod
-    def create(cls, in_dim: int, out_dim: int, activation: str = "linear",
-               seed: int = 0) -> "DenseLayer":
+    def create(cls, in_dim: int, out_dim: int, activation: str,
+               seed: int) -> "DenseLayer":
         bound = np.sqrt(6.0 / (in_dim + out_dim))
         weights = rng.uniform_signed(seed, (out_dim, in_dim), bound)
         return cls(weights, np.zeros(out_dim), activation)

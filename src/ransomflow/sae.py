@@ -166,14 +166,11 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
 
 
 def encode(encoders: list, x: np.ndarray) -> np.ndarray:
-    """Map inputs through ``encoders`` to the deepest code layer."""
-    current = np.asarray(x, dtype=np.float64)
-    single = current.ndim == 1
-    if single:
-        current = current[None, :]
+    """Map (n, d) rows through ``encoders`` to the deepest code layer."""
+    current = x
     for layer in encoders:
         current = dense_forward(layer, current)[0]
-    return current[0] if single else current
+    return current
 
 
 def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ def load_json(path):
 def require_version(doc: dict, what: str,
                     expected: int = SCHEMA_VERSION) -> None:
     found = doc.get("schema_version")
-    if found != expected:
+    if type(found) is not int or found != expected:
         raise SchemaMismatch(
             f"{what}: schema_version {found!r} is not supported "
             f"(expected {expected})"

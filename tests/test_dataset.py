@@ -5,7 +5,6 @@ randomized loops re-verify structural invariants (partitions, idempotence)
 by brute force.
 """
 
-import io
 import math
 
 import numpy as np
@@ -58,7 +57,7 @@ ROW_C = "30,ICMP,A,EDA2,1,1DA11mPS,princexx,2.0,900,4000,C,SSH,5063,A"
 
 
 def _csv(header, *rows):
-    return io.StringIO("\n".join([header, *rows]) + "\n")
+    return ("\n".join([header, *rows]) + "\n").encode()
 
 
 def test_parse_canonical_header():
@@ -209,7 +208,7 @@ def test_clean_timestamps_drops_non_positive():
 def test_clean_then_dedup_partition_property():
     text, meta = synthetic_csv_text(n_per_class=30, seed=5, duplicates=9,
                                     bad_times=4)
-    table = parse_csv(io.StringIO(text))
+    table = parse_csv(text.encode())
     encoded, _ = label_encode(table)
     deduped, dup_removed = deduplicate(encoded)
     cleaned, time_removed = clean_timestamps(deduped)
@@ -222,7 +221,7 @@ def test_clean_then_dedup_partition_property():
 def test_normalize_hand_case():
     text, _ = synthetic_csv_text(n_per_class=4, seed=8, duplicates=0,
                                  bad_times=0)
-    table = parse_csv(io.StringIO(text))
+    table = parse_csv(text.encode())
     encoded, _ = label_encode(table)
     mins, maxs = feature_bounds(encoded)
     x = normalize(encoded, (mins, maxs))
@@ -364,7 +363,7 @@ def test_dataset_stats_hand_case():
 def test_preprocess_document_round_trip():
     text, _ = synthetic_csv_text(n_per_class=5, seed=3, duplicates=0,
                                  bad_times=0)
-    table = parse_csv(io.StringIO(text))
+    table = parse_csv(text.encode())
     encoded, maps = label_encode(table)
     bounds = feature_bounds(encoded)
     doc = preprocess_to_dict(maps, bounds)
@@ -379,7 +378,7 @@ def test_preprocess_document_round_trip():
 def test_encoded_table_csv_rows_round_trip_exactly():
     text, _ = synthetic_csv_text(n_per_class=6, seed=13, duplicates=0,
                                  bad_times=0)
-    table = parse_csv(io.StringIO(text))
+    table = parse_csv(text.encode())
     encoded, maps = label_encode(table)
     restored = encoded_table_from_rows(encoded_table_to_rows(encoded), maps)
     assert np.array_equal(restored.values, encoded.values)

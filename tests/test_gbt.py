@@ -86,7 +86,7 @@ def test_best_split_hand_case():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.ones(4)
-    decision = best_split(np.arange(4), x, g, h, GbtParams())
+    decision = best_split(np.arange(4), g, h, GbtParams(), column_bins(x))
     assert decision.feature == 0
     assert decision.threshold == 2.5
     assert abs(decision.gain - 4 / 3) < 1e-12
@@ -94,24 +94,25 @@ def test_best_split_hand_case():
 
 def test_best_split_none_when_gradient_flat():
     x = np.array([[1.0], [2.0], [3.0]])
-    assert best_split(np.arange(3), x, np.zeros(3), np.ones(3),
-                      GbtParams()) is None
+    assert best_split(np.arange(3), np.zeros(3), np.ones(3), GbtParams(),
+                      column_bins(x)) is None
 
 
 def test_best_split_none_when_gamma_dominates():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.ones(4)
-    assert best_split(np.arange(4), x, g, h, GbtParams(gamma=10.0)) is None
+    assert best_split(np.arange(4), g, h, GbtParams(gamma=10.0),
+                      column_bins(x)) is None
 
 
 def test_best_split_none_on_constant_feature_or_single_row():
     g = np.array([-1.0, 1.0])
     h = np.ones(2)
-    assert best_split(np.arange(2), np.full((2, 1), 3.0), g, h,
-                      GbtParams()) is None
-    assert best_split(np.array([0]), np.array([[1.0]]), g[:1], h[:1],
-                      GbtParams()) is None
+    assert best_split(np.arange(2), g, h, GbtParams(),
+                      column_bins(np.full((2, 1), 3.0))) is None
+    assert best_split(np.array([0]), g[:1], h[:1], GbtParams(),
+                      column_bins(np.array([[1.0]]))) is None
 
 
 def test_column_bins_code_each_column_exactly():
@@ -130,9 +131,9 @@ def test_no_candidate_where_the_node_holds_one_value():
     g = np.array([-5.0, 5.0, 3.0, -1.0, 1.0])
     h = np.ones(5)
     bins = column_bins(x)
-    assert best_split(np.arange(3), x, g, h, GbtParams(), bins) is None
-    assert best_split(np.arange(5), x, g, h, GbtParams(), bins) is not None
-    tree = build_tree(np.arange(3), x, g, h, GbtParams(), bins=bins)
+    assert best_split(np.arange(3), g, h, GbtParams(), bins) is None
+    assert best_split(np.arange(5), g, h, GbtParams(), bins) is not None
+    tree = build_tree(np.arange(3), x, g, h, GbtParams(), bins)
     assert tree.is_leaf
 
 
@@ -145,7 +146,8 @@ def test_adjacent_floats_split_at_the_lower_value():
     for lo, hi in ((1.0, one_up), (one_up, float(np.nextafter(one_up, 2.0)))):
         x = np.array([[lo], [hi], [lo], [hi]])
         g = np.array([-1.0, 1.0, -1.0, 1.0])
-        decision = best_split(np.arange(4), x, g, np.ones(4), GbtParams())
+        decision = best_split(np.arange(4), g, np.ones(4), GbtParams(),
+                              column_bins(x))
         assert decision.threshold == lo
         assert np.array_equal(x[:, 0] <= decision.threshold,
                               [True, False, True, False])
@@ -156,10 +158,10 @@ def test_best_split_respects_min_child_hessian():
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.full(4, 0.4)
     # any single-side hessian is at most 1.2 < 1.3
-    assert best_split(np.arange(4), x, g, h,
-                      GbtParams(min_child_hessian=1.3)) is None
-    loose = best_split(np.arange(4), x, g, h,
-                       GbtParams(min_child_hessian=0.8))
+    assert best_split(np.arange(4), g, h, GbtParams(min_child_hessian=1.3),
+                      column_bins(x)) is None
+    loose = best_split(np.arange(4), g, h, GbtParams(min_child_hessian=0.8),
+                       column_bins(x))
     assert loose.threshold == 2.5
 
 
@@ -168,8 +170,8 @@ def test_best_split_partition_invariant_to_monotone_transform():
     g = rng.uniform_signed(29, (12,), 1.0)
     h = np.full(12, 0.5)
     params = GbtParams(min_child_hessian=0.5)
-    a = best_split(np.arange(12), u, g, h, params)
-    b = best_split(np.arange(12), np.exp(u), g, h, params)
+    a = best_split(np.arange(12), g, h, params, column_bins(u))
+    b = best_split(np.arange(12), g, h, params, column_bins(np.exp(u)))
     assert a is not None and b is not None
     assert a.feature == b.feature
     assert abs(a.gain - b.gain) < 1e-9
@@ -182,8 +184,8 @@ def test_leaf_weight_minimizes_node_objective():
     g = np.array([0.7, -1.3, 0.4])
     h = np.array([0.2, 0.9, 0.5])
     lam = 1.0
-    leaf = build_tree(np.arange(3), np.full((3, 1), 2.0), g, h,
-                      GbtParams(), depth=0)
+    x = np.full((3, 1), 2.0)
+    leaf = build_tree(np.arange(3), x, g, h, GbtParams(), column_bins(x))
     assert leaf.is_leaf
 
     def objective(w):
@@ -199,14 +201,16 @@ def test_build_tree_leaf_cases():
     g = np.array([2.0, 2.0])
     h = np.array([1.0, 1.0])
     # depth cap
-    capped = build_tree(np.arange(2), x, g, h, GbtParams(max_depth=1), depth=1)
+    bins = column_bins(x)
+    capped = build_tree(np.arange(2), x, g, h, GbtParams(max_depth=1), bins,
+                        depth=1)
     assert capped.is_leaf
     assert capped.weight == -(4.0) / (2.0 + 1.0)
     # single row: -g / (h + lambda) = -2 / 2
-    single = build_tree(np.array([0]), x, g, h, GbtParams())
+    single = build_tree(np.array([0]), x, g, h, GbtParams(), bins)
     assert single.is_leaf and single.weight == -1.0
     with pytest.raises(EmptyData):
-        build_tree(np.array([], dtype=np.int64), x, g, h, GbtParams())
+        build_tree(np.array([], dtype=np.int64), x, g, h, GbtParams(), bins)
 
 
 def test_split_gain_equals_objective_drop():
@@ -216,7 +220,7 @@ def test_split_gain_equals_objective_drop():
     h = rng.uniform(43, (30,)) + 0.5
     lam = 1.0
     params = GbtParams(gamma=0.01, min_child_hessian=0.5)
-    decision = best_split(np.arange(30), u, g, h, params)
+    decision = best_split(np.arange(30), g, h, params, column_bins(u))
     assert decision is not None
 
     def node_score(mask):

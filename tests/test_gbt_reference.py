@@ -38,6 +38,7 @@ from ransomflow.gbt import (
     _mean_ce,
     best_split,
     build_tree,
+    column_bins,
     gbt_raw_scores,
     grad_hess,
     model_to_dict,
@@ -220,7 +221,8 @@ def tree_ties(node, rows, x, g, h, params, shrinkage=1.0, depth=0) -> int:
     took instead of the reference's. Leaf weights carry ``shrinkage``."""
     rows = np.asarray(rows, dtype=np.int64)
     grows = depth < params.max_depth and rows.size >= 2
-    decision = best_split(rows, x, g, h, params) if grows else None
+    decision = best_split(rows, g, h, params, column_bins(x)) if grows \
+        else None
     ties = agrees_with_reference(decision, rows, x, g, h, params) \
         if grows else 0
     if node.is_leaf:
@@ -276,10 +278,12 @@ def test_split_and_subtree_match_reference_on_row_subsets(seed):
     for rows in (np.arange(len(y)), np.flatnonzero(pick < 0.5),
                  rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30]):
         for c in range(k):
-            agrees_with_reference(best_split(rows, x, g[:, c], h[:, c], params),
-                                  rows, x, g[:, c], h[:, c], params)
-            tree_ties(build_tree(rows, x, g[:, c], h[:, c], params), rows, x,
-                      g[:, c], h[:, c], params)
+            agrees_with_reference(
+                best_split(rows, g[:, c], h[:, c], params, column_bins(x)),
+                rows, x, g[:, c], h[:, c], params)
+            tree_ties(build_tree(rows, x, g[:, c], h[:, c], params,
+                                 column_bins(x)),
+                      rows, x, g[:, c], h[:, c], params)
 
 
 def test_blob_fixture_matches_reference():

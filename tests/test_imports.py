@@ -15,6 +15,12 @@ through the ``ast`` of ``src/ransomflow`` and ``perfbench`` (see
 :func:`unreached_definitions`). Only the verification API the tests build
 on may stay unreached.
 
+The parameter scan does the same for the optional parameters of those
+definitions: each must be passed by some call in ``src/ransomflow`` or
+``perfbench``, and no default may be one every such call overrides (see
+:func:`parameter_findings`). Only forms the verification API's tests call
+may stay.
+
 The field scan holds dataclass fields to the same rule: each must be read as
 an attribute somewhere in ``src/ransomflow`` or ``perfbench`` (see
 :func:`unread_fields`). The attribute scan does the same for what the
@@ -121,10 +127,21 @@ def test_every_defined_name_is_used_elsewhere():
 
 
 # Definitions no command and no benchmark code reaches, kept as the API the
-# tests verify the program through.
+# tests verify the program through, and the parameter forms only those tests
+# call: the gradient checks call the backward passes without the gradient
+# views training writes into, and without clipping; the cell oracle and the
+# zero-state tests call a cell step from the zero state; the metrics oracle
+# counts a confusion matrix with its class indices as names.
 VERIFICATION_API = ("nn.grad_check", "nn.param_count", "sae.reconstruct",
                     "MetricsReport.from_values", "ComparisonTable.row",
-                    "CorrelationMatrix.pair", "SAEModel.layer_param_counts")
+                    "CorrelationMatrix.pair", "SAEModel.layer_param_counts",
+                    "nn.dense_backward(out)", "nn.dense_backward_preact(out)",
+                    "lstm.sequence_backward(out)",
+                    "lstm.sequence_backward(clip_threshold)",
+                    "lstm.cell_forward(h_prev)", "lstm.cell_forward(c_prev)",
+                    "metrics.confusion(class_names)")
+VERIFIED_DEFINITIONS = tuple(n for n in VERIFICATION_API if "(" not in n)
+VERIFIED_PARAMETERS = tuple(n for n in VERIFICATION_API if "(" in n)
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
@@ -225,15 +242,168 @@ def test_every_definition_is_reached_or_verification_api():
         node.value for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"))
     assert unreached_definitions(modules, bench, traced) == sorted(
-        VERIFICATION_API)
+        VERIFIED_DEFINITIONS)
+
+
+def _test_sources() -> list:
+    return [p.read_text(encoding="utf-8")
+            for p in sorted((ROOT / "tests").glob("*.py"))
+            if p.name != Path(__file__).name]
 
 
 def test_verification_api_is_used_by_the_tests():
-    words = set(re.findall(r"\w+", "\n".join(
-        p.read_text(encoding="utf-8") for p in sorted(
-            (ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name)))
-    assert [name for name in VERIFICATION_API
+    words = set(re.findall(r"\w+", "\n".join(_test_sources())))
+    assert [name for name in VERIFIED_DEFINITIONS
             if name.rsplit(".", 1)[1] not in words] == []
+
+
+def _signature(node, method: bool) -> tuple:
+    """(positional parameter names, optional parameter names) of a ``def``;
+    a method's first parameter (``self`` or ``cls``) is not one a call
+    passes, unless it is a static method."""
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+    if method and not any(ast.unparse(d) == "staticmethod"
+                          for d in node.decorator_list):
+        positional = positional[1:]
+    defaults = len(node.args.defaults)
+    optional = positional[len(positional) - defaults:] if defaults else []
+    optional += [a.arg for a, default in zip(node.args.kwonlyargs,
+                                             node.args.kw_defaults)
+                 if default is not None]
+    return positional, optional
+
+
+def parameter_findings(modules: dict, others) -> dict:
+    """``{"module.function(param)": finding}`` for each optional parameter
+    of the module-level functions and the methods (``module.Class.method``,
+    dunders skipped) in ``modules`` (module name -> source) that the calls
+    in ``modules`` and ``others`` leave unused. The finding is "never
+    passed" when no call passes the parameter, or "always overridden" when
+    every call does, so its default is never taken.
+
+    Calls are matched by name: ``f(...)`` and ``anything.f(...)`` are calls
+    of every definition named ``f``, and ``Class.f(...)`` only of
+    ``Class``'s. A call through ``from ... import f as g`` counts as a call
+    of ``f``. A call holding ``*args`` or ``**kwargs`` may pass or leave
+    every parameter, so it hides both findings. A definition that no call
+    names is the reach scan's concern and yields no finding here, so a
+    colliding name can add calls that hide a finding but cannot invent one
+    about a definition's own calls.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    defined = {}  # "module.[Class.]name" -> (name, class, positional, optional)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[f"{module}.{node.name}"] = (
+                    node.name, None, *_signature(node, False))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("__"):
+                        defined[f"{module}.{node.name}.{item.name}"] = (
+                            item.name, node.name, *_signature(item, True))
+    classes = {cls for _, cls, _, _ in defined.values()}
+    calls = {qualified: [] for qualified in defined}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        imported = {alias.asname: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            owner = None
+            if isinstance(node.func, ast.Name):
+                name = imported.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if isinstance(node.func.value, ast.Name) \
+                        and node.func.value.id in classes:
+                    owner = node.func.value.id
+            else:
+                continue
+            splat = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            call = None if splat else (len(node.args),
+                                       {k.arg for k in node.keywords})
+            for qualified, (own_name, cls, _, _) in defined.items():
+                if own_name == name and owner in (None, cls):
+                    calls[qualified].append(call)
+    findings = {}
+    for qualified, (_, _, positional, optional) in defined.items():
+        for param in optional if calls[qualified] else ():
+            index = positional.index(param) if param in positional else None
+            # per call: True passes the parameter, False leaves its default,
+            # None cannot tell (a *args or **kwargs call)
+            outcomes = {None if call is None else param in call[1]
+                        or (index is not None and index < call[0])
+                        for call in calls[qualified]}
+            if outcomes == {False}:
+                findings[f"{qualified}({param})"] = "never passed"
+            elif outcomes == {True}:
+                findings[f"{qualified}({param})"] = "always overridden"
+    return findings
+
+
+def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
+    modules = {
+        "a": ("from .b import grow as make\n"
+              "def f(x, y=1, *, z=2, w=3): pass\n"
+              "def g(x, y=1): pass\n"
+              "def uncalled(x, y=1): pass\n"
+              "class Box:\n"
+              "    def __init__(self, size=0): pass\n"
+              "    @classmethod\n"
+              "    def create(cls, n, seed=0): pass\n"
+              "    @staticmethod\n"
+              "    def pure(n, scale=1): pass\n"
+              "f(1, 2, z=3)\n"
+              "f(1, z=4)\n"
+              "g(*[1, 2])\n"
+              "Box(1).create(1, 2)\n"
+              "Box.pure(1)\n"
+              "make(1, 2)\n"),
+        "b": ("def grow(n, rate=1): pass\n"
+              "class Other:\n"
+              "    def create(self, n): pass\n"
+              "    def pure(self, n, scale=1): pass\n"
+              "Other.pure(1)\n"),
+    }
+    assert parameter_findings(modules, []) == {
+        "a.f(w)": "never passed",
+        "a.f(z)": "always overridden",
+        "a.Box.create(seed)": "always overridden",
+        "a.Box.pure(scale)": "never passed",
+        "b.Other.pure(scale)": "never passed",
+        "b.grow(rate)": "always overridden",
+    }
+    # calls elsewhere that pass the parameter or leave the default clear
+    # findings, a colliding method name for both methods; an alias holds
+    # only in the file that imports it
+    assert parameter_findings(modules, [
+        "from a import f\nf(0, z=1, w=1)\nthing.create(1)\n"
+        "thing.pure(1, 2)\nmake(1)\n",
+    ]) == {"a.f(z)": "always overridden", "b.grow(rate)": "always overridden"}
+
+
+def _package_findings(others) -> dict:
+    modules = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
+    findings = parameter_findings(modules, [
+        p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "perfbench").rglob("*.py"))] + others)
+    # the parameters of the verification API's functions are exempt
+    return {param: finding for param, finding in findings.items()
+            if not any(f".{param.split('(')[0]}".endswith(f".{name}")
+                       for name in VERIFIED_DEFINITIONS)}
+
+
+def test_every_parameter_is_used_or_verification_api():
+    assert _package_findings([]) == dict.fromkeys(
+        VERIFIED_PARAMETERS, "always overridden")
+
+
+def test_verified_parameter_forms_are_called_by_the_tests():
+    assert _package_findings(_test_sources()) == {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import blob_data
 
-from ransomflow import rng
+from ransomflow import lstm, rng
 from ransomflow.errors import (
     ConfigError,
     DegenerateClasses,
@@ -237,7 +237,7 @@ def test_train_separates_gaussian_blobs():
     train_y, test_y = y[:60], y[60:]
     cfg = LstmConfig(hidden_size=16, epochs=50, batch_size=16,
                      learning_rate=0.01)
-    model, history = train_classifier(train_x, train_y, cfg, 5)
+    model, history = train_classifier(train_x, train_y, cfg, 5, 2)
     assert (predict(model, test_x) == test_y).mean() >= 0.95
     assert (predict(model, train_x) == train_y).mean() >= 0.99
     assert history[-1][0] < history[0][0]
@@ -247,12 +247,12 @@ def test_train_separates_gaussian_blobs():
 def test_train_is_deterministic_per_seed():
     x, y = blob_data(10, 3, seed=29)
     cfg = LstmConfig(hidden_size=4, epochs=5, batch_size=8)
-    model_a, hist_a = train_classifier(x, y, cfg, 77)
-    model_b, hist_b = train_classifier(x, y, cfg, 77)
+    model_a, hist_a = train_classifier(x, y, cfg, 77, 3)
+    model_b, hist_b = train_classifier(x, y, cfg, 77, 3)
     assert hist_a == hist_b
     for pa, pb in zip(model_a.params(), model_b.params()):
         assert np.array_equal(pa, pb)
-    _, hist_c = train_classifier(x, y, cfg, 78)
+    _, hist_c = train_classifier(x, y, cfg, 78, 3)
     assert hist_a[-1] != hist_c[-1]
 
 
@@ -260,19 +260,19 @@ def test_train_validates_inputs():
     x = rng.uniform(1, (6, 4))
     with pytest.raises(LabelOutOfRange):
         train_classifier(x, np.array([0, 1, 2, 0, 1, 5]),
-                         LstmConfig(hidden_size=2, epochs=1), 1, k_classes=3)
+                         LstmConfig(hidden_size=2, epochs=1), 1, 3)
     with pytest.raises(DegenerateClasses):
         train_classifier(x, np.zeros(6, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1), 1)
+                         LstmConfig(hidden_size=2, epochs=1), 1, 1)
     with pytest.raises(EmptyData):
         train_classifier(np.empty((0, 4)), np.empty(0, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1), 1, k_classes=3)
+                         LstmConfig(hidden_size=2, epochs=1), 1, 3)
 
 
-def test_predict_batch_matches_per_row():
+def test_predict_batch_matches_per_row(monkeypatch):
     x, y = blob_data(8, 3, seed=41)
     cfg = LstmConfig(hidden_size=6, epochs=3, batch_size=8)
-    model, _ = train_classifier(x, y, cfg, 9)
+    model, _ = train_classifier(x, y, cfg, 9, 3)
     batch = predict_proba(model, x)
     for i in range(len(x)):
         row = predict_proba(model, x[i:i + 1])
@@ -280,13 +280,14 @@ def test_predict_batch_matches_per_row():
     assert np.array_equal(predict(model, x),
                           batch.argmax(axis=1).astype(np.int64))
     # chunked evaluation stitches to the same answer
-    assert np.array_equal(predict_proba(model, x, chunk=5), batch)
+    monkeypatch.setattr(lstm, "PREDICT_CHUNK", 5)
+    assert np.array_equal(predict_proba(model, x), batch)
 
 
 def test_model_serialization_round_trip():
     x, y = blob_data(6, 2, seed=47)
     cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4)
-    model, _ = train_classifier(x, y, cfg, 15)
+    model, _ = train_classifier(x, y, cfg, 15, 2)
     restored = model_from_dict(model_to_dict(model, 13), model.config, 13, 2,
                                15)
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
@@ -298,7 +299,7 @@ def test_model_dict_round_trip_is_bit_exact():
         for layers in (1, 2):
             cfg = LstmConfig(hidden_size=4, num_layers=layers, epochs=2,
                              batch_size=4, sequence_layout=layout)
-            model, _ = train_classifier(x, y, cfg, 17)
+            model, _ = train_classifier(x, y, cfg, 17, 3)
             doc = json.loads(json.dumps(model_to_dict(model, 13)))
             # one step per row leaves the recurrent block w[:, :H] and the
             # forget rows seeded: only the i | o | g rows of w[:, H:] are kept

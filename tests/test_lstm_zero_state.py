@@ -22,7 +22,7 @@ import pytest
 
 from conftest import ReferenceAdam
 
-from ransomflow import rng
+from ransomflow import lstm, rng
 from ransomflow.errors import ShapeMismatch
 from ransomflow.lstm import (
     LstmCell,
@@ -197,7 +197,8 @@ def test_batch_step_matches_full_concat_reference(layout, layers, hidden,
 
 @pytest.mark.parametrize("layout, layers, hidden, clip", CASES,
                          ids=[case_id(c) for c in CASES])
-def test_training_matches_full_concat_reference(layout, layers, hidden, clip):
+def test_training_matches_full_concat_reference(layout, layers, hidden, clip,
+                                               monkeypatch):
     exact = layout == "single-step" and layers == 1
     config, seed = make_config(layout, layers, hidden, clip)
     x, y = make_data(hidden)
@@ -206,7 +207,8 @@ def test_training_matches_full_concat_reference(layout, layers, hidden, clip):
     for p, ref in zip(model.params(), ref_model.params()):
         check(p, ref, exact)
     check(history, ref_history, exact)
-    probs = predict_proba(model, x, chunk=7)
+    monkeypatch.setattr(lstm, "PREDICT_CHUNK", 7)
+    probs = predict_proba(model, x)
     ref_probs, _ = ref_forward(model, to_sequences(x, layout))
     check(probs, ref_probs, exact)
 

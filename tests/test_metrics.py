@@ -19,6 +19,7 @@ from ransomflow.metrics import (
     ComparisonTable,
     ConfusionMatrix,
     MetricsReport,
+    Scores,
     compare,
     confusion,
     f1_score,
@@ -100,6 +101,15 @@ def test_report_perfect_classifier():
         assert cs.recall == 1.0
         assert cs.f1 == 1.0
     assert rep.zero_division == ()
+
+
+def test_perfect_weighted_scores_stay_within_one():
+    # these supports' rounded shares sum to 1 + 2**-52; the weighted scores
+    # are capped at 1, so the report reads back
+    y = np.repeat(np.arange(4), [26218, 3598, 15181, 2123])
+    rep = report(confusion(y, y, 4))
+    assert rep.weighted == Scores(1.0, 1.0, 1.0)
+    assert MetricsReport.from_dict(rep.to_dict()) == rep
 
 
 def test_report_matches_naive_counting_oracle_exactly():
@@ -241,7 +251,7 @@ def test_compare_rejects_different_class_sets():
     rep_b = MetricsReport.from_values(("x", "z"), (1, 1), (1, 1), (1, 1),
                                       (5, 5), 1.0)
     with pytest.raises(ClassSetMismatch):
-        compare(rep_a, rep_b)
+        compare(rep_a, rep_b, "a", "b")
 
 
 def test_comparison_serialization_and_text():

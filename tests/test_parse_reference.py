@@ -5,8 +5,8 @@ stream, one validated tuple of stripped cells per row, then one encoding
 pass per row and cell. The fast path parses each distinct line once and
 handles each column as one block; it must give the same rows, the same
 category tables and byte-identical encoded values, and on bad input the
-same error type, line, column and cell, for path, bytes and file-like
-sources alike.
+same error type, line, column and cell, for path and bytes sources
+alike.
 """
 
 import csv
@@ -142,8 +142,6 @@ def sources(text: str, tmp_path):
     return {
         "path": lambda: path,
         "bytes": lambda: data,
-        "binary-stream": lambda: io.BytesIO(data),
-        "text-stream": lambda: io.StringIO(text, newline=""),
     }
 
 

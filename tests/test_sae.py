@@ -106,8 +106,10 @@ def test_encode_batch_matches_single_rows():
     model = build_stack(data, SAEConfig(epochs=1), 4)
     batch_codes = encode(model.encoders, data)
     for i in range(10):
-        row_code = encode(model.encoders, data[i])
-        assert np.abs(batch_codes[i] - row_code).max() < 1e-12
+        row_code = encode(model.encoders, data[i:i + 1])
+        assert np.abs(batch_codes[i] - row_code[0]).max() < 1e-12
+    with pytest.raises(ShapeMismatch):  # a row is a (1, d) batch
+        encode(model.encoders, data[0])
 
 
 def test_reconstruct_shape_and_stack_loss_consistency():

@@ -19,18 +19,25 @@ dataset or gbt echo does not contradict).
 A gbt tree's values are edited too: a split feature that is not a column
 index, and a threshold or leaf weight that is not a number. So are the
 numbers of a report.json, which ``compare`` reads: a score that is not a
-finite number, or a count that is not an int. A sae-lstm bundle that stores
-a one-step cell's forget rows (the version 7 layout) is refused.
+number in [0, 1], or a count that is not an int >= 0. A sae-lstm bundle that
+stores a one-step cell's forget rows (the version 7 layout) is refused.
+
+Type edits replace each value held at each representative, in all four
+stored files, with each of None, "x", 5, -1, 1.5, true, [], {} and ["x"].
+Each exits 3 naming the file, or 0 when the new value keeps the old one's
+type; none exits 1 or 2 or raises.
 """
 
 import copy
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ransomflow.cli import main
+from ransomflow.config import SECTIONS
 from ransomflow.serialize import array_doc, array_from_doc, checksum, dump_json
 
 _ARRAY_KEYS = {"b64", "dtype", "shape"}
@@ -80,13 +87,26 @@ def representatives(doc) -> dict:
     return found
 
 
+def _node(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _rechecked(edited: dict) -> dict:
+    """``edited`` with its checksum, if it has one, recomputed over its
+    payload."""
+    if "checksum" in edited and isinstance(edited.get("payload"), dict):
+        edited["checksum"] = checksum(edited["payload"])
+    return edited
+
+
 def structural_edits(doc):
-    """(label, edited copy of ``doc``) for each structural edit at each
-    representative, the checksum recomputed over the edited payload."""
+    """(label, edited copy of ``doc``, False) for each structural edit at
+    each representative, the checksum recomputed over the edited payload;
+    False: no such edit may pass."""
     for pattern, path in representatives(doc).items():
-        target = doc
-        for key in path:
-            target = target[key]
+        target = _node(doc, path)
         if isinstance(target, dict):
             edits = [(f"delete {key}", lambda t, key=key: t.pop(key))
                      for key in target]
@@ -98,13 +118,48 @@ def structural_edits(doc):
             continue
         for what, edit in edits:
             edited = copy.deepcopy(doc)
-            node = edited
-            for key in path:
-                node = node[key]
-            edit(node)
-            if "checksum" in edited and isinstance(edited.get("payload"), dict):
-                edited["checksum"] = checksum(edited["payload"])
-            yield f"{pattern or '<root>'}: {what}", edited
+            edit(_node(edited, path))
+            yield f"{pattern or '<root>'}: {what}", _rechecked(edited), False
+
+
+# what each stored value is replaced with by a type edit
+_TYPE_EDIT_VALUES = (None, "x", 5, -1, 1.5, True, [], {}, ["x"])
+# each optional setting's annotation, e.g. "float | None"
+_OPTIONAL_SETTINGS = {f.name: f.type for cls in SECTIONS.values()
+                      for f in fields(cls) if f.type.endswith(" | None")}
+_ANNOTATED_TYPES = {"float": (int, float), "str": (str,), "None": (type(None),)}
+
+
+def keeps_type(path: tuple, old, new) -> bool:
+    """Whether ``new`` has the type of the value ``old`` it replaces at
+    ``path``: the same JSON type, or an int for a float, or for an optional
+    setting of the ``config`` echo any type its annotation names."""
+    if "config" in path and path[-1] in _OPTIONAL_SETTINGS:
+        return type(new) in [t for name in
+                             _OPTIONAL_SETTINGS[path[-1]].split(" | ")
+                             for t in _ANNOTATED_TYPES[name]]
+    return type(new) is type(old) or (type(old), type(new)) == (float, int)
+
+
+def type_edits(doc):
+    """(label, edited copy of ``doc``, whether the edit keeps the type) for
+    each value held at each representative, replaced with each value of
+    :data:`_TYPE_EDIT_VALUES` unequal to it, the checksum recomputed over the
+    edited payload (unless the checksum is the edited value)."""
+    for pattern, path in representatives(doc).items():
+        target = _node(doc, path)
+        keys = target if isinstance(target, dict) else [0] if target else []
+        for key in keys:
+            old = target[key]
+            for new in _TYPE_EDIT_VALUES:
+                if (type(new), new) == (type(old), old):
+                    continue
+                edited = copy.deepcopy(doc)
+                _node(edited, path)[key] = copy.deepcopy(new)
+                if (path, key) != ((), "checksum"):
+                    _rechecked(edited)
+                yield (f"{pattern or '<root>'}.{key}: {new!r}", edited,
+                       keeps_type((*path, key), old, new))
 
 
 def test_representatives_cover_each_pattern_once():
@@ -121,27 +176,55 @@ def test_representatives_cover_each_pattern_once():
                      "trees": ("trees",), "trees.[]": ("trees", 0),
                      "tree split node": ("trees", 0, 0),
                      "tree leaf": ("trees", 0, 0, "left", "left")}
-    labels = [label for label, _ in structural_edits(doc)]
+    labels = [label for label, _, _ in structural_edits(doc)]
     assert "tree leaf: delete weight" in labels
     assert "a.[].w.shape: repeat the first element" in labels
     assert len(labels) == len(set(labels))
+    # 11 values in objects and the first elements of 4 lists
+    edits = {label: kept for label, _, kept in type_edits(doc)}
+    assert len(edits) == 15 * 9
+    assert edits["tree leaf.weight: 5"] and edits["a.[].w.shape.0: 5"]
+    assert not edits["a.[].w.shape.0: 1.5"] and not edits["array.b64: 5"]
+    assert [label for label, kept in edits.items()
+            if label.startswith("trees.[].0: ") and kept] == ["trees.[].0: {}"]
 
 
-def _refusals(source, run, named, capsys) -> list:
-    """The edits of ``source`` that ``run`` does not refuse with exit 3 and
-    an error naming ``named``, as (label, exit code, error)."""
+def test_type_rule_takes_optional_settings_from_their_annotations():
+    assert _OPTIONAL_SETTINGS == {
+        "csv": "str | None", "subsample": "float | None",
+        "convergence_threshold": "float | None",
+        "clip_threshold": "float | None"}
+    config = ("payload", "config", "lstm", "clip_threshold")
+    assert keeps_type(config, None, 5) and keeps_type(config, 0.5, None)
+    assert not keeps_type(config, None, "x")
+    assert keeps_type(("accuracy",), 0.5, 1) and not keeps_type(("n",), 1, 0.5)
+    assert not keeps_type(("flag",), False, 0) and not keeps_type(("n",), 1, True)
+
+
+def _refusals(source, run, named, capsys, edits=structural_edits) -> list:
+    """The ``edits`` of ``source`` that ``run`` does not refuse with exit 3
+    and an error naming ``named``, unless they may pass and exit 0, as
+    (label, exit code or the exception raised, error)."""
     doc = json.loads(source.read_text())
     missed = []
-    for label, edited in structural_edits(doc):
+    for label, edited, may_pass in edits(doc):
         capsys.readouterr()
-        code = run(edited)
+        try:
+            code = run(edited)
+        except Exception as exc:  # the user would see a traceback
+            missed.append((label, repr(exc), ""))
+            continue
         err = capsys.readouterr().err
+        if code == 0 and may_pass:
+            continue
         if code != 3 or not err.startswith("error: ") or str(named) not in err:
             missed.append((label, code, err))
     return missed
 
 
-def test_dataset_json_edits_exit_3(stored, tmp_path, capsys):
+def _analyze(stored, tmp_path):
+    """(run, artifact copy): ``run(edited)`` analyzes the copy holding the
+    edited dataset.json."""
     art = tmp_path / "art"
     shutil.copytree(stored[0], art)
 
@@ -149,7 +232,18 @@ def test_dataset_json_edits_exit_3(stored, tmp_path, capsys):
         dump_json(art / "dataset.json", edited)
         return main(["analyze", str(art), "--output", str(tmp_path / "o")])
 
+    return run, art
+
+
+def test_dataset_json_edits_exit_3(stored, tmp_path, capsys):
+    run, art = _analyze(stored, tmp_path)
     assert _refusals(stored[0] / "dataset.json", run, art, capsys) == []
+
+
+def test_dataset_json_type_edits(stored, tmp_path, capsys):
+    run, art = _analyze(stored, tmp_path)
+    assert _refusals(stored[0] / "dataset.json", run, art, capsys,
+                     type_edits) == []
 
 
 def test_every_artifact_file_is_integrity_checked(stored, tmp_path, capsys):
@@ -168,18 +262,31 @@ def test_every_artifact_file_is_integrity_checked(stored, tmp_path, capsys):
     assert missed == []
 
 
-@pytest.mark.parametrize("kind", ["sae-lstm", "gbt"])
-def test_bundle_edits_exit_3(kind, stored, tmp_path, capsys):
-    art, sae_bundle, gbt_bundle = stored
+def _evaluate(stored, tmp_path):
+    """(run, bundle): ``run(edited)`` evaluates the edited bundle, written
+    to ``bundle``, on the stored artifact."""
     bundle = tmp_path / "bundle.json"
 
     def run(edited):
         dump_json(bundle, edited)
-        return main(["evaluate", str(bundle), str(art),
+        return main(["evaluate", str(bundle), str(stored[0]),
                      "--output", str(tmp_path / "o")])
 
-    source = sae_bundle if kind == "sae-lstm" else gbt_bundle
+    return run, bundle
+
+
+@pytest.mark.parametrize("kind", ["sae-lstm", "gbt"])
+def test_bundle_edits_exit_3(kind, stored, tmp_path, capsys):
+    run, bundle = _evaluate(stored, tmp_path)
+    source = stored[1] if kind == "sae-lstm" else stored[2]
     assert _refusals(source, run, bundle, capsys) == []
+
+
+@pytest.mark.parametrize("kind", ["sae-lstm", "gbt"])
+def test_bundle_type_edits(kind, stored, tmp_path, capsys):
+    run, bundle = _evaluate(stored, tmp_path)
+    source = stored[1] if kind == "sae-lstm" else stored[2]
+    assert _refusals(source, run, bundle, capsys, type_edits) == []
 
 
 _BAD_TREE_VALUES = {
@@ -253,6 +360,12 @@ _BAD_REPORT_VALUES = [
     (("total_support",), "5"),
     (("total_support",), 5.5),
     (("total_support",), False),
+    # numbers out of range
+    *((("classes", "CLASS", "precision"), v) for v in (5.0, -0.5)),
+    (("classes", "CLASS", "f1"), 1.5),
+    (("classes", "CLASS", "support"), -1),
+    (("accuracy",), 7.0),
+    (("total_support",), -3),
 ]
 
 
@@ -274,3 +387,14 @@ def test_report_value_type_edits_exit_3(path, value, report, tmp_path,
     # the unedited report compares
     assert main(["compare", str(report), str(report),
                  "--output", str(tmp_path / "o")]) == 0
+
+
+def test_report_type_edits(report, tmp_path, capsys):
+    edited_report = tmp_path / "report.json"
+
+    def run(edited):
+        edited_report.write_text(json.dumps(edited))
+        return main(["compare", str(edited_report), str(report),
+                     "--output", str(tmp_path / "o")])
+
+    assert _refusals(report, run, edited_report, capsys, type_edits) == []

@@ -42,7 +42,7 @@ def save_twice(tmp_path):
     lose track of: -0.0, the smallest subnormal, 1e100 / 3 and 0.1 + 0.2.
     """
     text, _ = synthetic_csv_text(n_per_class=8, duplicates=0, bad_times=0)
-    encoded, _ = label_encode(parse_csv(io.StringIO(text)))
+    encoded, _ = label_encode(parse_csv(text.encode()))
     values = encoded.values.copy()
     for row, value in enumerate((-0.0, 5e-324, 1e100 / 3, 0.1 + 0.2)):
         values[row, column_index("BTC")] = value

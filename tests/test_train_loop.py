@@ -155,7 +155,7 @@ def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
 
 def reference_train_classifier(x: np.ndarray, y: np.ndarray,
                                config: LstmConfig, seed: int,
-                               k_classes: int | None = None):
+                               k_classes: int):
     """Mini-batch Adam training. Returns (model, history).
 
     ``history`` holds one (mean loss, training accuracy) pair per epoch,
@@ -167,12 +167,11 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
         raise EmptyData("cannot train on zero rows")
     if y.shape != (x.shape[0],):
         raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
-    k = int(y.max()) + 1 if k_classes is None else int(k_classes)
-    if k < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k}")
-    check_label_range(y, k)
+    if k_classes < 2:
+        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
+    check_label_range(y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
-    model = create_classifier(sequences.shape[2], k, config, seed)
+    model = create_classifier(sequences.shape[2], k_classes, config, seed)
     # Adam steps views of the parameters. With one step per sequence every
     # cell runs from zero state, so the recurrent block w[:, :H] keeps its
     # seeded values and only w[:, H:] is live.
@@ -262,8 +261,8 @@ def test_fine_tune_matches_reference():
 ], ids=["single-step", "feature-steps-clipped"])
 def test_train_classifier_matches_reference(cfg, seed):
     x, y = blob_data(15, 3, seed=41, width=4)
-    model, history = train_classifier(x, y, cfg, seed)
-    ref_model, ref_history = reference_train_classifier(x, y, cfg, seed)
+    model, history = train_classifier(x, y, cfg, seed, 3)
+    ref_model, ref_history = reference_train_classifier(x, y, cfg, seed, 3)
     assert len(history) == 3
     assert history == ref_history
     assert_same_arrays(model.params(), ref_model.params())
