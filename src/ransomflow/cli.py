@@ -13,6 +13,7 @@ missing files, 3 malformed or degenerate data.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import chain
@@ -70,6 +71,7 @@ def _common_options(p) -> None:
     p.add_argument("--output", metavar="DIR", help="directory to write into")
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ransomflow",

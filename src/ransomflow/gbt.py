@@ -13,17 +13,25 @@ gain resolve to the lowest feature index, then the smallest threshold, which
 keeps training deterministic.
 
 Split search runs on per-column value bins: ``train_gbt`` codes each
-feature once over its sorted distinct training values, and a node sums its
-gradients and hessians per bin with ``np.bincount``. Prefix sums over the bins
-that hold the node's rows give every boundary between adjacent distinct
-values, the exact greedy candidate set, without sorting rows. Each leaf
-hands its row set back, so the training scores are updated without routing
-rows again.
+feature once over its sorted distinct training values and numbers all
+columns' bins in one flat space. Each node holds a histogram: the row
+count, gradient sum and hessian sum of only the bins its rows hold. The
+root's is summed with ``np.bincount``; after a split only the smaller
+child's rows are summed, into the parent's bins, and the larger child's
+histogram is the parent's minus the smaller's (histogram subtraction, Ke et
+al., NeurIPS 2017: counts exact, sums within rounding). One pass over a
+node's histogram, prefix sums per column and one gain expression, scores
+every boundary between adjacent distinct values the node holds, the exact
+greedy candidate set, without sorting rows; a boundary is a candidate only
+where both sides hold ``min_child_hessian`` and have H + lambda > 0. Each
+leaf hands its row set back, so the training scores are updated without
+routing rows again.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +106,6 @@ def grad_hess(labels: np.ndarray, raw_scores: np.ndarray):
 class SplitDecision:
     feature: int
     threshold: float
-    gain: float
 
 
 @dataclass
@@ -129,84 +136,165 @@ def column_bins(x: np.ndarray) -> list:
     return [np.unique(x[:, f], return_inverse=True) for f in range(x.shape[1])]
 
 
-def best_split(rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, bins: list) -> SplitDecision | None:
-    """Exhaustive scan over features and boundaries for the given row set.
+@dataclass(frozen=True)
+class BinLayout:
+    """Every column's bins numbered in one flat space: column f owns bins
+    ``offsets[f]:offsets[f + 1]``, in ascending value order."""
 
-    ``bins`` is ``column_bins(x)`` of the feature rows. Returns None when no
-    candidate has strictly positive gain (including the degenerate cases:
-    fewer than 2 rows, all feature values identical, or every boundary
-    failing the min-child-hessian constraint).
+    codes: list          # per column, each row's bin within the column
+    values: np.ndarray   # the value of each flat bin
+    offsets: np.ndarray  # (d + 1,)
+
+
+def bin_layout(x: np.ndarray) -> BinLayout:
+    """The bins of ``column_bins(x)``, numbered in one flat space."""
+    bins = column_bins(x)
+    return BinLayout([codes for _, codes in bins],
+                     np.concatenate([values for values, _ in bins]),
+                     np.cumsum([0] + [values.size for values, _ in bins]))
+
+
+class Histogram(NamedTuple):
+    """A node's per-bin sums over only the bins its rows hold: ascending
+    flat bin ``ids``, and per bin the row ``count`` and the sums ``g`` and
+    ``h`` of its rows' gradients and hessians."""
+
+    ids: np.ndarray
+    count: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+
+def _bin_sums(columns, starts: np.ndarray, *weights) -> list:
+    """Per-bin sums of each of ``weights`` (None counts rows) over rows
+    whose bins in column f are ``columns[f]``, numbered from 0 at
+    ``starts[f]`` up to ``starts[f + 1]``; each bin adds its rows in row
+    order."""
+    sums = [np.empty(starts[-1], dtype=np.intp if w is None else np.float64)
+            for w in weights]
+    for f, local in enumerate(columns):
+        lo, hi = starts[f], starts[f + 1]
+        for out, w in zip(sums, weights):
+            out[lo:hi] = np.bincount(local, w, hi - lo)
+    return sums
+
+
+def _held(ids, count, g, h) -> Histogram:
+    keep = count > 0
+    return Histogram(ids[keep], count[keep], g[keep], h[keep])
+
+
+def split_histograms(hist: Histogram, left: np.ndarray, right: np.ndarray,
+                     g: np.ndarray, h: np.ndarray, layout: BinLayout) -> list:
+    """[left, right] histograms of the children of a node whose histogram
+    is ``hist``: the smaller child's rows are summed over the parent's
+    bins, and the larger child is the parent minus the smaller (its counts
+    exact, its sums within rounding of its rows' own)."""
+    small = left if left.size <= right.size else right
+    starts = np.searchsorted(hist.ids, layout.offsets)
+    # each flat bin the parent holds -> its index in hist.ids; less
+    # starts[f], its index within column f's run
+    position = np.empty(layout.values.size, dtype=np.intp)
+    position[hist.ids] = np.arange(hist.ids.size)
+    offsets = layout.offsets
+    columns = (position[offsets[f]:offsets[f + 1]][codes[small]] - starts[f]
+               for f, codes in enumerate(layout.codes))
+    sums = _bin_sums(columns, starts, None, g[small], h[small])
+    children = [_held(hist.ids, *sums)]
+    # the larger child: the parent minus the smaller, in place
+    for parent, part in zip((hist.count, hist.g, hist.h), sums):
+        np.subtract(parent, part, out=part)
+    children.append(_held(hist.ids, *sums))
+    return children if small is left else children[::-1]
+
+
+def best_split(hist: Histogram, total_g: float, total_h: float,
+               params: GbtParams, layout: BinLayout) -> SplitDecision | None:
+    """Exhaustive scan over features and boundaries of a node.
+
+    ``hist`` is the node's histogram over ``layout``, and ``total_g`` and
+    ``total_h`` are the sums over its rows. Every boundary between two bins
+    of one column that the node holds is a candidate where both sides hold
+    at least ``min_child_hessian`` and have H + lambda > 0. Returns None when
+    no candidate has strictly positive gain (including the degenerate
+    cases: fewer than 2 rows, all feature values identical, or no
+    candidate at all).
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size < 2:
-        return None
+    ids = hist.ids
     lam = params.lambda_
-    g_rows = g[rows]
-    h_rows = h[rows]
-    total_g = float(g_rows.sum())
-    total_h = float(h_rows.sum())
+    # column f's bins are ids[starts[f]:starts[f + 1]], at least one as
+    # each row has a bin in every column; position k is the boundary after
+    # bin k
+    starts = np.searchsorted(ids, layout.offsets)
+    left_g = np.empty(ids.size)
+    left_h = np.empty(ids.size)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        np.cumsum(hist.g[lo:hi], out=left_g[lo:hi])
+        np.cumsum(hist.h[lo:hi], out=left_h[lo:hi])
+    right_h = total_h - left_h
+    feasible = (left_h >= params.min_child_hessian) \
+        & (right_h >= params.min_child_hessian) \
+        & (left_h + lam > 0.0) & (right_h + lam > 0.0)
+    feasible[starts[1:] - 1] = False  # a column's last bin has no boundary
+    candidates = np.flatnonzero(feasible)
+    if candidates.size == 0:
+        return None
+    left_g = left_g[candidates]
+    left_h = left_h[candidates]
+    right_h = right_h[candidates]
+    right_g = total_g - left_g
     parent_score = total_g * total_g / (total_h + lam)
-    best: SplitDecision | None = None
-    for feature, (values, codes) in enumerate(bins):
-        node_codes = codes[rows]
-        # the bins holding rows; position k is the boundary after bin k
-        present = np.flatnonzero(np.bincount(node_codes))
-        if present.size < 2:
-            continue
-        left_g = np.cumsum(np.bincount(node_codes, g_rows)[present[:-1]])
-        left_h = np.cumsum(np.bincount(node_codes, h_rows)[present[:-1]])
-        right_h = total_h - left_h
-        feasible = (left_h >= params.min_child_hessian) \
-            & (right_h >= params.min_child_hessian)
-        if not feasible.any():
-            continue
-        right_g = total_g - left_g
-        gains = 0.5 * (left_g * left_g / (left_h + lam)
-                       + right_g * right_g / (right_h + lam)
-                       - parent_score) - params.gamma
-        gains = np.where(feasible, gains, -np.inf)
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best.gain:
-            lo = float(values[present[k]])
-            hi = float(values[present[k + 1]])
-            threshold = (lo + hi) / 2.0
-            if threshold >= hi:  # adjacent floats: keep the partition exact
-                threshold = lo
-            best = SplitDecision(feature=feature, threshold=threshold, gain=gain)
-    return best
-
-
-def _leaf(rows, g, h, lam) -> TreeNode:
-    total_g = float(g[rows].sum())
-    total_h = float(h[rows].sum())
-    return TreeNode(weight=-total_g / (total_h + lam), rows=rows)
+    gains = 0.5 * (left_g * left_g / (left_h + lam)
+                   + right_g * right_g / (right_h + lam)
+                   - parent_score) - params.gamma
+    k = int(np.argmax(gains))  # the first maximum: lowest feature and value
+    if gains[k] <= 0.0:
+        return None
+    at = candidates[k]
+    lo = float(layout.values[ids[at]])
+    hi = float(layout.values[ids[at + 1]])
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # adjacent floats: keep the partition exact
+        threshold = lo
+    feature = int(np.searchsorted(layout.offsets, ids[at], side="right")) - 1
+    return SplitDecision(feature=feature, threshold=threshold)
 
 
 def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-               params: GbtParams, bins: list, depth: int = 0) -> TreeNode:
+               params: GbtParams, layout: BinLayout, hist: Histogram | None,
+               depth: int = 0) -> TreeNode:
     """Recursive greedy construction. Leaf weights carry no shrinkage.
 
-    ``bins`` is ``column_bins(x)``, shared by every node. Each leaf keeps its
-    row set in ``rows``.
+    ``layout`` is ``bin_layout(x)``, shared by every node, and ``hist`` the
+    histogram of ``rows`` (None at ``max_depth``, where no split is
+    searched). Each leaf keeps its row set in ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise EmptyData("cannot grow a tree over zero rows")
-    if depth >= params.max_depth or rows.size < 2:
-        return _leaf(rows, g, h, params.lambda_)
-    decision = best_split(rows, g, h, params, bins)
+    total_g = float(g[rows].sum())
+    total_h = float(h[rows].sum())
+    decision = None
+    if depth < params.max_depth and rows.size >= 2:
+        decision = best_split(hist, total_g, total_h, params, layout)
     if decision is None:
-        return _leaf(rows, g, h, params.lambda_)
+        return TreeNode(weight=-total_g / (total_h + params.lambda_), rows=rows)
     mask = x[:, decision.feature][rows] <= decision.threshold
+    left, right = rows[mask], rows[~mask]
+    children = [None, None]
+    if depth + 1 < params.max_depth:
+        children = split_histograms(hist, left, right, g, h, layout)
+    # each child's call holds the only reference to its histogram, so this
+    # node's is freed before its subtrees grow, and each child's once it
+    # has split it
+    del hist
     return TreeNode(
         feature=decision.feature,
         threshold=decision.threshold,
-        left=build_tree(rows[mask], x, g, h, params, bins, depth + 1),
-        right=build_tree(rows[~mask], x, g, h, params, bins, depth + 1),
+        left=build_tree(left, x, g, h, params, layout, children.pop(0),
+                        depth + 1),
+        right=build_tree(right, x, g, h, params, layout, children.pop(0),
+                         depth + 1),
     )
 
 
@@ -251,13 +339,19 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     n = x.shape[0]
     raw = np.zeros((n, k_classes), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)
-    bins = column_bins(x)
+    layout = bin_layout(x)
+    # the root holds every bin, with the same counts in every tree
+    all_bins = np.arange(layout.values.size)
+    root_count, = _bin_sums(layout.codes, layout.offsets, None)
     trees = [[] for _ in range(k_classes)]
     losses = [_mean_ce(raw, y)]
     for _ in range(params.rounds):
         g, h = grad_hess(y, raw)
+        g, h = np.ascontiguousarray(g.T), np.ascontiguousarray(h.T)  # by class
         for c in range(k_classes):
-            tree = build_tree(all_rows, x, g[:, c], h[:, c], params, bins)
+            tree = build_tree(all_rows, x, g[c], h[c], params, layout,
+                              Histogram(all_bins, root_count, *_bin_sums(
+                                  layout.codes, layout.offsets, g[c], h[c])))
             for leaf in tree.leaves():
                 leaf.weight *= params.shrinkage
                 raw[leaf.rows, c] += leaf.weight

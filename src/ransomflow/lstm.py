@@ -68,7 +68,8 @@ class LstmCell:
     w: np.ndarray  # (4 * hidden, hidden + input), row blocks i | f | o | g
     b: np.ndarray  # (4 * hidden,)
     # Adam's views of w[live, H:], b[live] while one-step training runs
-    live: tuple | None = field(default=None, repr=False, compare=False)
+    live: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, seed: int) -> "LstmCell":

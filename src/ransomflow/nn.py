@@ -55,7 +55,7 @@ class DenseLayer:
 
     weights: np.ndarray
     biases: np.ndarray
-    activation: str = "linear"
+    activation: str
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)

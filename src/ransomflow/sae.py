@@ -83,7 +83,7 @@ class SAEModel:
     stack_loss: float
     # build_stack's training rows encoded, until the encoders change; never
     # serialized
-    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    codes: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def code_dim(self) -> int:

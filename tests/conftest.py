@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ransomflow import rng
+from ransomflow.gbt import Histogram, best_split
 from ransomflow.serialize import checksum, dump_json
 
 REAL_DATA_ENV = "UGRANSOME_CSV"
@@ -207,3 +208,23 @@ class ReferenceAdam:
                                       self.learning_rate)
             p[...] = new
             self.moments[j] = m, v
+
+
+def fresh_histogram(rows, g, h, layout) -> Histogram:
+    """The histogram of ``rows`` summed straight from them: the flat bins
+    they hold, and per bin the rows' count, g sum and h sum in row order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    flat = np.column_stack([codes[rows] + offset for codes, offset
+                            in zip(layout.codes, layout.offsets)])
+    ids, local = np.unique(flat.ravel(), return_inverse=True)
+    d = flat.shape[1]
+    return Histogram(ids, np.bincount(local, minlength=ids.size),
+                     np.bincount(local, np.repeat(g[rows], d), ids.size),
+                     np.bincount(local, np.repeat(h[rows], d), ids.size))
+
+
+def fresh_split(rows, g, h, params, layout):
+    """``gbt.best_split`` at ``rows`` over their fresh histogram."""
+    return best_split(fresh_histogram(rows, g, h, layout),
+                      float(g[rows].sum()), float(h[rows].sum()), params,
+                      layout)

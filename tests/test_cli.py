@@ -220,6 +220,17 @@ def test_usage_problems_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_one_parser_per_process_keeps_no_state_between_calls():
+    parser = cli.build_parser()
+    first = parser.parse_args(["train", "art", "--fine-tune", "--gbt-rounds",
+                               "3", "--seed", "5"])
+    second = parser.parse_args(["train", "art"])
+    assert cli.build_parser() is parser
+    assert (first.fine_tune, first.gbt_rounds, first.seed) == (True, 3, 5)
+    assert (second.fine_tune, second.gbt_rounds, second.seed) \
+        == (None, None, None)
+
+
 def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
     csv_path, meta = synthetic_csv
     good = tmp_path / "cfg.json"

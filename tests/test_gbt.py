@@ -1,11 +1,12 @@
 """Gradient boosted trees: derivatives, split search, and boosting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import blob_data
+from conftest import blob_data, fresh_histogram, fresh_split
 
 from ransomflow import rng
 from ransomflow.errors import (
@@ -16,8 +17,9 @@ from ransomflow.errors import (
 )
 from ransomflow.gbt import (
     GbtParams,
+    SplitDecision,
     TreeNode,
-    best_split,
+    bin_layout,
     build_tree,
     column_bins,
     gbt_predict,
@@ -86,33 +88,49 @@ def test_best_split_hand_case():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.ones(4)
-    decision = best_split(np.arange(4), g, h, GbtParams(), column_bins(x))
+    decision = fresh_split(np.arange(4), g, h, GbtParams(), bin_layout(x))
     assert decision.feature == 0
     assert decision.threshold == 2.5
-    assert abs(decision.gain - 4 / 3) < 1e-12
+
+
+def test_a_side_without_hessian_is_no_candidate():
+    # lambda = 0 and no minimum hessian: the boundaries at 0.5 and 1.5 leave
+    # the left side H + lambda = 0 (score 0/0), and so does every column's
+    # last bin on the right; only 2.5 is a candidate (gain
+    # 0.5 * (1/1 + 1/1 - 0/2) = 1)
+    g = np.array([0.0, 0.0, -1.0, 1.0])
+    h = np.array([0.0, 0.0, 1.0, 1.0])
+    params = GbtParams(lambda_=0.0, min_child_hessian=0.0)
+    column = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, feature in ((column, 0), (np.hstack([np.full((4, 1), 5.0),
+                                                     column]), 1)):
+            decision = fresh_split(np.arange(4), g, h, params, bin_layout(x))
+            assert decision == SplitDecision(feature, 2.5)
 
 
 def test_best_split_none_when_gradient_flat():
     x = np.array([[1.0], [2.0], [3.0]])
-    assert best_split(np.arange(3), np.zeros(3), np.ones(3), GbtParams(),
-                      column_bins(x)) is None
+    assert fresh_split(np.arange(3), np.zeros(3), np.ones(3), GbtParams(),
+                       bin_layout(x)) is None
 
 
 def test_best_split_none_when_gamma_dominates():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.ones(4)
-    assert best_split(np.arange(4), g, h, GbtParams(gamma=10.0),
-                      column_bins(x)) is None
+    assert fresh_split(np.arange(4), g, h, GbtParams(gamma=10.0),
+                       bin_layout(x)) is None
 
 
 def test_best_split_none_on_constant_feature_or_single_row():
     g = np.array([-1.0, 1.0])
     h = np.ones(2)
-    assert best_split(np.arange(2), g, h, GbtParams(),
-                      column_bins(np.full((2, 1), 3.0))) is None
-    assert best_split(np.array([0]), g[:1], h[:1], GbtParams(),
-                      column_bins(np.array([[1.0]]))) is None
+    assert fresh_split(np.arange(2), g, h, GbtParams(),
+                       bin_layout(np.full((2, 1), 3.0))) is None
+    assert fresh_split(np.array([0]), g[:1], h[:1], GbtParams(),
+                       bin_layout(np.array([[1.0]]))) is None
 
 
 def test_column_bins_code_each_column_exactly():
@@ -130,10 +148,11 @@ def test_no_candidate_where_the_node_holds_one_value():
     x = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
     g = np.array([-5.0, 5.0, 3.0, -1.0, 1.0])
     h = np.ones(5)
-    bins = column_bins(x)
-    assert best_split(np.arange(3), g, h, GbtParams(), bins) is None
-    assert best_split(np.arange(5), g, h, GbtParams(), bins) is not None
-    tree = build_tree(np.arange(3), x, g, h, GbtParams(), bins)
+    layout = bin_layout(x)
+    assert fresh_split(np.arange(3), g, h, GbtParams(), layout) is None
+    assert fresh_split(np.arange(5), g, h, GbtParams(), layout) is not None
+    tree = build_tree(np.arange(3), x, g, h, GbtParams(), layout,
+                      fresh_histogram(np.arange(3), g, h, layout))
     assert tree.is_leaf
 
 
@@ -146,8 +165,8 @@ def test_adjacent_floats_split_at_the_lower_value():
     for lo, hi in ((1.0, one_up), (one_up, float(np.nextafter(one_up, 2.0)))):
         x = np.array([[lo], [hi], [lo], [hi]])
         g = np.array([-1.0, 1.0, -1.0, 1.0])
-        decision = best_split(np.arange(4), g, np.ones(4), GbtParams(),
-                              column_bins(x))
+        decision = fresh_split(np.arange(4), g, np.ones(4), GbtParams(),
+                               bin_layout(x))
         assert decision.threshold == lo
         assert np.array_equal(x[:, 0] <= decision.threshold,
                               [True, False, True, False])
@@ -158,10 +177,10 @@ def test_best_split_respects_min_child_hessian():
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.full(4, 0.4)
     # any single-side hessian is at most 1.2 < 1.3
-    assert best_split(np.arange(4), g, h, GbtParams(min_child_hessian=1.3),
-                      column_bins(x)) is None
-    loose = best_split(np.arange(4), g, h, GbtParams(min_child_hessian=0.8),
-                       column_bins(x))
+    assert fresh_split(np.arange(4), g, h, GbtParams(min_child_hessian=1.3),
+                       bin_layout(x)) is None
+    loose = fresh_split(np.arange(4), g, h, GbtParams(min_child_hessian=0.8),
+                        bin_layout(x))
     assert loose.threshold == 2.5
 
 
@@ -170,11 +189,10 @@ def test_best_split_partition_invariant_to_monotone_transform():
     g = rng.uniform_signed(29, (12,), 1.0)
     h = np.full(12, 0.5)
     params = GbtParams(min_child_hessian=0.5)
-    a = best_split(np.arange(12), g, h, params, column_bins(u))
-    b = best_split(np.arange(12), g, h, params, column_bins(np.exp(u)))
+    a = fresh_split(np.arange(12), g, h, params, bin_layout(u))
+    b = fresh_split(np.arange(12), g, h, params, bin_layout(np.exp(u)))
     assert a is not None and b is not None
     assert a.feature == b.feature
-    assert abs(a.gain - b.gain) < 1e-9
     mask_a = u[:, a.feature] <= a.threshold
     mask_b = np.exp(u)[:, b.feature] <= b.threshold
     assert np.array_equal(mask_a, mask_b)
@@ -185,7 +203,9 @@ def test_leaf_weight_minimizes_node_objective():
     h = np.array([0.2, 0.9, 0.5])
     lam = 1.0
     x = np.full((3, 1), 2.0)
-    leaf = build_tree(np.arange(3), x, g, h, GbtParams(), column_bins(x))
+    layout = bin_layout(x)
+    leaf = build_tree(np.arange(3), x, g, h, GbtParams(), layout,
+                      fresh_histogram(np.arange(3), g, h, layout))
     assert leaf.is_leaf
 
     def objective(w):
@@ -201,26 +221,30 @@ def test_build_tree_leaf_cases():
     g = np.array([2.0, 2.0])
     h = np.array([1.0, 1.0])
     # depth cap
-    bins = column_bins(x)
-    capped = build_tree(np.arange(2), x, g, h, GbtParams(max_depth=1), bins,
-                        depth=1)
+    layout = bin_layout(x)
+    capped = build_tree(np.arange(2), x, g, h, GbtParams(max_depth=1), layout,
+                        None, depth=1)
     assert capped.is_leaf
     assert capped.weight == -(4.0) / (2.0 + 1.0)
     # single row: -g / (h + lambda) = -2 / 2
-    single = build_tree(np.array([0]), x, g, h, GbtParams(), bins)
+    single = build_tree(np.array([0]), x, g, h, GbtParams(), layout,
+                        fresh_histogram(np.array([0]), g, h, layout))
     assert single.is_leaf and single.weight == -1.0
     with pytest.raises(EmptyData):
-        build_tree(np.array([], dtype=np.int64), x, g, h, GbtParams(), bins)
+        build_tree(np.array([], dtype=np.int64), x, g, h, GbtParams(), layout,
+                   None)
 
 
-def test_split_gain_equals_objective_drop():
-    # the structure score drop of the chosen split is exactly gain + gamma
+def test_split_maximizes_objective_drop():
+    # the chosen split drops the structure score by the most, less gamma,
+    # over every boundary of every column whose sides both hold the minimum
+    # child hessian, counted by brute force
     u = rng.uniform(37, (30, 4))
     g = rng.uniform_signed(41, (30,), 1.0)
     h = rng.uniform(43, (30,)) + 0.5
     lam = 1.0
     params = GbtParams(gamma=0.01, min_child_hessian=0.5)
-    decision = best_split(np.arange(30), g, h, params, column_bins(u))
+    decision = fresh_split(np.arange(30), g, h, params, bin_layout(u))
     assert decision is not None
 
     def node_score(mask):
@@ -228,10 +252,16 @@ def test_split_gain_equals_objective_drop():
         hs = h[mask].sum()
         return -0.5 * gs * gs / (hs + lam)
 
-    before = node_score(np.ones(30, dtype=bool))
-    left = u[:, decision.feature] <= decision.threshold
-    after = node_score(left) + node_score(~left)
-    assert abs((before - after) - (decision.gain + params.gamma)) < 1e-9
+    def drop(left):
+        return node_score(np.ones(30, dtype=bool)) - node_score(left) \
+            - node_score(~left) - params.gamma
+
+    drops = [drop(u[:, f] <= value) for f in range(4) for value in u[:, f]
+             if min(h[u[:, f] <= value].sum(), h[u[:, f] > value].sum())
+             >= params.min_child_hessian]
+    chosen = drop(u[:, decision.feature] <= decision.threshold)
+    assert chosen > 0
+    assert abs(chosen - max(drops)) < 1e-9
 
 
 def test_tree_predict_routes_rows():

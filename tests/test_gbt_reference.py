@@ -4,7 +4,8 @@ The reference is the straightforward exact-greedy search: at every node it
 stable-sorts each feature's values over the node's rows, scans every sorted
 position, and after each tree it routes all training rows through the tree
 to update the raw scores. The binned kernel sums gradients per distinct
-value instead, so its gains differ from the reference's in the last bits.
+value instead, and takes the larger child's sums as its parent's minus the
+smaller child's, so its gains differ from the reference's in the last bits.
 It must still make the reference's decisions, over ties, constant columns,
 adjacent floats and the regularisation corner cases:
 
@@ -12,36 +13,37 @@ Gains are compared under ``RTOL``, relative to the larger of the gain and
 the node's structure score G^2 / (H + lambda): a gain is a difference of
 such scores, so its rounding error scales with them. The rules:
 
-- every split has the reference's (feature, threshold), and its gain is
-  the reference's within the tolerance;
-- a split may differ from the reference's only where the reference scores
-  both partitions within the tolerance of each other (no split counts as a
+- every node makes the reference's partition at its rows, or one the
+  reference scores within the tolerance of its own (no split counts as a
   partition of gain 0), and the subtrees below are then compared against
   the reference at the kernel's own rows;
+- a child's histogram, summed or subtracted, holds exactly the bins and
+  counts of its rows, and sums within ``SUB_RTOL`` of theirs;
 - every leaf has the reference's weight for its rows, bit for bit (a leaf
   sums the same rows in the same order);
 - where no decision differed, whole models and losses are bit-identical.
 """
 
+import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from conftest import blob_data
+from conftest import blob_data, fresh_histogram, fresh_split
 
 from ransomflow import rng
 from ransomflow.gbt import (
     GbtParams,
-    SplitDecision,
     TreeNode,
     _mean_ce,
-    best_split,
+    bin_layout,
     build_tree,
-    column_bins,
     gbt_raw_scores,
     grad_hess,
     model_to_dict,
+    split_histograms,
     train_gbt,
     tree_predict,
 )
@@ -50,6 +52,12 @@ NEXT_ONE = float(np.nextafter(1.0, 2.0))
 # float64 prefix sums over a few hundred rows, summed in another order,
 # differ by ~1e-14 of the node score (2.1e-14 at most over these cases)
 RTOL = 1e-12
+
+
+class RefSplit(NamedTuple):
+    feature: int
+    threshold: float
+    gain: float
 
 
 def ref_best_split(rows, x, g, h, params):
@@ -74,7 +82,8 @@ def ref_best_split(rows, x, g, h, params):
         boundary = sorted_values[1:] != sorted_values[:-1]
         right_h = total_h - left_h
         feasible = boundary & (left_h >= params.min_child_hessian) \
-            & (right_h >= params.min_child_hessian)
+            & (right_h >= params.min_child_hessian) \
+            & (left_h + lam > 0) & (right_h + lam > 0)
         if not feasible.any():
             continue
         right_g = total_g - left_g
@@ -92,7 +101,7 @@ def ref_best_split(rows, x, g, h, params):
             threshold = (lo + hi) / 2.0
             if threshold >= hi:
                 threshold = lo
-            best = SplitDecision(feature=feature, threshold=threshold, gain=gain)
+            best = RefSplit(feature, threshold, gain)
     return best
 
 
@@ -169,7 +178,8 @@ def model_json(model):
 
 def ref_partition_gain(rows, x, g, h, params, feature, threshold):
     """The reference's gain for sending ``x[rows, feature] <= threshold``
-    left, or -inf where a child falls short of the minimum hessian."""
+    left, or -inf where a child falls short of the minimum hessian or has
+    H + lambda = 0."""
     rows = np.asarray(rows, dtype=np.int64)
     lam = params.lambda_
     values = x[rows, feature]
@@ -181,7 +191,8 @@ def ref_partition_gain(rows, x, g, h, params, feature, threshold):
     left_h = np.cumsum(h[rows][order])[cut]
     right_g = total_g - left_g
     right_h = total_h - left_h
-    if min(left_h, right_h) < params.min_child_hessian:
+    if min(left_h, right_h) < params.min_child_hessian \
+            or min(left_h, right_h) + lam <= 0:
         return -np.inf
     return float(0.5 * (left_g * left_g / (left_h + lam)
                         + right_g * right_g / (right_h + lam)
@@ -196,22 +207,23 @@ def gain_tolerance(rows, g, h, params) -> float:
     return RTOL * total_g * total_g / (float(h[rows].sum()) + params.lambda_)
 
 
+def partition(decision):
+    return None if decision is None else (decision.feature, decision.threshold)
+
+
 def agrees_with_reference(decision, rows, x, g, h, params) -> bool:
-    """Assert that the kernel's ``decision`` at ``rows`` is the reference's
-    under the tie rule; True when it took a tied partition instead (no split
-    ties a split whose gain is within the tolerance of 0)."""
+    """Assert that the kernel's ``decision`` at ``rows`` (None for no
+    split) makes the reference's partition, or one the reference scores
+    within the tolerance of its own (no split scores 0); True in the second
+    case, a tied partition taken instead."""
     ref = ref_best_split(rows, x, g, h, params)
-    tol = gain_tolerance(rows, g, h, params)
-    if decision is None or ref is None:
-        other = decision or ref
-        assert other is None or other.gain <= tol, (decision, ref)
-        return other is not None
-    assert decision.gain == pytest.approx(ref.gain, rel=RTOL, abs=tol)
-    if (decision.feature, decision.threshold) == (ref.feature, ref.threshold):
+    if partition(decision) == partition(ref):
         return False
-    tied = ref_partition_gain(rows, x, g, h, params, decision.feature,
-                              decision.threshold)
-    assert tied == pytest.approx(ref.gain, rel=RTOL, abs=tol), (decision, ref)
+    tol = gain_tolerance(rows, g, h, params)
+    tied = 0.0 if decision is None else ref_partition_gain(
+        rows, x, g, h, params, decision.feature, decision.threshold)
+    assert tied == pytest.approx(0.0 if ref is None else ref.gain,
+                                 rel=RTOL, abs=tol), (decision, ref)
     return True
 
 
@@ -221,17 +233,13 @@ def tree_ties(node, rows, x, g, h, params, shrinkage=1.0, depth=0) -> int:
     took instead of the reference's. Leaf weights carry ``shrinkage``."""
     rows = np.asarray(rows, dtype=np.int64)
     grows = depth < params.max_depth and rows.size >= 2
-    decision = best_split(rows, g, h, params, column_bins(x)) if grows \
-        else None
-    ties = agrees_with_reference(decision, rows, x, g, h, params) \
-        if grows else 0
     if node.is_leaf:
-        assert decision is None
         weight = ref_leaf(rows, g, h, params.lambda_).weight * shrinkage
         assert node.weight == weight
-        return ties
-    assert (node.feature, node.threshold) \
-        == (decision.feature, decision.threshold)
+        return agrees_with_reference(None, rows, x, g, h, params) if grows \
+            else 0
+    assert grows
+    ties = agrees_with_reference(node, rows, x, g, h, params)
     mask = x[rows, node.feature] <= node.threshold
     return ties + sum(tree_ties(child, part, x, g, h, params, shrinkage,
                                 depth + 1)
@@ -269,21 +277,80 @@ def test_training_matches_reference(seed):
     training_ties(*random_case(seed))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_split_and_subtree_match_reference_on_row_subsets(seed):
+def case_nodes(seed):
+    """Per case, its random gradients and three row sets: all rows, a
+    random half, and 30 rows in shuffled order."""
     x, y, params, k = random_case(seed)
     g, h = grad_hess(y, rng.uniform_signed(rng.derive(seed, "raw"),
                                            (len(y), k), 2.0))
     pick = rng.uniform(rng.derive(seed, "subset"), len(y))
-    for rows in (np.arange(len(y)), np.flatnonzero(pick < 0.5),
-                 rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30]):
-        for c in range(k):
-            agrees_with_reference(
-                best_split(rows, g[:, c], h[:, c], params, column_bins(x)),
-                rows, x, g[:, c], h[:, c], params)
-            tree_ties(build_tree(rows, x, g[:, c], h[:, c], params,
-                                 column_bins(x)),
-                      rows, x, g[:, c], h[:, c], params)
+    subsets = (np.arange(len(y)), np.flatnonzero(pick < 0.5),
+               rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30])
+    return x, g, h, params, subsets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_and_subtree_match_reference_on_row_subsets(seed):
+    x, g, h, params, subsets = case_nodes(seed)
+    layout = bin_layout(x)
+    for rows in subsets:
+        for c in range(g.shape[1]):
+            gc, hc = g[:, c], h[:, c]
+            agrees_with_reference(fresh_split(rows, gc, hc, params, layout),
+                                  rows, x, gc, hc, params)
+            tree_ties(build_tree(rows, x, gc, hc, params, layout,
+                                 fresh_histogram(rows, gc, hc, layout)),
+                      rows, x, gc, hc, params)
+
+
+# a subtracted bin sum is off its fresh sum by the rounding of the
+# subtractions above it, a few ulps of the ancestors' sums; over these cases
+# at most 1.3e-14 of the parent's sum of |g| (or of h)
+SUB_RTOL = 1e-12
+
+
+def histograms_match(node, rows, hist, x, g, h, layout) -> int:
+    """At every split of ``node`` under ``rows``, whose histogram is
+    ``hist``, assert that both children's histograms, as the kernel
+    derives them, have their fresh histograms' bin ids and counts exactly
+    and their g and h sums within ``SUB_RTOL`` of the parent's sum of |g|
+    and of h. Returns the splits checked."""
+    if node.is_leaf:
+        return 0
+    mask = x[rows, node.feature] <= node.threshold
+    parts = rows[mask], rows[~mask]
+    checked = 1
+    for child, part, got in zip((node.left, node.right), parts,
+                                split_histograms(hist, *parts, g, h, layout)):
+        want = fresh_histogram(part, g, h, layout)
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.count, want.count)
+        assert np.allclose(got.g, want.g, rtol=0,
+                           atol=SUB_RTOL * np.abs(g[rows]).sum())
+        assert np.allclose(got.h, want.h, rtol=0,
+                           atol=SUB_RTOL * h[rows].sum())
+        checked += histograms_match(child, part, got, x, g, h, layout)
+    return checked
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subtracted_histograms_match_fresh_ones(seed):
+    # deep trees with no split penalty or minimum child hessian, so that
+    # subtractions chain
+    x, g, h, params, subsets = case_nodes(seed)
+    params = dataclasses.replace(params, gamma=0.0, min_child_hessian=0.0,
+                                 max_depth=6)
+    layout = bin_layout(x)
+    checked = 0
+    for rows in subsets:
+        for c in range(g.shape[1]):
+            gc, hc = g[:, c], h[:, c]
+            tree = build_tree(rows, x, gc, hc, params, layout,
+                              fresh_histogram(rows, gc, hc, layout))
+            checked += histograms_match(tree, rows,
+                                        fresh_histogram(rows, gc, hc, layout),
+                                        x, gc, hc, layout)
+    assert checked > 0
 
 
 def test_blob_fixture_matches_reference():

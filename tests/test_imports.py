@@ -16,10 +16,10 @@ through the ``ast`` of ``src/ransomflow`` and ``perfbench`` (see
 on may stay unreached.
 
 The parameter scan does the same for the optional parameters of those
-definitions: each must be passed by some call in ``src/ransomflow`` or
-``perfbench``, and no default may be one every such call overrides (see
-:func:`parameter_findings`). Only forms the verification API's tests call
-may stay.
+definitions, a dataclass's fields among them: each must be passed by some
+call in ``src/ransomflow`` or ``perfbench``, and no default may be one every
+such call overrides (see :func:`parameter_findings`). Only forms the
+verification API's tests call may stay.
 
 The field scan holds dataclass fields to the same rule: each must be read as
 an attribute somewhere in ``src/ransomflow`` or ``perfbench`` (see
@@ -273,22 +273,47 @@ def _signature(node, method: bool) -> tuple:
     return positional, optional
 
 
+def _field_signature(node: ast.ClassDef) -> tuple:
+    """(positional, optional) parameter names of the ``__init__`` that
+    ``@dataclass`` writes: the fields in order, those with a default (a
+    value, or ``field(default=...)`` or ``field(default_factory=...)``)
+    optional, and ``field(init=False)`` ones left out."""
+    positional, optional = [], []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        keywords = {}
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+            keywords = {k.arg: ast.unparse(k.value) for k in value.keywords}
+            if keywords.get("init") == "False":
+                continue
+        positional.append(item.target.id)
+        if value is not None and (not keywords or {"default", "default_factory"}
+                                  & set(keywords)):
+            optional.append(item.target.id)
+    return positional, optional
+
+
 def parameter_findings(modules: dict, others) -> dict:
     """``{"module.function(param)": finding}`` for each optional parameter
-    of the module-level functions and the methods (``module.Class.method``,
-    dunders skipped) in ``modules`` (module name -> source) that the calls
-    in ``modules`` and ``others`` leave unused. The finding is "never
-    passed" when no call passes the parameter, or "always overridden" when
-    every call does, so its default is never taken.
+    of the module-level functions, the methods (``module.Class.method``,
+    dunders skipped) and the dataclasses (``module.Class(field)``) in
+    ``modules`` (module name -> source) that the calls in ``modules`` and
+    ``others`` leave unused. The finding is "never passed" when no call
+    passes the parameter, or "always overridden" when every call does, so
+    its default is never taken.
 
     Calls are matched by name: ``f(...)`` and ``anything.f(...)`` are calls
     of every definition named ``f``, and ``Class.f(...)`` only of
     ``Class``'s. A call through ``from ... import f as g`` counts as a call
-    of ``f``. A call holding ``*args`` or ``**kwargs`` may pass or leave
-    every parameter, so it hides both findings. A definition that no call
-    names is the reach scan's concern and yields no finding here, so a
-    colliding name can add calls that hide a finding but cannot invent one
-    about a definition's own calls.
+    of ``f``, and ``cls(...)`` inside a class as a call of that class. A
+    call holding ``*args`` or ``**kwargs`` may pass or leave every
+    parameter, so it hides both findings. A definition that no call names
+    is the reach scan's concern and yields no finding here, so a colliding
+    name can add calls that hide a finding but cannot invent one about a
+    definition's own calls.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     defined = {}  # "module.[Class.]name" -> (name, class, positional, optional)
@@ -298,6 +323,9 @@ def parameter_findings(modules: dict, others) -> dict:
                 defined[f"{module}.{node.name}"] = (
                     node.name, None, *_signature(node, False))
             elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    defined[f"{module}.{node.name}"] = (
+                        node.name, None, *_field_signature(node))
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) \
                             and not item.name.startswith("__"):
@@ -309,12 +337,18 @@ def parameter_findings(modules: dict, others) -> dict:
         imported = {alias.asname: alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom)
                     for alias in node.names if alias.asname}
+        # ``cls`` inside a class names that class
+        in_class = {id(ref): cls.name for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef)
+                    for ref in ast.walk(cls)
+                    if isinstance(ref, ast.Name) and ref.id == "cls"}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             owner = None
             if isinstance(node.func, ast.Name):
-                name = imported.get(node.func.id, node.func.id)
+                name = in_class.get(id(node.func)) \
+                    or imported.get(node.func.id, node.func.id)
             elif isinstance(node.func, ast.Attribute):
                 name = node.func.attr
                 if isinstance(node.func.value, ast.Name) \
@@ -326,9 +360,14 @@ def parameter_findings(modules: dict, others) -> dict:
                 or any(k.arg is None for k in node.keywords)
             call = None if splat else (len(node.args),
                                        {k.arg for k in node.keywords})
-            for qualified, (own_name, cls, _, _) in defined.items():
-                if own_name == name and owner in (None, cls):
-                    calls[qualified].append(call)
+            # ``read_fields(cls, doc)`` builds ``cls`` the way a **kwargs
+            # call does
+            built = [(in_class[id(a)], None, None) for a in node.args
+                     if id(a) in in_class]
+            for called, by, call in [(name, owner, call), *built]:
+                for qualified, (own_name, cls, _, _) in defined.items():
+                    if own_name == called and by in (None, cls):
+                        calls[qualified].append(call)
     findings = {}
     for qualified, (_, _, positional, optional) in defined.items():
         for param in optional if calls[qualified] else ():
@@ -363,6 +402,26 @@ def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
               "Box(1).create(1, 2)\n"
               "Box.pure(1)\n"
               "make(1, 2)\n"),
+        # a dataclass's fields are its constructor's parameters
+        "c": ("from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class Point:\n"
+              "    x: int\n"
+              "    y: int = 0\n"
+              "    z: int = field(default=1)\n"
+              "    w: list = field(default_factory=list)\n"
+              "    seen: int = field(default=0, init=False)\n"
+              "    @classmethod\n"
+              "    def origin(cls):\n"
+              "        return cls(0, 0, w=[])\n"
+              "@dataclass\n"
+              "class Stored:\n"
+              "    n: int = 0\n"
+              "    @classmethod\n"
+              "    def load(cls, doc):\n"
+              "        return read(cls, doc)\n"
+              "Point(3, y=4)\n"
+              "Stored()\n"),
         "b": ("def grow(n, rate=1): pass\n"
               "class Other:\n"
               "    def create(self, n): pass\n"
@@ -376,14 +435,17 @@ def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
         "a.Box.pure(scale)": "never passed",
         "b.Other.pure(scale)": "never passed",
         "b.grow(rate)": "always overridden",
+        "c.Point(y)": "always overridden",
+        "c.Point(z)": "never passed",
     }
     # calls elsewhere that pass the parameter or leave the default clear
     # findings, a colliding method name for both methods; an alias holds
     # only in the file that imports it
     assert parameter_findings(modules, [
         "from a import f\nf(0, z=1, w=1)\nthing.create(1)\n"
-        "thing.pure(1, 2)\nmake(1)\n",
-    ]) == {"a.f(z)": "always overridden", "b.grow(rate)": "always overridden"}
+        "thing.pure(1, 2)\nmake(1)\nPoint(1, 2, 3)\n",
+    ]) == {"a.f(z)": "always overridden", "b.grow(rate)": "always overridden",
+           "c.Point(y)": "always overridden"}
 
 
 def _package_findings(others) -> dict:

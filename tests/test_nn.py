@@ -56,7 +56,7 @@ def test_dense_forward_identity():
 
 
 def test_dense_forward_rejects_bad_width():
-    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
+    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "linear")
     with pytest.raises(ShapeMismatch):
         dense_forward(layer, np.zeros((4, 5)))
     with pytest.raises(ShapeMismatch):
