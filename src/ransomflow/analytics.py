@@ -25,6 +25,11 @@ class FamilyFinance:
     mean_btc: float
 
 
+# FamilyFinance's fields: a family's row of financial.csv, and what
+# rank_families can rank by
+_RANK_KEYS = ("attack_count", "total_usd", "mean_usd", "total_btc", "mean_btc")
+
+
 @dataclass
 class FinancialReport:
     families: dict  # name -> FamilyFinance, keyed in vocabulary (byte) order
@@ -58,8 +63,7 @@ class FinancialReport:
         rows = [(name, *astuple(ff)) for name, ff in self.families.items()]
         rows.append(("(all)", self.row_count, self.total_usd,
                      self.global_mean_usd, self.total_btc, self.global_mean_btc))
-        return csv_text(("family", "attack_count", "total_usd", "mean_usd",
-                         "total_btc", "mean_btc"), rows)
+        return csv_text(("family", *_RANK_KEYS), rows)
 
 
 def financial_report(table: EncodedTable) -> FinancialReport:
@@ -98,9 +102,6 @@ def financial_report(table: EncodedTable) -> FinancialReport:
     )
 
 
-_RANK_KEYS = ("attack_count", "total_usd", "mean_usd", "total_btc", "mean_btc")
-
-
 def rank_families(report: FinancialReport, key: str, top_n: int):
     """The ``top_n`` families with the largest ``key`` quantity, largest
     first, as (name, value) pairs.
@@ -114,10 +115,14 @@ def rank_families(report: FinancialReport, key: str, top_n: int):
     return pairs[:top_n]
 
 
+# the fields of a DistributionReport entry
+_ENTRY_KEYS = ("value", "count", "percent")
+
+
 @dataclass
 class DistributionReport:
     column: str
-    entries: list  # (name, count, percent), count descending
+    entries: list  # (value, count, percent), count descending
     total: int
 
     def to_dict(self) -> dict:
@@ -125,14 +130,11 @@ class DistributionReport:
             "schema_version": REPORT_VERSION,
             "column": self.column,
             "total": self.total,
-            "entries": [
-                {"value": name, "count": count, "percent": pct}
-                for name, count, pct in self.entries
-            ],
+            "entries": [dict(zip(_ENTRY_KEYS, e)) for e in self.entries],
         }
 
     def to_csv(self) -> str:
-        return csv_text(("value", "count", "percent"), self.entries)
+        return csv_text(_ENTRY_KEYS, self.entries)
 
 
 def malware_distribution(table: EncodedTable) -> DistributionReport:

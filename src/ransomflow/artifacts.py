@@ -77,13 +77,12 @@ from . import lstm as lstm_mod
 from . import sae as sae_mod
 from .config import PipelineConfig, from_dict
 from .dataset import (
-    CATEGORICAL_NAMES,
+    CATEGORICAL_IDX,
     FEATURE_NAMES,
     NAMES,
-    NUMERIC_NAMES,
+    NUMERIC_IDX,
     TARGET,
     EncodedTable,
-    column_index,
     encoded_table_from_rows,
     encoded_table_to_rows,
     feature_bounds,
@@ -106,27 +105,29 @@ TABLE_FILE = "table.npz"
 # table.npz member -> (dtype, or "unsigned" for any unsigned integer, ndim)
 _TABLE_LAYOUT = {"numeric": ("float64", 2), "codes": ("unsigned", 2),
                  "train_index": ("int64", 1), "test_index": ("int64", 1)}
-_NUMERIC_IDX = [column_index(n) for n in NUMERIC_NAMES]
-_CODES_IDX = [column_index(n) for n in CATEGORICAL_NAMES]
 # payload keys of each stored file, and each bundle kind's components
 _DATASET_KEYS = ("schema_version", "kind", "config", "preprocess", "stages",
                  "table_sha256")
 _BUNDLE_KEYS = ("schema_version", "kind", "config", "preprocess_sha256",
                 "components")
 _COMPONENTS = {"sae-lstm": ("sae", "lstm"), "gbt": ("gbt",)}
+# the model families: a bundle's and a report's kind
+KINDS = tuple(_COMPONENTS)
+# a dataset artifact's sides; a report names the one it scores
+SPLITS = ("test", "train")
 # dataset.json stage counts; "subsampled_rows" joins them with a subsample
-_STAGES = ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
-           "table_rows")
+STAGES = ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
+          "table_rows")
 
 
 def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
     """The bytes of table.npz for ``table`` and its split."""
     values = encoded_table_to_rows(table)
-    codes = values[:, _CODES_IDX]
+    codes = values[:, CATEGORICAL_IDX]
     top = int(codes.max()) if codes.size else 0
     buffer = io.BytesIO()
     np.savez(buffer,
-             numeric=values[:, _NUMERIC_IDX],
+             numeric=values[:, NUMERIC_IDX],
              codes=codes.astype(np.min_scalar_type(top)),
              train_index=np.asarray(train_idx, dtype=np.int64),
              test_index=np.asarray(test_idx, dtype=np.int64))
@@ -163,13 +164,14 @@ def _read_table_npz(raw: bytes, maps):
                                  f"array")
     numeric, codes = members["numeric"], members["codes"]
     rows = numeric.shape[0]
-    if numeric.shape[1] != len(_NUMERIC_IDX) or codes.shape != (rows, len(_CODES_IDX)):
+    shapes = (rows, len(NUMERIC_IDX)), (rows, len(CATEGORICAL_IDX))
+    if (numeric.shape, codes.shape) != shapes:
         raise SchemaMismatch(
             f"members 'numeric' {numeric.shape} and 'codes' {codes.shape} are "
-            f"not ({rows}, {len(_NUMERIC_IDX)}) and ({rows}, {len(_CODES_IDX)})")
+            f"not {shapes[0]} and {shapes[1]}")
     values = np.empty((rows, len(NAMES)))
-    values[:, _NUMERIC_IDX] = numeric
-    values[:, _CODES_IDX] = codes
+    values[:, NUMERIC_IDX] = numeric
+    values[:, CATEGORICAL_IDX] = codes
     table = encoded_table_from_rows(values, maps)
     for side in ("train_index", "test_index"):
         idx = members[side]
@@ -221,10 +223,10 @@ class DatasetArtifact:
         return feature_bounds(self._rows(self.train_index))
 
     def side(self, name: str) -> tuple:
-        """(x, y) of the "train" or "test" side: its feature rows scaled with
-        the training bounds, and its labels."""
-        rows = self._rows(self.train_index if name == "train"
-                          else self.test_index)
+        """(x, y) of the side ``name``, one of :data:`SPLITS`: its feature
+        rows scaled with the training bounds, and its labels."""
+        index = dict(zip(SPLITS, (self.test_index, self.train_index)))[name]
+        rows = self._rows(index)
         return normalize(rows, self.bounds), rows.target_codes()
 
 
@@ -282,14 +284,14 @@ def _stored_config(doc) -> PipelineConfig:
 def _check_stages(stages, subsample, table_rows: int, side_rows: int) -> None:
     """Raise :class:`SchemaMismatch` unless the stage counts chain.
 
-    ``stages`` must hold exactly the :data:`_STAGES` counts, plus
+    ``stages`` must hold exactly the :data:`STAGES` counts, plus
     ``subsampled_rows`` when ``subsample`` is set, each a non-negative int;
     no more rows may be subsampled than were parsed; ``table_rows`` must be
     the table's row count; and the parsed (or subsampled) rows less the
     duplicates and bad timestamps removed must be ``side_rows``, the rows of
     the two sides.
     """
-    require_keys(stages, _STAGES + (() if subsample is None
+    require_keys(stages, STAGES + (() if subsample is None
                                     else ("subsampled_rows",)), "stages")
     if not all(type(n) is int and n >= 0 for n in stages.values()):
         raise SchemaMismatch(f"stages {stages} are not all non-negative ints")

@@ -21,6 +21,9 @@ from pathlib import Path
 
 from . import analytics, gbt, lstm, sae
 from .artifacts import (
+    KINDS,
+    SPLITS,
+    STAGES,
     load_artifact,
     load_bundle,
     save_artifact,
@@ -29,10 +32,10 @@ from .artifacts import (
 )
 from .config import DEFAULT_SEED, PipelineConfig, from_dict, load_config
 from .dataset import (
+    FEATURE_IDX,
     FEATURE_NAMES,
     TARGET,
     clean_timestamps,
-    column_index,
     dataset_stats,
     deduplicate,
     label_encode,
@@ -41,7 +44,7 @@ from .dataset import (
     stratified_indices,
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
-from .metrics import MetricsReport, compare, confusion, report
+from .metrics import COMPARISON_KEYS, MetricsReport, compare, confusion, report
 from .serialize import (
     REPORT_VERSION,
     csv_text,
@@ -49,13 +52,6 @@ from .serialize import (
     load_json,
     require_keys,
 )
-
-# model families (a bundle's and a report's kind) and artifact splits
-_KINDS = ("sae-lstm", "gbt")
-_SPLITS = ("test", "train")
-# keys of a comparison row besides the two model names
-_COMPARISON_KEYS = ("metric", "delta", "winner")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems as ConfigError (exit code 1)."""
@@ -94,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fit a model on a dataset artifact")
     train.add_argument("artifact", help="dataset artifact directory")
     _common_options(train)
-    train.add_argument("--kind", choices=_KINDS,
+    train.add_argument("--kind", choices=KINDS,
                        default="sae-lstm", help="model family to train")
     train.add_argument("--sae-epochs", type=int, metavar="N")
     train.add_argument("--lstm-epochs", type=int, metavar="N")
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score a bundle on an artifact")
     evaluate.add_argument("bundle", help="model bundle JSON file")
     evaluate.add_argument("artifact", help="dataset artifact directory")
-    evaluate.add_argument("--split", choices=_SPLITS, default="test")
+    evaluate.add_argument("--split", choices=SPLITS, default="test")
     evaluate.add_argument("--output", metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -200,8 +196,7 @@ def cmd_ingest(args) -> int:
     out_dir = Path(cfg.output_dir)
     save_artifact(out_dir, table, train_idx, test_idx, stages, cfg.echo())
     print(f"artifact written to {out_dir}")
-    for key in ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
-                "table_rows"):
+    for key in STAGES:
         print(f"  {key.replace('_', ' ')}: {stages[key]}")
     print(f"  train rows: {len(train_idx)}, test rows: {len(test_idx)}")
     return 0
@@ -277,7 +272,7 @@ def cmd_evaluate(args) -> int:
     classes = artifact.table.maps.categories[TARGET]
     cm = confusion(y, bundle.predict(x), len(classes), classes)
     rep = report(cm)
-    out_dir = Path(args.output or "out")
+    out_dir = Path(args.output or PipelineConfig.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = rep.to_dict()
     doc["kind"] = bundle.kind
@@ -302,7 +297,7 @@ def _load_report(path) -> tuple:
     with stored_fields(path, "report"):
         rep = MetricsReport.from_dict(doc)
         require_keys(doc, (*rep.to_dict(), "kind", "split"), "report")
-        for key, allowed in (("kind", _KINDS), ("split", _SPLITS)):
+        for key, allowed in (("kind", KINDS), ("split", SPLITS)):
             if doc[key] not in allowed:
                 raise SchemaMismatch(f"{key} {doc[key]!r} is not in {allowed}")
         return rep, doc["kind"]
@@ -310,7 +305,7 @@ def _load_report(path) -> tuple:
 
 def cmd_compare(args) -> int:
     for flag, name in (("--name-a", args.name_a), ("--name-b", args.name_b)):
-        if name in _COMPARISON_KEYS:
+        if name in COMPARISON_KEYS:
             raise ConfigError(f"{flag} {name!r} names a comparison column")
     rep_a, kind_a = _load_report(args.report_a)
     rep_b, kind_b = _load_report(args.report_b)
@@ -319,7 +314,7 @@ def cmd_compare(args) -> int:
     if name_a == name_b:
         name_a, name_b = f"{name_a}-a", f"{name_b}-b"
     table = compare(rep_a, rep_b, name_a, name_b)
-    out_dir = Path(args.output or "out")
+    out_dir = Path(args.output or PipelineConfig.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(out_dir / "comparison.json", table.to_dict())
     (out_dir / "comparison.txt").write_text(table.to_text(), encoding="utf-8")
@@ -331,7 +326,7 @@ def cmd_compare(args) -> int:
 def cmd_analyze(args) -> int:
     artifact = load_artifact(args.artifact)
     table = artifact.table
-    out_dir = Path(args.output or "out")
+    out_dir = Path(args.output or PipelineConfig.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fin = analytics.financial_report(table)
     dist = analytics.malware_distribution(table)
@@ -342,10 +337,9 @@ def cmd_analyze(args) -> int:
     (out_dir / "anomalies.csv").write_text(analytics.anomaly_csv(anomalies),
                                            encoding="utf-8")
     (out_dir / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
-    feature_idx = [column_index(n) for n in FEATURE_NAMES]
     correlation_doc = None
     if table.row_count >= 2:
-        corr = analytics.correlation_matrix(table.values[:, feature_idx],
+        corr = analytics.correlation_matrix(table.values[:, FEATURE_IDX],
                                             FEATURE_NAMES)
         (out_dir / "correlation.csv").write_text(corr.to_csv(),
                                                  encoding="utf-8")

@@ -8,6 +8,11 @@ every default filled in, so a stored ``config`` echo is itself a valid
 configuration file. Unknown keys anywhere are rejected rather than ignored;
 a typo should fail loudly, not silently fall back to a default.
 
+This module alone writes and reads a section: :func:`section_doc` and
+:func:`read_section` turn each settings class in :data:`SECTIONS` into its
+object and back. The keys are the field names, but for the one field named
+after a Python keyword.
+
 One master seed feeds every stochastic stage through labeled substreams
 (:meth:`PipelineConfig.seed_for`), so changing it reseeds the whole pipeline
 coherently while two stages never share a stream. Stage seeds are derived,
@@ -51,17 +56,24 @@ class DatasetConfig:
         if self.subsample is not None:
             _check_fraction("subsample fraction", self.subsample)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DatasetConfig":
-        return read_fields(cls, doc)
-
 
 # section name -> its settings class
 SECTIONS = {"dataset": DatasetConfig, "sae": SAEConfig, "lstm": LstmConfig,
             "gbt": GbtParams}
+# field -> its key where the two differ: ``lambda`` is a Python keyword
+_STORED_NAMES = {"lambda_": "lambda"}
+
+
+def section_doc(settings) -> dict:
+    """The object of a section's settings: one key per field."""
+    return {_STORED_NAMES.get(name, name): value
+            for name, value in asdict(settings).items()}
+
+
+def read_section(cls, doc: dict):
+    """Section class ``cls`` from an object holding exactly its keys;
+    :class:`SchemaMismatch` names a missing, unknown or rejected key."""
+    return read_fields(cls, doc, _STORED_NAMES)
 
 
 @dataclass
@@ -91,8 +103,9 @@ class PipelineConfig:
     def echo(self) -> dict:
         """The settings document, defaults included, that :func:`from_dict`
         reads back; artifacts store it as their ``config``."""
-        return {f.name: getattr(self, f.name).to_dict() if f.name in SECTIONS
-                else getattr(self, f.name) for f in fields(self)}
+        return {f.name: section_doc(getattr(self, f.name))
+                if f.name in SECTIONS else getattr(self, f.name)
+                for f in fields(self)}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -106,10 +119,10 @@ def _stage(doc: dict, name: str, cls):
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    defaults = cls().to_dict()
+    defaults = section_doc(cls())
     _check_keys(section, set(defaults), name)
     try:
-        return cls.from_dict({**defaults, **section})
+        return read_section(cls, {**defaults, **section})
     except SchemaMismatch as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from None
 

@@ -29,7 +29,7 @@ import io
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,12 @@ def column_index(name: str) -> int:
         return NAMES.index(name)
     except ValueError:
         raise MissingColumn(name) from None
+
+
+# positions of the name lists above, as lists for numpy's fancy indexing
+FEATURE_IDX = [column_index(n) for n in FEATURE_NAMES]
+NUMERIC_IDX = [column_index(n) for n in NUMERIC_NAMES]
+CATEGORICAL_IDX = [column_index(n) for n in CATEGORICAL_NAMES]
 
 
 @dataclass
@@ -442,16 +448,13 @@ def clean_timestamps(table: EncodedTable):
     return table.with_values(table.values[mask]), removed
 
 
-_FEATURE_IDX = [column_index(n) for n in FEATURE_NAMES]
-
-
 def feature_bounds(table: EncodedTable):
     """The min-max bounds of the 13 feature columns: per-column (mins, maxs)
     arrays of ``table``, the training rows. Zero rows raise
     :class:`EmptyData`."""
     if table.row_count == 0:
         raise EmptyData("cannot derive normalization bounds from zero rows")
-    raw = table.values[:, _FEATURE_IDX]
+    raw = table.values[:, FEATURE_IDX]
     return raw.min(axis=0), raw.max(axis=0)
 
 
@@ -462,7 +465,7 @@ def normalize(table: EncodedTable, bounds) -> np.ndarray:
     Rows outside the training range are clamped into [0, 1], so unseen
     extremes cannot escape it. Constant columns map to 0.
     """
-    x = table.values[:, _FEATURE_IDX]  # a copy, scaled in place
+    x = table.values[:, FEATURE_IDX]  # a copy, scaled in place
     mins, maxs = bounds
     span = maxs - mins
     constant = ~(span > 0.0)
@@ -501,6 +504,10 @@ def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):
     return train_idx, test_idx
 
 
+# the stored name of each ColumnStats field, in field order
+_STAT_NAMES = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
+
+
 @dataclass
 class ColumnStats:
     count: int
@@ -513,16 +520,7 @@ class ColumnStats:
     maximum: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "25%": self.q25,
-            "50%": self.median,
-            "75%": self.q75,
-            "max": self.maximum,
-        }
+        return dict(zip(_STAT_NAMES, astuple(self)))
 
 
 @dataclass
@@ -535,9 +533,8 @@ class SummaryStats:
         return {name: cs.to_dict() for name, cs in self.columns.items()}
 
     def to_csv(self) -> str:
-        return csv_text(("column", "count", "mean", "std", "min", "25%", "50%",
-                         "75%", "max"), ((name, *cs.to_dict().values())
-                                         for name, cs in self.columns.items()))
+        return csv_text(("column", *_STAT_NAMES), ((name, *astuple(cs))
+                        for name, cs in self.columns.items()))
 
 
 def dataset_stats(table: EncodedTable) -> SummaryStats:
@@ -547,8 +544,7 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
     with fewer than 2 rows report std 0. Each column is read contiguously
     from one Fortran-order copy, which gives the strided columns' bits.
     """
-    numeric = np.asfortranarray(
-        table.values[:, [column_index(n) for n in NUMERIC_NAMES]])
+    numeric = np.asfortranarray(table.values[:, NUMERIC_IDX])
     out = {}
     for name, col in zip(NUMERIC_NAMES, numeric.T):
         if col.size == 0:

@@ -6,10 +6,11 @@ per round from the current raw scores). Split quality is
 
     gain = 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma
 
-and a leaf takes the Newton weight -G / (H + lambda), scaled by the shrinkage
-factor when the tree joins the ensemble. Thresholds sit halfway between
-adjacent distinct feature values; rows with x <= threshold go left. Ties in
-gain resolve to the lowest feature index, then the smallest threshold, which
+and a leaf takes the Newton weight -G / (H + lambda), or 0 where H + lambda
+= 0 (as XGBoost's ``CalcWeight`` does), scaled by the shrinkage factor when
+the tree joins the ensemble. Thresholds sit halfway between adjacent
+distinct feature values; rows with x <= threshold go left. Ties in gain
+resolve to the lowest feature index, then the smallest threshold, which
 keeps training deterministic.
 
 Split search runs on per-column value bins: ``train_gbt`` codes each
@@ -30,7 +31,7 @@ routing rows again.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,7 @@ from .errors import (
     is_finite_number,
 )
 from .nn import softmax
-from .serialize import csv_text, read_fields, require_keys
+from .serialize import csv_text, require_keys
 
 
 @dataclass
@@ -69,16 +70,6 @@ class GbtParams:
         check_number("shrinkage", self.shrinkage)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ConfigError(f"shrinkage must lie in (0, 1], got {self.shrinkage}")
-
-    # ``lambda`` is a Python keyword; stored documents use it for ``lambda_``.
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["lambda"] = doc.pop("lambda_")
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GbtParams":
-        return read_fields(cls, doc, {"lambda_": "lambda"})
 
 
 def grad_hess(labels: np.ndarray, raw_scores: np.ndarray):
@@ -278,7 +269,9 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
     if depth < params.max_depth and rows.size >= 2:
         decision = best_split(hist, total_g, total_h, params, layout)
     if decision is None:
-        return TreeNode(weight=-total_g / (total_h + params.lambda_), rows=rows)
+        denominator = total_h + params.lambda_
+        weight = -total_g / denominator if denominator > 0.0 else 0.0
+        return TreeNode(weight=weight, rows=rows)
     mask = x[:, decision.feature][rows] <= decision.threshold
     left, right = rows[mask], rows[~mask]
     children = [None, None]

@@ -27,7 +27,7 @@ or as one step per feature. A softmax head reads the final hidden state.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +51,7 @@ from .nn import (
     sigmoid,
     train_epochs,
 )
-from .serialize import (
-    array_doc,
-    array_from_doc,
-    csv_text,
-    read_fields,
-    require_keys,
-)
+from .serialize import array_doc, array_from_doc, csv_text, require_keys
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -141,8 +135,12 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
             f"input width {x_t.shape[1]} != cell input size {cell.input_size}"
         )
     if h_prev is None and c_prev is None:
-        rows = live_rows(hidden)
-        z, (w, b) = x_t, cell.live or (cell.w[rows, hidden:], cell.b[rows])
+        z = x_t
+        if cell.live is None:
+            rows = live_rows(hidden)
+            w, b = cell.w[rows, hidden:], cell.b[rows]
+        else:
+            w, b = cell.live
     else:
         if h_prev is None or c_prev is None:
             raise ShapeMismatch("give both h_prev and c_prev, or neither")
@@ -198,13 +196,6 @@ class LstmConfig:
                 f"{self.sequence_layout!r}"
             )
         check_positive("clip threshold", self.clip_threshold, optional=True)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LstmConfig":
-        return read_fields(cls, doc)
 
 
 @dataclass
@@ -288,7 +279,9 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
     be filled in place of the full grads, and gets a norm only if it clips.
     """
     time_steps, m = len(caches.steps[0]), grad_logits.shape[0]
-    slices = trained_slices(model, time_steps)
+    # the full grads are built only without ``out``, or to clip them
+    full = out is None or clip_threshold is not None
+    slices = trained_slices(model, time_steps) if full else None
     parts = out or [np.empty_like(p[s]) for p, s in zip(model.params(), slices)]
     grad_h_final = dense_backward_preact(model.head, caches.head_cache,
                                          grad_logits, parts[-2:])[0]
@@ -342,7 +335,7 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             else:  # the raw input needs no gradient
                 grad_h_next = pre @ cache.w[:, :hidden]
         upper = lower[::-1]
-    if out is not None and clip_threshold is None:
+    if not full:
         return out, None
     grads = [np.zeros_like(p) for p in model.params()]
     for g, s, part in zip(grads, slices, parts):

@@ -288,6 +288,10 @@ class MetricDelta:
         return "tie"
 
 
+# keys of a comparison row besides the two model names
+COMPARISON_KEYS = ("metric", "delta", "winner")
+
+
 @dataclass
 class ComparisonTable:
     name_a: str
@@ -300,21 +304,21 @@ class ComparisonTable:
                 return r
         raise KeyError(metric)
 
+    def _table(self) -> tuple:
+        """(keys, rows): a row's keys, :data:`COMPARISON_KEYS` with the two
+        model names after the metric, and each row's values under them."""
+        metric, *rest = COMPARISON_KEYS
+        return (metric, self.name_a, self.name_b, *rest), [
+            (r.metric, r.value_a, r.value_b, r.delta,
+             r.winner(self.name_a, self.name_b)) for r in self.rows]
+
     def to_dict(self) -> dict:
+        keys, rows = self._table()
         return {
             "schema_version": REPORT_VERSION,
             "model_a": self.name_a,
             "model_b": self.name_b,
-            "rows": [
-                {
-                    "metric": r.metric,
-                    self.name_a: r.value_a,
-                    self.name_b: r.value_b,
-                    "delta": r.delta,
-                    "winner": r.winner(self.name_a, self.name_b),
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(keys, row)) for row in rows],
         }
 
     def to_text(self) -> str:
@@ -331,10 +335,7 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        return csv_text(
-            ("metric", self.name_a, self.name_b, "delta", "winner"),
-            ((r.metric, r.value_a, r.value_b, r.delta,
-              r.winner(self.name_a, self.name_b)) for r in self.rows))
+        return csv_text(*self._table())
 
 
 def compare(report_a: MetricsReport, report_b: MetricsReport,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import LabelOutOfRange, ShapeMismatch, check_label_range
+from .errors import DataError, ShapeMismatch, check_label_range
 from .serialize import array_doc, array_from_doc, require_keys
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
@@ -205,7 +205,8 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
 
 
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
-    """Mean categorical cross-entropy over integer labels.
+    """Mean categorical cross-entropy over integer labels; labels of another
+    dtype raise :class:`DataError`.
 
     Returns (loss, grad_logits) where grad_logits = (probs - onehot) / n is
     the gradient wrt the softmax pre-activations, ready to feed into
@@ -221,10 +222,7 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
             f"labels shape {labels.shape} does not match batch {probs.shape[0]}"
         )
     if not np.issubdtype(labels.dtype, np.integer):
-        cast = labels.astype(np.int64)
-        if not np.array_equal(cast, labels):
-            raise LabelOutOfRange(-1, probs.shape[1])
-        labels = cast
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     n, k = probs.shape
     check_label_range(labels, k)
     # np.allclose(row_sums, 1.0, atol=1e-6) written out: atol plus the

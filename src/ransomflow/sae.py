@@ -12,7 +12,7 @@ softmax head with cross-entropy. Every stage is a batch step run by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .nn import (
     mse_loss,
     train_epochs,
 )
-from .serialize import csv_text, read_fields, require_keys
+from .serialize import csv_text, require_keys
 
 
 @dataclass
@@ -63,13 +63,6 @@ class SAEConfig:
         check_positive("learning rate", self.learning_rate)
         check_positive("convergence threshold", self.convergence_threshold,
                        optional=True)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SAEConfig":
-        return read_fields(cls, doc)
 
 
 @dataclass

@@ -92,11 +92,13 @@ def require_keys(doc, keys, what: str) -> None:
 def read_fields(cls, doc, stored_names: dict | None = None):
     """Dataclass ``cls`` built from a stored document holding exactly its fields.
 
-    ``stored_names`` maps a field to its document key where the two differ.
-    Missing or unknown keys, or a value the class rejects, raise
-    :class:`SchemaMismatch` naming them.
+    ``stored_names`` maps a field to its document key where the two differ;
+    names that are not fields of ``cls`` are passed over. Missing or unknown
+    keys, or a value the class rejects, raise :class:`SchemaMismatch` naming
+    them.
     """
-    keys = {f.name: f.name for f in fields(cls)} | (stored_names or {})
+    keys = {f.name: (stored_names or {}).get(f.name, f.name)
+            for f in fields(cls)}
     require_keys(doc, keys.values(), cls.__name__)
     try:
         return cls(**{name: doc[key] for name, key in keys.items()})

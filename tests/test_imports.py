@@ -22,7 +22,8 @@ such call overrides (see :func:`parameter_findings`). Only forms the
 verification API's tests call may stay.
 
 The field scan holds dataclass fields to the same rule: each must be read as
-an attribute somewhere in ``src/ransomflow`` or ``perfbench`` (see
+an attribute somewhere in ``src/ransomflow`` or ``perfbench``, or by a method
+of its class that hands ``self`` to ``asdict`` or ``astuple`` (see
 :func:`unread_fields`). The attribute scan does the same for what the
 exception ``__init__``s in ``errors.py`` store: each must be read off a caught
 exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
@@ -310,10 +311,11 @@ def parameter_findings(modules: dict, others) -> dict:
     ``Class``'s. A call through ``from ... import f as g`` counts as a call
     of ``f``, and ``cls(...)`` inside a class as a call of that class. A
     call holding ``*args`` or ``**kwargs`` may pass or leave every
-    parameter, so it hides both findings. A definition that no call names
-    is the reach scan's concern and yields no finding here, so a colliding
-    name can add calls that hide a finding but cannot invent one about a
-    definition's own calls.
+    parameter, so it hides both findings; so does handing a class to a
+    call, by name or as ``cls`` inside it, since the callee may build it.
+    A definition that no call names is the reach scan's concern and yields
+    no finding here, so a colliding name can add calls that hide a finding
+    but cannot invent one about a definition's own calls.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     defined = {}  # "module.[Class.]name" -> (name, class, positional, optional)
@@ -332,6 +334,8 @@ def parameter_findings(modules: dict, others) -> dict:
                         defined[f"{module}.{node.name}.{item.name}"] = (
                             item.name, node.name, *_signature(item, True))
     classes = {cls for _, cls, _, _ in defined.values()}
+    class_names = {node.name for tree in trees.values()
+                   for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     calls = {qualified: [] for qualified in defined}
     for tree in [*trees.values(), *map(ast.parse, others)]:
         imported = {alias.asname: alias.name for node in ast.walk(tree)
@@ -360,10 +364,13 @@ def parameter_findings(modules: dict, others) -> dict:
                 or any(k.arg is None for k in node.keywords)
             call = None if splat else (len(node.args),
                                        {k.arg for k in node.keywords})
-            # ``read_fields(cls, doc)`` builds ``cls`` the way a **kwargs
-            # call does
-            built = [(in_class[id(a)], None, None) for a in node.args
-                     if id(a) in in_class]
+            # a class handed to a call, as in ``read_fields(cls, doc)`` or
+            # ``field(default_factory=Class)``, may be built there the way a
+            # **kwargs call builds it
+            built = [(in_class.get(id(a)) or a.id, None, None)
+                     for a in [*node.args, *(k.value for k in node.keywords)]
+                     if id(a) in in_class or (isinstance(a, ast.Name)
+                                              and a.id in class_names)]
             for called, by, call in [(name, owner, call), *built]:
                 for qualified, (own_name, cls, _, _) in defined.items():
                     if own_name == called and by in (None, cls):
@@ -420,8 +427,15 @@ def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
               "    @classmethod\n"
               "    def load(cls, doc):\n"
               "        return read(cls, doc)\n"
+              "@dataclass\n"
+              "class Section:\n"
+              "    n: int = 0\n"
+              "def read_section(cls, doc):\n"
+              "    return read(cls, doc)\n"
               "Point(3, y=4)\n"
-              "Stored()\n"),
+              "Stored()\n"
+              "Section(n=1)\n"
+              "read_section(Section, {})\n"),
         "b": ("def grow(n, rate=1): pass\n"
               "class Other:\n"
               "    def create(self, n): pass\n"
@@ -481,15 +495,25 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def unread_fields(modules, others) -> list:
     """``Class.field`` for each dataclass field declared in the sources
     ``modules`` that neither they nor ``others`` read as an attribute,
-    sorted. Assigning an attribute does not count as reading it."""
+    sorted. Assigning an attribute does not count as reading it; a method
+    of the class calling ``asdict(self)`` or ``astuple(self)`` reads every
+    field."""
     trees = [ast.parse(source) for source in modules]
     read = {node.attr for tree in [*trees, *map(ast.parse, others)]
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+    def whole(cls: ast.ClassDef) -> bool:
+        return any(isinstance(node, ast.Call)
+                   and ast.unparse(node.func) in ("asdict", "astuple")
+                   and [ast.unparse(a) for a in node.args] == ["self"]
+                   for node in ast.walk(cls))
+
     return sorted(f"{node.name}.{item.target.id}"
                   for tree in trees for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  and not whole(node)
                   for item in node.body
                   if isinstance(item, ast.AnnAssign)
                   and isinstance(item.target, ast.Name)
@@ -505,11 +529,22 @@ def test_field_scan_finds_fields_only_written():
               "    cached: list = field(default_factory=list)\n"
               "class Plain:\n"
               "    note: str = ''\n"
+              "@dataclass\n"
+              "class Row:\n"
+              "    cell: int\n"
+              "    def cells(self):\n"
+              "        return astuple(self)\n"
+              "@dataclass\n"
+              "class Pair:\n"
+              "    left: int\n"
+              "    def halves(self, other):\n"
+              "        return asdict(other)\n"
               "def use(k):\n"
               "    k.stored = k.read\n")
     other = "def peek(k):\n    return k.cached\n"
-    assert unread_fields([source], []) == ["Kept.cached", "Kept.stored"]
-    assert unread_fields([source], [other]) == ["Kept.stored"]
+    assert unread_fields([source], []) == ["Kept.cached", "Kept.stored",
+                                           "Pair.left"]
+    assert unread_fields([source], [other]) == ["Kept.stored", "Pair.left"]
 
 
 def test_every_dataclass_field_is_read():

@@ -9,6 +9,7 @@ import pytest
 from conftest import blob_data
 
 from ransomflow import lstm, rng
+from ransomflow.config import read_section, section_doc
 from ransomflow.errors import (
     ConfigError,
     DegenerateClasses,
@@ -327,21 +328,21 @@ def test_config_dict_round_trip():
     cfg = LstmConfig(hidden_size=5, num_layers=2, epochs=3, batch_size=7,
                      learning_rate=0.02, sequence_layout="feature-steps",
                      clip_threshold=1.5)
-    doc = cfg.to_dict()
+    doc = section_doc(cfg)
     assert set(doc) == {"hidden_size", "num_layers", "epochs", "batch_size",
                         "learning_rate", "sequence_layout", "clip_threshold"}
-    assert LstmConfig.from_dict(doc) == cfg
-    assert LstmConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+    assert read_section(LstmConfig, doc) == cfg
+    assert read_section(LstmConfig, json.loads(json.dumps(doc))) == cfg
 
 
 def test_config_from_dict_is_strict():
-    doc = LstmConfig().to_dict()
+    doc = section_doc(LstmConfig())
     dropped = {k: v for k, v in doc.items() if k != "clip_threshold"}
     for bad, named in (({**doc, "hiden_size": 8}, "hiden_size"),
                        ({**doc, "hidden_size": "x"}, "hidden size"),
                        (dropped, "clip_threshold")):
         with pytest.raises(SchemaMismatch, match=named):
-            LstmConfig.from_dict(bad)
+            read_section(LstmConfig, bad)
 
 
 @pytest.mark.parametrize("value", ["x", 0, -2.0, False])

@@ -13,7 +13,7 @@ import pytest
 from conftest import textbook_adam
 
 from ransomflow import rng
-from ransomflow.errors import LabelOutOfRange, ShapeMismatch
+from ransomflow.errors import DataError, LabelOutOfRange, ShapeMismatch
 from ransomflow.nn import (
     Adam,
     DenseLayer,
@@ -218,6 +218,10 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy_loss(probs, np.array([2]))
     with pytest.raises(LabelOutOfRange):
         cross_entropy_loss(probs, np.array([-1]))
+    # labels are integers: a float array is refused, integral or not
+    for labels in (np.array([1.0]), np.array([0.5])):
+        with pytest.raises(DataError, match="integers"):
+            cross_entropy_loss(probs, labels)
 
 
 def test_cross_entropy_rejects_non_distribution():

@@ -9,6 +9,7 @@ import pytest
 from conftest import blob_data
 
 from ransomflow import rng
+from ransomflow.config import read_section, section_doc
 from ransomflow.errors import (
     ConfigError,
     DegenerateClasses,
@@ -264,21 +265,21 @@ def test_config_dict_round_trip():
     cfg = SAEConfig(encoder_dims=(9, 4), activation="tanh", epochs=7,
                     batch_size=16, learning_rate=0.01,
                     convergence_threshold=0.25)
-    doc = cfg.to_dict()
+    doc = section_doc(cfg)
     assert set(doc) == {"encoder_dims", "activation", "epochs", "batch_size",
                         "learning_rate", "convergence_threshold"}
-    assert SAEConfig.from_dict(doc) == cfg
-    assert SAEConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+    assert read_section(SAEConfig, doc) == cfg
+    assert read_section(SAEConfig, json.loads(json.dumps(doc))) == cfg
 
 
 def test_config_from_dict_is_strict():
-    doc = SAEConfig().to_dict()
+    doc = section_doc(SAEConfig())
     dropped = {k: v for k, v in doc.items() if k != "convergence_threshold"}
     for bad, named in (({**doc, "extra": 1}, "extra"),
                        ({**doc, "epochs": "x"}, "epochs"),
                        (dropped, "convergence_threshold")):
         with pytest.raises(SchemaMismatch, match=named):
-            SAEConfig.from_dict(bad)
+            read_section(SAEConfig, bad)
 
 
 @pytest.mark.parametrize("value", ["x", 0, -1.0, True])
