@@ -19,6 +19,8 @@ import sys
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from . import analytics, gbt, lstm, sae
 from .artifacts import (
     KINDS,
@@ -38,9 +40,9 @@ from .dataset import (
     clean_timestamps,
     dataset_stats,
     deduplicate,
+    first_occurrences,
     label_encode,
     parse_csv,
-    row_keys,
     stratified_indices,
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
@@ -147,16 +149,18 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return from_dict(doc)
 
 
-def _scrub_side(values, where: dict):
+def _scrub_side(group, table_row):
     """Deduplicate and timestamp-clean one split side on its own.
 
-    ``where`` maps each scrubbed table row's bytes to its index, so only rows
-    with a bad timestamp miss it. Returns (table indices of the side's distinct
-    rows in first-occurrence order, duplicates removed, bad timestamps removed).
+    ``group`` holds the duplicate group of each of the side's rows, and
+    ``table_row`` each group's row in the scrubbed table, or -1 where its
+    timestamp is bad. Returns (table indices of the side's distinct rows in
+    first-occurrence order, duplicates removed, bad timestamps removed).
     """
-    distinct = dict.fromkeys(row_keys(values))
-    indices = [where[key] for key in distinct if key in where]
-    return indices, len(values) - len(distinct), len(distinct) - len(indices)
+    _, first = np.unique(group, return_index=True)
+    rows = table_row[group[np.sort(first)]]
+    indices = rows[rows >= 0]
+    return indices, len(group) - len(first), len(first) - len(indices)
 
 
 def cmd_ingest(args) -> int:
@@ -179,8 +183,10 @@ def cmd_ingest(args) -> int:
         # duplicates can land on both sides, then scrub each side on its own.
         sides = stratified_indices(encoded.target_codes(), ds.test_ratio,
                                    cfg.seed_for("split"))
-        where = {key: i for i, key in enumerate(row_keys(table.values))}
-        scrubbed = [_scrub_side(encoded.values[idx], where) for idx in sides]
+        _, group = first_occurrences(encoded.values)
+        kept = deduped.column("Time") > 0.0  # the rows clean_timestamps keeps
+        table_row = np.where(kept, np.cumsum(kept) - 1, -1)
+        scrubbed = [_scrub_side(group[idx], table_row) for idx in sides]
         (train_idx, test_idx), dups, bads = zip(*scrubbed)
         stages["duplicates_removed"] = sum(dups)
         stages["bad_timestamps_removed"] = sum(bads)

@@ -9,30 +9,28 @@ Min-max scaling is not an ingest stage: ``feature_bounds`` fits the bounds on
 the training rows, ``normalize`` scales rows with them, and a loaded artifact
 fits them on first use and scales only the side a command reads.
 
-Parsing works on distinct lines and whole columns: the text is read once,
-identical lines are collapsed through one dict, ``csv`` parses each distinct
-line once, and the records are transposed into columns. Each numeric column
-is checked and converted by one float64 array, each categorical column is
-encoded by one dict lookup per distinct record, and the encoded records are
-then copied out to every row that holds them.
+Parsing holds no Python object per cell. Text without a ``"`` is split by
+byte scans for line ends and commas; text with one is read by ``csv``. Each
+column's stripped cells are gathered into one zero-padded byte block. A
+numeric column is read by one vectorized decimal kernel, with ``float`` for
+the cells outside its form; a categorical column, and ``deduplicate``, group
+rows by a 64-bit hash checked against each group's first row.
 
 Categorical codes are assigned by sorting the distinct strings of a column in
-lexicographic byte order, so the mapping depends only on the value set, never
-on row order.
+lexicographic UTF-8 byte order, so the mapping depends only on the value set,
+never on row order.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
-import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import (
@@ -97,44 +95,72 @@ NUMERIC_IDX = [column_index(n) for n in NUMERIC_NAMES]
 CATEGORICAL_IDX = [column_index(n) for n in CATEGORICAL_NAMES]
 
 
+# The widest cell a column block holds; a longer cell is kept as bytes.
+_WIDTH = 32
+# Rows per step of the numeric kernel and the row hash: a step's
+# temporaries stay small and in cache.
+_ROWS = 1 << 15
+# The ASCII bytes str.strip removes; every other whitespace is not ASCII.
+_SPACE = np.array([b < 128 and chr(b).isspace() for b in range(256)])
+# Those of them an unquoted cell may hold: all but CR and LF, which end lines.
+_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# _KEEP[n]: the mask that keeps the first n bytes of a block row
+_KEEP = np.where(np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None], 255,
+                 0).astype(np.uint8)
+# 10**k, exact as a double for k <= 22
+_POW10 = np.array([float(10 ** k) for k in range(17)])
+
+
+@dataclass
+class Cells:
+    """One column's stripped UTF-8 cells, one per data row in file order.
+
+    Row ``i`` of the zero-padded ``block`` holds cell ``i``'s ``length[i]``
+    bytes, unless the cell is longer than ``_WIDTH``: ``long`` maps the row
+    of each such cell to its bytes, its block row is zero and its length
+    ``_WIDTH + 1``.
+    """
+
+    block: np.ndarray   # (rows, width) uint8
+    length: np.ndarray  # (rows,) uint8
+    long: dict
+
+    def cell(self, i: int) -> bytes:
+        if i in self.long:
+            return self.long[i]
+        return self.block[i, :self.length[i]].tobytes()
+
+    def keys(self) -> np.ndarray:
+        """A uint64 word row per cell, equal only for equal cells: the block
+        row, zero-padded, then the length, or above ``_WIDTH`` an id of a
+        long cell."""
+        rows, width = self.block.shape
+        words = np.zeros((rows, -(-width // 8) + 1), np.uint64)
+        words.view(np.uint8)[:, :width] = self.block
+        words[:, -1] = self.length
+        ids = {}
+        for i, cell in self.long.items():
+            words[i, -1] = _WIDTH + 1 + ids.setdefault(cell, len(ids))
+        return words
+
+
 @dataclass
 class RawTable:
-    """Parsed string cells in column order, held once per distinct record.
-
-    ``cells[j]`` holds column ``j``'s stripped cells, one per distinct record
-    in first-occurrence order, and ``numbers`` maps each numeric column to
-    those cells parsed as float64. ``inverse`` maps every data row, in file
-    order, to its distinct record.
-    """
+    """Parsed cells in ``COLUMNS`` order: ``cells[j]`` holds column ``j``'s
+    :class:`Cells`, and ``numbers`` maps each numeric column to its cells
+    parsed as float64."""
 
     cells: tuple
     numbers: dict
-    inverse: np.ndarray
 
     @property
     def row_count(self) -> int:
-        return len(self.inverse)
+        return len(self.cells[0].length)
 
     @property
     def rows(self) -> list:
-        records = list(zip(*self.cells))
-        return [records[i] for i in self.inverse.tolist()]
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its previous state.
-
-    Parsing builds one list per record, none of them part of a cycle; with
-    the collector on, their allocation keeps triggering scans of them all.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+        return list(zip(*([c.cell(i).decode() for i in range(self.row_count)]
+                          for c in self.cells)))
 
 
 def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
@@ -146,73 +172,145 @@ def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
                      f"({exc.reason} at byte {exc.start})")
 
 
-# The ASCII characters str.isspace accepts, but CR and LF, which the reader
-# only meets at line ends; every other whitespace character is not ASCII.
-_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+def _split(data: bytes, name: str):
+    """(buf, start, end, comma, fields, line, unread) for text holding no
+    ``"``.
 
-
-def _read_lines(data: bytes, name: str):
-    """The lines of the CSV bytes ``data`` with their ends kept, whether any
-    holds a ``"``, and whether any cell may hold whitespace to strip.
-
-    CR, LF and CRLF each end a line, as in a file opened with ``newline=""``.
-    Bytes that are not UTF-8 raise :class:`DataError` naming the line.
+    ``buf`` is ``data`` followed by ``_WIDTH`` zero bytes. Record ``r`` is
+    line ``line[r]``, the bytes ``start[r]:end[r]`` with its end left out; it
+    holds ``fields[r]`` fields, none if the line is blank, split at the
+    sorted ``comma`` positions. CR, LF and CRLF each end a line, as in a file
+    opened with ``newline=""``. The records stop before the first one
+    ``csv`` cannot read, and ``unread`` is its :class:`DataError`, or None.
     """
+    size = len(data)
+    buf = np.zeros(size + _WIDTH, np.uint8)
+    buf[:size] = np.frombuffer(data, np.uint8)
+    text = buf[:size]
+    end = np.flatnonzero(text == 10)
+    cr = np.flatnonzero(text == 13)
+    if cr.size:  # an LF right after a CR ends no further line
+        end = np.union1d(cr, end[buf[end - 1] != 13])
+    start = np.concatenate(
+        ([0], end + 1 + ((buf[end] == 13) & (buf[end + 1] == 10))))
+    if start[-1] < size:
+        end = np.append(end, size)
+    else:
+        start = start[:-1]
+    comma = np.flatnonzero(text == 44)
+    fields = np.searchsorted(comma, end) - np.searchsorted(comma, start) + 1
+    fields[start == end] = 0
+    unread = None
+    limit = csv.field_size_limit()  # csv refuses a longer field
+    for r in np.flatnonzero(end - start > limit).tolist():
+        cells = buf[start[r]:end[r]].tobytes().decode().split(",")
+        if max(map(len, cells)) > limit:
+            unread = DataError(f"{name}: line {r + 1}: field larger than "
+                               f"field limit ({limit})")
+            start, end, fields = start[:r], end[:r], fields[:r]
+            break
+    return (buf, start, end, comma, fields, np.arange(1, len(start) + 1),
+            unread)
+
+
+def _split_quoted(data: bytes, name: str):
+    """:func:`_split`'s arrays for text holding a ``"``, read record by record
+    by ``csv`` since a quoted field may span lines. ``buf`` holds the
+    records' cells, each field after the first preceded by one separator
+    byte, and ``line[r]`` is the line record ``r`` starts on."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    records, line, unread = [], [1], None
     try:
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                 newline="").readlines()
-    except UnicodeDecodeError:
-        # the stream decodes in chunks; decode whole for the byte offset
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(data, exc, name) from None
-        raise
-    padded = not data.isascii() or any(c in data for c in _PADDING)
-    return lines, b'"' in data, padded
-
-
-def _distinct_records(data: bytes, name: str):
-    """(records, record_of, start_line, padded): the csv records of ``data``,
-    the index of each position's record in file order (position 0 is the
-    header), the 1-based line each position starts on, and whether any cell
-    may hold whitespace to strip.
-
-    Identical lines share one record, parsed once; records follow their
-    lines' first occurrence and positions are lines. Text holding a ``"`` is
-    read record by record, since a quoted field may span lines: each record
-    stands alone and positions count records.
-    """
-    lines, quoted, padded = _read_lines(data, name)
-    if quoted:
-        reader = csv.reader(lines)
-        records, ends = [], [0]  # lines read after each record
-        try:
-            for record in reader:
-                records.append(record)
-                ends.append(reader.line_num)
-        except csv.Error as exc:
-            raise DataError(f"{name}: line {reader.line_num}: {exc}") from None
-        return (records, np.arange(len(records)),
-                np.array(ends[:-1], dtype=np.int64) + 1, padded)
-    units = {}
-    record_of = np.fromiter((units.setdefault(line, len(units)) for line in lines),
-                            np.int64, len(lines))
-    del lines  # freed before csv allocates the records
-    reader = csv.reader(units)
-    try:
-        records = list(reader)
+        for record in reader:
+            records.append(record)
+            line.append(reader.line_num + 1)
     except csv.Error as exc:
-        line = int(np.argmax(record_of == reader.line_num - 1)) + 1
-        raise DataError(f"{name}: line {line}: {exc}") from None
-    return records, record_of, np.arange(1, len(record_of) + 1), padded
+        unread = DataError(f"{name}: line {reader.line_num}: {exc}")
+    cells = [cell.encode("utf-8") for record in records for cell in record]
+    fields = np.fromiter(map(len, records), np.int64, len(records))
+    # offsets[c]: where cell c starts, with a separator after every cell
+    offsets = np.cumsum([0, *map(len, cells)]) + np.arange(len(cells) + 1)
+    first = np.cumsum(fields) - fields
+    start = offsets[first]
+    end = np.maximum(offsets[first + fields] - 1, start)
+    joined = b",".join(cells)
+    buf = np.zeros(len(joined) + _WIDTH, np.uint8)
+    buf[:len(joined)] = np.frombuffer(joined, np.uint8)
+    return (buf, start, end, offsets[1:-1] - 1, fields,
+            np.array(line[:-1], dtype=np.int64), unread)
 
 
-def _finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
+def _strip(buf, start, end) -> None:
+    """Narrow each cell span ``start:end`` of ``buf``, in place, to what
+    ``str.strip`` leaves of its text."""
+    for edge, step in ((start, 1), (end, -1)):
+        at = np.arange(len(start))
+        while at.size:
+            at = at[(start[at] < end[at]) & _SPACE[buf[edge[at] - (step < 0)]]]
+            edge[at] += step
+    # an edge byte that is not ASCII may begin or end non-ASCII whitespace
+    for i in np.flatnonzero((start < end)
+                            & ((buf[start] | buf[end - 1]) >= 128)).tolist():
+        cell = buf[start[i]:end[i]].tobytes().decode("utf-8")
+        start[i] += len(cell.encode("utf-8")) - len(cell.lstrip().encode("utf-8"))
+        end[i] = start[i] + len(cell.strip().encode("utf-8"))
+
+
+def _cells(buf, start, end) -> Cells:
+    """The :class:`Cells` of the spans ``start:end`` of ``buf``."""
+    long = np.flatnonzero(end - start > _WIDTH).tolist()
+    length = np.minimum(end - start, _WIDTH + 1).astype(np.uint8)
+    short = np.where(length > _WIDTH, 0, length)
+    width = max(1, int(short.max(initial=0)))
+    block = sliding_window_view(buf, width)[start]
+    block &= _KEEP[short, :width]
+    return Cells(block, length, {i: buf[start[i]:end[i]].tobytes() for i in long})
+
+
+def _decimals(block, length):
+    """(value, fast) for the cells ``block[i, :length[i]]``: where ``fast``,
+    the cell is ``[+-]?`` then at most 15 digits with at most one ``.`` among
+    them, and ``value`` is ``float(cell)``.
+
+    The digits form an integer m < 2**53 and the k after the ``.`` a power
+    10**k <= 10**15; both are exact doubles, and IEEE division rounds m / 10**k
+    correctly, as ``float`` rounds the decimal (Clinger's fast path).
+    """
+    mantissa, count, scale, dots = np.zeros((4, len(length)), np.int64)
+    fast = (length > 0) & (length <= block.shape[1])
+    for c, byte in enumerate(np.ascontiguousarray(block.T)):
+        inside = c < length
+        digit = (byte - 48 < 10) & inside
+        dot = (byte == 46) & inside
+        fast &= digit | dot | (((byte == 43) | (byte == 45)) if c == 0
+                               else ~inside)
+        mantissa = np.where(digit, mantissa * 10 + (byte - 48), mantissa)
+        scale += digit & (dots > 0)
+        dots += dot
+        count += digit
+    fast &= (dots <= 1) & (count > 0) & (count <= 15)
+    value = mantissa / _POW10[scale]
+    np.negative(value, out=value, where=block[:, 0] == 45)
+    return value, fast
+
+
+def _numbers(cells: Cells) -> np.ndarray:
+    """A numeric column's cells as float64, NaN where ``float`` refuses one.
+
+    Cells the vectorized kernel cannot read, such as ``1e5``, ``inf``, long
+    or non-ASCII ones, go to ``float`` one at a time.
+    """
+    values = np.empty(len(cells.length))
+    for a in range(0, len(values), _ROWS):
+        rows = slice(a, a + _ROWS)
+        value, fast = _decimals(cells.block[rows, :17], cells.length[rows])
+        values[rows] = value
+        for i in (a + np.flatnonzero(~fast)).tolist():
+            try:
+                values[i] = float(cells.cell(i).decode("utf-8"))
+            except ValueError:
+                values[i] = np.nan
+    return values
 
 
 def parse_csv(source) -> RawTable:
@@ -228,68 +326,71 @@ def parse_csv(source) -> RawTable:
     go in column order. Text that is not UTF-8 or that ``csv`` cannot
     read raises :class:`DataError` naming the source and line.
 
-    Identical lines are parsed once. Text holding a ``"`` is read record by
-    record instead, since a quoted field may span lines; an error in a
-    record that spans lines names the line the record starts on.
+    Text holding no ``"`` is split into lines and fields by byte scans. Text
+    holding one is read record by record by ``csv``, since a quoted field may
+    span lines; an error in a record that spans lines names the line the
+    record starts on.
     """
     if isinstance(source, bytes):
         data, name = source, "<bytes>"
     else:
         data, name = Path(source).read_bytes(), str(source)
-    with _gc_paused():
-        records, record_of, start_line, padded = _distinct_records(data, name)
-        if not records:
-            raise MissingColumn(NAMES[0])
-        canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in records[0]]
-        positions = []
-        for column in NAMES:
-            try:
-                positions.append(canonical.index(column))
-            except ValueError:
-                raise MissingColumn(column) from None
-        width = len(records[0])
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(data, exc, name) from None
+    quoted = b'"' in data
+    padded = quoted or not data.isascii() or any(c in data for c in _PADDING)
+    buf, start, end, comma, fields, line, unread = (
+        _split_quoted if quoted else _split)(data, name)
+    del data  # the cells are read from buf
+    if not len(fields):
+        raise unread or MissingColumn(NAMES[0])
+    first = np.searchsorted(comma, start)
+    width = int(fields[0])
+    cuts = comma[first[0]:first[0] + max(width - 1, 0)]
+    header = [buf[s:e].tobytes().decode("utf-8")
+              for s, e in zip([start[0], *(cuts + 1)], [*cuts, end[0]])]
+    canonical = [HEADER_ALIASES.get(h.strip(), h.strip()) for h in header]
+    positions = []
+    for column in NAMES:
+        try:
+            positions.append(canonical.index(column))
+        except ValueError:
+            raise MissingColumn(column) from None
 
-        # The records data rows hold, in first-occurrence order, and the line
-        # each first occurs on. A blank line holds no row; the first ragged
-        # record stops the parse once the cells before it are checked.
-        row_records = record_of[1:]
-        ids, first_row = np.unique(row_records, return_index=True)
-        first_line = start_line[1:][first_row]
-        widths = np.fromiter(map(len, records), np.int64, len(records))[ids]
-        filled = widths > 0
-        ragged = np.flatnonzero(filled & (widths != width))
-        stop = ragged[0] if ragged.size else len(ids)
-        keep = np.flatnonzero(filled[:stop])
-        # every kept record has ``width`` cells: column p is a stride of them
-        flat = list(itertools.chain.from_iterable(
-            map(records.__getitem__, ids[keep].tolist())))
-        del records
-        cells = tuple(list(map(str.strip, flat[p::width])) if padded
-                      else flat[p::width] for p in positions)
-        del flat
-        numbers = {}
-        bad_cells = []
-        for order, column in enumerate(NUMERIC_NAMES):
-            j = column_index(column)
-            try:
-                numbers[column] = np.array(cells[j], dtype=np.float64)
-                finite = np.isfinite(numbers[column]).all()
-            except ValueError:
-                finite = False
-            if not finite:
-                k = next(k for k, cell in enumerate(cells[j])
-                         if not _finite_number(cell))
-                bad_cells.append((int(first_line[keep[k]]), order, column,
-                                  cells[j][k]))
-        if bad_cells:
-            line, _, column, cell = min(bad_cells)
-            raise NonNumericCell(line, column, cell)
-        if ragged.size:
-            raise RaggedRow(int(first_line[stop]), width, int(widths[stop]))
-
-        at = np.searchsorted(ids, row_records)
-        inverse = (np.cumsum(filled) - 1)[at[filled[at]]]
-        return RawTable(cells=cells, numbers=numbers, inverse=inverse)
+    # A blank line holds no row; the first ragged or unread record stops the
+    # parse once the cells before it are checked.
+    ragged = np.flatnonzero(fields[1:] != width) + 1
+    ragged = ragged[fields[ragged] > 0]
+    stop = ragged[0] if ragged.size else len(fields)
+    rows = np.flatnonzero(fields[1:stop]) + 1
+    first = first[rows]
+    cells = []
+    for p in positions:
+        s = start[rows] if p == 0 else comma[first + p - 1] + 1
+        e = end[rows] if p == width - 1 else comma[first + p]
+        if padded:
+            _strip(buf, s, e)
+        cells.append(_cells(buf, s, e))
+    numbers = {}
+    bad_cells = []
+    for order, column in enumerate(NUMERIC_NAMES):
+        j = column_index(column)
+        numbers[column] = _numbers(cells[j])
+        bad = np.flatnonzero(~np.isfinite(numbers[column]))
+        if bad.size:
+            bad_cells.append((int(line[rows[bad[0]]]), order, column,
+                              cells[j].cell(int(bad[0])).decode("utf-8")))
+    if bad_cells:
+        line_no, _, column, cell = min(bad_cells)
+        raise NonNumericCell(line_no, column, cell)
+    if ragged.size:
+        raise RaggedRow(int(line[stop]), width, int(fields[stop]))
+    if unread:
+        raise unread
+    return RawTable(cells=tuple(cells), numbers=numbers)
 
 
 @dataclass
@@ -342,7 +443,7 @@ class EncodingMap:
     def from_dict(cls, doc: dict) -> "EncodingMap":
         """The map a stored document holds; :class:`SchemaMismatch` unless it
         is one list of distinct strings in UTF-8 byte order per categorical
-        column, as :func:`build_encoding` writes it."""
+        column, as :func:`label_encode` writes it."""
         if not isinstance(doc, dict) or sorted(doc) != sorted(CATEGORICAL_NAMES):
             raise SchemaMismatch(f"encoding columns are not "
                                  f"{sorted(CATEGORICAL_NAMES)}")
@@ -391,39 +492,74 @@ class EncodedTable:
         return EncodedTable(values=values, maps=self.maps)
 
 
-def build_encoding(table: RawTable) -> EncodingMap:
-    """Derive codes from the distinct values of each categorical column."""
-    categories = {}
-    for name in CATEGORICAL_NAMES:
-        values = set(table.cells[column_index(name)])
-        categories[name] = tuple(sorted(values, key=lambda s: s.encode("utf-8")))
-    return EncodingMap(categories)
+def _codes(cells: Cells):
+    """(categories, codes): a categorical column's distinct cells in UTF-8
+    byte order, and each row's cell as its position among them."""
+    first, group = first_occurrences(cells.keys())
+    distinct = [cells.cell(i) for i in first.tolist()]
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    return (tuple(distinct[i].decode("utf-8") for i in order),
+            np.argsort(order)[group])
 
 
 def label_encode(table: RawTable):
     """Turn string cells into a float matrix. Returns (EncodedTable, EncodingMap).
 
-    Codes are built from this table's own value set. Each distinct record is
-    encoded once and then copied to every row that holds it.
+    Codes are built from this table's own value set.
     """
-    maps = build_encoding(table)
-    distinct = len(table.cells[0])
-    values = np.empty((distinct, len(NAMES)), dtype=np.float64)
+    categories = {}
+    values = np.empty((table.row_count, len(NAMES)), dtype=np.float64)
     for j, (name, kind) in enumerate(COLUMNS):
         if kind == NUMERIC:
             values[:, j] = table.numbers[name]
-            continue
-        values[:, j] = np.fromiter(map(maps._index[name].__getitem__,
-                                       table.cells[j]), np.float64, distinct)
-    return EncodedTable(values=values[table.inverse], maps=maps), maps
+        else:
+            categories[name], values[:, j] = _codes(table.cells[j])
+    maps = EncodingMap(categories)
+    return EncodedTable(values=values, maps=maps), maps
 
 
-def row_keys(values: np.ndarray) -> list:
-    """Each row's bytes, equal to ``row.tobytes()``, as one hashable key:
-    -0.0 and 0.0 cells keep two rows apart."""
-    values = np.ascontiguousarray(values)
-    row = np.dtype((np.void, values.dtype.itemsize * values.shape[1]))
-    return values.view(row).ravel().tolist()
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of the uint64 matrix ``words``."""
+    h = np.zeros(len(words), np.uint64)
+    for a in range(0, len(words), _ROWS):  # a block of rows stays in cache
+        part = h[a:a + _ROWS]
+        for column in words[a:a + _ROWS].T:
+            part ^= column
+            part *= _MIX
+            part ^= part >> np.uint64(29)
+    return h
+
+
+def _groups(keys: np.ndarray):
+    """(first, group): the index of each distinct key's first occurrence, in
+    key order, and each key's position among the distinct keys."""
+    _, group = np.unique(keys, return_inverse=True)
+    first = np.full(group.max(initial=-1) + 1, len(keys))
+    np.minimum.at(first, group, np.arange(len(keys)))
+    return first, group
+
+
+def first_occurrences(rows: np.ndarray):
+    """(first, group) for the rows of a 2-D array of 8-byte items, compared
+    by their bytes, so -0.0 and 0.0 differ: the index of each distinct row's
+    first occurrence, ascending, and each row's position in ``first``.
+
+    Rows are grouped by a 64-bit hash and then checked against their group's
+    first row; if two distinct rows share a hash, the rows' bytes are grouped
+    instead.
+    """
+    words = rows.view(np.uint64)
+    first, group = _groups(_row_hash(words))
+    held = first[group]
+    if any((words[held[a:a + _ROWS]] != words[a:a + _ROWS]).any()
+           for a in range(0, len(words), _ROWS)):
+        whole = np.dtype((np.void, words.itemsize * words.shape[1]))
+        first, group = _groups(np.ascontiguousarray(words).view(whole).ravel())
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group]
 
 
 def deduplicate(table: EncodedTable):
@@ -431,13 +567,8 @@ def deduplicate(table: EncodedTable):
 
     Returns (table, removed_count). Row order of survivors is preserved.
     """
-    first = {}
-    for i, key in enumerate(row_keys(table.values)):
-        if key not in first:
-            first[key] = i
-    keep = list(first.values())
-    removed = table.row_count - len(keep)
-    return table.with_values(table.values[keep]), removed
+    first, _ = first_occurrences(table.values)
+    return table.with_values(table.values[first]), table.row_count - len(first)
 
 
 def clean_timestamps(table: EncodedTable):

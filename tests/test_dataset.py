@@ -12,7 +12,7 @@ import pytest
 
 from conftest import require_real_csv, synthetic_csv_text
 
-from ransomflow import rng
+from ransomflow import dataset, rng
 from ransomflow.dataset import (
     CATEGORICAL_NAMES,
     FEATURE_NAMES,
@@ -25,12 +25,12 @@ from ransomflow.dataset import (
     encoded_table_from_rows,
     encoded_table_to_rows,
     feature_bounds,
+    first_occurrences,
     label_encode,
     normalize,
     parse_csv,
     preprocess_from_dict,
     preprocess_to_dict,
-    row_keys,
     stratified_indices,
 )
 from ransomflow.errors import (
@@ -177,13 +177,32 @@ def test_deduplicate_all_distinct_is_identity():
     assert np.array_equal(deduped.values, encoded.values)
 
 
-def test_row_keys_are_row_bytes_and_keep_signed_zeros_apart():
+def _first_occurrences_reference(rows):
+    """(first, group) through one dict of ``row.tobytes()`` keys."""
+    first = {}
+    group = [first.setdefault(row.tobytes(), len(first)) for row in rows]
+    index = {}
+    for i, g in enumerate(group):
+        index.setdefault(g, i)
+    return list(index.values()), group
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_first_occurrences_match_row_bytes_reference(collide, monkeypatch):
+    if collide:  # every row shares one hash: the kernel must sort the bytes
+        monkeypatch.setattr(dataset, "_row_hash",
+                            lambda words: np.zeros(len(words), np.uint64))
     values = np.array([[0.0, 1.5, 0.0], [-0.0, 1.5, 0.0], [0.0, 1.5, 0.0]])
-    assert row_keys(values) == [row.tobytes() for row in values]
-    # a non-contiguous view keys the same rows
-    assert row_keys(np.asfortranarray(values)[:, :2]) == [
-        row.tobytes() for row in values[:, :2]]
-    assert row_keys(np.empty((0, 14))) == []
+    gen = np.random.default_rng(3)
+    cases = [values, np.asfortranarray(values)[:, :2], np.empty((0, 14)),
+             gen.integers(0, 3, (500, 4)).astype(np.float64),
+             gen.integers(0, 2, (300, 2)).astype(np.uint64) << np.uint64(63)]
+    for rows in cases:
+        first, group = first_occurrences(rows)
+        expected_first, expected_group = _first_occurrences_reference(rows)
+        assert first.tolist() == expected_first
+        assert group.tolist() == expected_group
+    assert first_occurrences(values)[0].tolist() == [0, 1]
     maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
     table = EncodedTable(values=np.zeros((3, 14)), maps=maps)
     table.values[1, 0] = -0.0
