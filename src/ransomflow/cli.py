@@ -66,7 +66,8 @@ def _common_options(p) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON configuration file")
     p.add_argument("--seed", type=int, metavar="N",
                    help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--output", metavar="DIR", help="directory to write into")
+    p.add_argument("--output", dest="output_dir", metavar="DIR",
+                   help="directory to write into")
 
 
 @functools.cache  # parsing leaves the parser as it was
@@ -78,14 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     ingest = sub.add_parser("ingest", help="build a dataset artifact from a CSV")
-    ingest.add_argument("csv", help="raw CSV file")
+    ingest.add_argument("dataset.csv", metavar="csv", help="raw CSV file")
     _common_options(ingest)
-    ingest.add_argument("--test-ratio", type=float, metavar="R",
+    ingest.add_argument("--test-ratio", dest="dataset.test_ratio", type=float,
+                        metavar="R",
                         help="held-out fraction per class (default 0.2)")
     ingest.add_argument("--split-before-dedup", action="store_true",
-                        default=None,
+                        dest="dataset.split_before_dedup", default=None,
                         help="partition first, then scrub each side separately")
-    ingest.add_argument("--subsample", type=float, metavar="F",
+    ingest.add_argument("--subsample", dest="dataset.subsample", type=float,
+                        metavar="F",
                         help="keep a stratified fraction of rows")
     ingest.set_defaults(func=cmd_ingest)
 
@@ -94,10 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(train)
     train.add_argument("--kind", choices=KINDS,
                        default="sae-lstm", help="model family to train")
-    train.add_argument("--sae-epochs", type=int, metavar="N")
-    train.add_argument("--lstm-epochs", type=int, metavar="N")
-    train.add_argument("--lstm-hidden", type=int, metavar="N")
-    train.add_argument("--gbt-rounds", type=int, metavar="N")
+    train.add_argument("--sae-epochs", dest="sae.epochs", type=int, metavar="N")
+    train.add_argument("--lstm-epochs", dest="lstm.epochs", type=int,
+                       metavar="N")
+    train.add_argument("--lstm-hidden", dest="lstm.hidden_size", type=int,
+                       metavar="N")
+    train.add_argument("--gbt-rounds", dest="gbt.rounds", type=int, metavar="N")
     train.add_argument("--fine-tune", action="store_true", default=None,
                        help="supervised fine-tuning pass on the autoencoder")
     train.set_defaults(func=cmd_train)
@@ -106,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("bundle", help="model bundle JSON file")
     evaluate.add_argument("artifact", help="dataset artifact directory")
     evaluate.add_argument("--split", choices=SPLITS, default="test")
-    evaluate.add_argument("--output", metavar="DIR")
+    evaluate.add_argument("--output", dest="output_dir", metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
     cmp_cmd = sub.add_parser("compare", help="diff two evaluation reports")
@@ -114,39 +119,43 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_cmd.add_argument("report_b", help="second report.json")
     cmp_cmd.add_argument("--name-a", metavar="NAME")
     cmp_cmd.add_argument("--name-b", metavar="NAME")
-    cmp_cmd.add_argument("--output", metavar="DIR")
+    cmp_cmd.add_argument("--output", dest="output_dir", metavar="DIR")
     cmp_cmd.set_defaults(func=cmd_compare)
 
     analyze = sub.add_parser("analyze", help="financial and distribution reports")
     analyze.add_argument("artifact", help="dataset artifact directory")
-    analyze.add_argument("--output", metavar="DIR")
+    analyze.add_argument("--output", dest="output_dir", metavar="DIR")
     analyze.set_defaults(func=cmd_analyze)
 
     return parser
 
 
-# flag -> the setting it writes into the settings document
-_FLAG_SETTINGS = {
-    "seed": "seed", "output": "output_dir", "fine_tune": "fine_tune",
-    "csv": "dataset.csv", "test_ratio": "dataset.test_ratio",
-    "split_before_dedup": "dataset.split_before_dedup",
-    "subsample": "dataset.subsample", "sae_epochs": "sae.epochs",
-    "lstm_epochs": "lstm.epochs", "lstm_hidden": "lstm.hidden_size",
-    "gbt_rounds": "gbt.rounds",
-}
-
-
 def _load_pipeline_config(args) -> PipelineConfig:
     """The --config file's settings (or the defaults) with each flag that is
-    set written into their document, read back by the one strict reader."""
+    set written into their document, read back by the one strict reader.
+
+    A flag's destination is the setting it writes: a dotted ``section.key``
+    path or a top-level key of the document."""
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     doc = cfg.echo()
-    for flag, setting in _FLAG_SETTINGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            *section, key = setting.split(".")
+    for dest, value in vars(args).items():
+        *section, key = dest.split(".")
+        if value is not None and (section or key in doc):
             (doc[section[0]] if section else doc)[key] = value
     return from_dict(doc)
+
+
+def _write_outputs(directory, files: dict) -> Path:
+    """Write ``files`` (name -> text, or a JSON document) into ``directory``,
+    or into the default output directory when it is None, creating it."""
+    out_dir = Path(directory or PipelineConfig.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content, encoding="utf-8")
+        else:
+            dump_json(out_dir / name, content)
+    return out_dir
 
 
 def _scrub_side(group, table_row):
@@ -208,19 +217,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _check_losses(bundle_path, losses) -> None:
-    """Refuse to store a model whose training loss diverged, before the loss
-    is printed or written."""
-    if not all(math.isfinite(loss) for loss in losses):
-        raise DataError(f"{bundle_path}: cannot store the model bundle: a "
-                        f"training loss is not finite")
-
-
 def cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any epoch
     x, y = artifact.side("train")
     k = artifact.table.maps.size(TARGET)
     bundle_path = out_dir / "bundle.json"
@@ -236,36 +237,35 @@ def cmd_train(args) -> int:
             codes = sae.encode(model.encoders, x)
         classifier, history = lstm.train_classifier(
             codes, y, cfg.lstm, cfg.seed_for("lstm"), k)
-        _check_losses(bundle_path, [model.stack_loss, *ft_losses,
-                                    *chain(*model.pretrain_losses),
-                                    *(loss for loss, _ in history)])
-        save_bundle(bundle_path, "sae-lstm", cfg.echo(), artifact, {
-            "sae": sae.model_to_dict(model),
-            "lstm": lstm.model_to_dict(classifier, codes.shape[1]),
-        })
+        losses = [model.stack_loss, *ft_losses, *chain(*model.pretrain_losses),
+                  *(loss for loss, _ in history)]
+        components = {"sae": sae.model_to_dict(model),
+                      "lstm": lstm.model_to_dict(classifier, codes.shape[1])}
+        histories = {"sae_history.csv": sae.history_csv(model),
+                     "lstm_history.csv": lstm.history_csv(history)}
         if cfg.fine_tune:
-            (out_dir / "fine_tune_history.csv").write_text(
-                csv_text(("epoch", "loss"), enumerate(ft_losses)),
-                encoding="utf-8")
-        (out_dir / "sae_history.csv").write_text(sae.history_csv(model),
-                                                 encoding="utf-8")
-        (out_dir / "lstm_history.csv").write_text(lstm.history_csv(history),
-                                                  encoding="utf-8")
-        print(f"sae-lstm bundle written to {bundle_path}")
-        print(f"  stack reconstruction loss: {model.stack_loss:.6f}")
+            histories["fine_tune_history.csv"] = csv_text(
+                ("epoch", "loss"), enumerate(ft_losses))
+        summary = [f"  stack reconstruction loss: {model.stack_loss:.6f}"]
         if history:
-            print(f"  final epoch loss {history[-1][0]:.6f}, "
-                  f"training accuracy {history[-1][1]:.4f}")
+            summary.append(f"  final epoch loss {history[-1][0]:.6f}, "
+                           f"training accuracy {history[-1][1]:.4f}")
     else:
         model, losses = gbt.train_gbt(x, y, cfg.gbt, k)
-        _check_losses(bundle_path, losses)
-        save_bundle(bundle_path, "gbt", cfg.echo(), artifact,
-                    {"gbt": gbt.model_to_dict(model)})
-        (out_dir / "gbt_history.csv").write_text(gbt.history_csv(losses),
-                                                 encoding="utf-8")
-        print(f"gbt bundle written to {bundle_path}")
-        print(f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
-              f"{cfg.gbt.rounds} rounds")
+        components = {"gbt": gbt.model_to_dict(model)}
+        histories = {"gbt_history.csv": gbt.history_csv(losses)}
+        summary = [f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
+                   f"{cfg.gbt.rounds} rounds"]
+
+    # a model whose training loss diverged is refused before the loss is
+    # printed or written
+    if not all(math.isfinite(loss) for loss in losses):
+        raise DataError(f"{bundle_path}: cannot store the model bundle: a "
+                        f"training loss is not finite")
+    save_bundle(bundle_path, args.kind, cfg.echo(), artifact, components)
+    _write_outputs(out_dir, histories)
+    print(f"{args.kind} bundle written to {bundle_path}")
+    print(*summary, sep="\n")
     return 0
 
 
@@ -278,16 +278,13 @@ def cmd_evaluate(args) -> int:
     classes = artifact.table.maps.categories[TARGET]
     cm = confusion(y, bundle.predict(x), len(classes), classes)
     rep = report(cm)
-    out_dir = Path(args.output or PipelineConfig.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = rep.to_dict()
-    doc["kind"] = bundle.kind
-    doc["split"] = args.split
-    dump_json(out_dir / "report.json", doc)
-    (out_dir / "report.txt").write_text(rep.to_text(), encoding="utf-8")
-    (out_dir / "report.csv").write_text(rep.to_csv(), encoding="utf-8")
-    (out_dir / "confusion.csv").write_text(cm.to_csv(), encoding="utf-8")
-    sys.stdout.write(rep.to_text())
+    text = rep.to_text()
+    _write_outputs(args.output_dir, {
+        "report.json": {**rep.to_dict(), "kind": bundle.kind,
+                        "split": args.split},
+        "report.txt": text, "report.csv": rep.to_csv(),
+        "confusion.csv": cm.to_csv()})
+    sys.stdout.write(text)
     return 0
 
 
@@ -320,38 +317,31 @@ def cmd_compare(args) -> int:
     if name_a == name_b:
         name_a, name_b = f"{name_a}-a", f"{name_b}-b"
     table = compare(rep_a, rep_b, name_a, name_b)
-    out_dir = Path(args.output or PipelineConfig.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(out_dir / "comparison.json", table.to_dict())
-    (out_dir / "comparison.txt").write_text(table.to_text(), encoding="utf-8")
-    (out_dir / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
-    sys.stdout.write(table.to_text())
+    text = table.to_text()
+    _write_outputs(args.output_dir, {"comparison.json": table.to_dict(),
+                                     "comparison.txt": text,
+                                     "comparison.csv": table.to_csv()})
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    artifact = load_artifact(args.artifact)
-    table = artifact.table
-    out_dir = Path(args.output or PipelineConfig.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    table = load_artifact(args.artifact).table
     fin = analytics.financial_report(table)
     dist = analytics.malware_distribution(table)
     anomalies = analytics.anomaly_by_family(table)
     summary = dataset_stats(table)
-    (out_dir / "financial.csv").write_text(fin.to_csv(), encoding="utf-8")
-    (out_dir / "distribution.csv").write_text(dist.to_csv(), encoding="utf-8")
-    (out_dir / "anomalies.csv").write_text(analytics.anomaly_csv(anomalies),
-                                           encoding="utf-8")
-    (out_dir / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
+    files = {"financial.csv": fin.to_csv(), "distribution.csv": dist.to_csv(),
+             "anomalies.csv": analytics.anomaly_csv(anomalies),
+             "summary.csv": summary.to_csv()}
     correlation_doc = None
     if table.row_count >= 2:
         corr = analytics.correlation_matrix(table.values[:, FEATURE_IDX],
                                             FEATURE_NAMES)
-        (out_dir / "correlation.csv").write_text(corr.to_csv(),
-                                                 encoding="utf-8")
+        files["correlation.csv"] = corr.to_csv()
         correlation_doc = corr.to_dict()
     top_total = analytics.rank_families(fin, "total_usd", 3)
-    doc = {  # (name, value) pairs are written as JSON lists
+    files["analysis.json"] = {  # (name, value) pairs are written as JSON lists
         "schema_version": REPORT_VERSION,
         "rows": table.row_count,
         "financial": fin.to_dict(),
@@ -362,7 +352,7 @@ def cmd_analyze(args) -> int:
         "correlation": correlation_doc,
         "summary": summary.to_dict(),
     }
-    dump_json(out_dir / "analysis.json", doc)
+    out_dir = _write_outputs(args.output_dir, files)
     print(f"analysis written to {out_dir}")
     print(f"  rows analyzed: {table.row_count}")
     if fin.families:
@@ -384,15 +374,10 @@ def main(argv=None) -> int:
             parser.error("a command is required (ingest, train, evaluate, "
                          "compare, analyze)")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) \
+            else 3 if isinstance(exc, DataError) else 2
 
 
 if __name__ == "__main__":

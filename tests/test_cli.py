@@ -1,8 +1,10 @@
 """End-to-end command-line runs: artifacts, bundles, reports, exit codes."""
 
+import argparse
 import base64
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -22,8 +24,6 @@ from ransomflow.serialize import (
     checksum,
     dump_json,
 )
-
-INGEST_FILES = ("dataset.json", "table.npz")
 
 
 def read_payload(artifact_dir):
@@ -83,8 +83,43 @@ def gbt_report_dir(gbt_bundle_dir, artifact_dir, tmp_path_factory):
     return out
 
 
-def test_ingest_writes_expected_files(artifact_dir):
-    assert tuple(snapshot(artifact_dir)) == INGEST_FILES
+# command run -> (the fixture that ran it, or its argv with fixture directories
+# in braces and --output appended; the exact files it writes)
+OUTPUT_SETS = {
+    "ingest": ("artifact_dir", ("dataset.json", "table.npz")),
+    "train-sae-lstm": ("sae_bundle_dir",
+                       ("bundle.json", "lstm_history.csv", "sae_history.csv")),
+    "train-sae-lstm-fine-tune": (
+        ("train", "{artifact_dir}", "--sae-epochs", "2", "--lstm-epochs", "2",
+         "--lstm-hidden", "8", "--fine-tune", "--seed", "11"),
+        ("bundle.json", "fine_tune_history.csv", "lstm_history.csv",
+         "sae_history.csv")),
+    "train-gbt": ("gbt_bundle_dir", ("bundle.json", "gbt_history.csv")),
+    "evaluate": ("sae_report_dir", ("confusion.csv", "report.csv",
+                                    "report.json", "report.txt")),
+    "compare": (("compare", "{sae_report_dir}/report.json",
+                 "{gbt_report_dir}/report.json"),
+                ("comparison.csv", "comparison.json", "comparison.txt")),
+    "analyze": (("analyze", "{artifact_dir}"),
+                ("analysis.json", "anomalies.csv", "correlation.csv",
+                 "distribution.csv", "financial.csv", "summary.csv")),
+}
+
+
+@pytest.mark.parametrize("run", OUTPUT_SETS)
+def test_each_command_writes_exactly_its_files(run, request, tmp_path,
+                                               capsys):
+    source, files = OUTPUT_SETS[run]
+    if isinstance(source, str):
+        out = request.getfixturevalue(source)
+    else:
+        dirs = {name: request.getfixturevalue(name)
+                for name in re.findall(r"{(\w+)}", " ".join(source))}
+        out = tmp_path / "out"
+        argv = [arg.format(**dirs) for arg in source]
+        assert main([*argv, "--output", str(out)]) == 0
+        capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 def test_ingest_stage_counts_match_fixture(synthetic_csv, artifact_dir):
@@ -226,9 +261,50 @@ def test_one_parser_per_process_keeps_no_state_between_calls():
                                "3", "--seed", "5"])
     second = parser.parse_args(["train", "art"])
     assert cli.build_parser() is parser
-    assert (first.fine_tune, first.gbt_rounds, first.seed) == (True, 3, 5)
-    assert (second.fine_tune, second.gbt_rounds, second.seed) \
+    assert (first.fine_tune, getattr(first, "gbt.rounds"), first.seed) \
+        == (True, 3, 5)
+    assert (second.fine_tune, getattr(second, "gbt.rounds"), second.seed) \
         == (None, None, None)
+
+
+# destinations that are the command's own arguments rather than settings
+COMMAND_ARGUMENTS = ("command", "func", "config", "artifact", "kind", "bundle",
+                     "split", "report_a", "report_b", "name_a", "name_b")
+
+
+def stray_destinations(parser) -> list:
+    """Each destination, action or default, of ``parser`` and its
+    subcommands that is neither a setting path resolving to a value of
+    :meth:`PipelineConfig.echo` nor in :data:`COMMAND_ARGUMENTS`."""
+    settings = PipelineConfig().echo()
+
+    def is_setting(dest):
+        node = settings
+        for part in dest.split("."):
+            if not isinstance(node, dict) or part not in node:
+                return False
+            node = node[part]
+        return not isinstance(node, dict)
+
+    parsers = [parser, *(sub for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)
+                         for sub in action.choices.values())]
+    dests = [dest for p in parsers for dest in (
+        *(a.dest for a in p._actions
+          if not isinstance(a, argparse._HelpAction)), *p._defaults)]
+    return sorted({dest for dest in dests if not is_setting(dest)
+                   and dest not in COMMAND_ARGUMENTS})
+
+
+def test_each_flag_destination_is_the_setting_it_writes():
+    parser = cli.build_parser()
+    assert stray_destinations(parser) == []
+    toy = argparse.ArgumentParser()
+    for dest in ("lstm.hiden_size", "lstm", "seeds", "sae.epochs.x",
+                 "lstm.hidden_size", "seed", "kind"):
+        toy.add_argument("--" + dest.replace(".", "-"), dest=dest)
+    assert stray_destinations(toy) == ["lstm", "lstm.hiden_size",
+                                       "sae.epochs.x", "seeds"]
 
 
 def test_config_file_overrides_and_validation(synthetic_csv, tmp_path):
@@ -286,8 +362,6 @@ def test_ingest_subsample_and_alternate_ordering(synthetic_csv, tmp_path):
 
 
 def test_train_sae_lstm_outputs(sae_bundle_dir):
-    for name in ("bundle.json", "sae_history.csv", "lstm_history.csv"):
-        assert (sae_bundle_dir / name).is_file(), name
     doc = json.loads((sae_bundle_dir / "bundle.json").read_text())
     assert doc["payload"]["kind"] == "sae-lstm"
     assert "checksum" in doc
@@ -297,21 +371,11 @@ def test_train_sae_lstm_outputs(sae_bundle_dir):
 
 
 def test_train_gbt_outputs(gbt_bundle_dir):
-    assert (gbt_bundle_dir / "bundle.json").is_file()
     history = (gbt_bundle_dir / "gbt_history.csv").read_text().splitlines()
     assert history[0] == "round,loss"
     assert len(history) == 1 + 11  # initial loss plus one line per round
     doc = json.loads((gbt_bundle_dir / "bundle.json").read_text())
     assert doc["payload"]["kind"] == "gbt"
-
-
-def test_train_fine_tune_writes_history(artifact_dir, tmp_path):
-    out = tmp_path / "ft"
-    rc = main(["train", str(artifact_dir), "--kind", "sae-lstm",
-               "--output", str(out), "--sae-epochs", "2", "--lstm-epochs", "2",
-               "--lstm-hidden", "8", "--fine-tune", "--seed", "11"])
-    assert rc == 0
-    assert (out / "fine_tune_history.csv").is_file()
 
 
 @pytest.mark.parametrize("section", [
@@ -692,9 +756,17 @@ def test_train_missing_artifact_exits_2(tmp_path):
                  "--output", str(tmp_path / "o")]) == 2
 
 
+def test_train_unwritable_output_exits_2_before_training(artifact_dir,
+                                                          tmp_path,
+                                                          monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(gbt, "train_gbt", lambda *a: pytest.fail("trained"))
+    assert main(["train", str(artifact_dir), "--kind", "gbt",
+                 "--output", str(blocker / "o")]) == 2
+
+
 def test_evaluate_report_covers_test_split(sae_report_dir, artifact_dir):
-    for name in ("report.json", "report.txt", "report.csv", "confusion.csv"):
-        assert (sae_report_dir / name).is_file(), name
     report = json.loads((sae_report_dir / "report.json").read_text())
     test_rows = load_artifact(artifact_dir).test_index.size
     assert report["total_support"] == test_rows
@@ -1062,8 +1134,6 @@ def test_compare_two_reports(sae_report_dir, gbt_report_dir, tmp_path,
     rc = main(["compare", str(sae_report_dir / "report.json"),
                str(gbt_report_dir / "report.json"), "--output", str(out)])
     assert rc == 0
-    for name in ("comparison.json", "comparison.txt", "comparison.csv"):
-        assert (out / name).is_file(), name
     doc = json.loads((out / "comparison.json").read_text())
     assert doc["model_a"] == "sae-lstm"
     assert doc["model_b"] == "gbt"
@@ -1152,9 +1222,6 @@ def test_analyze_outputs(artifact_dir, synthetic_csv, tmp_path, capsys):
     out = tmp_path / "analysis"
     rc = main(["analyze", str(artifact_dir), "--output", str(out)])
     assert rc == 0
-    for name in ("financial.csv", "distribution.csv", "anomalies.csv",
-                 "correlation.csv", "summary.csv", "analysis.json"):
-        assert (out / name).is_file(), name
     doc = json.loads((out / "analysis.json").read_text())
     assert doc["rows"] == meta["clean_rows"]
     pct_total = sum(e["percent"] for e in doc["distribution"]["entries"])

@@ -1,12 +1,12 @@
-"""Distinct-line, column-wise CSV parsing against the row-by-row reference.
+"""Columnar CSV parsing against the row-by-row reference.
 
 The reference is the straightforward parser: ``csv.reader`` over the whole
 stream, one validated tuple of stripped cells per row, then one encoding
-pass per row and cell. The fast path parses each distinct line once and
-handles each column as one block; it must give the same rows, the same
-category tables and byte-identical encoded values, and on bad input the
-same error type, line, column and cell, for path and bytes sources
-alike.
+pass per row and cell. The parser under test splits the bytes into cells
+with array scans and handles each column as one block; it must give the
+same rows, the same category tables and byte-identical encoded values, and
+on bad input the same error type, line, column and cell, for path and bytes
+sources alike.
 """
 
 import csv
