@@ -185,14 +185,16 @@ def cmd_ingest(args) -> int:
         encoded = encoded.with_values(encoded.values[keep])
         stages["subsampled_rows"] = encoded.row_count
 
-    deduped, removed_dup = deduplicate(encoded)
-    table, removed_time = clean_timestamps(deduped)
     if ds.split_before_dedup:
         # Leakage experiment: partition the raw encoded rows first so shared
         # duplicates can land on both sides, then scrub each side on its own.
+        # One first-occurrence pass gives the distinct rows and each raw
+        # row's group.
+        first, group = first_occurrences(encoded.values)
+        deduped = encoded.with_values(encoded.values[first])
+        table, _ = clean_timestamps(deduped)
         sides = stratified_indices(encoded.target_codes(), ds.test_ratio,
                                    cfg.seed_for("split"))
-        _, group = first_occurrences(encoded.values)
         kept = deduped.column("Time") > 0.0  # the rows clean_timestamps keeps
         table_row = np.where(kept, np.cumsum(kept) - 1, -1)
         scrubbed = [_scrub_side(group[idx], table_row) for idx in sides]
@@ -200,8 +202,8 @@ def cmd_ingest(args) -> int:
         stages["duplicates_removed"] = sum(dups)
         stages["bad_timestamps_removed"] = sum(bads)
     else:
-        stages["duplicates_removed"] = removed_dup
-        stages["bad_timestamps_removed"] = removed_time
+        deduped, stages["duplicates_removed"] = deduplicate(encoded)
+        table, stages["bad_timestamps_removed"] = clean_timestamps(deduped)
         train_idx, test_idx = stratified_indices(
             table.target_codes(), ds.test_ratio, cfg.seed_for("split"))
     if len(train_idx) == 0:

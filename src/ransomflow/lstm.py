@@ -48,6 +48,7 @@ from .nn import (
     cross_entropy_loss,
     dense_backward_preact,
     dense_forward,
+    row_chunks,
     sigmoid,
     train_epochs,
 )
@@ -422,21 +423,18 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     return model, history
 
 
-# rows per forward pass when predicting, which bounds the cached gate values
-PREDICT_CHUNK = 4096
-
-
 def predict_proba(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for (n, d) feature rows."""
+    """Class probabilities for (n, d) feature rows.
+
+    The rows run in the chunks of :func:`ransomflow.nn.row_chunks`, which
+    bound the cached gate values; each row's probabilities equal those of
+    one :func:`sequence_forward` over all rows.
+    """
     sequences = to_sequences(x, model.config.sequence_layout)
-    parts = []
-    for start in range(0, sequences.shape[0], PREDICT_CHUNK):
-        probs, _ = sequence_forward(model,
-                                    sequences[start:start + PREDICT_CHUNK])
-        parts.append(probs)
-    if not parts:
-        return np.empty((0, model.head.out_dim))
-    return np.concatenate(parts, axis=0)
+    probs = np.empty((sequences.shape[0], model.head.out_dim))
+    for rows in row_chunks(sequences.shape[0]):
+        probs[rows] = sequence_forward(model, sequences[rows])[0]
+    return probs
 
 
 def predict(model: LstmClassifier, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Dense layers, losses, Adam, and finite-difference gradient checking.
+"""Dense layers, a cache-free chunked forward pass, losses, Adam, and
+finite-difference gradient checking.
 
 Everything runs in float64. Weights use the (out_dim, in_dim) convention so a
 forward pass is ``x @ w.T + b`` on row-major batches. Initialization is
@@ -102,9 +103,7 @@ class BatchCache:
     output: np.ndarray
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Forward pass on a (m, in_dim) batch. Returns (output, cache)."""
-    x = np.asarray(x, dtype=np.float64)
+def _pre_activation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeMismatch(f"expected 2-d batch, got shape {x.shape}")
     if x.shape[1] != layer.in_dim:
@@ -113,8 +112,44 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
         )
     z = x @ layer.weights.T
     z += layer.biases
+    return z
+
+
+def dense_forward(layer: DenseLayer, x: np.ndarray):
+    """Forward pass on a (m, in_dim) batch. Returns (output, cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    z = _pre_activation(layer, x)
     out = _activate(layer.activation, z)
     return out, BatchCache(inputs=x, pre_activation=z, output=out)
+
+
+# Rows per chunk of a full-data pass. OpenBLAS rounds a product of a few rows
+# through another kernel than a product of many, so a short tail chunk would
+# change bits; every chunk holds at least this many rows or the whole input.
+CHUNK_ROWS = 4096
+
+
+def row_chunks(n: int) -> list:
+    """Slices cutting ``n`` rows into max(1, n // CHUNK_ROWS) chunks of
+    CHUNK_ROWS rows, the last also taking the remainder, so a row's result
+    equals that of one product over all ``n`` rows."""
+    starts = [i * CHUNK_ROWS for i in range(max(1, n // CHUNK_ROWS))]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
+def apply(layers: list, x: np.ndarray) -> np.ndarray:
+    """Forward pass of (n, d) rows through the dense ``layers`` in order,
+    keeping no cache: chunk by chunk (:func:`row_chunks`) into one
+    preallocated output, equal to chaining :func:`dense_forward`."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.shape[0], layers[-1].out_dim))
+    for rows in row_chunks(x.shape[0]):
+        current = x[rows]
+        for layer in layers:
+            current = _activate(layer.activation,
+                                _pre_activation(layer, current))
+        out[rows] = current
+    return out
 
 
 def _grad_pre_activation(layer: DenseLayer, cache: BatchCache,

@@ -30,6 +30,7 @@ from .nn import (
     ACTIVATIONS,
     DenseLayer,
     adam_over,
+    apply,
     cross_entropy_loss,
     dense_backward,
     dense_backward_preact,
@@ -134,6 +135,11 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     consulted. The returned model records each layer's loss curve and the
     whole stack's reconstruction loss on the training data, and keeps the
     training data's codes, equal to ``encode(model.encoders, data)``.
+
+    Only one full-data array besides ``data`` is held at a time: the input
+    of the layer that pretrains next. Once a layer has pretrained, its input
+    is dropped and its output is computed afresh from ``data`` through all
+    the encoders so far by :func:`ransomflow.nn.apply`, which keeps no cache.
     """
     data = np.asarray(data, dtype=np.float64)
     encoders = []
@@ -147,31 +153,24 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
         encoders.append(encoder)
         decoders.append(decoder)
         histories.append(losses)
-        # [0]: drop the full-data cache before the next layer trains
-        current = dense_forward(encoder, current)[0]
+        current = None  # freed before the next input is built
+        current = apply(encoders, data)
     decoders.reverse()
-    codes = current  # decoding the codes gives the reconstruction
-    for decoder in decoders:
-        current = dense_forward(decoder, current)[0]
+    # decoding the codes gives the reconstruction
+    stack_loss = float(mse_loss(apply(decoders, current), data)[0])
     return SAEModel(encoders=encoders, decoders=decoders, config=config,
-                    pretrain_losses=histories,
-                    stack_loss=float(mse_loss(current, data)[0]), codes=codes)
+                    pretrain_losses=histories, stack_loss=stack_loss,
+                    codes=current)
 
 
 def encode(encoders: list, x: np.ndarray) -> np.ndarray:
     """Map (n, d) rows through ``encoders`` to the deepest code layer."""
-    current = x
-    for layer in encoders:
-        current = dense_forward(layer, current)[0]
-    return current
+    return apply(encoders, x)
 
 
 def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
     """Round trip of (n, d) rows through the full stack: encode then decode."""
-    current = x
-    for layer in model.encoders + model.decoders:
-        current = dense_forward(layer, current)[0]
-    return current
+    return apply(model.encoders + model.decoders, x)
 
 
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,

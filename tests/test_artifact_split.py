@@ -14,7 +14,7 @@ import pytest
 
 from conftest import rewrite_table, synthetic_csv_text
 
-from ransomflow import artifacts
+from ransomflow import artifacts, cli, dataset
 from ransomflow.artifacts import load_artifact
 from ransomflow.cli import main
 from ransomflow.config import DatasetConfig, PipelineConfig
@@ -106,6 +106,27 @@ def test_loaded_split_equals_reference(flags, dup_heavy_csv, tmp_path):
         # side in its own first-occurrence order rather than table order
         assert set(train_index) & set(test_index)
         assert train_index != sorted(train_index)
+
+
+@pytest.mark.parametrize("flags", [[], ["--split-before-dedup"]],
+                         ids=["dedup-clean-split", "split-before-dedup"])
+def test_ingest_groups_the_records_once(flags, dup_heavy_csv, tmp_path,
+                                        monkeypatch):
+    """One first-occurrence pass over the encoded records serves the dedup
+    and, when splitting first, each raw row's group."""
+    kernel = dataset.first_occurrences
+    passes = []
+
+    def counted(rows):
+        if rows.dtype == np.float64:  # the records, not a column's cell keys
+            passes.append(rows.shape)
+        return kernel(rows)
+
+    monkeypatch.setattr(dataset, "first_occurrences", counted)
+    monkeypatch.setattr(cli, "first_occurrences", counted)
+    assert main(["ingest", str(dup_heavy_csv), "--output",
+                 str(tmp_path / "art"), *flags]) == 0
+    assert len(passes) == 1
 
 
 def test_artifact_without_split_lists_exits_3(dup_heavy_csv, tmp_path,

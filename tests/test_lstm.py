@@ -8,7 +8,7 @@ import pytest
 
 from conftest import blob_data
 
-from ransomflow import lstm, rng
+from ransomflow import nn, rng
 from ransomflow.config import read_section, section_doc
 from ransomflow.errors import (
     ConfigError,
@@ -34,7 +34,12 @@ from ransomflow.lstm import (
     to_sequences,
     train_classifier,
 )
-from ransomflow.nn import cross_entropy_loss, dense_forward, grad_check
+from ransomflow.nn import (
+    CHUNK_ROWS,
+    cross_entropy_loss,
+    dense_forward,
+    grad_check,
+)
 
 
 def zero_cell(input_size: int, hidden_size: int) -> LstmCell:
@@ -281,8 +286,19 @@ def test_predict_batch_matches_per_row(monkeypatch):
     assert np.array_equal(predict(model, x),
                           batch.argmax(axis=1).astype(np.int64))
     # chunked evaluation stitches to the same answer
-    monkeypatch.setattr(lstm, "PREDICT_CHUNK", 5)
+    monkeypatch.setattr(nn, "CHUNK_ROWS", 5)
     assert np.array_equal(predict_proba(model, x), batch)
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS + 1, CHUNK_ROWS + 300,
+                               2 * CHUNK_ROWS + 50])
+def test_predict_proba_equals_one_unchunked_forward_bit_for_bit(n):
+    # a row's probabilities must not depend on n mod CHUNK_ROWS: a short
+    # tail chunk is rounded by another BLAS kernel
+    model = create_classifier(13, 3, LstmConfig(hidden_size=168), 57)
+    x = rng.uniform(58, (n, 13))
+    whole, _ = sequence_forward(model, to_sequences(x, "single-step"))
+    assert np.array_equal(predict_proba(model, x), whole)
 
 
 def test_model_serialization_round_trip():

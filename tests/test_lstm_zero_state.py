@@ -22,7 +22,7 @@ import pytest
 
 from conftest import ReferenceAdam
 
-from ransomflow import lstm, rng
+from ransomflow import nn, rng
 from ransomflow.errors import ShapeMismatch
 from ransomflow.lstm import (
     LstmCell,
@@ -207,7 +207,7 @@ def test_training_matches_full_concat_reference(layout, layers, hidden, clip,
     for p, ref in zip(model.params(), ref_model.params()):
         check(p, ref, exact)
     check(history, ref_history, exact)
-    monkeypatch.setattr(lstm, "PREDICT_CHUNK", 7)
+    monkeypatch.setattr(nn, "CHUNK_ROWS", 7)
     probs = predict_proba(model, x)
     ref_probs, _ = ref_forward(model, to_sequences(x, layout))
     check(probs, ref_probs, exact)

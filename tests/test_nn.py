@@ -15,8 +15,10 @@ from conftest import textbook_adam
 from ransomflow import rng
 from ransomflow.errors import DataError, LabelOutOfRange, ShapeMismatch
 from ransomflow.nn import (
+    CHUNK_ROWS,
     Adam,
     DenseLayer,
+    apply,
     cross_entropy_loss,
     dense_backward,
     dense_backward_preact,
@@ -26,6 +28,7 @@ from ransomflow.nn import (
     layer_to_dict,
     mse_loss,
     param_count,
+    row_chunks,
     sigmoid,
     softmax,
 )
@@ -61,6 +64,50 @@ def test_dense_forward_rejects_bad_width():
         dense_forward(layer, np.zeros((4, 5)))
     with pytest.raises(ShapeMismatch):
         dense_forward(layer, np.zeros(3))
+
+
+# The SAE's shapes (13 -> 75 -> 50 -> 13 and back) and a softmax head, one
+# activation of each kind
+CHAIN = [DenseLayer.create(i, o, act, rng.derive(31, "chain", j))
+         for j, (i, o, act) in enumerate([
+             (13, 75, "relu"), (75, 50, "tanh"), (50, 13, "sigmoid"),
+             (13, 50, "relu"), (50, 75, "linear"), (75, 13, "sigmoid"),
+             (13, 3, "softmax")])]
+# around the chunk size: a tail of 1, 2 or 92 rows must not be a product of
+# its own, since OpenBLAS rounds short products through another kernel
+APPLY_ROWS = [0, 1, 2, 93, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+              CHUNK_ROWS + 2, CHUNK_ROWS + 92, 2 * CHUNK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n", APPLY_ROWS)
+def test_apply_equals_chained_dense_forward_bit_for_bit(n):
+    x = rng.uniform(32, (n, 13))
+    expected = x
+    for depth, layer in enumerate(CHAIN, 1):
+        expected = dense_forward(layer, expected)[0]
+        got = apply(CHAIN[:depth], x)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected), (n, layer.activation)
+
+
+@pytest.mark.parametrize("n", [*APPLY_ROWS, 3 * CHUNK_ROWS - 1])
+def test_row_chunks_are_full_chunks_or_the_whole_input(n):
+    chunks = row_chunks(n)
+    assert len(chunks) == max(1, n // CHUNK_ROWS)
+    assert [c.start for c in chunks] == [i * CHUNK_ROWS
+                                         for i in range(len(chunks))]
+    assert [c.stop for c in chunks] == [c.start for c in chunks[1:]] + [n]
+    sizes = [c.stop - c.start for c in chunks]
+    assert all(size >= CHUNK_ROWS for size in sizes) or sizes == [n]
+
+
+def test_apply_rejects_bad_shapes():
+    with pytest.raises(ShapeMismatch):  # a row is a (1, d) batch
+        apply(CHAIN, np.zeros(13))
+    with pytest.raises(ShapeMismatch):
+        apply(CHAIN, np.zeros((4, 12)))
+    with pytest.raises(ShapeMismatch):  # the chain must fit together
+        apply([CHAIN[0], CHAIN[0]], np.zeros((4, 13)))
 
 
 def test_softmax_rows_are_distributions():

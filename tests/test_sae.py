@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ def test_build_stack_keeps_the_codes_encode_gives(activation):
     assert np.array_equal(model.codes, encode(model.encoders, data))
     # kept in memory only: the stored model does not hold them
     assert "codes" not in json.dumps(model_to_dict(model))
+
+
+# tracemalloc peak of build_stack over its input's bytes, on 40,000 rows of
+# 13 features through the default 75/50/13 stack: 13.6 while each full-data
+# pass built its training cache, 7.9 with one full-width array held at a time
+HEAP_BOUND = 10.0
+
+
+def test_build_stack_heap_peak_is_bounded_by_the_input_size():
+    data = rng.uniform(12, (40_000, 13))
+    tracemalloc.start()
+    try:
+        build_stack(data, SAEConfig(epochs=1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HEAP_BOUND * data.nbytes
 
 
 def test_fine_tune_drops_the_kept_codes():
