@@ -7,7 +7,7 @@ columns are taken as-is from the cleaned table (pre-normalization values).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,12 +27,12 @@ class FamilyFinance:
 
 # FamilyFinance's fields: a family's row of financial.csv, and what
 # rank_families can rank by
-_RANK_KEYS = ("attack_count", "total_usd", "mean_usd", "total_btc", "mean_btc")
+_RANK_KEYS = tuple(f.name for f in fields(FamilyFinance))
 
 
 @dataclass
 class FinancialReport:
-    families: dict  # name -> FamilyFinance, keyed in vocabulary (byte) order
+    families: dict[str, FamilyFinance]  # keyed in vocabulary (byte) order
     global_mean_usd: float
     global_mean_btc: float
     total_usd: float
@@ -40,24 +40,7 @@ class FinancialReport:
     row_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_VERSION,
-            "families": {
-                name: {
-                    "attack_count": ff.attack_count,
-                    "total_usd": ff.total_usd,
-                    "mean_usd": ff.mean_usd,
-                    "total_btc": ff.total_btc,
-                    "mean_btc": ff.mean_btc,
-                }
-                for name, ff in self.families.items()
-            },
-            "global_mean_usd": self.global_mean_usd,
-            "global_mean_btc": self.global_mean_btc,
-            "total_usd": self.total_usd,
-            "total_btc": self.total_btc,
-            "row_count": self.row_count,
-        }
+        return {"schema_version": REPORT_VERSION, **asdict(self)}
 
     def to_csv(self) -> str:
         rows = [(name, *astuple(ff)) for name, ff in self.families.items()]
@@ -66,31 +49,38 @@ class FinancialReport:
         return csv_text(("family", *_RANK_KEYS), rows)
 
 
+def _per_category(table: EncodedTable, column: str, rows, *weights) -> list:
+    """(name, row count, one sum per weight column) of each category of
+    ``column``, in code order, zero counts included, over the rows that
+    ``rows`` selects (a slice or a boolean mask)."""
+    codes = table.codes(column)[rows]
+    size = table.maps.size(column)
+    counts = np.bincount(codes, minlength=size)
+    sums = [np.bincount(codes, weights=w[rows], minlength=size)
+            for w in weights]
+    return [(table.maps.value(column, code), int(counts[code]),
+             *(float(s[code]) for s in sums)) for code in range(size)]
+
+
+def _ranked(entries) -> list:
+    """``entries``, tuples of a name and a value, sorted by the value
+    descending, then the name ascending, so rankings are reproducible."""
+    return sorted(entries, key=lambda e: (-e[1], e[0]))
+
+
 def financial_report(table: EncodedTable) -> FinancialReport:
     """Attack counts and USD and BTC totals per ransomware family.
 
     Families absent from the table are omitted; an empty table produces an
     empty report with zero global means.
     """
-    codes = table.codes("Family")
     usd = table.column("USD")
     btc = table.column("BTC")
-    vocab_size = table.maps.size("Family")
-    counts = np.bincount(codes, minlength=vocab_size)
-    usd_totals = np.bincount(codes, weights=usd, minlength=vocab_size)
-    btc_totals = np.bincount(codes, weights=btc, minlength=vocab_size)
-    families = {}
-    for code in range(vocab_size):
-        if counts[code] == 0:
-            continue
-        name = table.maps.value("Family", code)
-        families[name] = FamilyFinance(
-            attack_count=int(counts[code]),
-            total_usd=float(usd_totals[code]),
-            mean_usd=float(usd_totals[code] / counts[code]),
-            total_btc=float(btc_totals[code]),
-            mean_btc=float(btc_totals[code] / counts[code]),
-        )
+    families = {name: FamilyFinance(count, total_usd, total_usd / count,
+                                    total_btc, total_btc / count)
+                for name, count, total_usd, total_btc in
+                _per_category(table, "Family", slice(None), usd, btc)
+                if count}
     n = table.row_count
     return FinancialReport(
         families=families,
@@ -110,9 +100,8 @@ def rank_families(report: FinancialReport, key: str, top_n: int):
     """
     if key not in _RANK_KEYS:
         raise ConfigError(f"rank key must be one of {_RANK_KEYS}, got {key!r}")
-    pairs = [(name, getattr(ff, key)) for name, ff in report.families.items()]
-    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-    return pairs[:top_n]
+    return _ranked((name, getattr(ff, key))
+                   for name, ff in report.families.items())[:top_n]
 
 
 # the fields of a DistributionReport entry
@@ -140,20 +129,11 @@ class DistributionReport:
 def malware_distribution(table: EncodedTable) -> DistributionReport:
     """Share of rows per threat category, sorted by count descending then
     name."""
-    column = "Threats"
-    codes = table.codes(column)
-    vocab_size = table.maps.size(column)
-    counts = np.bincount(codes, minlength=vocab_size)
     total = table.row_count
-    entries = []
-    for code in range(vocab_size):
-        if counts[code] == 0:
-            continue
-        name = table.maps.value(column, code)
-        pct = 100.0 * counts[code] / total
-        entries.append((name, int(counts[code]), float(pct)))
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return DistributionReport(column=column, entries=entries, total=total)
+    entries = [(name, count, 100.0 * count / total) for name, count in
+               _per_category(table, "Threats", slice(None)) if count]
+    return DistributionReport(column="Threats", entries=_ranked(entries),
+                              total=total)
 
 
 @dataclass
@@ -221,17 +201,9 @@ def anomaly_by_family(table: EncodedTable):
     try:
         anomaly_code = table.maps.code(TARGET, "A")
     except UnknownCategory:
-        anomaly_code = -1
-    vocab_size = table.maps.size("Family")
-    if anomaly_code >= 0:
-        mask = table.target_codes() == anomaly_code
-        counts = np.bincount(table.codes("Family")[mask], minlength=vocab_size)
-    else:
-        counts = np.zeros(vocab_size, dtype=np.int64)
-    pairs = [(table.maps.value("Family", code), int(counts[code]))
-             for code in range(vocab_size)]
-    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-    return pairs
+        anomaly_code = -1  # no row holds it
+    return _ranked(_per_category(table, "Family",
+                                 table.target_codes() == anomaly_code))
 
 
 def anomaly_csv(pairs) -> str:

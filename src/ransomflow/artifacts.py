@@ -147,11 +147,7 @@ def _read_table_npz(raw: bytes, maps):
         if not isinstance(stored, np.lib.npyio.NpzFile):
             raise ValueError("a single array, not an archive")
         with stored:
-            missing = sorted(set(_TABLE_LAYOUT) - set(stored.files))
-            unknown = sorted(set(stored.files) - set(_TABLE_LAYOUT))
-            if missing or unknown:
-                raise SchemaMismatch(f"missing member(s) {missing}, "
-                                     f"unknown member(s) {unknown}")
+            require_keys(stored.files, _TABLE_LAYOUT, "npz members")
             members = {name: stored[name] for name in _TABLE_LAYOUT}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaMismatch(f"not a readable npz archive ({exc})") from None

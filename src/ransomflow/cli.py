@@ -16,7 +16,6 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -239,8 +238,7 @@ def cmd_train(args) -> int:
             codes = sae.encode(model.encoders, x)
         classifier, history = lstm.train_classifier(
             codes, y, cfg.lstm, cfg.seed_for("lstm"), k)
-        losses = [model.stack_loss, *ft_losses, *chain(*model.pretrain_losses),
-                  *(loss for loss, _ in history)]
+        losses = [model.stack_loss]
         components = {"sae": sae.model_to_dict(model),
                       "lstm": lstm.model_to_dict(classifier, codes.shape[1])}
         histories = {"sae_history.csv": sae.history_csv(model),
@@ -259,8 +257,8 @@ def cmd_train(args) -> int:
         summary = [f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
                    f"{cfg.gbt.rounds} rounds"]
 
-    # a model whose training loss diverged is refused before the loss is
-    # printed or written
+    # every epoch loss was checked as it ran (nn.train_epochs); a stack or
+    # boosting loss that diverged is refused before it is printed or written
     if not all(math.isfinite(loss) for loss in losses):
         raise DataError(f"{bundle_path}: cannot store the model bundle: a "
                         f"training loss is not finite")

@@ -48,6 +48,8 @@ from .nn import (
     cross_entropy_loss,
     dense_backward_preact,
     dense_forward,
+    layer_from_dict,
+    layer_to_dict,
     row_chunks,
     sigmoid,
     train_epochs,
@@ -414,8 +416,8 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
                           optimizer.grads)
         return loss, int((probs.argmax(axis=1) == labels).sum())
 
-    history = train_epochs(optimizer, batch_step, x.shape[0],
-                           config.batch_size, seed, config.epochs)
+    history = train_epochs("LSTM training", optimizer, batch_step,
+                           x.shape[0], config.batch_size, seed, config.epochs)
     for p, s, view in zip(model.params(), live, optimizer.params):
         p[s] = view
     for cell in model.cells:
@@ -451,14 +453,14 @@ def model_to_dict(model: LstmClassifier, features: int) -> dict:
     training changed; :func:`model_from_dict` derives the rest."""
     steps = to_sequences(np.empty((0, features)),
                          model.config.sequence_layout).shape[1]
+    # the cells' trained parts; the head, last, trains whole
     views = iter(p[s] for p, s in zip(model.params(),
                                       trained_slices(model, steps)))
     return {
         "cells": [{"w": array_doc(next(views), "lstm cell w"),
                    "b": array_doc(next(views), "lstm cell b")}
                   for _ in model.cells],
-        "head": {"weights": array_doc(next(views), "dense layer weights"),
-                 "biases": array_doc(next(views), "dense layer biases")},
+        "head": layer_to_dict(model.head),
     }
 
 
@@ -472,16 +474,15 @@ def model_from_dict(doc: dict, config: LstmConfig, features: int,
     model = create_classifier(width, k_classes, config, seed)
     require_keys(doc, ("cells", "head"), "lstm")
     stored = [a for cell in doc["cells"] for a in (cell["w"], cell["b"])]
-    stored += [doc["head"]["weights"], doc["head"]["biases"]]
     for cell in doc["cells"]:
         require_keys(cell, ("w", "b"), "lstm cell")
-    require_keys(doc["head"], ("weights", "biases"), "lstm head")
+    stored = [*map(array_from_doc, stored),
+              *layer_from_dict(doc["head"], "softmax").params()]
     params = model.params()
     if len(stored) != len(params):
         raise SchemaMismatch(f"{len(doc['cells'])} stored cells for "
                              f"{config.num_layers} lstm layers")
-    for p, s, stored_doc in zip(params, trained_slices(model, steps), stored):
-        part = array_from_doc(stored_doc)
+    for p, s, part in zip(params, trained_slices(model, steps), stored):
         if part.shape != p[s].shape:
             raise SchemaMismatch(f"stored lstm parameter shape {part.shape} "
                                  f"!= {p[s].shape}")

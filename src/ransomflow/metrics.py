@@ -9,7 +9,7 @@ by construction, which doubles as an internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -146,15 +146,18 @@ class MetricsReport:
     macro: Scores
     weighted: Scores
     total_support: int
-    zero_division: tuple = ()
+    zero_division: tuple  # names of the classes with a zero denominator
 
     def averages(self) -> dict:
         return {"macro": self.macro, "weighted": self.weighted}
 
     @classmethod
     def from_values(cls, class_names, precision, recall, f1, support,
-                    accuracy, macro=None, weighted=None) -> "MetricsReport":
-        """Assemble a report from externally published per-class numbers.
+                    accuracy, zero_division=(), macro=None,
+                    weighted=None) -> "MetricsReport":
+        """Assemble a report from per-class numbers, computed by
+        :func:`report` or published elsewhere. ``zero_division`` names the
+        classes scored 0 for a zero denominator.
 
         ``macro`` and ``weighted`` are optional (precision, recall, f1)
         triples; when omitted they are recomputed from the per-class values.
@@ -174,6 +177,7 @@ class MetricsReport:
             macro=macro_scores if macro is None else Scores(*macro),
             weighted=weighted_scores if weighted is None else Scores(*weighted),
             total_support=int(sum(support)),
+            zero_division=tuple(zero_division),
         )
 
     def to_dict(self) -> dict:
@@ -238,7 +242,8 @@ class MetricsReport:
         rows.append(("accuracy", self.accuracy, "", "", self.total_support))
         rows += [(f"{average} avg", *astuple(s), self.total_support)
                  for average, s in self.averages().items()]
-        return csv_text(("class", "precision", "recall", "f1", "support"), rows)
+        return csv_text(("class", *(f.name for f in fields(ClassScores))),
+                        rows)
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
@@ -255,19 +260,10 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
     recall = np.divide(diag, support, out=np.zeros(cm.k_classes),
                        where=has_true)
     f1 = [f1_score(p, r) for p, r in zip(precision, recall)]
-    macro, weighted = _averages(precision, recall, f1, support)
-    return MetricsReport(
-        class_names=cm.class_names,
-        per_class={name: ClassScores(*values) for name, *values in
-                   zip(cm.class_names, precision, recall, f1, support)},
-        accuracy=float(diag.sum() / total),
-        macro=macro,
-        weighted=weighted,
-        total_support=total,
-        zero_division=tuple(name for name, scored in
-                            zip(cm.class_names, has_predicted & has_true)
-                            if not scored),
-    )
+    return MetricsReport.from_values(
+        cm.class_names, precision, recall, f1, support, diag.sum() / total,
+        [name for name, scored in zip(cm.class_names, has_predicted & has_true)
+         if not scored])
 
 
 @dataclass

@@ -235,8 +235,8 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
     m = predicted.shape[0]
     diff = predicted - target
     loss = float((diff * diff).sum() / m)
-    grad = (2.0 / m) * diff
-    return loss, grad
+    diff *= 2.0 / m  # the gradient, in the difference's own buffer
+    return loss, diff
 
 
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
@@ -344,8 +344,8 @@ def adam_over(layers, learning_rate: float) -> Adam:
     return optimizer
 
 
-def train_epochs(optimizer: Adam, batch_step, n: int, batch_size: int,
-                 seed: int, epochs: int,
+def train_epochs(stage: str, optimizer: Adam, batch_step, n: int,
+                 batch_size: int, seed: int, epochs: int,
                  stop_below: float | None = None) -> list:
     """Mini-batch Adam over ``n`` rows, reshuffled each epoch from ``seed``.
 
@@ -353,16 +353,29 @@ def train_epochs(optimizer: Adam, batch_step, n: int, batch_size: int,
     and returns its mean loss and count of right predictions (0 if none are
     made); ``optimizer.step()`` follows. Returns one (mean loss, accuracy)
     pair per epoch run, stopping after the first below ``stop_below``.
+
+    A diverged run fails loudly: an epoch whose mean loss is not finite, or a
+    :class:`DataError` from a batch step, raises :class:`DataError` naming
+    ``stage`` and the epoch. numpy's overflow and invalid-value warnings are
+    silenced while the batches run; the loss check reports them instead.
     """
     history = []
     for epoch in range(epochs):
+        where = f"{stage}: epoch {epoch}"
         loss_sum = 0.0
         correct = 0
-        for idx in rng.epoch_batches(n, batch_size, seed, epoch):
-            loss, batch_correct = batch_step(idx)
-            optimizer.step()
-            loss_sum += loss * len(idx)
-            correct += batch_correct
+        with np.errstate(all="ignore"):
+            try:
+                for idx in rng.epoch_batches(n, batch_size, seed, epoch):
+                    loss, batch_correct = batch_step(idx)
+                    optimizer.step()
+                    loss_sum += loss * len(idx)
+                    correct += batch_correct
+            except DataError as exc:
+                exc.args = (f"{where}: {exc}",)
+                raise
+        if not np.isfinite(loss_sum):
+            raise DataError(f"{where}: the loss is not finite")
         history.append((loss_sum / n, correct / n))
         if stop_below is not None and history[-1][0] < stop_below:
             break

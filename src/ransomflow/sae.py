@@ -123,8 +123,9 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
         dense_backward(encoder, enc_cache, grad_code, enc_grads)
         return loss, 0
 
-    history = train_epochs(optimizer, batch_step, n, config.batch_size, seed,
-                           config.epochs, config.convergence_threshold)
+    history = train_epochs("SAE pretraining", optimizer, batch_step, n,
+                           config.batch_size, seed, config.epochs,
+                           config.convergence_threshold)
     return encoder, decoder, [loss for loss, _ in history]
 
 
@@ -210,8 +211,8 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
                                   grads[2 * j:2 * j + 2])[0]
         return loss, 0
 
-    history = train_epochs(optimizer, batch_step, x.shape[0],
-                           config.batch_size, seed, config.epochs)
+    history = train_epochs("SAE fine-tuning", optimizer, batch_step,
+                           x.shape[0], config.batch_size, seed, config.epochs)
     return [loss for loss, _ in history]
 
 

@@ -1,11 +1,16 @@
 """Financial aggregates, category distributions, and correlations."""
 
 import math
+import struct
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from ransomflow.analytics import (
+    _per_category,
+    _ranked,
     anomaly_by_family,
     anomaly_csv,
     correlation_matrix,
@@ -13,7 +18,16 @@ from ransomflow.analytics import (
     malware_distribution,
     rank_families,
 )
-from ransomflow.dataset import label_encode, parse_csv
+from ransomflow.dataset import (
+    CATEGORICAL_NAMES,
+    NAMES,
+    TARGET,
+    EncodedTable,
+    EncodingMap,
+    column_index,
+    label_encode,
+    parse_csv,
+)
 from ransomflow.errors import ConfigError, ShapeMismatch
 
 HEADER = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,ExpAddress,"
@@ -217,3 +231,95 @@ def test_anomaly_unknown_value_yields_zeros():
     table = encoded(row(prediction="S"), row(prediction="SS"))
     pairs = anomaly_by_family(table)
     assert all(count == 0 for _, count in pairs)
+
+
+# ---------------------------------------------------------------------------
+# The one group-by and the one ranking, against plain dict references
+
+
+def random_table(seed: int, n: int, classes: tuple) -> EncodedTable:
+    """``n`` random rows; each vocabulary holds values no row uses, and the
+    money columns hold values of mixed scale, so a sum in another order
+    would differ in its last bits."""
+    gen = np.random.default_rng(seed)
+    categories = {name: tuple(f"{name}{i:02d}" for i in range(9))
+                  for name in CATEGORICAL_NAMES}
+    categories[TARGET] = classes
+    values = gen.uniform(0.0, 1.0, (n, len(NAMES)))
+    for name in ("USD", "BTC"):
+        values[:, column_index(name)] = 10.0 ** gen.uniform(-3, 6, n)
+    for name in CATEGORICAL_NAMES:
+        # the last 3 codes of every vocabulary but the target's stay unused
+        unused = 0 if name == TARGET else 3
+        values[:, column_index(name)] = gen.integers(
+            0, len(categories[name]) - unused, n)
+    return EncodedTable(values, EncodingMap(categories))
+
+
+def reference_groups(table, column, mask, *weights):
+    """(name, count, *sums) per category in vocabulary order, counted with a
+    Counter and summed row by row in a dict."""
+    names = table.maps.categories[column]
+    picked = [(names[int(code)], i) for i, code in
+              enumerate(table.column(column)) if mask[i]]
+    counts = Counter(name for name, _ in picked)
+    sums = [dict.fromkeys(names, 0.0) for _ in weights]
+    for name, i in picked:
+        for total, w in zip(sums, weights):
+            total[name] += float(w[i])
+    return [(name, counts[name], *(total[name] for total in sums))
+            for name in names]
+
+
+def bits(groups):
+    """Groups with every sum as its 8 bytes, so equality is bitwise."""
+    return [(name, count, *(struct.pack("<d", s) for s in sums))
+            for name, count, *sums in groups]
+
+
+@pytest.mark.parametrize("seed,n", [(1, 0), (2, 1), (3, 57), (4, 400)])
+@pytest.mark.parametrize("classes", [("A", "S", "SS"), ("S", "SS")],
+                         ids=["with-A", "without-A"])
+def test_per_category_matches_the_dict_reference(seed, n, classes):
+    table = random_table(seed, n, classes)
+    usd, btc = table.column("USD"), table.column("BTC")
+    gen = np.random.default_rng(seed + 100)
+    masks = {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+             "random": gen.random(n) < 0.5}
+    for column in ("Family", "Threats", TARGET):
+        for rows in [slice(None), *masks.values()]:
+            mask = masks["all"] if isinstance(rows, slice) else rows
+            got = _per_category(table, column, rows, usd, btc)
+            assert bits(got) == bits(reference_groups(table, column, mask,
+                                                      usd, btc))
+            assert all(type(count) is int for _, count, *_ in got)
+            assert _per_category(table, column, rows) == [
+                (name, count) for name, count, *_ in got]
+    # the reports built on it
+    report = financial_report(table)
+    expected = {name: (count, s_usd, s_usd / count, s_btc, s_btc / count)
+                for name, count, s_usd, s_btc in reference_groups(
+                    table, "Family", masks["all"], usd, btc) if count}
+    assert {name: astuple(ff) for name, ff in report.families.items()} == \
+        expected
+    assert list(report.families) == list(expected)  # vocabulary order
+    threats = reference_groups(table, "Threats", masks["all"])
+    assert malware_distribution(table).entries == sorted(
+        ((name, count, 100.0 * count / n) for name, count in threats if count),
+        key=lambda e: (-e[1], e[0]))
+    anomalies = reference_groups(table, "Family",
+                                 [c == "A" for c in table.decoded(TARGET)])
+    assert anomaly_by_family(table) == sorted(anomalies,
+                                              key=lambda e: (-e[1], e[0]))
+    if "A" not in classes:
+        assert [count for _, count in anomaly_by_family(table)] == [0] * 9
+
+
+def test_ranking_breaks_ties_on_the_name_whatever_the_tuple_width():
+    pairs = [("b", 2), ("a", 0), ("c", 2), ("A", 2), ("d", 7)]
+    assert _ranked(pairs) == [("d", 7), ("A", 2), ("b", 2), ("c", 2),
+                              ("a", 0)]
+    assert _ranked(reversed(pairs)) == _ranked(pairs)
+    entries = [("SSH", 3, 30.0), ("Bonet", 3, 30.0), ("Scan", 4, 40.0)]
+    assert _ranked(entries) == [("Scan", 4, 40.0), ("Bonet", 3, 30.0),
+                                ("SSH", 3, 30.0)]

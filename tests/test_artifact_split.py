@@ -137,7 +137,7 @@ def test_artifact_without_split_lists_exits_3(dup_heavy_csv, tmp_path,
     capsys.readouterr()
     assert main(["analyze", str(out), "--output", str(tmp_path / "a")]) == 3
     err = capsys.readouterr().err
-    assert "table.npz" in err and "missing member(s) ['train_index']" in err
+    assert "table.npz" in err and "missing key(s) ['train_index']" in err
 
 
 @pytest.fixture(scope="module")

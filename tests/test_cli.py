@@ -12,7 +12,7 @@ import pytest
 
 from conftest import synthetic_csv_text
 
-from ransomflow import cli, gbt, lstm, sae
+from ransomflow import cli, gbt, lstm, nn, sae
 from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
@@ -1060,6 +1060,43 @@ def test_train_with_non_finite_weight_exits_3(artifact_dir, tmp_path, capsys,
     assert err.startswith("error: ") and "dense layer weights" in err
     assert "non-finite" in err
     assert not (out / "bundle.json").exists()
+
+
+def test_train_that_diverges_names_the_stage_and_epoch(artifact_dir, tmp_path,
+                                                       capsys, recwarn):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"sae": {"learning_rate": 1e300},
+                                  "lstm": {"learning_rate": 1e300}}))
+    out = tmp_path / "o"
+    rc = main(["train", str(artifact_dir), "--kind", "sae-lstm",
+               "--config", str(config), "--output", str(out),
+               "--sae-epochs", "1", "--lstm-epochs", "1",
+               "--lstm-hidden", "4"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: SAE pretraining: epoch 0: the loss is not finite\n")
+    assert [w for w in recwarn if w.category is RuntimeWarning] == []
+    assert not (out / "bundle.json").exists()
+
+
+def test_stored_lstm_head_is_a_dense_layer_document(artifact_dir, tmp_path,
+                                                    monkeypatch):
+    trained = []
+    train_classifier = lstm.train_classifier
+
+    def keep(*args, **kwargs):
+        classifier, history = train_classifier(*args, **kwargs)
+        trained.append(classifier)
+        return classifier, history
+
+    monkeypatch.setattr(lstm, "train_classifier", keep)
+    out = tmp_path / "o"
+    assert main(["train", str(artifact_dir), "--kind", "sae-lstm",
+                 "--output", str(out), "--sae-epochs", "1",
+                 "--lstm-epochs", "1", "--lstm-hidden", "4"]) == 0
+    payload = json.loads((out / "bundle.json").read_text())["payload"]
+    assert payload["components"]["lstm"]["head"] == nn.layer_to_dict(
+        trained[0].head)
 
 
 def _diverged_sae(build_stack):

@@ -164,7 +164,7 @@ def _update(**replacements):
 # (edit of the member dict, words the error must hold)
 CRAFTED = {
     "unknown-member": (_update(extra=lambda m: np.zeros(3)),
-                       "unknown member(s) ['extra']"),
+                       "unknown key(s) ['extra']"),
     "float-codes": (_cast("codes", np.float64), "'codes' is not a 2-d unsigned"),
     "signed-codes": (_cast("codes", np.int16), "'codes' is not a 2-d unsigned"),
     "float32-numeric": (_cast("numeric", np.float32),

@@ -21,6 +21,7 @@ from conftest import ReferenceAdam, blob_data
 from ransomflow import lstm, rng, sae
 from ransomflow.cli import main
 from ransomflow.errors import (
+    DataError,
     DegenerateClasses,
     EmptyData,
     ShapeMismatch,
@@ -280,16 +281,42 @@ def test_train_epochs_returns_one_pair_per_epoch_and_stops_below():
 
     optimizer = Adam([w], 0.1)
     (w,) = optimizer.params
-    history = train_epochs(optimizer, batch_step, 10, 5, 3, epochs=4,
+    history = train_epochs("toy", optimizer, batch_step, 10, 5, 3, epochs=4,
                            stop_below=1.0)
     # stops after the third epoch, the first with a mean below 1.0
     assert history == [(4.0, 0.8), (3.0, 0.8), (0.5, 0.8)]
     assert seen == [5] * 6
     assert (w < 0).all()  # one Adam step per batch moved the weights
-    assert len(train_epochs(Adam([np.zeros(1)], 0.1), lambda idx: (1.0, 0),
-                            7, 3, 3, epochs=5)) == 5
-    assert train_epochs(Adam([np.zeros(1)], 0.1), batch_step, 7, 3, 3,
+    assert len(train_epochs("toy", Adam([np.zeros(1)], 0.1),
+                            lambda idx: (1.0, 0), 7, 3, 3, epochs=5)) == 5
+    assert train_epochs("toy", Adam([np.zeros(1)], 0.1), batch_step, 7, 3, 3,
                         epochs=0) == []
+
+
+def test_train_epochs_names_the_stage_and_epoch_of_a_divergence(recwarn):
+    losses = iter([1.0, 1.0, np.inf, 1.0])
+    with pytest.raises(DataError,
+                       match=r"^toy: epoch 1: the loss is not finite$"):
+        train_epochs("toy", Adam([np.zeros(1)], 0.1),
+                     lambda idx: (next(losses), 0), 6, 3, 3, epochs=3)
+
+    def misshapen(idx):
+        raise ShapeMismatch("probability rows must sum to 1 within 1e-6")
+
+    # a batch step's DataError keeps its type and gains the stage and epoch
+    with pytest.raises(ShapeMismatch,
+                       match=r"^toy: epoch 0: probability rows must sum"):
+        train_epochs("toy", Adam([np.zeros(1)], 0.1), misshapen, 6, 3, 3,
+                     epochs=2)
+
+    def overflow(idx):
+        return float(np.float64(1e308) * 10.0), 0
+
+    # numpy's overflow warning is silenced; the loss check reports it
+    with pytest.raises(DataError, match=r"^toy: epoch 0: the loss is not"):
+        train_epochs("toy", Adam([np.zeros(1)], 0.1), overflow, 6, 3, 3,
+                     epochs=1)
+    assert [w for w in recwarn if w.category is RuntimeWarning] == []
 
 
 @pytest.mark.parametrize("fine", [False, True], ids=["plain", "fine-tune"])
