@@ -234,10 +234,7 @@ def _verified_payload(path, what: str, kinds, keys) -> dict:
     must be current, the payload kind must be one of ``kinds`` and the
     payload keys must be ``keys``.
     """
-    try:
-        doc = load_json(path)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SchemaMismatch(f"{what} {path}: not valid JSON ({exc})") from None
+    doc = load_json(path)
     payload = doc.get("payload") if isinstance(doc, dict) else None
     if not isinstance(payload, dict):
         raise SchemaMismatch(f"{what} {path}: no payload object")

@@ -13,6 +13,7 @@ missing files, 3 malformed or degenerate data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -65,8 +66,6 @@ def _common_options(p) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON configuration file")
     p.add_argument("--seed", type=int, metavar="N",
                    help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--output", dest="output_dir", metavar="DIR",
-                   help="directory to write into")
 
 
 @functools.cache  # parsing leaves the parser as it was
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     ingest = sub.add_parser("ingest", help="build a dataset artifact from a CSV")
-    ingest.add_argument("dataset.csv", metavar="csv", help="raw CSV file")
+    ingest.add_argument("csv", help="raw CSV file")
     _common_options(ingest)
     ingest.add_argument("--test-ratio", dest="dataset.test_ratio", type=float,
                         metavar="R",
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("bundle", help="model bundle JSON file")
     evaluate.add_argument("artifact", help="dataset artifact directory")
     evaluate.add_argument("--split", choices=SPLITS, default="test")
-    evaluate.add_argument("--output", dest="output_dir", metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
     cmp_cmd = sub.add_parser("compare", help="diff two evaluation reports")
@@ -118,14 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_cmd.add_argument("report_b", help="second report.json")
     cmp_cmd.add_argument("--name-a", metavar="NAME")
     cmp_cmd.add_argument("--name-b", metavar="NAME")
-    cmp_cmd.add_argument("--output", dest="output_dir", metavar="DIR")
     cmp_cmd.set_defaults(func=cmd_compare)
 
     analyze = sub.add_parser("analyze", help="financial and distribution reports")
     analyze.add_argument("artifact", help="dataset artifact directory")
-    analyze.add_argument("--output", dest="output_dir", metavar="DIR")
     analyze.set_defaults(func=cmd_analyze)
 
+    for command in sub.choices.values():
+        command.add_argument("--output", dest="output_dir", default="out",
+                             metavar="DIR",
+                             help="directory to write into (default out)")
     return parser
 
 
@@ -146,8 +146,8 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 def _write_outputs(directory, files: dict) -> Path:
     """Write ``files`` (name -> text, or a JSON document) into ``directory``,
-    or into the default output directory when it is None, creating it."""
-    out_dir = Path(directory or PipelineConfig.output_dir)
+    creating it."""
+    out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if isinstance(content, str):
@@ -175,7 +175,7 @@ def cmd_ingest(args) -> int:
     cfg = _load_pipeline_config(args)
     ds = cfg.dataset
     # the parsed text is freed once it is encoded
-    encoded, _ = label_encode(parse_csv(ds.csv))
+    encoded, _ = label_encode(parse_csv(args.csv))
     stages = {"parsed_rows": encoded.row_count}
 
     if ds.subsample is not None:
@@ -209,7 +209,7 @@ def cmd_ingest(args) -> int:
         raise EmptyData("the training side holds no rows")
 
     stages["table_rows"] = table.row_count
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(args.output_dir)
     save_artifact(out_dir, table, train_idx, test_idx, stages, cfg.echo())
     print(f"artifact written to {out_dir}")
     for key in STAGES:
@@ -218,16 +218,12 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_pipeline_config(args)
-    artifact = load_artifact(args.artifact)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any epoch
+def _fit(kind, cfg, artifact) -> tuple:
+    """Train one model of ``kind`` on the artifact's training rows: (its
+    losses, stored components, history files and summary lines)."""
     x, y = artifact.side("train")
     k = artifact.table.maps.size(TARGET)
-    bundle_path = out_dir / "bundle.json"
-
-    if args.kind == "sae-lstm":
+    if kind == "sae-lstm":
         sae_seed = cfg.seed_for("sae")
         model = sae.build_stack(x, cfg.sae, sae_seed)
         ft_losses = sae.fine_tune(model, x, y, k, sae_seed) if cfg.fine_tune \
@@ -256,12 +252,30 @@ def cmd_train(args) -> int:
         histories = {"gbt_history.csv": gbt.history_csv(losses)}
         summary = [f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
                    f"{cfg.gbt.rounds} rounds"]
+    return losses, components, histories, summary
 
-    # every epoch loss was checked as it ran (nn.train_epochs); a stack or
-    # boosting loss that diverged is refused before it is printed or written
-    if not all(math.isfinite(loss) for loss in losses):
-        raise DataError(f"{bundle_path}: cannot store the model bundle: a "
-                        f"training loss is not finite")
+
+def cmd_train(args) -> int:
+    cfg = _load_pipeline_config(args)
+    artifact = load_artifact(args.artifact)
+    out_dir = Path(args.output_dir)
+    # made before any epoch, so an unwritable path fails first; the
+    # directories made here, deepest first, are removed if training is refused
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bundle_path = out_dir / "bundle.json"
+    try:
+        losses, components, histories, summary = _fit(args.kind, cfg, artifact)
+        # each epoch loss was checked as it ran (nn.train_epochs); a diverged
+        # stack or boosting loss is refused before it is printed or written
+        if not all(math.isfinite(loss) for loss in losses):
+            raise DataError(f"{bundle_path}: cannot store the model bundle: "
+                            f"a training loss is not finite")
+    except DataError:
+        for directory in made:
+            with contextlib.suppress(OSError):  # "x/.." of "x/../o" holds x
+                directory.rmdir()
+        raise
     save_bundle(bundle_path, args.kind, cfg.echo(), artifact, components)
     _write_outputs(out_dir, histories)
     print(f"{args.kind} bundle written to {bundle_path}")
@@ -291,10 +305,7 @@ def cmd_evaluate(args) -> int:
 def _load_report(path) -> tuple:
     """(report, its model kind) of a report.json holding exactly the score
     layout, ``kind`` and ``split``."""
-    try:
-        doc = load_json(path)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path}: report root is not an object")
     with stored_fields(path, "report"):

@@ -1,12 +1,13 @@
 """Pipeline configuration: one settings document, read by one strict reader.
 
 The object layout is the document layout. A JSON file may set the top-level
-``seed``, ``fine_tune`` and ``output_dir`` and one object per section
-(``dataset``, ``sae``, ``lstm``, ``gbt``), whose keys are laid over that
-section's defaults. :meth:`PipelineConfig.echo` writes the same layout with
-every default filled in, so a stored ``config`` echo is itself a valid
-configuration file. Unknown keys anywhere are rejected rather than ignored;
-a typo should fail loudly, not silently fall back to a default.
+``seed`` and ``fine_tune`` and one object per section (``dataset``, ``sae``,
+``lstm``, ``gbt``), whose keys are laid over that section's defaults.
+:meth:`PipelineConfig.echo` writes the same layout with every default filled
+in, so a stored ``config`` echo is itself a valid configuration file. Paths
+are command arguments, not settings, so an echo records none. Unknown keys
+anywhere are rejected rather than ignored; a typo should fail loudly, not
+silently fall back to a default.
 
 This module alone writes and reads a section: :func:`section_doc` and
 :func:`read_section` turn each settings class in :data:`SECTIONS` into its
@@ -40,15 +41,11 @@ def _check_fraction(name: str, value) -> None:
 
 @dataclass
 class DatasetConfig:
-    csv: str | None = None
     test_ratio: float = 0.2
     split_before_dedup: bool = False
     subsample: float | None = None
 
     def __post_init__(self):
-        if self.csv is not None and not isinstance(self.csv, str):
-            raise ConfigError(f"dataset csv must be a path string, got "
-                              f"{self.csv!r}")
         if not isinstance(self.split_before_dedup, bool):
             raise ConfigError(f"split_before_dedup must be true or false, "
                               f"got {self.split_before_dedup!r}")
@@ -80,7 +77,6 @@ def read_section(cls, doc: dict):
 class PipelineConfig:
     seed: int = DEFAULT_SEED
     fine_tune: bool = False
-    output_dir: str = "out"
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     sae: SAEConfig = field(default_factory=SAEConfig)
     lstm: LstmConfig = field(default_factory=LstmConfig)
@@ -91,9 +87,6 @@ class PipelineConfig:
         if not isinstance(self.fine_tune, bool):
             raise ConfigError(f"fine_tune must be true or false, got "
                               f"{self.fine_tune!r}")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a path string, got "
-                              f"{self.output_dir!r}")
 
     def seed_for(self, stage: str) -> int:
         """The seed of one stochastic stage ("split", "subsample", "sae" or
@@ -141,6 +134,6 @@ def load_config(path) -> PipelineConfig:
     """Parse a JSON configuration file; a non-finite number is refused."""
     try:
         doc = load_json(path)
-    except ValueError as exc:  # not JSON, not UTF-8, or not a finite number
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except SchemaMismatch as exc:  # not UTF-8 JSON, or not a finite number
+        raise ConfigError(str(exc)) from None
     return from_dict(doc)

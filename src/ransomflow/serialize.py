@@ -26,8 +26,8 @@ from .errors import ConfigError, DataError, SchemaMismatch
 # version 7 stores no normalization bounds (they derive from the training
 # rows) and no derivable stage counts, and a bundle names the preprocessing
 # state by its checksum, version 8 drops the LSTM forget rows that one-step
-# training never changes.
-SCHEMA_VERSION = 8
+# training never changes, version 9 stores no path in the config echo.
+SCHEMA_VERSION = 9
 # Reports (report.json, comparison.json, analysis.json), whose layout
 # versions 2 to 5 left unchanged. report.json dropped its config echo and
 # analysis.json gained the summary that stats.json held; no reader read the
@@ -61,12 +61,15 @@ def _finite_float(text: str) -> float:
 
 
 def load_json(path):
-    """Parse a JSON file. NaN and Infinity, which ``dump_json`` never writes,
-    and numbers such as 1e400 that overflow a float raise ``ValueError``, as
-    malformed JSON does."""
-    return json.loads(Path(path).read_text(encoding="utf-8"),
-                      parse_constant=_reject_constant,
-                      parse_float=_finite_float)
+    """Parse a JSON file. Text that is not UTF-8 JSON, NaN and Infinity,
+    which ``dump_json`` never writes, and numbers such as 1e400 that overflow
+    a float raise :class:`SchemaMismatch` naming ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant,
+                          parse_float=_finite_float)
+    except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+        raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
 
 
 def require_version(doc: dict, what: str,

@@ -268,8 +268,9 @@ def test_one_parser_per_process_keeps_no_state_between_calls():
 
 
 # destinations that are the command's own arguments rather than settings
-COMMAND_ARGUMENTS = ("command", "func", "config", "artifact", "kind", "bundle",
-                     "split", "report_a", "report_b", "name_a", "name_b")
+COMMAND_ARGUMENTS = ("command", "func", "config", "csv", "artifact", "kind",
+                     "bundle", "split", "report_a", "report_b", "name_a",
+                     "name_b", "output_dir")
 
 
 def stray_destinations(parser) -> list:
@@ -411,7 +412,8 @@ def test_train_gbt_outputs(gbt_bundle_dir):
         "lstm-hidden", "gbt-depth", "split-flag-string", "fine-tune-string",
         "seed-float", "seed-bool", "convergence-string", "clip-zero",
         "sae-seed-key", "gbt-k-classes-key", "gbt-lambda-field-name",
-        "lstm-key-typo", "output-dir-number", "csv-number", "gbt-gamma-nan",
+        "lstm-key-typo", "output-dir-unknown-key", "csv-unknown-key",
+        "gbt-gamma-nan",
         "sae-rate-infinity", "lstm-clip-infinity", "gbt-hessian-minus-infinity",
         "gbt-lambda-beyond-float", "gbt-shrinkage-bool", "gbt-gamma-bool"])
 def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
@@ -426,18 +428,21 @@ def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
     assert not (tmp_path / "o").exists()  # refused before training
 
 
-@pytest.mark.parametrize("section", [{"output_dir": 5},
-                                     {"dataset": {"csv": ["a.csv"]}}],
-                         ids=["output-dir-number", "csv-list"])
-def test_ingest_non_string_config_path_exits_1(section, synthetic_csv,
-                                               tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the default output_dir is relative
+@pytest.mark.parametrize("section,where", [
+    ({"output_dir": "elsewhere"}, "configuration: output_dir"),
+    ({"dataset": {"csv": "a.csv"}}, "dataset: csv")],
+    ids=["output-dir", "csv"])
+def test_ingest_config_naming_a_path_is_an_unknown_key(section, where,
+                                                      synthetic_csv, tmp_path,
+                                                      capsys, monkeypatch):
+    """Paths are command arguments: a config file naming one is refused."""
+    monkeypatch.chdir(tmp_path)  # the default --output is relative
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section), encoding="utf-8")
     rc = main(["ingest", str(synthetic_csv[0]), "--config", str(cfg)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "path string" in err
+    assert capsys.readouterr().err == f"error: unknown key(s) in {where}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_tampered_table_npz_exits_3(artifact_dir, gbt_bundle_dir, tmp_path,
@@ -1041,6 +1046,23 @@ def test_evaluate_version_1_bundle_exits_3(sae_bundle_dir, artifact_dir,
     assert "schema_version 1 is not supported" in capsys.readouterr().err
 
 
+def test_evaluate_schema_8_bundle_exits_3(sae_bundle_dir, artifact_dir,
+                                          tmp_path, capsys):
+    """Schema 8 stored the CSV path and the output directory in the echo."""
+    def to_version_8(payload):
+        payload["schema_version"] = 8
+        payload["config"]["output_dir"] = "out"
+        payload["config"]["dataset"]["csv"] = "raw.csv"
+
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, to_version_8)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    assert "schema_version 8 is not supported (expected 9)" \
+        in capsys.readouterr().err
+
+
 def test_train_with_non_finite_weight_exits_3(artifact_dir, tmp_path, capsys,
                                               monkeypatch):
     train_classifier = lstm.train_classifier
@@ -1077,6 +1099,28 @@ def test_train_that_diverges_names_the_stage_and_epoch(artifact_dir, tmp_path,
         "error: SAE pretraining: epoch 0: the loss is not finite\n")
     assert [w for w in recwarn if w.category is RuntimeWarning] == []
     assert not (out / "bundle.json").exists()
+
+
+def test_refused_train_removes_only_the_directories_it_made(artifact_dir,
+                                                            tmp_path, capsys):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"sae": {"learning_rate": 1e300},
+                                  "lstm": {"learning_rate": 1e300}}))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    for out in (tmp_path / "div" / "new" / "o", tmp_path / "up" / ".." / "o",
+                kept / "sub" / "o", kept):
+        rc = main(["train", str(artifact_dir), "--kind", "sae-lstm",
+                   "--config", str(config), "--output", str(out),
+                   "--sae-epochs", "1", "--lstm-epochs", "1",
+                   "--lstm-hidden", "4"])
+        assert rc == 3
+        assert "the loss is not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.json",
+                                                          "kept"]
+    assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine"
 
 
 def test_stored_lstm_head_is_a_dense_layer_document(artifact_dir, tmp_path,
@@ -1296,6 +1340,38 @@ def test_train_is_byte_deterministic(artifact_dir, tmp_path):
                          "--seed", "5"], sae_out)
 
 
+def test_stored_files_record_no_path(synthetic_csv, tmp_path, capsys):
+    """The same CSV bytes read from two paths and written into two
+    directories give the same bytes in every stored file."""
+    runs = []
+    for side in ("a", "b"):
+        csv = tmp_path / side / "raw.csv"
+        csv.parent.mkdir()
+        shutil.copyfile(synthetic_csv[0], csv)
+        out = tmp_path / f"out-{side}"
+        argvs = [
+            ["ingest", str(csv), "--output", str(out / "art"), "--seed", "3"],
+            ["train", str(out / "art"), "--kind", "sae-lstm", "--output",
+             str(out / "sae"), "--sae-epochs", "1", "--lstm-epochs", "1",
+             "--lstm-hidden", "4"],
+            ["train", str(out / "art"), "--kind", "gbt", "--output",
+             str(out / "gbt"), "--gbt-rounds", "1"],
+            ["evaluate", str(out / "gbt" / "bundle.json"), str(out / "art"),
+             "--output", str(out / "eval")],
+            ["compare", str(out / "eval" / "report.json"),
+             str(out / "eval" / "report.json"), "--output", str(out / "cmp")],
+            ["analyze", str(out / "art"), "--output", str(out / "analysis")]]
+        assert [main(argv) for argv in argvs] == [0] * len(argvs)
+        runs.append({(d.name, name): content for d in sorted(out.iterdir())
+                     for name, content in snapshot(d).items()})
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    assert {"dataset.json", "table.npz", "bundle.json", "report.json",
+            "comparison.json", "analysis.json"} <= {name for _, name in runs[0]}
+    assert not any(str(tmp_path).encode() in content
+                   for content in runs[0].values())
+
+
 @pytest.mark.parametrize("argv,stored", [
     (["ingest", "{csv}", "--seed", "5", "--test-ratio", "0.3",
       "--split-before-dedup"], "dataset.json"),
@@ -1308,7 +1384,7 @@ def test_train_is_byte_deterministic(artifact_dir, tmp_path):
 def test_stored_config_replays_as_config_file(argv, stored, synthetic_csv,
                                               artifact_dir, tmp_path, capsys):
     """The config echo of a written file, given back as --config with only
-    the positional arguments and --kind, writes the same bytes."""
+    the positional arguments, --kind and --output, writes the same bytes."""
     out = tmp_path / "o"
     argv = [arg.format(csv=synthetic_csv[0], art=artifact_dir) for arg in argv]
     assert main(argv + ["--output", str(out)]) == 0
@@ -1317,7 +1393,7 @@ def test_stored_config_replays_as_config_file(argv, stored, synthetic_csv,
     dump_json(config, json.loads(first[stored])["payload"]["config"])
     shutil.rmtree(out)
     replay = argv[:2] + (argv[2:4] if argv[2] == "--kind" else [])
-    assert main(replay + ["--config", str(config)]) == 0
+    assert main(replay + ["--config", str(config), "--output", str(out)]) == 0
     capsys.readouterr()
     assert snapshot(out) == first
 

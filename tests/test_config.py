@@ -11,8 +11,8 @@ from ransomflow.errors import SchemaMismatch
 # per section, settings other than the defaults, and a key with a value
 # the class rejects
 _CASES = {
-    "dataset": ({"csv": "rows.csv", "test_ratio": 0.25,
-                 "split_before_dedup": True, "subsample": 0.5},
+    "dataset": ({"test_ratio": 0.25, "split_before_dedup": True,
+                 "subsample": 0.5},
                 "test_ratio", 1.5),
     "sae": ({"encoder_dims": (9, 4), "activation": "tanh",
              "convergence_threshold": 0.25}, "epochs", "x"),

@@ -191,8 +191,7 @@ def test_representatives_cover_each_pattern_once():
 
 def test_type_rule_takes_optional_settings_from_their_annotations():
     assert _OPTIONAL_SETTINGS == {
-        "csv": "str | None", "subsample": "float | None",
-        "convergence_threshold": "float | None",
+        "subsample": "float | None", "convergence_threshold": "float | None",
         "clip_threshold": "float | None"}
     config = ("payload", "config", "lstm", "clip_threshold")
     assert keeps_type(config, None, 5) and keeps_type(config, 0.5, None)
