@@ -35,8 +35,8 @@ A bundle names the preprocessing state it was trained on by
 whose state has another checksum.
 
 A bundle stores what training changed and derives the rest. Its components
-are the SAE encoders' weights and biases (the decoders and loss curves are
-in-memory only; the curves go to the history CSVs), the parts of the LSTM
+are the SAE encoders' weights and biases (the decoders and epoch records are
+in-memory only; the records go to the history CSVs), the parts of the LSTM
 that Adam stepped (see :func:`ransomflow.lstm.trained_slices`) or the boosted
 trees. The loader takes the encoders' activation from the settings, rebuilds
 the seeded LSTM from the master seed and writes the stored parts in.

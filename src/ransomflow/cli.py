@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -47,13 +46,8 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
 from .metrics import COMPARISON_KEYS, MetricsReport, compare, confusion, report
-from .serialize import (
-    REPORT_VERSION,
-    csv_text,
-    dump_json,
-    load_json,
-    require_keys,
-)
+from .nn import records_csv
+from .serialize import REPORT_VERSION, dump_json, load_json, require_keys
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems as ConfigError (exit code 1)."""
@@ -220,39 +214,35 @@ def cmd_ingest(args) -> int:
 
 def _fit(kind, cfg, artifact) -> tuple:
     """Train one model of ``kind`` on the artifact's training rows: (its
-    losses, stored components, history files and summary lines)."""
+    stored components, history files and summary lines)."""
     x, y = artifact.side("train")
     k = artifact.table.maps.size(TARGET)
     if kind == "sae-lstm":
         sae_seed = cfg.seed_for("sae")
         model = sae.build_stack(x, cfg.sae, sae_seed)
-        ft_losses = sae.fine_tune(model, x, y, k, sae_seed) if cfg.fine_tune \
-            else []
+        histories = {"sae_history.csv": sae.history_csv(model)}
+        if cfg.fine_tune:
+            histories["fine_tune_history.csv"] = records_csv(
+                sae.fine_tune(model, x, y, k, sae_seed), epoch="step",
+                loss="loss")
         # build_stack keeps the training codes; fine-tuning drops them
-        codes = model.codes
-        if codes is None:
-            codes = sae.encode(model.encoders, x)
-        classifier, history = lstm.train_classifier(
+        codes = sae.encode(model.encoders, x) if cfg.fine_tune else model.codes
+        classifier, records = lstm.train_classifier(
             codes, y, cfg.lstm, cfg.seed_for("lstm"), k)
-        losses = [model.stack_loss]
         components = {"sae": sae.model_to_dict(model),
                       "lstm": lstm.model_to_dict(classifier, codes.shape[1])}
-        histories = {"sae_history.csv": sae.history_csv(model),
-                     "lstm_history.csv": lstm.history_csv(history)}
-        if cfg.fine_tune:
-            histories["fine_tune_history.csv"] = csv_text(
-                ("epoch", "loss"), enumerate(ft_losses))
+        histories["lstm_history.csv"] = lstm.history_csv(records)
         summary = [f"  stack reconstruction loss: {model.stack_loss:.6f}"]
-        if history:
-            summary.append(f"  final epoch loss {history[-1][0]:.6f}, "
-                           f"training accuracy {history[-1][1]:.4f}")
+        if records:
+            summary.append(f"  final epoch loss {records[-1].loss:.6f}, "
+                           f"training accuracy {records[-1].accuracy:.4f}")
     else:
-        model, losses = gbt.train_gbt(x, y, cfg.gbt, k)
+        model, records = gbt.train_gbt(x, y, cfg.gbt, k)
         components = {"gbt": gbt.model_to_dict(model)}
-        histories = {"gbt_history.csv": gbt.history_csv(losses)}
-        summary = [f"  training loss {losses[0]:.6f} -> {losses[-1]:.6f} over "
-                   f"{cfg.gbt.rounds} rounds"]
-    return losses, components, histories, summary
+        histories = {"gbt_history.csv": gbt.history_csv(records)}
+        summary = [f"  training loss {records[0].loss:.6f} -> "
+                   f"{records[-1].loss:.6f} over {records[-1].step} rounds"]
+    return components, histories, summary
 
 
 def cmd_train(args) -> int:
@@ -265,12 +255,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / "bundle.json"
     try:
-        losses, components, histories, summary = _fit(args.kind, cfg, artifact)
-        # each epoch loss was checked as it ran (nn.train_epochs); a diverged
-        # stack or boosting loss is refused before it is printed or written
-        if not all(math.isfinite(loss) for loss in losses):
-            raise DataError(f"{bundle_path}: cannot store the model bundle: "
-                            f"a training loss is not finite")
+        components, histories, summary = _fit(args.kind, cfg, artifact)
     except DataError:
         for directory in made:
             with contextlib.suppress(OSError):  # "x/.." of "x/../o" holds x

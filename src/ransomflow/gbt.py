@@ -2,7 +2,7 @@
 
 One regression tree per class per round fits the per-sample gradient and
 hessian of softmax cross-entropy (g = p - y, h = p(1 - p), both computed once
-per round from the current raw scores). Split quality is
+per round from the softmax that gave the last loss). Split quality is
 
     gain = 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma
 
@@ -48,8 +48,8 @@ from .errors import (
     check_number,
     is_finite_number,
 )
-from .nn import softmax
-from .serialize import csv_text, require_keys
+from .nn import EpochRecord, finite_loss, records_csv, softmax
+from .serialize import require_keys
 
 
 @dataclass
@@ -72,21 +72,14 @@ class GbtParams:
             raise ConfigError(f"shrinkage must lie in (0, 1], got {self.shrinkage}")
 
 
-def grad_hess(labels: np.ndarray, raw_scores: np.ndarray):
+def grad_hess(labels: np.ndarray, probs: np.ndarray):
     """Per-sample first and second derivatives of softmax cross-entropy.
 
-    ``raw_scores`` is the (n, k) matrix of accumulated tree outputs. Returns
+    ``probs`` is the (n, k) softmax of the accumulated tree outputs. Returns
     (g, h) with g = p - onehot(labels) and h = p * (1 - p), no batch scaling.
     """
-    raw_scores = np.asarray(raw_scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if raw_scores.ndim != 2:
-        raise ShapeMismatch(f"raw scores must be 2-d, got {raw_scores.shape}")
-    n, k = raw_scores.shape
-    if labels.shape != (n,):
-        raise ShapeMismatch(f"labels shape {labels.shape} does not match {n} rows")
+    n, k = probs.shape
     check_label_range(labels, k)
-    probs = softmax(raw_scores)
     g = probs.copy()
     g[np.arange(n), labels] -= 1.0
     h = probs * (1.0 - probs)
@@ -308,20 +301,15 @@ def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_ce(raw: np.ndarray, y: np.ndarray) -> float:
-    probs = softmax(raw)
-    picked = probs[np.arange(len(y)), y]
-    return float(-np.log(np.maximum(picked, 1e-12)).mean())
-
-
+@np.errstate(all="ignore")  # the loss check reports overflow instead
 def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
               k_classes: int):
     """Boost ``params.rounds`` rounds on (n, d) feature rows ``x``.
 
     Labels ``y`` must fall inside [0, k_classes), and one tree list is grown
-    per class. Returns (trees, losses): ``trees[class][round]``, the model,
-    and the mean training cross-entropy before any trees and after each
-    round.
+    per class. Returns (trees, records): ``trees[class][round]``, the model,
+    and a :class:`ransomflow.nn.EpochRecord` of the mean training cross-entropy
+    before any tree and after each round, each of which must be finite.
     """
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(x, dtype=np.float64)
@@ -337,9 +325,16 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     all_bins = np.arange(layout.values.size)
     root_count, = _bin_sums(layout.codes, layout.offsets, None)
     trees = [[] for _ in range(k_classes)]
-    losses = [_mean_ce(raw, y)]
-    for _ in range(params.rounds):
-        g, h = grad_hess(y, raw)
+
+    def record(step: int, probs: np.ndarray) -> EpochRecord:
+        loss = float(-np.log(np.maximum(probs[all_rows, y], 1e-12)).mean())
+        return EpochRecord("boosting", None, step,
+                           finite_loss(f"boosting: round {step}", loss), None)
+
+    probs = softmax(raw)  # a step's loss and the next round's gradients
+    records = [record(0, probs)]
+    for step in range(1, params.rounds + 1):
+        g, h = grad_hess(y, probs)
         g, h = np.ascontiguousarray(g.T), np.ascontiguousarray(h.T)  # by class
         for c in range(k_classes):
             tree = build_tree(all_rows, x, g[c], h[c], params, layout,
@@ -350,8 +345,9 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
                 raw[leaf.rows, c] += leaf.weight
                 leaf.rows = None
             trees[c].append(tree)
-        losses.append(_mean_ce(raw, y))
-    return trees, losses
+        probs = softmax(raw)
+        records.append(record(step, probs))
+    return trees, records
 
 
 def gbt_raw_scores(trees: list, x: np.ndarray) -> np.ndarray:
@@ -435,5 +431,5 @@ def model_from_dict(doc: dict, rounds: int, k_classes: int,
     return trees
 
 
-def history_csv(losses: list) -> str:
-    return csv_text(("round", "loss"), enumerate(losses))
+def history_csv(records: list) -> str:
+    return records_csv(records, round="step", loss="loss")

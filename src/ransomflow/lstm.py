@@ -50,11 +50,12 @@ from .nn import (
     dense_forward,
     layer_from_dict,
     layer_to_dict,
+    records_csv,
     row_chunks,
     sigmoid,
     train_epochs,
 )
-from .serialize import array_doc, array_from_doc, csv_text, require_keys
+from .serialize import array_doc, array_from_doc, require_keys
 
 GATES = ("input", "forget", "output", "candidate")
 LAYOUTS = ("single-step", "feature-steps")
@@ -387,9 +388,8 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
 
     Labels ``y`` must fall inside [0, k_classes). ``seed`` draws the initial
-    weights and the batch order. Returns (model, history). ``history`` holds
-    one (mean loss, training accuracy) pair per epoch, accumulated over the
-    batches of that epoch.
+    weights and the batch order. Returns (model, records), a
+    :class:`ransomflow.nn.EpochRecord` of each epoch's mean loss and accuracy.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -416,13 +416,13 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
                           optimizer.grads)
         return loss, int((probs.argmax(axis=1) == labels).sum())
 
-    history = train_epochs("LSTM training", optimizer, batch_step,
+    records = train_epochs("LSTM training", optimizer, batch_step,
                            x.shape[0], config.batch_size, seed, config.epochs)
     for p, s, view in zip(model.params(), live, optimizer.params):
         p[s] = view
     for cell in model.cells:
         cell.live = None
-    return model, history
+    return model, records
 
 
 def predict_proba(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
@@ -490,6 +490,5 @@ def model_from_dict(doc: dict, config: LstmConfig, features: int,
     return model
 
 
-def history_csv(history) -> str:
-    return csv_text(("epoch", "loss", "accuracy"),
-                    ((epoch, *entry) for epoch, entry in enumerate(history)))
+def history_csv(records) -> str:
+    return records_csv(records, epoch="step", loss="loss", accuracy="accuracy")

@@ -1,5 +1,5 @@
-"""Dense layers, a cache-free chunked forward pass, losses, Adam, and
-finite-difference gradient checking.
+"""Dense layers, a cache-free chunked forward pass, losses, Adam, epoch
+records and finite-difference gradient checking.
 
 Everything runs in float64. Weights use the (out_dim, in_dim) convention so a
 forward pass is ``x @ w.T + b`` on row-major batches. Initialization is
@@ -10,12 +10,13 @@ stream in :mod:`ransomflow.rng`; biases start at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .errors import DataError, ShapeMismatch, check_label_range
-from .serialize import array_doc, array_from_doc, require_keys
+from .serialize import array_doc, array_from_doc, csv_text, require_keys
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 
@@ -344,42 +345,63 @@ def adam_over(layers, learning_rate: float) -> Adam:
     return optimizer
 
 
+class EpochRecord(NamedTuple):
+    """One epoch of a training stage, or one boosting round."""
+
+    stage: str
+    layer: int | None  # the SAE layer an epoch pretrained, else None
+    step: int
+    loss: float
+    accuracy: float | None  # None where the stage makes no predictions
+
+
+def finite_loss(where: str, loss: float) -> float:
+    """``loss``; :class:`DataError` naming ``where`` if it is not finite."""
+    if not np.isfinite(loss):
+        raise DataError(f"{where}: the loss is not finite")
+    return loss
+
+
+def records_csv(records, **columns) -> str:
+    """One CSV row per record: the fields ``columns`` maps headers to."""
+    return csv_text(columns, ([getattr(r, field) for field in columns.values()]
+                              for r in records))
+
+
+@np.errstate(all="ignore")  # the loss check reports overflow instead
 def train_epochs(stage: str, optimizer: Adam, batch_step, n: int,
                  batch_size: int, seed: int, epochs: int,
                  stop_below: float | None = None) -> list:
     """Mini-batch Adam over ``n`` rows, reshuffled each epoch from ``seed``.
 
     ``batch_step(idx)`` writes the batch's gradient into ``optimizer.grads``
-    and returns its mean loss and count of right predictions (0 if none are
-    made); ``optimizer.step()`` follows. Returns one (mean loss, accuracy)
-    pair per epoch run, stopping after the first below ``stop_below``.
+    and returns its mean loss and count of right predictions (None if none
+    are made); ``optimizer.step()`` follows. Returns one :class:`EpochRecord`
+    per epoch run, stopping after the first below ``stop_below``.
 
     A diverged run fails loudly: an epoch whose mean loss is not finite, or a
     :class:`DataError` from a batch step, raises :class:`DataError` naming
-    ``stage`` and the epoch. numpy's overflow and invalid-value warnings are
-    silenced while the batches run; the loss check reports them instead.
+    ``stage`` and the epoch.
     """
-    history = []
+    records = []
     for epoch in range(epochs):
         where = f"{stage}: epoch {epoch}"
-        loss_sum = 0.0
-        correct = 0
-        with np.errstate(all="ignore"):
-            try:
-                for idx in rng.epoch_batches(n, batch_size, seed, epoch):
-                    loss, batch_correct = batch_step(idx)
-                    optimizer.step()
-                    loss_sum += loss * len(idx)
-                    correct += batch_correct
-            except DataError as exc:
-                exc.args = (f"{where}: {exc}",)
-                raise
-        if not np.isfinite(loss_sum):
-            raise DataError(f"{where}: the loss is not finite")
-        history.append((loss_sum / n, correct / n))
-        if stop_below is not None and history[-1][0] < stop_below:
+        loss_sum, correct = 0.0, []
+        try:
+            for idx in rng.epoch_batches(n, batch_size, seed, epoch):
+                loss, batch_correct = batch_step(idx)
+                optimizer.step()
+                loss_sum += loss * len(idx)
+                correct.append(batch_correct)
+        except DataError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
+        accuracy = None if correct[0] is None else sum(correct) / n
+        records.append(EpochRecord(stage, None, epoch,
+                                   finite_loss(where, loss_sum / n), accuracy))
+        if stop_below is not None and records[-1].loss < stop_below:
             break
-    return history
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each encoder layer (relu by default) is trained with a linear decoder to
 minimize batch-mean squared reconstruction error on the codes of the layer
 below it; its frozen codes then feed the next layer. The trained stack keeps
-its decoders and loss curves in memory, so it can reconstruct inputs and
+its decoders and epoch records in memory, so it can reconstruct inputs and
 report its losses; a stored stack is its encoders alone, which is all
 encoding reads. An optional supervised stage fine-tunes the encoders under a
 softmax head with cross-entropy. Every stage is a batch step run by
@@ -35,12 +35,14 @@ from .nn import (
     dense_backward,
     dense_backward_preact,
     dense_forward,
+    finite_loss,
     layer_from_dict,
     layer_to_dict,
     mse_loss,
+    records_csv,
     train_epochs,
 )
-from .serialize import csv_text, require_keys
+from .serialize import require_keys
 
 
 @dataclass
@@ -73,7 +75,7 @@ class SAEModel:
     encoders: list  # DenseLayer, input side first
     decoders: list  # DenseLayer, code side first (reconstruction order)
     config: SAEConfig
-    pretrain_losses: list  # per layer, per epoch
+    records: list  # nn.EpochRecord per layer and epoch, input side first
     stack_loss: float
     # build_stack's training rows encoded, until the encoders change; never
     # serialized
@@ -96,10 +98,9 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
                    seed: int):
     """Train one (encoder, decoder) pair to reconstruct ``data``.
 
-    Returns (encoder, decoder, losses) where losses holds the running
-    epoch-mean reconstruction loss. Training stops early once an epoch mean
-    falls below ``config.convergence_threshold`` (when set), so the list
-    length is at most ``config.epochs``.
+    Returns (encoder, decoder, records), a :class:`ransomflow.nn.EpochRecord`
+    of each epoch's mean reconstruction loss. Training stops early once it
+    falls below ``config.convergence_threshold`` (when set).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -121,21 +122,22 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
         loss, grad_recon = mse_loss(recon, xb)
         grad_code = dense_backward(decoder, dec_cache, grad_recon, dec_grads)[0]
         dense_backward(encoder, enc_cache, grad_code, enc_grads)
-        return loss, 0
+        return loss, None
 
-    history = train_epochs("SAE pretraining", optimizer, batch_step, n,
+    records = train_epochs("SAE pretraining", optimizer, batch_step, n,
                            config.batch_size, seed, config.epochs,
                            config.convergence_threshold)
-    return encoder, decoder, [loss for loss, _ in history]
+    return encoder, decoder, records
 
 
+@np.errstate(all="ignore")  # the loss check reports overflow instead
 def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     """Greedy layerwise pretraining over ``config.encoder_dims``.
 
     Each layer draws from its own substream of ``seed``. Labels are never
-    consulted. The returned model records each layer's loss curve and the
-    whole stack's reconstruction loss on the training data, and keeps the
-    training data's codes, equal to ``encode(model.encoders, data)``.
+    consulted. The returned model holds each layer's epoch records and the
+    whole stack's reconstruction loss on the training data, which must be
+    finite, and keeps their codes, equal to ``encode(model.encoders, data)``.
 
     Only one full-data array besides ``data`` is held at a time: the input
     of the layer that pretrains next. Once a layer has pretrained, its input
@@ -145,23 +147,23 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     data = np.asarray(data, dtype=np.float64)
     encoders = []
     decoders = []
-    histories = []
+    records = []
     current = data
     for depth, hidden_dim in enumerate(config.encoder_dims):
         layer_seed = rng.derive(seed, "layer", depth)
-        encoder, decoder, losses = pretrain_layer(current, hidden_dim, config,
-                                                  layer_seed)
+        encoder, decoder, layer_records = pretrain_layer(
+            current, hidden_dim, config, layer_seed)
         encoders.append(encoder)
         decoders.append(decoder)
-        histories.append(losses)
+        records += [r._replace(layer=depth) for r in layer_records]
         current = None  # freed before the next input is built
         current = apply(encoders, data)
     decoders.reverse()
     # decoding the codes gives the reconstruction
-    stack_loss = float(mse_loss(apply(decoders, current), data)[0])
+    stack_loss = finite_loss("SAE pretraining: stack reconstruction",
+                             mse_loss(apply(decoders, current), data)[0])
     return SAEModel(encoders=encoders, decoders=decoders, config=config,
-                    pretrain_losses=histories, stack_loss=stack_loss,
-                    codes=current)
+                    records=records, stack_loss=stack_loss, codes=current)
 
 
 def encode(encoders: list, x: np.ndarray) -> np.ndarray:
@@ -182,8 +184,8 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     untouched, and the codes ``build_stack`` kept are dropped. The head and
     the batch order draw from a substream of ``seed``, the seed the stack
     was built with, and the pass runs with the stack's own settings. The head
-    only trains the encoders and is discarded. Returns the per-epoch mean
-    losses.
+    only trains the encoders and is discarded. Returns one
+    :class:`ransomflow.nn.EpochRecord` per epoch.
     """
     config = model.config
     x = np.asarray(x, dtype=np.float64)
@@ -209,11 +211,10 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
         for j in range(len(caches) - 1, -1, -1):
             grad = dense_backward(model.encoders[j], caches[j], grad,
                                   grads[2 * j:2 * j + 2])[0]
-        return loss, 0
+        return loss, None
 
-    history = train_epochs("SAE fine-tuning", optimizer, batch_step,
-                           x.shape[0], config.batch_size, seed, config.epochs)
-    return [loss for loss, _ in history]
+    return train_epochs("SAE fine-tuning", optimizer, batch_step, x.shape[0],
+                        config.batch_size, seed, config.epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,4 @@ def model_from_dict(doc: dict, config: SAEConfig, features: int) -> list:
 
 
 def history_csv(model: SAEModel) -> str:
-    """Loss curves as layer,epoch,loss rows."""
-    return csv_text(("layer", "epoch", "loss"), (
-        (layer_index, epoch, loss)
-        for layer_index, curve in enumerate(model.pretrain_losses)
-        for epoch, loss in enumerate(curve)))
+    return records_csv(model.records, layer="layer", epoch="step", loss="loss")

@@ -50,6 +50,7 @@ from ransomflow.nn import (
     dense_forward,
     grad_check,
     mse_loss,
+    softmax,
 )
 from ransomflow.sae import SAEConfig, build_stack, encode
 
@@ -166,7 +167,7 @@ def lstm_fd_error(time_steps: int, seed: int) -> float:
 def gbt_fd_error() -> float:
     raw = rng.uniform_signed(19, (5, 3), 2.0)
     labels = np.array([0, 1, 2, 1, 0])
-    g, h = grad_hess(labels, raw)
+    g, h = grad_hess(labels, softmax(raw))
 
     def ce(row, label):
         shifted = row - row.max()
@@ -348,7 +349,7 @@ def test_c6_desk_scale_training():
 
     sae_model = build_stack(train_x, SAEConfig(epochs=50),
                             rng.derive(1819, "sae"))
-    first_layer = sae_model.pretrain_losses[0]
+    first_layer = [r.loss for r in sae_model.records if r.layer == 0]
     sae_ok = min(first_layer) < 0.5 * first_layer[0]
 
     classifier, _ = train_classifier(encode(sae_model.encoders, train_x),

@@ -6,6 +6,8 @@ import json
 import math
 import re
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from ransomflow.serialize import (
     checksum,
     dump_json,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator)
 
 
 def read_payload(artifact_dir):
@@ -1143,29 +1148,36 @@ def test_stored_lstm_head_is_a_dense_layer_document(artifact_dir, tmp_path,
         trained[0].head)
 
 
-def _diverged_sae(build_stack):
-    def build(*args, **kwargs):
-        model = build_stack(*args, **kwargs)
-        model.stack_loss = float("nan")
-        return model
-    return build
+def _diverged_sae(apply):
+    # the decoders' pass is the stack's reconstruction, whose loss
+    # build_stack computes after the last layer pretrained
+    def reconstruct(layers, x):
+        out = apply(layers, x)
+        if layers[0].activation == "linear":
+            out[:] = np.nan
+        return out
+    return reconstruct
 
 
-def _diverged_gbt(train_gbt):
-    def train(*args, **kwargs):
-        model, losses = train_gbt(*args, **kwargs)
-        losses[-1] = float("inf")
-        return model, losses
-    return train
+def _diverged_gbt(softmax):
+    # the probabilities the last of 2 rounds' loss (step 2) is taken of
+    calls = []
+
+    def probs(raw):
+        calls.append(1)
+        return softmax(raw) * (np.nan if len(calls) == 3 else 1.0)
+    return probs
 
 
-@pytest.mark.parametrize("kind,module,name,diverge", [
-    ("sae-lstm", sae, "build_stack", _diverged_sae),
-    ("gbt", gbt, "train_gbt", _diverged_gbt),
-])
+@pytest.mark.parametrize("kind,module,name,diverge,error", [
+    ("sae-lstm", sae, "apply", _diverged_sae,
+     "SAE pretraining: stack reconstruction: the loss is not finite"),
+    ("gbt", gbt, "softmax", _diverged_gbt,
+     "boosting: round 2: the loss is not finite"),
+], ids=["sae-lstm-stack", "gbt-round"])
 def test_train_with_non_finite_scalar_exits_3(kind, module, name, diverge,
-                                              artifact_dir, tmp_path, capsys,
-                                              monkeypatch):
+                                              error, artifact_dir, tmp_path,
+                                              capsys, monkeypatch):
     monkeypatch.setattr(module, name, diverge(getattr(module, name)))
     out = tmp_path / "o"
     rc = main(["train", str(artifact_dir), "--kind", kind,
@@ -1173,8 +1185,36 @@ def test_train_with_non_finite_scalar_exits_3(kind, module, name, diverge,
                "--lstm-hidden", "4", "--gbt-rounds", "2"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'bundle.json'}: cannot store")
+    assert err.startswith(f"error: {error}")
     assert not (out / "bundle.json").exists()
+
+
+def test_diverging_boosting_stops_at_the_round_its_loss_is_not_finite(
+        tmp_path, capsys, monkeypatch, recwarn):
+    # unregularized full-step Newton leaves: a leaf weight overflows and the
+    # loss after round 19 is NaN
+    text, _ = gen.generate(7, raw_rows=3000, duplicates=300, bad_times=20)
+    (tmp_path / "raw.csv").write_text(text, encoding="utf-8")
+    art = tmp_path / "art"
+    assert main(["ingest", str(tmp_path / "raw.csv"), "--output",
+                 str(art)]) == 0
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"gbt": {
+        "lambda": 0.0, "min_child_hessian": 0.0, "shrinkage": 1.0}}))
+    grad_hess = gbt.grad_hess
+    rounds = []
+    monkeypatch.setattr(gbt, "grad_hess",
+                        lambda *a: rounds.append(1) or grad_hess(*a))
+    capsys.readouterr()
+    out = tmp_path / "new" / "o"
+    rc = main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "30",
+               "--config", str(config), "--output", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: boosting: round 19: the loss is not finite\n")
+    assert len(rounds) == 19  # no tree is grown after that round
+    assert [w for w in recwarn if w.category is RuntimeWarning] == []
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("target,text", [
@@ -1410,7 +1450,7 @@ def explicit_sae_lstm(argv, out):
     if cfg.fine_tune:
         sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))
     codes = sae.encode(model.encoders, x)
-    classifier, history = lstm.train_classifier(codes, y, cfg.lstm,
+    classifier, records = lstm.train_classifier(codes, y, cfg.lstm,
                                                 cfg.seed_for("lstm"), k)
     out.mkdir(parents=True)
     save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(), artifact,
@@ -1418,7 +1458,7 @@ def explicit_sae_lstm(argv, out):
                  "lstm": lstm.model_to_dict(classifier, codes.shape[1])})
     (out / "sae_history.csv").write_text(sae.history_csv(model),
                                          encoding="utf-8")
-    (out / "lstm_history.csv").write_text(lstm.history_csv(history),
+    (out / "lstm_history.csv").write_text(lstm.history_csv(records),
                                           encoding="utf-8")
 
 

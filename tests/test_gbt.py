@@ -8,7 +8,7 @@ import pytest
 
 from conftest import blob_data, fresh_histogram, fresh_split
 
-from ransomflow import rng
+from ransomflow import gbt, rng
 from ransomflow.errors import (
     ConfigError,
     DegenerateClasses,
@@ -24,13 +24,13 @@ from ransomflow.gbt import (
     column_bins,
     gbt_predict,
     grad_hess,
-    history_csv,
     model_from_dict,
     model_to_dict,
     predict_labels,
     train_gbt,
     tree_predict,
 )
+from ransomflow.nn import EpochRecord, softmax
 
 
 def sample_ce(raw_row: np.ndarray, label: int) -> float:
@@ -41,14 +41,14 @@ def sample_ce(raw_row: np.ndarray, label: int) -> float:
 
 
 def test_grad_hess_uniform_scores():
-    g, h = grad_hess(np.array([0]), np.zeros((1, 3)))
+    g, h = grad_hess(np.array([0]), softmax(np.zeros((1, 3))))
     assert np.abs(g - np.array([[-2 / 3, 1 / 3, 1 / 3]])).max() < 1e-15
     assert np.abs(h - np.full((1, 3), 2 / 9)).max() < 1e-15
 
 
 def test_grad_hess_confident_correct_prediction():
     raw = np.array([[40.0, 0.0, 0.0]])
-    g, h = grad_hess(np.array([0]), raw)
+    g, h = grad_hess(np.array([0]), softmax(raw))
     assert np.abs(g).max() < 1e-15
     assert np.abs(h).max() < 1e-15
 
@@ -56,7 +56,7 @@ def test_grad_hess_confident_correct_prediction():
 def test_grad_hess_matches_finite_differences():
     raw = rng.uniform_signed(19, (5, 3), 2.0)
     labels = np.array([0, 1, 2, 1, 0])
-    g, h = grad_hess(labels, raw)
+    g, h = grad_hess(labels, softmax(raw))
     eps_g, eps_h = 1e-5, 1e-4
     for i in range(5):
         for c in range(3):
@@ -79,7 +79,7 @@ def test_grad_hess_matches_finite_differences():
 
 def test_grad_hess_validates_labels():
     with pytest.raises(LabelOutOfRange):
-        grad_hess(np.array([3]), np.zeros((1, 3)))
+        grad_hess(np.array([3]), softmax(np.zeros((1, 3))))
 
 
 def test_best_split_hand_case():
@@ -299,17 +299,18 @@ def test_hand_built_stump_probabilities():
 
 def test_zero_rounds_predicts_uniform():
     x, y = blob_data(5, 3, seed=53)
-    model, losses = train_gbt(x, y, GbtParams(rounds=0), 3)
+    model, records = train_gbt(x, y, GbtParams(rounds=0), 3)
     probs = gbt_predict(model, x)
     assert np.abs(probs - 1 / 3).max() < 1e-15
-    assert len(losses) == 1
-    assert abs(losses[0] - math.log(3)) < 1e-12
+    assert len(records) == 1
+    assert abs(records[0].loss - math.log(3)) < 1e-12
 
 
 def test_training_separates_blobs_and_loss_decreases():
     x, y = blob_data(40, 3, seed=59)
-    model, losses = train_gbt(x[:90], y[:90], GbtParams(rounds=20, max_depth=3),
-                              3)
+    model, records = train_gbt(x[:90], y[:90],
+                               GbtParams(rounds=20, max_depth=3), 3)
+    losses = [r.loss for r in records]
     assert (predict_labels(model, x[90:]) == y[90:]).mean() == 1.0
     assert len(losses) == 21
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -359,10 +360,15 @@ def test_model_serialization_round_trip():
     assert model_to_dict(restored) == doc
 
 
-def test_history_csv_layout():
-    x, y = blob_data(6, 3, seed=73)
-    _, losses = train_gbt(x, y, GbtParams(rounds=2), 3)
-    lines = history_csv(losses).strip().splitlines()
-    assert lines[0] == "round,loss"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,")
+def test_boosting_records_one_step_per_round_from_one_softmax_each(
+        monkeypatch):
+    # each round's gradients read the softmax its previous step's loss took
+    x, y = blob_data(15, 3, seed=73)
+    calls = []
+    monkeypatch.setattr(gbt, "softmax",
+                        lambda raw: calls.append(1) or softmax(raw))
+    _, records = train_gbt(x, y, GbtParams(rounds=4), 3)
+    assert len(calls) == 4 + 1
+    assert [r.step for r in records] == [0, 1, 2, 3, 4]
+    assert all(isinstance(r, EpochRecord) and r.stage == "boosting"
+               and r.layer is None and r.accuracy is None for r in records)

@@ -37,7 +37,6 @@ from ransomflow import rng
 from ransomflow.gbt import (
     GbtParams,
     TreeNode,
-    _mean_ce,
     bin_layout,
     build_tree,
     gbt_raw_scores,
@@ -47,6 +46,7 @@ from ransomflow.gbt import (
     train_gbt,
     tree_predict,
 )
+from ransomflow.nn import softmax
 
 NEXT_ONE = float(np.nextafter(1.0, 2.0))
 # float64 prefix sums over a few hundred rows, summed in another order,
@@ -125,20 +125,27 @@ def ref_build_tree(rows, x, g, h, params, depth=0):
     )
 
 
+def ref_mean_ce(raw, y):
+    """The mean training cross-entropy of raw scores ``raw``."""
+    probs = softmax(raw)
+    picked = probs[np.arange(len(y)), y]
+    return float(-np.log(np.maximum(picked, 1e-12)).mean())
+
+
 def ref_train_gbt(x, y, params, k):
     n = x.shape[0]
     raw = np.zeros((n, k))
     trees = [[] for _ in range(k)]
-    losses = [_mean_ce(raw, y)]
+    losses = [ref_mean_ce(raw, y)]
     for _ in range(params.rounds):
-        g, h = grad_hess(y, raw)
+        g, h = grad_hess(y, softmax(raw))
         for c in range(k):
             tree = ref_build_tree(np.arange(n), x, g[:, c], h[:, c], params)
             for leaf in tree.leaves():
                 leaf.weight *= params.shrinkage
             trees[c].append(tree)
             raw[:, c] += tree_predict(tree, x)
-        losses.append(_mean_ce(raw, y))
+        losses.append(ref_mean_ce(raw, y))
     return trees, losses
 
 
@@ -252,18 +259,19 @@ def training_ties(x, y, params, k) -> int:
     reference at the kernel's own raw scores, that the losses are those of
     the trees, and that with no tie taken differently the model and losses
     are the reference's bit for bit. Returns the ties taken differently."""
-    trees, losses = train_gbt(x, y, params, k)
+    trees, records = train_gbt(x, y, params, k)
+    losses = [record.loss for record in records]
     n = len(y)
     raw = np.zeros((n, k))
-    replayed = [_mean_ce(raw, y)]
+    replayed = [ref_mean_ce(raw, y)]
     ties = 0
     for r in range(params.rounds):
-        g, h = grad_hess(y, raw)
+        g, h = grad_hess(y, softmax(raw))
         for c in range(k):
             ties += tree_ties(trees[c][r], np.arange(n), x, g[:, c], h[:, c],
                               params, params.shrinkage)
             raw[:, c] += tree_predict(trees[c][r], x)
-        replayed.append(_mean_ce(raw, y))
+        replayed.append(ref_mean_ce(raw, y))
     assert repr(losses) == repr(replayed)
     if ties == 0:
         ref, ref_losses = ref_train_gbt(x, y, params, k)
@@ -281,8 +289,8 @@ def case_nodes(seed):
     """Per case, its random gradients and three row sets: all rows, a
     random half, and 30 rows in shuffled order."""
     x, y, params, k = random_case(seed)
-    g, h = grad_hess(y, rng.uniform_signed(rng.derive(seed, "raw"),
-                                           (len(y), k), 2.0))
+    g, h = grad_hess(y, softmax(rng.uniform_signed(rng.derive(seed, "raw"),
+                                                   (len(y), k), 2.0)))
     pick = rng.uniform(rng.derive(seed, "subset"), len(y))
     subsets = (np.arange(len(y)), np.flatnonzero(pick < 0.5),
                rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30])
@@ -379,11 +387,11 @@ def test_columns_with_one_partition_may_take_either_column():
     y = (groups >= 2).astype(np.int64) + (groups == 3)
     params = GbtParams(rounds=3, max_depth=3)
     training_ties(x, y, params, 3)
-    fast, fast_losses = train_gbt(x, y, params, 3)
+    fast, fast_records = train_gbt(x, y, params, 3)
     slow, slow_losses = ref_train_gbt(x, y, params, 3)
     assert np.array_equal(gbt_raw_scores(fast, x), gbt_raw_scores(slow, x))
-    assert repr(fast_losses) == repr(slow_losses)
-    g, h = grad_hess(y, np.zeros((400, 3)))
+    assert repr([r.loss for r in fast_records]) == repr(slow_losses)
+    g, h = grad_hess(y, softmax(np.zeros((400, 3))))
     rows = np.arange(400)
     for c in range(3):
         ref = ref_best_split(rows, x, g[:, c], h[:, c], params)

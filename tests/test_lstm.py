@@ -24,7 +24,6 @@ from ransomflow.lstm import (
     LstmConfig,
     cell_forward,
     create_classifier,
-    history_csv,
     model_from_dict,
     model_to_dict,
     predict,
@@ -246,7 +245,7 @@ def test_train_separates_gaussian_blobs():
     model, history = train_classifier(train_x, train_y, cfg, 5, 2)
     assert (predict(model, test_x) == test_y).mean() >= 0.95
     assert (predict(model, train_x) == train_y).mean() >= 0.99
-    assert history[-1][0] < history[0][0]
+    assert history[-1].loss < history[0].loss
     assert len(history) == 50
 
 
@@ -331,13 +330,6 @@ def test_model_dict_round_trip_is_bit_exact():
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
                 assert b.flags.writeable
-
-def test_history_csv_layout():
-    text = history_csv([(0.9, 0.5), (0.4, 0.75)])
-    lines = text.strip().splitlines()
-    assert lines[0] == "epoch,loss,accuracy"
-    assert lines[1] == "0,0.9,0.5"
-    assert lines[2] == "1,0.4,0.75"
 
 
 def test_config_dict_round_trip():

@@ -25,7 +25,6 @@ from ransomflow.sae import (
     build_stack,
     encode,
     fine_tune,
-    history_csv,
     model_from_dict,
     model_to_dict,
     pretrain_layer,
@@ -37,14 +36,16 @@ def test_pretrain_constant_rows_reaches_floor():
     # constant data is exactly reconstructible (decoder bias alone suffices)
     data = np.full((128, 13), 0.4)
     cfg = SAEConfig(epochs=100, batch_size=32, learning_rate=0.01)
-    _, _, losses = pretrain_layer(data, 8, cfg, 3)
+    _, _, records = pretrain_layer(data, 8, cfg, 3)
+    losses = [r.loss for r in records]
     assert losses[-1] < 1e-3
 
 
 def test_pretrain_reduces_loss_on_random_data():
     data = rng.uniform(11, (200, 13))
     cfg = SAEConfig(epochs=30)
-    _, _, losses = pretrain_layer(data, 75, cfg, 5)
+    _, _, records = pretrain_layer(data, 75, cfg, 5)
+    losses = [r.loss for r in records]
     assert losses[-1] < losses[0]
     assert len(losses) <= cfg.epochs
 
@@ -53,7 +54,8 @@ def test_pretrain_convergence_threshold_stops_early():
     data = np.full((64, 13), 0.4)
     cfg = SAEConfig(epochs=5000, batch_size=16, learning_rate=0.01,
                     convergence_threshold=1e-4)
-    _, _, losses = pretrain_layer(data, 8, cfg, 7)
+    _, _, records = pretrain_layer(data, 8, cfg, 7)
+    losses = [r.loss for r in records]
     assert len(losses) < 5000
     assert losses[-1] < 1e-4
     assert all(v >= 1e-4 for v in losses[:-1])
@@ -63,7 +65,8 @@ def test_pretrain_overfits_single_sample():
     one = rng.uniform(9, (1, 13))
     cfg = SAEConfig(encoder_dims=(6,), epochs=20000, batch_size=1,
                     learning_rate=0.0003, convergence_threshold=1e-7)
-    _, _, losses = pretrain_layer(one, 6, cfg, 2)
+    _, _, records = pretrain_layer(one, 6, cfg, 2)
+    losses = [r.loss for r in records]
     assert losses[-1] < 1e-6
 
 
@@ -88,7 +91,7 @@ def test_build_stack_is_deterministic():
     for la, lb in zip(a.encoders + a.decoders, b.encoders + b.decoders):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
-    assert a.pretrain_losses == b.pretrain_losses
+    assert a.records == b.records
     c = build_stack(data, cfg, 43)
     assert not np.array_equal(a.encoders[0].weights, c.encoders[0].weights)
 
@@ -229,7 +232,7 @@ def test_fine_tune_learns_separable_labels():
     cfg = SAEConfig(encoder_dims=(16, 8), epochs=120, batch_size=32,
                     learning_rate=0.01)
     model.config = cfg
-    losses = fine_tune(model, x, y, 3, 10)
+    losses = [r.loss for r in fine_tune(model, x, y, 3, 10)]
     assert losses[-1] < losses[0]
     # a row the head gets wrong costs at least ln 2 (its class holds at most
     # half the probability), so under 5% of the last epoch's rows were wrong
@@ -268,15 +271,6 @@ def test_model_dict_round_trip_is_bit_exact():
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
             assert b.flags.writeable
-
-def test_history_csv_layout():
-    data = rng.uniform(16, (20, 13))
-    model = build_stack(data, SAEConfig(encoder_dims=(4, 2), epochs=3), 5)
-    lines = history_csv(model).strip().splitlines()
-    assert lines[0] == "layer,epoch,loss"
-    assert len(lines) == 1 + 2 * 3
-    layer_col = [int(ln.split(",")[0]) for ln in lines[1:]]
-    assert layer_col == [0, 0, 0, 1, 1, 1]
 
 
 def test_config_dict_round_trip():

@@ -6,7 +6,12 @@ three ``reference_*`` functions below are the per-stage epoch loops that
 came before it, kept verbatim apart from their names, stepping the
 per-tensor textbook Adam (``conftest.ReferenceAdam``) over the model's own
 arrays. Weights and loss histories must match them bit for bit, also
-through the ``train`` command.
+through the ``train`` command; :func:`epoch_records` turns the histories
+they return into the epoch records the trainers return now.
+
+Every history CSV is a projection of those records. The writers that
+built each CSV from the old per-stage shapes are kept below as
+``OLD_WRITERS`` and must give the same bytes.
 """
 
 import json
@@ -18,7 +23,7 @@ import pytest
 
 from conftest import ReferenceAdam, blob_data
 
-from ransomflow import lstm, rng, sae
+from ransomflow import gbt, lstm, rng, sae
 from ransomflow.cli import main
 from ransomflow.errors import (
     DataError,
@@ -38,11 +43,13 @@ from ransomflow.lstm import (
 from ransomflow.nn import (
     Adam,
     DenseLayer,
+    EpochRecord,
     cross_entropy_loss,
     dense_backward,
     dense_backward_preact,
     dense_forward,
     mse_loss,
+    records_csv,
     train_epochs,
 )
 from ransomflow.sae import (
@@ -52,6 +59,7 @@ from ransomflow.sae import (
     fine_tune,
     pretrain_layer,
 )
+from ransomflow.serialize import csv_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
@@ -201,6 +209,30 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
     return model, history
 
 
+def epoch_records(stage: str, history: list) -> list:
+    """The :class:`EpochRecord` list of a reference loop's ``history``: its
+    losses, or its (loss, accuracy) pairs."""
+    return [EpochRecord(stage, None, epoch, *entry)
+            if isinstance(entry, tuple)
+            else EpochRecord(stage, None, epoch, entry, None)
+            for epoch, entry in enumerate(history)]
+
+
+def reference_pretrain_records(*args):
+    encoder, decoder, losses = reference_pretrain_layer(*args)
+    return encoder, decoder, epoch_records("SAE pretraining", losses)
+
+
+def reference_fine_tune_records(model, x, y, k_classes, seed):
+    return epoch_records("SAE fine-tuning",
+                         reference_fine_tune(model, x, y, k_classes, seed)[1])
+
+
+def reference_classifier_records(*args):
+    model, history = reference_train_classifier(*args)
+    return model, epoch_records("LSTM training", history)
+
+
 def encoder_params(model: SAEModel) -> list:
     return [p for layer in model.encoders for p in layer.params()]
 
@@ -217,11 +249,11 @@ def pretrain_data():
 
 def test_pretrain_layer_matches_reference_without_threshold():
     cfg = SAEConfig(encoder_dims=(4,), epochs=4, batch_size=16)
-    enc, dec, losses = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
-    ref_enc, ref_dec, ref_losses = reference_pretrain_layer(
-        pretrain_data(), 4, cfg, seed=23)
-    assert len(losses) == 4
-    assert losses == ref_losses
+    enc, dec, records = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
+    ref_enc, ref_dec, ref_records = reference_pretrain_records(
+        pretrain_data(), 4, cfg, 23)
+    assert len(records) == 4
+    assert records == ref_records
     assert_same_arrays(enc.params() + dec.params(),
                        ref_enc.params() + ref_dec.params())
 
@@ -233,11 +265,11 @@ def test_pretrain_layer_matches_reference_when_it_stops_early():
     assert curve[1] > curve[2]
     # the third epoch's mean is the first one below the threshold
     cfg.convergence_threshold = (curve[1] + curve[2]) / 2
-    enc, dec, losses = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
-    ref_enc, ref_dec, ref_losses = reference_pretrain_layer(
-        pretrain_data(), 4, cfg, seed=23)
-    assert len(losses) == 3
-    assert losses == ref_losses
+    enc, dec, records = pretrain_layer(pretrain_data(), 4, cfg, seed=23)
+    ref_enc, ref_dec, ref_records = reference_pretrain_records(
+        pretrain_data(), 4, cfg, 23)
+    assert len(records) == 3
+    assert records == ref_records
     assert_same_arrays(enc.params() + dec.params(),
                        ref_enc.params() + ref_dec.params())
 
@@ -246,10 +278,10 @@ def test_fine_tune_matches_reference():
     x, y = blob_data(20, 3, seed=31, width=6)
     cfg = SAEConfig(encoder_dims=(5, 3), epochs=3, batch_size=16)
     model, ref_model = build_stack(x, cfg, 7), build_stack(x, cfg, 7)
-    losses = fine_tune(model, x, y, 3, 7)
-    _, ref_losses = reference_fine_tune(ref_model, x, y, 3, 7)
-    assert len(losses) == 3
-    assert losses == ref_losses
+    records = fine_tune(model, x, y, 3, 7)
+    ref_records = reference_fine_tune_records(ref_model, x, y, 3, 7)
+    assert len(records) == 3
+    assert records == ref_records
     assert_same_arrays(encoder_params(model), encoder_params(ref_model))
     assert_same_arrays([l.weights for l in model.decoders],
                        [l.weights for l in ref_model.decoders])
@@ -263,7 +295,7 @@ def test_fine_tune_matches_reference():
 def test_train_classifier_matches_reference(cfg, seed):
     x, y = blob_data(15, 3, seed=41, width=4)
     model, history = train_classifier(x, y, cfg, seed, 3)
-    ref_model, ref_history = reference_train_classifier(x, y, cfg, seed, 3)
+    ref_model, ref_history = reference_classifier_records(x, y, cfg, seed, 3)
     assert len(history) == 3
     assert history == ref_history
     assert_same_arrays(model.params(), ref_model.params())
@@ -284,11 +316,17 @@ def test_train_epochs_returns_one_pair_per_epoch_and_stops_below():
     history = train_epochs("toy", optimizer, batch_step, 10, 5, 3, epochs=4,
                            stop_below=1.0)
     # stops after the third epoch, the first with a mean below 1.0
-    assert history == [(4.0, 0.8), (3.0, 0.8), (0.5, 0.8)]
+    assert history == [EpochRecord("toy", None, 0, 4.0, 0.8),
+                       EpochRecord("toy", None, 1, 3.0, 0.8),
+                       EpochRecord("toy", None, 2, 0.5, 0.8)]
     assert seen == [5] * 6
     assert (w < 0).all()  # one Adam step per batch moved the weights
     assert len(train_epochs("toy", Adam([np.zeros(1)], 0.1),
                             lambda idx: (1.0, 0), 7, 3, 3, epochs=5)) == 5
+    # a stage that makes no predictions measures no accuracy
+    assert [r.accuracy for r in train_epochs(
+        "toy", Adam([np.zeros(1)], 0.1), lambda idx: (1.0, None), 7, 3, 3,
+        epochs=2)] == [None, None]
     assert train_epochs("toy", Adam([np.zeros(1)], 0.1), batch_step, 7, 3, 3,
                         epochs=0) == []
 
@@ -332,10 +370,10 @@ def test_train_command_matches_per_tensor_reference(fine, tmp_path,
     train = ["train", str(art), "--kind", "sae-lstm", "--sae-epochs", "3",
              "--lstm-epochs", "3", *(["--fine-tune"] if fine else [])]
     assert main([*train, "--output", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr(sae, "pretrain_layer", reference_pretrain_layer)
-    monkeypatch.setattr(sae, "fine_tune", lambda model, x, y, k, seed:
-                        reference_fine_tune(model, x, y, k, seed)[1])
-    monkeypatch.setattr(lstm, "train_classifier", reference_train_classifier)
+    monkeypatch.setattr(sae, "pretrain_layer", reference_pretrain_records)
+    monkeypatch.setattr(sae, "fine_tune", reference_fine_tune_records)
+    monkeypatch.setattr(lstm, "train_classifier",
+                        reference_classifier_records)
     assert main([*train, "--output", str(tmp_path / "ref")]) == 0
     names = ["sae_history.csv", "lstm_history.csv"]
     names += ["fine_tune_history.csv"] if fine else []
@@ -345,3 +383,75 @@ def test_train_command_matches_per_tensor_reference(fine, tmp_path,
     new, ref = (json.loads((tmp_path / side / "bundle.json").read_text())
                 for side in ("new", "ref"))
     assert new["payload"]["components"] == ref["payload"]["components"]
+
+
+# The history writers as they were, each reading its trainer's old return
+# shape, rebuilt from the records: per layer its epoch losses (sae), the
+# epoch losses (fine-tune), the (loss, accuracy) pairs (lstm) and the losses
+# from before any tree (gbt).
+OLD_WRITERS = {
+    "sae": lambda pretrain_losses: csv_text(("layer", "epoch", "loss"), (
+        (layer_index, epoch, loss)
+        for layer_index, curve in enumerate(pretrain_losses)
+        for epoch, loss in enumerate(curve))),
+    "fine-tune": lambda ft_losses: csv_text(("epoch", "loss"),
+                                            enumerate(ft_losses)),
+    "lstm": lambda history: csv_text(
+        ("epoch", "loss", "accuracy"),
+        ((epoch, *entry) for epoch, entry in enumerate(history))),
+    "gbt": lambda losses: csv_text(("round", "loss"), enumerate(losses)),
+}
+
+
+def sae_history(encoder_dims, epochs, threshold=None):
+    """(new, old shape) of a stack's pretraining history."""
+    x, _ = blob_data(20, 3, seed=31, width=6)
+    cfg = SAEConfig(encoder_dims=encoder_dims, epochs=epochs, batch_size=16,
+                    convergence_threshold=threshold)
+    model = build_stack(x, cfg, 7)
+    curves = [[r.loss for r in model.records if r.layer == depth]
+              for depth in range(len(encoder_dims))]
+    return sae.history_csv(model), curves
+
+
+def fine_tune_history():
+    x, y = blob_data(20, 3, seed=31, width=6)
+    model = build_stack(x, SAEConfig(encoder_dims=(5, 3), epochs=2,
+                                     batch_size=16), 7)
+    records = fine_tune(model, x, y, 3, 7)
+    # the train command's projection of the fine-tune records
+    text = records_csv(records, epoch="step", loss="loss")
+    return text, [r.loss for r in records]
+
+
+def lstm_history():
+    x, y = blob_data(15, 3, seed=41, width=4)
+    _, records = train_classifier(
+        x, y, LstmConfig(hidden_size=5, epochs=2, batch_size=16), 13, 3)
+    return lstm.history_csv(records), [(r.loss, r.accuracy) for r in records]
+
+
+def gbt_history(rounds):
+    x, y = blob_data(15, 3, seed=73)
+    _, records = gbt.train_gbt(x, y, gbt.GbtParams(rounds=rounds), 3)
+    return gbt.history_csv(records), [r.loss for r in records]
+
+
+# in "sae-early-stop" the third layer's third epoch is the first of any layer
+# below the threshold; ``rows`` counts the CSV rows of each layer, or of the
+# whole run
+@pytest.mark.parametrize("writer,history,rows", [
+    ("sae", lambda: sae_history((5, 4, 3), 4, threshold=0.05), [4, 4, 3]),
+    ("sae", lambda: sae_history((5, 4, 3), 0), [0, 0, 0]),
+    ("fine-tune", fine_tune_history, [2]),
+    ("lstm", lstm_history, [2]),
+    ("gbt", lambda: gbt_history(0), [1]),
+    ("gbt", lambda: gbt_history(3), [4]),
+], ids=["sae-early-stop", "sae-no-epochs", "fine-tune", "lstm", "gbt-0",
+        "gbt-3"])
+def test_history_csv_layout(writer, history, rows):
+    text, old_shape = history()
+    assert text == OLD_WRITERS[writer](old_shape)
+    assert text.count("\n") == 1 + sum(rows)
+    if writer == "sae":  # each record's layer put it in its layer's rows
+        assert [len(curve) for curve in old_shape] == rows
