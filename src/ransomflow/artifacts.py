@@ -339,8 +339,6 @@ def save_bundle(path, kind: str, config_echo: dict,
                 artifact: DatasetArtifact, components: dict) -> Path:
     """Write a checksummed model bundle trained from ``artifact``; returns the
     file path."""
-    if kind not in _COMPONENTS:
-        raise SchemaMismatch(f"unknown bundle kind {kind!r}")
     path = Path(path)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -90,12 +90,10 @@ def check_label_range(labels, k_classes: int) -> None:
 
 
 def check_labeled_rows(x, y, k_classes: int) -> None:
-    """Require 2-d, non-empty ``x``, one label per row, at least 2 classes
-    and labels in [0, k_classes)."""
+    """Require 2-d, non-empty ``x``, at least 2 classes and labels ``y`` in
+    [0, k_classes)."""
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyData("cannot train on zero rows")
-    if y.shape != (x.shape[0],):
-        raise ShapeMismatch(f"{x.shape[0]} rows vs labels shape {y.shape}")
     if k_classes < 2:
         raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
     check_label_range(y, k_classes)

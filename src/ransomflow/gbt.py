@@ -41,7 +41,6 @@ from .errors import (
     DegenerateClasses,
     EmptyData,
     SchemaMismatch,
-    ShapeMismatch,
     check_int,
     check_label_range,
     check_labeled_rows,
@@ -352,8 +351,6 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
 
 def gbt_raw_scores(trees: list, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected (rows, features), got {x.shape}")
     raw = np.zeros((x.shape[0], len(trees)))
     for c, per_class in enumerate(trees):
         for tree in per_class:

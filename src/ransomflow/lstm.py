@@ -34,8 +34,6 @@ import numpy as np
 from . import rng
 from .errors import (
     ConfigError,
-    DegenerateClasses,
-    EmptyData,
     SchemaMismatch,
     ShapeMismatch,
     check_int,
@@ -220,13 +218,9 @@ class LstmClassifier:
 def to_sequences(x: np.ndarray, layout: str) -> np.ndarray:
     """Reshape (n, d) feature rows into (n, T, step_dim) sequences."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected (rows, features), got shape {x.shape}")
     if layout == "single-step":
         return x[:, None, :]
-    if layout == "feature-steps":
-        return x[:, :, None]
-    raise ConfigError(f"unknown sequence layout {layout!r}")
+    return x[:, :, None]  # feature-steps
 
 
 @dataclass
@@ -244,13 +238,7 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
     sequences = np.asarray(sequences, dtype=np.float64)
     if sequences.ndim != 3:
         raise ShapeMismatch(f"expected (m, T, d) sequences, got {sequences.shape}")
-    _, time_steps, width = sequences.shape
-    if time_steps == 0:
-        raise EmptyData("sequences must have at least one step")
-    if width != model.cells[0].input_size:
-        raise ShapeMismatch(
-            f"step width {width} != first cell input {model.cells[0].input_size}"
-        )
+    time_steps = sequences.shape[1]
     layer_steps = []
     inputs = [sequences[:, t, :] for t in range(time_steps)]
     for cell in model.cells:
@@ -355,8 +343,6 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
 def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
                       seed: int) -> LstmClassifier:
     """Fresh stack with Glorot gates drawn from ``seed`` and zero biases."""
-    if k_classes < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
     cells = []
     step_width = input_dim
     for layer_index in range(config.num_layers):

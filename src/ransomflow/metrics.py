@@ -31,15 +31,9 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise EmptyMatrix(f"confusion matrix must be square, got {self.counts.shape}")
         if self.counts.shape[0] == 0:
             raise EmptyMatrix("confusion matrix has no classes")
         self.class_names = tuple(self.class_names)
-        if len(self.class_names) != self.counts.shape[0]:
-            raise LengthMismatch(
-                f"{len(self.class_names)} names for {self.counts.shape[0]} classes"
-            )
 
     @property
     def k_classes(self) -> int:
@@ -165,9 +159,6 @@ class MetricsReport:
         their per-class rows, so both paths are supported.
         """
         class_names = tuple(class_names)
-        lengths = {len(class_names), len(precision), len(recall), len(f1), len(support)}
-        if len(lengths) != 1:
-            raise LengthMismatch("per-class value lists have differing lengths")
         macro_scores, weighted_scores = _averages(precision, recall, f1, support)
         return cls(
             class_names=class_names,

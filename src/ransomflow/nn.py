@@ -46,9 +46,7 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
         return sigmoid(z)
     if name == "tanh":
         return np.tanh(z)
-    if name == "softmax":
-        return softmax(z)
-    raise ValueError(f"unknown activation {name!r}")
+    return softmax(z)
 
 
 @dataclass
@@ -69,8 +67,6 @@ class DenseLayer:
                 f"biases shape {self.biases.shape} does not match "
                 f"{self.weights.shape[0]} output units"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @classmethod
     def create(cls, in_dim: int, out_dim: int, activation: str,
@@ -167,11 +163,9 @@ def _grad_pre_activation(layer: DenseLayer, cache: BatchCache,
     if act == "tanh":
         a = cache.output
         return grad_output * (1.0 - a * a)
-    if act == "softmax":
-        p = cache.output
-        inner = (grad_output * p).sum(axis=1, keepdims=True)
-        return p * (grad_output - inner)
-    raise ValueError(f"unknown activation {act!r}")
+    p = cache.output
+    inner = (grad_output * p).sum(axis=1, keepdims=True)
+    return p * (grad_output - inner)
 
 
 def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray,
@@ -231,8 +225,6 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
         raise ShapeMismatch(
             f"predicted {predicted.shape} vs target {target.shape}"
         )
-    if predicted.ndim != 2 or predicted.shape[0] == 0:
-        raise ShapeMismatch(f"expected non-empty 2-d batch, got {predicted.shape}")
     m = predicted.shape[0]
     diff = predicted - target
     loss = float((diff * diff).sum() / m)
@@ -251,12 +243,6 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise ShapeMismatch(f"expected non-empty 2-d probabilities, got {probs.shape}")
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
-        raise ShapeMismatch(
-            f"labels shape {labels.shape} does not match batch {probs.shape[0]}"
-        )
     if not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     n, k = probs.shape
@@ -291,8 +277,6 @@ class Adam:
     """
 
     def __init__(self, params, learning_rate: float):
-        if learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.t = 0
         sizes = [np.size(p) for p in params]

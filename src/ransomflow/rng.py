@@ -9,6 +9,8 @@ independent and makes derived seeds cheap.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -26,8 +28,6 @@ def _mix(z: int) -> int:
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the splitmix64 stream for ``seed``, as uint64."""
-    if n < 0:
-        raise ValueError(f"stream length must be non-negative, got {n}")
     base = np.uint64(seed & _MASK)
     golden = np.uint64(_GOLDEN)
     with np.errstate(over="ignore"):
@@ -40,12 +40,7 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
 def uniform(seed: int, shape) -> np.ndarray:
     """Uniform float64 samples in [0, 1) with 53-bit resolution."""
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
-    count = 1
-    for dim in shape:
-        if dim < 0:
-            raise ValueError(f"negative dimension in shape {shape}")
-        count *= dim
-    bits = splitmix64(seed, count) >> np.uint64(11)
+    bits = splitmix64(seed, math.prod(shape)) >> np.uint64(11)
     return (bits.astype(np.float64) / float(1 << 53)).reshape(shape)
 
 

@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     EmptyData,
     SchemaMismatch,
-    ShapeMismatch,
     check_int,
     check_labeled_rows,
     check_positive,
@@ -103,8 +102,6 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     falls below ``config.convergence_threshold`` (when set).
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d data, got shape {data.shape}")
     n, width = data.shape
     if n == 0:
         raise EmptyData("cannot pretrain on zero rows")

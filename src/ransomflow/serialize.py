@@ -62,13 +62,15 @@ def _finite_float(text: str) -> float:
 
 def load_json(path):
     """Parse a JSON file. Text that is not UTF-8 JSON, NaN and Infinity,
-    which ``dump_json`` never writes, and numbers such as 1e400 that overflow
-    a float raise :class:`SchemaMismatch` naming ``path``."""
+    which ``dump_json`` never writes, numbers such as 1e400 that overflow
+    a float and arrays or objects nested beyond the recursion limit raise
+    :class:`SchemaMismatch` naming ``path``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"),
                           parse_constant=_reject_constant,
                           parse_float=_finite_float)
-    except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+    # a UnicodeDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -798,6 +798,25 @@ def test_evaluate_train_split(gbt_bundle_dir, artifact_dir, tmp_path):
     assert report["accuracy"] >= 0.95
 
 
+def test_evaluate_empty_split_exits_3(tmp_path, capsys):
+    text, _ = gen.generate(3, raw_rows=300, duplicates=30, bad_times=5)
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    art, model = tmp_path / "art", tmp_path / "gbt"
+    assert main(["ingest", str(csv_path), "--test-ratio", "0.001",
+                 "--output", str(art)]) == 0
+    assert "test rows: 0" in capsys.readouterr().out
+    assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
+                 "--output", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["evaluate", str(model / "bundle.json"), str(art),
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: artifact test split holds no rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("state", ["bounds", "encoding"])
 def test_evaluate_against_another_artifact_exits_3(state, synthetic_csv,
                                                    artifact_dir,
@@ -985,6 +1004,21 @@ def test_evaluate_unknown_layer_activation_exits_3(sae_bundle_dir,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'foo'" in err
+
+
+def test_evaluate_0d_encoder_weights_exits_3(sae_bundle_dir, artifact_dir,
+                                             tmp_path, capsys):
+    def change(payload):
+        layer = payload["components"]["sae"]["encoders"][0]
+        layer["weights"] = array_doc(np.float64(0.5), "weights")
+
+    bundle = tmp_path / "bundle.json"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
+    rc = main(["evaluate", str(bundle), str(artifact_dir),
+               "--output", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: {bundle}: invalid model "
+                                       f"bundle: weights must be 2-d, got ()\n")
 
 
 def _nan_first(doc):
@@ -1286,6 +1320,22 @@ def test_compare_rejects_non_report_json(sae_report_dir, tmp_path):
     text.write_text("hello", encoding="utf-8")
     assert main(["compare", str(text), str(sae_report_dir / "report.json"),
                  "--output", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command, code", [("compare", 3), ("train", 1)])
+def test_json_nested_too_deeply_is_refused(command, code, artifact_dir,
+                                           tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    out = tmp_path / "o"
+    if command == "compare":
+        argv = ["compare", str(deep), str(deep)]
+    else:
+        argv = ["train", str(artifact_dir), "--config", str(deep)]
+    assert main([*argv, "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: not valid JSON (maximum recursion")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit", [
