@@ -169,7 +169,6 @@ def correlation_matrix(x: np.ndarray, feature_names) -> CorrelationMatrix:
     Constant columns cannot be correlated; they are flagged and their rows
     and columns (diagonal included) are set to 0 rather than NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected (rows, features), got shape {x.shape}")
     d = x.shape[1]

@@ -450,9 +450,6 @@ class EncodedTable:
     values: np.ndarray
     maps: EncodingMap
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
     @property
     def row_count(self) -> int:
         return self.values.shape[0]

@@ -252,7 +252,6 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
     histogram of ``rows`` (None at ``max_depth``, where no split is
     searched). Each leaf keeps its row set in ``rows``.
     """
-    rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise EmptyData("cannot grow a tree over zero rows")
     total_g = float(g[rows].sum())
@@ -285,7 +284,6 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
 
 def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     """Leaf weight per row of a (n, d) matrix."""
-    x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape[0], dtype=np.float64)
 
     def fill(node, idx):
@@ -311,8 +309,7 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     before any tree and after each round, each of which must be finite.
     """
     # column-major, so each feature's values are one contiguous gather
-    x = np.asfortranarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x = np.asfortranarray(x)
     check_labeled_rows(x, y, k_classes)
     if np.unique(y).size < 2:
         raise DegenerateClasses("training labels hold fewer than 2 classes")
@@ -350,7 +347,6 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
 
 
 def gbt_raw_scores(trees: list, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     raw = np.zeros((x.shape[0], len(trees)))
     for c, per_class in enumerate(trees):
         for tree in per_class:

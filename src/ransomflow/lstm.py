@@ -127,7 +127,6 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
     the input block of ``w`` are multiplied and the forget gate is not
     computed. Returns (h, c, cache).
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
     single = x_t.ndim == 1
     if single:
         x_t = x_t[None, :]
@@ -146,8 +145,6 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
     else:
         if h_prev is None or c_prev is None:
             raise ShapeMismatch("give both h_prev and c_prev, or neither")
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        c_prev = np.asarray(c_prev, dtype=np.float64)
         if single:
             h_prev, c_prev = h_prev[None, :], c_prev[None, :]
         if h_prev.shape != (x_t.shape[0], hidden) \
@@ -217,7 +214,6 @@ class LstmClassifier:
 
 def to_sequences(x: np.ndarray, layout: str) -> np.ndarray:
     """Reshape (n, d) feature rows into (n, T, step_dim) sequences."""
-    x = np.asarray(x, dtype=np.float64)
     if layout == "single-step":
         return x[:, None, :]
     return x[:, :, None]  # feature-steps
@@ -235,7 +231,6 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
     States start at zero. The softmax head reads the last layer's final
     hidden state. Returns ((m, k) probs, caches).
     """
-    sequences = np.asarray(sequences, dtype=np.float64)
     if sequences.ndim != 3:
         raise ShapeMismatch(f"expected (m, T, d) sequences, got {sequences.shape}")
     time_steps = sequences.shape[1]
@@ -377,8 +372,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     weights and the batch order. Returns (model, records), a
     :class:`ransomflow.nn.EpochRecord` of each epoch's mean loss and accuracy.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k_classes, config, seed)

@@ -1,10 +1,14 @@
 """Dense layers, a cache-free chunked forward pass, losses, Adam, epoch
 records and finite-difference gradient checking.
 
-Everything runs in float64. Weights use the (out_dim, in_dim) convention so a
-forward pass is ``x @ w.T + b`` on row-major batches. Initialization is
-Glorot-uniform with bound sqrt(6 / (fan_in + fan_out)) drawn from the seeded
-stream in :mod:`ransomflow.rng`; biases start at zero.
+Nothing here casts what it is given: arrays are float64 (labels int64) where
+they are made, by ``rng.uniform``, ``serialize.array_from_doc``,
+``dataset.label_encode``, ``normalize`` and the artifact's row store, and the
+arrays this module allocates (``apply``'s output, Adam's buffer) are float64.
+Weights use the (out_dim, in_dim) convention so a forward pass is
+``x @ w.T + b`` on row-major batches. Initialization is Glorot-uniform with
+bound sqrt(6 / (fan_in + fan_out)) drawn from the seeded stream in
+:mod:`ransomflow.rng`; biases start at zero.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stabilized softmax."""
-    z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     return expz / expz.sum(axis=-1, keepdims=True)
@@ -31,7 +34,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # The tanh identity needs no exp, so it cannot overflow; ``out`` may be z.
-    out = np.multiply(z, 0.5, out=out, dtype=np.float64)
+    out = np.multiply(z, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
     return np.multiply(out, 0.5, out=out)
@@ -58,8 +61,6 @@ class DenseLayer:
     activation: str
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2:
             raise ShapeMismatch(f"weights must be 2-d, got {self.weights.shape}")
         if self.biases.shape != (self.weights.shape[0],):
@@ -114,7 +115,6 @@ def _pre_activation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass on a (m, in_dim) batch. Returns (output, cache)."""
-    x = np.asarray(x, dtype=np.float64)
     z = _pre_activation(layer, x)
     out = _activate(layer.activation, z)
     return out, BatchCache(inputs=x, pre_activation=z, output=out)
@@ -138,7 +138,6 @@ def apply(layers: list, x: np.ndarray) -> np.ndarray:
     """Forward pass of (n, d) rows through the dense ``layers`` in order,
     keeping no cache: chunk by chunk (:func:`row_chunks`) into one
     preallocated output, equal to chaining :func:`dense_forward`."""
-    x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], layers[-1].out_dim))
     for rows in row_chunks(x.shape[0]):
         current = x[rows]
@@ -176,7 +175,6 @@ def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray
     was built from. ``grad_output`` is the loss gradient wrt the layer output.
     ``out``, a (weights, biases) pair of gradient views, receives the last two.
     """
-    grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.output.shape:
         raise ShapeMismatch(
             f"grad shape {grad_output.shape} does not match output "
@@ -193,7 +191,6 @@ def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
     The softmax cross-entropy pairing produces (p - y) / n as the gradient at
     the pre-activation, so the softmax Jacobian must not be applied again.
     """
-    grad_pre_activation = np.asarray(grad_pre_activation, dtype=np.float64)
     if grad_pre_activation.shape != cache.pre_activation.shape:
         raise ShapeMismatch(
             f"grad shape {grad_pre_activation.shape} does not match "
@@ -219,8 +216,6 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
     loss = (1/m) * sum over the batch of the squared error of each row; the
     divisor is the row count m only, not the feature dimension.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
     if predicted.shape != target.shape:
         raise ShapeMismatch(
             f"predicted {predicted.shape} vs target {target.shape}"
@@ -241,8 +236,6 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
     :func:`dense_backward_preact`. Probabilities are clamped at 1e-12 inside
     the log only.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     n, k = probs.shape

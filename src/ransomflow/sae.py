@@ -101,7 +101,6 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     of each epoch's mean reconstruction loss. Training stops early once it
     falls below ``config.convergence_threshold`` (when set).
     """
-    data = np.asarray(data, dtype=np.float64)
     n, width = data.shape
     if n == 0:
         raise EmptyData("cannot pretrain on zero rows")
@@ -141,7 +140,6 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     is dropped and its output is computed afresh from ``data`` through all
     the encoders so far by :func:`ransomflow.nn.apply`, which keeps no cache.
     """
-    data = np.asarray(data, dtype=np.float64)
     encoders = []
     decoders = []
     records = []
@@ -185,8 +183,6 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     :class:`ransomflow.nn.EpochRecord` per epoch.
     """
     config = model.config
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     check_labeled_rows(x, y, k_classes)
     model.codes = None  # the encoders change below
     seed = rng.derive(seed, "fine-tune")

@@ -1,8 +1,9 @@
 """Versioned JSON helpers shared by every artifact the pipeline writes.
 
 Layout rules: JSON documents are key-sorted and hold no NaN/Inf; CSV goes
-through :func:`csv_text`; float arrays inside JSON are :func:`array_doc`
-objects holding their raw little-endian bytes in base64.
+through :func:`csv_text`, which quotes only a cell holding ``,``, ``"``, CR
+or LF; float arrays inside JSON are :func:`array_doc` objects holding their
+raw little-endian bytes in base64.
 """
 
 from __future__ import annotations
@@ -111,15 +112,24 @@ def read_fields(cls, doc, stored_names: dict | None = None):
         raise SchemaMismatch(f"{cls.__name__}: {exc}") from None
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text(header, rows) -> str:
     """CSV text: the header line, one line per row, and a trailing newline.
 
     Float cells, Python or numpy, are written as ``repr(float(v))``, which
-    round-trips exactly; every other cell with ``str``. Nothing is quoted.
+    round-trips exactly; every other cell with ``str``. A cell holding ``,``,
+    ``"``, CR or LF (a category or class name can) is quoted, its ``"``
+    doubled, as ``csv.reader`` reads it back; no other cell is quoted.
     """
-    floats = (float, np.floating)
-    lines = [",".join([repr(float(v)) if isinstance(v, floats) else str(v)
-                       for v in row]) for row in (header, *rows)]
+    lines = [",".join([_csv_cell(v) for v in row]) for row in (header, *rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import base64
+import csv
 import json
 import math
 import re
@@ -815,6 +816,56 @@ def test_evaluate_empty_split_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: artifact test split holds no rows\n"
     assert not out.exists()
+
+
+def test_names_holding_csv_syntax_read_back_from_every_csv(tmp_path, capsys):
+    # a family holding a comma, a threat holding a quote and a class named
+    # S,S, quoted in the raw CSV as the csv module writes them
+    text, _ = gen.generate(5, raw_rows=600, duplicates=60, bad_times=6)
+    renames = {3: {"Locky": '"Locky, v2"'}, 11: {"Spam": '"Sp""am"'},
+               13: {"S": '"S,S"'}}
+    header, *rows = text.split("\n")
+    lines = [header]
+    for line in rows:
+        cells = line.split(",")
+        for column, rename in renames.items():
+            if len(cells) > column:
+                cells[column] = rename.get(cells[column], cells[column])
+        lines.append(",".join(cells))
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text("\n".join(lines), encoding="utf-8")
+    art, model = tmp_path / "art", tmp_path / "gbt"
+    analysis, report, comparison = (tmp_path / "analysis", tmp_path / "report",
+                                    tmp_path / "comparison")
+    assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
+    assert main(["analyze", str(art), "--output", str(analysis)]) == 0
+    assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
+                 "--output", str(model)]) == 0
+    assert main(["evaluate", str(model / "bundle.json"), str(art),
+                 "--output", str(report)]) == 0
+    assert main(["compare", str(report / "report.json"),
+                 str(report / "report.json"), "--name-a", "a,b",
+                 "--output", str(comparison)]) == 0
+    capsys.readouterr()
+    tables = {}
+    for path in [*analysis.glob("*.csv"), *report.glob("*.csv"),
+                 *comparison.glob("*.csv")]:
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {len(rows[0])}, path.name
+        tables[path.name] = rows
+
+    def column(name):
+        return [row[0] for row in tables[name]]
+
+    assert "Locky, v2" in column("financial.csv")
+    assert "Locky, v2" in column("anomalies.csv")
+    assert 'Sp"am' in column("distribution.csv")
+    assert "S,S" in column("report.csv")
+    assert tables["confusion.csv"][0] == ["true\\predicted", "A", "S,S", "SS"]
+    assert column("confusion.csv") == ["true\\predicted", "A", "S,S", "SS"]
+    assert tables["comparison.csv"][0][1] == "a,b"
+    assert "f1[S,S]" in column("comparison.csv")
 
 
 @pytest.mark.parametrize("state", ["bounds", "encoding"])

@@ -29,6 +29,10 @@ renders the dataclasses its field annotations name as well (see
 exception ``__init__``s in ``errors.py`` store: each must be read off a caught
 exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
 :func:`unread_exception_attributes`).
+
+The re-cast scan keeps the learning modules from converting what they are
+given: every array they read is typed where it is made, float64 or int64
+(see :func:`recasts`).
 """
 
 import ast
@@ -673,3 +677,72 @@ def test_every_exception_attribute_is_read():
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
     texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
     assert unread_exception_attributes(errors, texts) == []
+
+
+RECAST_MODULES = ("nn.py", "sae.py", "lstm.py", "gbt.py")
+
+
+def recasts(source: str) -> list:
+    """``line: call`` for each call in ``source`` that re-casts an input of
+    its innermost enclosing function, a parameter or ``self.<field>``: an
+    ``np.<name>(input, ...)`` call passing ``dtype=``, a bare
+    ``np.asarray(input)``, or ``<parameter>.astype(...)``."""
+    found = []
+
+    def visit(node, inputs):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                a = child.args
+                visit(child, {p.arg for p in (*a.posonlyargs, *a.args,
+                                              *a.kwonlyargs)})
+                continue
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Attribute):
+                func, args = child.func, child.args
+                owner = ast.unparse(func.value)
+                first = ast.unparse(args[0]) if args else ""
+                given = first in inputs or (
+                    re.fullmatch(r"self\.\w+", first) and "self" in inputs)
+                if (owner == "np" and given
+                        and (any(k.arg == "dtype" for k in child.keywords)
+                             or (func.attr == "asarray" and len(args) == 1
+                                 and not child.keywords))) \
+                        or (func.attr == "astype" and owner in inputs):
+                    found.append(f"{child.lineno}: {ast.unparse(child)}")
+            visit(child, inputs)
+
+    visit(ast.parse(source), set())
+    return found
+
+
+def test_recast_scan_finds_casts_of_inputs_only():
+    source = ("import numpy as np\n"
+              "class Layer:\n"
+              "    def __post_init__(self):\n"
+              "        self.w = np.asarray(self.w, dtype=np.float64)\n"
+              "def f(x, y, rows, *, z):\n"
+              "    x = np.asarray(x, dtype=np.float64)\n"
+              "    y = y.astype(np.int64)\n"
+              "    rows = np.asarray(rows)\n"
+              "    out = np.empty(x.shape[0], dtype=np.float64)\n"
+              "    kept = np.asfortranarray(x)\n"
+              "    local = np.asarray(x + z, dtype=np.float64)\n"
+              "    flat = (x + 1).astype(np.int64)\n"
+              "    def inner(v):\n"
+              "        return np.multiply(v, 0.5, dtype=np.float64), \\\n"
+              "            np.asarray(x, dtype=np.float64)\n"
+              "    return np.add(z, 1, dtype=float), inner\n")
+    assert recasts(source) == [
+        "4: np.asarray(self.w, dtype=np.float64)",
+        "6: np.asarray(x, dtype=np.float64)",
+        "7: y.astype(np.int64)",
+        "8: np.asarray(rows)",
+        "14: np.multiply(v, 0.5, dtype=np.float64)",
+        "16: np.add(z, 1, dtype=float)",
+    ]
+
+
+@pytest.mark.parametrize("name", RECAST_MODULES)
+def test_learning_module_does_not_recast_its_input(name):
+    assert recasts((PACKAGE / name).read_text(encoding="utf-8")) == []

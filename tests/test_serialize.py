@@ -2,6 +2,8 @@
 stored-settings reader."""
 
 import base64
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -43,6 +45,14 @@ def test_csv_text_floats_round_trip_exactly():
     text = csv_text(("v",), ((v,) for v in values))
     parsed = np.array([float(line) for line in text.splitlines()[1:]])
     assert np.array_equal(parsed, values)
+
+
+def test_csv_text_quotes_cells_csv_would_split():
+    names = ["Locky, v2", 'say "hi"', "two\nlines", "cr\ronly", "plain"]
+    text = csv_text(("name", "n"), [(name, 1) for name in names])
+    assert text.split("\n")[1:3] == ['"Locky, v2",1', '"say ""hi""",1']
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["name", "n"], *([name, "1"] for name in names)]
 
 
 
