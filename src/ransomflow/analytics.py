@@ -12,7 +12,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .dataset import TARGET, EncodedTable
-from .errors import ConfigError, ShapeMismatch, UnknownCategory
+from .errors import UnknownCategory
 from .serialize import REPORT_VERSION, csv_text
 
 
@@ -23,11 +23,6 @@ class FamilyFinance:
     mean_usd: float
     total_btc: float
     mean_btc: float
-
-
-# FamilyFinance's fields: a family's row of financial.csv, and what
-# rank_families can rank by
-_RANK_KEYS = tuple(f.name for f in fields(FamilyFinance))
 
 
 @dataclass
@@ -46,7 +41,8 @@ class FinancialReport:
         rows = [(name, *astuple(ff)) for name, ff in self.families.items()]
         rows.append(("(all)", self.row_count, self.total_usd,
                      self.global_mean_usd, self.total_btc, self.global_mean_btc))
-        return csv_text(("family", *_RANK_KEYS), rows)
+        return csv_text(("family", *(f.name for f in fields(FamilyFinance))),
+                        rows)
 
 
 def _per_category(table: EncodedTable, column: str, rows, *weights) -> list:
@@ -93,13 +89,11 @@ def financial_report(table: EncodedTable) -> FinancialReport:
 
 
 def rank_families(report: FinancialReport, key: str, top_n: int):
-    """The ``top_n`` families with the largest ``key`` quantity, largest
-    first, as (name, value) pairs.
+    """The ``top_n`` families with the largest ``key`` quantity, a field of
+    :class:`FamilyFinance`, largest first, as (name, value) pairs.
 
     Ties break on the family name ascending, keeping rankings reproducible.
     """
-    if key not in _RANK_KEYS:
-        raise ConfigError(f"rank key must be one of {_RANK_KEYS}, got {key!r}")
     return _ranked((name, getattr(ff, key))
                    for name, ff in report.families.items())[:top_n]
 
@@ -169,12 +163,8 @@ def correlation_matrix(x: np.ndarray, feature_names) -> CorrelationMatrix:
     Constant columns cannot be correlated; they are flagged and their rows
     and columns (diagonal included) are set to 0 rather than NaN.
     """
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected (rows, features), got shape {x.shape}")
     d = x.shape[1]
     feature_names = tuple(feature_names)
-    if len(feature_names) != d:
-        raise ShapeMismatch(f"{len(feature_names)} names for {d} columns")
     constant = np.array([bool((x[:, j] == x[0, j]).all()) for j in range(d)])
     centered = x - x.mean(axis=0)
     centered[:, constant] = 0.0

@@ -90,7 +90,7 @@ from .dataset import (
     preprocess_from_dict,
     preprocess_to_dict,
 )
-from .errors import ChecksumMismatch, ConfigError, DataError, SchemaMismatch
+from .errors import ConfigError, DataError, SchemaMismatch
 from .serialize import (
     SCHEMA_VERSION,
     canonical_json,
@@ -226,6 +226,11 @@ class DatasetArtifact:
         return normalize(rows, self.bounds), rows.target_codes()
 
 
+def _checksum_mismatch(path, recorded, actual: str) -> DataError:
+    return DataError(f"{path}: checksum mismatch: recorded "
+                     f"{str(recorded)[:12]}..., recomputed {actual[:12]}...")
+
+
 def _verified_payload(path, what: str, kinds, keys) -> dict:
     """Payload of a {checksum, payload} file after its envelope checks.
 
@@ -241,7 +246,7 @@ def _verified_payload(path, what: str, kinds, keys) -> dict:
     recorded = doc.get("checksum", "")
     actual = checksum(payload)
     if recorded != actual:
-        raise ChecksumMismatch(path, recorded, actual)
+        raise _checksum_mismatch(path, recorded, actual)
     require_keys(doc, ("checksum", "payload"), f"{what} {path}")
     require_version(payload, f"{what} {path}")
     kind = payload.get("kind")
@@ -313,7 +318,7 @@ def load_artifact(directory) -> DatasetArtifact:
     raw = table_path.read_bytes()
     actual = hashlib.sha256(raw).hexdigest()
     if actual != table_sha256:
-        raise ChecksumMismatch(table_path, table_sha256, actual)
+        raise _checksum_mismatch(table_path, table_sha256, actual)
     try:
         table, train_idx, test_idx = _read_table_npz(raw, maps)
     except SchemaMismatch as exc:

@@ -44,10 +44,16 @@ from .dataset import (
     parse_csv,
     stratified_indices,
 )
-from .errors import ConfigError, DataError, EmptyData, SchemaMismatch
+from .errors import ConfigError, DataError, SchemaMismatch
 from .metrics import COMPARISON_KEYS, MetricsReport, compare, confusion, report
 from .nn import records_csv
-from .serialize import REPORT_VERSION, dump_json, load_json, require_keys
+from .serialize import (
+    REPORT_VERSION,
+    csv_cell,
+    dump_json,
+    load_json,
+    require_keys,
+)
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems as ConfigError (exit code 1)."""
@@ -200,7 +206,7 @@ def cmd_ingest(args) -> int:
         train_idx, test_idx = stratified_indices(
             table.target_codes(), ds.test_ratio, cfg.seed_for("split"))
     if len(train_idx) == 0:
-        raise EmptyData("the training side holds no rows")
+        raise DataError("the training side holds no rows")
 
     stages["table_rows"] = table.row_count
     out_dir = Path(args.output_dir)
@@ -215,8 +221,10 @@ def cmd_ingest(args) -> int:
 def _fit(kind, cfg, artifact) -> tuple:
     """Train one model of ``kind`` on the artifact's training rows: (its
     stored components, history files and summary lines)."""
-    x, y = artifact.side("train")
     k = artifact.table.maps.size(TARGET)
+    if k < 2:
+        raise DataError(f"need at least 2 classes, got {k}")
+    x, y = artifact.side("train")
     if kind == "sae-lstm":
         sae_seed = cfg.seed_for("sae")
         model = sae.build_stack(x, cfg.sae, sae_seed)
@@ -273,7 +281,7 @@ def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.bundle, artifact)
     x, y = artifact.side(args.split)
     if y.size == 0:
-        raise EmptyData(f"artifact {args.split} split holds no rows")
+        raise DataError(f"artifact {args.split} split holds no rows")
     classes = artifact.table.maps.categories[TARGET]
     cm = confusion(y, bundle.predict(x), len(classes), classes)
     rep = report(cm)
@@ -352,7 +360,7 @@ def cmd_analyze(args) -> int:
     print(f"analysis written to {out_dir}")
     print(f"  rows analyzed: {table.row_count}")
     if fin.families:
-        names = ", ".join(name for name, _ in top_total)
+        names = ", ".join(csv_cell(name) for name, _ in top_total)
         print(f"  top families by total USD: {names}")
         print(f"  mean ransom: {fin.global_mean_btc:.2f} BTC, "
               f"{fin.global_mean_usd:.2f} USD")

@@ -34,10 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import (
-    ConfigError,
     DataError,
-    DegenerateSplit,
-    EmptyData,
     MissingColumn,
     NonNumericCell,
     RaggedRow,
@@ -559,10 +556,7 @@ def clean_timestamps(table: EncodedTable):
 
 def feature_bounds(table: EncodedTable):
     """The min-max bounds of the 13 feature columns: per-column (mins, maxs)
-    arrays of ``table``, the training rows. Zero rows raise
-    :class:`EmptyData`."""
-    if table.row_count == 0:
-        raise EmptyData("cannot derive normalization bounds from zero rows")
+    arrays of ``table``, the training rows, of which there is at least one."""
     raw = table.values[:, FEATURE_IDX]
     return raw.min(axis=0), raw.max(axis=0)
 
@@ -588,21 +582,20 @@ def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):
     """Per-class random partition. Returns (train_idx, test_idx), each sorted.
 
     Each class contributes floor(count * ratio + 0.5) rows to the test side
-    (round half up), drawn by a seeded shuffle of that class's row positions.
-    Classes with fewer than 2 rows cannot appear on both sides and raise
-    :class:`DegenerateSplit`.
+    (round half up), drawn by a seeded shuffle of that class's row positions;
+    ``test_ratio`` lies in (0, 1). Zero rows, or a class with fewer than 2
+    rows, which cannot appear on both sides, raise :class:`DataError`.
     """
     y = np.asarray(y)
-    if not 0.0 < test_ratio < 1.0:
-        raise ConfigError(f"test ratio must lie in (0, 1), got {test_ratio}")
     if y.size == 0:
-        raise EmptyData("cannot split zero rows")
+        raise DataError("cannot split zero rows")
     test_parts = []
     train_parts = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)
         if rows.size < 2:
-            raise DegenerateSplit(f"class {int(c)} has only {rows.size} row(s)")
+            raise DataError(f"cannot build stratified split: class {int(c)} "
+                            f"has only {rows.size} row(s)")
         take = int(math.floor(rows.size * test_ratio + 0.5))
         order = rng.permutation(rng.derive(seed, "split", int(c)), rows.size)
         shuffled = rows[order]

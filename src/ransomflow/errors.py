@@ -1,9 +1,12 @@
-"""Exception hierarchy for the pipeline.
+"""The pipeline's exception types and its settings checks.
 
-Every failure a caller is expected to handle maps onto one of three broad
-families: configuration problems (bad settings, bad flags), I/O problems
-(missing or unreadable files), and data problems (malformed rows, impossible
-shapes, degenerate inputs). The CLI translates these families into exit codes.
+Every failure a caller is expected to handle is a :class:`ConfigError` (bad
+settings, bad flags) or a :class:`DataError` (malformed rows, stored files or
+degenerate inputs); the CLI maps them, and ``OSError`` for unreadable or
+missing files, to exit codes 1, 3 and 2. The type rule: a fault gets a class
+of its own only when some code catches it by that type, or reads fields it
+carries; any other fault raises :class:`DataError` (or :class:`ConfigError`)
+with a message that says what went wrong.
 """
 
 from __future__ import annotations
@@ -11,15 +14,11 @@ from __future__ import annotations
 import math
 
 
-class PipelineError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class ConfigError(PipelineError):
+class ConfigError(Exception):
     """Invalid configuration value, unknown key, or malformed flag."""
 
 
-class DataError(PipelineError):
+class DataError(Exception):
     """Input data violates a structural or semantic precondition."""
 
 
@@ -60,43 +59,12 @@ class UnknownCategory(DataError):
         super().__init__(f"column {column!r}: value {value!r} not in encoding map")
 
 
-class DegenerateSplit(DataError):
-    def __init__(self, detail: str):
-        super().__init__(f"cannot build stratified split: {detail}")
+class SchemaMismatch(DataError):
+    """A stored file, or a field in it, that the loaders refuse."""
 
 
 # ---------------------------------------------------------------------------
-# Numeric / shape checks shared by the learning modules
-
-
-class ShapeMismatch(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class LabelOutOfRange(DataError):
-    def __init__(self, label: int, k_classes: int):
-        super().__init__(f"label {label} outside [0, {k_classes})")
-
-
-def check_label_range(labels, k_classes: int) -> None:
-    """Raise :class:`LabelOutOfRange` for the first label outside [0, k)."""
-    if labels.size and (labels.min() < 0 or labels.max() >= k_classes):
-        bad = int(labels[(labels < 0) | (labels >= k_classes)][0])
-        raise LabelOutOfRange(bad, k_classes)
-
-
-def check_labeled_rows(x, y, k_classes: int) -> None:
-    """Require 2-d, non-empty ``x``, at least 2 classes and labels ``y`` in
-    [0, k_classes)."""
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyData("cannot train on zero rows")
-    if k_classes < 2:
-        raise DegenerateClasses(f"need at least 2 classes, got {k_classes}")
-    check_label_range(y, k_classes)
+# Settings checks
 
 
 def check_int(name: str, value, low: int | None = None) -> None:
@@ -135,36 +103,3 @@ def check_positive(name: str, value, optional: bool = False) -> None:
         none = "None or " if optional else ""
         raise ConfigError(f"{name} must be {none}a finite number > 0, "
                           f"got {value!r}")
-
-
-class EmptyData(DataError):
-    pass
-
-
-class EmptyMatrix(DataError):
-    pass
-
-
-class DegenerateClasses(DataError):
-    pass
-
-
-class ClassSetMismatch(DataError):
-    def __init__(self, left, right):
-        super().__init__(f"class sets differ: {sorted(left)} vs {sorted(right)}")
-
-
-# ---------------------------------------------------------------------------
-# Serialized artifacts
-
-
-class SchemaMismatch(DataError):
-    pass
-
-
-class ChecksumMismatch(DataError):
-    def __init__(self, path, expected, found: str):
-        super().__init__(
-            f"{path}: checksum mismatch: recorded {str(expected)[:12]}..., "
-            f"recomputed {found[:12]}..."
-        )

@@ -38,16 +38,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateClasses,
-    EmptyData,
+    DataError,
     SchemaMismatch,
     check_int,
-    check_label_range,
-    check_labeled_rows,
     check_number,
     is_finite_number,
 )
-from .nn import EpochRecord, finite_loss, records_csv, softmax
+from .nn import EpochRecord, finite_loss, mean_log_loss, records_csv, softmax
 from .serialize import require_keys
 
 
@@ -77,10 +74,8 @@ def grad_hess(labels: np.ndarray, probs: np.ndarray):
     ``probs`` is the (n, k) softmax of the accumulated tree outputs. Returns
     (g, h) with g = p - onehot(labels) and h = p * (1 - p), no batch scaling.
     """
-    n, k = probs.shape
-    check_label_range(labels, k)
     g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
+    g[np.arange(probs.shape[0]), labels] -= 1.0
     h = probs * (1.0 - probs)
     return g, h
 
@@ -250,10 +245,9 @@ def build_tree(rows: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
 
     ``layout`` is ``bin_layout(x)``, shared by every node, and ``hist`` the
     histogram of ``rows`` (None at ``max_depth``, where no split is
-    searched). Each leaf keeps its row set in ``rows``.
+    searched). Each leaf keeps its row set in ``rows``, which is never
+    empty.
     """
-    if rows.size == 0:
-        raise EmptyData("cannot grow a tree over zero rows")
     total_g = float(g[rows].sum())
     total_h = float(h[rows].sum())
     decision = None
@@ -303,16 +297,16 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
               k_classes: int):
     """Boost ``params.rounds`` rounds on (n, d) feature rows ``x``.
 
-    Labels ``y`` must fall inside [0, k_classes), and one tree list is grown
-    per class. Returns (trees, records): ``trees[class][round]``, the model,
-    and a :class:`ransomflow.nn.EpochRecord` of the mean training cross-entropy
+    Labels ``y`` fall inside [0, k_classes) and must hold at least 2
+    classes; one tree list is grown per class. Returns (trees, records):
+    ``trees[class][round]``, the model, and a
+    :class:`ransomflow.nn.EpochRecord` of the mean training cross-entropy
     before any tree and after each round, each of which must be finite.
     """
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(x)
-    check_labeled_rows(x, y, k_classes)
     if np.unique(y).size < 2:
-        raise DegenerateClasses("training labels hold fewer than 2 classes")
+        raise DataError("training labels hold fewer than 2 classes")
     n = x.shape[0]
     raw = np.zeros((n, k_classes), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)
@@ -323,9 +317,8 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
     trees = [[] for _ in range(k_classes)]
 
     def record(step: int, probs: np.ndarray) -> EpochRecord:
-        loss = float(-np.log(np.maximum(probs[all_rows, y], 1e-12)).mean())
-        return EpochRecord("boosting", None, step,
-                           finite_loss(f"boosting: round {step}", loss), None)
+        loss = finite_loss(f"boosting: round {step}", mean_log_loss(probs, y))
+        return EpochRecord("boosting", None, step, loss, None)
 
     probs = softmax(raw)  # a step's loss and the next round's gradients
     records = [record(0, probs)]

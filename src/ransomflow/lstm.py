@@ -32,14 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import (
-    ConfigError,
-    SchemaMismatch,
-    ShapeMismatch,
-    check_int,
-    check_labeled_rows,
-    check_positive,
-)
+from .errors import ConfigError, SchemaMismatch, check_int, check_positive
 from .nn import (
     Adam,
     DenseLayer,
@@ -83,10 +76,6 @@ class LstmCell:
         return self.w.shape[0] // 4
 
     @property
-    def input_size(self) -> int:
-        return self.w.shape[1] - self.hidden_size
-
-    @property
     def param_count(self) -> int:
         return self.w.size + self.b.size
 
@@ -123,19 +112,15 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
                  c_prev: np.ndarray | None = None):
     """One LSTM step. Accepts single vectors or (m, dim) batches.
 
-    ``h_prev = c_prev = None`` is the zero state: only the i | o | g rows of
-    the input block of ``w`` are multiplied and the forget gate is not
-    computed. Returns (h, c, cache).
+    The two states come together. ``h_prev = c_prev = None`` is the zero
+    state: only the i | o | g rows of the input block of ``w`` are multiplied
+    and the forget gate is not computed. Returns (h, c, cache).
     """
     single = x_t.ndim == 1
     if single:
         x_t = x_t[None, :]
     hidden = cell.hidden_size
-    if x_t.shape[1] != cell.input_size:
-        raise ShapeMismatch(
-            f"input width {x_t.shape[1]} != cell input size {cell.input_size}"
-        )
-    if h_prev is None and c_prev is None:
+    if c_prev is None:
         z = x_t
         if cell.live is None:
             rows = live_rows(hidden)
@@ -143,16 +128,8 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray,
         else:
             w, b = cell.live
     else:
-        if h_prev is None or c_prev is None:
-            raise ShapeMismatch("give both h_prev and c_prev, or neither")
         if single:
             h_prev, c_prev = h_prev[None, :], c_prev[None, :]
-        if h_prev.shape != (x_t.shape[0], hidden) \
-                or c_prev.shape != h_prev.shape:
-            raise ShapeMismatch(
-                f"state shapes {h_prev.shape}/{c_prev.shape} do not match "
-                f"batch {x_t.shape[0]} x hidden {hidden}"
-            )
         z, w, b = np.concatenate([h_prev, x_t], axis=1), cell.w, cell.b
     gates = z @ w.T
     gates += b
@@ -231,8 +208,6 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
     States start at zero. The softmax head reads the last layer's final
     hidden state. Returns ((m, k) probs, caches).
     """
-    if sequences.ndim != 3:
-        raise ShapeMismatch(f"expected (m, T, d) sequences, got {sequences.shape}")
     time_steps = sequences.shape[1]
     layer_steps = []
     inputs = [sequences[:, t, :] for t in range(time_steps)]
@@ -368,11 +343,10 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
                      seed: int, k_classes: int):
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
 
-    Labels ``y`` must fall inside [0, k_classes). ``seed`` draws the initial
-    weights and the batch order. Returns (model, records), a
+    Labels ``y`` fall inside [0, k_classes), and k_classes >= 2. ``seed``
+    draws the initial weights and the batch order. Returns (model, records), a
     :class:`ransomflow.nn.EpochRecord` of each epoch's mean loss and accuracy.
     """
-    check_labeled_rows(x, y, k_classes)
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k_classes, config, seed)
     live = trained_slices(model, sequences.shape[1])

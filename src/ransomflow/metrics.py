@@ -13,14 +13,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ClassSetMismatch,
-    EmptyMatrix,
-    LengthMismatch,
-    SchemaMismatch,
-    check_label_range,
-    is_finite_number,
-)
+from .errors import DataError, SchemaMismatch, is_finite_number
 from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
 
 
@@ -31,8 +24,6 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape[0] == 0:
-            raise EmptyMatrix("confusion matrix has no classes")
         self.class_names = tuple(self.class_names)
 
     @property
@@ -50,17 +41,10 @@ class ConfusionMatrix:
 
 
 def confusion(y_true, y_pred, k_classes: int, class_names=None) -> ConfusionMatrix:
-    """Count (true, predicted) pairs into a k x k matrix."""
+    """Count (true, predicted) pairs, equal-length vectors of labels in
+    [0, k_classes), into a k x k matrix."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    if y_true.ndim != 1 or y_pred.ndim != 1 or y_true.shape != y_pred.shape:
-        raise LengthMismatch(
-            f"y_true {y_true.shape} and y_pred {y_pred.shape} must be equal-length vectors"
-        )
-    if k_classes < 1:
-        raise EmptyMatrix(f"k_classes must be positive, got {k_classes}")
-    check_label_range(y_true, k_classes)
-    check_label_range(y_pred, k_classes)
     flat = y_true.astype(np.int64) * k_classes + y_pred.astype(np.int64)
     counts = np.bincount(flat, minlength=k_classes * k_classes)
     counts = counts.reshape(k_classes, k_classes)
@@ -238,10 +222,9 @@ class MetricsReport:
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
-    """Per-class precision/recall/F1 with macro and support-weighted averages."""
+    """Per-class precision/recall/F1 with macro and support-weighted averages
+    of a matrix that holds at least one observation."""
     total = cm.total
-    if total == 0:
-        raise EmptyMatrix("confusion matrix holds no observations")
     diag = np.diag(cm.counts).astype(np.float64)
     predicted = cm.counts.sum(axis=0)
     support = cm.counts.sum(axis=1)
@@ -329,7 +312,8 @@ def compare(report_a: MetricsReport, report_b: MetricsReport,
             name_a: str, name_b: str) -> ComparisonTable:
     """Side-by-side deltas of two reports over the same class set."""
     if set(report_a.class_names) != set(report_b.class_names):
-        raise ClassSetMismatch(report_a.class_names, report_b.class_names)
+        raise DataError(f"class sets differ: {sorted(report_a.class_names)} "
+                        f"vs {sorted(report_b.class_names)}")
     rows = [MetricDelta("accuracy", report_a.accuracy, report_b.accuracy)]
     averages_b = report_b.averages()
     for average, scores_a in report_a.averages().items():

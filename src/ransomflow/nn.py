@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import DataError, ShapeMismatch, check_label_range
+from .errors import DataError
 from .serialize import array_doc, array_from_doc, csv_text, require_keys
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
@@ -62,9 +62,9 @@ class DenseLayer:
 
     def __post_init__(self):
         if self.weights.ndim != 2:
-            raise ShapeMismatch(f"weights must be 2-d, got {self.weights.shape}")
+            raise DataError(f"weights must be 2-d, got {self.weights.shape}")
         if self.biases.shape != (self.weights.shape[0],):
-            raise ShapeMismatch(
+            raise DataError(
                 f"biases shape {self.biases.shape} does not match "
                 f"{self.weights.shape[0]} output units"
             )
@@ -75,10 +75,6 @@ class DenseLayer:
         bound = np.sqrt(6.0 / (in_dim + out_dim))
         weights = rng.uniform_signed(seed, (out_dim, in_dim), bound)
         return cls(weights, np.zeros(out_dim), activation)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
 
     @property
     def out_dim(self) -> int:
@@ -102,12 +98,6 @@ class BatchCache:
 
 
 def _pre_activation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d batch, got shape {x.shape}")
-    if x.shape[1] != layer.in_dim:
-        raise ShapeMismatch(
-            f"batch width {x.shape[1]} does not match layer input {layer.in_dim}"
-        )
     z = x @ layer.weights.T
     z += layer.biases
     return z
@@ -175,11 +165,6 @@ def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray
     was built from. ``grad_output`` is the loss gradient wrt the layer output.
     ``out``, a (weights, biases) pair of gradient views, receives the last two.
     """
-    if grad_output.shape != cache.output.shape:
-        raise ShapeMismatch(
-            f"grad shape {grad_output.shape} does not match output "
-            f"{cache.output.shape}"
-        )
     grad_z = _grad_pre_activation(layer, cache, grad_output)
     return _backward_from_pre_activation(layer, cache, grad_z, out)
 
@@ -191,11 +176,6 @@ def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
     The softmax cross-entropy pairing produces (p - y) / n as the gradient at
     the pre-activation, so the softmax Jacobian must not be applied again.
     """
-    if grad_pre_activation.shape != cache.pre_activation.shape:
-        raise ShapeMismatch(
-            f"grad shape {grad_pre_activation.shape} does not match "
-            f"pre-activation {cache.pre_activation.shape}"
-        )
     return _backward_from_pre_activation(layer, cache, grad_pre_activation, out)
 
 
@@ -216,10 +196,6 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
     loss = (1/m) * sum over the batch of the squared error of each row; the
     divisor is the row count m only, not the feature dimension.
     """
-    if predicted.shape != target.shape:
-        raise ShapeMismatch(
-            f"predicted {predicted.shape} vs target {target.shape}"
-        )
     m = predicted.shape[0]
     diff = predicted - target
     loss = float((diff * diff).sum() / m)
@@ -227,25 +203,28 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray):
     return loss, diff
 
 
-def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
-    """Mean categorical cross-entropy over integer labels; labels of another
-    dtype raise :class:`DataError`.
+def mean_log_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean of -log of each row's probability of its label, the probability
+    clamped at 1e-12 so that a saturated row costs at most -log(1e-12)."""
+    picked = probs[np.arange(probs.shape[0]), labels]
+    return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
-    Returns (loss, grad_logits) where grad_logits = (probs - onehot) / n is
-    the gradient wrt the softmax pre-activations, ready to feed into
-    :func:`dense_backward_preact`. Probabilities are clamped at 1e-12 inside
-    the log only.
+
+def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
+    """Mean categorical cross-entropy over integer labels in [0, k).
+
+    Returns (loss, grad_logits): the :func:`mean_log_loss` and
+    grad_logits = (probs - onehot) / n, the gradient wrt the softmax
+    pre-activations, ready to feed into :func:`dense_backward_preact`.
+    Rows that do not sum to 1, as a softmax over overflowed logits gives,
+    raise :class:`DataError`.
     """
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-    n, k = probs.shape
-    check_label_range(labels, k)
+    n = probs.shape[0]
     # np.allclose(row_sums, 1.0, atol=1e-6) written out: atol plus the
     # default rtol 1e-5 times 1.0; NaN and inf sums compare False
     if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6 + 1e-5).all():
-        raise ShapeMismatch("probability rows must sum to 1 within 1e-6")
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
+        raise DataError("probability rows must sum to 1 within 1e-6")
+    loss = mean_log_loss(probs, labels)
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
     grad /= n
@@ -407,7 +386,7 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
         flat = p.reshape(-1)
         gflat = np.asarray(g, dtype=np.float64).reshape(-1)
         if flat.shape != gflat.shape:
-            raise ShapeMismatch(
+            raise DataError(
                 f"grad shape {np.asarray(g).shape} does not match param {p.shape}"
             )
         for i in range(flat.size):

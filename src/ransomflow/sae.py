@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import (
-    ConfigError,
-    EmptyData,
-    SchemaMismatch,
-    check_int,
-    check_labeled_rows,
-    check_positive,
-)
+from .errors import ConfigError, SchemaMismatch, check_int, check_positive
 from .nn import (
     ACTIVATIONS,
     DenseLayer,
@@ -102,8 +95,6 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
     falls below ``config.convergence_threshold`` (when set).
     """
     n, width = data.shape
-    if n == 0:
-        raise EmptyData("cannot pretrain on zero rows")
     encoder = DenseLayer.create(width, hidden_dim, config.activation,
                                 rng.derive(seed, "encoder"))
     decoder = DenseLayer.create(hidden_dim, width, "linear",
@@ -173,7 +164,8 @@ def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
 
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
               seed: int):
-    """Supervised pass: softmax head on the code layer, cross-entropy loss.
+    """Supervised pass: softmax head on the code layer, cross-entropy loss
+    over labels ``y`` in [0, k_classes).
 
     Encoder weights and the head are updated jointly; decoders are left
     untouched, and the codes ``build_stack`` kept are dropped. The head and
@@ -183,7 +175,6 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
     :class:`ransomflow.nn.EpochRecord` per epoch.
     """
     config = model.config
-    check_labeled_rows(x, y, k_classes)
     model.codes = None  # the encoders change below
     seed = rng.derive(seed, "fine-tune")
     head = DenseLayer.create(model.code_dim, k_classes, "softmax",

@@ -112,7 +112,8 @@ def read_fields(cls, doc, stored_names: dict | None = None):
         raise SchemaMismatch(f"{cls.__name__}: {exc}") from None
 
 
-def _csv_cell(v) -> str:
+def csv_cell(v) -> str:
+    """One cell as :func:`csv_text` writes it."""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     text = str(v)
@@ -129,7 +130,7 @@ def csv_text(header, rows) -> str:
     ``"``, CR or LF (a category or class name can) is quoted, its ``"``
     doubled, as ``csv.reader`` reads it back; no other cell is quoted.
     """
-    lines = [",".join([_csv_cell(v) for v in row]) for row in (header, *rows)]
+    lines = [",".join([csv_cell(v) for v in row]) for row in (header, *rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ransomflow import rng
+from ransomflow.cli import main
 from ransomflow.gbt import Histogram, best_split
 from ransomflow.serialize import checksum, dump_json
 
@@ -112,6 +113,17 @@ def synthetic_csv_text(n_per_class: int = 40, seed: int = 97,
         "classes": _CLASSES,
     }
     return "\n".join(lines) + "\n", meta
+
+
+def one_class_artifact(directory) -> Path:
+    """``ingest`` a CSV whose rows are all of class A into directory/art."""
+    header, *rows = synthetic_csv_text(n_per_class=10)[0].splitlines()
+    csv_path, art = Path(directory) / "one_class.csv", Path(directory) / "art"
+    csv_path.write_text("\n".join(
+        [header, *(r for r in rows if r.rsplit(",", 1)[1] == "A")]) + "\n",
+        encoding="utf-8")
+    assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
+    return art
 
 
 @pytest.fixture(scope="session")

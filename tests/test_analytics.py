@@ -28,7 +28,6 @@ from ransomflow.dataset import (
     label_encode,
     parse_csv,
 )
-from ransomflow.errors import ConfigError, ShapeMismatch
 
 HEADER = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,ExpAddress,"
           "BTC,USD,NetflowBytes,IPAddress,Threats,Port,Prediction")
@@ -113,8 +112,6 @@ def test_rank_families_orders_and_breaks_ties_by_name():
     assert ranked == [("WannaCry", 300.0), ("EDA2", 100.0),
                       ("Locky", 100.0), ("SamSam", 10.0)]
     assert rank_families(report, "total_usd", 2) == ranked[:2]
-    with pytest.raises(ConfigError):
-        rank_families(report, "usd", 4)
 
 
 def test_rank_families_stable_under_input_shuffles():
@@ -190,13 +187,6 @@ def test_correlation_flags_constant_columns():
     assert corr.pair("const", "y") == 0.0
     assert corr.pair("x", "x") == 1.0
     assert abs(corr.pair("x", "y") - pearson(data[:, 0], data[:, 2])) < 1e-12
-
-
-def test_correlation_validates_input():
-    with pytest.raises(ShapeMismatch):
-        correlation_matrix(np.ones(5), ("only",))
-    with pytest.raises(ShapeMismatch):
-        correlation_matrix(np.ones((4, 2)), ("only",))
 
 
 def test_correlation_csv_round_trip_values():

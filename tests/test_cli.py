@@ -20,6 +20,7 @@ from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
 from ransomflow.dataset import FEATURE_NAMES, parse_csv
+from ransomflow.metrics import MetricsReport
 from ransomflow.serialize import (
     SCHEMA_VERSION,
     array_doc,
@@ -156,16 +157,19 @@ def test_ingest_missing_csv_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_ingest_ragged_csv_exits_3(tmp_path):
+def test_ingest_ragged_csv_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     header = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,ExpAddress,"
               "BTC,USD,NetflowBytes,IPAddress,Threats,Port,Prediction")
     bad.write_text(header + "\n1,TCP,A,WannaCry,2\n", encoding="utf-8")
     assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        "error: line 2: expected 14 fields, found 5\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("column,value", [("Time", "nan"), ("BTC", "inf"),
-                                          ("Port", "-inf")])
+                                          ("Port", "-inf"), ("USD", "12abc")])
 def test_ingest_non_finite_cell_exits_3(synthetic_csv, tmp_path, capsys,
                                         column, value):
     csv_path, _ = synthetic_csv
@@ -176,15 +180,115 @@ def test_ingest_non_finite_cell_exits_3(synthetic_csv, tmp_path, capsys,
     bad = tmp_path / "bad.csv"
     bad.write_text("".join(lines), encoding="utf-8")
     assert main(["ingest", str(bad), "--output", str(tmp_path / "o")]) == 3
-    assert f"line 6: column {column!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: line 6: column {column!r} holds non-numeric or non-finite "
+        f"value {value!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
-def test_ingest_header_only_exits_3(tmp_path):
+def test_ingest_header_only_exits_3(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     header = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,ExpAddress,"
               "BTC,USD,NetflowBytes,IPAddress,Threats,Port,Prediction")
     empty.write_text(header + "\n", encoding="utf-8")
     assert main(["ingest", str(empty), "--output", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: cannot split zero rows\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _small_csv() -> tuple:
+    """(header, rows) of a generated CSV (seed 5, 300 raw rows)."""
+    text, _ = gen.generate(5, raw_rows=300, duplicates=30, bad_times=5)
+    header, *rows = text.rstrip("\n").split("\n")
+    return header, rows
+
+
+def _labeled(rows, label) -> list:
+    return [row for row in rows if row.rsplit(",", 1)[1] == label]
+
+
+def _without_port(line) -> str:
+    cells = line.split(",")
+    return ",".join(cells[:12] + cells[13:])
+
+
+# CSV lines built from _small_csv's (header, rows), and the one error line
+_REFUSED_CSVS = {
+    "missing-column": (lambda header, rows: map(_without_port, [header, *rows]),
+                       "required column 'Port' not found in header"),
+    "one-row-class": (lambda header, rows: [header, *_labeled(rows, "A"),
+                                            _labeled(rows, "S")[0]],
+                      "cannot build stratified split: class 1 has only 1 "
+                      "row(s)"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_CSVS)
+def test_ingest_refuses_the_csv_and_writes_nothing(case, tmp_path, capsys):
+    lines, message = _REFUSED_CSVS[case]
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text("\n".join(lines(*_small_csv())) + "\n",
+                        encoding="utf-8")
+    out = tmp_path / "art"
+    assert main(["ingest", str(csv_path), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_on_one_class_exits_3_before_any_epoch(tmp_path, capsys,
+                                                      monkeypatch):
+    header, rows = _small_csv()
+    csv_path, art = tmp_path / "raw.csv", tmp_path / "art"
+    csv_path.write_text("\n".join([header, *_labeled(rows, "A")]) + "\n",
+                        encoding="utf-8")
+    assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
+    capsys.readouterr()
+    stages, train_epochs = [], sae.train_epochs
+
+    def counted(stage, *args, **kwargs):
+        stages.append(stage)
+        return train_epochs(stage, *args, **kwargs)
+
+    monkeypatch.setattr(sae, "train_epochs", counted)
+    for kind in ("sae-lstm", "gbt"):
+        out = tmp_path / kind
+        assert main(["train", str(art), "--kind", kind, "--sae-epochs", "1",
+                     "--lstm-epochs", "1", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: need at least 2 classes, got 1\n"
+        assert not out.exists()
+    assert stages == []  # the SAE ran no epoch
+
+
+def test_train_on_a_one_class_training_side_exits_3(tmp_path, capsys):
+    header, rows = _small_csv()
+    csv_path, art = tmp_path / "raw.csv", tmp_path / "art"
+    csv_path.write_text("\n".join([header, *_labeled(rows, "A"),
+                                   *_labeled(rows, "S")[:2]]) + "\n",
+                        encoding="utf-8")
+    # 0.75 of two rows, rounded half up, holds out both S rows
+    assert main(["ingest", str(csv_path), "--test-ratio", "0.75",
+                 "--output", str(art)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "gbt"
+    assert main(["train", str(art), "--kind", "gbt", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: training labels hold fewer than 2 classes\n"
+    assert not out.exists()
+
+
+def test_compare_reports_of_different_class_sets_exits_3(tmp_path, capsys):
+    paths = []
+    for name, classes in (("a", ("A", "S")), ("b", ("A", "SS"))):
+        rep = MetricsReport.from_values(classes, (1, 1), (1, 1), (1, 1),
+                                        (5, 5), 1.0)
+        paths.append(str(tmp_path / f"{name}.json"))
+        dump_json(paths[-1], {**rep.to_dict(), "kind": "gbt", "split": "test"})
+    out = tmp_path / "o"
+    assert main(["compare", *paths, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: class sets differ: ['A', 'S'] vs ['A', 'SS']\n"
+    assert not out.exists()
 
 
 def test_ingest_empty_training_side_exits_3(tmp_path, capsys):
@@ -839,6 +943,10 @@ def test_names_holding_csv_syntax_read_back_from_every_csv(tmp_path, capsys):
                                     tmp_path / "comparison")
     assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
     assert main(["analyze", str(art), "--output", str(analysis)]) == 0
+    # stdout lists the top families as CSV cells, quoted as the files are
+    top = capsys.readouterr().out.split("top families by total USD: ")[1]
+    assert next(csv.reader([top.split("\n")[0]], skipinitialspace=True)) \
+        == ["WannaCry", "Locky, v2", "SamSam"]
     assert main(["train", str(art), "--kind", "gbt", "--gbt-rounds", "1",
                  "--output", str(model)]) == 0
     assert main(["evaluate", str(model / "bundle.json"), str(art),

@@ -13,6 +13,7 @@ import pytest
 from conftest import require_real_csv, synthetic_csv_text
 
 from ransomflow import dataset, rng
+from ransomflow.config import DatasetConfig
 from ransomflow.dataset import (
     CATEGORICAL_NAMES,
     FEATURE_NAMES,
@@ -35,8 +36,7 @@ from ransomflow.dataset import (
 )
 from ransomflow.errors import (
     ConfigError,
-    DegenerateSplit,
-    EmptyData,
+    DataError,
     MissingColumn,
     NonNumericCell,
     RaggedRow,
@@ -286,15 +286,6 @@ def test_normalize_with_training_stats_clamps():
     assert usd.tolist() == [1.0, 0.0]
 
 
-def test_normalize_empty_without_stats_raises():
-    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
-    from ransomflow.dataset import EncodedTable
-
-    table = EncodedTable(values=np.empty((0, 14)), maps=maps)
-    with pytest.raises(EmptyData):
-        feature_bounds(table)
-
-
 def test_stratified_split_hand_counts():
     # 50/30/20 rows at ratio 0.2 -> 10/6/4 test rows
     y = np.array([0] * 50 + [1] * 30 + [2] * 20)
@@ -336,16 +327,18 @@ def test_stratified_split_deterministic_and_seed_sensitive():
 
 def test_stratified_split_rejects_degenerate_class():
     y = np.array([0, 0, 0, 1])
-    with pytest.raises(DegenerateSplit):
+    with pytest.raises(DataError, match=r"^cannot build stratified split: "
+                                        r"class 1 has only 1 row\(s\)$"):
         stratified_indices(y, 0.2, 1)
 
 
-def test_stratified_split_rejects_bad_ratio():
-    y = np.array([0, 0, 1, 1])
-    with pytest.raises(ConfigError):
-        stratified_indices(y, 0.0, 1)
-    with pytest.raises(ConfigError):
-        stratified_indices(y, 1.0, 1)
+def test_dataset_config_rejects_a_fraction_outside_0_1():
+    for ratio in (0.0, 1.0):
+        with pytest.raises(ConfigError, match=r"^test ratio must lie in "
+                                              rf"\(0, 1\), got {ratio}$"):
+            DatasetConfig(test_ratio=ratio)
+        with pytest.raises(ConfigError, match="^subsample fraction must lie"):
+            DatasetConfig(subsample=ratio)
 
 
 def test_stratified_indices_partition_every_row():

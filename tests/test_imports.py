@@ -33,9 +33,15 @@ exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
 The re-cast scan keeps the learning modules from converting what they are
 given: every array they read is typed where it is made, float64 or int64
 (see :func:`recasts`).
+
+The exception scan keeps each exception type one that some code tells apart:
+every exception class lives in ``errors.py``, and each is caught by type
+somewhere in ``src/ransomflow`` or carries fields a handler can read (see
+:func:`untyped_exceptions`).
 """
 
 import ast
+import builtins
 import re
 from collections import Counter
 from pathlib import Path
@@ -76,7 +82,7 @@ def test_scan_finds_unused_names_and_counts_reexports():
               "import os.path\n"
               "import sys\n"
               "import numpy as np\n"
-              "from .errors import DataError, ShapeMismatch as Bad\n"
+              "from .errors import DataError, SchemaMismatch as Bad\n"
               "from .nn import Adam\n"
               "__all__ = ['Adam']\n"
               "def f(x: np.ndarray):\n"
@@ -746,3 +752,91 @@ def test_recast_scan_finds_casts_of_inputs_only():
 @pytest.mark.parametrize("name", RECAST_MODULES)
 def test_learning_module_does_not_recast_its_input(name):
     assert recasts((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def untyped_exceptions(modules: dict) -> list:
+    """``module.Class`` for each exception class of ``modules`` (name ->
+    source) that needs no type of its own, sorted: every one defined outside
+    ``errors``, and every one in ``errors`` that no module catches by type
+    (an ``except`` clause or an ``isinstance`` check) and whose ``__init__``
+    stores no field on ``self``."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    exceptions = {n for n, v in vars(builtins).items()
+                  if isinstance(v, type) and issubclass(v, BaseException)}
+    classes = [(name, node) for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found, grown = {}, True
+    while grown:  # a class is an exception when one of its bases is
+        grown = False
+        for module, node in classes:
+            if node.name not in found and any(
+                    ast.unparse(b).split(".")[-1] in exceptions
+                    for b in node.bases):
+                found[node.name] = (module, node)
+                exceptions.add(node.name)
+                grown = True
+    caught = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                types = node.type
+            elif isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) == "isinstance":
+                types = node.args[1]
+            else:
+                continue
+            for t in getattr(types, "elts", [types]):
+                caught.add(ast.unparse(t).split(".")[-1])
+
+    def has_fields(node):
+        return any(isinstance(target, ast.Attribute)
+                   and ast.unparse(target.value) == "self"
+                   for init in node.body if isinstance(init, ast.FunctionDef)
+                   and init.name == "__init__"
+                   for n in ast.walk(init) if isinstance(n, ast.Assign)
+                   for target in n.targets)
+
+    return sorted(f"{module}.{name}" for name, (module, node) in found.items()
+                  if module != "errors"
+                  or not (name in caught or has_fields(node)))
+
+
+def test_exception_scan_finds_types_nothing_tells_apart():
+    errors = ("class DataError(Exception):\n"
+              "    pass\n"
+              "class Caught(DataError):\n"
+              "    pass\n"
+              "class Checked(DataError):\n"
+              "    pass\n"
+              "class Fielded(DataError):\n"
+              "    def __init__(self, line):\n"
+              "        self.line = line\n"
+              "        super().__init__(f'line {line}')\n"
+              "class Spare(DataError):\n"
+              "    def __init__(self, line):\n"
+              "        super().__init__(f'line {line}')\n"
+              "class Deeper(Spare):\n"
+              "    pass\n")
+    cli = ("from . import errors\n"
+           "class Local(errors.Spare):\n"
+           "    pass\n"
+           "class Usage(ValueError):\n"
+           "    pass\n"
+           "class Plain:\n"
+           "    pass\n"
+           "def main(run):\n"
+           "    try:\n"
+           "        run()\n"
+           "    except (errors.Caught, KeyError) as exc:\n"
+           "        return isinstance(exc, (Checked,)) \\\n"
+           "            or isinstance(exc, DataError)\n")
+    assert untyped_exceptions({"errors": errors, "cli": cli}) == [
+        "cli.Local", "cli.Usage", "errors.Deeper", "errors.Spare"]
+    assert untyped_exceptions({"errors": errors}) == [
+        "errors.Caught", "errors.Checked", "errors.DataError",
+        "errors.Deeper", "errors.Spare"]
+
+
+def test_each_exception_type_is_caught_or_carries_fields():
+    modules = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
+    assert untyped_exceptions(modules) == []

@@ -6,18 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_data
+from conftest import blob_data, one_class_artifact
 
-from ransomflow import nn, rng
+from ransomflow import lstm, nn, rng
+from ransomflow.cli import main
 from ransomflow.config import read_section, section_doc
-from ransomflow.errors import (
-    ConfigError,
-    DegenerateClasses,
-    EmptyData,
-    LabelOutOfRange,
-    SchemaMismatch,
-    ShapeMismatch,
-)
+from ransomflow.errors import ConfigError, SchemaMismatch
 from ransomflow.lstm import (
     LAYOUTS,
     LstmCell,
@@ -99,14 +93,6 @@ def test_cell_forward_retention_is_bit_exact_when_fully_saturated():
     assert np.array_equal(c, c0)
 
 
-def test_cell_forward_rejects_bad_shapes():
-    cell = zero_cell(3, 2)
-    with pytest.raises(ShapeMismatch):
-        cell_forward(cell, np.zeros(4), np.zeros(2), np.zeros(2))
-    with pytest.raises(ShapeMismatch):
-        cell_forward(cell, np.zeros(3), np.zeros(3), np.zeros(2))
-
-
 def test_cell_state_magnitude_grows_at_most_one_per_step():
     # |c_t| <= |c_{t-1}| + 1 because gates are in (0, 1) and |g| < 1
     cell = LstmCell.create(4, 6, seed=31)
@@ -147,20 +133,6 @@ def test_sequence_forward_t2_matches_chained_cells():
     h, c, _ = cell_forward(cell, seqs[:, 1, :], h, c)
     manual, _ = dense_forward(model.head, h)
     assert np.array_equal(probs, manual)
-
-
-def test_sequence_forward_rejects_a_sequence_without_batch_axis():
-    model = create_classifier(4, 3, LstmConfig(hidden_size=5), 2)
-    with pytest.raises(ShapeMismatch):
-        sequence_forward(model, rng.uniform(8, (2, 4)))  # (T, d)
-
-
-def test_sequence_backward_rejects_logit_grads_without_batch_axis():
-    model = create_classifier(4, 3, LstmConfig(hidden_size=5), 2)
-    probs, caches = sequence_forward(model, rng.uniform(8, (1, 2, 4)))
-    _, grad_logits = cross_entropy_loss(probs, np.array([1]))
-    with pytest.raises(ShapeMismatch):
-        sequence_backward(model, caches, grad_logits[0])  # (k,), not (1, k)
 
 
 def test_to_sequences_layouts():
@@ -261,17 +233,21 @@ def test_train_is_deterministic_per_seed():
     assert hist_a[-1] != hist_c[-1]
 
 
-def test_train_validates_inputs():
-    x = rng.uniform(1, (6, 4))
-    with pytest.raises(LabelOutOfRange):
-        train_classifier(x, np.array([0, 1, 2, 0, 1, 5]),
-                         LstmConfig(hidden_size=2, epochs=1), 1, 3)
-    with pytest.raises(DegenerateClasses):
-        train_classifier(x, np.zeros(6, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1), 1, 1)
-    with pytest.raises(EmptyData):
-        train_classifier(np.empty((0, 4)), np.empty(0, dtype=int),
-                         LstmConfig(hidden_size=2, epochs=1), 1, 3)
+def test_train_validates_inputs(tmp_path, capsys, monkeypatch):
+    """``train_classifier`` takes k_classes >= 2 as given: ``train`` counts
+    the classes once, before any model is built, and a one-class artifact
+    never reaches the LSTM."""
+    art = one_class_artifact(tmp_path)
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(lstm, "train_classifier",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "bundle"
+    assert main(["train", str(art), "--kind", "sae-lstm", "--sae-epochs", "1",
+                 "--lstm-epochs", "1", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: need at least 2 classes, got 1\n"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_predict_batch_matches_per_row(monkeypatch):

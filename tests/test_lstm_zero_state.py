@@ -23,7 +23,6 @@ import pytest
 from conftest import ReferenceAdam
 
 from ransomflow import nn, rng
-from ransomflow.errors import ShapeMismatch
 from ransomflow.lstm import (
     LstmCell,
     LstmConfig,
@@ -237,10 +236,3 @@ def test_zero_state_step_equals_explicit_zero_states():
     h2, c2, _ = cell_forward(cell, x[:1])
     assert np.array_equal(h1, h2[0]) and np.array_equal(c1, c2[0])
 
-
-def test_cell_forward_needs_both_states_or_neither():
-    cell = LstmCell.create(3, 2, seed=1)
-    with pytest.raises(ShapeMismatch):
-        cell_forward(cell, np.zeros(3), h_prev=np.zeros(2))
-    with pytest.raises(ShapeMismatch):
-        cell_forward(cell, np.zeros(3), c_prev=np.zeros(2))

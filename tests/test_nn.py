@@ -5,6 +5,7 @@ definition out = act(x @ W.T + b) and are asserted tight; everything else is
 checked against central finite differences in double precision.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from conftest import textbook_adam
 
 from ransomflow import rng
-from ransomflow.errors import DataError, LabelOutOfRange, ShapeMismatch
+from ransomflow.errors import DataError
 from ransomflow.nn import (
     CHUNK_ROWS,
     Adam,
@@ -58,14 +59,6 @@ def test_dense_forward_identity():
     assert out[0, 0] == 3.5
 
 
-def test_dense_forward_rejects_bad_width():
-    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "linear")
-    with pytest.raises(ShapeMismatch):
-        dense_forward(layer, np.zeros((4, 5)))
-    with pytest.raises(ShapeMismatch):
-        dense_forward(layer, np.zeros(3))
-
-
 # The SAE's shapes (13 -> 75 -> 50 -> 13 and back) and a softmax head, one
 # activation of each kind
 CHAIN = [DenseLayer.create(i, o, act, rng.derive(31, "chain", j))
@@ -99,15 +92,6 @@ def test_row_chunks_are_full_chunks_or_the_whole_input(n):
     assert [c.stop for c in chunks] == [c.start for c in chunks[1:]] + [n]
     sizes = [c.stop - c.start for c in chunks]
     assert all(size >= CHUNK_ROWS for size in sizes) or sizes == [n]
-
-
-def test_apply_rejects_bad_shapes():
-    with pytest.raises(ShapeMismatch):  # a row is a (1, d) batch
-        apply(CHAIN, np.zeros(13))
-    with pytest.raises(ShapeMismatch):
-        apply(CHAIN, np.zeros((4, 12)))
-    with pytest.raises(ShapeMismatch):  # the chain must fit together
-        apply([CHAIN[0], CHAIN[0]], np.zeros((4, 13)))
 
 
 def test_softmax_rows_are_distributions():
@@ -185,13 +169,6 @@ def test_dense_backward_matches_finite_differences(activation):
     assert worst < 1e-6
 
 
-def test_dense_backward_rejects_wrong_grad_shape():
-    layer = DenseLayer.create(3, 2, "tanh", 5)
-    _, cache = dense_forward(layer, rng.uniform(1, (4, 3)))
-    with pytest.raises(ShapeMismatch):
-        dense_backward(layer, cache, np.zeros((4, 3)))
-
-
 def test_mse_perfect_prediction_is_zero():
     x = rng.uniform(3, (4, 6))
     loss, grad = mse_loss(x, x.copy())
@@ -219,11 +196,6 @@ def test_mse_gradient_matches_finite_differences():
         return loss, [grad]
 
     assert grad_check(loss_fn, [pred]) < 1e-6
-
-
-def test_mse_rejects_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_cross_entropy_confident_correct_is_zero():
@@ -259,20 +231,11 @@ def test_cross_entropy_grad_matches_finite_differences():
     assert grad_check(loss_fn, [logits]) < 1e-6
 
 
-def test_cross_entropy_rejects_bad_labels():
-    probs = np.array([[0.5, 0.5]])
-    with pytest.raises(LabelOutOfRange):
-        cross_entropy_loss(probs, np.array([2]))
-    with pytest.raises(LabelOutOfRange):
-        cross_entropy_loss(probs, np.array([-1]))
-    # labels are integers: a float array is refused, integral or not
-    for labels in (np.array([1.0]), np.array([0.5])):
-        with pytest.raises(DataError, match="integers"):
-            cross_entropy_loss(probs, labels)
+NOT_A_DISTRIBUTION = "^probability rows must sum to 1 within 1e-6$"
 
 
 def test_cross_entropy_rejects_non_distribution():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=NOT_A_DISTRIBUTION):
         cross_entropy_loss(np.array([[0.9, 0.9]]), np.array([0]))
 
 
@@ -287,11 +250,12 @@ def test_cross_entropy_row_sum_check_equals_allclose():
             try:
                 cross_entropy_loss(probs, np.array([0]))
                 got = True
-            except ShapeMismatch:
+            except DataError as exc:
+                assert re.match(NOT_A_DISTRIBUTION, str(exc))
                 got = False
             assert got == accepted, (offset, sign)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=NOT_A_DISTRIBUTION):
             cross_entropy_loss(np.array([[0.5, 0.5], [bad, 0.5]]),
                                np.array([0, 1]))
 

@@ -7,18 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import blob_data
+from conftest import blob_data, one_class_artifact
 
-from ransomflow import rng
+from ransomflow import rng, sae
+from ransomflow.cli import main
 from ransomflow.config import read_section, section_doc
-from ransomflow.errors import (
-    ConfigError,
-    DegenerateClasses,
-    EmptyData,
-    LabelOutOfRange,
-    SchemaMismatch,
-    ShapeMismatch,
-)
+from ransomflow.errors import ConfigError, SchemaMismatch
 from ransomflow.nn import dense_forward, grad_check, mse_loss
 from ransomflow.sae import (
     SAEConfig,
@@ -70,16 +64,11 @@ def test_pretrain_overfits_single_sample():
     assert losses[-1] < 1e-6
 
 
-def test_pretrain_rejects_empty():
-    with pytest.raises(EmptyData):
-        pretrain_layer(np.empty((0, 13)), 8, SAEConfig(epochs=1), 1)
-
-
 def test_build_stack_default_parameter_counts():
     model = build_stack(rng.uniform(1, (20, 13)), SAEConfig(epochs=0), 1819)
     assert model.param_count == 11026
     assert model.layer_param_counts == [1050, 3800, 663, 700, 3825, 988]
-    assert model.encoders[0].in_dim == 13
+    assert model.encoders[0].weights.shape[1] == 13
     assert model.code_dim == 13
 
 
@@ -113,8 +102,6 @@ def test_encode_batch_matches_single_rows():
     for i in range(10):
         row_code = encode(model.encoders, data[i:i + 1])
         assert np.abs(batch_codes[i] - row_code[0]).max() < 1e-12
-    with pytest.raises(ShapeMismatch):  # a row is a (1, d) batch
-        encode(model.encoders, data[0])
 
 
 def test_reconstruct_shape_and_stack_loss_consistency():
@@ -124,13 +111,6 @@ def test_reconstruct_shape_and_stack_loss_consistency():
     assert recon.shape == data.shape
     loss, _ = mse_loss(recon, data)
     assert abs(loss - model.stack_loss) < 1e-12
-
-
-def test_reconstruct_rejects_a_single_row():
-    data = rng.uniform(5, (40, 13))
-    model = build_stack(data, SAEConfig(epochs=0), 6)
-    with pytest.raises(ShapeMismatch):
-        reconstruct(model, data[0])
 
 
 def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
@@ -239,13 +219,23 @@ def test_fine_tune_learns_separable_labels():
     assert losses[-1] < 0.05 * math.log(2)
 
 
-def test_fine_tune_rejects_degenerate_classes():
-    x = rng.uniform(12, (10, 13))
-    model = build_stack(x, SAEConfig(epochs=0), 1)
-    with pytest.raises(DegenerateClasses):
-        fine_tune(model, x, np.zeros(10, dtype=int), 1, 1)
-    with pytest.raises(LabelOutOfRange):
-        fine_tune(model, x, np.full(10, 5), 3, 1)
+def test_fine_tune_rejects_degenerate_classes(tmp_path, capsys, monkeypatch):
+    """``fine_tune`` takes k_classes >= 2 as given: ``train --fine-tune``
+    counts the classes once, and a one-class artifact neither pretrains nor
+    fine-tunes the stack."""
+    art = one_class_artifact(tmp_path)
+    capsys.readouterr()
+    calls = []
+    for name in ("build_stack", "fine_tune"):
+        monkeypatch.setattr(sae, name,
+                            lambda *args, name=name: calls.append(name))
+    out = tmp_path / "bundle"
+    assert main(["train", str(art), "--kind", "sae-lstm", "--fine-tune",
+                 "--sae-epochs", "1", "--lstm-epochs", "1",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: need at least 2 classes, got 1\n"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_model_serialization_round_trip_bit_exact():
@@ -255,7 +245,6 @@ def test_model_serialization_round_trip_bit_exact():
     assert set(doc) == {"encoders"}  # decoders and loss curves stay in memory
     restored = model_from_dict(doc, model.config, 13)
     assert np.array_equal(encode(restored, data), encode(model.encoders, data))
-
 
 
 def test_model_dict_round_trip_is_bit_exact():

@@ -15,9 +15,9 @@ pytest's.
 
 ``--pipeline`` traces the :data:`PIPELINE` commands instead, run in this
 process through :func:`ransomflow.cli.main` in a temporary directory on one
-``perfbench/gen.py`` CSV (seed 7, 6,000 raw rows), and prints each
-command's exit status before the lines none of them ran. It exits 1, naming
-the command, when a command exits other than listed.
+``perfbench/gen.py`` CSV (seed 7, 6,000 raw rows) and on its header line
+alone, and prints each command's exit status before the lines none of them
+ran. It exits 1, naming the command, when a command exits other than listed.
 
 Uses the standard library, and pytest for the suite or numpy for ``--pipeline``.
 """
@@ -57,11 +57,15 @@ PIPELINE = (
       "--output", "eval-gbt"], 0),
     (["compare", "eval-sae/report.json", "eval-tuned/report.json",
       "--output", "comparison"], 0),
-    # the LSTM saturates and trains on; the SAE's loss overflows
+    # the LSTM saturates and trains on; at 1e308 its softmax rows stop
+    # summing to 1; the SAE's loss overflows
     (["train", "art", *_SAE_LSTM, "--config", "huge-lstm-rate.json",
       "--output", "saturated"], 0),
+    (["train", "art", *_SAE_LSTM, "--config", "overflowing-lstm-rate.json",
+      "--output", "overflowed"], 3),
     (["train", "art", *_SAE_LSTM, "--config", "huge-sae-rate.json",
       "--output", "diverged"], 3),
+    (["ingest", "header-only.csv", "--output", "empty"], 3),
 )
 CONFIGS = {
     "steps.json": {"lstm": {"sequence_layout": "feature-steps",
@@ -69,17 +73,21 @@ CONFIGS = {
                    "sae": {"activation": "tanh",
                            "convergence_threshold": 0.5}},
     "huge-lstm-rate.json": {"lstm": {"learning_rate": 1e300}},
+    "overflowing-lstm-rate.json": {"lstm": {"learning_rate": 1e308}},
     "huge-sae-rate.json": {"sae": {"learning_rate": 1e300}},
 }
 
 
 def write_inputs(directory: Path) -> None:
-    """``raw.csv`` and the :data:`CONFIGS` files the pipeline reads."""
+    """``raw.csv``, ``header-only.csv`` and the :data:`CONFIGS` files the
+    pipeline reads."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen  # the benchmark's input generator
 
     text, _ = gen.generate(7, raw_rows=6000, duplicates=600, bad_times=40)
     (directory / "raw.csv").write_text(text, encoding="utf-8")
+    (directory / "header-only.csv").write_text(text[:text.index("\n") + 1],
+                                               encoding="utf-8")
     for name, doc in CONFIGS.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
