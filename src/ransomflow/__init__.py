@@ -1,7 +1,7 @@
 """Ransomware netflow classification pipeline.
 
 Modules: :mod:`ransomflow.dataset` (CSV to model-ready tensors),
-:mod:`ransomflow.nn` (dense layers, losses, Adam, gradient checking),
+:mod:`ransomflow.nn` (dense layers, losses, Adam, epoch records),
 :mod:`ransomflow.sae` (stacked autoencoder feature selection),
 :mod:`ransomflow.lstm` (recurrent classifier with full BPTT),
 :mod:`ransomflow.gbt` (second-order boosted trees),

@@ -136,11 +136,6 @@ class CorrelationMatrix:
     feature_names: tuple
     zero_variance: tuple  # bool per feature
 
-    def pair(self, a: str, b: str) -> float:
-        i = self.feature_names.index(a)
-        j = self.feature_names.index(b)
-        return float(self.values[i, j])
-
     def to_csv(self) -> str:
         return csv_text(("feature", *self.feature_names),
                         ((name, *row) for name, row in

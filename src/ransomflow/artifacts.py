@@ -35,8 +35,8 @@ A bundle names the preprocessing state it was trained on by
 whose state has another checksum.
 
 A bundle stores what training changed and derives the rest. Its components
-are the SAE encoders' weights and biases (the decoders and epoch records are
-in-memory only; the records go to the history CSVs), the parts of the LSTM
+are the SAE encoders' weights and biases (the decoders only train the stack,
+and the epoch records go to the history CSVs), the parts of the LSTM
 that Adam stepped (see :func:`ransomflow.lstm.trained_slices`) or the boosted
 trees. The loader takes the encoders' activation from the settings, rebuilds
 the seeded LSTM from the master seed and writes the stored parts in.
@@ -352,6 +352,10 @@ def save_bundle(path, kind: str, config_echo: dict,
         "preprocess_sha256": _preprocess_sha256(artifact),
         "components": components,
     }
+    # Kept though no test reaches it: at gbt.lambda 0 and min_child_hessian
+    # 0, a leaf whose gradient sum G is positive and whose hessian sum H is
+    # subnormal gets the weight -G/H = -inf. softmax maps a -inf score to
+    # probability 0, so the rounds' losses stay finite and only this refuses.
     try:
         digest = checksum(payload)
     except ValueError as exc:  # a NaN or Inf, which JSON cannot hold

@@ -222,9 +222,9 @@ def _fit(kind, cfg, artifact) -> tuple:
     """Train one model of ``kind`` on the artifact's training rows: (its
     stored components, history files and summary lines)."""
     k = artifact.table.maps.size(TARGET)
-    if k < 2:
-        raise DataError(f"need at least 2 classes, got {k}")
     x, y = artifact.side("train")
+    if np.unique(y).size < 2:
+        raise DataError("training labels hold fewer than 2 classes")
     if kind == "sae-lstm":
         sae_seed = cfg.seed_for("sae")
         model = sae.build_stack(x, cfg.sae, sae_seed)

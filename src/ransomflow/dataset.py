@@ -151,11 +151,6 @@ class RawTable:
     def row_count(self) -> int:
         return len(self.cells[0].length)
 
-    @property
-    def rows(self) -> list:
-        return list(zip(*([c.cell(i).decode() for i in range(self.row_count)]
-                          for c in self.cells)))
-
 
 def _not_utf8(data: bytes, exc: UnicodeDecodeError, name: str) -> DataError:
     """The error for ``data`` whose decoding failed with ``exc``."""

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DataError,
     SchemaMismatch,
     check_int,
     check_number,
@@ -297,16 +296,14 @@ def train_gbt(x: np.ndarray, y: np.ndarray, params: GbtParams,
               k_classes: int):
     """Boost ``params.rounds`` rounds on (n, d) feature rows ``x``.
 
-    Labels ``y`` fall inside [0, k_classes) and must hold at least 2
-    classes; one tree list is grown per class. Returns (trees, records):
+    Labels ``y`` fall inside [0, k_classes) and hold at least 2 classes;
+    one tree list is grown per class. Returns (trees, records):
     ``trees[class][round]``, the model, and a
     :class:`ransomflow.nn.EpochRecord` of the mean training cross-entropy
     before any tree and after each round, each of which must be finite.
     """
     # column-major, so each feature's values are one contiguous gather
     x = np.asfortranarray(x)
-    if np.unique(y).size < 2:
-        raise DataError("training labels hold fewer than 2 classes")
     n = x.shape[0]
     raw = np.zeros((n, k_classes), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.int64)

@@ -75,10 +75,6 @@ class LstmCell:
     def hidden_size(self) -> int:
         return self.w.shape[0] // 4
 
-    @property
-    def param_count(self) -> int:
-        return self.w.size + self.b.size
-
     def params(self) -> list:
         return [self.w, self.b]
 
@@ -107,9 +103,8 @@ class GateCache:
     tanh_c: np.ndarray
 
 
-def cell_forward(cell: LstmCell, x_t: np.ndarray,
-                 h_prev: np.ndarray | None = None,
-                 c_prev: np.ndarray | None = None):
+def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray | None,
+                 c_prev: np.ndarray | None):
     """One LSTM step. Accepts single vectors or (m, dim) batches.
 
     The two states come together. ``h_prev = c_prev = None`` is the zero
@@ -180,10 +175,6 @@ class LstmClassifier:
     head: DenseLayer
     config: LstmConfig
 
-    @property
-    def param_count(self) -> int:
-        return sum(c.param_count for c in self.cells) + self.head.param_count
-
     def params(self) -> list:
         return [p for cell in self.cells for p in cell.params()] + \
             self.head.params()
@@ -226,8 +217,8 @@ def sequence_forward(model: LstmClassifier, sequences: np.ndarray):
 
 
 def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
-                      grad_logits: np.ndarray,
-                      clip_threshold: float | None = None, out=None):
+                      grad_logits: np.ndarray, clip_threshold: float | None,
+                      out: list | None):
     """Full BPTT from the head gradient back through every step and layer.
 
     ``grad_logits`` is the (m, k) loss gradient at the head pre-activation,
@@ -238,7 +229,8 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
     returned grads.
 
     Training passes ``out``, Adam's gradient views of the trained parts, to
-    be filled in place of the full grads, and gets a norm only if it clips.
+    be filled in place of the full grads, and gets a norm only if it clips;
+    with ``out`` None the full grads are returned.
     """
     time_steps, m = len(caches.steps[0]), grad_logits.shape[0]
     # the full grads are built only without ``out``, or to clip them
@@ -426,10 +418,10 @@ def model_from_dict(doc: dict, config: LstmConfig, features: int,
                                    config.sequence_layout).shape
     model = create_classifier(width, k_classes, config, seed)
     require_keys(doc, ("cells", "head"), "lstm")
-    stored = [a for cell in doc["cells"] for a in (cell["w"], cell["b"])]
     for cell in doc["cells"]:
         require_keys(cell, ("w", "b"), "lstm cell")
-    stored = [*map(array_from_doc, stored),
+    stored = [*(array_from_doc(cell[key]) for cell in doc["cells"]
+                for key in ("w", "b")),
               *layer_from_dict(doc["head"], "softmax").params()]
     params = model.params()
     if len(stored) != len(params):

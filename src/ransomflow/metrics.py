@@ -40,17 +40,14 @@ class ConfusionMatrix:
                          zip(self.class_names, self.counts.tolist())))
 
 
-def confusion(y_true, y_pred, k_classes: int, class_names=None) -> ConfusionMatrix:
+def confusion(y_true, y_pred, k_classes: int, class_names) -> ConfusionMatrix:
     """Count (true, predicted) pairs, equal-length vectors of labels in
-    [0, k_classes), into a k x k matrix."""
+    [0, k_classes), into a k x k matrix of the classes ``class_names``."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     flat = y_true.astype(np.int64) * k_classes + y_pred.astype(np.int64)
     counts = np.bincount(flat, minlength=k_classes * k_classes)
-    counts = counts.reshape(k_classes, k_classes)
-    if class_names is None:
-        class_names = tuple(str(i) for i in range(k_classes))
-    return ConfusionMatrix(counts, class_names)
+    return ConfusionMatrix(counts.reshape(k_classes, k_classes), class_names)
 
 
 @dataclass
@@ -131,26 +128,19 @@ class MetricsReport:
 
     @classmethod
     def from_values(cls, class_names, precision, recall, f1, support,
-                    accuracy, zero_division=(), macro=None,
-                    weighted=None) -> "MetricsReport":
-        """Assemble a report from per-class numbers, computed by
-        :func:`report` or published elsewhere. ``zero_division`` names the
-        classes scored 0 for a zero denominator.
-
-        ``macro`` and ``weighted`` are optional (precision, recall, f1)
-        triples; when omitted they are recomputed from the per-class values.
-        Published tables sometimes round their average rows differently from
-        their per-class rows, so both paths are supported.
-        """
+                    accuracy, zero_division) -> "MetricsReport":
+        """Assemble a report from per-class numbers, its averages computed
+        from them. ``zero_division`` names the classes scored 0 for a zero
+        denominator."""
         class_names = tuple(class_names)
-        macro_scores, weighted_scores = _averages(precision, recall, f1, support)
+        macro, weighted = _averages(precision, recall, f1, support)
         return cls(
             class_names=class_names,
             per_class={name: ClassScores(*values) for name, *values in
                        zip(class_names, precision, recall, f1, support)},
             accuracy=float(accuracy),
-            macro=macro_scores if macro is None else Scores(*macro),
-            weighted=weighted_scores if weighted is None else Scores(*weighted),
+            macro=macro,
+            weighted=weighted,
             total_support=int(sum(support)),
             zero_division=tuple(zero_division),
         )
@@ -194,17 +184,17 @@ class MetricsReport:
     def to_text(self) -> str:
         width = max([len(n) for n in self.class_names] + [12])
 
-        def row(label, s, support):
+        def line(label, s, support):
             return (f"{label.ljust(width)}  {s.precision:9.6f} {s.recall:9.6f} "
                     f"{s.f1:9.6f}  {support:8d}")
 
         lines = [f"{'class'.ljust(width)}  precision    recall        f1   support"]
-        lines += [row(name, self.per_class[name], self.per_class[name].support)
+        lines += [line(name, self.per_class[name], self.per_class[name].support)
                   for name in self.class_names]
         lines.append("")
         lines.append(f"{'accuracy'.ljust(width)}  {self.accuracy:9.6f}"
                      f"{'':20}  {self.total_support:8d}")
-        lines += [row(f"{average} avg", s, self.total_support)
+        lines += [line(f"{average} avg", s, self.total_support)
                   for average, s in self.averages().items()]
         if self.zero_division:
             lines.append("")
@@ -267,12 +257,6 @@ class ComparisonTable:
     name_a: str
     name_b: str
     rows: list  # of MetricDelta
-
-    def row(self, metric: str) -> MetricDelta:
-        for r in self.rows:
-            if r.metric == metric:
-                return r
-        raise KeyError(metric)
 
     def _table(self) -> tuple:
         """(keys, rows): a row's keys, :data:`COMPARISON_KEYS` with the two

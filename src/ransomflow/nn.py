@@ -1,5 +1,5 @@
-"""Dense layers, a cache-free chunked forward pass, losses, Adam, epoch
-records and finite-difference gradient checking.
+"""Dense layers, a cache-free chunked forward pass, losses, Adam and epoch
+records.
 
 Nothing here casts what it is given: arrays are float64 (labels int64) where
 they are made, by ``rng.uniform``, ``serialize.array_from_doc``,
@@ -80,10 +80,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.biases.size
-
     def params(self) -> list:
         return [self.weights, self.biases]
 
@@ -158,19 +154,20 @@ def _grad_pre_activation(layer: DenseLayer, cache: BatchCache,
 
 
 def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray,
-                   out=(None, None)):
+                   out):
     """Backprop through one layer.
 
     Returns (grad_input, grad_weights, grad_biases) for the batch the cache
     was built from. ``grad_output`` is the loss gradient wrt the layer output.
-    ``out``, a (weights, biases) pair of gradient views, receives the last two.
+    ``out``, a (weights, biases) pair of gradient views or of Nones, receives
+    the last two.
     """
     grad_z = _grad_pre_activation(layer, cache, grad_output)
     return _backward_from_pre_activation(layer, cache, grad_z, out)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
-                          grad_pre_activation: np.ndarray, out=(None, None)):
+                          grad_pre_activation: np.ndarray, out):
     """Backprop entry point for fused losses that differentiate wrt z directly.
 
     The softmax cross-entropy pairing produces (p - y) / n as the gradient at
@@ -358,49 +355,6 @@ def train_epochs(stage: str, optimizer: Adam, batch_step, n: int,
         if stop_below is not None and records[-1].loss < stop_below:
             break
     return records
-
-
-# ---------------------------------------------------------------------------
-# Introspection and verification
-
-
-def param_count(dims) -> int:
-    """Total weights + biases of a dense chain with the given layer widths."""
-    dims = list(dims)
-    if len(dims) < 2:
-        raise ValueError("need at least an input and an output width")
-    return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
-
-
-def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``loss_fn()`` evaluates the model at the current parameter values and
-    returns (loss, grads) with grads aligned to ``params``. Each scalar entry
-    is perturbed in place by +/- eps. The relative error for one entry is
-    |a - n| / max(|a|, |n|, 1e-8).
-    """
-    _, analytic = loss_fn()
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.reshape(-1)
-        gflat = np.asarray(g, dtype=np.float64).reshape(-1)
-        if flat.shape != gflat.shape:
-            raise DataError(
-                f"grad shape {np.asarray(g).shape} does not match param {p.shape}"
-            )
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            loss_plus = loss_fn()[0]
-            flat[i] = saved - eps
-            loss_minus = loss_fn()[0]
-            flat[i] = saved
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            analytic_value = gflat[i]
-            denom = max(abs(analytic_value), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic_value - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

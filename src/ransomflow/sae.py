@@ -2,9 +2,9 @@
 
 Each encoder layer (relu by default) is trained with a linear decoder to
 minimize batch-mean squared reconstruction error on the codes of the layer
-below it; its frozen codes then feed the next layer. The trained stack keeps
-its decoders and epoch records in memory, so it can reconstruct inputs and
-report its losses; a stored stack is its encoders alone, which is all
+below it; its frozen codes then feed the next layer. The decoders only train
+the stack and give its reconstruction loss; the model keeps its encoders and
+epoch records, and a stored stack is its encoders alone, which is all
 encoding reads. An optional supervised stage fine-tunes the encoders under a
 softmax head with cross-entropy. Every stage is a batch step run by
 :func:`ransomflow.nn.train_epochs`.
@@ -62,10 +62,9 @@ class SAEConfig:
 
 @dataclass
 class SAEModel:
-    """Trained stack: encoders input->code, decoders code->input."""
+    """Trained stack: encoders input->code."""
 
     encoders: list  # DenseLayer, input side first
-    decoders: list  # DenseLayer, code side first (reconstruction order)
     config: SAEConfig
     records: list  # nn.EpochRecord per layer and epoch, input side first
     stack_loss: float
@@ -76,14 +75,6 @@ class SAEModel:
     @property
     def code_dim(self) -> int:
         return self.encoders[-1].out_dim
-
-    @property
-    def param_count(self) -> int:
-        return sum(l.param_count for l in self.encoders + self.decoders)
-
-    @property
-    def layer_param_counts(self) -> list:
-        return [l.param_count for l in self.encoders + self.decoders]
 
 
 def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
@@ -148,8 +139,8 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     # decoding the codes gives the reconstruction
     stack_loss = finite_loss("SAE pretraining: stack reconstruction",
                              mse_loss(apply(decoders, current), data)[0])
-    return SAEModel(encoders=encoders, decoders=decoders, config=config,
-                    records=records, stack_loss=stack_loss, codes=current)
+    return SAEModel(encoders=encoders, config=config, records=records,
+                    stack_loss=stack_loss, codes=current)
 
 
 def encode(encoders: list, x: np.ndarray) -> np.ndarray:
@@ -157,18 +148,13 @@ def encode(encoders: list, x: np.ndarray) -> np.ndarray:
     return apply(encoders, x)
 
 
-def reconstruct(model: SAEModel, x: np.ndarray) -> np.ndarray:
-    """Round trip of (n, d) rows through the full stack: encode then decode."""
-    return apply(model.encoders + model.decoders, x)
-
-
 def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
               seed: int):
     """Supervised pass: softmax head on the code layer, cross-entropy loss
     over labels ``y`` in [0, k_classes).
 
-    Encoder weights and the head are updated jointly; decoders are left
-    untouched, and the codes ``build_stack`` kept are dropped. The head and
+    Encoder weights and the head are updated jointly, and the codes
+    ``build_stack`` kept are dropped. The head and
     the batch order draw from a substream of ``seed``, the seed the stack
     was built with, and the pass runs with the stack's own settings. The head
     only trains the encoders and is discarded. Returns one

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ransomflow import rng
+from ransomflow import rng, sae
 from ransomflow.cli import main
+from ransomflow.errors import DataError
 from ransomflow.gbt import Histogram, best_split
 from ransomflow.serialize import checksum, dump_json
 
@@ -190,6 +191,68 @@ def record_table_sha(art):
         (art / "table.npz").read_bytes()).hexdigest()
     dump_json(art / "dataset.json",
               {"checksum": checksum(payload), "payload": payload})
+
+
+def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    ``loss_fn()`` evaluates the model at the current parameter values and
+    returns (loss, grads) with grads aligned to ``params``. Each scalar entry
+    is perturbed in place by +/- eps. The relative error for one entry is
+    |a - n| / max(|a|, |n|, 1e-8).
+    """
+    _, analytic = loss_fn()
+    worst = 0.0
+    for p, g in zip(params, analytic):
+        flat = p.reshape(-1)
+        gflat = np.asarray(g, dtype=np.float64).reshape(-1)
+        if flat.shape != gflat.shape:
+            raise DataError(
+                f"grad shape {np.asarray(g).shape} does not match param {p.shape}"
+            )
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            loss_plus = loss_fn()[0]
+            flat[i] = saved - eps
+            loss_minus = loss_fn()[0]
+            flat[i] = saved
+            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            analytic_value = gflat[i]
+            denom = max(abs(analytic_value), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic_value - numeric) / denom)
+    return worst
+
+
+def cell_rows(table) -> list:
+    """A parsed :class:`ransomflow.dataset.RawTable`'s rows, as tuples of
+    cell texts in ``COLUMNS`` order."""
+    return list(zip(*([c.cell(i).decode() for i in range(table.row_count)]
+                      for c in table.cells)))
+
+
+def stack_with_decoders(data, config, seed) -> tuple:
+    """``sae.build_stack``'s model and the decoders its layers pretrained,
+    code side first (the reconstruction order), which the model does not
+    keep."""
+    decoders, pretrain = [], sae.pretrain_layer
+
+    def recording(*args):
+        encoder, decoder, records = pretrain(*args)
+        decoders.insert(0, decoder)
+        return encoder, decoder, records
+
+    sae.pretrain_layer = recording
+    try:
+        return sae.build_stack(data, config, seed), decoders
+    finally:
+        sae.pretrain_layer = pretrain
+
+
+def param_count(*parts) -> int:
+    """The weights and biases of ``parts`` (dense layers, LSTM cells,
+    classifiers): the sizes of their ``params()`` arrays, summed."""
+    return sum(p.size for part in parts for p in part.params())
 
 
 def textbook_adam(p, g, m, v, t, lr):

@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import real_csv_path, synthetic_csv_text
+from conftest import (
+    grad_check,
+    param_count,
+    real_csv_path,
+    stack_with_decoders,
+    synthetic_csv_text,
+)
 
 from ransomflow import rng
 from ransomflow.analytics import (
@@ -48,7 +54,6 @@ from ransomflow.nn import (
     dense_backward,
     dense_backward_preact,
     dense_forward,
-    grad_check,
     mse_loss,
     softmax,
 )
@@ -73,18 +78,21 @@ def skip_line(name: str, reason: str):
 
 
 def test_c1_parameter_counts():
-    sae_model = build_stack(rng.uniform(1, (8, 13)), SAEConfig(epochs=0), 1819)
-    per_layer = sae_model.layer_param_counts
+    sae_model, decoders = stack_with_decoders(rng.uniform(1, (8, 13)),
+                                              SAEConfig(epochs=0), 1819)
+    sae_layers = sae_model.encoders + decoders
+    sae_total = param_count(*sae_layers)
+    per_layer = [param_count(layer) for layer in sae_layers]
     lstm_model = create_classifier(13, 3, LstmConfig(), 1819)
-    ok = (sae_model.param_count == 11026
+    lstm_total = param_count(lstm_model)
+    cell, head = param_count(lstm_model.cells[0]), param_count(lstm_model.head)
+    ok = (sae_total == 11026
           and per_layer == [1050, 3800, 663, 700, 3825, 988]
-          and lstm_model.param_count == 122811
-          and lstm_model.cells[0].param_count == 122304
-          and lstm_model.head.param_count == 507)
+          and lstm_total == 122811
+          and cell == 122304
+          and head == 507)
     verdict("1-parameter-counts", ok,
-            f"sae {sae_model.param_count} {per_layer}, "
-            f"lstm {lstm_model.cells[0].param_count}+"
-            f"{lstm_model.head.param_count}={lstm_model.param_count}")
+            f"sae {sae_total} {per_layer}, lstm {cell}+{head}={lstm_total}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,8 @@ def dense_fd_error(activation: str, seed: int) -> float:
         def loss_fn():
             out, cache = dense_forward(layer, x)
             loss, grad_logits = cross_entropy_loss(out, labels)
-            _, gw, gb = dense_backward_preact(layer, cache, grad_logits)
+            _, gw, gb = dense_backward_preact(layer, cache, grad_logits,
+                                                (None, None))
             return loss, [gw, gb]
     else:
         target = rng.uniform(rng.derive(seed, "t"), (5, 3))
@@ -109,7 +118,7 @@ def dense_fd_error(activation: str, seed: int) -> float:
         def loss_fn():
             out, cache = dense_forward(layer, x)
             loss, grad = mse_loss(out, target)
-            _, gw, gb = dense_backward(layer, cache, grad)
+            _, gw, gb = dense_backward(layer, cache, grad, (None, None))
             return loss, [gw, gb]
 
     if activation == "relu":
@@ -120,8 +129,8 @@ def dense_fd_error(activation: str, seed: int) -> float:
 
 def sae_stack_fd_error() -> float:
     data = rng.uniform(108, (3, 13))
-    model = build_stack(data, SAEConfig(epochs=0), 8)
-    layers = model.encoders + model.decoders
+    model, decoders = stack_with_decoders(data, SAEConfig(epochs=0), 8)
+    layers = model.encoders + decoders
     params = []
     for layer in layers:
         params.extend(layer.params())
@@ -141,7 +150,7 @@ def sae_stack_fd_error() -> float:
         loss, grad = mse_loss(value, data)
         grads = []
         for layer, cache in zip(reversed(layers), reversed(caches)):
-            grad, gw, gb = dense_backward(layer, cache, grad)
+            grad, gw, gb = dense_backward(layer, cache, grad, (None, None))
             grads.extend([gb, gw])
         grads.reverse()
         return loss, grads
@@ -158,7 +167,7 @@ def lstm_fd_error(time_steps: int, seed: int) -> float:
     def loss_fn():
         probs, caches = sequence_forward(model, seqs)
         loss, grad_logits = cross_entropy_loss(probs, labels)
-        grads, _ = sequence_backward(model, caches, grad_logits)
+        grads, _ = sequence_backward(model, caches, grad_logits, None, None)
         return loss, grads
 
     return grad_check(loss_fn, params)
@@ -237,7 +246,7 @@ def test_c4_metrics_oracle():
     n, k = 10000, 3
     y_true = (rng.splitmix64(101, n) % k).astype(np.int64)
     y_pred = (rng.splitmix64(202, n) % k).astype(np.int64)
-    rep = report(confusion(y_true, y_pred, k))
+    rep = report(confusion(y_true, y_pred, k, tuple(map(str, range(k)))))
     exact = True
     for c, name in enumerate(rep.class_names):
         tp = int(((y_true == c) & (y_pred == c)).sum())
@@ -376,7 +385,7 @@ def test_c6_desk_scale_training():
 def test_c7_model_comparison():
     table = compare(fixture_report(SAE_LSTM_FIXTURE),
                     fixture_report(GBT_FIXTURE), "sae-lstm", "gbt")
-    acc_row = table.row("accuracy")
+    acc_row = next(r for r in table.rows if r.metric == "accuracy")
     ok = (abs(acc_row.delta - 0.0298) <= 1e-4
           and acc_row.winner("sae-lstm", "gbt") == "sae-lstm")
     verdict("7-model-comparison", ok,

@@ -148,9 +148,9 @@ def test_correlation_perfect_and_anti_correlation():
     x = np.arange(10.0)
     data = np.column_stack([x, -x, 2.0 * x + 3.0])
     corr = correlation_matrix(data, ("a", "b", "c"))
-    assert corr.pair("a", "a") == 1.0
-    assert abs(corr.pair("a", "b") + 1.0) < 1e-12
-    assert abs(corr.pair("a", "c") - 1.0) < 1e-12
+    assert corr.values[0, 0] == 1.0
+    assert abs(corr.values[0, 1] + 1.0) < 1e-12
+    assert abs(corr.values[0, 2] - 1.0) < 1e-12
     assert corr.zero_variance == (False, False, False)
 
 
@@ -182,11 +182,11 @@ def test_correlation_flags_constant_columns():
                             [2.0, 1.0, 3.0, 5.0, 4.0]])
     corr = correlation_matrix(data, ("x", "const", "y"))
     assert corr.zero_variance == (False, True, False)
-    assert corr.pair("const", "const") == 0.0
-    assert corr.pair("x", "const") == 0.0
-    assert corr.pair("const", "y") == 0.0
-    assert corr.pair("x", "x") == 1.0
-    assert abs(corr.pair("x", "y") - pearson(data[:, 0], data[:, 2])) < 1e-12
+    assert corr.values[1, 1] == 0.0
+    assert corr.values[0, 1] == 0.0
+    assert corr.values[1, 2] == 0.0
+    assert corr.values[0, 0] == 1.0
+    assert abs(corr.values[0, 2] - pearson(data[:, 0], data[:, 2])) < 1e-12
 
 
 def test_correlation_csv_round_trip_values():
@@ -195,7 +195,7 @@ def test_correlation_csv_round_trip_values():
     lines = corr.to_csv().strip().splitlines()
     assert lines[0] == "feature,u,v"
     parsed = float(lines[1].split(",")[2])
-    assert parsed == corr.pair("u", "v")
+    assert parsed == corr.values[0, 1]
 
 
 def test_anomaly_by_family_hand_counts():

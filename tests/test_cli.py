@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_csv_text
+from conftest import cell_rows, synthetic_csv_text
 
 from ransomflow import cli, gbt, lstm, nn, sae
 from ransomflow.artifacts import load_artifact, save_bundle
@@ -255,12 +255,15 @@ def test_train_on_one_class_exits_3_before_any_epoch(tmp_path, capsys,
         assert main(["train", str(art), "--kind", kind, "--sae-epochs", "1",
                      "--lstm-epochs", "1", "--output", str(out)]) == 3
         assert capsys.readouterr().err == \
-            "error: need at least 2 classes, got 1\n"
+            "error: training labels hold fewer than 2 classes\n"
         assert not out.exists()
     assert stages == []  # the SAE ran no epoch
 
 
-def test_train_on_a_one_class_training_side_exits_3(tmp_path, capsys):
+def test_train_on_a_one_class_training_side_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    """The class list holds A and S, but the training side only A: both
+    kinds refuse it before any epoch."""
     header, rows = _small_csv()
     csv_path, art = tmp_path / "raw.csv", tmp_path / "art"
     csv_path.write_text("\n".join([header, *_labeled(rows, "A"),
@@ -270,18 +273,28 @@ def test_train_on_a_one_class_training_side_exits_3(tmp_path, capsys):
     assert main(["ingest", str(csv_path), "--test-ratio", "0.75",
                  "--output", str(art)]) == 0
     capsys.readouterr()
-    out = tmp_path / "gbt"
-    assert main(["train", str(art), "--kind", "gbt", "--output", str(out)]) == 3
-    assert capsys.readouterr().err == \
-        "error: training labels hold fewer than 2 classes\n"
-    assert not out.exists()
+    stages, train_epochs = [], sae.train_epochs
+
+    def counted(stage, *args, **kwargs):
+        stages.append(stage)
+        return train_epochs(stage, *args, **kwargs)
+
+    monkeypatch.setattr(sae, "train_epochs", counted)
+    for kind in ("sae-lstm", "gbt"):
+        out = tmp_path / kind
+        assert main(["train", str(art), "--kind", kind, "--sae-epochs", "1",
+                     "--lstm-epochs", "1", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error: training labels hold fewer than 2 classes\n"
+        assert not out.exists()
+    assert stages == []  # the SAE ran no epoch
 
 
 def test_compare_reports_of_different_class_sets_exits_3(tmp_path, capsys):
     paths = []
     for name, classes in (("a", ("A", "S")), ("b", ("A", "SS"))):
         rep = MetricsReport.from_values(classes, (1, 1), (1, 1), (1, 1),
-                                        (5, 5), 1.0)
+                                        (5, 5), 1.0, ())
         paths.append(str(tmp_path / f"{name}.json"))
         dump_json(paths[-1], {**rep.to_dict(), "kind": "gbt", "split": "test"})
     out = tmp_path / "o"
@@ -350,7 +363,7 @@ def test_ingest_cr_only_line_ends_match_lf(synthetic_csv, artifact_dir,
     assert (out / "table.npz").read_bytes() \
         == (artifact_dir / "table.npz").read_bytes()
     # bytes split CR-only lines as a path does
-    assert parse_csv(cr.read_bytes()).rows == parse_csv(cr).rows
+    assert cell_rows(parse_csv(cr.read_bytes())) == cell_rows(parse_csv(cr))
 
 
 def test_usage_problems_exit_1(tmp_path, capsys):
@@ -1038,7 +1051,10 @@ def test_evaluate_per_gate_bundle_exits_3(sae_bundle_dir, artifact_dir,
     rc = main(["evaluate", str(old), str(artifact_dir),
                "--output", str(tmp_path / "o")])
     assert rc == 3
-    assert "missing key 'w'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {old}: invalid model bundle: lstm cell: missing key(s) "
+        f"['b', 'w'], unknown key(s) ['b_c', 'b_f', 'b_i', 'b_o', 'w_c', "
+        f"'w_f', 'w_i', 'w_o']\n")
 
 
 def _rewrite_bundle(source, target, edit):
@@ -1178,6 +1194,21 @@ def test_evaluate_0d_encoder_weights_exits_3(sae_bundle_dir, artifact_dir,
     assert rc == 3
     assert capsys.readouterr().err == (f"error: {bundle}: invalid model "
                                        f"bundle: weights must be 2-d, got ()\n")
+
+
+def test_evaluate_lstm_cell_without_bias_exits_3(sae_bundle_dir, artifact_dir,
+                                                 tmp_path, capsys):
+    def change(payload):
+        del payload["components"]["lstm"]["cells"][0]["b"]
+
+    bundle, out = tmp_path / "bundle.json", tmp_path / "o"
+    _rewrite_bundle(sae_bundle_dir / "bundle.json", bundle, change)
+    assert main(["evaluate", str(bundle), str(artifact_dir),
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {bundle}: invalid model "
+                                       f"bundle: lstm cell: missing key(s) "
+                                       f"['b'], unknown key(s) []\n")
+    assert not out.exists()
 
 
 def _nan_first(doc):
@@ -1508,6 +1539,7 @@ def test_json_nested_too_deeply_is_refused(command, code, artifact_dir,
     lambda doc: {**doc, "classes": {**doc["classes"],
                                     "ZZ": doc["classes"]["SS"]}},
     lambda doc: {**doc, "class_order": doc["class_order"] + ["SS"]},
+    lambda doc: {key: v for key, v in doc.items() if key != "class_order"},
     lambda doc: {**doc, "zero_division": "SS"},
     lambda doc: {**doc, "zero_division": ["ZZ"]},
     lambda doc: {**doc, "mutant": 0},
@@ -1517,7 +1549,7 @@ def test_json_nested_too_deeply_is_refused(command, code, artifact_dir,
     lambda doc: {**doc, "split": "validation"},
 ], ids=["list-root", "classes-list", "class-scores-number", "accuracy-string",
         "kind-number", "kind-list", "macro-extra-key", "classes-extra-key",
-        "class-order-repeated", "zero-division-string",
+        "class-order-repeated", "class-order-missing", "zero-division-string",
         "zero-division-unknown-class", "extra-top-level-key", "kind-missing",
         "kind-unknown", "split-missing", "split-unknown"])
 def test_compare_malformed_report_exits_3(edit, sae_report_dir, tmp_path,

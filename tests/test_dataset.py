@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import require_real_csv, synthetic_csv_text
+from conftest import cell_rows, require_real_csv, synthetic_csv_text
 
 from ransomflow import dataset, rng
 from ransomflow.config import DatasetConfig
@@ -63,13 +63,13 @@ def _csv(header, *rows):
 def test_parse_canonical_header():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B))
     assert table.row_count == 2
-    assert table.rows[0][0] == "10"
-    assert table.rows[1][3] == "Locky"
+    assert cell_rows(table)[0][0] == "10"
+    assert cell_rows(table)[1][3] == "Locky"
 
 
 def test_parse_alias_header_maps_to_canonical():
     table = parse_csv(_csv(ALIAS_HEADER, ROW_A))
-    [row] = table.rows
+    [row] = cell_rows(table)
     assert row[column_index("Family")] == "WannaCry"
     assert row[column_index("Threats")] == "Bonet"
     assert row[column_index("NetflowBytes")] == "1200"
@@ -81,7 +81,8 @@ def test_parse_reordered_columns():
              "ExpAddress,BTC,USD,NetflowBytes,IPAddress,Threats,Port"
     row = "SS,10,TCP,A,WannaCry,2,1DA11mPS,1MMSaaXn,1.5,500,1200,A,Bonet,5062"
     table = parse_csv(_csv(header, row))
-    assert table.rows[0] == parse_csv(_csv(CANONICAL_HEADER, ROW_A)).rows[0]
+    canonical = parse_csv(_csv(CANONICAL_HEADER, ROW_A))
+    assert cell_rows(table)[0] == cell_rows(canonical)[0]
 
 
 def test_parse_header_only_gives_empty_table():
@@ -115,7 +116,7 @@ def test_parse_non_numeric_cell_reports_position():
 def test_parse_strips_whitespace():
     row = ROW_A.replace("TCP", " TCP ")
     table = parse_csv(_csv(CANONICAL_HEADER, row))
-    assert table.rows[0][1] == "TCP"
+    assert cell_rows(table)[0][1] == "TCP"
 
 
 def test_label_encode_lexicographic_codes():
@@ -136,7 +137,7 @@ def test_label_encode_round_trip():
     encoded, maps = label_encode(table)
     for column in CATEGORICAL_NAMES:
         j = column_index(column)
-        original = [row[j] for row in table.rows]
+        original = [row[j] for row in cell_rows(table)]
         assert encoded.decoded(column) == original
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import blob_data, fresh_histogram, fresh_split
 
 from ransomflow import gbt, rng
-from ransomflow.errors import ConfigError, DataError
+from ransomflow.errors import ConfigError
 from ransomflow.gbt import (
     GbtParams,
     SplitDecision,
@@ -311,17 +311,6 @@ def test_training_is_deterministic():
     b, b_losses = train_gbt(x, y, GbtParams(rounds=5), 3)
     assert a_losses == b_losses
     assert np.array_equal(gbt_predict(a, x), gbt_predict(b, x))
-
-
-def test_train_validates_inputs():
-    x = rng.uniform(67, (8, 2))
-    one_class = "^training labels hold fewer than 2 classes$"
-    with pytest.raises(DataError, match=one_class):
-        train_gbt(x, np.zeros(8, dtype=int), GbtParams(), 3)
-    with pytest.raises(DataError, match=one_class):
-        train_gbt(x, np.zeros(8, dtype=int), GbtParams(), 1)
-    with pytest.raises(DataError, match=one_class):
-        train_gbt(np.empty((0, 2)), np.empty(0, dtype=int), GbtParams(), 3)
 
 
 def test_params_validation():

@@ -10,16 +10,16 @@ define, dunders excepted, and requires each name to occur as a word
 somewhere besides its definition in the ``.py`` files under ``src/``,
 ``tests/`` or ``perfbench/``.
 
-The reach scan is stricter: tests do not count, and a name must be reached
-through the ``ast`` of ``src/ransomflow`` and of perfbench's own modules,
-``perfbench/*.py`` without its tests (see :func:`unreached_definitions`).
-Only the verification API the tests build on may stay unreached.
+The reach scan is stricter: tests do not count, and a definition must be
+read by code reached from the entry points, each module's own top-level
+statements and perfbench's own modules, ``perfbench/*.py`` without its tests,
+following reads to a fixed point (see :func:`unreached_definitions`). Only
+the verification API a test outside ``tests/`` builds on may stay unreached.
 
-The parameter scan does the same for the optional parameters of those
-definitions, a dataclass's fields among them: each must be passed by some
-call in ``src/ransomflow`` or ``perfbench``, and no default may be one every
-such call overrides (see :func:`parameter_findings`). Only forms the
-verification API's tests call may stay.
+The parameter scan does the same for the optional parameters of the
+package's definitions, a dataclass's fields among them: each must be passed
+by some call in ``src/ransomflow`` or ``perfbench``, and no default may be
+one every such call overrides (see :func:`parameter_findings`).
 
 The field scan holds dataclass fields to the same rule: each must be read as
 an attribute somewhere in ``src/ransomflow`` or ``perfbench``, or by a method
@@ -138,123 +138,146 @@ def test_every_defined_name_is_used_elsewhere():
     assert dead_definitions(names, texts) == []
 
 
-# Definitions no command and no benchmark code reaches, kept as the API the
-# tests verify the program through, and the parameter forms only those tests
-# call: the gradient checks call the backward passes without the gradient
-# views training writes into, and without clipping; the cell oracle and the
-# zero-state tests call a cell step from the zero state; the metrics oracle
-# counts a confusion matrix with its class indices as names; the metrics
-# tests build reports from published scores, which name no zero-division
-# classes and may give their own averages; the dataset tests decode a
-# categorical column back to its values.
-VERIFICATION_API = ("nn.grad_check", "nn.param_count", "sae.reconstruct",
-                    "ComparisonTable.row",
-                    "CorrelationMatrix.pair", "SAEModel.layer_param_counts",
-                    "EncodedTable.decoded",
-                    "nn.dense_backward(out)", "nn.dense_backward_preact(out)",
-                    "lstm.sequence_backward(out)",
-                    "lstm.sequence_backward(clip_threshold)",
-                    "lstm.cell_forward(h_prev)", "lstm.cell_forward(c_prev)",
-                    "metrics.confusion(class_names)",
-                    "metrics.MetricsReport.from_values(zero_division)",
-                    "metrics.MetricsReport.from_values(macro)",
-                    "metrics.MetricsReport.from_values(weighted)")
-VERIFIED_DEFINITIONS = tuple(n for n in VERIFICATION_API if "(" not in n)
-VERIFIED_PARAMETERS = tuple(n for n in VERIFICATION_API if "(" in n)
-# the verified parameters no call in the program passes; its calls pass each
-# of the others, and so never take its default
-TEST_ONLY_PARAMETERS = ("metrics.MetricsReport.from_values(macro)",
-                        "metrics.MetricsReport.from_values(weighted)")
+# Definitions no command and no benchmark code reaches, kept as the API a
+# test outside tests/ builds on: perfbench's generator test decodes the
+# target column back to its class names.
+VERIFICATION_API = ("EncodedTable.decoded",)
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _module_of(node, package: str):
-    """The package module an ``ImportFrom`` names, or None."""
-    if node.level == 1:
-        return node.module
-    if node.level == 0 and node.module and node.module.startswith(package + "."):
-        return node.module[len(package) + 1:]
-    return None
+def _aliases(tree, package: str) -> dict:
+    """Local name -> what an import in ``tree`` binds it to: ``"module"``
+    for a package module, ``"module.name"`` for a name imported from one."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                module = node.module
+            elif node.level == 0 and node.module \
+                    and node.module.startswith(package + "."):
+                module = node.module[len(package) + 1:]
+            elif node.module in (None, package):  # from . import mod
+                module = None
+            else:
+                continue
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name \
+                    if module is None else f"{module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith(package + "."):
+                    aliases[alias.asname] = alias.name[len(package) + 1:]
+    return aliases
+
+
+def _class_code(node: ast.ClassDef) -> list:
+    """What runs when a class is defined: its bases, keywords, decorators
+    and the statements of its body that are not methods."""
+    return [*node.bases, *node.keywords, *node.decorator_list,
+            *(item for item in node.body
+              if not isinstance(item, ast.FunctionDef))]
 
 
 def unreached_definitions(modules: dict, others, traced: dict,
                           package: str = "ransomflow") -> list:
-    """The definitions in ``modules`` (module name -> source) that neither
-    they nor the sources in ``others`` reach, sorted: module-level functions
-    and classes as ``module.name``, methods and properties as
-    ``Class.name``; dunders are skipped.
+    """The definitions in ``modules`` (module name -> source) that no code
+    reached from the roots reads, sorted: module-level functions and classes
+    as ``module.name``, methods and properties as ``Class.name``; dunders are
+    skipped.
 
-    A module-level name is reached when its module uses it as a ``Name``,
-    another module imports it from its module, code reads it as an
-    attribute of its imported module, or ``traced`` (layer -> names, as in
-    the tracer's ``LAYERS``) lists it. A method is reached when code reads
-    an attribute of its name or ``traced`` lists ``Class.name``.
+    The roots are each module's top-level statements (not its definitions),
+    every dunder method, the sources in ``others`` whole, and the names
+    ``traced`` (layer -> names, as in the tracer's ``LAYERS``) lists. The
+    reach then grows to a fixed point. Code reads a module-level definition
+    by its name in its own module, by a name imported from its module (an
+    import alone reads nothing), or as an attribute of its imported module;
+    it reads a method by reading an attribute of that name. A reached
+    function brings its whole body, nested definitions included; a reached
+    class its bases, decorators and class-level statements, not its methods.
     """
-    trees = {name: ast.parse(source) for name, source in modules.items()}
+    # a definition -> (its module, the nodes that run once it is reached,
+    # the module's import aliases); pending holds reached code not yet read
+    code, methods, pending = {}, {}, []
+    for source in others:
+        tree = ast.parse(source)
+        pending.append((None, [tree], _aliases(tree, package)))
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        aliases = _aliases(tree, package)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                code[f"{module}.{node.name}"] = module, [node], aliases
+            elif isinstance(node, ast.ClassDef):
+                code[f"{module}.{node.name}"] = \
+                    module, _class_code(node), aliases
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    name = f"{node.name}.{item.name}"
+                    if item.name.startswith("__") and item.name.endswith("__"):
+                        pending.append((module, [item], aliases))
+                    else:
+                        code[name] = module, [item], aliases
+                        methods.setdefault(item.name, []).append(name)
+            else:
+                pending.append((module, [node], aliases))
     reached = {name if "." in name else f"{layer}.{name}"
-               for layer, names in traced.items() for name in names}
-    attributes = set()
-    for own, tree in [*trees.items(), *((None, ast.parse(s)) for s in others)]:
-        aliases = {}  # local name -> package module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                module = _module_of(node, package)
-                for alias in node.names:
-                    if module is not None:
-                        reached.add(f"{module}.{alias.name}")
-                    if node.module in (None, package):  # from . import mod
-                        aliases[alias.asname or alias.name] = alias.name
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname and alias.name.startswith(package + "."):
-                        aliases[alias.asname] = alias.name[len(package) + 1:]
-            elif isinstance(node, ast.Name) and own is not None:
-                reached.add(f"{own}.{node.id}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
+               for layer, names in traced.items()
+               for name in names} & set(code)
+    pending += [code[name] for name in reached]
+    while pending:
+        own, nodes, aliases = pending.pop()
+        read = []
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.append(aliases.get(node.id, f"{own}.{node.id}"))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read += methods.get(node.attr, [])
                 if isinstance(node.value, ast.Name) \
                         and node.value.id in aliases:
-                    reached.add(f"{aliases[node.value.id]}.{node.attr}")
-    unreached = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and f"{module}.{node.name}" not in reached:
-                unreached.append(f"{module}.{node.name}")
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) \
-                        and not (item.name.startswith("__")
-                                 and item.name.endswith("__")) \
-                        and item.name not in attributes \
-                        and f"{node.name}.{item.name}" not in reached:
-                    unreached.append(f"{node.name}.{item.name}")
-    return sorted(unreached)
+                    read.append(f"{aliases[node.value.id]}.{node.attr}")
+        for name in read:
+            if name in code and name not in reached:
+                reached.add(name)
+                pending.append(code[name])
+    return sorted(set(code) - reached)
 
 
 def test_reach_scan_follows_names_imports_attributes_and_the_tracer():
     modules = {
         "a": ("from . import b\n"
+              "from .b import imported\n"
               "def used(): pass\n"
               "def lonely(): pass\n"
               "def traced(): pass\n"
+              "def ping(): return pong()\n"
+              "def pong(): return ping()\n"
+              "def caller(): return imported()\n"
               "class Box:\n"
-              "    def __init__(self): pass\n"
-              "    def read(self): pass\n"
-              "    def spare(self): pass\n"
+              "    def __init__(self): self.ready()\n"
+              "    def ready(self): pass\n"
+              "    def read(self): return self.helper()\n"
+              "    def helper(self): pass\n"
+              "    def spare(self): return self.hidden()\n"
+              "    def hidden(self): pass\n"
               "    def wrapped(self): pass\n"
               "x = used() or b.fetched() or Box().read()\n"),
         "b": ("def fetched(): pass\n"
               "def imported(): pass\n"
-              "def named_by_chance(): pass\n"),
+              "def benched(): pass\n"
+              "def named_by_chance(): pass\n"
+              "def only_imported(): pass\n"),
     }
-    bench = ("from ransomflow.b import imported\n"
+    bench = ("from ransomflow.b import benched, only_imported\n"
+             "benched()\n"
              "named_by_chance = 1\n")
     traced = {"a": ("traced", "Box.wrapped")}
+    # spare reads hidden, caller reads imported, and ping and pong read each
+    # other, but nothing reached reads any of them
     assert unreached_definitions(modules, [bench], traced) == [
-        "Box.spare", "a.lonely", "b.named_by_chance"]
+        "Box.hidden", "Box.spare", "a.caller", "a.lonely", "a.ping", "a.pong",
+        "b.imported", "b.named_by_chance", "b.only_imported"]
 
 
 def test_every_definition_is_reached_or_verification_api():
@@ -265,7 +288,7 @@ def test_every_definition_is_reached_or_verification_api():
         node.value for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"))
     assert unreached_definitions(modules, bench, traced) == sorted(
-        VERIFIED_DEFINITIONS)
+        VERIFICATION_API)
 
 
 def _test_sources() -> list:
@@ -276,7 +299,7 @@ def _test_sources() -> list:
 
 def test_verification_api_is_used_by_the_tests():
     words = set(re.findall(r"\w+", "\n".join(_test_sources())))
-    assert [name for name in VERIFIED_DEFINITIONS
+    assert [name for name in VERIFICATION_API
             if name.rsplit(".", 1)[1] not in words] == []
 
 
@@ -484,25 +507,11 @@ def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
            "c.Point(y)": "always overridden"}
 
 
-def _package_findings(others) -> dict:
+def test_every_parameter_is_used():
     modules = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
-    findings = parameter_findings(modules, [
+    assert parameter_findings(modules, [
         p.read_text(encoding="utf-8")
-        for p in sorted((ROOT / "perfbench").rglob("*.py"))] + others)
-    # the parameters of the verification API's functions are exempt
-    return {param: finding for param, finding in findings.items()
-            if not any(f".{param.split('(')[0]}".endswith(f".{name}")
-                       for name in VERIFIED_DEFINITIONS)}
-
-
-def test_every_parameter_is_used_or_verification_api():
-    assert _package_findings([]) == {
-        param: "never passed" if param in TEST_ONLY_PARAMETERS
-        else "always overridden" for param in VERIFIED_PARAMETERS}
-
-
-def test_verified_parameter_forms_are_called_by_the_tests():
-    assert _package_findings(_test_sources()) == {}
+        for p in sorted((ROOT / "perfbench").rglob("*.py"))]) == {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

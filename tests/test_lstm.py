@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blob_data, one_class_artifact
+from conftest import blob_data, grad_check, one_class_artifact, param_count
 
 from ransomflow import lstm, nn, rng
 from ransomflow.cli import main
@@ -31,7 +31,6 @@ from ransomflow.nn import (
     CHUNK_ROWS,
     cross_entropy_loss,
     dense_forward,
-    grad_check,
 )
 
 
@@ -152,7 +151,7 @@ def bptt_rel_error(hidden, input_dim, time_steps, seed):
     def loss_fn():
         probs, caches = sequence_forward(model, seqs)
         loss, grad_logits = cross_entropy_loss(probs, labels)
-        grads, _ = sequence_backward(model, caches, grad_logits)
+        grads, _ = sequence_backward(model, caches, grad_logits, None, None)
         return loss, grads
 
     return grad_check(loss_fn, params)
@@ -174,7 +173,7 @@ def test_bptt_gradient_vanishes_at_loss_minimum():
     seqs = np.ones((1, 1, 2))
     probs, caches = sequence_forward(model, seqs)
     _, grad_logits = cross_entropy_loss(probs, np.array([1]))
-    grads, norm = sequence_backward(model, caches, grad_logits)
+    grads, norm = sequence_backward(model, caches, grad_logits, None, None)
     assert norm < 1e-6
     assert max(np.abs(g).max() for g in grads) < 1e-6
 
@@ -185,17 +184,18 @@ def test_bptt_clipping_caps_global_norm():
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     probs, caches = sequence_forward(model, seqs)
     _, grad_logits = cross_entropy_loss(probs, labels)
-    raw, raw_norm = sequence_backward(model, caches, grad_logits)
+    raw, raw_norm = sequence_backward(model, caches, grad_logits, None, None)
     assert raw_norm > 1e-3
     theta = raw_norm / 4.0
     clipped, norm = sequence_backward(model, caches, grad_logits,
-                                      clip_threshold=theta)
+                                      clip_threshold=theta, out=None)
     assert norm <= theta + 1e-9
     for a, b in zip(clipped, raw):
         assert np.allclose(a, b * (theta / raw_norm), atol=1e-12)
     # a generous threshold leaves gradients untouched
     same, same_norm = sequence_backward(model, caches, grad_logits,
-                                        clip_threshold=raw_norm * 10)
+                                        clip_threshold=raw_norm * 10,
+                                        out=None)
     assert same_norm == raw_norm
     for a, b in zip(same, raw):
         assert np.array_equal(a, b)
@@ -203,9 +203,9 @@ def test_bptt_clipping_caps_global_norm():
 
 def test_default_parameter_count():
     model = create_classifier(13, 3, LstmConfig(), 1819)
-    assert model.param_count == 122811
-    assert model.cells[0].param_count == 122304
-    assert model.head.param_count == 507
+    assert param_count(model) == 122811
+    assert param_count(model.cells[0]) == 122304
+    assert param_count(model.head) == 507
 
 
 def test_train_separates_gaussian_blobs():
@@ -245,7 +245,8 @@ def test_train_validates_inputs(tmp_path, capsys, monkeypatch):
     out = tmp_path / "bundle"
     assert main(["train", str(art), "--kind", "sae-lstm", "--sae-epochs", "1",
                  "--lstm-epochs", "1", "--output", str(out)]) == 3
-    assert capsys.readouterr().err == "error: need at least 2 classes, got 1\n"
+    assert capsys.readouterr().err == \
+        "error: training labels hold fewer than 2 classes\n"
     assert calls == []
     assert not out.exists()
 

@@ -10,7 +10,7 @@ Adam steps.
 import numpy as np
 import pytest
 
-from conftest import ReferenceAdam
+from conftest import ReferenceAdam, param_count
 
 from ransomflow import rng
 from ransomflow.lstm import (
@@ -64,8 +64,8 @@ def ref_forward(cells, head, seqs):
 def ref_backward(cells, head, caches, grad_logits):
     """Per-gate BPTT; returns per layer (gws, gbs), then head grads."""
     layer_caches, head_cache = caches
-    grad_h_final, head_gw, head_gb = dense_backward_preact(head, head_cache,
-                                                           grad_logits)
+    grad_h_final, head_gw, head_gb = dense_backward_preact(
+        head, head_cache, grad_logits, (None, None))
     steps = len(layer_caches[0])
     upper = [np.zeros_like(grad_h_final) for _ in range(steps)]
     upper[-1] = grad_h_final
@@ -141,7 +141,7 @@ def test_fused_kernel_matches_per_gate_reference(d, hidden, steps, layers):
 
     _, grad_logits = cross_entropy_loss(probs, labels)
     _, ref_grad_logits = cross_entropy_loss(ref_probs, labels)
-    grads, norm = sequence_backward(model, caches, grad_logits)
+    grads, norm = sequence_backward(model, caches, grad_logits, None, None)
     ref_cells, head_gw, head_gb = ref_backward(cells, model.head, ref_caches,
                                                ref_grad_logits)
     ref_grads = ref_flat(ref_cells, (head_gw, head_gb))
@@ -165,7 +165,8 @@ def test_fused_adam_steps_match_per_gate_reference(d, hidden, steps, layers):
     for _ in range(3):
         probs, caches = sequence_forward(model, seqs)
         grads, _ = sequence_backward(model, caches,
-                                     cross_entropy_loss(probs, labels)[1])
+                                     cross_entropy_loss(probs, labels)[1],
+                                     None, None)
         optimizer.step(params, grads)
 
         ref_probs, ref_caches = ref_forward(cells, ref_head, seqs)
@@ -190,4 +191,4 @@ def test_create_concatenates_the_per_gate_draws():
     assert np.array_equal(cell.b, np.zeros(4 * hidden))
     w, b = cell.params()
     assert w is cell.w and b is cell.b
-    assert cell.param_count == 4 * hidden * (d + hidden + 1)
+    assert param_count(cell) == 4 * hidden * (d + hidden + 1)

@@ -73,7 +73,7 @@ def ref_forward(model, seqs):
 def ref_backward(model, caches, grad_logits, clip_threshold=None):
     layers, head_cache = caches
     grad_h_final, head_gw, head_gb = dense_backward_preact(
-        model.head, head_cache, grad_logits)
+        model.head, head_cache, grad_logits, (None, None))
     steps = len(layers[0])
     upper = [np.zeros_like(grad_h_final) for _ in range(steps)]
     upper[-1] = grad_h_final
@@ -180,7 +180,7 @@ def test_batch_step_matches_full_concat_reference(layout, layers, hidden,
 
     _, grad_logits = cross_entropy_loss(probs, y)
     _, ref_grad_logits = cross_entropy_loss(ref_probs, y)
-    grads, norm = sequence_backward(model, caches, grad_logits, clip)
+    grads, norm = sequence_backward(model, caches, grad_logits, clip, None)
     ref_grads, ref_norm = ref_backward(model, ref_caches, ref_grad_logits, clip)
     assert len(grads) == len(ref_grads) == len(model.params())
     for g, ref in zip(grads, ref_grads):
@@ -222,17 +222,17 @@ def test_training_matches_full_concat_reference(layout, layers, hidden, clip,
 def test_zero_state_step_equals_explicit_zero_states():
     cell = LstmCell.create(6, 5, seed=8)
     x = rng.uniform(rng.derive(8, "x"), (9, 6))
-    h, c, cache = cell_forward(cell, x)
+    h, c, cache = cell_forward(cell, x, None, None)
     h_ref, c_ref, ref_cache = cell_forward(cell, x, np.zeros((9, 5)),
                                            np.zeros((9, 5)))
     assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
     assert cache.c_prev is None and ref_cache.c_prev is not None
     assert np.array_equal(cache.z, x)
     # one row goes through gemv, which may group the shorter sum differently
-    h1, c1, _ = cell_forward(cell, x[0])
+    h1, c1, _ = cell_forward(cell, x[0], None, None)
     h1_ref, c1_ref, _ = cell_forward(cell, x[0], np.zeros(5), np.zeros(5))
     check(h1, h1_ref, exact=False)
     check(c1, c1_ref, exact=False)
-    h2, c2, _ = cell_forward(cell, x[:1])
+    h2, c2, _ = cell_forward(cell, x[:1], None, None)
     assert np.array_equal(h1, h2[0]) and np.array_equal(c1, c2[0])
 

@@ -11,7 +11,7 @@ import pytest
 from ransomflow import rng
 from ransomflow.errors import DataError
 from ransomflow.metrics import (
-    ComparisonTable,
+    ClassScores,
     ConfusionMatrix,
     MetricsReport,
     Scores,
@@ -48,22 +48,35 @@ GBT_FIXTURE = {
 
 
 def fixture_report(doc) -> MetricsReport:
-    return MetricsReport.from_values(
-        doc["class_names"], doc["precision"], doc["recall"], doc["f1"],
-        doc["support"], doc["accuracy"], macro=doc.get("macro"),
-        weighted=doc.get("weighted"),
+    """The published table as printed: its average rows are taken as given,
+    since a published table may round them apart from its class rows."""
+    names = doc["class_names"]
+    return MetricsReport(
+        class_names=names,
+        per_class={name: ClassScores(*values) for name, *values in
+                   zip(names, doc["precision"], doc["recall"], doc["f1"],
+                       doc["support"])},
+        accuracy=doc["accuracy"], macro=Scores(*doc["macro"]),
+        weighted=Scores(*doc["weighted"]), total_support=sum(doc["support"]),
+        zero_division=(),
     )
+
+
+def index_names(k: int) -> tuple:
+    """Names of k classes that are their indices."""
+    return tuple(map(str, range(k)))
 
 
 def test_confusion_identity_predictions():
     y = np.array([0, 1, 2, 1, 0])
-    cm = confusion(y, y, 3)
+    cm = confusion(y, y, 3, index_names(3))
     assert np.array_equal(cm.counts, np.diag([2, 2, 1]))
     assert cm.total == 5
 
 
 def test_confusion_hand_case():
-    cm = confusion(np.array([0, 0, 1]), np.array([0, 1, 1]), 2)
+    cm = confusion(np.array([0, 0, 1]), np.array([0, 1, 1]), 2,
+                   index_names(2))
     assert cm.counts.tolist() == [[1, 1], [0, 1]]
 
 
@@ -71,7 +84,7 @@ def test_confusion_brute_force_oracle():
     for seed in (3, 17):
         y_true = (rng.splitmix64(seed, 500) % 4).astype(np.int64)
         y_pred = (rng.splitmix64(seed + 1, 500) % 4).astype(np.int64)
-        cm = confusion(y_true, y_pred, 4)
+        cm = confusion(y_true, y_pred, 4, index_names(4))
         for i in range(4):
             for j in range(4):
                 expected = int(((y_true == i) & (y_pred == j)).sum())
@@ -80,7 +93,7 @@ def test_confusion_brute_force_oracle():
 
 def test_report_perfect_classifier():
     y = np.repeat(np.arange(3), 10)
-    rep = report(confusion(y, y, 3))
+    rep = report(confusion(y, y, 3, index_names(3)))
     assert rep.accuracy == 1.0
     for cs in rep.per_class.values():
         assert cs.precision == 1.0
@@ -93,7 +106,7 @@ def test_perfect_weighted_scores_stay_within_one():
     # these supports' rounded shares sum to 1 + 2**-52; the weighted scores
     # are capped at 1, so the report reads back
     y = np.repeat(np.arange(4), [26218, 3598, 15181, 2123])
-    rep = report(confusion(y, y, 4))
+    rep = report(confusion(y, y, 4, index_names(4)))
     assert rep.weighted == Scores(1.0, 1.0, 1.0)
     assert MetricsReport.from_dict(rep.to_dict()) == rep
 
@@ -102,7 +115,7 @@ def test_report_matches_naive_counting_oracle_exactly():
     for seed in (5, 23, 41):
         y_true = (rng.splitmix64(seed, 1000) % 3).astype(np.int64)
         y_pred = (rng.splitmix64(seed + 9, 1000) % 3).astype(np.int64)
-        rep = report(confusion(y_true, y_pred, 3))
+        rep = report(confusion(y_true, y_pred, 3, index_names(3)))
         for c, name in enumerate(rep.class_names):
             tp = int(((y_true == c) & (y_pred == c)).sum())
             fp = int(((y_true != c) & (y_pred == c)).sum())
@@ -119,7 +132,7 @@ def test_weighted_recall_equals_accuracy():
     for seed in (2, 8, 19):
         y_true = (rng.splitmix64(seed, 400) % 5).astype(np.int64)
         y_pred = (rng.splitmix64(seed + 3, 400) % 5).astype(np.int64)
-        rep = report(confusion(y_true, y_pred, 5))
+        rep = report(confusion(y_true, y_pred, 5, index_names(5)))
         assert abs(rep.weighted.recall - rep.accuracy) < 1e-12
 
 
@@ -127,7 +140,7 @@ def test_f1_lies_between_precision_and_recall():
     for seed in (4, 14):
         y_true = (rng.splitmix64(seed, 300) % 3).astype(np.int64)
         y_pred = (rng.splitmix64(seed + 7, 300) % 3).astype(np.int64)
-        rep = report(confusion(y_true, y_pred, 3))
+        rep = report(confusion(y_true, y_pred, 3, index_names(3)))
         for cs in rep.per_class.values():
             lo, hi = sorted((cs.precision, cs.recall))
             assert lo - 1e-12 <= cs.f1 <= hi + 1e-12
@@ -147,10 +160,11 @@ def test_report_zero_division_flagged_not_raised():
 def test_report_relabel_invariance():
     y_true = (rng.splitmix64(31, 200) % 3).astype(np.int64)
     y_pred = (rng.splitmix64(32, 200) % 3).astype(np.int64)
-    rep = report(confusion(y_true, y_pred, 3))
+    rep = report(confusion(y_true, y_pred, 3, index_names(3)))
     # swap labels 0 and 2 everywhere: per-class scores follow the swap
     swap = np.array([2, 1, 0])
-    rep_swapped = report(confusion(swap[y_true], swap[y_pred], 3))
+    rep_swapped = report(confusion(swap[y_true], swap[y_pred], 3,
+                                   index_names(3)))
     assert rep_swapped.per_class["2"].precision == rep.per_class["0"].precision
     assert rep_swapped.per_class["0"].recall == rep.per_class["2"].recall
     assert abs(rep_swapped.accuracy - rep.accuracy) < 1e-15
@@ -174,7 +188,7 @@ def test_weighted_precision_recomposition_of_published_table():
 
 def test_from_values_recomputes_when_averages_omitted():
     rep = MetricsReport.from_values(
-        ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3), (10, 30), 0.85)
+        ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3), (10, 30), 0.85, ())
     assert abs(rep.macro.precision - 0.75) < 1e-12
     assert abs(rep.weighted.precision - (1.0 * 10 + 0.5 * 30) / 40) < 1e-12
 
@@ -215,27 +229,27 @@ def test_compare_published_fixtures_accuracy_delta():
     rep_a = fixture_report(SAE_LSTM_FIXTURE)
     rep_b = fixture_report(GBT_FIXTURE)
     table = compare(rep_a, rep_b, "sae-lstm", "gbt")
-    row = table.row("accuracy")
+    row = next(r for r in table.rows if r.metric == "accuracy")
     assert abs(row.delta - 0.029818) < 1e-6
     assert row.winner("sae-lstm", "gbt") == "sae-lstm"
 
 
 def test_compare_hand_deltas():
     rep_a = MetricsReport.from_values(("x", "y"), (0.9, 0.8), (0.7, 0.6),
-                                      (0.788, 0.686), (5, 5), 0.65)
+                                      (0.788, 0.686), (5, 5), 0.65, ())
     rep_b = MetricsReport.from_values(("x", "y"), (0.8, 0.9), (0.6, 0.7),
-                                      (0.686, 0.788), (5, 5), 0.60)
-    table = compare(rep_a, rep_b, "a", "b")
-    assert abs(table.row("accuracy").delta - 0.05) < 1e-12
-    assert table.row("f1[x]").winner("a", "b") == "a"
-    assert table.row("f1[y]").winner("a", "b") == "b"
+                                      (0.686, 0.788), (5, 5), 0.60, ())
+    rows = {r.metric: r for r in compare(rep_a, rep_b, "a", "b").rows}
+    assert abs(rows["accuracy"].delta - 0.05) < 1e-12
+    assert rows["f1[x]"].winner("a", "b") == "a"
+    assert rows["f1[y]"].winner("a", "b") == "b"
 
 
 def test_compare_rejects_different_class_sets():
     rep_a = MetricsReport.from_values(("x", "y"), (1, 1), (1, 1), (1, 1),
-                                      (5, 5), 1.0)
+                                      (5, 5), 1.0, ())
     rep_b = MetricsReport.from_values(("x", "z"), (1, 1), (1, 1), (1, 1),
-                                      (5, 5), 1.0)
+                                      (5, 5), 1.0, ())
     with pytest.raises(DataError, match=r"^class sets differ: \['x', 'y'\] "
                                         r"vs \['x', 'z'\]$"):
         compare(rep_a, rep_b, "a", "b")

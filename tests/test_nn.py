@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import textbook_adam
+from conftest import grad_check, param_count, textbook_adam
 
 from ransomflow import rng
 from ransomflow.errors import DataError
@@ -24,11 +24,9 @@ from ransomflow.nn import (
     dense_backward,
     dense_backward_preact,
     dense_forward,
-    grad_check,
     layer_from_dict,
     layer_to_dict,
     mse_loss,
-    param_count,
     row_chunks,
     sigmoid,
     softmax,
@@ -125,7 +123,7 @@ def test_dense_backward_hand_case():
     # scalar chain: out = 2 * 3 = 6; d out = 1 -> gw = x = 3, gb = 1, gi = w = 2
     layer = DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear")
     out, cache = dense_forward(layer, np.array([[3.0]]))
-    gi, gw, gb = dense_backward(layer, cache, np.array([[1.0]]))
+    gi, gw, gb = dense_backward(layer, cache, np.array([[1.0]]), (None, None))
     assert gw[0, 0] == 3.0
     assert gb[0] == 1.0
     assert gi[0, 0] == 2.0
@@ -135,7 +133,7 @@ def test_dense_backward_relu_gates_gradient():
     layer = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
     out, cache = dense_forward(layer, np.array([[2.0]]))
     assert np.array_equal(out, [[2.0, 0.0]])
-    gi, gw, gb = dense_backward(layer, cache, np.ones((1, 2)))
+    gi, gw, gb = dense_backward(layer, cache, np.ones((1, 2)), (None, None))
     # second unit is inactive: no gradient flows through it
     assert gw[1, 0] == 0.0
     assert gb[1] == 0.0
@@ -156,7 +154,7 @@ def _fd_layer_check(activation: str, seed: int) -> float:
     def loss_fn():
         out, cache = dense_forward(layer, x)
         loss = float((out * probe).sum())
-        _, gw, gb = dense_backward(layer, cache, probe)
+        _, gw, gb = dense_backward(layer, cache, probe, (None, None))
         return loss, [gw, gb]
 
     return grad_check(loss_fn, layer.params())
@@ -385,9 +383,13 @@ def test_adam_trains_views_of_one_flat_buffer_without_copies(monkeypatch):
 
 
 def test_param_count_chain():
-    assert param_count([13, 75]) == 1050
-    assert param_count([1, 1]) == 2
-    assert param_count([13, 75, 50, 13, 50, 75, 13]) == 11026
+    def chain(dims):
+        return [DenseLayer.create(a, b, "linear", 0)
+                for a, b in zip(dims, dims[1:])]
+
+    assert param_count(*chain([13, 75])) == 1050
+    assert param_count(*chain([1, 1])) == 2
+    assert param_count(*chain([13, 75, 50, 13, 50, 75, 13])) == 11026
 
 
 def test_grad_check_flags_wrong_gradient():
@@ -431,7 +433,7 @@ def test_dense_backward_preact_skips_activation_jacobian():
     x = rng.uniform(22, (5, 4))
     _, cache = dense_forward(layer, x)
     grad_z = rng.uniform(23, (5, 3)) - 0.5
-    gi, gw, gb = dense_backward_preact(layer, cache, grad_z)
+    gi, gw, gb = dense_backward_preact(layer, cache, grad_z, (None, None))
     assert np.array_equal(gw, grad_z.T @ x)
     assert np.array_equal(gb, grad_z.sum(axis=0))
     assert np.array_equal(gi, grad_z @ layer.weights)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cell_rows
 from test_parse_reference import (
     ROWS,
     lines_text,
@@ -185,8 +186,8 @@ def test_a_field_over_the_csv_limit_names_its_line(quote):
     wide = with_cell(ROWS[2], FAMILY, "é" * (limit // 2 + 1))
     over = with_cell(ROWS[3], FAMILY, quote + "x" * (limit + 1) + quote)
     table = parse_csv(lines_text(ROWS[0], fits, wide).encode("utf-8"))
-    assert [len(row[FAMILY]) for row in table.rows] == [
-        len(parse_csv(lines_text(ROWS[0]).encode()).rows[0][FAMILY]),
+    assert [len(row[FAMILY]) for row in cell_rows(table)] == [
+        len(cell_rows(parse_csv(lines_text(ROWS[0]).encode()))[0][FAMILY]),
         limit, limit // 2 + 1]
     with pytest.raises(DataError, match=rf"^<bytes>: line 5: field larger "
                                         rf"than field limit \({limit}\)$"):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HEADER, synthetic_csv_text
+from conftest import HEADER, cell_rows, synthetic_csv_text
 
 from ransomflow.dataset import (
     COLUMNS,
@@ -130,7 +130,7 @@ def new_outcome(source):
         table = parse_csv(source)
         encoded, used = label_encode(table)
         assert encoded.values.flags.c_contiguous
-        return (table.row_count, table.rows, used.categories,
+        return (table.row_count, cell_rows(table), used.categories,
                 encoded.values.tobytes())
     return outcome(run)
 

@@ -7,13 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import blob_data, one_class_artifact
+from conftest import (
+    blob_data,
+    grad_check,
+    one_class_artifact,
+    param_count,
+    stack_with_decoders,
+)
 
 from ransomflow import rng, sae
 from ransomflow.cli import main
 from ransomflow.config import read_section, section_doc
 from ransomflow.errors import ConfigError, SchemaMismatch
-from ransomflow.nn import dense_forward, grad_check, mse_loss
+from ransomflow.nn import apply, dense_backward, dense_forward, mse_loss
 from ransomflow.sae import (
     SAEConfig,
     build_stack,
@@ -22,7 +28,6 @@ from ransomflow.sae import (
     model_from_dict,
     model_to_dict,
     pretrain_layer,
-    reconstruct,
 )
 
 
@@ -65,9 +70,12 @@ def test_pretrain_overfits_single_sample():
 
 
 def test_build_stack_default_parameter_counts():
-    model = build_stack(rng.uniform(1, (20, 13)), SAEConfig(epochs=0), 1819)
-    assert model.param_count == 11026
-    assert model.layer_param_counts == [1050, 3800, 663, 700, 3825, 988]
+    model, decoders = stack_with_decoders(rng.uniform(1, (20, 13)),
+                                          SAEConfig(epochs=0), 1819)
+    layers = model.encoders + decoders
+    assert param_count(*layers) == 11026
+    assert [param_count(layer) for layer in layers] == [
+        1050, 3800, 663, 700, 3825, 988]
     assert model.encoders[0].weights.shape[1] == 13
     assert model.code_dim == 13
 
@@ -75,9 +83,9 @@ def test_build_stack_default_parameter_counts():
 def test_build_stack_is_deterministic():
     data = rng.uniform(2, (50, 13))
     cfg = SAEConfig(epochs=3)
-    a = build_stack(data, cfg, 42)
-    b = build_stack(data, cfg, 42)
-    for la, lb in zip(a.encoders + a.decoders, b.encoders + b.decoders):
+    a, a_decoders = stack_with_decoders(data, cfg, 42)
+    b, b_decoders = stack_with_decoders(data, cfg, 42)
+    for la, lb in zip(a.encoders + a_decoders, b.encoders + b_decoders):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
     assert a.records == b.records
@@ -106,8 +114,8 @@ def test_encode_batch_matches_single_rows():
 
 def test_reconstruct_shape_and_stack_loss_consistency():
     data = rng.uniform(5, (40, 13))
-    model = build_stack(data, SAEConfig(epochs=10), 6)
-    recon = reconstruct(model, data)
+    model, decoders = stack_with_decoders(data, SAEConfig(epochs=10), 6)
+    recon = apply(model.encoders + decoders, data)
     assert recon.shape == data.shape
     loss, _ = mse_loss(recon, data)
     assert abs(loss - model.stack_loss) < 1e-12
@@ -116,8 +124,8 @@ def test_reconstruct_shape_and_stack_loss_consistency():
 def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
     # build_stack decodes the codes it already holds instead of re-encoding
     data = rng.uniform(9, (700, 13))
-    model = build_stack(data, SAEConfig(epochs=2), 3)
-    loss, _ = mse_loss(reconstruct(model, data), data)
+    model, decoders = stack_with_decoders(data, SAEConfig(epochs=2), 3)
+    loss, _ = mse_loss(apply(model.encoders + decoders, data), data)
     assert model.stack_loss == float(loss)
 
 
@@ -158,21 +166,23 @@ def test_fine_tune_drops_the_kept_codes():
 def test_reconstruction_beats_permuted_features():
     # column-wise shuffling destroys the joint structure the stack learned
     x, _ = blob_data(60, 3, seed=15)
-    model = build_stack(x, SAEConfig(epochs=40), 8)
-    loss_real, _ = mse_loss(reconstruct(model, x), x)
+    model, decoders = stack_with_decoders(x, SAEConfig(epochs=40), 8)
+    round_trip = model.encoders + decoders
+    loss_real, _ = mse_loss(apply(round_trip, x), x)
     permuted = x.copy()
     for j in range(permuted.shape[1]):
         permuted[:, j] = permuted[rng.permutation(rng.derive(77, "col", j),
                                                   len(permuted)), j]
-    loss_permuted, _ = mse_loss(reconstruct(model, permuted), permuted)
+    loss_permuted, _ = mse_loss(apply(round_trip, permuted), permuted)
     assert loss_real <= loss_permuted
 
 
 def test_stack_gradients_match_finite_differences():
     # full autoencoder reconstruction loss through all six layers
     data = rng.uniform(31, (4, 13))
-    model = build_stack(data, SAEConfig(encoder_dims=(5, 3), epochs=0), 13)
-    layers = model.encoders + model.decoders
+    model, decoders = stack_with_decoders(
+        data, SAEConfig(encoder_dims=(5, 3), epochs=0), 13)
+    layers = model.encoders + decoders
     params = []
     for layer in layers:
         params.extend(layer.params())
@@ -186,9 +196,7 @@ def test_stack_gradients_match_finite_differences():
         loss, grad = mse_loss(current, data)
         grads = []
         for layer, cache in zip(reversed(layers), reversed(caches)):
-            from ransomflow.nn import dense_backward
-
-            grad, gw, gb = dense_backward(layer, cache, grad)
+            grad, gw, gb = dense_backward(layer, cache, grad, (None, None))
             grads.append((gw, gb))
         grads.reverse()
         flat = []
@@ -233,7 +241,8 @@ def test_fine_tune_rejects_degenerate_classes(tmp_path, capsys, monkeypatch):
     assert main(["train", str(art), "--kind", "sae-lstm", "--fine-tune",
                  "--sae-epochs", "1", "--lstm-epochs", "1",
                  "--output", str(out)]) == 3
-    assert capsys.readouterr().err == "error: need at least 2 classes, got 1\n"
+    assert capsys.readouterr().err == \
+        "error: training labels hold fewer than 2 classes\n"
     assert calls == []
     assert not out.exists()
 
