@@ -79,7 +79,6 @@ from .config import PipelineConfig, from_dict
 from .dataset import (
     CATEGORICAL_IDX,
     FEATURE_NAMES,
-    NAMES,
     NUMERIC_IDX,
     TARGET,
     EncodedTable,
@@ -122,13 +121,9 @@ STAGES = ("parsed_rows", "duplicates_removed", "bad_timestamps_removed",
 
 def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
     """The bytes of table.npz for ``table`` and its split."""
-    values = encoded_table_to_rows(table)
-    codes = values[:, CATEGORICAL_IDX]
-    top = int(codes.max()) if codes.size else 0
+    numeric, codes = encoded_table_to_rows(table)
     buffer = io.BytesIO()
-    np.savez(buffer,
-             numeric=values[:, NUMERIC_IDX],
-             codes=codes.astype(np.min_scalar_type(top)),
+    np.savez(buffer, numeric=numeric, codes=codes,
              train_index=np.asarray(train_idx, dtype=np.int64),
              test_index=np.asarray(test_idx, dtype=np.int64))
     return buffer.getvalue()
@@ -165,10 +160,7 @@ def _read_table_npz(raw: bytes, maps):
         raise SchemaMismatch(
             f"members 'numeric' {numeric.shape} and 'codes' {codes.shape} are "
             f"not {shapes[0]} and {shapes[1]}")
-    values = np.empty((rows, len(NAMES)))
-    values[:, NUMERIC_IDX] = numeric
-    values[:, CATEGORICAL_IDX] = codes
-    table = encoded_table_from_rows(values, maps)
+    table = encoded_table_from_rows(numeric, codes, maps)
     for side in ("train_index", "test_index"):
         idx = members[side]
         if idx.size and not 0 <= idx.min() <= idx.max() < rows:
@@ -220,9 +212,12 @@ class DatasetArtifact:
 
     def side(self, name: str) -> tuple:
         """(x, y) of the side ``name``, one of :data:`SPLITS`: its feature
-        rows scaled with the training bounds, and its labels."""
+        rows scaled with the training bounds, and its labels. The training
+        side fits the bounds, if not yet fitted, on the rows it gathered."""
         index = dict(zip(SPLITS, (self.test_index, self.train_index)))[name]
         rows = self._rows(index)
+        if name == "train" and "bounds" not in vars(self):
+            self.bounds = feature_bounds(rows)
         return normalize(rows, self.bounds), rows.target_codes()
 
 

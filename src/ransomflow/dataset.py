@@ -672,23 +672,29 @@ def preprocess_from_dict(doc: dict) -> EncodingMap:
     return EncodingMap.from_dict(doc["encoding"])
 
 
-def encoded_table_to_rows(table: EncodedTable) -> np.ndarray:
-    """The (rows, columns) float64 value matrix, as stored."""
-    return table.values
+def encoded_table_to_rows(table: EncodedTable) -> tuple:
+    """The rows as stored: (numeric, codes), the float64 numeric columns and
+    the categorical codes in the smallest unsigned type that holds the
+    largest."""
+    codes = table.values[:, CATEGORICAL_IDX]
+    top = int(codes.max()) if codes.size else 0
+    return table.values[:, NUMERIC_IDX], codes.astype(np.min_scalar_type(top))
 
 
-def encoded_table_from_rows(rows, maps: EncodingMap) -> EncodedTable:
-    """The table stored value rows in ``COLUMNS`` order hold.
+def encoded_table_from_rows(numeric, codes, maps: EncodingMap) -> EncodedTable:
+    """The table that stored rows hold, as :func:`encoded_table_to_rows`
+    gives them; ``codes`` is an unsigned integer array.
 
     Every cell must be finite and every categorical code must lie in
     [0, category count) of its column; otherwise :class:`SchemaMismatch`.
     """
-    table = EncodedTable(values=rows, maps=maps)
-    if not np.isfinite(table.values).all():
+    if not np.isfinite(numeric).all():
         raise SchemaMismatch("stored table holds a non-finite cell")
-    for name in CATEGORICAL_NAMES:
-        codes = table.column(name)
-        if codes.size and not 0 <= codes.min() <= codes.max() < maps.size(name):
+    for name, column in zip(CATEGORICAL_NAMES, codes.T):
+        if column.size and column.max() >= maps.size(name):
             raise SchemaMismatch(f"stored table column {name!r} holds a code "
                                  f"outside [0, {maps.size(name)})")
-    return table
+    values = np.empty((numeric.shape[0], len(NAMES)))
+    values[:, NUMERIC_IDX] = numeric
+    values[:, CATEGORICAL_IDX] = codes
+    return EncodedTable(values=values, maps=maps)

@@ -10,6 +10,14 @@ One matmul gives every gate pre-activation:
     i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)      g = tanh(a_g)
     c_t = f * c_prev + i * g      h_t = o * tanh(c_t)
 
+The product is (m, 4H), so each gate is a strided column block of it, and
+numpy runs an elementwise op over such a block row by row. Each step
+therefore copies it once into a contiguous gate-major (G, m, H) array, G
+being 4 here and 3 on the zero-state step below, adds b and activates it
+there (:func:`cell_step`): every later read of a gate, forward and in
+BPTT, is contiguous. The copy changes no value, and the product keeps its
+operands, so the results are those of the fused layout bit for bit.
+
 Every sequence starts from h = c = 0, so each layer's first step is a
 zero-state step. The forget gate only scales c_prev = 0 there, so the step
 multiplies and activates just the three live gates, i | o | g, of the input
@@ -91,7 +99,8 @@ def gate_blocks(a: np.ndarray, hidden: int) -> list:
 
 @dataclass
 class GateCache:
-    """Forward values one step of BPTT needs; the gates are in-place views."""
+    """Forward values one step of BPTT needs; the gates are the blocks of one
+    contiguous gate-major array."""
 
     z: np.ndarray          # [h_prev | x_t], or x_t alone on a zero-state step
     w: np.ndarray          # what z multiplied: w, or w[live, H:]
@@ -101,6 +110,42 @@ class GateCache:
     g: np.ndarray
     c_prev: np.ndarray | None  # None marks a zero-state step
     tanh_c: np.ndarray
+
+
+def step_weights(cell: LstmCell, zero_state: bool) -> tuple:
+    """(w, b) a step meets: all of them, or on a zero-state step only the
+    i | o | g rows of the input block."""
+    if not zero_state:
+        return cell.w, cell.b
+    if cell.live is None:
+        rows = live_rows(cell.hidden_size)
+        return cell.w[rows, cell.hidden_size:], cell.b[rows]
+    return cell.live
+
+
+def cell_step(a: np.ndarray, b: np.ndarray, c_prev: np.ndarray | None,
+              acts: np.ndarray):
+    """The cell equations on the fused product ``a`` = z @ w.T of m rows.
+
+    Writes ``a + b`` into ``acts``, a contiguous (G, m, H) array with one
+    gate per block, and activates it there, so that every gate is read
+    contiguously. G is 3 (i | o | g) when ``c_prev`` is None, the zero
+    state, else 4 (i | f | o | g). Returns (h, c, tanh(c)).
+    """
+    gates, m, hidden = acts.shape
+    np.copyto(acts, a.reshape(m, gates, hidden).transpose(1, 0, 2))
+    acts += b.reshape(gates, 1, hidden)
+    # every gate but the last, the candidate g, is a sigmoid
+    sigmoid(acts[:-1], out=acts[:-1])
+    np.tanh(acts[-1], out=acts[-1])
+    if c_prev is None:
+        i, o, g = acts
+        c = i * g
+    else:
+        i, f, o, g = acts
+        c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, tanh_c
 
 
 def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray | None,
@@ -114,32 +159,16 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray | None,
     single = x_t.ndim == 1
     if single:
         x_t = x_t[None, :]
-    hidden = cell.hidden_size
-    if c_prev is None:
-        z = x_t
-        if cell.live is None:
-            rows = live_rows(hidden)
-            w, b = cell.w[rows, hidden:], cell.b[rows]
-        else:
-            w, b = cell.live
-    else:
-        if single:
+        if c_prev is not None:
             h_prev, c_prev = h_prev[None, :], c_prev[None, :]
-        z, w, b = np.concatenate([h_prev, x_t], axis=1), cell.w, cell.b
-    gates = z @ w.T
-    gates += b
-    # every gate block but the last, the candidate g, is a sigmoid
-    sigmoid(gates[:, :-hidden], out=gates[:, :-hidden])
-    np.tanh(gates[:, -hidden:], out=gates[:, -hidden:])
-    if c_prev is None:
-        (i, o, g), f = gate_blocks(gates, hidden), None
-        c = i * g
-    else:
-        i, f, o, g = gate_blocks(gates, hidden)
-        c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = GateCache(z=z, w=w, i=i, f=f, o=o, g=g, c_prev=c_prev, tanh_c=tanh_c)
+    w, b = step_weights(cell, c_prev is None)
+    z = x_t if c_prev is None else np.concatenate([h_prev, x_t], axis=1)
+    acts = np.empty((b.size // cell.hidden_size, x_t.shape[0],
+                     cell.hidden_size))
+    h, c, tanh_c = cell_step(z @ w.T, b, c_prev, acts)
+    i, *f, o, g = acts
+    cache = GateCache(z=z, w=w, i=i, f=f[0] if f else None, o=o, g=g,
+                      c_prev=c_prev, tanh_c=tanh_c)
     if single:
         return h[0], c[0], cache
     return h, c, cache
@@ -251,21 +280,33 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
         if time_steps > 1:
             gw.fill(0.0)
             gb.fill(0.0)
-        grad_h_next = grad_c_next = 0.0
         lower = []
         for t in range(time_steps - 1, -1, -1):
             cache = step_caches[t]
-            grad_h = upper[t] + grad_h_next
-            grad_c = grad_c_next + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
+            i, f, o, g = cache.i, cache.f, cache.o, cache.g
+            # the last step has no later step to take a gradient from
+            last = t == time_steps - 1
+            grad_h = upper[t] if last else upper[t] + grad_h_next
+            # grad_c = grad_h * o * (1 - tanh_c ** 2) [+ grad_c_next], and each
+            # gate block below = (the terms upstream of the gate) * (its
+            # activation's slope); t1 and t2 hold the two factors
+            grad_c, t1, t2 = np.empty((3, m, hidden))
+            np.multiply(grad_h, o, out=grad_c)
+            grad_c *= np.subtract(1.0, np.square(cache.tanh_c, out=t2), out=t2)
+            if not last:
+                grad_c += grad_c_next
             # loss gradient at the pre-activations, gate blocks i | f | o | g;
             # a zero-state step has no forget block
-            pre = np.empty((m, (3 if cache.f is None else 4) * hidden))
+            pre = np.empty((m, (3 if f is None else 4) * hidden))
             blocks = gate_blocks(pre, hidden)
-            np.multiply(grad_c * cache.g * cache.i, 1.0 - cache.i, out=blocks[0])
-            np.multiply(grad_h * cache.tanh_c * cache.o, 1.0 - cache.o,
-                        out=blocks[-2])
-            np.multiply(grad_c * cache.i, 1.0 - cache.g ** 2, out=blocks[-1])
-            if cache.f is None:
+            np.multiply(np.multiply(grad_c, g, out=t1), i, out=t1)
+            np.multiply(t1, np.subtract(1.0, i, out=t2), out=blocks[0])
+            np.multiply(np.multiply(grad_h, cache.tanh_c, out=t1), o, out=t1)
+            np.multiply(t1, np.subtract(1.0, o, out=t2), out=blocks[-2])
+            np.multiply(grad_c, i, out=t1)
+            np.subtract(1.0, np.square(g, out=t2), out=t2)
+            np.multiply(t1, t2, out=blocks[-1])
+            if f is None:
                 # first step: no forget gate, and no earlier state to pass a
                 # gradient back to
                 dw = np.matmul(pre.T, cache.z, out=gw if time_steps == 1 else None)
@@ -277,11 +318,11 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
                 if layer_index:
                     lower.append(pre @ cache.w)
                 continue
-            np.multiply(grad_c * cache.c_prev * cache.f, 1.0 - cache.f,
-                        out=blocks[1])
+            np.multiply(np.multiply(grad_c, cache.c_prev, out=t1), f, out=t1)
+            np.multiply(t1, np.subtract(1.0, f, out=t2), out=blocks[1])
             gb += pre.sum(axis=0)
             gw += pre.T @ cache.z
-            grad_c_next = grad_c * cache.f
+            grad_c_next = grad_c * f
             if layer_index:
                 grad_z = pre @ cache.w
                 grad_h_next = grad_z[:, :hidden]
@@ -370,18 +411,51 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     return model, records
 
 
-def predict_proba(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for (n, d) feature rows.
+# Rows per slice of a predict chunk's gate arithmetic: a slice's gates stay
+# in the CPU's cache while the cell equations read them.
+SLICE_ROWS = 256
 
-    The rows run in the chunks of :func:`ransomflow.nn.row_chunks`, which
-    bound the cached gate values; each row's probabilities equal those of
-    one :func:`sequence_forward` over all rows.
+
+def predict_proba(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for (n, d) feature rows, keeping no cache.
+
+    The rows run in the chunks of :func:`ransomflow.nn.row_chunks`, and each
+    step multiplies a whole chunk, as :func:`sequence_forward` over all rows
+    would, so each row's probabilities equal that forward's. The cell
+    equations then run over slices of at most :data:`SLICE_ROWS` rows.
     """
     sequences = to_sequences(x, model.config.sequence_layout)
     probs = np.empty((sequences.shape[0], model.head.out_dim))
+    acts = np.empty(4 * SLICE_ROWS * model.config.hidden_size)
     for rows in row_chunks(sequences.shape[0]):
-        probs[rows] = sequence_forward(model, sequences[rows])[0]
+        probs[rows] = _chunk_proba(model, sequences[rows], acts)
     return probs
+
+
+def _chunk_proba(model: LstmClassifier, sequences: np.ndarray,
+                 acts: np.ndarray) -> np.ndarray:
+    """Class probabilities of a chunk of (m, T, d) sequences; ``acts`` holds
+    the activated gates of one slice at a time."""
+    hidden = model.config.hidden_size
+    inputs = list(sequences.transpose(1, 0, 2))
+    for cell in model.cells:
+        h = c = None
+        outputs = []
+        for x_t in inputs:
+            w, b = step_weights(cell, c is None)
+            z = x_t if c is None else np.concatenate([h, x_t], axis=1)
+            a = z @ w.T
+            h, c_next = np.empty((2, a.shape[0], hidden))
+            for start in range(0, a.shape[0], SLICE_ROWS):
+                s = slice(start, start + SLICE_ROWS)
+                m = a[s].shape[0]
+                h[s], c_next[s], _ = cell_step(
+                    a[s], b, None if c is None else c[s],
+                    acts[:b.size * m].reshape(-1, m, hidden))
+            c = c_next
+            outputs.append(h)
+        inputs = outputs
+    return dense_forward(model.head, inputs[-1])[0]
 
 
 def predict(model: LstmClassifier, x: np.ndarray) -> np.ndarray:

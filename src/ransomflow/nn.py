@@ -120,11 +120,18 @@ def row_chunks(n: int) -> list:
     return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
 
 
-def apply(layers: list, x: np.ndarray) -> np.ndarray:
+def apply(layers: list, x: np.ndarray, out: np.ndarray | None = None
+          ) -> np.ndarray:
     """Forward pass of (n, d) rows through the dense ``layers`` in order,
-    keeping no cache: chunk by chunk (:func:`row_chunks`) into one
-    preallocated output, equal to chaining :func:`dense_forward`."""
-    out = np.empty((x.shape[0], layers[-1].out_dim))
+    keeping no cache: chunk by chunk (:func:`row_chunks`) into one output,
+    equal to chaining :func:`dense_forward`.
+
+    ``out``, if given, receives the output; it may share the memory of
+    ``x`` when it starts where ``x`` starts and its rows are no wider, since
+    a chunk's output then covers only input rows already read.
+    """
+    if out is None:
+        out = np.empty((x.shape[0], layers[-1].out_dim))
     for rows in row_chunks(x.shape[0]):
         current = x[rows]
         for layer in layers:
@@ -154,16 +161,17 @@ def _grad_pre_activation(layer: DenseLayer, cache: BatchCache,
 
 
 def dense_backward(layer: DenseLayer, cache: BatchCache, grad_output: np.ndarray,
-                   out):
+                   out, input_grad: bool):
     """Backprop through one layer.
 
     Returns (grad_input, grad_weights, grad_biases) for the batch the cache
-    was built from. ``grad_output`` is the loss gradient wrt the layer output.
-    ``out``, a (weights, biases) pair of gradient views or of Nones, receives
-    the last two.
+    was built from; grad_input is None unless ``input_grad``, as for a layer
+    whose input is data. ``grad_output`` is the loss gradient wrt the layer
+    output. ``out``, a (weights, biases) pair of gradient views or of Nones,
+    receives the last two.
     """
     grad_z = _grad_pre_activation(layer, cache, grad_output)
-    return _backward_from_pre_activation(layer, cache, grad_z, out)
+    return _backward_from_pre_activation(layer, cache, grad_z, out, input_grad)
 
 
 def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
@@ -173,13 +181,14 @@ def dense_backward_preact(layer: DenseLayer, cache: BatchCache,
     The softmax cross-entropy pairing produces (p - y) / n as the gradient at
     the pre-activation, so the softmax Jacobian must not be applied again.
     """
-    return _backward_from_pre_activation(layer, cache, grad_pre_activation, out)
+    return _backward_from_pre_activation(layer, cache, grad_pre_activation, out,
+                                         True)
 
 
-def _backward_from_pre_activation(layer, cache, grad_z, out):
+def _backward_from_pre_activation(layer, cache, grad_z, out, input_grad):
     grad_weights = np.matmul(grad_z.T, cache.inputs, out=out[0])
     grad_biases = np.sum(grad_z, axis=0, out=out[1])
-    grad_input = grad_z @ layer.weights
+    grad_input = grad_z @ layer.weights if input_grad else None
     return grad_input, grad_weights, grad_biases
 
 

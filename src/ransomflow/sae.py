@@ -98,8 +98,9 @@ def pretrain_layer(data: np.ndarray, hidden_dim: int, config: SAEConfig,
         code, enc_cache = dense_forward(encoder, xb)
         recon, dec_cache = dense_forward(decoder, code)
         loss, grad_recon = mse_loss(recon, xb)
-        grad_code = dense_backward(decoder, dec_cache, grad_recon, dec_grads)[0]
-        dense_backward(encoder, enc_cache, grad_code, enc_grads)
+        grad_code = dense_backward(decoder, dec_cache, grad_recon, dec_grads,
+                                   True)[0]
+        dense_backward(encoder, enc_cache, grad_code, enc_grads, False)
         return loss, None
 
     records = train_epochs("SAE pretraining", optimizer, batch_step, n,
@@ -117,30 +118,40 @@ def build_stack(data: np.ndarray, config: SAEConfig, seed: int) -> SAEModel:
     whole stack's reconstruction loss on the training data, which must be
     finite, and keeps their codes, equal to ``encode(model.encoders, data)``.
 
-    Only one full-data array besides ``data`` is held at a time: the input
-    of the layer that pretrains next. Once a layer has pretrained, its input
-    is dropped and its output is computed afresh from ``data`` through all
-    the encoders so far by :func:`ransomflow.nn.apply`, which keeps no cache.
+    Each layer's codes are encoded once, from the codes of the layer below,
+    by :func:`ransomflow.nn.apply`, which keeps no cache. They are written
+    over the codes they consume, whose array is then shrunk to them; only
+    the first layer, whose input is ``data``, and a layer wider than the one
+    below it get an array of their own.
     """
+    n = data.shape[0]
     encoders = []
     decoders = []
     records = []
-    current = data
+    codes = data
     for depth, hidden_dim in enumerate(config.encoder_dims):
         layer_seed = rng.derive(seed, "layer", depth)
         encoder, decoder, layer_records = pretrain_layer(
-            current, hidden_dim, config, layer_seed)
+            codes, hidden_dim, config, layer_seed)
         encoders.append(encoder)
         decoders.append(decoder)
         records += [r._replace(layer=depth) for r in layer_records]
-        current = None  # freed before the next input is built
-        current = apply(encoders, data)
+        if depth == 0 or hidden_dim > codes.shape[1]:
+            codes = apply([encoder], codes)
+        else:
+            apply([encoder], codes, codes.reshape(-1)[
+                :n * hidden_dim].reshape(n, hidden_dim))
+            # the new codes are the array's first n * hidden_dim values, and
+            # no view of it outlives apply, so the shrink strands no reader;
+            # a tracer's frame dict may hold the array itself, which the
+            # resize updates, hence no reference count check
+            codes.resize((n, hidden_dim), refcheck=False)
     decoders.reverse()
     # decoding the codes gives the reconstruction
     stack_loss = finite_loss("SAE pretraining: stack reconstruction",
-                             mse_loss(apply(decoders, current), data)[0])
+                             mse_loss(apply(decoders, codes), data)[0])
     return SAEModel(encoders=encoders, config=config, records=records,
-                    stack_loss=stack_loss, codes=current)
+                    stack_loss=stack_loss, codes=codes)
 
 
 def encode(encoders: list, x: np.ndarray) -> np.ndarray:
@@ -180,7 +191,7 @@ def fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray, k_classes: int,
                                      grads[-2:])[0]
         for j in range(len(caches) - 1, -1, -1):
             grad = dense_backward(model.encoders[j], caches[j], grad,
-                                  grads[2 * j:2 * j + 2])[0]
+                                  grads[2 * j:2 * j + 2], j > 0)[0]
         return loss, None
 
     return train_epochs("SAE fine-tuning", optimizer, batch_step, x.shape[0],

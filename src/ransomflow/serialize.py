@@ -86,13 +86,14 @@ def require_version(doc: dict, what: str,
 
 
 def require_keys(doc, keys, what: str) -> None:
-    """Raise :class:`SchemaMismatch` naming ``what`` unless the stored object
+    """Raise :class:`SchemaMismatch` naming ``what`` and the missing and the
+    unknown keys, each side only if it has any, unless the stored object
     ``doc`` holds exactly the keys ``keys``."""
-    missing = sorted(set(keys) - set(doc))
-    unknown = sorted(set(doc) - set(keys))
-    if missing or unknown:
-        raise SchemaMismatch(f"{what}: missing key(s) {missing}, "
-                             f"unknown key(s) {unknown}")
+    sides = [f"{side} key(s) {names}" for side, names in
+             (("missing", sorted(set(keys) - set(doc))),
+              ("unknown", sorted(set(doc) - set(keys)))) if names]
+    if sides:
+        raise SchemaMismatch(f"{what}: {', '.join(sides)}")
 
 
 def read_fields(cls, doc, stored_names: dict | None = None):

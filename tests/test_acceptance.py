@@ -118,7 +118,7 @@ def dense_fd_error(activation: str, seed: int) -> float:
         def loss_fn():
             out, cache = dense_forward(layer, x)
             loss, grad = mse_loss(out, target)
-            _, gw, gb = dense_backward(layer, cache, grad, (None, None))
+            _, gw, gb = dense_backward(layer, cache, grad, (None, None), False)
             return loss, [gw, gb]
 
     if activation == "relu":
@@ -150,7 +150,8 @@ def sae_stack_fd_error() -> float:
         loss, grad = mse_loss(value, data)
         grads = []
         for layer, cache in zip(reversed(layers), reversed(caches)):
-            grad, gw, gb = dense_backward(layer, cache, grad, (None, None))
+            grad, gw, gb = dense_backward(layer, cache, grad, (None, None),
+                                          True)
             grads.extend([gb, gw])
         grads.reverse()
         return loss, grads

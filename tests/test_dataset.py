@@ -393,7 +393,7 @@ def test_encoded_table_csv_rows_round_trip_exactly():
                                  bad_times=0)
     table = parse_csv(text.encode())
     encoded, maps = label_encode(table)
-    restored = encoded_table_from_rows(encoded_table_to_rows(encoded), maps)
+    restored = encoded_table_from_rows(*encoded_table_to_rows(encoded), maps)
     assert np.array_equal(restored.values, encoded.values)
 
 

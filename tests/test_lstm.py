@@ -270,11 +270,18 @@ def test_predict_batch_matches_per_row(monkeypatch):
                                2 * CHUNK_ROWS + 50])
 def test_predict_proba_equals_one_unchunked_forward_bit_for_bit(n):
     # a row's probabilities must not depend on n mod CHUNK_ROWS: a short
-    # tail chunk is rounded by another BLAS kernel
-    model = create_classifier(13, 3, LstmConfig(hidden_size=168), 57)
+    # tail chunk is rounded by another BLAS kernel; nor on the slices the
+    # cell equations run over, in either layout and in a stack
     x = rng.uniform(58, (n, 13))
-    whole, _ = sequence_forward(model, to_sequences(x, "single-step"))
-    assert np.array_equal(predict_proba(model, x), whole)
+    for layout, layers, hidden in (("single-step", 1, 168),
+                                   ("single-step", 2, 40),
+                                   ("feature-steps", 2, 24)):
+        config = LstmConfig(hidden_size=hidden, num_layers=layers,
+                            sequence_layout=layout)
+        sequences = to_sequences(x, layout)
+        model = create_classifier(sequences.shape[2], 3, config, 57)
+        whole, _ = sequence_forward(model, sequences)
+        assert np.array_equal(predict_proba(model, x), whole)
 
 
 def test_model_serialization_round_trip():

@@ -123,7 +123,8 @@ def test_dense_backward_hand_case():
     # scalar chain: out = 2 * 3 = 6; d out = 1 -> gw = x = 3, gb = 1, gi = w = 2
     layer = DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear")
     out, cache = dense_forward(layer, np.array([[3.0]]))
-    gi, gw, gb = dense_backward(layer, cache, np.array([[1.0]]), (None, None))
+    gi, gw, gb = dense_backward(layer, cache, np.array([[1.0]]), (None, None),
+                                True)
     assert gw[0, 0] == 3.0
     assert gb[0] == 1.0
     assert gi[0, 0] == 2.0
@@ -133,7 +134,8 @@ def test_dense_backward_relu_gates_gradient():
     layer = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
     out, cache = dense_forward(layer, np.array([[2.0]]))
     assert np.array_equal(out, [[2.0, 0.0]])
-    gi, gw, gb = dense_backward(layer, cache, np.ones((1, 2)), (None, None))
+    gi, gw, gb = dense_backward(layer, cache, np.ones((1, 2)), (None, None),
+                                True)
     # second unit is inactive: no gradient flows through it
     assert gw[1, 0] == 0.0
     assert gb[1] == 0.0
@@ -154,7 +156,7 @@ def _fd_layer_check(activation: str, seed: int) -> float:
     def loss_fn():
         out, cache = dense_forward(layer, x)
         loss = float((out * probe).sum())
-        _, gw, gb = dense_backward(layer, cache, probe, (None, None))
+        _, gw, gb = dense_backward(layer, cache, probe, (None, None), False)
         return loss, [gw, gb]
 
     return grad_check(loss_fn, layer.params())

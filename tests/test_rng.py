@@ -52,3 +52,10 @@ def test_epoch_batches_cover_the_epoch_permutation():
     assert [len(b) for b in batches] == [4, 4, 2]
     assert np.array_equal(np.concatenate(batches),
                           rng.permutation(rng.derive(5, "epoch", 2), 10))
+
+
+def test_permutation_is_the_stable_key_order():
+    keys = rng.splitmix64(11, 5000)
+    assert np.array_equal(rng.permutation(11, 5000),
+                          np.argsort(keys, kind="stable"))
+

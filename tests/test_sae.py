@@ -19,7 +19,13 @@ from ransomflow import rng, sae
 from ransomflow.cli import main
 from ransomflow.config import read_section, section_doc
 from ransomflow.errors import ConfigError, SchemaMismatch
-from ransomflow.nn import apply, dense_backward, dense_forward, mse_loss
+from ransomflow.nn import (
+    CHUNK_ROWS,
+    apply,
+    dense_backward,
+    dense_forward,
+    mse_loss,
+)
 from ransomflow.sae import (
     SAEConfig,
     build_stack,
@@ -131,9 +137,15 @@ def test_stack_loss_is_the_full_round_trip_loss_bit_for_bit():
 
 @pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
 def test_build_stack_keeps_the_codes_encode_gives(activation):
-    data = rng.uniform(10, (700, 13))
-    model = build_stack(data, SAEConfig(epochs=2, activation=activation), 5)
-    assert np.array_equal(model.codes, encode(model.encoders, data))
+    # the last two stacks run across row-chunk edges, and in each one layer
+    # writes its codes over its input and one, wider than its input, cannot
+    for rows, dims in ((700, (75, 50, 13)), (2 * CHUNK_ROWS + 37, (20, 30, 13)),
+                       (2 * CHUNK_ROWS + 37, (30, 20, 25))):
+        data = rng.uniform(10, (rows, 13))
+        model = build_stack(data, SAEConfig(encoder_dims=dims, epochs=2,
+                                            activation=activation), 5)
+        assert model.codes.shape == (rows, dims[-1])
+        assert np.array_equal(model.codes, encode(model.encoders, data))
     # kept in memory only: the stored model does not hold them
     assert "codes" not in json.dumps(model_to_dict(model))
 
@@ -196,7 +208,8 @@ def test_stack_gradients_match_finite_differences():
         loss, grad = mse_loss(current, data)
         grads = []
         for layer, cache in zip(reversed(layers), reversed(caches)):
-            grad, gw, gb = dense_backward(layer, cache, grad, (None, None))
+            grad, gw, gb = dense_backward(layer, cache, grad, (None, None),
+                                          True)
             grads.append((gw, gb))
         grads.reverse()
         flat = []

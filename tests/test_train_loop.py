@@ -89,9 +89,10 @@ def reference_pretrain_layer(data: np.ndarray, hidden_dim: int,
             recon, dec_cache = dense_forward(decoder, code)
             loss, grad_recon = mse_loss(recon, xb)
             grad_code, gw_dec, gb_dec = dense_backward(decoder, dec_cache,
-                                                       grad_recon, (None, None))
+                                                       grad_recon, (None, None),
+                                                       True)
             _, gw_enc, gb_enc = dense_backward(encoder, enc_cache, grad_code,
-                                               (None, None))
+                                               (None, None), False)
             optimizer.step(params, [gw_enc, gb_enc, gw_dec, gb_dec])
             accumulated += loss * xb.shape[0]
         epoch_loss = accumulated / n
@@ -147,7 +148,8 @@ def reference_fine_tune(model: SAEModel, x: np.ndarray, y: np.ndarray,
                                                  (None, None))
             grads.append((gw, gb))
             for layer, cache in zip(reversed(model.encoders), reversed(caches)):
-                grad, gw, gb = dense_backward(layer, cache, grad, (None, None))
+                grad, gw, gb = dense_backward(layer, cache, grad, (None, None),
+                                              True)
                 grads.append((gw, gb))
             grads.reverse()
             flat = []

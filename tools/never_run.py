@@ -55,6 +55,7 @@ PIPELINE = (
     (["evaluate", "steps/bundle.json", "art", "--output", "eval-steps"], 0),
     (["evaluate", "gbt/bundle.json", "art", "--split", "train",
       "--output", "eval-gbt"], 0),
+    (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
     (["compare", "eval-sae/report.json", "eval-tuned/report.json",
       "--output", "comparison"], 0),
     # the LSTM saturates and trains on; at 1e308 its softmax rows stop
