@@ -1,8 +1,9 @@
 """Financial-impact and distribution analytics over an encoded table.
 
 All group-by work decodes categorical codes back to their string values, so
-reports read naturally regardless of how the vocabulary was numbered. Money
-columns are taken as-is from the cleaned table (pre-normalization values).
+reports read naturally regardless of how the vocabulary was numbered; a code
+is its name's position in the column's list in ``table.maps``. Money columns
+are taken as-is from the cleaned table (pre-normalization values).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .dataset import TARGET, EncodedTable
-from .errors import UnknownCategory
 from .serialize import REPORT_VERSION, csv_text
 
 
@@ -50,11 +50,12 @@ def _per_category(table: EncodedTable, column: str, rows, *weights) -> list:
     ``column``, in code order, zero counts included, over the rows that
     ``rows`` selects (a slice or a boolean mask)."""
     codes = table.codes(column)[rows]
-    size = table.maps.size(column)
+    names = table.maps[column]
+    size = len(names)
     counts = np.bincount(codes, minlength=size)
     sums = [np.bincount(codes, weights=w[rows], minlength=size)
             for w in weights]
-    return [(table.maps.value(column, code), int(counts[code]),
+    return [(names[code], int(counts[code]),
              *(float(s[code]) for s in sums)) for code in range(size)]
 
 
@@ -182,10 +183,8 @@ def anomaly_by_family(table: EncodedTable):
     count descending then name ascending. A vocabulary without "A" yields
     all-zero counts rather than an error.
     """
-    try:
-        anomaly_code = table.maps.code(TARGET, "A")
-    except UnknownCategory:
-        anomaly_code = -1  # no row holds it
+    classes = table.maps[TARGET]
+    anomaly_code = classes.index("A") if "A" in classes else -1
     return _ranked(_per_category(table, "Family",
                                  table.target_codes() == anomaly_code))
 

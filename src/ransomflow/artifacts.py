@@ -124,8 +124,7 @@ def _table_npz(table: EncodedTable, train_idx, test_idx) -> bytes:
     numeric, codes = encoded_table_to_rows(table)
     buffer = io.BytesIO()
     np.savez(buffer, numeric=numeric, codes=codes,
-             train_index=np.asarray(train_idx, dtype=np.int64),
-             test_index=np.asarray(test_idx, dtype=np.int64))
+             train_index=train_idx, test_index=test_idx)
     return buffer.getvalue()
 
 
@@ -184,7 +183,7 @@ def save_artifact(directory, table: EncodedTable, train_idx, test_idx,
         "schema_version": SCHEMA_VERSION,
         "kind": "dataset",
         "config": config_echo,
-        "preprocess": {"encoding": table.maps.to_dict()},
+        "preprocess": {"encoding": table.maps},
         "stages": stages,
         "table_sha256": hashlib.sha256(table_bytes).hexdigest(),
     }
@@ -379,7 +378,7 @@ def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
         cfg = _stored_config(payload["config"])
         components = payload["components"]
         require_keys(components, _COMPONENTS[kind], "components")
-        classes = artifact.table.maps.size(TARGET)
+        classes = len(artifact.table.maps[TARGET])
         if kind == "sae-lstm":
             encoders = sae_mod.model_from_dict(components["sae"], cfg.sae,
                                                len(FEATURE_NAMES))

@@ -221,7 +221,7 @@ def cmd_ingest(args) -> int:
 def _fit(kind, cfg, artifact) -> tuple:
     """Train one model of ``kind`` on the artifact's training rows: (its
     stored components, history files and summary lines)."""
-    k = artifact.table.maps.size(TARGET)
+    k = len(artifact.table.maps[TARGET])
     x, y = artifact.side("train")
     if np.unique(y).size < 2:
         raise DataError("training labels hold fewer than 2 classes")
@@ -282,7 +282,7 @@ def cmd_evaluate(args) -> int:
     x, y = artifact.side(args.split)
     if y.size == 0:
         raise DataError(f"artifact {args.split} split holds no rows")
-    classes = artifact.table.maps.categories[TARGET]
+    classes = artifact.table.maps[TARGET]
     cm = confusion(y, bundle.predict(x), len(classes), classes)
     rep = report(cm)
     text = rep.to_text()

@@ -18,7 +18,9 @@ rows by a 64-bit hash checked against each group's first row.
 
 Categorical codes are assigned by sorting the distinct strings of a column in
 lexicographic UTF-8 byte order, so the mapping depends only on the value set,
-never on row order.
+never on row order. The encoding is a plain dict of those lists, one per
+categorical column: the code of a name is its position in its list, and the
+same dict is what ``dataset.json`` stores.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,6 @@ from .errors import (
     NonNumericCell,
     RaggedRow,
     SchemaMismatch,
-    UnknownCategory,
 )
 from .serialize import csv_text
 
@@ -383,64 +384,15 @@ def parse_csv(source) -> RawTable:
 
 
 @dataclass
-class EncodingMap:
-    """Category-to-code tables, one per categorical column.
+class EncodedTable:
+    """All-numeric table; categorical cells hold integer codes as floats.
 
-    Codes follow lexicographic byte order of the category strings, so they
-    are a pure function of the value set.
+    ``maps`` is the encoding: each categorical column's names in code order,
+    the lists ``dataset.json`` stores under ``preprocess.encoding``.
     """
 
-    categories: dict
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.categories = {
-            col: tuple(values) for col, values in self.categories.items()
-        }
-        self._index = {
-            col: {value: code for code, value in enumerate(values)}
-            for col, values in self.categories.items()
-        }
-
-    def code(self, column: str, value: str) -> int:
-        code = self._index[column].get(value)
-        if code is None:
-            raise UnknownCategory(column, value)
-        return code
-
-    def value(self, column: str, code: int) -> str:
-        return self.categories[column][code]
-
-    def size(self, column: str) -> int:
-        return len(self.categories[column])
-
-    def to_dict(self) -> dict:
-        return {col: list(values) for col, values in self.categories.items()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EncodingMap":
-        """The map a stored document holds; :class:`SchemaMismatch` unless it
-        is one list of distinct strings in UTF-8 byte order per categorical
-        column, as :func:`label_encode` writes it."""
-        if not isinstance(doc, dict) or sorted(doc) != sorted(CATEGORICAL_NAMES):
-            raise SchemaMismatch(f"encoding columns are not "
-                                 f"{sorted(CATEGORICAL_NAMES)}")
-        for column, values in doc.items():
-            strings = isinstance(values, list) and all(
-                isinstance(v, str) for v in values)
-            keys = [v.encode("utf-8") for v in values] if strings else []
-            if not strings or keys != sorted(set(keys)):
-                raise SchemaMismatch(f"encoding of {column!r} is not a list of "
-                                     f"distinct strings in UTF-8 byte order")
-        return cls(doc)
-
-
-@dataclass
-class EncodedTable:
-    """All-numeric table; categorical cells hold integer codes as floats."""
-
     values: np.ndarray
-    maps: EncodingMap
+    maps: dict
 
     @property
     def row_count(self) -> int:
@@ -453,7 +405,7 @@ class EncodedTable:
         return self.column(name).astype(np.int64)
 
     def decoded(self, name: str) -> list:
-        return [self.maps.value(name, int(c)) for c in self.codes(name)]
+        return [self.maps[name][c] for c in self.codes(name).tolist()]
 
     def target_codes(self) -> np.ndarray:
         return self.codes(TARGET)
@@ -468,12 +420,14 @@ def _codes(cells: Cells):
     first, group = first_occurrences(cells.keys())
     distinct = [cells.cell(i) for i in first.tolist()]
     order = sorted(range(len(distinct)), key=distinct.__getitem__)
-    return (tuple(distinct[i].decode("utf-8") for i in order),
+    return ([distinct[i].decode("utf-8") for i in order],
             np.argsort(order)[group])
 
 
 def label_encode(table: RawTable):
-    """Turn string cells into a float matrix. Returns (EncodedTable, EncodingMap).
+    """Turn string cells into a float matrix. Returns (EncodedTable, its
+    encoding), the encoding mapping each categorical column to its names in
+    code order.
 
     Codes are built from this table's own value set.
     """
@@ -484,8 +438,7 @@ def label_encode(table: RawTable):
             values[:, j] = table.numbers[name]
         else:
             categories[name], values[:, j] = _codes(table.cells[j])
-    maps = EncodingMap(categories)
-    return EncodedTable(values=values, maps=maps), maps
+    return EncodedTable(values=values, maps=categories), categories
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -581,7 +534,6 @@ def stratified_indices(y: np.ndarray, test_ratio: float, seed: int):
     ``test_ratio`` lies in (0, 1). Zero rows, or a class with fewer than 2
     rows, which cannot appear on both sides, raise :class:`DataError`.
     """
-    y = np.asarray(y)
     if y.size == 0:
         raise DataError("cannot split zero rows")
     test_parts = []
@@ -655,21 +607,35 @@ def dataset_stats(table: EncodedTable) -> SummaryStats:
 # Serialization of the fitted preprocessing state
 
 
-def preprocess_to_dict(maps: EncodingMap, bounds) -> dict:
+def preprocess_to_dict(maps: dict, bounds) -> dict:
     """The fitted preprocessing state as one document: the encoding and the
     ``normalize`` bounds as [name, min, max] lists in feature order."""
-    return {"encoding": maps.to_dict(),
+    return {"encoding": maps,
             "normalization": [[name, float(lo), float(hi)] for name, lo, hi
                               in zip(FEATURE_NAMES, *bounds)]}
 
 
-def preprocess_from_dict(doc: dict) -> EncodingMap:
-    """The encoding a stored ``preprocess`` object holds; :class:`SchemaMismatch`
-    unless it holds exactly an encoding of the layout. The bounds are not
-    stored: they derive from the training rows."""
+def preprocess_from_dict(doc: dict) -> dict:
+    """The encoding a stored ``preprocess`` object holds, as stored;
+    :class:`SchemaMismatch` unless it holds exactly the encoding, one list of
+    distinct strings in UTF-8 byte order per categorical column, as
+    :func:`label_encode` gives it. The bounds are not stored: they derive
+    from the training rows."""
     if not isinstance(doc, dict) or set(doc) != {"encoding"}:
         raise SchemaMismatch("preprocess must hold exactly encoding")
-    return EncodingMap.from_dict(doc["encoding"])
+    encoding = doc["encoding"]
+    if not isinstance(encoding, dict) \
+            or sorted(encoding) != sorted(CATEGORICAL_NAMES):
+        raise SchemaMismatch(f"encoding columns are not "
+                             f"{sorted(CATEGORICAL_NAMES)}")
+    for column, values in encoding.items():
+        strings = isinstance(values, list) and all(
+            isinstance(v, str) for v in values)
+        keys = [v.encode("utf-8") for v in values] if strings else []
+        if not strings or keys != sorted(set(keys)):
+            raise SchemaMismatch(f"encoding of {column!r} is not a list of "
+                                 f"distinct strings in UTF-8 byte order")
+    return encoding
 
 
 def encoded_table_to_rows(table: EncodedTable) -> tuple:
@@ -681,7 +647,7 @@ def encoded_table_to_rows(table: EncodedTable) -> tuple:
     return table.values[:, NUMERIC_IDX], codes.astype(np.min_scalar_type(top))
 
 
-def encoded_table_from_rows(numeric, codes, maps: EncodingMap) -> EncodedTable:
+def encoded_table_from_rows(numeric, codes, maps: dict) -> EncodedTable:
     """The table that stored rows hold, as :func:`encoded_table_to_rows`
     gives them; ``codes`` is an unsigned integer array.
 
@@ -691,9 +657,9 @@ def encoded_table_from_rows(numeric, codes, maps: EncodingMap) -> EncodedTable:
     if not np.isfinite(numeric).all():
         raise SchemaMismatch("stored table holds a non-finite cell")
     for name, column in zip(CATEGORICAL_NAMES, codes.T):
-        if column.size and column.max() >= maps.size(name):
+        if column.size and column.max() >= len(maps[name]):
             raise SchemaMismatch(f"stored table column {name!r} holds a code "
-                                 f"outside [0, {maps.size(name)})")
+                                 f"outside [0, {len(maps[name])})")
     values = np.empty((numeric.shape[0], len(NAMES)))
     values[:, NUMERIC_IDX] = numeric
     values[:, CATEGORICAL_IDX] = codes

@@ -6,7 +6,12 @@ degenerate inputs); the CLI maps them, and ``OSError`` for unreadable or
 missing files, to exit codes 1, 3 and 2. The type rule: a fault gets a class
 of its own only when some code catches it by that type, or reads fields it
 carries; any other fault raises :class:`DataError` (or :class:`ConfigError`)
-with a message that says what went wrong.
+with a message that says what went wrong. That leaves six: the two above,
+which the CLI tells apart; :class:`SchemaMismatch`, which the loaders catch
+to name the stored file; and :class:`MissingColumn`, :class:`RaggedRow` and
+:class:`NonNumericCell`, whose fields name the bad column or line of a CSV.
+A lookup that may miss, such as a class name in the encoding, is a
+membership test, not an exception.
 """
 
 from __future__ import annotations
@@ -50,13 +55,6 @@ class NonNumericCell(DataError):
             f"line {line_no}: column {column!r} holds non-numeric or non-finite "
             f"value {value!r}"
         )
-
-
-class UnknownCategory(DataError):
-    def __init__(self, column: str, value: str):
-        self.column = column
-        self.value = value
-        super().__init__(f"column {column!r}: value {value!r} not in encoding map")
 
 
 class SchemaMismatch(DataError):

@@ -19,11 +19,10 @@ from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
 
 @dataclass
 class ConfusionMatrix:
-    counts: np.ndarray
+    counts: np.ndarray  # (k, k) int64
     class_names: tuple
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
         self.class_names = tuple(self.class_names)
 
     @property
@@ -41,11 +40,9 @@ class ConfusionMatrix:
 
 
 def confusion(y_true, y_pred, k_classes: int, class_names) -> ConfusionMatrix:
-    """Count (true, predicted) pairs, equal-length vectors of labels in
+    """Count (true, predicted) pairs, equal-length int64 arrays of labels in
     [0, k_classes), into a k x k matrix of the classes ``class_names``."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    flat = y_true.astype(np.int64) * k_classes + y_pred.astype(np.int64)
+    flat = y_true * k_classes + y_pred
     counts = np.bincount(flat, minlength=k_classes * k_classes)
     return ConfusionMatrix(counts.reshape(k_classes, k_classes), class_names)
 
@@ -100,13 +97,13 @@ def f1_score(precision: float, recall: float) -> float:
 
 def _averages(precision, recall, f1, support) -> tuple:
     """(macro, weighted) :class:`Scores` of per-class score vectors; the
-    weights are each class's share of the support, all 0 when it is empty.
+    weights are each class's share of the int64 ``support`` array, all 0
+    when it is empty.
 
     The rounded weights can sum past 1, so a weighted score is capped at 1,
     which it cannot exceed.
     """
     scores = [np.asarray(s, dtype=np.float64) for s in (precision, recall, f1)]
-    support = np.asarray(support, dtype=np.int64)
     total = support.sum()
     weights = support / total if total else np.zeros(support.shape)
     return (Scores(*(s.sum() / len(s) for s in scores)),
@@ -129,9 +126,9 @@ class MetricsReport:
     @classmethod
     def from_values(cls, class_names, precision, recall, f1, support,
                     accuracy, zero_division) -> "MetricsReport":
-        """Assemble a report from per-class numbers, its averages computed
-        from them. ``zero_division`` names the classes scored 0 for a zero
-        denominator."""
+        """Assemble a report from per-class numbers (``support`` an int64
+        array), its averages computed from them. ``zero_division`` names
+        the classes scored 0 for a zero denominator."""
         class_names = tuple(class_names)
         macro, weighted = _averages(precision, recall, f1, support)
         return cls(

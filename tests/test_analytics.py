@@ -23,7 +23,6 @@ from ransomflow.dataset import (
     NAMES,
     TARGET,
     EncodedTable,
-    EncodingMap,
     column_index,
     label_encode,
     parse_csv,
@@ -232,9 +231,9 @@ def random_table(seed: int, n: int, classes: tuple) -> EncodedTable:
     money columns hold values of mixed scale, so a sum in another order
     would differ in its last bits."""
     gen = np.random.default_rng(seed)
-    categories = {name: tuple(f"{name}{i:02d}" for i in range(9))
+    categories = {name: [f"{name}{i:02d}" for i in range(9)]
                   for name in CATEGORICAL_NAMES}
-    categories[TARGET] = classes
+    categories[TARGET] = list(classes)
     values = gen.uniform(0.0, 1.0, (n, len(NAMES)))
     for name in ("USD", "BTC"):
         values[:, column_index(name)] = 10.0 ** gen.uniform(-3, 6, n)
@@ -243,13 +242,13 @@ def random_table(seed: int, n: int, classes: tuple) -> EncodedTable:
         unused = 0 if name == TARGET else 3
         values[:, column_index(name)] = gen.integers(
             0, len(categories[name]) - unused, n)
-    return EncodedTable(values, EncodingMap(categories))
+    return EncodedTable(values, categories)
 
 
 def reference_groups(table, column, mask, *weights):
     """(name, count, *sums) per category in vocabulary order, counted with a
     Counter and summed row by row in a dict."""
-    names = table.maps.categories[column]
+    names = table.maps[column]
     picked = [(names[int(code)], i) for i, code in
               enumerate(table.column(column)) if mask[i]]
     counts = Counter(name for name, _ in picked)

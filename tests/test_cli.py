@@ -294,7 +294,7 @@ def test_compare_reports_of_different_class_sets_exits_3(tmp_path, capsys):
     paths = []
     for name, classes in (("a", ("A", "S")), ("b", ("A", "SS"))):
         rep = MetricsReport.from_values(classes, (1, 1), (1, 1), (1, 1),
-                                        (5, 5), 1.0, ())
+                                        np.array([5, 5]), 1.0, ())
         paths.append(str(tmp_path / f"{name}.json"))
         dump_json(paths[-1], {**rep.to_dict(), "kind": "gbt", "split": "test"})
     out = tmp_path / "o"
@@ -1685,7 +1685,7 @@ def explicit_sae_lstm(argv, out):
     cfg = cli._load_pipeline_config(args)
     artifact = load_artifact(args.artifact)
     x, y = artifact.side("train")
-    k = artifact.table.maps.size("Prediction")
+    k = len(artifact.table.maps["Prediction"])
     model = sae.build_stack(x, cfg.sae, cfg.seed_for("sae"))
     if cfg.fine_tune:
         sae.fine_tune(model, x, y, k, cfg.seed_for("sae"))

@@ -5,6 +5,7 @@ randomized loops re-verify structural invariants (partitions, idempotence)
 by brute force.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,13 @@ import pytest
 from conftest import cell_rows, require_real_csv, synthetic_csv_text
 
 from ransomflow import dataset, rng
+from ransomflow.artifacts import load_artifact
+from ransomflow.cli import main
 from ransomflow.config import DatasetConfig
 from ransomflow.dataset import (
     CATEGORICAL_NAMES,
     FEATURE_NAMES,
     EncodedTable,
-    EncodingMap,
     clean_timestamps,
     column_index,
     dataset_stats,
@@ -42,6 +44,7 @@ from ransomflow.errors import (
     RaggedRow,
     SchemaMismatch,
 )
+from ransomflow.serialize import checksum, dump_json
 
 CANONICAL_HEADER = ("Time,Protocol,Flag,Family,Clusters,SeedAddress,"
                     "ExpAddress,BTC,USD,NetflowBytes,IPAddress,Threats,"
@@ -123,10 +126,8 @@ def test_label_encode_lexicographic_codes():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B, ROW_C))
     encoded, maps = label_encode(table)
     # byte order: ICMP < TCP < UDP and A < S < SS
-    assert maps.categories["Protocol"] == ("ICMP", "TCP", "UDP")
-    assert maps.code("Protocol", "TCP") == 1
-    assert maps.categories["Prediction"] == ("A", "S", "SS")
-    assert maps.code("Prediction", "SS") == 2
+    assert maps["Protocol"] == ["ICMP", "TCP", "UDP"]
+    assert maps["Prediction"] == ["A", "S", "SS"]
     assert encoded.column("Protocol").tolist() == [1.0, 2.0, 0.0]
     assert encoded.target_codes().tolist() == [2, 1, 0]
     assert encoded.column("USD").tolist() == [500.0, 60.0, 900.0]
@@ -144,16 +145,46 @@ def test_label_encode_round_trip():
 def test_label_encode_single_category_gets_zero():
     table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_A))
     encoded, maps = label_encode(table)
-    assert maps.size("Family") == 1
+    assert maps["Family"] == ["WannaCry"]
     assert encoded.column("Family").tolist() == [0.0, 0.0]
 
 
-def test_encoding_map_serialization_round_trip():
-    table = parse_csv(_csv(CANONICAL_HEADER, ROW_A, ROW_B, ROW_C))
-    _, maps = label_encode(table)
-    restored = EncodingMap.from_dict(maps.to_dict())
-    assert restored.categories == maps.categories
-    assert restored.code("Threats", "SSH") == maps.code("Threats", "SSH")
+def _ingested(csv_path, directory):
+    """(the encoding label_encode gives the CSV, its ingested artifact)."""
+    art = directory / "art"
+    assert main(["ingest", str(csv_path), "--output", str(art)]) == 0
+    return label_encode(parse_csv(csv_path))[1], art
+
+
+def test_stored_encoding_is_the_label_encode_lists(synthetic_csv, tmp_path):
+    maps, art = _ingested(synthetic_csv[0], tmp_path)
+    stored = json.loads((art / "dataset.json").read_text())
+    assert stored["payload"]["preprocess"]["encoding"] == maps
+    assert load_artifact(art).table.maps == maps
+
+
+_NOT_SORTED = ("encoding of 'Protocol' is not a list of distinct strings in "
+               "UTF-8 byte order")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda e: e.pop("Flag"),
+     f"encoding columns are not {sorted(CATEGORICAL_NAMES)}"),
+    (lambda e: e["Protocol"].insert(0, 1), _NOT_SORTED),
+    (lambda e: e["Protocol"].append(e["Protocol"][-1]), _NOT_SORTED),
+    (lambda e: e["Protocol"].reverse(), _NOT_SORTED),
+], ids=["columns", "non-string", "duplicate", "order"])
+def test_stored_encoding_refusals_exit_3(edit, message, synthetic_csv,
+                                         tmp_path, capsys):
+    _, art = _ingested(synthetic_csv[0], tmp_path)
+    doc = json.loads((art / "dataset.json").read_text())
+    edit(doc["payload"]["preprocess"]["encoding"])
+    doc["checksum"] = checksum(doc["payload"])
+    dump_json(art / "dataset.json", doc)
+    capsys.readouterr()
+    assert main(["analyze", str(art), "--output", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {art}: invalid dataset artifact: {message}\n"
 
 
 def test_deduplicate_keeps_first_occurrence():
@@ -204,7 +235,7 @@ def test_first_occurrences_match_row_bytes_reference(collide, monkeypatch):
         assert first.tolist() == expected_first
         assert group.tolist() == expected_group
     assert first_occurrences(values)[0].tolist() == [0, 1]
-    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
+    maps = {name: ["x"] for name in CATEGORICAL_NAMES}
     table = EncodedTable(values=np.zeros((3, 14)), maps=maps)
     table.values[1, 0] = -0.0
     deduped, removed = deduplicate(table)
@@ -258,7 +289,7 @@ def test_normalize_simple_values():
     values = np.zeros((3, 14))
     values[:, column_index("USD")] = [0.0, 5.0, 10.0]
     values[:, column_index("Time")] = [2.0, 2.0, 2.0]  # constant column
-    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
+    maps = {name: ["x"] for name in CATEGORICAL_NAMES}
     from ransomflow.dataset import EncodedTable
 
     table = EncodedTable(values=values, maps=maps)
@@ -272,7 +303,7 @@ def test_normalize_simple_values():
 
 
 def test_normalize_with_training_stats_clamps():
-    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
+    maps = {name: ["x"] for name in CATEGORICAL_NAMES}
     from ransomflow.dataset import EncodedTable
 
     train_values = np.zeros((2, 14))
@@ -353,7 +384,7 @@ def test_stratified_indices_partition_every_row():
 
 
 def test_dataset_stats_hand_case():
-    maps = EncodingMap({name: ("x",) for name in CATEGORICAL_NAMES})
+    maps = {name: ["x"] for name in CATEGORICAL_NAMES}
     from ransomflow.dataset import EncodedTable
 
     values = np.zeros((4, 14))
@@ -380,8 +411,7 @@ def test_preprocess_document_round_trip():
     encoded, maps = label_encode(table)
     bounds = feature_bounds(encoded)
     doc = preprocess_to_dict(maps, bounds)
-    assert preprocess_from_dict({"encoding": doc["encoding"]}).categories \
-        == maps.categories
+    assert preprocess_from_dict({"encoding": doc["encoding"]}) == maps
     assert doc["normalization"] == [[name, lo, hi] for name, lo, hi
                                     in zip(FEATURE_NAMES, *bounds)]
     with pytest.raises(SchemaMismatch):
@@ -417,8 +447,8 @@ def test_real_dataset_label_codes():
     path = require_real_csv()
     table = parse_csv(path)
     _, maps = label_encode(table)
-    assert maps.code("Protocol", "TCP") == 1
-    assert maps.code("Protocol", "UDP") == 2
-    assert maps.code("Prediction", "A") == 0
-    assert maps.code("Prediction", "SS") == 2
-    assert maps.code("Flag", "A") == 0
+    assert maps["Protocol"].index("TCP") == 1
+    assert maps["Protocol"].index("UDP") == 2
+    assert maps["Prediction"].index("A") == 0
+    assert maps["Prediction"].index("SS") == 2
+    assert maps["Flag"].index("A") == 0

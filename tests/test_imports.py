@@ -30,9 +30,11 @@ exception ``__init__``s in ``errors.py`` store: each must be read off a caught
 exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
 :func:`unread_exception_attributes`).
 
-The re-cast scan keeps the learning modules from converting what they are
-given: every array they read is typed where it is made, float64 or int64
-(see :func:`recasts`).
+The re-cast scan keeps every package module but ``serialize.py`` from
+converting what it is given: every array is typed where it is made, float64
+or int64 (see :func:`recasts`). ``serialize.array_doc``'s cast is the stored
+format, not a re-cast: it fixes the stored bytes as little-endian float64
+(``"<f8"``) whatever the machine's byte order.
 
 The exception scan keeps each exception type one that some code tells apart:
 every exception class lives in ``errors.py``, and each is caught by type
@@ -191,49 +193,59 @@ def unreached_definitions(modules: dict, others, traced: dict,
     reach then grows to a fixed point. Code reads a module-level definition
     by its name in its own module, by a name imported from its module (an
     import alone reads nothing), or as an attribute of its imported module;
-    it reads a method by reading an attribute of that name. A reached
+    it reads a method by reading an attribute of that name, except that
+    ``self.<name>`` inside a method of class ``C`` reads only ``C.<name>``
+    when ``C`` defines a method of that name (so a subclass's override of it
+    must be read some other way), and every method of that name otherwise,
+    since it may be inherited or overridden. A reached
     function brings its whole body, nested definitions included; a reached
     class its bases, decorators and class-level statements, not its methods.
     """
     # a definition -> (its module, the nodes that run once it is reached,
-    # the module's import aliases); pending holds reached code not yet read
+    # the module's import aliases, the class a method belongs to); pending
+    # holds reached code not yet read
     code, methods, pending = {}, {}, []
     for source in others:
         tree = ast.parse(source)
-        pending.append((None, [tree], _aliases(tree, package)))
+        pending.append((None, [tree], _aliases(tree, package), None))
     for module, source in modules.items():
         tree = ast.parse(source)
         aliases = _aliases(tree, package)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                code[f"{module}.{node.name}"] = module, [node], aliases
+                code[f"{module}.{node.name}"] = module, [node], aliases, None
             elif isinstance(node, ast.ClassDef):
                 code[f"{module}.{node.name}"] = \
-                    module, _class_code(node), aliases
+                    module, _class_code(node), aliases, None
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
                         continue
                     name = f"{node.name}.{item.name}"
                     if item.name.startswith("__") and item.name.endswith("__"):
-                        pending.append((module, [item], aliases))
+                        pending.append((module, [item], aliases, node.name))
                     else:
-                        code[name] = module, [item], aliases
+                        code[name] = module, [item], aliases, node.name
                         methods.setdefault(item.name, []).append(name)
             else:
-                pending.append((module, [node], aliases))
+                pending.append((module, [node], aliases, None))
     reached = {name if "." in name else f"{layer}.{name}"
                for layer, names in traced.items()
                for name in names} & set(code)
     pending += [code[name] for name in reached]
     while pending:
-        own, nodes, aliases = pending.pop()
+        own, nodes, aliases, cls = pending.pop()
         read = []
         for node in (n for top in nodes for n in ast.walk(top)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.append(aliases.get(node.id, f"{own}.{node.id}"))
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Load):
-                read += methods.get(node.attr, [])
+                member = f"{cls}.{node.attr}"
+                if cls and ast.unparse(node.value) == "self" \
+                        and member in methods.get(node.attr, []):
+                    read.append(member)
+                else:
+                    read += methods.get(node.attr, [])
                 if isinstance(node.value, ast.Name) \
                         and node.value.id in aliases:
                     read.append(f"{aliases[node.value.id]}.{node.attr}")
@@ -278,6 +290,27 @@ def test_reach_scan_follows_names_imports_attributes_and_the_tracer():
     assert unreached_definitions(modules, [bench], traced) == [
         "Box.hidden", "Box.spare", "a.caller", "a.lonely", "a.ping", "a.pong",
         "b.imported", "b.named_by_chance", "b.only_imported"]
+
+
+def test_reach_scan_reads_self_attributes_of_their_own_class():
+    modules = {
+        "a": ("class Box:\n"
+              "    def __init__(self): self.ready()\n"
+              "    def ready(self): return self.helper()\n"
+              "    def helper(self): pass\n"
+              "class Crate:\n"
+              "    def ready(self): pass\n"
+              "    def helper(self): pass\n"
+              "class Base:\n"
+              "    def __init__(self): self.hook()\n"
+              "class Child(Base):\n"
+              "    def hook(self): pass\n"
+              "x = Box(), Child(), Crate\n"),
+    }
+    # Box reads its own ready and helper; Base defines no hook, so its
+    # self.hook() reads every hook
+    assert unreached_definitions(modules, [], {}) == [
+        "Crate.helper", "Crate.ready"]
 
 
 def test_every_definition_is_reached_or_verification_api():
@@ -694,7 +727,8 @@ def test_every_exception_attribute_is_read():
     assert unread_exception_attributes(errors, texts) == []
 
 
-RECAST_MODULES = ("nn.py", "sae.py", "lstm.py", "gbt.py")
+# serialize.py casts to the stored little-endian "<f8" in array_doc
+RECAST_MODULES = tuple(m.name for m in MODULES if m.name != "serialize.py")
 
 
 def recasts(source: str) -> list:

@@ -188,7 +188,8 @@ def test_weighted_precision_recomposition_of_published_table():
 
 def test_from_values_recomputes_when_averages_omitted():
     rep = MetricsReport.from_values(
-        ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3), (10, 30), 0.85, ())
+        ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3),
+        np.array([10, 30]), 0.85, ())
     assert abs(rep.macro.precision - 0.75) < 1e-12
     assert abs(rep.weighted.precision - (1.0 * 10 + 0.5 * 30) / 40) < 1e-12
 
@@ -236,9 +237,11 @@ def test_compare_published_fixtures_accuracy_delta():
 
 def test_compare_hand_deltas():
     rep_a = MetricsReport.from_values(("x", "y"), (0.9, 0.8), (0.7, 0.6),
-                                      (0.788, 0.686), (5, 5), 0.65, ())
+                                      (0.788, 0.686), np.array([5, 5]), 0.65,
+                                      ())
     rep_b = MetricsReport.from_values(("x", "y"), (0.8, 0.9), (0.6, 0.7),
-                                      (0.686, 0.788), (5, 5), 0.60, ())
+                                      (0.686, 0.788), np.array([5, 5]), 0.60,
+                                      ())
     rows = {r.metric: r for r in compare(rep_a, rep_b, "a", "b").rows}
     assert abs(rows["accuracy"].delta - 0.05) < 1e-12
     assert rows["f1[x]"].winner("a", "b") == "a"
@@ -247,9 +250,9 @@ def test_compare_hand_deltas():
 
 def test_compare_rejects_different_class_sets():
     rep_a = MetricsReport.from_values(("x", "y"), (1, 1), (1, 1), (1, 1),
-                                      (5, 5), 1.0, ())
+                                      np.array([5, 5]), 1.0, ())
     rep_b = MetricsReport.from_values(("x", "z"), (1, 1), (1, 1), (1, 1),
-                                      (5, 5), 1.0, ())
+                                      np.array([5, 5]), 1.0, ())
     with pytest.raises(DataError, match=r"^class sets differ: \['x', 'y'\] "
                                         r"vs \['x', 'z'\]$"):
         compare(rep_a, rep_b, "a", "b")

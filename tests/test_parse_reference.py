@@ -26,7 +26,6 @@ from ransomflow.dataset import (
     HEADER_ALIASES,
     NAMES,
     NUMERIC,
-    EncodingMap,
     label_encode,
     parse_csv,
 )
@@ -92,10 +91,9 @@ def ref_parse(source):
 
 
 def ref_encode(rows):
-    maps = EncodingMap({
-        name: tuple(sorted({row[j] for row in rows},
-                           key=lambda s: s.encode("utf-8")))
-        for j, (name, kind) in enumerate(COLUMNS) if kind != NUMERIC})
+    maps = {name: sorted({row[j] for row in rows},
+                         key=lambda s: s.encode("utf-8"))
+            for j, (name, kind) in enumerate(COLUMNS) if kind != NUMERIC}
     values = np.empty((len(rows), len(NAMES)), dtype=np.float64)
     for j, (name, kind) in enumerate(COLUMNS):
         cells = [row[j] for row in rows]
@@ -103,7 +101,7 @@ def ref_encode(rows):
             values[:, j] = np.asarray(cells, dtype=np.float64)
             continue
         for i, cell in enumerate(cells):
-            values[i, j] = maps.code(name, cell)
+            values[i, j] = maps[name].index(cell)
     return values, maps
 
 
@@ -121,7 +119,7 @@ def ref_outcome(source):
     def run():
         rows = ref_parse(source)
         values, used = ref_encode(rows)
-        return len(rows), rows, used.categories, values.tobytes()
+        return len(rows), rows, used, values.tobytes()
     return outcome(run)
 
 
@@ -130,7 +128,7 @@ def new_outcome(source):
         table = parse_csv(source)
         encoded, used = label_encode(table)
         assert encoded.values.flags.c_contiguous
-        return (table.row_count, cell_rows(table), used.categories,
+        return (table.row_count, cell_rows(table), used,
                 encoded.values.tobytes())
     return outcome(run)
 

@@ -1,16 +1,17 @@
-"""Print one digest line per command of the fixed pipeline in
-``tools/never_run.py``.
+"""Print one digest line per command of the fixed pipeline :data:`PIPELINE`.
 
 Usage (from anywhere):
 
     PYTHONPATH=src python3 tools/digests.py
     PYTHONPATH=<another checkout>/src python3 tools/digests.py
 
-Each :data:`never_run.PIPELINE` command runs untraced, in order, through
+Each :data:`PIPELINE` command runs, in order, through
 :func:`ransomflow.cli.main` in one temporary directory that holds the inputs
-:func:`never_run.write_inputs` writes. A line gives the command's exit status,
-the sha256 of its stdout and of its stderr, and the sha256 of every file it
-wrote or rewrote, by its path in that directory.
+:func:`write_inputs` writes. A line gives the command's exit status, the
+sha256 of its stdout and of its stderr, and the sha256 of every file it
+wrote or rewrote, by its path in that directory. ``tools/never_run.py
+--pipeline`` runs the same commands, through :func:`digest_lines`, under its
+line trace.
 
 ``ransomflow`` is imported from ``sys.path`` as given, so the second form
 runs the other checkout's code on the same inputs: two runs print the same
@@ -24,12 +25,69 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from never_run import PIPELINE, write_inputs
+ROOT = Path(__file__).resolve().parent.parent
+
+_SAE_LSTM = ["--kind", "sae-lstm", "--sae-epochs", "1", "--lstm-epochs", "2",
+             "--lstm-hidden", "16"]
+# (argv, exit status) in order; the config files are written beside raw.csv
+PIPELINE = (
+    (["ingest", "raw.csv", "--output", "art"], 0),
+    (["ingest", "raw.csv", "--split-before-dedup", "--subsample", "0.5",
+      "--output", "art-sub"], 0),
+    (["analyze", "art", "--output", "analysis"], 0),
+    (["train", "art", *_SAE_LSTM, "--output", "sae"], 0),
+    (["train", "art", *_SAE_LSTM, "--fine-tune", "--output", "tuned"], 0),
+    (["train", "art", *_SAE_LSTM, "--config", "steps.json",
+      "--output", "steps"], 0),
+    (["train", "art", "--kind", "gbt", "--gbt-rounds", "3",
+      "--output", "gbt"], 0),
+    (["evaluate", "sae/bundle.json", "art", "--output", "eval-sae"], 0),
+    (["evaluate", "tuned/bundle.json", "art", "--output", "eval-tuned"], 0),
+    (["evaluate", "steps/bundle.json", "art", "--output", "eval-steps"], 0),
+    (["evaluate", "gbt/bundle.json", "art", "--split", "train",
+      "--output", "eval-gbt"], 0),
+    (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
+    (["compare", "eval-sae/report.json", "eval-tuned/report.json",
+      "--output", "comparison"], 0),
+    # the LSTM saturates and trains on; at 1e308 its softmax rows stop
+    # summing to 1; the SAE's loss overflows
+    (["train", "art", *_SAE_LSTM, "--config", "huge-lstm-rate.json",
+      "--output", "saturated"], 0),
+    (["train", "art", *_SAE_LSTM, "--config", "overflowing-lstm-rate.json",
+      "--output", "overflowed"], 3),
+    (["train", "art", *_SAE_LSTM, "--config", "huge-sae-rate.json",
+      "--output", "diverged"], 3),
+    (["ingest", "header-only.csv", "--output", "empty"], 3),
+)
+CONFIGS = {
+    "steps.json": {"lstm": {"sequence_layout": "feature-steps",
+                            "num_layers": 2, "clip_threshold": 0.01},
+                   "sae": {"activation": "tanh",
+                           "convergence_threshold": 0.5}},
+    "huge-lstm-rate.json": {"lstm": {"learning_rate": 1e300}},
+    "overflowing-lstm-rate.json": {"lstm": {"learning_rate": 1e308}},
+    "huge-sae-rate.json": {"sae": {"learning_rate": 1e300}},
+}
+
+
+def write_inputs(directory: Path) -> None:
+    """``raw.csv``, ``header-only.csv`` and the :data:`CONFIGS` files the
+    pipeline reads."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen  # the benchmark's input generator
+
+    text, _ = gen.generate(7, raw_rows=6000, duplicates=600, bad_times=40)
+    (directory / "raw.csv").write_text(text, encoding="utf-8")
+    (directory / "header-only.csv").write_text(text[:text.index("\n") + 1],
+                                               encoding="utf-8")
+    for name, doc in CONFIGS.items():
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def _sha256(data: bytes) -> str:

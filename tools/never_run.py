@@ -13,84 +13,29 @@ when the compiler gives it bytecode; each executable line that no test ran is
 printed as ``path:line: source``, then their count. The exit status is
 pytest's.
 
-``--pipeline`` traces the :data:`PIPELINE` commands instead, run in this
-process through :func:`ransomflow.cli.main` in a temporary directory on one
+``--pipeline`` traces :func:`digests.digest_lines` instead, which runs the
+:data:`digests.PIPELINE` commands in this process through
+:func:`ransomflow.cli.main` in a temporary directory, on one
 ``perfbench/gen.py`` CSV (seed 7, 6,000 raw rows) and on its header line
-alone, and prints each command's exit status before the lines none of them
-ran. It exits 1, naming the command, when a command exits other than listed.
+alone. It prints each command's exit status before the lines none of them
+ran, and exits 1, naming each command, when a command exits other than
+listed.
 
 Uses the standard library, and pytest for the suite or numpy for ``--pipeline``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 import os
 import sys
 import tempfile
 import types
 from pathlib import Path
 
+from digests import PIPELINE, digest_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ransomflow"
-
-_SAE_LSTM = ["--kind", "sae-lstm", "--sae-epochs", "1", "--lstm-epochs", "2",
-             "--lstm-hidden", "16"]
-# (argv, exit status) in order; the config files are written beside raw.csv
-PIPELINE = (
-    (["ingest", "raw.csv", "--output", "art"], 0),
-    (["ingest", "raw.csv", "--split-before-dedup", "--subsample", "0.5",
-      "--output", "art-sub"], 0),
-    (["analyze", "art", "--output", "analysis"], 0),
-    (["train", "art", *_SAE_LSTM, "--output", "sae"], 0),
-    (["train", "art", *_SAE_LSTM, "--fine-tune", "--output", "tuned"], 0),
-    (["train", "art", *_SAE_LSTM, "--config", "steps.json",
-      "--output", "steps"], 0),
-    (["train", "art", "--kind", "gbt", "--gbt-rounds", "3",
-      "--output", "gbt"], 0),
-    (["evaluate", "sae/bundle.json", "art", "--output", "eval-sae"], 0),
-    (["evaluate", "tuned/bundle.json", "art", "--output", "eval-tuned"], 0),
-    (["evaluate", "steps/bundle.json", "art", "--output", "eval-steps"], 0),
-    (["evaluate", "gbt/bundle.json", "art", "--split", "train",
-      "--output", "eval-gbt"], 0),
-    (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
-    (["compare", "eval-sae/report.json", "eval-tuned/report.json",
-      "--output", "comparison"], 0),
-    # the LSTM saturates and trains on; at 1e308 its softmax rows stop
-    # summing to 1; the SAE's loss overflows
-    (["train", "art", *_SAE_LSTM, "--config", "huge-lstm-rate.json",
-      "--output", "saturated"], 0),
-    (["train", "art", *_SAE_LSTM, "--config", "overflowing-lstm-rate.json",
-      "--output", "overflowed"], 3),
-    (["train", "art", *_SAE_LSTM, "--config", "huge-sae-rate.json",
-      "--output", "diverged"], 3),
-    (["ingest", "header-only.csv", "--output", "empty"], 3),
-)
-CONFIGS = {
-    "steps.json": {"lstm": {"sequence_layout": "feature-steps",
-                            "num_layers": 2, "clip_threshold": 0.01},
-                   "sae": {"activation": "tanh",
-                           "convergence_threshold": 0.5}},
-    "huge-lstm-rate.json": {"lstm": {"learning_rate": 1e300}},
-    "overflowing-lstm-rate.json": {"lstm": {"learning_rate": 1e308}},
-    "huge-sae-rate.json": {"sae": {"learning_rate": 1e300}},
-}
-
-
-def write_inputs(directory: Path) -> None:
-    """``raw.csv``, ``header-only.csv`` and the :data:`CONFIGS` files the
-    pipeline reads."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import gen  # the benchmark's input generator
-
-    text, _ = gen.generate(7, raw_rows=6000, duplicates=600, bad_times=40)
-    (directory / "raw.csv").write_text(text, encoding="utf-8")
-    (directory / "header-only.csv").write_text(text[:text.index("\n") + 1],
-                                               encoding="utf-8")
-    for name, doc in CONFIGS.items():
-        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def executable_lines(path: Path) -> set:
@@ -147,27 +92,19 @@ def run_suite(pytest_args: list) -> int:
 
 
 def run_pipeline() -> int:
-    """Run :data:`PIPELINE` in a temporary directory; 1 when a command exits
-    other than listed, else 0."""
+    """Run :data:`PIPELINE` through :func:`digest_lines` in a temporary
+    directory; 1 when a command exits other than listed, else 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        write_inputs(Path(tmp))
-        os.chdir(tmp)
-        try:
-            from ransomflow import cli
-
-            for argv, expected in PIPELINE:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()) as err:
-                    status = cli.main(argv)
-                command = "ransomflow " + " ".join(argv)
-                print(f"exit {status}: {command}")
-                if status != expected:
-                    print(f"expected exit {expected}: {command}\n"
-                          f"{err.getvalue()}", end="", file=sys.stderr)
-                    return 1
-        finally:
-            os.chdir(ROOT)
-    return 0
+        lines = digest_lines(Path(tmp))
+    status = 0
+    for line, (argv, expected) in zip(lines, PIPELINE):
+        ran = line.split(";", 1)[0]
+        print(ran)
+        if not ran.startswith(f"exit {expected}:"):
+            print(f"expected exit {expected}: {' '.join(argv)}",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def main(argv: list) -> int:
