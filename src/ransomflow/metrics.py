@@ -1,10 +1,13 @@
 """Multiclass evaluation: confusion matrix, per-class scores, model deltas.
 
 Conventions: confusion rows are true classes, columns are predictions.
-Precision divides the diagonal by column sums, recall by row sums, and any
-zero denominator yields a score of 0 with the class recorded in the report's
-``zero_division`` tuple instead of raising. Weighted recall equals accuracy
-by construction, which doubles as an internal consistency check.
+:func:`report` is the one place a :class:`MetricsReport` is built from
+counts: it scores every class at once in float64 arrays. Precision divides
+the diagonal by column sums, recall by row sums, and any zero denominator
+yields a score of 0 with the class recorded in the report's
+``zero_division`` tuple instead of raising; F1 is 0 where precision and
+recall both are. Weighted recall equals accuracy by construction, which
+doubles as an internal consistency check.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .errors import DataError, SchemaMismatch, is_finite_number
-from .serialize import REPORT_VERSION, csv_text, read_fields, require_version
+from .serialize import (REPORT_VERSION, csv_cell, csv_text, require_keys,
+                        require_version)
 
 
 @dataclass
@@ -24,10 +28,6 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         self.class_names = tuple(self.class_names)
-
-    @property
-    def k_classes(self) -> int:
-        return self.counts.shape[0]
 
     @property
     def total(self) -> int:
@@ -53,24 +53,16 @@ class Scores:
     recall: float
     f1: float
 
-    def __post_init__(self):
-        self.precision = float(self.precision)
-        self.recall = float(self.recall)
-        self.f1 = float(self.f1)
-
 
 @dataclass
 class ClassScores(Scores):
     support: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.support = int(self.support)
-
 
 def _stored_value(name: str, value, count: bool = False):
-    """A report value read from a file: a score in [0, 1], or with ``count``
-    an int >= 0 that is not a bool; :class:`SchemaMismatch` otherwise."""
+    """A report value read from a file: a score in [0, 1], returned as a
+    float, or with ``count`` an int >= 0 that is not a bool;
+    :class:`SchemaMismatch` otherwise."""
     if count:
         valid, wanted = type(value) is int and value >= 0, "an integer >= 0"
     else:
@@ -78,36 +70,15 @@ def _stored_value(name: str, value, count: bool = False):
         wanted = "a number in [0, 1]"
     if not valid:
         raise SchemaMismatch(f"{name} must be {wanted}, got {value!r}")
-    return value
+    return value if count else float(value)
 
 
 def _stored_scores(cls, doc):
-    """``cls`` read from a stored score object, every value type-checked."""
-    scores = read_fields(cls, doc)
-    for key, value in doc.items():
-        _stored_value(key, value, count=key == "support")
-    return scores
-
-
-def f1_score(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def _averages(precision, recall, f1, support) -> tuple:
-    """(macro, weighted) :class:`Scores` of per-class score vectors; the
-    weights are each class's share of the int64 ``support`` array, all 0
-    when it is empty.
-
-    The rounded weights can sum past 1, so a weighted score is capped at 1,
-    which it cannot exceed.
-    """
-    scores = [np.asarray(s, dtype=np.float64) for s in (precision, recall, f1)]
-    total = support.sum()
-    weights = support / total if total else np.zeros(support.shape)
-    return (Scores(*(s.sum() / len(s) for s in scores)),
-            Scores(*(min((s * weights).sum(), 1.0) for s in scores)))
+    """``cls`` read from a stored score object that holds exactly its
+    fields, each value read by :func:`_stored_value`."""
+    require_keys(doc, [f.name for f in fields(cls)], cls.__name__)
+    return cls(**{key: _stored_value(key, value, count=key == "support")
+                  for key, value in doc.items()})
 
 
 @dataclass
@@ -122,25 +93,6 @@ class MetricsReport:
 
     def averages(self) -> dict:
         return {"macro": self.macro, "weighted": self.weighted}
-
-    @classmethod
-    def from_values(cls, class_names, precision, recall, f1, support,
-                    accuracy, zero_division) -> "MetricsReport":
-        """Assemble a report from per-class numbers (``support`` an int64
-        array), its averages computed from them. ``zero_division`` names
-        the classes scored 0 for a zero denominator."""
-        class_names = tuple(class_names)
-        macro, weighted = _averages(precision, recall, f1, support)
-        return cls(
-            class_names=class_names,
-            per_class={name: ClassScores(*values) for name, *values in
-                       zip(class_names, precision, recall, f1, support)},
-            accuracy=float(accuracy),
-            macro=macro,
-            weighted=weighted,
-            total_support=int(sum(support)),
-            zero_division=tuple(zero_division),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +122,7 @@ class MetricsReport:
             class_names=names,
             per_class={name: _stored_scores(ClassScores, doc["classes"][name])
                        for name in names},
-            accuracy=float(_stored_value("accuracy", doc["accuracy"])),
+            accuracy=_stored_value("accuracy", doc["accuracy"]),
             macro=_stored_scores(Scores, doc["macro"]),
             weighted=_stored_scores(Scores, doc["weighted"]),
             total_support=_stored_value("total_support", doc["total_support"],
@@ -195,7 +147,8 @@ class MetricsReport:
                   for average, s in self.averages().items()]
         if self.zero_division:
             lines.append("")
-            lines.append("zero-division classes: " + ", ".join(self.zero_division))
+            lines.append("zero-division classes: "
+                         + ", ".join(map(csv_cell, self.zero_division)))
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
@@ -210,21 +163,35 @@ class MetricsReport:
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
     """Per-class precision/recall/F1 with macro and support-weighted averages
-    of a matrix that holds at least one observation."""
-    total = cm.total
-    diag = np.diag(cm.counts).astype(np.float64)
-    predicted = cm.counts.sum(axis=0)
-    support = cm.counts.sum(axis=1)
+    of a matrix that holds at least one observation.
+
+    The rounded support shares can sum past 1, so a weighted score is capped
+    at 1, which it cannot exceed.
+    """
+    names, counts, total = cm.class_names, cm.counts, cm.total
+    k = len(names)
+    diag = np.diag(counts).astype(np.float64)
+    predicted, support = counts.sum(axis=0), counts.sum(axis=1)
     has_predicted, has_true = predicted > 0, support > 0
-    precision = np.divide(diag, predicted, out=np.zeros(cm.k_classes),
-                          where=has_predicted)
-    recall = np.divide(diag, support, out=np.zeros(cm.k_classes),
-                       where=has_true)
-    f1 = [f1_score(p, r) for p, r in zip(precision, recall)]
-    return MetricsReport.from_values(
-        cm.class_names, precision, recall, f1, support, diag.sum() / total,
-        [name for name, scored in zip(cm.class_names, has_predicted & has_true)
-         if not scored])
+    precision = np.divide(diag, predicted, out=np.zeros(k), where=has_predicted)
+    recall = np.divide(diag, support, out=np.zeros(k), where=has_true)
+    pr_sum = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr_sum, out=np.zeros(k),
+                   where=pr_sum > 0)
+    scores = np.stack([precision, recall, f1])  # one row per Scores field
+    return MetricsReport(
+        class_names=names,
+        per_class={name: ClassScores(*values) for name, *values in
+                   zip(names, *scores.tolist(), support.tolist())},
+        accuracy=float(diag.sum() / total),
+        macro=Scores(*(scores.sum(axis=1) / k).tolist()),
+        weighted=Scores(*np.minimum((scores * (support / total)).sum(axis=1),
+                                    1.0).tolist()),
+        total_support=total,
+        zero_division=tuple(name for name, scored in
+                            zip(names, has_predicted & has_true)
+                            if not scored),
+    )
 
 
 @dataclass

@@ -96,7 +96,7 @@ def require_keys(doc, keys, what: str) -> None:
         raise SchemaMismatch(f"{what}: {', '.join(sides)}")
 
 
-def read_fields(cls, doc, stored_names: dict | None = None):
+def read_fields(cls, doc, stored_names: dict):
     """Dataclass ``cls`` built from a stored document holding exactly its fields.
 
     ``stored_names`` maps a field to its document key where the two differ;
@@ -104,8 +104,7 @@ def read_fields(cls, doc, stored_names: dict | None = None):
     keys, or a value the class rejects, raise :class:`SchemaMismatch` naming
     them.
     """
-    keys = {f.name: (stored_names or {}).get(f.name, f.name)
-            for f in fields(cls)}
+    keys = {f.name: stored_names.get(f.name, f.name) for f in fields(cls)}
     require_keys(doc, keys.values(), cls.__name__)
     try:
         return cls(**{name: doc[key] for name, key in keys.items()})

@@ -20,7 +20,7 @@ from ransomflow.artifacts import load_artifact, save_bundle
 from ransomflow.cli import main
 from ransomflow.config import PipelineConfig
 from ransomflow.dataset import FEATURE_NAMES, parse_csv
-from ransomflow.metrics import MetricsReport
+from ransomflow.metrics import ConfusionMatrix, report
 from ransomflow.serialize import (
     SCHEMA_VERSION,
     array_doc,
@@ -293,8 +293,7 @@ def test_train_on_a_one_class_training_side_exits_3(tmp_path, capsys,
 def test_compare_reports_of_different_class_sets_exits_3(tmp_path, capsys):
     paths = []
     for name, classes in (("a", ("A", "S")), ("b", ("A", "SS"))):
-        rep = MetricsReport.from_values(classes, (1, 1), (1, 1), (1, 1),
-                                        np.array([5, 5]), 1.0, ())
+        rep = report(ConfusionMatrix(np.diag([5, 5]), classes))
         paths.append(str(tmp_path / f"{name}.json"))
         dump_json(paths[-1], {**rep.to_dict(), "kind": "gbt", "split": "test"})
     out = tmp_path / "o"

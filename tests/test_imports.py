@@ -733,27 +733,39 @@ RECAST_MODULES = tuple(m.name for m in MODULES if m.name != "serialize.py")
 
 def recasts(source: str) -> list:
     """``line: call`` for each call in ``source`` that re-casts an input of
-    its innermost enclosing function, a parameter or ``self.<field>``: an
-    ``np.<name>(input, ...)`` call passing ``dtype=``, a bare
-    ``np.asarray(input)``, or ``<parameter>.astype(...)``."""
+    its innermost enclosing function: an ``np.<name>(input, ...)`` call
+    passing ``dtype=``, a bare ``np.asarray(input)``, or
+    ``<parameter>.astype(...)``. An input is a parameter, ``self.<field>``,
+    or the name a ``for`` loop or comprehension binds over a tuple or list
+    literal that holds one of those two."""
     found = []
+
+    def given(node, inputs) -> bool:
+        text = ast.unparse(node)
+        return text in inputs or bool(
+            re.fullmatch(r"self\.\w+", text) and "self" in inputs)
+
+    def with_loop_targets(function, params) -> set:
+        return params | {
+            loop.target.id for loop in ast.walk(function)
+            if isinstance(loop, (ast.For, ast.comprehension))
+            and isinstance(loop.target, ast.Name)
+            and isinstance(loop.iter, (ast.Tuple, ast.List))
+            and any(given(element, params) for element in loop.iter.elts)}
 
     def visit(node, inputs):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda)):
                 a = child.args
-                visit(child, {p.arg for p in (*a.posonlyargs, *a.args,
-                                              *a.kwonlyargs)})
+                visit(child, with_loop_targets(child, {
+                    p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}))
                 continue
             if isinstance(child, ast.Call) \
                     and isinstance(child.func, ast.Attribute):
                 func, args = child.func, child.args
                 owner = ast.unparse(func.value)
-                first = ast.unparse(args[0]) if args else ""
-                given = first in inputs or (
-                    re.fullmatch(r"self\.\w+", first) and "self" in inputs)
-                if (owner == "np" and given
+                if (owner == "np" and args and given(args[0], inputs)
                         and (any(k.arg == "dtype" for k in child.keywords)
                              or (func.attr == "asarray" and len(args) == 1
                                  and not child.keywords))) \
@@ -770,6 +782,8 @@ def test_recast_scan_finds_casts_of_inputs_only():
               "class Layer:\n"
               "    def __post_init__(self):\n"
               "        self.w = np.asarray(self.w, dtype=np.float64)\n"
+              "        for v in (self.w, 1):\n"
+              "            np.asarray(v)\n"
               "def f(x, y, rows, *, z):\n"
               "    x = np.asarray(x, dtype=np.float64)\n"
               "    y = y.astype(np.int64)\n"
@@ -778,17 +792,22 @@ def test_recast_scan_finds_casts_of_inputs_only():
               "    kept = np.asfortranarray(x)\n"
               "    local = np.asarray(x + z, dtype=np.float64)\n"
               "    flat = (x + 1).astype(np.int64)\n"
+              "    cols = [np.asarray(s, dtype=np.float64) for s in (x, out)]\n"
+              "    made = [np.asarray(t, dtype=np.float64) for t in (out, kept)]\n"
+              "    each = [np.asarray(r, dtype=np.float64) for r in rows]\n"
               "    def inner(v):\n"
               "        return np.multiply(v, 0.5, dtype=np.float64), \\\n"
               "            np.asarray(x, dtype=np.float64)\n"
               "    return np.add(z, 1, dtype=float), inner\n")
     assert recasts(source) == [
         "4: np.asarray(self.w, dtype=np.float64)",
-        "6: np.asarray(x, dtype=np.float64)",
-        "7: y.astype(np.int64)",
-        "8: np.asarray(rows)",
-        "14: np.multiply(v, 0.5, dtype=np.float64)",
-        "16: np.add(z, 1, dtype=float)",
+        "6: np.asarray(v)",
+        "8: np.asarray(x, dtype=np.float64)",
+        "9: y.astype(np.int64)",
+        "10: np.asarray(rows)",
+        "15: np.asarray(s, dtype=np.float64)",
+        "19: np.multiply(v, 0.5, dtype=np.float64)",
+        "21: np.add(z, 1, dtype=float)",
     ]
 
 

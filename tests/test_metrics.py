@@ -17,7 +17,6 @@ from ransomflow.metrics import (
     Scores,
     compare,
     confusion,
-    f1_score,
     report,
 )
 from ransomflow.serialize import dump_json
@@ -173,7 +172,7 @@ def test_report_relabel_invariance():
 
 def test_f1_recomposition_of_published_class_a_row():
     p, r = 0.971879, 0.986131
-    assert abs(f1_score(p, r) - 0.978953) < 5e-6
+    assert abs(2.0 * p * r / (p + r) - 0.978953) < 5e-6
 
 
 def test_weighted_precision_recomposition_of_published_table():
@@ -186,12 +185,62 @@ def test_weighted_precision_recomposition_of_published_table():
     assert abs(rep.weighted.precision - 0.985004) < 5e-6
 
 
-def test_from_values_recomputes_when_averages_omitted():
-    rep = MetricsReport.from_values(
-        ("x", "y"), (1.0, 0.5), (0.8, 1.0), (8 / 9, 2 / 3),
-        np.array([10, 30]), 0.85, ())
-    assert abs(rep.macro.precision - 0.75) < 1e-12
-    assert abs(rep.weighted.precision - (1.0 * 10 + 0.5 * 30) / 40) < 1e-12
+def left_to_right_sum(values) -> float:
+    """The values summed in order, as numpy sums fewer than 9 of them (from
+    Python 3.12 the builtin ``sum`` compensates, which can round otherwise)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def per_class_loop_report(counts, names) -> MetricsReport:
+    """The report of the (k, k) count list ``counts`` by a scalar loop over
+    classes: each score from Python ints and floats, F1 as
+    ``2.0 * p * r / (p + r)``, the averages summed left to right."""
+    k = len(counts)
+    support = [sum(row) for row in counts]
+    predicted = [sum(row[c] for row in counts) for c in range(k)]
+    total = sum(support)
+    rows = []
+    for c in range(k):
+        p = counts[c][c] / predicted[c] if predicted[c] else 0.0
+        r = counts[c][c] / support[c] if support[c] else 0.0
+        rows.append((p, r, 2.0 * p * r / (p + r) if p + r else 0.0))
+    by_score = list(zip(*rows))
+    return MetricsReport(
+        class_names=names,
+        per_class={name: ClassScores(*row, support[c])
+                   for c, (name, row) in enumerate(zip(names, rows))},
+        accuracy=sum(counts[c][c] for c in range(k)) / total,
+        macro=Scores(*(left_to_right_sum(s) / k for s in by_score)),
+        weighted=Scores(*(min(left_to_right_sum(
+            v * (n / total) for v, n in zip(s, support)), 1.0)
+            for s in by_score)),
+        total_support=total,
+        zero_division=tuple(name for c, name in enumerate(names)
+                            if not (predicted[c] and support[c])),
+    )
+
+
+def test_report_equals_the_per_class_loop_exactly():
+    for k in range(2, 7):
+        names = index_names(k)
+        draws = (rng.splitmix64(k, 2 * k * k) % 50).astype(np.int64) \
+            .reshape(2, k, k)
+        never_predicted, no_support = draws[0].copy(), draws[1].copy()
+        never_predicted[:, k - 1] = 0
+        no_support[0] = 0
+        perfect = np.diag(draws[1].diagonal() + 1)
+        for counts, zero_division in ((draws[0], None),
+                                      (never_predicted, names[k - 1]),
+                                      (no_support, names[0]),
+                                      (perfect, None)):
+            rep = report(ConfusionMatrix(counts, names))
+            assert rep == per_class_loop_report(counts.tolist(), names)
+            if zero_division is not None:
+                assert zero_division in rep.zero_division
+        assert rep.zero_division == () and rep.accuracy == 1.0
 
 
 def test_report_serialization_round_trip():
@@ -209,6 +258,15 @@ def test_report_text_and_csv_contain_all_classes():
     for name in ("A", "S", "SS", "accuracy", "macro avg", "weighted avg"):
         assert name in text
         assert name in csv
+
+
+def test_report_text_quotes_zero_division_class_names():
+    # "S,S" and "SS" are never predicted; unquoted, the list would read as
+    # three names
+    rep = report(ConfusionMatrix(np.array([[3, 0, 0], [2, 0, 0], [1, 0, 0]]),
+                                 ("A", "S,S", "SS")))
+    assert rep.zero_division == ("S,S", "SS")
+    assert rep.to_text().endswith('\nzero-division classes: "S,S", SS\n')
 
 
 def test_confusion_csv_round_trips_counts():
@@ -236,12 +294,14 @@ def test_compare_published_fixtures_accuracy_delta():
 
 
 def test_compare_hand_deltas():
-    rep_a = MetricsReport.from_values(("x", "y"), (0.9, 0.8), (0.7, 0.6),
-                                      (0.788, 0.686), np.array([5, 5]), 0.65,
-                                      ())
-    rep_b = MetricsReport.from_values(("x", "y"), (0.8, 0.9), (0.6, 0.7),
-                                      (0.686, 0.788), np.array([5, 5]), 0.60,
-                                      ())
+    doc = {"class_names": ("x", "y"), "support": (5, 5),
+           "macro": (0.85, 0.65, 0.737), "weighted": (0.85, 0.65, 0.737)}
+    rep_a = fixture_report({**doc, "precision": (0.9, 0.8),
+                            "recall": (0.7, 0.6), "f1": (0.788, 0.686),
+                            "accuracy": 0.65})
+    rep_b = fixture_report({**doc, "precision": (0.8, 0.9),
+                            "recall": (0.6, 0.7), "f1": (0.686, 0.788),
+                            "accuracy": 0.60})
     rows = {r.metric: r for r in compare(rep_a, rep_b, "a", "b").rows}
     assert abs(rows["accuracy"].delta - 0.05) < 1e-12
     assert rows["f1[x]"].winner("a", "b") == "a"
@@ -249,10 +309,8 @@ def test_compare_hand_deltas():
 
 
 def test_compare_rejects_different_class_sets():
-    rep_a = MetricsReport.from_values(("x", "y"), (1, 1), (1, 1), (1, 1),
-                                      np.array([5, 5]), 1.0, ())
-    rep_b = MetricsReport.from_values(("x", "z"), (1, 1), (1, 1), (1, 1),
-                                      np.array([5, 5]), 1.0, ())
+    rep_a = report(ConfusionMatrix(np.diag([5, 5]), ("x", "y")))
+    rep_b = report(ConfusionMatrix(np.diag([5, 5]), ("x", "z")))
     with pytest.raises(DataError, match=r"^class sets differ: \['x', 'y'\] "
                                         r"vs \['x', 'z'\]$"):
         compare(rep_a, rep_b, "a", "b")

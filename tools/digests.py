@@ -55,6 +55,13 @@ PIPELINE = (
     (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
     (["compare", "eval-sae/report.json", "eval-tuned/report.json",
       "--output", "comparison"], 0),
+    # a zero-round model predicts A for every row, so S and SS score 0 for
+    # a zero denominator
+    (["train", "art", "--kind", "gbt", "--gbt-rounds", "0",
+      "--output", "gbt-0"], 0),
+    (["evaluate", "gbt-0/bundle.json", "art", "--output", "eval-gbt-0"], 0),
+    (["compare", "eval-gbt-0/report.json", "eval-gbt-test/report.json",
+      "--output", "comparison-gbt"], 0),
     # the LSTM saturates and trains on; at 1e308 its softmax rows stop
     # summing to 1; the SAE's loss overflows
     (["train", "art", *_SAE_LSTM, "--config", "huge-lstm-rate.json",
