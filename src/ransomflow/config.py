@@ -9,10 +9,11 @@ are command arguments, not settings, so an echo records none. Unknown keys
 anywhere are rejected rather than ignored; a typo should fail loudly, not
 silently fall back to a default.
 
-This module alone writes and reads a section: :func:`section_doc` and
-:func:`read_section` turn each settings class in :data:`SECTIONS` into its
-object and back. The keys are the field names, but for the one field named
-after a Python keyword.
+This module alone writes and reads a section: :func:`section_doc` turns
+each settings class in :data:`SECTIONS` into its object, and
+:func:`from_dict` builds the class from an object's keys, leaving absent
+keys to the class defaults. The keys are the field names, but for the one
+field named after a Python keyword.
 
 One master seed feeds every stochastic stage through labeled substreams
 (:meth:`PipelineConfig.seed_for`), so changing it reseeds the whole pipeline
@@ -25,16 +26,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 
 from . import rng
-from .errors import ConfigError, SchemaMismatch, check_int
+from .errors import ConfigError, SchemaMismatch, check_int, check_number
 from .gbt import GbtParams
 from .lstm import LstmConfig
 from .sae import SAEConfig
-from .serialize import load_json, read_fields
+from .serialize import load_json
 
 DEFAULT_SEED = 1819
 
 
 def _check_fraction(name: str, value) -> None:
+    check_number(name, value)
     if not 0.0 < value < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {value}")
 
@@ -65,12 +67,6 @@ def section_doc(settings) -> dict:
     """The object of a section's settings: one key per field."""
     return {_STORED_NAMES.get(name, name): value
             for name, value in asdict(settings).items()}
-
-
-def read_section(cls, doc: dict):
-    """Section class ``cls`` from an object holding exactly its keys;
-    :class:`SchemaMismatch` names a missing, unknown or rejected key."""
-    return read_fields(cls, doc, _STORED_NAMES)
 
 
 @dataclass
@@ -112,12 +108,13 @@ def _stage(doc: dict, name: str, cls):
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    defaults = section_doc(cls())
-    _check_keys(section, set(defaults), name)
+    names = {_STORED_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+    _check_keys(section, set(names), name)
     try:
-        return read_section(cls, {**defaults, **section})
-    except SchemaMismatch as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from None
+        return cls(**{names[key]: value for key, value in section.items()})
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration value: {cls.__name__}: "
+                          f"{exc}") from None
 
 
 def from_dict(doc: dict) -> PipelineConfig:

@@ -35,13 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .errors import (
-    DataError,
-    MissingColumn,
-    NonNumericCell,
-    RaggedRow,
-    SchemaMismatch,
-)
+from .errors import DataError, SchemaMismatch
 from .serialize import csv_text
 
 NUMERIC = "numeric"
@@ -303,18 +297,23 @@ def _numbers(cells: Cells) -> np.ndarray:
     return values
 
 
+def _missing(column: str) -> DataError:
+    return DataError(f"required column {column!r} not found in header")
+
+
 def parse_csv(source) -> RawTable:
     """Read a CSV, the file at the path ``source`` or the bytes ``source``,
     into ``COLUMNS`` order, validating shape and numeric cells.
 
     The header may list columns in any order and may use the known aliases;
-    extra columns are rejected only when a required one is missing. Rows whose
-    field count differs from the header raise :class:`RaggedRow` with the
-    1-based line number, and numeric columns must parse as finite floats
-    (:class:`NonNumericCell`). The first bad line in file order is reported;
-    on that line a wrong field count comes before a bad cell, and bad cells
-    go in column order. Text that is not UTF-8 or that ``csv`` cannot
-    read raises :class:`DataError` naming the source and line.
+    extra columns are rejected only when a required one is missing, and one
+    byte-order mark before the header is dropped. A row whose field count
+    differs from the header's, or a numeric cell that is not a finite float,
+    raises :class:`DataError` naming the 1-based line (and the column and
+    cell). The first bad line in file order is reported; on that line a
+    wrong field count comes before a bad cell, and bad cells go in column
+    order. Text that is not UTF-8 or that ``csv`` cannot read raises
+    :class:`DataError` naming the source and line.
 
     Text holding no ``"`` is split into lines and fields by byte scans. Text
     holding one is read record by record by ``csv``, since a quoted field may
@@ -330,13 +329,15 @@ def parse_csv(source) -> RawTable:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _not_utf8(data, exc, name) from None
+    # a spreadsheet's "CSV UTF-8" export begins with a byte-order mark
+    data = data.removeprefix("\ufeff".encode())
     quoted = b'"' in data
     padded = quoted or not data.isascii() or any(c in data for c in _PADDING)
     buf, start, end, comma, fields, line, unread = (
         _split_quoted if quoted else _split)(data, name)
     del data  # the cells are read from buf
     if not len(fields):
-        raise unread or MissingColumn(NAMES[0])
+        raise unread or _missing(NAMES[0])
     first = np.searchsorted(comma, start)
     width = int(fields[0])
     cuts = comma[first[0]:first[0] + max(width - 1, 0)]
@@ -348,7 +349,7 @@ def parse_csv(source) -> RawTable:
         try:
             positions.append(canonical.index(column))
         except ValueError:
-            raise MissingColumn(column) from None
+            raise _missing(column) from None
 
     # A blank line holds no row; the first ragged or unread record stops the
     # parse once the cells before it are checked.
@@ -375,9 +376,11 @@ def parse_csv(source) -> RawTable:
                               cells[j].cell(int(bad[0])).decode("utf-8")))
     if bad_cells:
         line_no, _, column, cell = min(bad_cells)
-        raise NonNumericCell(line_no, column, cell)
+        raise DataError(f"line {line_no}: column {column!r} holds non-numeric "
+                        f"or non-finite value {cell!r}")
     if ragged.size:
-        raise RaggedRow(int(line[stop]), width, int(fields[stop]))
+        raise DataError(f"line {line[stop]}: expected {width} fields, found "
+                        f"{fields[stop]}")
     if unread:
         raise unread
     return RawTable(cells=tuple(cells), numbers=numbers)

@@ -4,14 +4,14 @@ Every failure a caller is expected to handle is a :class:`ConfigError` (bad
 settings, bad flags) or a :class:`DataError` (malformed rows, stored files or
 degenerate inputs); the CLI maps them, and ``OSError`` for unreadable or
 missing files, to exit codes 1, 3 and 2. The type rule: a fault gets a class
-of its own only when some code catches it by that type, or reads fields it
-carries; any other fault raises :class:`DataError` (or :class:`ConfigError`)
-with a message that says what went wrong. That leaves six: the two above,
-which the CLI tells apart; :class:`SchemaMismatch`, which the loaders catch
-to name the stored file; and :class:`MissingColumn`, :class:`RaggedRow` and
-:class:`NonNumericCell`, whose fields name the bad column or line of a CSV.
-A lookup that may miss, such as a class name in the encoding, is a
-membership test, not an exception.
+of its own only when some code in a command catches it by that type, or
+reads fields it carries; any other fault raises :class:`DataError` (or
+:class:`ConfigError`) with a message that says what went wrong. That leaves
+three: the two above, which the CLI tells apart, and :class:`SchemaMismatch`,
+which the loaders catch to name the stored file. A bad CSV line, column or
+cell is a :class:`DataError` whose message names it. A lookup that may
+miss, such as a class name in the encoding, is a membership test, not an
+exception.
 """
 
 from __future__ import annotations
@@ -25,36 +25,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Input data violates a structural or semantic precondition."""
-
-
-# ---------------------------------------------------------------------------
-# CSV / table parsing
-
-
-class MissingColumn(DataError):
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"required column {column!r} not found in header")
-
-
-class RaggedRow(DataError):
-    def __init__(self, line_no: int, expected: int, found: int):
-        self.line_no = line_no
-        self.found = found
-        super().__init__(
-            f"line {line_no}: expected {expected} fields, found {found}"
-        )
-
-
-class NonNumericCell(DataError):
-    def __init__(self, line_no: int, column: str, value: str):
-        self.line_no = line_no
-        self.column = column
-        self.value = value
-        super().__init__(
-            f"line {line_no}: column {column!r} holds non-numeric or non-finite "
-            f"value {value!r}"
-        )
 
 
 class SchemaMismatch(DataError):

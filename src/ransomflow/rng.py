@@ -37,14 +37,13 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def uniform(seed: int, shape) -> np.ndarray:
+def uniform(seed: int, shape: tuple) -> np.ndarray:
     """Uniform float64 samples in [0, 1) with 53-bit resolution."""
-    shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
     bits = splitmix64(seed, math.prod(shape)) >> np.uint64(11)
     return (bits.astype(np.float64) / float(1 << 53)).reshape(shape)
 
 
-def uniform_signed(seed: int, shape, bound: float) -> np.ndarray:
+def uniform_signed(seed: int, shape: tuple, bound: float) -> np.ndarray:
     """Uniform samples in [-bound, bound)."""
     return (2.0 * uniform(seed, shape) - 1.0) * bound
 

@@ -47,6 +47,9 @@ class SAEConfig:
     convergence_threshold: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.encoder_dims, (list, tuple)):
+            raise ConfigError(f"encoder dims must be a list of integers, got "
+                              f"{self.encoder_dims!r}")
         self.encoder_dims = tuple(self.encoder_dims)
         check_int("encoder depth", len(self.encoder_dims), 1)
         for dim in self.encoder_dims:

@@ -12,12 +12,11 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaMismatch
+from .errors import DataError, SchemaMismatch
 
 # Stored dataset artifacts and model bundles; version 2 stores numbers as
 # bytes, version 3 states each fact once, version 4 leaves the column layout
@@ -94,22 +93,6 @@ def require_keys(doc, keys, what: str) -> None:
               ("unknown", sorted(set(doc) - set(keys)))) if names]
     if sides:
         raise SchemaMismatch(f"{what}: {', '.join(sides)}")
-
-
-def read_fields(cls, doc, stored_names: dict):
-    """Dataclass ``cls`` built from a stored document holding exactly its fields.
-
-    ``stored_names`` maps a field to its document key where the two differ;
-    names that are not fields of ``cls`` are passed over. Missing or unknown
-    keys, or a value the class rejects, raise :class:`SchemaMismatch` naming
-    them.
-    """
-    keys = {f.name: stored_names.get(f.name, f.name) for f in fields(cls)}
-    require_keys(doc, keys.values(), cls.__name__)
-    try:
-        return cls(**{name: doc[key] for name, key in keys.items()})
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"{cls.__name__}: {exc}") from None
 
 
 def csv_cell(v) -> str:

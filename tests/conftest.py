@@ -95,7 +95,7 @@ def synthetic_csv_text(n_per_class: int = 40, seed: int = 97,
     """
     base = synthetic_rows(n_per_class, seed)
     rows = list(base)
-    u = rng.uniform(rng.derive(seed, "dups"), duplicates)
+    u = rng.uniform(rng.derive(seed, "dups"), (duplicates,))
     for i in range(duplicates):
         rows.append(base[int(u[i] * len(base))])
     for i in range(bad_times):

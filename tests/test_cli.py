@@ -365,6 +365,19 @@ def test_ingest_cr_only_line_ends_match_lf(synthetic_csv, artifact_dir,
     assert cell_rows(parse_csv(cr.read_bytes())) == cell_rows(parse_csv(cr))
 
 
+def test_ingest_byte_order_mark_is_not_part_of_the_header(synthetic_csv,
+                                                          artifact_dir,
+                                                          tmp_path):
+    # a spreadsheet saves "CSV UTF-8" with a byte-order mark before the header
+    bom = _edited_csv(synthetic_csv, tmp_path,
+                      lambda data: "\ufeff".encode() + data)
+    out = tmp_path / "bom"
+    assert main(["ingest", str(bom), "--output", str(out),
+                 "--test-ratio", "0.25", "--seed", "11"]) == 0
+    for name in ("dataset.json", "table.npz"):
+        assert (out / name).read_bytes() == (artifact_dir / name).read_bytes()
+
+
 def test_usage_problems_exit_1(tmp_path, capsys):
     for argv in ([], ["frobnicate"], ["ingest", "x.csv", "--no-such-flag"],
                  ["train", "art", "--kind", "nonsense"],
@@ -550,6 +563,32 @@ def test_train_invalid_config_value_exits_1(section, artifact_dir, tmp_path,
     assert not (tmp_path / "o").exists()  # refused before training
 
 
+@pytest.mark.parametrize("section,message", [
+    ({"dataset": {"test_ratio": "x"}},
+     "DatasetConfig: test ratio must be a finite number, got 'x'"),
+    ({"dataset": {"subsample": "x"}},
+     "DatasetConfig: subsample fraction must be a finite number, got 'x'"),
+    ({"dataset": {"test_ratio": 1.5}},
+     "DatasetConfig: test ratio must lie in (0, 1), got 1.5"),
+    ({"sae": {"encoder_dims": 5}},
+     "SAEConfig: encoder dims must be a list of integers, got 5"),
+    ({"sae": {"encoder_dims": "ab"}},
+     "SAEConfig: encoder dims must be a list of integers, got 'ab'"),
+], ids=["test-ratio-string", "subsample-string", "test-ratio-range",
+        "encoder-dims-int", "encoder-dims-string"])
+def test_config_value_refusal_names_its_setting(section, message,
+                                                synthetic_csv, tmp_path,
+                                                capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default --output is relative
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section), encoding="utf-8")
+    rc = main(["ingest", str(synthetic_csv[0]), "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: invalid configuration value: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("section,where", [
     ({"output_dir": "elsewhere"}, "configuration: output_dir"),
     ({"dataset": {"csv": "a.csv"}}, "dataset: csv")],
@@ -677,6 +716,11 @@ _MALFORMED_FIELDS = {
     "bad-timestamps-removed-missing": (
         "dataset.json", "payload.stages.bad_timestamps_removed", _DELETE),
     "stages-unknown-key": ("dataset.json", "payload.stages.foo", 1),
+    # a stored echo must hold every setting; a configuration file need not
+    "dataset-echo-lacks-setting": (
+        "dataset.json", "payload.config.lstm.clip_threshold", _DELETE),
+    "bundle-echo-lacks-setting": (
+        "sae-bundle.json", "payload.config.lstm.clip_threshold", _DELETE),
     "subsampled-rows-without-subsample": (
         "dataset.json", "payload.stages.subsampled_rows", 1),
     "subsample-without-subsampled-rows": (
@@ -731,6 +775,8 @@ _WORDS = {
     "stage-count-float": "not all non-negative ints",
     "stage-count-bool": "not all non-negative ints",
     "subsampled-above-parsed": "exceeds the",
+    "dataset-echo-lacks-setting": "config echo does not hold every setting",
+    "bundle-echo-lacks-setting": "config echo does not hold every setting",
     "stages-do-not-chain": "stages leave",
     "tree-leaf-unknown-key": "tree leaf: unknown key(s) ['foo']",
     "split-node-with-weight": "tree leaf: unknown key(s) "

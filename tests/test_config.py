@@ -5,8 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from ransomflow.config import SECTIONS, read_section, section_doc
-from ransomflow.errors import SchemaMismatch
+from ransomflow.config import SECTIONS, from_dict, section_doc
+from ransomflow.errors import ConfigError
 
 # per section, settings other than the defaults, and a key with a value
 # the class rejects
@@ -31,9 +31,25 @@ def test_section_round_trips_and_is_strict(name):
     # the keys are the field names; "lambda" is a Python keyword
     assert list(doc) == [{"lambda_": "lambda"}.get(f.name, f.name)
                          for f in fields(cls)]
-    assert read_section(cls, json.loads(json.dumps(doc))) == settings
-    missing = {k: v for k, v in doc.items() if k != key}
-    for wrong, named in (({**doc, "extra": 1}, "extra"), (missing, key),
-                         ({**doc, key: bad}, cls.__name__)):
-        with pytest.raises(SchemaMismatch, match=named):
-            read_section(cls, wrong)
+    assert getattr(from_dict({name: json.loads(json.dumps(doc))}),
+                   name) == settings
+    for wrong, named in (({**doc, "extra": 1}, f"unknown key(s) in {name}: "
+                                                "extra"),
+                         ({**doc, key: bad}, f"invalid configuration value: "
+                                             f"{cls.__name__}: ")):
+        with pytest.raises(ConfigError) as info:
+            from_dict({name: wrong})
+        assert str(info.value).startswith(named)
+
+
+@pytest.mark.parametrize("name", SECTIONS)
+def test_absent_keys_take_the_class_defaults(name):
+    cls = SECTIONS[name]
+    changed, key, _ = _CASES[name]
+    doc = section_doc(cls(**changed))
+    field = {"lambda": "lambda_"}.get(key, key)
+    read = getattr(from_dict({name: {k: v for k, v in doc.items()
+                                     if k != key}}), name)
+    assert getattr(read, field) == getattr(cls(), field)
+    assert read == cls(**{**changed, field: getattr(cls(), field)})
+    assert getattr(from_dict({}), name) == cls()

@@ -124,7 +124,8 @@ def test_best_split_none_on_constant_feature_or_single_row():
 
 
 def test_column_bins_code_each_column_exactly():
-    x = np.column_stack([rng.uniform(53, 200), np.round(rng.uniform(59, 200), 1),
+    x = np.column_stack([rng.uniform(53, (200,)),
+                         np.round(rng.uniform(59, (200,)), 1),
                          np.full(200, -3.5), rng.uniform_signed(61, (200,), 1e300)])
     x[:7, 1] = np.nextafter(0.5, 1.0)  # adjacent to the rounded 0.5s
     for f, (values, codes) in enumerate(column_bins(x)):

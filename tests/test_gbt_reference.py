@@ -152,12 +152,12 @@ def ref_train_gbt(x, y, params, k):
 def random_case(seed):
     """Rows, labels, parameters and class count covering the awkward column
     shapes."""
-    draws = rng.uniform(rng.derive(seed, "case"), 8)
+    draws = rng.uniform(rng.derive(seed, "case"), (8,))
     n = 40 + int(draws[0] * 260)
     k = 2 + int(draws[1] * 3)
 
     def column(tag):
-        return rng.uniform(rng.derive(seed, "column", tag), n)
+        return rng.uniform(rng.derive(seed, "column", tag), (n,))
 
     few = [np.floor(column(i) * (2 + i)) / (2 + i) for i in range(4)]
     adjacent = np.where(column("adjacent") < 0.5, 1.0, NEXT_ONE)
@@ -291,7 +291,7 @@ def case_nodes(seed):
     x, y, params, k = random_case(seed)
     g, h = grad_hess(y, softmax(rng.uniform_signed(rng.derive(seed, "raw"),
                                                    (len(y), k), 2.0)))
-    pick = rng.uniform(rng.derive(seed, "subset"), len(y))
+    pick = rng.uniform(rng.derive(seed, "subset"), (len(y),))
     subsets = (np.arange(len(y)), np.flatnonzero(pick < 0.5),
                rng.permutation(rng.derive(seed, "shuffle"), len(y))[:30])
     return x, g, h, params, subsets

@@ -25,10 +25,10 @@ The field scan holds dataclass fields to the same rule: each must be read as
 an attribute somewhere in ``src/ransomflow`` or ``perfbench``, or by a method
 of its class that hands ``self`` to ``asdict`` or ``astuple``, which
 renders the dataclasses its field annotations name as well (see
-:func:`unread_fields`). The attribute scan does the same for what the
-exception ``__init__``s in ``errors.py`` store: each must be read off a caught
-exception somewhere under ``src/``, ``tests/`` or ``perfbench/`` (see
-:func:`unread_exception_attributes`).
+:func:`unread_fields`). The attribute scan reads the same sources for what
+the exception ``__init__``s in ``errors.py`` store: each must be read off a
+caught exception somewhere in ``src/ransomflow`` or ``perfbench``; a read in
+``tests/`` does not count (see :func:`unread_exception_attributes`).
 
 The re-cast scan keeps every package module but ``serialize.py`` from
 converting what it is given: every array is typed where it is made, float64
@@ -55,6 +55,8 @@ PACKAGE = ROOT / "src" / "ransomflow"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SEARCHED = sorted(p for tree in ("src", "tests", "perfbench")
                   for p in (ROOT / tree).rglob("*.py"))
+# the sources the parameter, field and attribute scans read besides MODULES
+BENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -442,7 +444,7 @@ def parameter_findings(modules: dict, others) -> dict:
                 or any(k.arg is None for k in node.keywords)
             call = None if splat else (len(node.args),
                                        {k.arg for k in node.keywords})
-            # a class handed to a call, as in ``read_fields(cls, doc)`` or
+            # a class handed to a call, as in ``read(cls, doc)`` or
             # ``field(default_factory=Class)``, may be built there the way a
             # **kwargs call builds it
             built = [(in_class.get(id(a)) or a.id, None, None)
@@ -543,8 +545,7 @@ def test_parameter_scan_finds_parameters_and_defaults_no_call_needs():
 def test_every_parameter_is_used():
     modules = {m.stem: m.read_text(encoding="utf-8") for m in MODULES}
     assert parameter_findings(modules, [
-        p.read_text(encoding="utf-8")
-        for p in sorted((ROOT / "perfbench").rglob("*.py"))]) == {}
+        p.read_text(encoding="utf-8") for p in BENCH]) == {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -651,8 +652,7 @@ def test_field_scan_counts_nested_dataclasses_rendered_whole():
 
 def test_every_dataclass_field_is_read():
     modules = [m.read_text(encoding="utf-8") for m in MODULES]
-    bench = [p.read_text(encoding="utf-8")
-             for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    bench = [p.read_text(encoding="utf-8") for p in BENCH]
     assert unread_fields(modules, bench) == []
 
 
@@ -723,7 +723,7 @@ def test_attribute_scan_finds_attributes_no_handler_reads():
 
 def test_every_exception_attribute_is_read():
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
-    texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
+    texts = [path.read_text(encoding="utf-8") for path in [*MODULES, *BENCH]]
     assert unread_exception_attributes(errors, texts) == []
 
 

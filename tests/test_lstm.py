@@ -10,8 +10,8 @@ from conftest import blob_data, grad_check, one_class_artifact, param_count
 
 from ransomflow import lstm, nn, rng
 from ransomflow.cli import main
-from ransomflow.config import read_section, section_doc
-from ransomflow.errors import ConfigError, SchemaMismatch
+from ransomflow.config import from_dict, section_doc
+from ransomflow.errors import ConfigError
 from ransomflow.lstm import (
     LAYOUTS,
     LstmCell,
@@ -323,18 +323,16 @@ def test_config_dict_round_trip():
     doc = section_doc(cfg)
     assert set(doc) == {"hidden_size", "num_layers", "epochs", "batch_size",
                         "learning_rate", "sequence_layout", "clip_threshold"}
-    assert read_section(LstmConfig, doc) == cfg
-    assert read_section(LstmConfig, json.loads(json.dumps(doc))) == cfg
+    assert from_dict({"lstm": doc}).lstm == cfg
+    assert from_dict({"lstm": json.loads(json.dumps(doc))}).lstm == cfg
 
 
 def test_config_from_dict_is_strict():
     doc = section_doc(LstmConfig())
-    dropped = {k: v for k, v in doc.items() if k != "clip_threshold"}
     for bad, named in (({**doc, "hiden_size": 8}, "hiden_size"),
-                       ({**doc, "hidden_size": "x"}, "hidden size"),
-                       (dropped, "clip_threshold")):
-        with pytest.raises(SchemaMismatch, match=named):
-            read_section(LstmConfig, bad)
+                       ({**doc, "hidden_size": "x"}, "hidden size")):
+        with pytest.raises(ConfigError, match=named):
+            from_dict({"lstm": bad})
 
 
 @pytest.mark.parametrize("value", ["x", 0, -2.0, False])

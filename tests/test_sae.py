@@ -17,8 +17,8 @@ from conftest import (
 
 from ransomflow import rng, sae
 from ransomflow.cli import main
-from ransomflow.config import read_section, section_doc
-from ransomflow.errors import ConfigError, SchemaMismatch
+from ransomflow.config import from_dict, section_doc
+from ransomflow.errors import ConfigError
 from ransomflow.nn import (
     CHUNK_ROWS,
     apply,
@@ -291,18 +291,16 @@ def test_config_dict_round_trip():
     doc = section_doc(cfg)
     assert set(doc) == {"encoder_dims", "activation", "epochs", "batch_size",
                         "learning_rate", "convergence_threshold"}
-    assert read_section(SAEConfig, doc) == cfg
-    assert read_section(SAEConfig, json.loads(json.dumps(doc))) == cfg
+    assert from_dict({"sae": doc}).sae == cfg
+    assert from_dict({"sae": json.loads(json.dumps(doc))}).sae == cfg
 
 
 def test_config_from_dict_is_strict():
     doc = section_doc(SAEConfig())
-    dropped = {k: v for k, v in doc.items() if k != "convergence_threshold"}
     for bad, named in (({**doc, "extra": 1}, "extra"),
-                       ({**doc, "epochs": "x"}, "epochs"),
-                       (dropped, "convergence_threshold")):
-        with pytest.raises(SchemaMismatch, match=named):
-            read_section(SAEConfig, bad)
+                       ({**doc, "epochs": "x"}, "epochs")):
+        with pytest.raises(ConfigError, match=named):
+            from_dict({"sae": bad})
 
 
 @pytest.mark.parametrize("value", ["x", 0, -1.0, True])

@@ -1,22 +1,19 @@
-"""The shared CSV writer, the stored float arrays and the strict
-stored-settings reader."""
+"""The shared CSV writer and the stored float arrays."""
 
 import base64
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ransomflow.errors import ConfigError, DataError, SchemaMismatch
+from ransomflow.errors import DataError, SchemaMismatch
 from ransomflow.serialize import (
     array_doc,
     array_from_doc,
     canonical_json,
     csv_text,
-    read_fields,
 )
 
 
@@ -90,33 +87,3 @@ def test_array_from_doc_refuses_non_finite_bytes():
         np.array([0.0, np.nan]).astype("<f8").tobytes()).decode("ascii")
     with pytest.raises(SchemaMismatch, match="non-finite"):
         array_from_doc(doc)
-
-@dataclass
-class _Pair:
-    low: int = 0
-    high_: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.low, int):
-            raise ConfigError("low must be an integer")
-        if self.high_ < self.low:
-            raise ValueError("high below low")
-
-
-def test_read_fields_maps_stored_names():
-    assert read_fields(_Pair, {"low": 2, "high": 5}, {"high_": "high"}) \
-        == _Pair(2, 5)
-
-
-@pytest.mark.parametrize("doc,words", [
-    ({"low": 1}, ["missing", "high"]),
-    ({"low": 1, "high": 2, "extra": 0}, ["unknown", "extra"]),
-    ({"low": 1, "high_": 2}, ["missing", "high", "unknown", "high_"]),
-    ({"low": "1", "high": 2}, ["low must be an integer"]),
-    ({"low": 3, "high": 2}, ["high below low"]),
-])
-def test_read_fields_rejects_what_the_class_does_not_hold(doc, words):
-    with pytest.raises(SchemaMismatch) as info:
-        read_fields(_Pair, doc, {"high_": "high"})
-    for word in words:
-        assert word in str(info.value)

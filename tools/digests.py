@@ -71,6 +71,11 @@ PIPELINE = (
     (["train", "art", *_SAE_LSTM, "--config", "huge-sae-rate.json",
       "--output", "diverged"], 3),
     (["ingest", "header-only.csv", "--output", "empty"], 3),
+    # these CSVs hold a quote, so csv reads them record by record; its
+    # field size limit refuses the oversized cell
+    (["ingest", "quoted.csv", "--output", "art-quoted"], 0),
+    (["analyze", "art-quoted", "--output", "analysis-quoted"], 0),
+    (["ingest", "oversized.csv", "--output", "art-oversized"], 3),
 )
 CONFIGS = {
     "steps.json": {"lstm": {"sequence_layout": "feature-steps",
@@ -83,14 +88,42 @@ CONFIGS = {
 }
 
 
+def quoted_copy(text: str) -> str:
+    """``text`` with the family ``WannaCry`` written ``"Wanna,Cry"``, and
+    every third row's ``SeedAddress`` padded with a space and a tab, the row
+    after each such row's with a no-break space."""
+    header, *rows = text.splitlines()
+    family, seed = (header.split(",").index(name)
+                    for name in ("Ransomware", "SeedAddress"))
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if cells[family] == "WannaCry":
+            cells[family] = '"Wanna,Cry"'
+        if i % 3 == 0:
+            cells[seed] = f" {cells[seed]}\t"
+        elif i % 3 == 1:
+            cells[seed] = f"\u00a0{cells[seed]}\u00a0"
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def write_inputs(directory: Path) -> None:
-    """``raw.csv``, ``header-only.csv`` and the :data:`CONFIGS` files the
-    pipeline reads."""
+    """``raw.csv``, its :func:`quoted_copy` ``quoted.csv``,
+    ``oversized.csv`` (its header and first row, the family a quoted cell
+    over ``csv``'s field size limit), ``header-only.csv`` and the
+    :data:`CONFIGS` files the pipeline reads."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen  # the benchmark's input generator
 
     text, _ = gen.generate(7, raw_rows=6000, duplicates=600, bad_times=40)
     (directory / "raw.csv").write_text(text, encoding="utf-8")
+    (directory / "quoted.csv").write_text(quoted_copy(text), encoding="utf-8")
+    header, row = text.splitlines()[:2]
+    cells = row.split(",")
+    cells[header.split(",").index("Ransomware")] = f'"{"x" * 131_073}"'
+    (directory / "oversized.csv").write_text(
+        f"{header}\n{','.join(cells)}\n", encoding="utf-8")
     (directory / "header-only.csv").write_text(text[:text.index("\n") + 1],
                                                encoding="utf-8")
     for name, doc in CONFIGS.items():

@@ -16,8 +16,8 @@ pytest's.
 ``--pipeline`` traces :func:`digests.digest_lines` instead, which runs the
 :data:`digests.PIPELINE` commands in this process through
 :func:`ransomflow.cli.main` in a temporary directory, on one
-``perfbench/gen.py`` CSV (seed 7, 6,000 raw rows) and on its header line
-alone. It prints each command's exit status before the lines none of them
+``perfbench/gen.py`` CSV (seed 7, 6,000 raw rows), on a copy of it with
+quoted and padded cells, and on its header line alone. It prints each command's exit status before the lines none of them
 ran, and exits 1, naming each command, when a command exits other than
 listed.
 
