@@ -36,10 +36,11 @@ whose state has another checksum.
 
 A bundle stores what training changed and derives the rest. Its components
 are the SAE encoders' weights and biases (the decoders only train the stack,
-and the epoch records go to the history CSVs), the parts of the LSTM
-that Adam stepped (see :func:`ransomflow.lstm.trained_slices`) or the boosted
-trees. The loader takes the encoders' activation from the settings, rebuilds
-the seeded LSTM from the master seed and writes the stored parts in.
+and the epoch records go to the history CSVs), the LSTM's cells and head as
+Adam trained them (with one step per row a cell is just its i | o | g input
+block, see :class:`ransomflow.lstm.LstmCell`) or the boosted trees. The
+loader takes the encoders' activation from the settings and builds the LSTM
+from the stored arrays alone.
 
 Each stored fact has one home: the payload states the schema version and
 kind, the target column's encoding is the class list, an array's shape is its
@@ -346,10 +347,10 @@ def save_bundle(path, kind: str, config_echo: dict,
         "preprocess_sha256": _preprocess_sha256(artifact),
         "components": components,
     }
-    # Kept though no test reaches it: at gbt.lambda 0 and min_child_hessian
-    # 0, a leaf whose gradient sum G is positive and whose hessian sum H is
-    # subnormal gets the weight -G/H = -inf. softmax maps a -inf score to
-    # probability 0, so the rounds' losses stay finite and only this refuses.
+    # At gbt.lambda 0 and min_child_hessian 0, a leaf whose gradient sum G is
+    # positive and whose hessian sum H is subnormal gets the weight
+    # -G/H = -inf. softmax maps a -inf score to probability 0, so the rounds'
+    # losses stay finite and only this refuses.
     try:
         digest = checksum(payload)
     except ValueError as exc:  # a NaN or Inf, which JSON cannot hold
@@ -383,8 +384,7 @@ def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
             encoders = sae_mod.model_from_dict(components["sae"], cfg.sae,
                                                len(FEATURE_NAMES))
             classifier = lstm_mod.model_from_dict(
-                components["lstm"], cfg.lstm, cfg.sae.encoder_dims[-1], classes,
-                cfg.seed_for("lstm"))
+                components["lstm"], cfg.lstm, cfg.sae.encoder_dims[-1], classes)
 
             def predict(x):
                 return lstm_mod.predict(classifier, sae_mod.encode(encoders, x))

@@ -238,7 +238,7 @@ def _fit(kind, cfg, artifact) -> tuple:
         classifier, records = lstm.train_classifier(
             codes, y, cfg.lstm, cfg.seed_for("lstm"), k)
         components = {"sae": sae.model_to_dict(model),
-                      "lstm": lstm.model_to_dict(classifier, codes.shape[1])}
+                      "lstm": lstm.model_to_dict(classifier)}
         histories["lstm_history.csv"] = lstm.history_csv(records)
         summary = [f"  stack reconstruction loss: {model.stack_loss:.6f}"]
         if records:
@@ -258,18 +258,19 @@ def cmd_train(args) -> int:
     artifact = load_artifact(args.artifact)
     out_dir = Path(args.output_dir)
     # made before any epoch, so an unwritable path fails first; the
-    # directories made here, deepest first, are removed if training is refused
+    # directories made here, deepest first, are removed if training or
+    # storing the bundle is refused
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle_path = out_dir / "bundle.json"
     try:
         components, histories, summary = _fit(args.kind, cfg, artifact)
+        save_bundle(bundle_path, args.kind, cfg.echo(), artifact, components)
     except DataError:
         for directory in made:
             with contextlib.suppress(OSError):  # "x/.." of "x/../o" holds x
                 directory.rmdir()
         raise
-    save_bundle(bundle_path, args.kind, cfg.echo(), artifact, components)
     _write_outputs(out_dir, histories)
     print(f"{args.kind} bundle written to {bundle_path}")
     print(*summary, sep="\n")

@@ -22,12 +22,11 @@ Every sequence starts from h = c = 0, so each layer's first step is a
 zero-state step. The forget gate only scales c_prev = 0 there, so the step
 multiplies and activates just the three live gates, i | o | g, of the input
 block: [a_i | a_o | a_g] = x_t @ w[live, H:].T + b[live], and c_t = i * g.
-Its backward pass writes gradient on those rows of w[:, H:] and b only; the
-recurrent block and the forget rows keep zero gradient. With one step per
-sequence (the default layout) those entries never get a gradient at all, so
-training steps only those rows and the head, as views of Adam's flat buffer
-that zero-state steps read (``LstmCell.live``) and BPTT writes into. A bundle
-stores just those parts; loading writes them into the seeded stack.
+Its backward pass writes gradient on those rows of w[:, H:] and b only. With
+one step per sequence (the default layout) every step is such a step, so
+training keeps only those rows: a one-step cell (``LstmCell.one_step``) is
+its i | o | g input block, w of shape (3H, D) and b of 3H. Adam trains the
+cells and the head whole, and a bundle stores them as they are.
 
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
@@ -35,7 +34,7 @@ or as one step per feature. A softmax head reads the final hidden state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +63,9 @@ LAYOUTS = ("single-step", "feature-steps")
 class LstmCell:
     w: np.ndarray  # (4 * hidden, hidden + input), row blocks i | f | o | g
     b: np.ndarray  # (4 * hidden,)
-    # Adam's views of w[live, H:], b[live] while one-step training runs
-    live: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    # a cell whose every step starts from the zero state keeps just what
+    # such a step reads: w[live, H:] (3 * hidden, input) and b[live]
+    one_step: bool = False
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, seed: int) -> "LstmCell":
@@ -81,7 +80,7 @@ class LstmCell:
 
     @property
     def hidden_size(self) -> int:
-        return self.w.shape[0] // 4
+        return self.w.shape[0] // (3 if self.one_step else 4)
 
     def params(self) -> list:
         return [self.w, self.b]
@@ -113,14 +112,12 @@ class GateCache:
 
 
 def step_weights(cell: LstmCell, zero_state: bool) -> tuple:
-    """(w, b) a step meets: all of them, or on a zero-state step only the
-    i | o | g rows of the input block."""
-    if not zero_state:
+    """(w, b) a step meets: all a cell holds, or on a full cell's zero-state
+    step only the i | o | g rows of the input block."""
+    if cell.one_step or not zero_state:
         return cell.w, cell.b
-    if cell.live is None:
-        rows = live_rows(cell.hidden_size)
-        return cell.w[rows, cell.hidden_size:], cell.b[rows]
-    return cell.live
+    rows = live_rows(cell.hidden_size)
+    return cell.w[rows, cell.hidden_size:], cell.b[rows]
 
 
 def cell_step(a: np.ndarray, b: np.ndarray, c_prev: np.ndarray | None,
@@ -257,27 +254,23 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
     grads are rescaled to that norm; the returned value is the norm of the
     returned grads.
 
-    Training passes ``out``, Adam's gradient views of the trained parts, to
-    be filled in place of the full grads, and gets a norm only if it clips;
-    with ``out`` None the full grads are returned.
+    Training passes ``out``, Adam's gradient views, to be filled in place of
+    new grads, and gets a norm only if it clips.
     """
     time_steps, m = len(caches.steps[0]), grad_logits.shape[0]
-    # the full grads are built only without ``out``, or to clip them
-    full = out is None or clip_threshold is not None
-    slices = trained_slices(model, time_steps) if full else None
-    parts = out or [np.empty_like(p[s]) for p, s in zip(model.params(), slices)]
+    grads = out or [np.empty_like(p) for p in model.params()]
     grad_h_final = dense_backward_preact(model.head, caches.head_cache,
-                                         grad_logits, parts[-2:])[0]
+                                         grad_logits, grads[-2:])[0]
     # dh arriving at each step of the current layer from the layer above.
     upper = [0.0] * (time_steps - 1) + [grad_h_final]
     for layer_index in range(len(model.cells) - 1, -1, -1):
         cell = model.cells[layer_index]
         step_caches = caches.steps[layer_index]
         hidden = cell.hidden_size
-        # all of w and b with several steps, which each step adds into;
-        # else just their live rows, which the one step writes
-        gw, gb = parts[2 * layer_index:2 * layer_index + 2]
-        if time_steps > 1:
+        # a one-step cell's one step writes its gradient; each step of a
+        # full cell adds into its gradient
+        gw, gb = grads[2 * layer_index:2 * layer_index + 2]
+        if not cell.one_step:
             gw.fill(0.0)
             gb.fill(0.0)
         lower = []
@@ -309,12 +302,13 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             if f is None:
                 # first step: no forget gate, and no earlier state to pass a
                 # gradient back to
-                dw = np.matmul(pre.T, cache.z, out=gw if time_steps == 1 else None)
-                db = np.sum(pre, axis=0, out=gb if time_steps == 1 else None)
-                if time_steps > 1:  # whole gw and gb: add to their live rows
+                if cell.one_step:
+                    np.matmul(pre.T, cache.z, out=gw)
+                    np.sum(pre, axis=0, out=gb)
+                else:  # the step wrote the live rows of the input block
                     rows = live_rows(hidden)
-                    gw[rows, hidden:] += dw
-                    gb[rows] += db
+                    gw[rows, hidden:] += pre.T @ cache.z
+                    gb[rows] += pre.sum(axis=0)
                 if layer_index:
                     lower.append(pre @ cache.w)
                 continue
@@ -330,17 +324,14 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             else:  # the raw input needs no gradient
                 grad_h_next = pre @ cache.w[:, :hidden]
         upper = lower[::-1]
-    if not full:
+    if out is not None and clip_threshold is None:
         return out, None
-    grads = [np.zeros_like(p) for p in model.params()]
-    for g, s, part in zip(grads, slices, parts):
-        g[s] = part
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if clip_threshold is not None and norm > clip_threshold:
-        for g in out or grads:
+        for g in grads:
             g *= clip_threshold / norm
         norm = clip_threshold
-    return out or grads, norm
+    return grads, norm
 
 
 def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
@@ -359,19 +350,6 @@ def create_classifier(input_dim: int, k_classes: int, config: LstmConfig,
     return LstmClassifier(cells=cells, head=head, config=config)
 
 
-def trained_slices(model: LstmClassifier, time_steps: int) -> list:
-    """Per array of ``model.params()``, the index of the part training steps.
-
-    With one step per sequence every cell runs from zero state, so only the
-    i | o | g rows of the input block w[:, H:] and of b are live; the
-    recurrent block and the forget rows keep their seeded values. Otherwise
-    all of w and b are. The head is live."""
-    hidden = model.config.hidden_size
-    rows = live_rows(hidden)
-    cell = [(rows, np.s_[hidden:]), rows] if time_steps == 1 else [np.s_[...]] * 2
-    return cell * len(model.cells) + [np.s_[...]] * 2
-
-
 def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
                      seed: int, k_classes: int):
     """Mini-batch Adam training through :func:`ransomflow.nn.train_epochs`.
@@ -382,16 +360,14 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     """
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k_classes, config, seed)
-    live = trained_slices(model, sequences.shape[1])
-    optimizer = Adam([p[s] for p, s in zip(model.params(), live)],
-                     config.learning_rate)
-    # the model trains Adam's views, a one-step cell just its live rows
+    if sequences.shape[1] == 1:  # every step starts from the zero state
+        model.cells = [LstmCell(*step_weights(cell, True), one_step=True)
+                       for cell in model.cells]
+    optimizer = Adam(model.params(), config.learning_rate)
+    # the model trains Adam's views
     views = iter(optimizer.params)
     for cell in model.cells:
-        if sequences.shape[1] == 1:
-            cell.live = next(views), next(views)
-        else:
-            cell.w, cell.b = next(views), next(views)
+        cell.w, cell.b = next(views), next(views)
     model.head.weights, model.head.biases = next(views), next(views)
 
     def batch_step(idx):
@@ -404,10 +380,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
 
     records = train_epochs("LSTM training", optimizer, batch_step,
                            x.shape[0], config.batch_size, seed, config.epochs)
-    for p, s, view in zip(model.params(), live, optimizer.params):
-        p[s] = view
-    for cell in model.cells:
-        cell.live = None
     return model, records
 
 
@@ -467,45 +439,46 @@ def predict(model: LstmClassifier, x: np.ndarray) -> np.ndarray:
 # Serialization
 
 
-def model_to_dict(model: LstmClassifier, features: int) -> dict:
-    """The parts of ``model``, trained on ``features``-wide rows, that
-    training changed; :func:`model_from_dict` derives the rest."""
-    steps = to_sequences(np.empty((0, features)),
-                         model.config.sequence_layout).shape[1]
-    # the cells' trained parts; the head, last, trains whole
-    views = iter(p[s] for p, s in zip(model.params(),
-                                      trained_slices(model, steps)))
+def model_to_dict(model: LstmClassifier) -> dict:
+    """The cells' and the head's weights and biases; whether a cell is
+    one-step follows from the layout setting."""
     return {
-        "cells": [{"w": array_doc(next(views), "lstm cell w"),
-                   "b": array_doc(next(views), "lstm cell b")}
-                  for _ in model.cells],
+        "cells": [{"w": array_doc(cell.w, "lstm cell w"),
+                   "b": array_doc(cell.b, "lstm cell b")}
+                  for cell in model.cells],
         "head": layer_to_dict(model.head),
     }
 
 
 def model_from_dict(doc: dict, config: LstmConfig, features: int,
-                    k_classes: int, seed: int) -> LstmClassifier:
-    """The seeded classifier ``train_classifier`` starts from, with the parts
-    ``doc`` stores written in; :class:`SchemaMismatch` unless each stored
-    part has the shape of the part training changes."""
+                    k_classes: int) -> LstmClassifier:
+    """The classifier ``doc`` stores, for ``features``-wide rows;
+    :class:`SchemaMismatch` unless each stored array has the shape that
+    ``train_classifier`` gives it under ``config``: one-step cells when the
+    layout gives one step per row."""
     _, steps, width = to_sequences(np.empty((0, features)),
                                    config.sequence_layout).shape
-    model = create_classifier(width, k_classes, config, seed)
     require_keys(doc, ("cells", "head"), "lstm")
     for cell in doc["cells"]:
         require_keys(cell, ("w", "b"), "lstm cell")
-    stored = [*(array_from_doc(cell[key]) for cell in doc["cells"]
-                for key in ("w", "b")),
-              *layer_from_dict(doc["head"], "softmax").params()]
-    params = model.params()
-    if len(stored) != len(params):
-        raise SchemaMismatch(f"{len(doc['cells'])} stored cells for "
+    model = LstmClassifier(
+        cells=[LstmCell(array_from_doc(cell["w"]), array_from_doc(cell["b"]),
+                        one_step=steps == 1) for cell in doc["cells"]],
+        head=layer_from_dict(doc["head"], "softmax"), config=config)
+    if len(model.cells) != config.num_layers:
+        raise SchemaMismatch(f"{len(model.cells)} stored cells for "
                              f"{config.num_layers} lstm layers")
-    for p, s, part in zip(params, trained_slices(model, steps), stored):
-        if part.shape != p[s].shape:
-            raise SchemaMismatch(f"stored lstm parameter shape {part.shape} "
-                                 f"!= {p[s].shape}")
-        p[s] = part
+    hidden = config.hidden_size
+    # a one-step cell has no forget rows and no recurrent block
+    rows, recurrent = (3 * hidden, 0) if steps == 1 else (4 * hidden, hidden)
+    shapes = []
+    for inputs in [width] + [hidden] * (config.num_layers - 1):
+        shapes += [(rows, recurrent + inputs), (rows,)]
+    shapes += [(k_classes, hidden), (k_classes,)]
+    for p, shape in zip(model.params(), shapes):
+        if p.shape != shape:
+            raise SchemaMismatch(f"stored lstm parameter shape {p.shape} "
+                                 f"!= {shape}")
     return model
 
 

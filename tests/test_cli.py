@@ -1396,6 +1396,52 @@ def test_refused_train_removes_only_the_directories_it_made(artifact_dir,
     assert (kept / "notes.txt").read_text() == "mine"
 
 
+def test_train_refused_when_storing_its_bundle_removes_what_it_made(
+        artifact_dir, tmp_path, capsys, monkeypatch):
+    # at gbt.lambda 0 a subnormal hessian sum gives a leaf weight of -inf,
+    # which keeps the losses finite: only storing the bundle refuses it
+    model_to_dict = gbt.model_to_dict
+
+    def infinite_leaf(trees):
+        doc = model_to_dict(trees)
+        node = doc["trees"][0][0]
+        while "weight" not in node:
+            node = node["left"]
+        node["weight"] = -math.inf
+        return doc
+
+    monkeypatch.setattr(gbt, "model_to_dict", infinite_leaf)
+    out = tmp_path / "a" / "b"
+    assert main(["train", str(artifact_dir), "--kind", "gbt",
+                 "--gbt-rounds", "1", "--output", str(out)]) == 3
+    assert "cannot store the model bundle" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("layout", ["single-step", "feature-steps"])
+def test_loading_a_bundle_builds_no_seeded_weights(layout, artifact_dir,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    config = tmp_path / "layout.json"
+    config.write_text(json.dumps({"lstm": {"sequence_layout": layout,
+                                           "num_layers": 2}}))
+    out = tmp_path / "o"
+    assert main(["train", str(artifact_dir), "--kind", "sae-lstm",
+                 "--config", str(config), "--output", str(out),
+                 "--sae-epochs", "1", "--lstm-epochs", "1",
+                 "--lstm-hidden", "4"]) == 0
+    argv = ["evaluate", str(out / "bundle.json"), str(artifact_dir)]
+    assert main([*argv, "--output", str(tmp_path / "seeded")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the loader built a seeded classifier")
+
+    monkeypatch.setattr(lstm, "create_classifier", refuse)
+    assert main([*argv, "--output", str(tmp_path / "stored")]) == 0
+    capsys.readouterr()
+    assert snapshot(tmp_path / "stored") == snapshot(tmp_path / "seeded")
+
+
 def test_stored_lstm_head_is_a_dense_layer_document(artifact_dir, tmp_path,
                                                     monkeypatch):
     trained = []
@@ -1740,7 +1786,7 @@ def explicit_sae_lstm(argv, out):
     out.mkdir(parents=True)
     save_bundle(out / "bundle.json", "sae-lstm", cfg.echo(), artifact,
                 {"sae": sae.model_to_dict(model),
-                 "lstm": lstm.model_to_dict(classifier, codes.shape[1])})
+                 "lstm": lstm.model_to_dict(classifier)})
     (out / "sae_history.csv").write_text(sae.history_csv(model),
                                          encoding="utf-8")
     (out / "lstm_history.csv").write_text(lstm.history_csv(records),

@@ -288,8 +288,7 @@ def test_model_serialization_round_trip():
     x, y = blob_data(6, 2, seed=47)
     cfg = LstmConfig(hidden_size=3, epochs=2, batch_size=4)
     model, _ = train_classifier(x, y, cfg, 15, 2)
-    restored = model_from_dict(model_to_dict(model, 13), model.config, 13, 2,
-                               15)
+    restored = model_from_dict(model_to_dict(model), model.config, 13, 2)
     assert np.array_equal(predict_proba(restored, x), predict_proba(model, x))
 
 
@@ -300,16 +299,20 @@ def test_model_dict_round_trip_is_bit_exact():
             cfg = LstmConfig(hidden_size=4, num_layers=layers, epochs=2,
                              batch_size=4, sequence_layout=layout)
             model, _ = train_classifier(x, y, cfg, 17, 3)
-            doc = json.loads(json.dumps(model_to_dict(model, 13)))
-            # one step per row leaves the recurrent block w[:, :H] and the
-            # forget rows seeded: only the i | o | g rows of w[:, H:] are kept
+            doc = json.loads(json.dumps(model_to_dict(model)))
+            # one step per row trains only the i | o | g rows of w[:, H:]:
+            # such a cell has no recurrent block and no forget rows
             one_step = layout == "single-step"
+            inputs = [13 if one_step else 1] + [4] * (layers - 1)
             assert [d["w"]["shape"] for d in doc["cells"]] == [
-                [12 if one_step else 16, cell.w.shape[1] - 4 * one_step]
-                for cell in model.cells]
+                [12, n] if one_step else [16, 4 + n] for n in inputs]
             assert [d["b"]["shape"] for d in doc["cells"]] == [
                 [12 if one_step else 16]] * layers
-            restored = model_from_dict(doc, cfg, 13, 3, 17)
+            restored = model_from_dict(doc, cfg, 13, 3)
+            assert [cell.one_step for cell in restored.cells] == \
+                [one_step] * layers
+            assert [cell.hidden_size for cell in restored.cells] == \
+                [4] * layers
             for a, b in zip(model.params(), restored.params(), strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()

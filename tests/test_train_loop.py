@@ -27,6 +27,7 @@ from ransomflow import gbt, lstm, rng, sae
 from ransomflow.cli import main
 from ransomflow.errors import DataError
 from ransomflow.lstm import (
+    LstmCell,
     LstmConfig,
     create_classifier,
     sequence_backward,
@@ -207,6 +208,13 @@ def reference_train_classifier(x: np.ndarray, y: np.ndarray,
             loss_sum += loss * len(idx)
             correct += int((probs.argmax(axis=1) == labels).sum())
         history.append((loss_sum / n, correct / n))
+    if sequences.shape[1] == 1:
+        # the forget rows of w[:, H:] kept their seeded values too: a cell
+        # that runs one step from zero state keeps only its i | o | g rows
+        hidden = config.hidden_size
+        rows = np.r_[:hidden, 2 * hidden:4 * hidden]
+        model.cells = [LstmCell(cell.w[rows, hidden:], cell.b[rows],
+                                one_step=True) for cell in model.cells]
     return model, history
 
 

@@ -45,11 +45,16 @@ PIPELINE = (
     (["train", "art", *_SAE_LSTM, "--fine-tune", "--output", "tuned"], 0),
     (["train", "art", *_SAE_LSTM, "--config", "steps.json",
       "--output", "steps"], 0),
+    # one step per row, so both layers are one-step cells; the clip binds
+    (["train", "art", *_SAE_LSTM, "--config", "clipped.json",
+      "--output", "clipped"], 0),
     (["train", "art", "--kind", "gbt", "--gbt-rounds", "3",
       "--output", "gbt"], 0),
     (["evaluate", "sae/bundle.json", "art", "--output", "eval-sae"], 0),
     (["evaluate", "tuned/bundle.json", "art", "--output", "eval-tuned"], 0),
     (["evaluate", "steps/bundle.json", "art", "--output", "eval-steps"], 0),
+    (["evaluate", "clipped/bundle.json", "art", "--output", "eval-clipped"],
+     0),
     (["evaluate", "gbt/bundle.json", "art", "--split", "train",
       "--output", "eval-gbt"], 0),
     (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
@@ -82,6 +87,7 @@ CONFIGS = {
                             "num_layers": 2, "clip_threshold": 0.01},
                    "sae": {"activation": "tanh",
                            "convergence_threshold": 0.5}},
+    "clipped.json": {"lstm": {"num_layers": 2, "clip_threshold": 0.01}},
     "huge-lstm-rate.json": {"lstm": {"learning_rate": 1e300}},
     "overflowing-lstm-rate.json": {"lstm": {"learning_rate": 1e308}},
     "huge-sae-rate.json": {"sae": {"learning_rate": 1e300}},
