@@ -389,7 +389,7 @@ def load_bundle(path, artifact: DatasetArtifact) -> ModelBundle:
             def predict(x):
                 return lstm_mod.predict(classifier, sae_mod.encode(encoders, x))
         else:
-            trees = gbt_mod.model_from_dict(components["gbt"], cfg.gbt.rounds,
+            trees = gbt_mod.model_from_dict(components["gbt"], cfg.gbt,
                                             classes, len(FEATURE_NAMES))
 
             def predict(x):

@@ -374,14 +374,20 @@ def _stored_number(value, what: str) -> float:
     return float(value)
 
 
-def node_from_dict(doc: dict, features: int) -> TreeNode:
-    """The tree a stored node holds: exactly a numeric ``weight`` (a leaf) or
-    exactly a ``feature`` index in [0, features), a numeric ``threshold`` and
-    ``left`` and ``right`` nodes."""
+def node_from_dict(doc: dict, features: int, max_depth: int,
+                   depth: int) -> TreeNode:
+    """The tree a stored node at ``depth`` holds: exactly a numeric
+    ``weight`` (a leaf) or, at a depth below ``max_depth`` (the only ones
+    :func:`build_tree` splits at), exactly a ``feature`` index in
+    [0, features), a numeric ``threshold`` and ``left`` and ``right``
+    nodes."""
     if "weight" in doc:
         require_keys(doc, ("weight",), "tree leaf")
         return TreeNode(weight=_stored_number(doc["weight"], "tree leaf weight"))
     require_keys(doc, ("feature", "threshold", "left", "right"), "tree node")
+    if depth >= max_depth:
+        raise SchemaMismatch(f"tree node at depth {depth} splits, beyond "
+                             f"max_depth {max_depth}")
     feature = doc["feature"]
     if type(feature) is not int or not 0 <= feature < features:
         raise SchemaMismatch(f"tree node feature {feature!r} is not a column "
@@ -389,8 +395,8 @@ def node_from_dict(doc: dict, features: int) -> TreeNode:
     return TreeNode(
         feature=feature,
         threshold=_stored_number(doc["threshold"], "tree node threshold"),
-        left=node_from_dict(doc["left"], features),
-        right=node_from_dict(doc["right"], features),
+        left=node_from_dict(doc["left"], features, max_depth, depth + 1),
+        right=node_from_dict(doc["right"], features, max_depth, depth + 1),
     )
 
 
@@ -399,18 +405,18 @@ def model_to_dict(trees: list) -> dict:
                       for per_class in trees]}
 
 
-def model_from_dict(doc: dict, rounds: int, k_classes: int,
+def model_from_dict(doc: dict, params: GbtParams, k_classes: int,
                     features: int) -> list:
     """The trees in ``doc``, which split rows of ``features`` columns;
-    :class:`SchemaMismatch` unless they are ``k_classes`` lists of ``rounds``
-    trees each."""
+    :class:`SchemaMismatch` unless they are ``k_classes`` lists of
+    ``params.rounds`` trees each, none split below ``params.max_depth``."""
     require_keys(doc, ("trees",), "gbt")
-    trees = [[node_from_dict(t, features) for t in per_class]
-             for per_class in doc["trees"]]
+    trees = [[node_from_dict(t, features, params.max_depth, 0)
+              for t in per_class] for per_class in doc["trees"]]
     counts = [len(per_class) for per_class in trees]
-    if counts != [rounds] * k_classes:
+    if counts != [params.rounds] * k_classes:
         raise SchemaMismatch(f"tree counts {counts} per class contradict "
-                             f"{rounds} rounds and {k_classes} classes")
+                             f"{params.rounds} rounds and {k_classes} classes")
     return trees
 
 

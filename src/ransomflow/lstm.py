@@ -13,20 +13,22 @@ One matmul gives every gate pre-activation:
 The product is (m, 4H), so each gate is a strided column block of it, and
 numpy runs an elementwise op over such a block row by row. Each step
 therefore copies it once into a contiguous gate-major (G, m, H) array, G
-being 4 here and 3 on the zero-state step below, adds b and activates it
+being 4 here and 3 on the one-step cell below, adds b and activates it
 there (:func:`cell_step`): every later read of a gate, forward and in
 BPTT, is contiguous. The copy changes no value, and the product keeps its
 operands, so the results are those of the fused layout bit for bit.
 
 Every sequence starts from h = c = 0, so each layer's first step is a
-zero-state step. The forget gate only scales c_prev = 0 there, so the step
-multiplies and activates just the three live gates, i | o | g, of the input
-block: [a_i | a_o | a_g] = x_t @ w[live, H:].T + b[live], and c_t = i * g.
-Its backward pass writes gradient on those rows of w[:, H:] and b only. With
-one step per sequence (the default layout) every step is such a step, so
-training keeps only those rows: a one-step cell (``LstmCell.one_step``) is
-its i | o | g input block, w of shape (3H, D) and b of 3H. Adam trains the
-cells and the head whole, and a bundle stores them as they are.
+zero-state step. It has no h_prev, so it multiplies x_t, D wide, by the input
+block w[:, -D:] alone and adds all of b; and c_t = i * g, since the forget
+gate has no c_prev to scale. A full cell still activates that gate there,
+and nothing reads it: the backward pass writes 0.0 for its pre-activation,
+so the step adds gradient into w[:, -D:] and b, the forget rows getting
+exactly 0. With one step per sequence (the default layout) every step is
+such a step, so training keeps only what a step reads: a one-step cell
+(``LstmCell.one_step``) is the i | o | g rows of the input block, w of shape
+(3H, D) and b of 3H, and the same code runs it. Adam trains the cells and
+the head whole, and a bundle stores them as they are.
 
 Tabular rows are fed either as one step carrying all features (the default)
 or as one step per feature. A softmax head reads the final hidden state.
@@ -86,11 +88,6 @@ class LstmCell:
         return [self.w, self.b]
 
 
-def live_rows(hidden: int) -> np.ndarray:
-    """Rows of the i | o | g gate blocks: all a zero-state step uses."""
-    return np.concatenate((np.arange(hidden), np.arange(2 * hidden, 4 * hidden)))
-
-
 def gate_blocks(a: np.ndarray, hidden: int) -> list:
     """The ``hidden``-wide column blocks of ``a``, as views."""
     return [a[:, j:j + hidden] for j in range(0, a.shape[1], hidden)]
@@ -102,22 +99,20 @@ class GateCache:
     contiguous gate-major array."""
 
     z: np.ndarray          # [h_prev | x_t], or x_t alone on a zero-state step
-    w: np.ndarray          # what z multiplied: w, or w[live, H:]
+    w: np.ndarray          # the view of w that z multiplied: step_weights
     i: np.ndarray
-    f: np.ndarray | None   # None on a zero-state step, which has three gates
+    f: np.ndarray | None   # None on a one-step cell; unread on the zero state
     o: np.ndarray
     g: np.ndarray
     c_prev: np.ndarray | None  # None marks a zero-state step
     tanh_c: np.ndarray
 
 
-def step_weights(cell: LstmCell, zero_state: bool) -> tuple:
-    """(w, b) a step meets: all a cell holds, or on a full cell's zero-state
-    step only the i | o | g rows of the input block."""
-    if cell.one_step or not zero_state:
-        return cell.w, cell.b
-    rows = live_rows(cell.hidden_size)
-    return cell.w[rows, cell.hidden_size:], cell.b[rows]
+def step_weights(cell: LstmCell, z: np.ndarray) -> np.ndarray:
+    """The columns of ``w`` that multiply a step's input ``z``, as a view: all
+    of them for [h_prev | x_t], the input block alone for the x_t of a
+    zero-state step (all of a one-step cell)."""
+    return cell.w[:, -z.shape[1]:]
 
 
 def cell_step(a: np.ndarray, b: np.ndarray, c_prev: np.ndarray | None,
@@ -126,8 +121,9 @@ def cell_step(a: np.ndarray, b: np.ndarray, c_prev: np.ndarray | None,
 
     Writes ``a + b`` into ``acts``, a contiguous (G, m, H) array with one
     gate per block, and activates it there, so that every gate is read
-    contiguously. G is 3 (i | o | g) when ``c_prev`` is None, the zero
-    state, else 4 (i | f | o | g). Returns (h, c, tanh(c)).
+    contiguously. G is 4 (i | f | o | g), or 3 (i | o | g) on a one-step
+    cell. ``c_prev`` None is the zero state, where the forget gate has
+    nothing to scale and c = i * g. Returns (h, c, tanh(c)).
     """
     gates, m, hidden = acts.shape
     np.copyto(acts, a.reshape(m, gates, hidden).transpose(1, 0, 2))
@@ -135,14 +131,11 @@ def cell_step(a: np.ndarray, b: np.ndarray, c_prev: np.ndarray | None,
     # every gate but the last, the candidate g, is a sigmoid
     sigmoid(acts[:-1], out=acts[:-1])
     np.tanh(acts[-1], out=acts[-1])
-    if c_prev is None:
-        i, o, g = acts
-        c = i * g
-    else:
-        i, f, o, g = acts
-        c = f * c_prev + i * g
+    c = acts[0] * acts[-1]
+    if c_prev is not None:
+        c += acts[1] * c_prev
     tanh_c = np.tanh(c)
-    return o * tanh_c, c, tanh_c
+    return acts[-2] * tanh_c, c, tanh_c
 
 
 def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray | None,
@@ -150,19 +143,19 @@ def cell_forward(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray | None,
     """One LSTM step. Accepts single vectors or (m, dim) batches.
 
     The two states come together. ``h_prev = c_prev = None`` is the zero
-    state: only the i | o | g rows of the input block of ``w`` are multiplied
-    and the forget gate is not computed. Returns (h, c, cache).
+    state: x_t alone multiplies the input block of ``w``. Returns
+    (h, c, cache).
     """
     single = x_t.ndim == 1
     if single:
         x_t = x_t[None, :]
         if c_prev is not None:
             h_prev, c_prev = h_prev[None, :], c_prev[None, :]
-    w, b = step_weights(cell, c_prev is None)
     z = x_t if c_prev is None else np.concatenate([h_prev, x_t], axis=1)
-    acts = np.empty((b.size // cell.hidden_size, x_t.shape[0],
+    w = step_weights(cell, z)
+    acts = np.empty((cell.b.size // cell.hidden_size, x_t.shape[0],
                      cell.hidden_size))
-    h, c, tanh_c = cell_step(z @ w.T, b, c_prev, acts)
+    h, c, tanh_c = cell_step(z @ w.T, cell.b, c_prev, acts)
     i, *f, o, g = acts
     cache = GateCache(z=z, w=w, i=i, f=f[0] if f else None, o=o, g=g,
                       c_prev=c_prev, tanh_c=tanh_c)
@@ -267,12 +260,10 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
         cell = model.cells[layer_index]
         step_caches = caches.steps[layer_index]
         hidden = cell.hidden_size
-        # a one-step cell's one step writes its gradient; each step of a
-        # full cell adds into its gradient
+        # each step adds into the columns of gw its weights came from
         gw, gb = grads[2 * layer_index:2 * layer_index + 2]
-        if not cell.one_step:
-            gw.fill(0.0)
-            gb.fill(0.0)
+        gw.fill(0.0)
+        gb.fill(0.0)
         lower = []
         for t in range(time_steps - 1, -1, -1):
             cache = step_caches[t]
@@ -288,9 +279,9 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             grad_c *= np.subtract(1.0, np.square(cache.tanh_c, out=t2), out=t2)
             if not last:
                 grad_c += grad_c_next
-            # loss gradient at the pre-activations, gate blocks i | f | o | g;
-            # a zero-state step has no forget block
-            pre = np.empty((m, (3 if f is None else 4) * hidden))
+            # loss gradient at the pre-activations, gate blocks i | f | o | g,
+            # or i | o | g on a one-step cell
+            pre = np.empty((m, cell.b.size))
             blocks = gate_blocks(pre, hidden)
             np.multiply(np.multiply(grad_c, g, out=t1), i, out=t1)
             np.multiply(t1, np.subtract(1.0, i, out=t2), out=blocks[0])
@@ -299,29 +290,24 @@ def sequence_backward(model: LstmClassifier, caches: SequenceCaches,
             np.multiply(grad_c, i, out=t1)
             np.subtract(1.0, np.square(g, out=t2), out=t2)
             np.multiply(t1, t2, out=blocks[-1])
-            if f is None:
-                # first step: no forget gate, and no earlier state to pass a
-                # gradient back to
-                if cell.one_step:
-                    np.matmul(pre.T, cache.z, out=gw)
-                    np.sum(pre, axis=0, out=gb)
-                else:  # the step wrote the live rows of the input block
-                    rows = live_rows(hidden)
-                    gw[rows, hidden:] += pre.T @ cache.z
-                    gb[rows] += pre.sum(axis=0)
-                if layer_index:
-                    lower.append(pre @ cache.w)
-                continue
-            np.multiply(np.multiply(grad_c, cache.c_prev, out=t1), f, out=t1)
-            np.multiply(t1, np.subtract(1.0, f, out=t2), out=blocks[1])
+            if cache.c_prev is None:
+                # the zero state: a full cell's forget gate scaled c_prev = 0
+                # (a one-step cell's slice is empty)
+                pre[:, hidden:-2 * hidden] = 0.0
+            else:
+                np.multiply(np.multiply(grad_c, cache.c_prev, out=t1), f,
+                            out=t1)
+                np.multiply(t1, np.subtract(1.0, f, out=t2), out=blocks[1])
+                grad_c_next = grad_c * f
             gb += pre.sum(axis=0)
-            gw += pre.T @ cache.z
-            grad_c_next = grad_c * f
-            if layer_index:
+            gw[:, -cache.z.shape[1]:] += pre.T @ cache.z
+            if layer_index:  # x_t is the h of the layer below
                 grad_z = pre @ cache.w
-                grad_h_next = grad_z[:, :hidden]
-                lower.append(grad_z[:, hidden:])
-            else:  # the raw input needs no gradient
+                # h_prev's columns: none on the first step, whose grad_h_next
+                # nothing reads
+                grad_h_next = grad_z[:, :-hidden]
+                lower.append(grad_z[:, -hidden:])
+            elif t:  # the raw input needs no gradient
                 grad_h_next = pre @ cache.w[:, :hidden]
         upper = lower[::-1]
     if out is not None and clip_threshold is None:
@@ -360,9 +346,14 @@ def train_classifier(x: np.ndarray, y: np.ndarray, config: LstmConfig,
     """
     sequences = to_sequences(x, config.sequence_layout)
     model = create_classifier(sequences.shape[2], k_classes, config, seed)
-    if sequences.shape[1] == 1:  # every step starts from the zero state
-        model.cells = [LstmCell(*step_weights(cell, True), one_step=True)
-                       for cell in model.cells]
+    if sequences.shape[1] == 1:
+        # every step starts from the zero state, which reads no forget row
+        # and no recurrent column
+        forget = slice(config.hidden_size, 2 * config.hidden_size)
+        model.cells = [
+            LstmCell(np.delete(cell.w[:, config.hidden_size:], forget, axis=0),
+                     np.delete(cell.b, forget), one_step=True)
+            for cell in model.cells]
     optimizer = Adam(model.params(), config.learning_rate)
     # the model trains Adam's views
     views = iter(optimizer.params)
@@ -414,16 +405,15 @@ def _chunk_proba(model: LstmClassifier, sequences: np.ndarray,
         h = c = None
         outputs = []
         for x_t in inputs:
-            w, b = step_weights(cell, c is None)
             z = x_t if c is None else np.concatenate([h, x_t], axis=1)
-            a = z @ w.T
+            a = z @ step_weights(cell, z).T
             h, c_next = np.empty((2, a.shape[0], hidden))
             for start in range(0, a.shape[0], SLICE_ROWS):
                 s = slice(start, start + SLICE_ROWS)
                 m = a[s].shape[0]
                 h[s], c_next[s], _ = cell_step(
-                    a[s], b, None if c is None else c[s],
-                    acts[:b.size * m].reshape(-1, m, hidden))
+                    a[s], cell.b, None if c is None else c[s],
+                    acts[:cell.b.size * m].reshape(-1, m, hidden))
             c = c_next
             outputs.append(h)
         inputs = outputs

@@ -227,9 +227,9 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray):
     """
     n = probs.shape[0]
     # np.allclose(row_sums, 1.0, atol=1e-6) written out: atol plus the
-    # default rtol 1e-5 times 1.0; NaN and inf sums compare False
+    # default rtol 1e-5 times 1.0, so 1.1e-05; NaN and inf sums compare False
     if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6 + 1e-5).all():
-        raise DataError("probability rows must sum to 1 within 1e-6")
+        raise DataError("probability rows must sum to 1 within 1.1e-05")
     loss = mean_log_loss(probs, labels)
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0

@@ -19,7 +19,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """splitmix64's output mix of an int, or elementwise of a uint64 array
+    (whose products wrap mod 2**64 unasked)."""
     z &= _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
@@ -28,13 +30,8 @@ def _mix(z: int) -> int:
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the splitmix64 stream for ``seed``, as uint64."""
-    base = np.uint64(seed & _MASK)
-    golden = np.uint64(_GOLDEN)
-    with np.errstate(over="ignore"):
-        z = base + np.arange(1, n + 1, dtype=np.uint64) * golden
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    counters = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(np.uint64(seed & _MASK) + counters * np.uint64(_GOLDEN))
 
 
 def uniform(seed: int, shape: tuple) -> np.ndarray:

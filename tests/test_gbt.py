@@ -329,9 +329,10 @@ def test_params_validation():
 
 def test_model_serialization_round_trip():
     x, y = blob_data(10, 3, seed=71)
-    model, _ = train_gbt(x, y, GbtParams(rounds=3), 3)
+    params = GbtParams(rounds=3)
+    model, _ = train_gbt(x, y, params, 3)
     doc = model_to_dict(model)
-    restored = model_from_dict(doc, 3, 3, x.shape[1])
+    restored = model_from_dict(doc, params, 3, x.shape[1])
     assert np.array_equal(gbt_predict(restored, x), gbt_predict(model, x))
     assert model_to_dict(restored) == doc
 

@@ -4,14 +4,23 @@ The reference below is the general path written out plainly: every step
 concatenates [h_prev | x_t] with zero initial states, multiplies the whole
 gate matrix, keeps the f * c_prev term, computes grad_z = pre @ w at every
 step, and trains with Adam over every parameter. The kernel in
-:mod:`ransomflow.lstm` skips the zero products of the first step and, with
-one step per sequence, trains one-step cells that hold only the i | o | g
-rows of the input block. For the paper's single-step one-layer stack the two
-must agree bit for bit; other stacks sum some products over a different inner
-width or BLAS routine and may differ by rounding, so they are held to 1e-12
-relative. So is one-step training whose clip binds: its clip norm sums the
-one-step cells' gradients, not the reference's full-shape ones with their
-zero entries, in another order.
+:mod:`ransomflow.lstm` multiplies only the input block on the first step,
+whose recurrent products are zero, and, with one step per sequence, trains
+one-step cells that hold only the i | o | g rows of the input block. For the
+paper's single-step one-layer stack the two must agree bit for bit; other
+stacks sum some products over a different inner width or BLAS routine and
+may differ by rounding, so they are held to 1e-12 relative. So is one-step
+training whose clip binds: its clip norm sums the one-step cells' gradients,
+not the reference's full-shape ones with their zero entries, in another
+order.
+
+A full cell's first step activates the forget gate too, which nothing reads.
+Run at one step per sequence, a full stack and the one-step stack narrowed
+from it give the same probabilities and the same top cell and head gradients
+bit for bit, and the full cells' forget rows and recurrent block get a
+gradient of exactly 0. A lower cell's gradient passes through the upper
+cell's input block, whose zero forget rows lengthen the sum, so it is held
+to 1e-12 relative.
 
 Training runs at the configured learning rate (0.001). At 0.05 the 168-unit
 feature-steps stacks follow an unstable path (the gradient norm grows to
@@ -28,10 +37,10 @@ from conftest import ReferenceAdam
 from ransomflow import nn, rng
 from ransomflow.lstm import (
     LstmCell,
+    LstmClassifier,
     LstmConfig,
     cell_forward,
     create_classifier,
-    live_rows,
     predict_proba,
     sequence_backward,
     sequence_forward,
@@ -133,12 +142,17 @@ def ref_train(x, y, config, seed):
     return model, history
 
 
+def iog_rows(hidden):
+    """The rows of the i | o | g gate blocks, those a one-step cell keeps."""
+    return np.r_[:hidden, 2 * hidden:4 * hidden]
+
+
 def widened(model, start):
     """``start``, a seeded classifier of full cells, with ``model``'s
     one-step cells written into the i | o | g rows of w[:, H:] and of b, and
     with ``model``'s head."""
     hidden = model.config.hidden_size
-    rows = live_rows(hidden)
+    rows = iog_rows(hidden)
     for cell, full in zip(model.cells, start.cells):
         full.w[rows, hidden:], full.b[rows] = cell.w, cell.b
     start.head = model.head
@@ -256,3 +270,35 @@ def test_zero_state_step_equals_explicit_zero_states():
     h2, c2, _ = cell_forward(cell, x[:1], None, None)
     assert np.array_equal(h1, h2[0]) and np.array_equal(c1, c2[0])
 
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("hidden", [5, 13, 168])
+def test_full_cells_at_one_step_equal_their_one_step_cells(layers, hidden):
+    config, seed = make_config("single-step", layers, hidden, None)
+    x, y = make_data(hidden)
+    seqs = to_sequences(x, "single-step")
+    full = create_classifier(WIDTH, K_CLASSES, config, seed)
+    rows = iog_rows(hidden)
+    narrow = LstmClassifier(
+        cells=[LstmCell(cell.w[rows, hidden:], cell.b[rows], one_step=True)
+               for cell in full.cells],
+        head=full.head, config=config)
+
+    probs, caches = sequence_forward(full, seqs)
+    narrow_probs, narrow_caches = sequence_forward(narrow, seqs)
+    assert np.array_equal(probs, narrow_probs)
+    _, grad_logits = cross_entropy_loss(probs, y)
+    grads, _ = sequence_backward(full, caches, grad_logits, None, None)
+    narrow_grads, _ = sequence_backward(narrow, narrow_caches, grad_logits,
+                                        None, None)
+    for layer in range(layers):
+        gw, gb = grads[2 * layer:2 * layer + 2]
+        exact = layer == layers - 1
+        check(gw[rows, hidden:], narrow_grads[2 * layer], exact)
+        check(gb[rows], narrow_grads[2 * layer + 1], exact)
+        forget = slice(hidden, 2 * hidden)
+        assert np.all(gw[forget] == 0.0) and np.all(gb[forget] == 0.0)
+        assert np.all(gw[:, :hidden] == 0.0)
+    for g, narrow_g in zip(grads[-2:], narrow_grads[-2:], strict=True):
+        assert np.array_equal(g, narrow_g)

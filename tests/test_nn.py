@@ -231,7 +231,7 @@ def test_cross_entropy_grad_matches_finite_differences():
     assert grad_check(loss_fn, [logits]) < 1e-6
 
 
-NOT_A_DISTRIBUTION = "^probability rows must sum to 1 within 1e-6$"
+NOT_A_DISTRIBUTION = r"^probability rows must sum to 1 within 1\.1e-05$"
 
 
 def test_cross_entropy_rejects_non_distribution():

@@ -17,10 +17,12 @@ another valid settings document (one encoder layer fewer, say, which a
 dataset or gbt echo does not contradict).
 
 A gbt tree's values are edited too: a split feature that is not a column
-index, and a threshold or leaf weight that is not a number. So are the
-numbers of a report.json, which ``compare`` reads: a score that is not a
-number in [0, 1], or a count that is not an int >= 0. A sae-lstm bundle that
-stores a one-step cell's forget rows (the version 7 layout) is refused.
+index, and a threshold or leaf weight that is not a number. So is its depth:
+a tree that splits at ``gbt.max_depth``, where training never splits, is
+refused. So are the numbers of a report.json, which ``compare`` reads: a
+score that is not a number in [0, 1], or a count that is not an int >= 0.
+A sae-lstm bundle that stores a one-step cell's forget rows (the version 7
+layout) is refused.
 
 Type edits replace each value held at each representative, in all four
 stored files, with each of None, "x", 5, -1, 1.5, true, [], {} and ["x"].
@@ -313,6 +315,33 @@ def test_gbt_tree_value_edits_exit_3(key, value, stored, tmp_path, capsys):
                  "--output", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("error: ") and str(bundle) in err
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 3)])
+def test_gbt_tree_deeper_than_max_depth_is_refused(extra, code, stored,
+                                                   tmp_path, capsys):
+    # the first tree becomes a chain of max_depth + extra splits on the
+    # root's feature and threshold; training splits at depths below
+    # max_depth only
+    art, _, gbt_bundle = stored
+    doc = json.loads(gbt_bundle.read_text())
+    trees = doc["payload"]["components"]["gbt"]["trees"][0]
+    root, max_depth = trees[0], doc["payload"]["config"]["gbt"]["max_depth"]
+    node = {"weight": 0.5}
+    for _ in range(max_depth + extra):
+        node = {"feature": root["feature"], "threshold": root["threshold"],
+                "left": node, "right": {"weight": -0.5}}
+    trees[0] = node
+    doc["checksum"] = checksum(doc["payload"])
+    bundle = tmp_path / "bundle.json"
+    dump_json(bundle, doc)
+    capsys.readouterr()
+    assert main(["evaluate", str(bundle), str(art),
+                 "--output", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and str(bundle) in err
+        assert f"max_depth {max_depth}" in err
 
 
 @pytest.mark.parametrize("key", ["w", "b"])

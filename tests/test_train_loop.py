@@ -349,7 +349,7 @@ def test_train_epochs_names_the_stage_and_epoch_of_a_divergence(recwarn):
         pass
 
     def misshapen(idx):
-        raise StepFault("probability rows must sum to 1 within 1e-6")
+        raise StepFault("probability rows must sum to 1 within 1.1e-05")
 
     # a batch step's DataError keeps its type and gains the stage and epoch
     with pytest.raises(StepFault,

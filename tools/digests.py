@@ -48,6 +48,11 @@ PIPELINE = (
     # one step per row, so both layers are one-step cells; the clip binds
     (["train", "art", *_SAE_LSTM, "--config", "clipped.json",
       "--output", "clipped"], 0),
+    # two feature-steps layers at hidden 100, where a step's products span
+    # more than the one BLAS inner block they fill at hidden 16
+    (["train", "art-sub", "--kind", "sae-lstm", "--sae-epochs", "1",
+      "--lstm-epochs", "1", "--lstm-hidden", "100", "--config",
+      "wide-steps.json", "--output", "wide-steps"], 0),
     (["train", "art", "--kind", "gbt", "--gbt-rounds", "3",
       "--output", "gbt"], 0),
     (["evaluate", "sae/bundle.json", "art", "--output", "eval-sae"], 0),
@@ -55,6 +60,8 @@ PIPELINE = (
     (["evaluate", "steps/bundle.json", "art", "--output", "eval-steps"], 0),
     (["evaluate", "clipped/bundle.json", "art", "--output", "eval-clipped"],
      0),
+    (["evaluate", "wide-steps/bundle.json", "art-sub",
+      "--output", "eval-wide-steps"], 0),
     (["evaluate", "gbt/bundle.json", "art", "--split", "train",
       "--output", "eval-gbt"], 0),
     (["evaluate", "gbt/bundle.json", "art", "--output", "eval-gbt-test"], 0),
@@ -88,6 +95,8 @@ CONFIGS = {
                    "sae": {"activation": "tanh",
                            "convergence_threshold": 0.5}},
     "clipped.json": {"lstm": {"num_layers": 2, "clip_threshold": 0.01}},
+    "wide-steps.json": {"lstm": {"sequence_layout": "feature-steps",
+                                 "num_layers": 2}},
     "huge-lstm-rate.json": {"lstm": {"learning_rate": 1e300}},
     "overflowing-lstm-rate.json": {"lstm": {"learning_rate": 1e308}},
     "huge-sae-rate.json": {"sae": {"learning_rate": 1e300}},
